@@ -48,7 +48,7 @@ type cacheEntry struct {
 }
 
 // NewExtractionCache returns an empty cache. counters may be nil; when set
-// (e.g. to a server-wide obs.Counters published over /debug/vars) every
+// (e.g. to a server-wide obs.Counters published over /metrics) every
 // lookup increments obs.ExtractCacheHits or obs.ExtractCacheMisses.
 func NewExtractionCache(counters *obs.Counters) *ExtractionCache {
 	return &ExtractionCache{entries: map[string]*cacheEntry{}, counters: counters}

@@ -27,91 +27,37 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"nexus/internal/httpdebug"
 	"nexus/internal/kg"
 	"nexus/internal/kgserve"
+	"nexus/internal/rpc"
 )
 
-func main() {
-	err := run(os.Args[1:])
-	if err == flag.ErrHelp {
-		return
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kgd:", err)
-		os.Exit(1)
-	}
-}
+func main() { rpc.Main(run) }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("kgd", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var (
-		addr         = fs.String("addr", ":7070", "listen address")
-		seed         = fs.Uint64("seed", 11, "world seed (must match the client's -seed for name-identical graphs)")
-		failRate     = fs.Float64("fail-rate", 0, "probability of rejecting a request with HTTP 500 (fault injection)")
-		latency      = fs.Duration("latency", 0, "artificial delay per request (fault injection)")
-		faultSeed    = fs.Uint64("fault-seed", 1, "RNG seed for fault injection")
-		maxBatch     = fs.Int("max-batch", 65536, "reject larger batch requests with 400")
-		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
-		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof, /metrics and /debug/slow on this extra address (keep it loopback-only)")
-		slowThresh   = fs.Duration("slow-threshold", 0, "capture requests at least this slow on /debug/slow (0 = off)")
-		slowKeep     = fs.Int("slow-keep", 32, "retain this many slowest captured requests")
+		daemon   = rpc.NewDaemon(fs, ":7070", 10*time.Second, true)
+		seed     = fs.Uint64("seed", 11, "world seed (must match the client's -seed for name-identical graphs)")
+		maxBatch = fs.Int("max-batch", 65536, "reject larger batch requests with 400")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *failRate < 0 || *failRate >= 1 {
-		return fmt.Errorf("-fail-rate must be in [0,1), got %g", *failRate)
+	cfg, err := daemon.ServerConfig()
+	if err != nil {
+		return err
 	}
 
 	log.Printf("generating knowledge graph (seed %d)...", *seed)
 	world := kg.NewWorld(kg.WorldConfig{Seed: *seed})
 	log.Printf("graph ready: %d entities, %d triples", world.Graph.NumEntities(), world.Graph.NumTriples())
-	if *failRate > 0 || *latency > 0 {
-		log.Printf("fault injection: fail-rate %g, latency %s (seed %d)", *failRate, *latency, *faultSeed)
-	}
 
-	srv := kgserve.New(kgserve.Config{
-		Source:        world.Graph,
-		FailRate:      *failRate,
-		Latency:       *latency,
-		Seed:          *faultSeed,
-		MaxBatch:      *maxBatch,
-		SlowThreshold: *slowThresh,
-		SlowKeep:      *slowKeep,
-	})
-
-	if srv.SlowLog() != nil {
-		defer httpdebug.DumpSlowOnSIGQUIT(srv.SlowLog(), os.Stderr)()
-	}
-	if *debugAddr != "" {
-		dbg := &http.Server{Addr: *debugAddr, Handler: httpdebug.Mux(srv.Registry(), "kgd", srv.SlowLog())}
-		go func() {
-			log.Printf("debug listener (pprof, /metrics, /debug/slow) on %s", *debugAddr)
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-		defer dbg.Close()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	log.Printf("listening on %s", *addr)
-	if err := srv.ListenAndServe(ctx, *addr, *drainTimeout); err != nil {
-		return err
-	}
-	log.Printf("drained, bye")
-	return nil
+	return daemon.Run(kgserve.New(kgserve.Config{Source: world.Graph, MaxBatch: *maxBatch, ServerConfig: cfg}))
 }

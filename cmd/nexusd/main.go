@@ -5,7 +5,6 @@
 //	POST /v1/explain   — explain an aggregate query (sync, or async with a job id)
 //	GET  /v1/jobs/{id} — async job status/result
 //	GET  /healthz      — liveness
-//	GET  /debug/vars   — expvar JSON with the server's counters under "nexusd"
 //	GET  /metrics      — Prometheus text exposition (see docs/API.md "Metrics")
 //	GET  /debug/slow   — slowest captured explanations (with -slow-threshold)
 //
@@ -30,45 +29,32 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"nexus"
 	"nexus/internal/colstore"
 	"nexus/internal/distremote"
-	"nexus/internal/httpdebug"
 	"nexus/internal/kg"
 	"nexus/internal/kgremote"
 	"nexus/internal/obs"
 	"nexus/internal/reportcache"
+	"nexus/internal/rpc"
 	"nexus/internal/server"
 	"nexus/internal/workload"
 )
 
-func main() {
-	err := run(os.Args[1:])
-	if err == flag.ErrHelp {
-		return
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nexusd:", err)
-		os.Exit(1)
-	}
-}
+func main() { rpc.Main(run) }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("nexusd", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var (
-		addr         = fs.String("addr", ":8080", "listen address")
+		daemon       = rpc.NewDaemon(fs, ":8080", 30*time.Second, false)
 		dataset      = fs.String("dataset", "", "synthetic dataset: so|covid|flights|forbes")
 		rows         = fs.Int("rows", 0, "row count for the synthetic dataset (0 = paper size; flights defaults to 200000)")
 		csvPath      = fs.String("csv", "", "serve this CSV instead of a synthetic dataset")
@@ -90,19 +76,19 @@ func run(args []string) error {
 		cacheTTL     = fs.Duration("report-cache-ttl", 15*time.Minute, "report-cache entry lifetime (0 = no expiry)")
 		timeout      = fs.Duration("timeout", 60*time.Second, "default per-request timeout")
 		maxTimeout   = fs.Duration("max-timeout", 5*time.Minute, "cap on client-requested timeouts")
-		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
-		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof, /metrics and /debug/slow on this extra address (keep it loopback-only)")
-		slowThresh   = fs.Duration("slow-threshold", 0, "capture explanations at least this slow on /debug/slow (0 = off)")
-		slowKeep     = fs.Int("slow-keep", 32, "retain this many slowest captured explanations")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	slowCfg, err := daemon.ServerConfig()
+	if err != nil {
 		return err
 	}
 
 	// One registry per daemon: the serving histograms and gauges plus the
 	// pipeline counter set, all rendered by GET /metrics; the counter set
-	// is shared with the session and the extraction cache so /debug/vars
-	// and /metrics can never disagree.
+	// is shared with the session and the extraction cache, so every
+	// counter leaves the process by the one /metrics path.
 	registry := obs.NewRegistry(nil)
 	metrics := registry.Counters()
 	// Resident sealed-chunk bytes of the columnar ingest layer: the
@@ -127,7 +113,7 @@ func run(args []string) error {
 		// per-request trace to each job's context instead (feeding the
 		// per-stage histograms and slow capture), while Metrics routes
 		// every pipeline counter (bias detections, cache hits,
-		// subgroup-search effort) to /debug/vars and /metrics.
+		// subgroup-search effort) to /metrics.
 		Metrics:      metrics,
 		ExtractCache: nexus.NewExtractionCache(metrics),
 	}
@@ -223,31 +209,10 @@ func run(args []string) error {
 		MaxTimeout:        *maxTimeout,
 		Metrics:           metrics,
 		Registry:          registry,
-		SlowThreshold:     *slowThresh,
-		SlowKeep:          *slowKeep,
+		SlowThreshold:     slowCfg.SlowThreshold,
+		SlowKeep:          slowCfg.SlowKeep,
 		ErrorLog:          log.Default(),
 	})
 
-	if srv.SlowLog() != nil {
-		defer httpdebug.DumpSlowOnSIGQUIT(srv.SlowLog(), os.Stderr)()
-	}
-	if *debugAddr != "" {
-		dbg := &http.Server{Addr: *debugAddr, Handler: httpdebug.Mux(registry, "nexusd", srv.SlowLog())}
-		go func() {
-			log.Printf("debug listener (pprof, /metrics, /debug/slow) on %s", *debugAddr)
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-		defer dbg.Close()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	log.Printf("listening on %s", *addr)
-	if err := srv.ListenAndServe(ctx, *addr, *drainTimeout); err != nil {
-		return err
-	}
-	log.Printf("drained, bye")
-	return nil
+	return daemon.Run(srv)
 }

@@ -27,95 +27,36 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
-	"log"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"nexus/internal/distworker"
-	"nexus/internal/httpdebug"
+	"nexus/internal/rpc"
 )
 
-func main() {
-	err := run(os.Args[1:])
-	if err == flag.ErrHelp {
-		return
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nexusw:", err)
-		os.Exit(1)
-	}
-}
+func main() { rpc.Main(run) }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("nexusw", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	var (
-		addr         = fs.String("addr", ":7080", "listen address")
-		par          = fs.Int("parallelism", 0, "scoring goroutines per unit (0 = GOMAXPROCS)")
-		maxDatasets  = fs.Int("max-datasets", 8, "registered datasets retained (LRU)")
-		maxBatch     = fs.Int("max-batch", 1024, "reject score requests with more units with 400")
-		failRate     = fs.Float64("fail-rate", 0, "probability of rejecting a request with HTTP 500 (fault injection)")
-		latency      = fs.Duration("latency", 0, "artificial delay per request (fault injection)")
-		faultSeed    = fs.Uint64("fault-seed", 1, "RNG seed for fault injection")
-		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight requests")
-		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof, /metrics and /debug/slow on this extra address (keep it loopback-only)")
-		slowThresh   = fs.Duration("slow-threshold", 0, "capture requests at least this slow on /debug/slow (0 = off)")
-		slowKeep     = fs.Int("slow-keep", 32, "retain this many slowest captured requests")
+		daemon      = rpc.NewDaemon(fs, ":7080", 10*time.Second, true)
+		par         = fs.Int("parallelism", 0, "scoring goroutines per unit (0 = GOMAXPROCS)")
+		maxDatasets = fs.Int("max-datasets", 8, "registered datasets retained (LRU)")
+		maxBatch    = fs.Int("max-batch", 1024, "reject score requests with more units with 400")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *failRate < 0 || *failRate >= 1 {
-		return fmt.Errorf("-fail-rate must be in [0,1), got %g", *failRate)
-	}
-
-	srv := distworker.New(distworker.Config{
-		Parallelism:   *par,
-		MaxDatasets:   *maxDatasets,
-		MaxBatch:      *maxBatch,
-		FailRate:      *failRate,
-		Latency:       *latency,
-		Seed:          *faultSeed,
-		SlowThreshold: *slowThresh,
-		SlowKeep:      *slowKeep,
-	})
-	if *failRate > 0 || *latency > 0 {
-		log.Printf("fault injection: fail-rate %g, latency %s (seed %d)", *failRate, *latency, *faultSeed)
-	}
-
-	if srv.SlowLog() != nil {
-		defer httpdebug.DumpSlowOnSIGQUIT(srv.SlowLog(), os.Stderr)()
-	}
-	if *debugAddr != "" {
-		dbg := &http.Server{Addr: *debugAddr, Handler: httpdebug.Mux(srv.Registry(), "nexusw", srv.SlowLog())}
-		go func() {
-			log.Printf("debug listener (pprof, /metrics, /debug/slow) on %s", *debugAddr)
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
-		defer dbg.Close()
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
-	defer stop()
-	// Bind before logging so "-addr :0" reports the actual port — the kill
-	// test (and two-terminal quickstarts) parse this line.
-	ln, err := net.Listen("tcp", *addr)
+	cfg, err := daemon.ServerConfig()
 	if err != nil {
 		return err
 	}
-	log.Printf("listening on %s", ln.Addr())
-	if err := srv.Serve(ctx, ln, *drainTimeout); err != nil {
-		return err
-	}
-	log.Printf("drained, bye")
-	return nil
+	return daemon.Run(distworker.New(distworker.Config{
+		Parallelism:  *par,
+		MaxDatasets:  *maxDatasets,
+		MaxBatch:     *maxBatch,
+		ServerConfig: cfg,
+	}))
 }

@@ -9,6 +9,7 @@ import (
 	"nexus/internal/distremote"
 	"nexus/internal/distworker"
 	"nexus/internal/obs"
+	"nexus/internal/rpc"
 )
 
 // startWorkerFleet spins up n in-process scoring workers and returns their
@@ -119,9 +120,7 @@ func TestDistributedFlightsIdenticalUnderFaults(t *testing.T) {
 	}
 
 	urls, srvs := startWorkerFleet(t, 2, distworker.Config{
-		FailRate: 0.2,
-		Latency:  5 * time.Millisecond,
-		Seed:     11,
+		ServerConfig: rpc.ServerConfig{FailRate: 0.2, Latency: 5 * time.Millisecond, Seed: 11},
 	})
 	ctr := obs.NewCounters()
 	opts := &nexus.Options{Metrics: ctr}

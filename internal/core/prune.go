@@ -79,17 +79,12 @@ func newPruneStats(input int) PruneStats {
 // pruning"): constants, mostly-missing attributes, and near-unique
 // identifiers. It does not need T or O and can run at ingestion time.
 func OfflinePrune(cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	return OfflinePruneTraced(nil, cands, opts)
+	return OfflinePruneCtx(context.Background(), nil, cands, opts)
 }
 
-// OfflinePruneTraced is OfflinePrune reporting into a trace (nil = no-op).
-func OfflinePruneTraced(tr *obs.Trace, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	return OfflinePruneCtx(context.Background(), tr, cands, opts)
-}
-
-// OfflinePruneCtx is OfflinePruneTraced honouring ctx: the per-candidate
-// pass stops dispatching work once ctx is done and the call returns an error
-// wrapping ctx.Err().
+// OfflinePruneCtx is OfflinePrune reporting into a trace (nil = no-op) and
+// honouring ctx: the per-candidate pass stops dispatching work once ctx is
+// done and the call returns an error wrapping ctx.Err().
 func OfflinePruneCtx(ctx context.Context, tr *obs.Trace, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
 	return offlinePruneCached(ctx, tr, newRunCache(tr), cands, opts)
 }
@@ -150,19 +145,15 @@ func offlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, cands 
 // on such attributes fakes a perfect explanation) and the low-relevance test
 // (appendix Relevance Test).
 func OnlinePrune(t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	return OnlinePruneTraced(nil, t, o, cands, opts)
+	return OnlinePruneCtx(context.Background(), nil, t, o, cands, opts)
 }
 
-// OnlinePruneTraced is OnlinePrune reporting CI-test and permutation counts
-// into a trace (nil = no-op). Counters only: the per-candidate work runs on
-// parallel workers, where spans are not safe to open.
-func OnlinePruneTraced(tr *obs.Trace, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	return OnlinePruneCtx(context.Background(), tr, t, o, cands, opts)
-}
-
-// OnlinePruneCtx is OnlinePruneTraced honouring ctx: the per-candidate pass
-// (FD tests, relevance tests, permutation nulls) stops dispatching work once
-// ctx is done and the call returns an error wrapping ctx.Err().
+// OnlinePruneCtx is OnlinePrune reporting CI-test and permutation counts
+// into a trace (nil = no-op; counters only: the per-candidate work runs on
+// parallel workers, where spans are not safe to open) and honouring ctx: the
+// per-candidate pass (FD tests, relevance tests, permutation nulls) stops
+// dispatching work once ctx is done and the call returns an error wrapping
+// ctx.Err().
 func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
 	return onlinePruneCached(ctx, tr, newRunCache(tr), t, o, cands, opts)
 }

@@ -25,12 +25,9 @@
 package distremote
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -40,7 +37,7 @@ import (
 	"nexus/internal/core"
 	"nexus/internal/distwire"
 	"nexus/internal/obs"
-	"nexus/internal/stats"
+	"nexus/internal/rpc"
 )
 
 // Options configures a Scorer. The zero value selects sane defaults.
@@ -51,9 +48,10 @@ type Options struct {
 	// units spread across the fleet beat large units on one worker.
 	ChunkSize int
 	// MaxInflight bounds concurrent HTTP requests across all calls
-	// (default 8). The speculative MCIMR consider loop issues overlapping
-	// PermBlock calls; the bound is shared so a fleet of 2 workers is not
-	// stampeded by 8 coordinator goroutines.
+	// (default 8), and the unit goroutines of each call. The speculative
+	// MCIMR consider loop issues overlapping PermBlock calls; the request
+	// bound is shared so a fleet of 2 workers is not stampeded by 8
+	// coordinator goroutines.
 	MaxInflight int
 	// MaxAttempts is the number of attempts per unit before the local
 	// fallback (default 3). Attempts rotate through the fleet, so on a
@@ -95,21 +93,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2 * time.Second
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 10 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = http.DefaultClient
-	}
 	return o
 }
 
@@ -119,10 +102,8 @@ type Scorer struct {
 	workers []string
 	opts    Options
 	local   core.Local
-	sem     chan struct{}
-
-	mu  sync.Mutex // guards rng
-	rng *stats.RNG
+	sem     chan struct{} // bounds in-flight HTTP requests across all calls
+	rpc     *rpc.Client   // attempt, timeout, retry and backoff policy
 
 	dmu      sync.Mutex
 	datasets map[string]*dsState // fingerprint → registration state
@@ -151,11 +132,21 @@ func New(workers []string, opts Options) *Scorer {
 		ws[i] = strings.TrimRight(w, "/")
 	}
 	return &Scorer{
-		workers:  ws,
-		opts:     opts,
-		local:    core.Local{Parallelism: opts.Parallelism},
-		sem:      make(chan struct{}, opts.MaxInflight),
-		rng:      stats.NewRNG(opts.Seed),
+		workers: ws,
+		opts:    opts,
+		local:   core.Local{Parallelism: opts.Parallelism},
+		sem:     make(chan struct{}, opts.MaxInflight),
+		rpc: rpc.NewClient(rpc.ClientConfig{
+			Attempts:   opts.MaxAttempts,
+			RetryBase:  opts.RetryBase,
+			RetryMax:   opts.RetryMax,
+			Timeout:    opts.Timeout,
+			Seed:       opts.Seed,
+			HTTPClient: opts.HTTPClient,
+			Counters:   opts.Counters,
+			Requests:   obs.DistHTTPRequests,
+			Retries:    obs.DistRetries,
+		}),
 		datasets: make(map[string]*dsState),
 	}
 }
@@ -189,7 +180,7 @@ func (s *Scorer) Relevance(ctx context.Context, sc *core.ScoreContext, cands []i
 	}
 	st := s.state(sc.Fingerprint(), func() distwire.Dataset { return distwire.FromScoreContext(sc) })
 	out := make([]float64, len(cands))
-	err := s.forEachChunk(ctx, len(cands), func(ctx context.Context, lo, hi, seq int) error {
+	err := rpc.ForEachChunk(ctx, len(cands), s.opts.ChunkSize, s.opts.MaxInflight, func(ctx context.Context, lo, hi, seq int) error {
 		unit := distwire.Unit{Kind: distwire.KindRelevance, Cands: cands[lo:hi]}
 		res, err := s.execUnit(ctx, st, unit, seq, hi-lo, false)
 		if err != nil {
@@ -227,7 +218,7 @@ func (s *Scorer) PermBlock(ctx context.Context, sc *core.ScoreContext, spec core
 	}
 	exceed := make([]bool, len(spec.Seeds))
 	var ran int64
-	err := s.forEachChunk(ctx, len(spec.Seeds), func(ctx context.Context, lo, hi, seq int) error {
+	err := rpc.ForEachChunk(ctx, len(spec.Seeds), s.opts.ChunkSize, s.opts.MaxInflight, func(ctx context.Context, lo, hi, seq int) error {
 		unit := distwire.Unit{
 			Kind: distwire.KindPerm, Cand: spec.Cand, Op: string(spec.Op),
 			Observed: spec.Observed, Seeds: spec.Seeds[lo:hi], Allow: spec.Allow, Given: given,
@@ -262,7 +253,7 @@ func (s *Scorer) SubgroupBatch(ctx context.Context, gc *core.GroupContext, group
 	}
 	st := s.state(gc.Fingerprint(), func() distwire.Dataset { return distwire.FromGroupContext(gc) })
 	out := make([]float64, len(groups))
-	err := s.forEachChunk(ctx, len(groups), func(ctx context.Context, lo, hi, seq int) error {
+	err := rpc.ForEachChunk(ctx, len(groups), s.opts.ChunkSize, s.opts.MaxInflight, func(ctx context.Context, lo, hi, seq int) error {
 		specs := make([]distwire.GroupSpec, hi-lo)
 		for i, g := range groups[lo:hi] {
 			conds := make([]distwire.Cond, len(g.Conds))
@@ -305,84 +296,23 @@ func (s *Scorer) fallback(ctx context.Context, cause error, compute func(context
 	return compute(ctx)
 }
 
-// forEachChunk runs fn over [0,n) in chunks of ChunkSize, each chunk on its
-// own goroutine gated by the shared in-flight semaphore, returning the
-// first error (and cancelling the rest). seq is the chunk ordinal — the
-// deterministic basis for worker placement.
-func (s *Scorer) forEachChunk(ctx context.Context, n int, fn func(ctx context.Context, lo, hi, seq int) error) error {
-	if n <= s.opts.ChunkSize {
-		return fn(ctx, 0, n, 0)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for lo, seq := 0, 0; lo < n; lo, seq = lo+s.opts.ChunkSize, seq+1 {
-		hi := lo + s.opts.ChunkSize
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi, seq int) {
-			defer wg.Done()
-			if err := fn(cctx, lo, hi, seq); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				cancel()
-			}
-		}(lo, hi, seq)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
-}
-
-// permanentError marks a reply that retrying cannot fix (HTTP 400,
-// malformed response shape): the attempt loop stops early and the unit
-// falls through to the local fallback.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
 // errUnknownDataset is the typed form of a 404 "unknown dataset" reply.
 var errUnknownDataset = errors.New("unknown dataset")
 
-// execUnit runs one unit through the retry/failover/hedging ladder.
-// wantLen/wantExceed describe the expected reply shape (index alignment is
+// execUnit runs one unit through the retry/failover/hedging ladder. seq,
+// the unit's ordinal within its call, is the deterministic basis for worker
+// placement: attempt a goes to worker (seq+a) mod fleet size. wantLen/wantExceed describe the expected reply shape (index alignment is
 // the merge invariant, so a short reply is a permanent error).
-func (s *Scorer) execUnit(ctx context.Context, st *dsState, unit distwire.Unit, seq, wantLen int, wantExceed bool) (distwire.UnitResult, error) {
+func (s *Scorer) execUnit(ctx context.Context, st *dsState, unit distwire.Unit, seq, wantLen int, wantExceed bool) (res distwire.UnitResult, err error) {
 	s.opts.Counters.Add(obs.DistUnits, 1)
-	var lastErr error
-	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			s.opts.Counters.Add(obs.DistRetries, 1)
-			if err := s.backoff(ctx, attempt); err != nil {
-				return distwire.UnitResult{}, fmt.Errorf("distremote: %w (last error: %v)", err, lastErr)
-			}
-		}
-		res, err := s.attemptHedged(ctx, st, unit, seq+attempt, wantLen, wantExceed)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return distwire.UnitResult{}, fmt.Errorf("distremote: %w (last error: %v)", ctx.Err(), lastErr)
-		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			break
-		}
+	err = s.rpc.Retry(ctx, func(attempt int) (err error) {
+		res, err = s.attemptHedged(ctx, st, unit, seq+attempt, wantLen, wantExceed)
+		return err
+	})
+	if err != nil {
+		return distwire.UnitResult{}, fmt.Errorf("distremote: unit failed: %w", err)
 	}
-	return distwire.UnitResult{}, fmt.Errorf("distremote: unit failed after %d attempt(s): %w", s.opts.MaxAttempts, lastErr)
+	return res, nil
 }
 
 // attemptHedged issues one attempt on the worker selected by slot, racing a
@@ -483,22 +413,22 @@ func (s *Scorer) postScore(ctx context.Context, worker, fp string, unit distwire
 		return distwire.UnitResult{}, err
 	}
 	if len(resp.Results) != 1 {
-		return distwire.UnitResult{}, &permanentError{err: fmt.Errorf("%s returned %d results for 1 unit", worker, len(resp.Results))}
+		return distwire.UnitResult{}, rpc.Permanent(fmt.Errorf("%s returned %d results for 1 unit", worker, len(resp.Results)))
 	}
 	res := resp.Results[0]
 	if wantExceed {
 		if len(res.Exceed) != wantLen {
-			return distwire.UnitResult{}, &permanentError{err: fmt.Errorf("%s returned %d exceed flags, want %d", worker, len(res.Exceed), wantLen)}
+			return distwire.UnitResult{}, rpc.Permanent(fmt.Errorf("%s returned %d exceed flags, want %d", worker, len(res.Exceed), wantLen))
 		}
 	} else if len(res.Values) != wantLen {
-		return distwire.UnitResult{}, &permanentError{err: fmt.Errorf("%s returned %d values, want %d", worker, len(res.Values), wantLen)}
+		return distwire.UnitResult{}, rpc.Permanent(fmt.Errorf("%s returned %d values, want %d", worker, len(res.Values), wantLen))
 	}
 	return res, nil
 }
 
 // post issues one JSON HTTP attempt (no internal retry — the attempt loop
 // with worker failover lives in execUnit), bounded by the shared in-flight
-// semaphore and the per-attempt timeout.
+// semaphore.
 func (s *Scorer) post(ctx context.Context, url string, in, out any) error {
 	select {
 	case s.sem <- struct{}{}:
@@ -506,57 +436,10 @@ func (s *Scorer) post(ctx context.Context, url string, in, out any) error {
 		return ctx.Err()
 	}
 	defer func() { <-s.sem }()
-	body, err := json.Marshal(in)
-	if err != nil {
-		return &permanentError{err: fmt.Errorf("encode request: %w", err)}
+	err := s.rpc.Post(ctx, url, in, out)
+	if rpc.StatusCode(err) == http.StatusNotFound && strings.Contains(err.Error(), "unknown dataset") {
+		// %v drops the 4xx's permanence: re-registering fixes this one.
+		return fmt.Errorf("%w: %v", errUnknownDataset, err)
 	}
-	s.opts.Counters.Add(obs.DistHTTPRequests, 1)
-	actx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return &permanentError{err: err}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.opts.HTTPClient.Do(req)
-	if err != nil {
-		return err // transport error or timeout: retryable
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		switch {
-		case resp.StatusCode == http.StatusNotFound && strings.Contains(string(msg), "unknown dataset"):
-			return fmt.Errorf("%w: %v", errUnknownDataset, err)
-		case resp.StatusCode >= 400 && resp.StatusCode < 500:
-			return &permanentError{err: err}
-		}
-		return err // 5xx: retryable
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return &permanentError{err: fmt.Errorf("decode response: %w", err)}
-	}
-	return nil
-}
-
-// backoff sleeps the jittered exponential delay for the given attempt
-// (1-based), honoring context cancellation.
-func (s *Scorer) backoff(ctx context.Context, attempt int) error {
-	d := s.opts.RetryBase << (attempt - 1)
-	if d > s.opts.RetryMax || d <= 0 {
-		d = s.opts.RetryMax
-	}
-	s.mu.Lock()
-	f := s.rng.Float64()
-	s.mu.Unlock()
-	d = d/2 + time.Duration(f*float64(d/2))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return err
 }

@@ -16,6 +16,7 @@ import (
 	"nexus/internal/core"
 	"nexus/internal/distworker"
 	"nexus/internal/obs"
+	"nexus/internal/rpc"
 	"nexus/internal/stats"
 )
 
@@ -154,7 +155,7 @@ func TestScorerDifferential(t *testing.T) {
 func TestScorerRetriesFaults(t *testing.T) {
 	sc := testContext(t, 512)
 	ctr := obs.NewCounters()
-	urls, srvs := startWorkers(t, 2, distworker.Config{FailRate: 0.3, Seed: 3})
+	urls, srvs := startWorkers(t, 2, distworker.Config{ServerConfig: rpc.ServerConfig{FailRate: 0.3, Seed: 3}})
 	s := New(urls, Options{
 		ChunkSize: 3, MaxAttempts: 20,
 		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
@@ -247,7 +248,7 @@ func TestScorerDisableFallback(t *testing.T) {
 // and the call completes well under the straggler's latency × unit count.
 func TestScorerHedgesStragglers(t *testing.T) {
 	sc := testContext(t, 256)
-	slow, _ := startWorkers(t, 1, distworker.Config{Latency: 200 * time.Millisecond})
+	slow, _ := startWorkers(t, 1, distworker.Config{ServerConfig: rpc.ServerConfig{Latency: 200 * time.Millisecond}})
 	fast, _ := startWorkers(t, 1, distworker.Config{})
 	ctr := obs.NewCounters()
 	s := New([]string{slow[0], fast[0]}, Options{
@@ -281,7 +282,7 @@ func TestScorerCancellation(t *testing.T) {
 	})
 
 	t.Run("mid-dispatch deadline", func(t *testing.T) {
-		urls, _ := startWorkers(t, 2, distworker.Config{Latency: 300 * time.Millisecond})
+		urls, _ := startWorkers(t, 2, distworker.Config{ServerConfig: rpc.ServerConfig{Latency: 300 * time.Millisecond}})
 		s := New(urls, Options{ChunkSize: 1, MaxAttempts: 3})
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)

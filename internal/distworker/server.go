@@ -7,34 +7,22 @@
 //
 // Workers are stateless by design: the dataset store is a bounded LRU, and
 // an evicted (or never-seen) fingerprint is answered with 404 "unknown
-// dataset" so the coordinator re-registers and retries. For resilience
-// testing the server injects faults on demand, exactly like kgserve:
-// FailRate rejects /dist/v1/ requests with a seeded-deterministic HTTP 500,
-// Latency delays them; /healthz is always honest.
+// dataset" so the coordinator re-registers and retries. Seeded fault
+// injection, serving metrics and graceful drain come from package rpc
+// (rpc.ServerConfig), exactly as for kgserve; faults hit the /dist/v1/
+// endpoints only — stats and /healthz are always honest.
 package distworker
 
 import (
-	"container/list"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"nexus/internal/core"
 	"nexus/internal/distwire"
-	"nexus/internal/httpdebug"
-	"nexus/internal/obs"
-	"nexus/internal/stats"
+	"nexus/internal/rpc"
 )
-
-// CtrInjected counts injected faults on the registry's counter set
-// (exposed as nexusw_faults_injected_total on /metrics).
-const CtrInjected = "faults_injected"
 
 // Config configures a Server.
 type Config struct {
@@ -49,39 +37,20 @@ type Config struct {
 	// MaxBatch rejects oversized score requests with 400 (default 1024
 	// units).
 	MaxBatch int
-	// FailRate is the probability in [0,1) that a /dist/v1/ request is
-	// rejected with HTTP 500 before being executed.
-	FailRate float64
-	// Latency is an artificial delay added to every /dist/v1/ request
-	// (cancelled early if the client gives up).
-	Latency time.Duration
-	// Seed seeds the fault-injection RNG (default 1).
-	Seed uint64
-	// Registry collects serving metrics for GET /metrics. Nil builds a
-	// private registry.
-	Registry *obs.Registry
-	// SlowThreshold/SlowKeep enable slow-request capture (GET /debug/slow,
-	// SIGQUIT dump in cmd/nexusw). Zero disables capture.
-	SlowThreshold time.Duration
-	SlowKeep      int
+	// ServerConfig holds the fault-injection and observability settings;
+	// FailRate and Latency apply to the /dist/v1/ endpoints.
+	rpc.ServerConfig
 }
 
-// Server handles the distwire endpoints. Construct with New.
+// Server handles the distwire endpoints on the shared rpc substrate, which
+// provides Handler, Serve, Registry, SlowLog and Requests. Construct with
+// New.
 type Server struct {
-	cfg      Config
-	registry *obs.Registry
-	slow     *obs.SlowLog
-	inFlight *obs.Gauge
-	local    core.Local
-
-	mu  sync.Mutex // guards rng
-	rng *stats.RNG
-
-	store *store
-
-	injected atomic.Int64
-	units    atomic.Int64
-	reqs     sync.Map // path → *atomic.Int64
+	*rpc.Server
+	cfg   Config
+	local core.Local
+	store *rpc.LRU[string, *dataset] // registered datasets by fingerprint
+	units atomic.Int64
 }
 
 // New returns a worker server for cfg.
@@ -95,186 +64,64 @@ func New(cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 1024
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
+	s := &Server{
+		Server: rpc.NewServer("nexusw", cfg.ServerConfig),
+		cfg:    cfg,
+		local:  core.Local{Parallelism: cfg.Parallelism},
+		store:  rpc.NewLRU[string, *dataset](cfg.MaxDatasets),
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry(nil)
-	}
-	if cfg.SlowKeep <= 0 {
-		cfg.SlowKeep = 32
-	}
-	return &Server{
-		cfg:      cfg,
-		registry: cfg.Registry,
-		slow:     obs.NewSlowLog(cfg.SlowThreshold, cfg.SlowKeep),
-		inFlight: cfg.Registry.Gauge("requests_in_flight"),
-		local:    core.Local{Parallelism: cfg.Parallelism},
-		rng:      stats.NewRNG(cfg.Seed),
-		store:    newStore(cfg.MaxDatasets),
-	}
-}
-
-// Registry exposes the server's metric registry (rendered at /metrics).
-func (s *Server) Registry() *obs.Registry { return s.registry }
-
-// SlowLog exposes the slow-request capture, e.g. for cmd/nexusw's SIGQUIT
-// dump.
-func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
-
-// Handler returns the HTTP handler serving the distwire protocol.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	route := func(pattern, label string, h http.HandlerFunc) {
-		mux.Handle(pattern, httpdebug.Instrument(s.registry, "http_request_seconds", label, s.observe(h)))
-	}
-	route("POST "+distwire.PathDataset, "dataset", fault(s, s.handleDataset))
-	route("POST "+distwire.PathScore, "score", fault(s, s.handleScore))
-	route("GET "+distwire.PathStats, "stats", s.handleStats)
-	route("GET /metrics", "metrics", httpdebug.MetricsHandler(s.registry, "nexusw").ServeHTTP)
-	route("GET /debug/slow", "slow", httpdebug.SlowHandler(s.slow).ServeHTTP)
-	route("GET "+distwire.PathHealthz, "healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	})
-	return mux
-}
-
-// observe tracks in-flight requests and offers every finished request to
-// the slow log.
-func (s *Server) observe(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.inFlight.Inc()
-		defer s.inFlight.Dec()
-		start := time.Now()
-		h(w, r)
-		if s.slow != nil {
-			s.slow.Record(obs.SlowEntry{
-				ID:    r.Method + " " + r.URL.Path,
-				Start: start,
-				DurNS: int64(time.Since(start)),
-			})
-		}
-	}
+	rpc.Handle(s.Server, distwire.PathDataset, "dataset", s.register)
+	rpc.Handle(s.Server, distwire.PathScore, "score", s.score)
+	rpc.HandleGet(s.Server, distwire.PathStats, "stats", s.Stats)
+	return s
 }
 
 // Stats returns the per-endpoint request counts, injected faults, datasets
 // held and units executed so far.
 func (s *Server) Stats() distwire.StatsResponse {
-	out := distwire.StatsResponse{
-		Requests: make(map[string]int64),
-		Injected: s.injected.Load(),
-		Datasets: s.store.len(),
+	return distwire.StatsResponse{
+		Requests: s.RequestCounts(),
+		Injected: s.Injected(),
+		Datasets: s.store.Len(),
 		Units:    s.units.Load(),
 	}
-	s.reqs.Range(func(k, v any) bool {
-		out.Requests[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
-	return out
 }
 
-// Requests returns the request count recorded for one endpoint path.
-func (s *Server) Requests(path string) int64 {
-	if v, ok := s.reqs.Load(path); ok {
-		return v.(*atomic.Int64).Load()
-	}
-	return 0
+// dataset is a registered dataset with its decoded scoring contexts.
+type dataset struct {
+	wire *distwire.Dataset
+	sctx *core.ScoreContext
+	gc   *core.GroupContext
 }
 
-func (s *Server) count(path string) {
-	v, ok := s.reqs.Load(path)
-	if !ok {
-		v, _ = s.reqs.LoadOrStore(path, new(atomic.Int64))
+func (s *Server) register(_ context.Context, req *distwire.RegisterRequest) (distwire.RegisterResponse, error) {
+	d := &req.Dataset
+	if err := d.Validate(); err != nil {
+		return distwire.RegisterResponse{}, err
 	}
-	v.(*atomic.Int64).Add(1)
+	sctx, gc := d.Contexts()
+	s.store.Put(d.Fingerprint, &dataset{wire: d, sctx: sctx, gc: gc})
+	return distwire.RegisterResponse{Rows: d.Rows(), Cols: len(d.Cols)}, nil
 }
 
-// fault wraps a handler with request counting, artificial latency, and
-// probabilistic 500s.
-func fault(s *Server, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.count(r.URL.Path)
-		if s.cfg.Latency > 0 {
-			t := time.NewTimer(s.cfg.Latency)
-			select {
-			case <-r.Context().Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
-		}
-		if s.cfg.FailRate > 0 {
-			s.mu.Lock()
-			fail := s.rng.Float64() < s.cfg.FailRate
-			s.mu.Unlock()
-			if fail {
-				s.injected.Add(1)
-				s.registry.Counters().Add(CtrInjected, 1)
-				http.Error(w, "injected fault", http.StatusInternalServerError)
-				return
-			}
-		}
-		h(w, r)
-	}
-}
-
-// decode reads a JSON request body, replying 400 on malformed input.
-// Datasets carry full encoded columns, so the body limit matches kgserve's.
-func decode[T any](w http.ResponseWriter, r *http.Request, req *T) bool {
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(req); err != nil {
-		http.Error(w, "invalid request body: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	var req distwire.RegisterRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := req.Dataset.Validate(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.store.put(&req.Dataset)
-	writeJSON(w, distwire.RegisterResponse{Rows: req.Dataset.Rows(), Cols: len(req.Dataset.Cols)})
-}
-
-func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	var req distwire.ScoreRequest
-	if !decode(w, r, &req) {
-		return
-	}
+func (s *Server) score(ctx context.Context, req *distwire.ScoreRequest) (distwire.ScoreResponse, error) {
 	if len(req.Units) > s.cfg.MaxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d units exceeds limit %d", len(req.Units), s.cfg.MaxBatch), http.StatusBadRequest)
-		return
+		return distwire.ScoreResponse{}, fmt.Errorf("batch of %d units exceeds limit %d", len(req.Units), s.cfg.MaxBatch)
 	}
-	d, ok := s.store.get(req.Fingerprint)
+	d, ok := s.store.Get(req.Fingerprint)
 	if !ok {
-		http.Error(w, "unknown dataset "+req.Fingerprint, http.StatusNotFound)
-		return
+		return distwire.ScoreResponse{}, &rpc.StatusError{Code: http.StatusNotFound, Body: "unknown dataset " + req.Fingerprint}
 	}
 	resp := distwire.ScoreResponse{Results: make([]distwire.UnitResult, len(req.Units))}
 	for i := range req.Units {
-		res, err := s.exec(r.Context(), d, &req.Units[i])
+		res, err := s.exec(ctx, d, &req.Units[i])
 		if err != nil {
-			if r.Context().Err() != nil {
-				return // client gone; nothing to say
-			}
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+			return distwire.ScoreResponse{}, err
 		}
 		resp.Results[i] = res
 	}
 	s.units.Add(int64(len(req.Units)))
-	writeJSON(w, resp)
+	return resp, nil
 }
 
 // exec runs one work unit through the in-process oracle.
@@ -317,86 +164,4 @@ func (s *Server) exec(ctx context.Context, d *dataset, u *distwire.Unit) (distwi
 		}
 		return distwire.UnitResult{Values: vals}, nil
 	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Stats())
-}
-
-// Serve runs the handler on ln until ctx is cancelled, then shuts down
-// gracefully (bounded by drainTimeout).
-func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.Duration) error {
-	hs := &http.Server{Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	return hs.Shutdown(sctx)
-}
-
-// ListenAndServe is Serve over a fresh TCP listener on addr.
-func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln, drainTimeout)
-}
-
-// dataset is a registered dataset with its decoded scoring contexts.
-type dataset struct {
-	wire *distwire.Dataset
-	sctx *core.ScoreContext
-	gc   *core.GroupContext
-}
-
-// store is a mutex-guarded LRU of registered datasets keyed by fingerprint.
-type store struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List               // front = most recent; values are *dataset
-	byFP  map[string]*list.Element // fingerprint → element
-}
-
-func newStore(cap int) *store {
-	return &store{cap: cap, order: list.New(), byFP: make(map[string]*list.Element)}
-}
-
-func (st *store) put(d *distwire.Dataset) {
-	sctx, gc := d.Contexts()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if el, ok := st.byFP[d.Fingerprint]; ok {
-		el.Value = &dataset{wire: d, sctx: sctx, gc: gc}
-		st.order.MoveToFront(el)
-		return
-	}
-	st.byFP[d.Fingerprint] = st.order.PushFront(&dataset{wire: d, sctx: sctx, gc: gc})
-	for st.order.Len() > st.cap {
-		last := st.order.Back()
-		st.order.Remove(last)
-		delete(st.byFP, last.Value.(*dataset).wire.Fingerprint)
-	}
-}
-
-func (st *store) get(fp string) (*dataset, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	el, ok := st.byFP[fp]
-	if !ok {
-		return nil, false
-	}
-	st.order.MoveToFront(el)
-	return el.Value.(*dataset), true
-}
-
-func (st *store) len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.order.Len()
 }

@@ -17,6 +17,7 @@ import (
 	"nexus/internal/core"
 	"nexus/internal/distwire"
 	"nexus/internal/infotheory"
+	"nexus/internal/rpc"
 	"nexus/internal/stats"
 )
 
@@ -273,7 +274,7 @@ func TestWorkerLRUEviction(t *testing.T) {
 // TestWorkerFaultInjection checks that injected faults hit /dist/v1/ with
 // roughly the configured rate, are counted, and never touch /healthz.
 func TestWorkerFaultInjection(t *testing.T) {
-	srv := New(Config{FailRate: 0.5, Seed: 7})
+	srv := New(Config{ServerConfig: rpc.ServerConfig{FailRate: 0.5, Seed: 7}})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	sc := testContext(t, 32)
@@ -349,25 +350,33 @@ func TestWorkerStatsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestWorkerServeDrains checks the graceful-drain path cmd/nexusw relies on.
+// TestWorkerServeDrains checks the graceful-drain path cmd/nexusw relies
+// on, at the edge -drain-timeout 0 reaches: a request still in flight when
+// the context is cancelled must be answered before Serve returns nil (a
+// zero timeout selects the default, it does not abandon the request).
 func TestWorkerServeDrains(t *testing.T) {
-	srv := New(Config{})
+	srv := New(Config{ServerConfig: rpc.ServerConfig{Latency: 150 * time.Millisecond}})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	ln := newLocalListener(t)
-	go func() { errc <- srv.Serve(ctx, ln, time.Second) }()
-	url := fmt.Sprintf("http://%s%s", ln.Addr(), distwire.PathHealthz)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		resp, err := http.Get(url)
-		if err == nil {
-			resp.Body.Close()
-			break
+	go func() { errc <- srv.Serve(ctx, ln, 0) }()
+	body, _ := json.Marshal(distwire.RegisterRequest{Dataset: distwire.FromScoreContext(testContext(t, 16))})
+	codec := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(fmt.Sprintf("http://%s%s", ln.Addr(), distwire.PathDataset), "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("in-flight request: %v", err)
+			codec <- 0
+			return
 		}
+		resp.Body.Close()
+		codec <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(2 * time.Second); srv.Requests(distwire.PathDataset) == 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("server never came up: %v", err)
+			t.Fatal("request never reached the server")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	select {
@@ -377,6 +386,9 @@ func TestWorkerServeDrains(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("Serve did not drain after cancel")
+	}
+	if code := <-codec; code != http.StatusOK {
+		t.Fatalf("in-flight request answered %d, want 200", code)
 	}
 }
 

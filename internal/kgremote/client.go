@@ -8,27 +8,23 @@
 // in-flight HTTP requests. Per-item LRU caches (entities, full property
 // maps, resolved surface forms) absorb repeat lookups across hops and
 // across extractions; hits and misses are recorded on the obs counters
-// kg_cache_hits / kg_cache_misses. Transient failures (HTTP 5xx, transport
-// errors, timeouts) are retried with exponential backoff and jitter; 4xx
-// responses are permanent and fail immediately.
+// kg_cache_hits / kg_cache_misses. Package rpc supplies the attempt, retry
+// and fan-out policy: transient failures (HTTP 5xx, transport errors,
+// timeouts) are retried with exponential backoff and jitter; 4xx responses
+// are permanent and fail immediately.
 package kgremote
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"nexus/internal/kg"
 	"nexus/internal/kgwire"
 	"nexus/internal/obs"
-	"nexus/internal/stats"
+	"nexus/internal/rpc"
 )
 
 // Options configures a Client. The zero value selects sane defaults.
@@ -76,29 +72,12 @@ func (o Options) withDefaults() Options {
 		o.MaxInflight = 4
 	}
 	if o.CacheSize == 0 {
-		o.CacheSize = 65536
-	} else if o.CacheSize < 0 {
-		o.CacheSize = 0
+		o.CacheSize = 65536 // negative stays: a non-positive rpc.LRU caches nothing
 	}
 	if o.MaxRetries < 0 {
 		o.MaxRetries = 0
 	} else if o.MaxRetries == 0 {
 		o.MaxRetries = 3
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 50 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2 * time.Second
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 10 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = http.DefaultClient
 	}
 	return o
 }
@@ -107,17 +86,11 @@ func (o Options) withDefaults() Options {
 type Client struct {
 	base string
 	opts Options
+	rpc  *rpc.Client // attempt, timeout, retry and backoff policy
 
-	mu  sync.Mutex // guards rng
-	rng *stats.RNG
-
-	ents    *lru[kg.EntityID, kg.Entity]
-	props   *lru[kg.EntityID, kg.Props]
-	resolve *lru[string, kg.Link]
-
-	// Serving-metric instruments, nil (no-op) without Options.Registry.
-	attemptSec *obs.Histogram // kg_http_attempt_seconds, per HTTP attempt
-	reqRetries *obs.Histogram // kg_http_request_retries, per logical request
+	ents    *rpc.LRU[kg.EntityID, kg.Entity]
+	props   *rpc.LRU[kg.EntityID, kg.Props]
+	resolve *rpc.LRU[string, kg.Link]
 }
 
 // Statically assert the Source contract.
@@ -128,158 +101,35 @@ var _ kg.Source = (*Client)(nil)
 func New(baseURL string, opts Options) *Client {
 	opts = opts.withDefaults()
 	return &Client{
-		base:       strings.TrimRight(baseURL, "/"),
-		opts:       opts,
-		rng:        stats.NewRNG(opts.Seed),
-		ents:       newLRU[kg.EntityID, kg.Entity](opts.CacheSize),
-		props:      newLRU[kg.EntityID, kg.Props](opts.CacheSize),
-		resolve:    newLRU[string, kg.Link](opts.CacheSize),
-		attemptSec: opts.Registry.Histogram("kg_http_attempt_seconds", obs.UnitSeconds),
-		reqRetries: opts.Registry.Histogram("kg_http_request_retries", obs.UnitNone),
+		base: strings.TrimRight(baseURL, "/"),
+		opts: opts,
+		rpc: rpc.NewClient(rpc.ClientConfig{
+			Attempts:       opts.MaxRetries + 1,
+			RetryBase:      opts.RetryBase,
+			RetryMax:       opts.RetryMax,
+			Timeout:        opts.Timeout,
+			Seed:           opts.Seed,
+			HTTPClient:     opts.HTTPClient,
+			Counters:       opts.Counters,
+			Requests:       obs.KGHTTPRequests,
+			Retries:        obs.KGHTTPRetries,
+			AttemptSeconds: opts.Registry.Histogram("kg_http_attempt_seconds", obs.UnitSeconds),
+			RetriesPerCall: opts.Registry.Histogram("kg_http_request_retries", obs.UnitNone),
+		}),
+		ents:    rpc.NewLRU[kg.EntityID, kg.Entity](opts.CacheSize),
+		props:   rpc.NewLRU[kg.EntityID, kg.Props](opts.CacheSize),
+		resolve: rpc.NewLRU[string, kg.Link](opts.CacheSize),
 	}
 }
 
-// permanentError marks a response that must not be retried (HTTP 4xx).
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// post issues one JSON request with retry/backoff, decoding the response
-// into out.
+// post issues one logical JSON request under the retry policy, decoding
+// the response into out.
 func (c *Client) post(ctx context.Context, path string, in, out any) error {
-	body, err := json.Marshal(in)
+	err := c.rpc.Retry(ctx, func(int) error { return c.rpc.Post(ctx, c.base+path, in, out) })
 	if err != nil {
-		return fmt.Errorf("kgremote: encode %s: %w", path, err)
-	}
-	var lastErr error
-	retries := 0
-	defer func() { c.reqRetries.Record(int64(retries)) }()
-	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
-		if attempt > 0 {
-			retries = attempt
-			c.opts.Counters.Add(obs.KGHTTPRetries, 1)
-			if err := c.backoff(ctx, attempt); err != nil {
-				return fmt.Errorf("kgremote: %s: %w (last error: %v)", path, err, lastErr)
-			}
-		}
-		c.opts.Counters.Add(obs.KGHTTPRequests, 1)
-		lastErr = c.attempt(ctx, path, body, out)
-		if lastErr == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("kgremote: %s: %w", path, ctx.Err())
-		}
-		var perm *permanentError
-		if errors.As(lastErr, &perm) {
-			return fmt.Errorf("kgremote: %s: %w", path, perm.err)
-		}
-	}
-	return fmt.Errorf("kgremote: %s: giving up after %d attempts: %w", path, c.opts.MaxRetries+1, lastErr)
-}
-
-func (c *Client) attempt(ctx context.Context, path string, body []byte, out any) error {
-	defer c.attemptSec.RecordSince(time.Now())
-	actx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.opts.HTTPClient.Do(req)
-	if err != nil {
-		return err // transport error: retryable
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		err := fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return &permanentError{err: err}
-		}
-		return err // 5xx: retryable
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return &permanentError{err: fmt.Errorf("decode response: %w", err)}
+		return fmt.Errorf("kgremote: %s: %w", path, err)
 	}
 	return nil
-}
-
-// backoff sleeps the jittered exponential delay for the given attempt
-// (1-based), honoring context cancellation.
-func (c *Client) backoff(ctx context.Context, attempt int) error {
-	d := c.opts.RetryBase << (attempt - 1)
-	if d > c.opts.RetryMax || d <= 0 {
-		d = c.opts.RetryMax
-	}
-	c.mu.Lock()
-	f := c.rng.Float64()
-	c.mu.Unlock()
-	// Uniform over [d/2, d]: keeps retries from synchronizing without
-	// collapsing the delay to zero.
-	d = d/2 + time.Duration(f*float64(d/2))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// forEachChunk runs fn over [0,n) in chunks of BatchSize with at most
-// MaxInflight concurrent calls, returning the first error (and cancelling
-// the rest).
-func (c *Client) forEachChunk(ctx context.Context, n int, fn func(ctx context.Context, lo, hi int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if n <= c.opts.BatchSize {
-		return fn(ctx, 0, n)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sem := make(chan struct{}, c.opts.MaxInflight)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for lo := 0; lo < n; lo += c.opts.BatchSize {
-		hi := lo + c.opts.BatchSize
-		if hi > n {
-			hi = n
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			wg.Wait()
-			mu.Lock()
-			defer mu.Unlock()
-			if firstErr != nil {
-				return firstErr
-			}
-			return ctx.Err()
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := fn(ctx, lo, hi); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				cancel()
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
 }
 
 // Resolve implements kg.Source, serving repeat surface forms from the LRU.
@@ -287,7 +137,7 @@ func (c *Client) Resolve(ctx context.Context, values []string) ([]kg.Link, error
 	out := make([]kg.Link, len(values))
 	var missIdx []int
 	for i, v := range values {
-		if l, ok := c.resolve.get(v); ok {
+		if l, ok := c.resolve.Get(v); ok {
 			out[i] = l
 			continue
 		}
@@ -295,7 +145,7 @@ func (c *Client) Resolve(ctx context.Context, values []string) ([]kg.Link, error
 	}
 	c.opts.Counters.Add(obs.KGCacheHits, int64(len(values)-len(missIdx)))
 	c.opts.Counters.Add(obs.KGCacheMisses, int64(len(missIdx)))
-	err := c.forEachChunk(ctx, len(missIdx), func(ctx context.Context, lo, hi int) error {
+	err := rpc.ForEachChunk(ctx, len(missIdx), c.opts.BatchSize, c.opts.MaxInflight, func(ctx context.Context, lo, hi, _ int) error {
 		req := kgwire.ResolveRequest{Values: make([]string, hi-lo)}
 		for j, i := range missIdx[lo:hi] {
 			req.Values[j] = values[i]
@@ -310,7 +160,7 @@ func (c *Client) Resolve(ctx context.Context, values []string) ([]kg.Link, error
 		for j, i := range missIdx[lo:hi] {
 			l := resp.Links[j].ToLink()
 			out[i] = l
-			c.resolve.put(values[i], l)
+			c.resolve.Put(values[i], l)
 		}
 		return nil
 	})
@@ -325,7 +175,7 @@ func (c *Client) Entities(ctx context.Context, ids []kg.EntityID) ([]kg.Entity, 
 	out := make([]kg.Entity, len(ids))
 	var missIdx []int
 	for i, id := range ids {
-		if e, ok := c.ents.get(id); ok {
+		if e, ok := c.ents.Get(id); ok {
 			out[i] = e
 			continue
 		}
@@ -333,7 +183,7 @@ func (c *Client) Entities(ctx context.Context, ids []kg.EntityID) ([]kg.Entity, 
 	}
 	c.opts.Counters.Add(obs.KGCacheHits, int64(len(ids)-len(missIdx)))
 	c.opts.Counters.Add(obs.KGCacheMisses, int64(len(missIdx)))
-	err := c.forEachChunk(ctx, len(missIdx), func(ctx context.Context, lo, hi int) error {
+	err := rpc.ForEachChunk(ctx, len(missIdx), c.opts.BatchSize, c.opts.MaxInflight, func(ctx context.Context, lo, hi, _ int) error {
 		req := kgwire.EntitiesRequest{IDs: make([]int32, hi-lo)}
 		for j, i := range missIdx[lo:hi] {
 			req.IDs[j] = int32(ids[i])
@@ -348,7 +198,7 @@ func (c *Client) Entities(ctx context.Context, ids []kg.EntityID) ([]kg.Entity, 
 		for j, i := range missIdx[lo:hi] {
 			e := resp.Entities[j].ToEntity()
 			out[i] = e
-			c.ents.put(ids[i], e)
+			c.ents.Put(ids[i], e)
 		}
 		return nil
 	})
@@ -365,7 +215,7 @@ func (c *Client) GetProperties(ctx context.Context, ids []kg.EntityID, props []s
 	out := make([]kg.Props, len(ids))
 	var missIdx []int
 	for i, id := range ids {
-		if full, ok := c.props.get(id); ok {
+		if full, ok := c.props.Get(id); ok {
 			if props == nil {
 				out[i] = full
 			} else {
@@ -391,7 +241,7 @@ func (c *Client) GetProperties(ctx context.Context, ids []kg.EntityID, props []s
 			return out, nil
 		}
 	}
-	err := c.forEachChunk(ctx, len(missIdx), func(ctx context.Context, lo, hi int) error {
+	err := rpc.ForEachChunk(ctx, len(missIdx), c.opts.BatchSize, c.opts.MaxInflight, func(ctx context.Context, lo, hi, _ int) error {
 		req := kgwire.PropertiesRequest{IDs: make([]int32, hi-lo), Props: wireProps}
 		for j, i := range missIdx[lo:hi] {
 			req.IDs[j] = int32(ids[i])
@@ -410,7 +260,7 @@ func (c *Client) GetProperties(ctx context.Context, ids []kg.EntityID, props []s
 			}
 			out[i] = p
 			if props == nil {
-				c.props.put(ids[i], p)
+				c.props.Put(ids[i], p)
 			}
 		}
 		return nil
@@ -451,5 +301,5 @@ func (c *Client) Version() string { return "remote:" + c.base }
 // CacheLen reports the entries held by each LRU (entities, property maps,
 // resolutions) — observability for tests and debugging.
 func (c *Client) CacheLen() (ents, props, resolve int) {
-	return c.ents.len(), c.props.len(), c.resolve.len()
+	return c.ents.Len(), c.props.Len(), c.resolve.Len()
 }

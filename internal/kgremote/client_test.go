@@ -12,6 +12,7 @@ import (
 	"nexus/internal/kgserve"
 	"nexus/internal/kgwire"
 	"nexus/internal/obs"
+	"nexus/internal/rpc"
 )
 
 func testGraph() *kg.Graph {
@@ -161,7 +162,7 @@ func TestRetryOn500(t *testing.T) {
 	ctx := context.Background()
 	counters := obs.NewCounters()
 	c, _ := serve(t, testGraph(),
-		kgserve.Config{FailRate: 0.5, Seed: 7},
+		kgserve.Config{ServerConfig: rpc.ServerConfig{FailRate: 0.5, Seed: 7}},
 		Options{MaxRetries: 20, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond, Counters: counters})
 	links, err := c.Resolve(ctx, []string{"Germany"})
 	if err != nil {
@@ -205,7 +206,7 @@ func TestGivesUpAfterRetries(t *testing.T) {
 	ctx := context.Background()
 	counters := obs.NewCounters()
 	c, _ := serve(t, testGraph(),
-		kgserve.Config{FailRate: 0.999999, Seed: 3},
+		kgserve.Config{ServerConfig: rpc.ServerConfig{FailRate: 0.999999, Seed: 3}},
 		Options{MaxRetries: 2, RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond, Counters: counters})
 	_, err := c.Resolve(ctx, []string{"Germany"})
 	if err == nil {
@@ -223,7 +224,7 @@ func TestGivesUpAfterRetries(t *testing.T) {
 // short.
 func TestContextCancelStopsRetries(t *testing.T) {
 	c, _ := serve(t, testGraph(),
-		kgserve.Config{FailRate: 0.999999, Seed: 3},
+		kgserve.Config{ServerConfig: rpc.ServerConfig{FailRate: 0.999999, Seed: 3}},
 		Options{MaxRetries: 1000, RetryBase: 50 * time.Millisecond, RetryMax: time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -234,29 +235,5 @@ func TestContextCancelStopsRetries(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("cancellation did not stop the retry loop")
-	}
-}
-
-// TestLRUEviction pins the cache's bounded size and recency order.
-func TestLRUEviction(t *testing.T) {
-	c := newLRU[int, string](2)
-	c.put(1, "a")
-	c.put(2, "b")
-	c.get(1) // refresh 1 → 2 is now oldest
-	c.put(3, "c")
-	if _, ok := c.get(2); ok {
-		t.Fatal("least recently used entry survived")
-	}
-	if v, ok := c.get(1); !ok || v != "a" {
-		t.Fatal("recently used entry evicted")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
-	}
-	// Zero capacity disables caching entirely.
-	z := newLRU[int, string](0)
-	z.put(1, "a")
-	if _, ok := z.get(1); ok || z.len() != 0 {
-		t.Fatal("zero-capacity cache stored an entry")
 	}
 }

@@ -3,73 +3,37 @@
 // binary wrapper). Each endpoint decodes a batch request, answers it from
 // the wrapped source, and replies with index-aligned JSON.
 //
-// For resilience testing the server injects faults on demand: FailRate is
-// the probability that a request is rejected with HTTP 500 before touching
-// the source, and Latency is a fixed artificial delay per request (both
-// applied to the /kg/v1/ endpoints only — /healthz is always honest). The
-// fault RNG is seeded, so a given request sequence fails deterministically.
+// Seeded fault injection for resilience testing, serving metrics and
+// graceful drain come from package rpc (rpc.ServerConfig); faults hit the
+// /kg/v1/ batch endpoints only — stats and /healthz are always honest.
 package kgserve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"nexus/internal/httpdebug"
 	"nexus/internal/kg"
 	"nexus/internal/kgwire"
-	"nexus/internal/obs"
-	"nexus/internal/stats"
+	"nexus/internal/rpc"
 )
-
-// CtrInjected counts injected faults on the registry's counter set
-// (exposed as kgd_faults_injected_total on /metrics).
-const CtrInjected = "faults_injected"
 
 // Config configures a Server.
 type Config struct {
 	// Source is the knowledge graph to serve. Required.
 	Source kg.Source
-	// FailRate is the probability in [0,1) that a /kg/v1/ request is
-	// rejected with HTTP 500 before reaching the source.
-	FailRate float64
-	// Latency is an artificial delay added to every /kg/v1/ request
-	// (cancelled early if the client gives up).
-	Latency time.Duration
-	// Seed seeds the fault-injection RNG (default 1): the same request
-	// sequence sees the same fault sequence.
-	Seed uint64
 	// MaxBatch rejects oversized batch requests with 400 (default 65536).
 	MaxBatch int
-	// Registry collects serving metrics for GET /metrics: request latency
-	// by route and outcome, an in-flight gauge, and the fault counter. Nil
-	// builds a private registry, so /metrics is always available.
-	Registry *obs.Registry
-	// SlowThreshold enables slow-request capture (GET /debug/slow, SIGQUIT
-	// dump in cmd/kgd): requests at or over the threshold compete for the
-	// SlowKeep (default 32) slowest slots. Zero disables capture.
-	SlowThreshold time.Duration
-	SlowKeep      int
+	// ServerConfig holds the fault-injection and observability settings;
+	// FailRate and Latency apply to the /kg/v1/ batch endpoints.
+	rpc.ServerConfig
 }
 
-// Server handles the kgwire endpoints. Construct with New.
+// Server handles the kgwire endpoints on the shared rpc substrate, which
+// provides Handler, Serve, Registry, SlowLog and Requests. Construct with
+// New.
 type Server struct {
-	cfg      Config
-	registry *obs.Registry
-	slow     *obs.SlowLog
-	inFlight *obs.Gauge
-
-	mu  sync.Mutex // guards rng
-	rng *stats.RNG
-
-	injected atomic.Int64
-	reqs     sync.Map // path → *atomic.Int64
+	*rpc.Server
+	cfg Config
 }
 
 // New returns a server for cfg.Source.
@@ -77,255 +41,86 @@ func New(cfg Config) *Server {
 	if cfg.Source == nil {
 		panic("kgserve: Config.Source is required")
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 65536
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry(nil)
-	}
-	if cfg.SlowKeep <= 0 {
-		cfg.SlowKeep = 32
-	}
-	return &Server{
-		cfg:      cfg,
-		registry: cfg.Registry,
-		slow:     obs.NewSlowLog(cfg.SlowThreshold, cfg.SlowKeep),
-		inFlight: cfg.Registry.Gauge("requests_in_flight"),
-		rng:      stats.NewRNG(cfg.Seed),
-	}
-}
-
-// Registry exposes the server's metric registry (rendered at /metrics).
-func (s *Server) Registry() *obs.Registry { return s.registry }
-
-// SlowLog exposes the slow-request capture (nil when disabled), e.g. for
-// cmd/kgd's SIGQUIT dump.
-func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
-
-// Handler returns the HTTP handler serving the kgwire protocol. Every
-// route — including /metrics itself — is wrapped in the request-latency
-// middleware, so http_request_seconds{route,outcome} covers the surface.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	route := func(pattern, label string, h http.HandlerFunc) {
-		mux.Handle(pattern, httpdebug.Instrument(s.registry, "http_request_seconds", label, s.observe(h)))
-	}
-	route("POST "+kgwire.PathResolve, "resolve", fault(s, s.handleResolve))
-	route("POST "+kgwire.PathEntities, "entities", fault(s, s.handleEntities))
-	route("POST "+kgwire.PathProperties, "properties", fault(s, s.handleProperties))
-	route("POST "+kgwire.PathClassProps, "classprops", fault(s, s.handleClassProps))
-	route("GET "+kgwire.PathStats, "stats", s.handleStats)
-	route("GET /metrics", "metrics", httpdebug.MetricsHandler(s.registry, "kgd").ServeHTTP)
-	route("GET /debug/slow", "slow", httpdebug.SlowHandler(s.slow).ServeHTTP)
-	route("GET "+kgwire.PathHealthz, "healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, "ok\n")
-	})
-	return mux
-}
-
-// observe tracks in-flight requests and offers every finished request to
-// the slow log (which keeps only over-threshold ones). kgd handlers are
-// thin batch loops with no span tree, so slow entries carry the method,
-// path and wall clock but no trace events.
-func (s *Server) observe(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.inFlight.Inc()
-		defer s.inFlight.Dec()
-		start := time.Now()
-		h(w, r)
-		if s.slow != nil {
-			s.slow.Record(obs.SlowEntry{
-				ID:    r.Method + " " + r.URL.Path,
-				Start: start,
-				DurNS: int64(time.Since(start)),
-			})
-		}
-	}
+	s := &Server{Server: rpc.NewServer("kgd", cfg.ServerConfig), cfg: cfg}
+	rpc.Handle(s.Server, kgwire.PathResolve, "resolve", s.resolve)
+	rpc.Handle(s.Server, kgwire.PathEntities, "entities", s.entities)
+	rpc.Handle(s.Server, kgwire.PathProperties, "properties", s.properties)
+	rpc.Handle(s.Server, kgwire.PathClassProps, "classprops", s.classProps)
+	rpc.HandleGet(s.Server, kgwire.PathStats, "stats", s.Stats)
+	return s
 }
 
 // Stats returns the per-endpoint request counts and the number of
 // injected faults so far.
 func (s *Server) Stats() kgwire.StatsResponse {
-	out := kgwire.StatsResponse{Requests: make(map[string]int64), Injected: s.injected.Load()}
-	s.reqs.Range(func(k, v any) bool {
-		out.Requests[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
-	return out
+	return kgwire.StatsResponse{Requests: s.RequestCounts(), Injected: s.Injected()}
 }
 
-// Requests returns the request count recorded for one endpoint path.
-func (s *Server) Requests(path string) int64 {
-	if v, ok := s.reqs.Load(path); ok {
-		return v.(*atomic.Int64).Load()
+// checkBatch rejects a batch of n items over the configured limit.
+func (s *Server) checkBatch(n int) error {
+	if n > s.cfg.MaxBatch {
+		return fmt.Errorf("batch of %d exceeds limit %d", n, s.cfg.MaxBatch)
 	}
-	return 0
+	return nil
 }
 
-func (s *Server) count(path string) {
-	v, ok := s.reqs.Load(path)
-	if !ok {
-		v, _ = s.reqs.LoadOrStore(path, new(atomic.Int64))
+func entityIDs(wire []int32) []kg.EntityID {
+	ids := make([]kg.EntityID, len(wire))
+	for i, id := range wire {
+		ids[i] = kg.EntityID(id)
 	}
-	v.(*atomic.Int64).Add(1)
+	return ids
 }
 
-// fault wraps a handler with request counting, artificial latency, and
-// probabilistic 500s.
-func fault(s *Server, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.count(r.URL.Path)
-		if s.cfg.Latency > 0 {
-			t := time.NewTimer(s.cfg.Latency)
-			select {
-			case <-r.Context().Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
-		}
-		if s.cfg.FailRate > 0 {
-			s.mu.Lock()
-			fail := s.rng.Float64() < s.cfg.FailRate
-			s.mu.Unlock()
-			if fail {
-				s.injected.Add(1)
-				s.registry.Counters().Add(CtrInjected, 1)
-				http.Error(w, "injected fault", http.StatusInternalServerError)
-				return
-			}
-		}
-		h(w, r)
+func (s *Server) resolve(ctx context.Context, req *kgwire.ResolveRequest) (kgwire.ResolveResponse, error) {
+	if err := s.checkBatch(len(req.Values)); err != nil {
+		return kgwire.ResolveResponse{}, err
 	}
-}
-
-// decode reads a JSON request body, replying 400 on malformed input.
-func decode[T any](w http.ResponseWriter, r *http.Request, req *T) bool {
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(req); err != nil {
-		http.Error(w, "invalid request body: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
-	var req kgwire.ResolveRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if len(req.Values) > s.cfg.MaxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Values), s.cfg.MaxBatch), http.StatusBadRequest)
-		return
-	}
-	links, err := s.cfg.Source.Resolve(r.Context(), req.Values)
+	links, err := s.cfg.Source.Resolve(ctx, req.Values)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return kgwire.ResolveResponse{}, err
 	}
 	resp := kgwire.ResolveResponse{Links: make([]kgwire.Link, len(links))}
 	for i, l := range links {
 		resp.Links[i] = kgwire.FromLink(l)
 	}
-	writeJSON(w, resp)
+	return resp, nil
 }
 
-func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
-	var req kgwire.EntitiesRequest
-	if !decode(w, r, &req) {
-		return
+func (s *Server) entities(ctx context.Context, req *kgwire.EntitiesRequest) (kgwire.EntitiesResponse, error) {
+	if err := s.checkBatch(len(req.IDs)); err != nil {
+		return kgwire.EntitiesResponse{}, err
 	}
-	if len(req.IDs) > s.cfg.MaxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.IDs), s.cfg.MaxBatch), http.StatusBadRequest)
-		return
-	}
-	ids := make([]kg.EntityID, len(req.IDs))
-	for i, id := range req.IDs {
-		ids[i] = kg.EntityID(id)
-	}
-	ents, err := s.cfg.Source.Entities(r.Context(), ids)
+	ents, err := s.cfg.Source.Entities(ctx, entityIDs(req.IDs))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return kgwire.EntitiesResponse{}, err
 	}
 	resp := kgwire.EntitiesResponse{Entities: make([]kgwire.Entity, len(ents))}
 	for i, e := range ents {
 		resp.Entities[i] = kgwire.FromEntity(e)
 	}
-	writeJSON(w, resp)
+	return resp, nil
 }
 
-func (s *Server) handleProperties(w http.ResponseWriter, r *http.Request) {
-	var req kgwire.PropertiesRequest
-	if !decode(w, r, &req) {
-		return
+func (s *Server) properties(ctx context.Context, req *kgwire.PropertiesRequest) (kgwire.PropertiesResponse, error) {
+	if err := s.checkBatch(len(req.IDs)); err != nil {
+		return kgwire.PropertiesResponse{}, err
 	}
-	if len(req.IDs) > s.cfg.MaxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.IDs), s.cfg.MaxBatch), http.StatusBadRequest)
-		return
-	}
-	ids := make([]kg.EntityID, len(req.IDs))
-	for i, id := range req.IDs {
-		ids[i] = kg.EntityID(id)
-	}
-	props, err := s.cfg.Source.GetProperties(r.Context(), ids, req.Props)
+	props, err := s.cfg.Source.GetProperties(ctx, entityIDs(req.IDs), req.Props)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return kgwire.PropertiesResponse{}, err
 	}
 	resp := kgwire.PropertiesResponse{Props: make([]kgwire.Props, len(props))}
 	for i, p := range props {
 		resp.Props[i] = kgwire.FromProps(p)
 	}
-	writeJSON(w, resp)
+	return resp, nil
 }
 
-func (s *Server) handleClassProps(w http.ResponseWriter, r *http.Request) {
-	var req kgwire.ClassPropsRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	props, err := s.cfg.Source.ClassProps(r.Context(), req.Class)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, kgwire.ClassPropsResponse{Props: props})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Stats())
-}
-
-// Serve runs the handler on ln until ctx is cancelled, then shuts down
-// gracefully (bounded by drainTimeout).
-func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.Duration) error {
-	hs := &http.Server{Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	return hs.Shutdown(sctx)
-}
-
-// ListenAndServe is Serve over a fresh TCP listener on addr.
-func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln, drainTimeout)
+func (s *Server) classProps(ctx context.Context, req *kgwire.ClassPropsRequest) (kgwire.ClassPropsResponse, error) {
+	props, err := s.cfg.Source.ClassProps(ctx, req.Class)
+	return kgwire.ClassPropsResponse{Props: props}, err
 }

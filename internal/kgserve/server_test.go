@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"nexus/internal/kg"
 	"nexus/internal/kgwire"
@@ -28,55 +27,6 @@ func post(t *testing.T, hs *httptest.Server, path, body string) (int, string) {
 	defer resp.Body.Close()
 	b, _ := io.ReadAll(resp.Body)
 	return resp.StatusCode, string(b)
-}
-
-// TestFaultInjectionDeterministic pins that two servers with the same seed
-// fail the same request positions — the property the acceptance test's
-// reproducible fail-rate runs depend on.
-func TestFaultInjectionDeterministic(t *testing.T) {
-	pattern := func(seed uint64) string {
-		srv := New(Config{Source: testGraph(), FailRate: 0.4, Seed: seed})
-		hs := httptest.NewServer(srv.Handler())
-		defer hs.Close()
-		var sb strings.Builder
-		for i := 0; i < 40; i++ {
-			code, _ := post(t, hs, kgwire.PathResolve, `{"values":["Germany"]}`)
-			if code == 500 {
-				sb.WriteByte('x')
-			} else {
-				sb.WriteByte('.')
-			}
-		}
-		return sb.String()
-	}
-	a, b := pattern(9), pattern(9)
-	if a != b {
-		t.Fatalf("same seed, different fault patterns:\n%s\n%s", a, b)
-	}
-	if !strings.Contains(a, "x") || !strings.Contains(a, ".") {
-		t.Fatalf("fail-rate 0.4 produced degenerate pattern %s", a)
-	}
-	if pattern(10) == a {
-		t.Fatal("different seeds produced identical fault patterns")
-	}
-}
-
-// TestHealthzNeverInjected pins that liveness checks bypass fault
-// injection and latency.
-func TestHealthzNeverInjected(t *testing.T) {
-	srv := New(Config{Source: testGraph(), FailRate: 0.99, Latency: time.Hour, Seed: 1})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	for i := 0; i < 5; i++ {
-		resp, err := hs.Client().Get(hs.URL + kgwire.PathHealthz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("healthz = %d", resp.StatusCode)
-		}
-	}
 }
 
 // TestStatsEndpoint pins request counting and injected-fault reporting.

@@ -11,8 +11,8 @@
 //   - named counters (Trace.Add / Counters) such as CITests or
 //     PermutationsRun, aggregated into a Snapshot;
 //   - pluggable sinks: a human-readable tree printer
-//     (Snapshot.WriteTree), a JSONL event sink (JSONLSink), and an
-//     expvar-style JSON snapshot export (Snapshot / Publish).
+//     (Snapshot.WriteTree), a JSONL event sink (JSONLSink), and a JSON
+//     snapshot export (Snapshot).
 //
 // The nil invariant: every method on a nil *Trace, nil *Span and nil
 // *Counters is a no-op that performs no allocation, so instrumented code

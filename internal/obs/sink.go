@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -69,7 +68,7 @@ type SpanData struct {
 }
 
 // Snapshot is a point-in-time export of a trace: the span tree plus the
-// counter values. It marshals to JSON directly (the expvar-style export
+// counter values. It marshals to JSON directly (the export
 // consumed by the harness and bench_test.go).
 type Snapshot struct {
 	Name     string           `json:"name"`
@@ -220,15 +219,4 @@ func fmtBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-// Publish registers the trace under name in the process-wide expvar
-// registry, exporting a live Snapshot on every read (e.g. via the
-// /debug/vars endpoint of a server embedding nexus). Publishing the same
-// name twice keeps the first registration.
-func Publish(name string, t *Trace) {
-	if t == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return t.Snapshot() }))
 }

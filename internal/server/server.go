@@ -5,7 +5,6 @@
 //	                    id when the request asks for async execution)
 //	GET  /v1/jobs/{id} — status/result of an async job
 //	GET  /healthz      — liveness (503 while draining)
-//	GET  /debug/vars   — expvar JSON including the server's counter set
 //	GET  /metrics      — Prometheus text exposition (histograms, gauges,
 //	                     counters; see docs/API.md "Metrics")
 //	GET  /debug/slow   — the N slowest explanations over the configured
@@ -31,7 +30,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log"
@@ -42,14 +40,14 @@ import (
 	"time"
 
 	"nexus"
-	"nexus/internal/httpdebug"
 	"nexus/internal/obs"
 	"nexus/internal/reportcache"
+	"nexus/internal/rpc"
 	"nexus/internal/subgroups"
 )
 
 // Server-level counter names, reported into Config.Metrics and exported via
-// GET /debug/vars under the "nexusd" key (alongside the extraction-cache
+// GET /metrics as nexusd_<name>_total (alongside the extraction-cache
 // counters obs.ExtractCacheHits / obs.ExtractCacheMisses when the session's
 // cache shares the same counter set).
 const (
@@ -124,7 +122,7 @@ type Config struct {
 	KeepJobs int
 	// Metrics receives the server counters. Sharing this set with the
 	// session's nexus.ExtractionCache makes cache traffic visible on
-	// /debug/vars too. Nil allocates a private set.
+	// /metrics too. Nil allocates a private set.
 	Metrics *obs.Counters
 	// Registry collects the serving metrics GET /metrics renders: request
 	// latency, queue wait and run time histograms, per-stage pipeline
@@ -190,8 +188,7 @@ func (c *Config) applyDefaults() {
 }
 
 // Server is the HTTP explanation service. Construct with New, serve with
-// Serve or ListenAndServe (both block until their context is cancelled,
-// then drain).
+// Serve (which blocks until its context is cancelled, then drains).
 type Server struct {
 	cfg      Config
 	metrics  *obs.Counters
@@ -264,7 +261,7 @@ func New(cfg Config) *Server {
 // ReportCache exposes the server's response cache (nil when disabled).
 func (s *Server) ReportCache() *reportcache.Cache { return s.cache }
 
-// Metrics exposes the server's counter set (the one /debug/vars renders).
+// Metrics exposes the server's counter set (rendered as counters on /metrics).
 func (s *Server) Metrics() *obs.Counters { return s.metrics }
 
 // Registry exposes the server's metric registry (the one /metrics renders).
@@ -304,14 +301,13 @@ func (s *Server) Start() {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, label string, h http.HandlerFunc) {
-		mux.Handle(pattern, httpdebug.Instrument(s.registry, "http_request_seconds", label, h))
+		mux.Handle(pattern, rpc.Instrument(s.registry, label, h))
 	}
 	route("POST /v1/explain", "explain", s.handleExplain)
 	route("GET /v1/jobs/{id}", "job", s.handleJob)
 	route("GET /healthz", "healthz", s.handleHealthz)
-	route("GET /debug/vars", "vars", s.handleVars)
-	route("GET /metrics", "metrics", httpdebug.MetricsHandler(s.registry, "nexusd").ServeHTTP)
-	route("GET /debug/slow", "slow", httpdebug.SlowHandler(s.slow).ServeHTTP)
+	route("GET /metrics", "metrics", rpc.MetricsHandler(s.registry, "nexusd").ServeHTTP)
+	route("GET /debug/slow", "slow", rpc.SlowHandler(s.slow).ServeHTTP)
 	return mux
 }
 
@@ -323,41 +319,7 @@ func (s *Server) Handler() http.Handler {
 // returns nil after a clean drain.
 func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.Duration) error {
 	s.Start()
-	hs := &http.Server{Handler: s.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		s.shutdownWorkers(context.Background())
-		return err
-	case <-ctx.Done():
-	}
-
-	if drainTimeout <= 0 {
-		drainTimeout = 30 * time.Second
-	}
-	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-
-	werr := s.shutdownWorkers(dctx)
-	herr := hs.Shutdown(dctx)
-	if herr != nil {
-		hs.Close()
-	}
-	if werr != nil {
-		return werr
-	}
-	return herr
-}
-
-// ListenAndServe is Serve over a fresh TCP listener on addr.
-func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ctx, ln, drainTimeout)
+	return rpc.Serve(ctx, ln, s.Handler(), drainTimeout, s.shutdownWorkers)
 }
 
 // shutdownWorkers waits for in-flight jobs (cancelling them if ctx expires
@@ -703,25 +665,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleVars renders the expvar JSON document (process-wide vars such as
-// memstats) with the server's own counter set injected under "nexusd". The
-// injection keeps per-server counters correct even when several Servers
-// live in one process, which the global expvar registry cannot represent.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	fmt.Fprintf(w, "%q: ", "nexusd")
-	counters, _ := json.Marshal(s.metrics.Snapshot())
-	w.Write(counters)
-	expvar.Do(func(kv expvar.KeyValue) {
-		if kv.Key == "nexusd" {
-			return
-		}
-		fmt.Fprintf(w, ",\n%q: %s", kv.Key, kv.Value)
-	})
-	fmt.Fprintf(w, "\n}\n")
 }
 
 // writeJSON writes v as the response body. Encoding can fail after the

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/signal"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -112,23 +114,23 @@ func TestConcurrentExplainSharesExtraction(t *testing.T) {
 		t.Fatalf("extract_cache_misses = %d, want exactly 1", misses)
 	}
 
-	// The counters must also be visible on /debug/vars under "nexusd".
-	resp, err := http.Get(ts.URL + "/debug/vars")
+	// The counters must also be visible on /metrics under the nexusd_ prefix.
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var vars struct {
-		Nexusd map[string]int64 `json:"nexusd"`
+	exposition, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("decoding /debug/vars: %v", err)
-	}
-	if vars.Nexusd[obs.ExtractCacheHits] != hits {
-		t.Fatalf("/debug/vars nexusd.extract_cache_hits = %d, want %d", vars.Nexusd[obs.ExtractCacheHits], hits)
-	}
-	if vars.Nexusd[CtrCompleted] != n {
-		t.Fatalf("/debug/vars nexusd.%s = %d, want %d", CtrCompleted, vars.Nexusd[CtrCompleted], n)
+	for _, want := range []string{
+		fmt.Sprintf("nexusd_%s_total %d\n", obs.ExtractCacheHits, hits),
+		fmt.Sprintf("nexusd_%s_total %d\n", CtrCompleted, n),
+	} {
+		if !strings.Contains(string(exposition), want) {
+			t.Fatalf("/metrics lacks %q in:\n%s", want, exposition)
+		}
 	}
 }
 

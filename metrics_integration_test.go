@@ -15,6 +15,7 @@ import (
 	"nexus/internal/kgremote"
 	"nexus/internal/kgserve"
 	"nexus/internal/obs"
+	"nexus/internal/rpc"
 	"nexus/internal/server"
 	"nexus/internal/workload"
 )
@@ -29,7 +30,7 @@ func TestMetricsExposition(t *testing.T) {
 	world := integrationWorld()
 
 	// kgd side: its own registry, slow capture on everything.
-	kgSrv := kgserve.New(kgserve.Config{Source: world.Graph, SlowThreshold: time.Nanosecond})
+	kgSrv := kgserve.New(kgserve.Config{Source: world.Graph, ServerConfig: rpc.ServerConfig{SlowThreshold: time.Nanosecond}})
 	kgTS := httptest.NewServer(kgSrv.Handler())
 	defer kgTS.Close()
 

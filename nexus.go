@@ -70,7 +70,7 @@ type Options struct {
 	// counters alone (selection-bias detections, cache hits, subgroup
 	// search effort, ...). Unlike a Trace it is safe to share across
 	// concurrent Explain calls — this is how nexusd surfaces per-phase
-	// counters on /debug/vars. Ignored when Trace is set (the trace's
+	// counters on /metrics. Ignored when Trace is set (the trace's
 	// counter set is used so the two can never disagree).
 	Metrics *obs.Counters
 	// ExtractCache, when non-nil, memoizes KG extractions across Explain

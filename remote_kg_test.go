@@ -11,6 +11,7 @@ import (
 	"nexus/internal/kgremote"
 	"nexus/internal/kgserve"
 	"nexus/internal/obs"
+	"nexus/internal/rpc"
 	"nexus/internal/workload"
 )
 
@@ -59,10 +60,8 @@ func TestRemoteKGFlightsIdentical(t *testing.T) {
 	}
 
 	srv := kgserve.New(kgserve.Config{
-		Source:   w.Graph,
-		FailRate: 0.2,
-		Latency:  5 * time.Millisecond,
-		Seed:     11,
+		Source:       w.Graph,
+		ServerConfig: rpc.ServerConfig{FailRate: 0.2, Latency: 5 * time.Millisecond, Seed: 11},
 	})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
