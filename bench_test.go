@@ -12,18 +12,13 @@ package nexus_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"math/rand"
-	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"nexus"
 	"nexus/internal/baselines"
 	"nexus/internal/core"
-	"nexus/internal/counting"
 	"nexus/internal/harness"
 	"nexus/internal/kg"
 	"nexus/internal/obs"
@@ -419,197 +414,6 @@ func BenchmarkExplainMetrics(b *testing.B) {
 			b.Fatal(err)
 		}
 		tr.Close()
-	}
-}
-
-// benchObsEntry is one workload's record in BENCH_obs.json.
-type benchObsEntry struct {
-	Query    string           `json:"query"`
-	Rows     int              `json:"rows"`
-	TotalNS  int64            `json:"total_ns"`
-	PhasesNS map[string]int64 `json:"phases_ns"`
-	// Subgroup-lattice search wall clock at Parallelism 1 vs 4 over the same
-	// report — the profile where the frontier-batching speedup lands. The
-	// searches are byte-identical; only scheduling differs. On a single-core
-	// runner the two are comparable (batching costs a few percent); the ratio
-	// is meaningful on multi-core hardware.
-	SubgroupsSerialNS   int64 `json:"subgroups_serial_ns"`
-	SubgroupsParallelNS int64 `json:"subgroups_parallel_ns"`
-	// Single-run core.Explain wall clock over one prepared analysis with
-	// tracing off (nil trace — every span and counter on the allocation-free
-	// no-op path) vs. fully instrumented (live trace feeding a StageSink, as
-	// internal/server attaches per request). benchcmp gates both
-	// increase-only, so the instrumented number backs the metrics-are-cheap
-	// claim across commits.
-	ExplainNS             int64 `json:"explain_ns"`
-	ExplainInstrumentedNS int64 `json:"explain_instrumented_ns"`
-	// Fixed-iteration microbenchmark of the unified counting kernel (a batch
-	// of fused three-way passes over synthetic codes at this workload's row
-	// count) — the dedicated wall-clock gate for internal/counting, sized
-	// well past benchcmp's 10ms floor so regressions in the kernel itself
-	// surface even when the end-to-end timings absorb them.
-	CountingNS int64            `json:"counting_ns"`
-	Counters   map[string]int64 `json:"counters"`
-}
-
-// timeCountingKernel measures a fixed batch of kernel passes over seeded
-// synthetic codes: the counting_ns entry of BENCH_obs.json. Deterministic
-// data, fixed iteration count — only the kernel's own speed moves it.
-func timeCountingKernel(n int) time.Duration {
-	r := rand.New(rand.NewSource(17))
-	x := make([]int32, n)
-	y := make([]int32, n)
-	z := make([]int32, n)
-	w := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = int32(r.Intn(8))
-		y[i] = int32(r.Intn(8))
-		z[i] = int32(r.Intn(16))
-		w[i] = 0.5 + r.Float64()
-		if r.Intn(20) == 0 {
-			x[i] = -1
-		}
-	}
-	// Equalize total row-visits (8M) across workload sizes so every
-	// counting_ns entry measures a comparable, tens-of-ms batch — long
-	// enough that scheduler jitter stays well inside the benchcmp wall
-	// tolerance.
-	iters := 8_000_000 / n
-	if iters < 1 {
-		iters = 1
-	}
-	sink := 0.0
-	start := time.Now()
-	for iter := 0; iter < iters; iter++ {
-		tl := counting.CountXYZ(x, y, 8, 8, z, 16, w)
-		sink += tl.WeightSum
-		tl.Release()
-	}
-	elapsed := time.Since(start)
-	if sink <= 0 {
-		panic("counting kernel benchmark produced no weight")
-	}
-	return elapsed
-}
-
-// TestBenchObsJSON runs a traced end-to-end Explain for the SO and Flights
-// workloads at modest sizes and writes per-phase wall-clock plus the full
-// counter snapshot to BENCH_obs.json — a machine-readable profile for
-// tracking performance shape across commits.
-func TestBenchObsJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping profile emission in -short mode")
-	}
-	workloads := []struct {
-		key   string
-		rows  int
-		make  func(*kg.World, workload.Config) *workload.Dataset
-		query string
-	}{
-		{"so", 8000, workload.StackOverflow, "SELECT Country, avg(Salary) FROM SO GROUP BY Country"},
-		{"flights", 20000, workload.Flights, "SELECT Origin_city, avg(Departure_delay) FROM Flights GROUP BY Origin_city"},
-	}
-	out := map[string]benchObsEntry{}
-	for _, w := range workloads {
-		tr := obs.New(w.key)
-		world := kg.NewWorld(kg.WorldConfig{Seed: 11})
-		ds := w.make(world, workload.Config{Rows: w.rows, Seed: 12})
-		sess := nexus.NewSession(world.Graph, &nexus.Options{Trace: tr})
-		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
-		sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-		rep, err := sess.Explain(w.query)
-		if err != nil {
-			t.Fatalf("%s: %v", w.key, err)
-		}
-		// Time the subgroup search serial and batched over the same report.
-		// Parallelism is pinned to 4 (not GOMAXPROCS) so the effort counters
-		// in the profile are machine-independent — check_bench.sh compares
-		// counters strictly.
-		timeSearch := func(p int) (time.Duration, []subgroups.Group) {
-			start := time.Now()
-			groups, _, err := rep.SubgroupsWithOptions(context.Background(),
-				subgroups.Options{K: 5, Parallelism: p})
-			if err != nil {
-				t.Fatalf("%s: subgroups at parallelism %d: %v", w.key, p, err)
-			}
-			return time.Since(start), groups
-		}
-		serialNS, serialGroups := timeSearch(1)
-		parallelNS, parallelGroups := timeSearch(4)
-		if fmt.Sprint(serialGroups) != fmt.Sprint(parallelGroups) {
-			t.Errorf("%s: serial and parallel subgroup results differ:\n%v\n%v",
-				w.key, serialGroups, parallelGroups)
-		}
-		snap := tr.Close()
-		// Explain-only timing pair on a separate untraced session, so the
-		// runs neither pollute the profile trace above nor reuse its spans:
-		// nil trace (the no-op path) vs. a live trace with a StageSink.
-		plain := nexus.NewSession(world.Graph, nil)
-		plain.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
-		plain.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-		a, err := plain.Prepare(w.query)
-		if err != nil {
-			t.Fatalf("%s: prepare for explain timing: %v", w.key, err)
-		}
-		timeExplain := func(trace *obs.Trace) time.Duration {
-			opts := benchOpts()
-			opts.Trace = trace
-			start := time.Now()
-			if _, err := core.Explain(a.T, a.O, a.Candidates, opts); err != nil {
-				t.Fatalf("%s: timed explain: %v", w.key, err)
-			}
-			trace.Close()
-			return time.Since(start)
-		}
-		timeExplain(nil) // warm the per-analysis caches so the pair compares fairly
-		explainNS := timeExplain(nil)
-		instrumented := obs.New(w.key)
-		instrumented.AddSink(obs.NewStageSink(obs.NewRegistry(nil)))
-		instrumentedNS := timeExplain(instrumented)
-		out[w.key] = benchObsEntry{
-			Query:                 w.query,
-			Rows:                  ds.Table.NumRows(),
-			TotalNS:               snap.TotalNS,
-			PhasesNS:              snap.Flatten(),
-			SubgroupsSerialNS:     serialNS.Nanoseconds(),
-			SubgroupsParallelNS:   parallelNS.Nanoseconds(),
-			ExplainNS:             explainNS.Nanoseconds(),
-			ExplainInstrumentedNS: instrumentedNS.Nanoseconds(),
-			CountingNS:            timeCountingKernel(ds.Table.NumRows()).Nanoseconds(),
-			Counters:              snap.Counters,
-		}
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_obs.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for key, e := range out {
-		if e.Counters[obs.CITests] == 0 {
-			t.Errorf("%s: expected a nonzero %s counter", key, obs.CITests)
-		}
-		if len(e.PhasesNS) == 0 {
-			t.Errorf("%s: expected per-phase durations", key)
-		}
-		if e.ExplainNS <= 0 || e.ExplainInstrumentedNS <= 0 {
-			t.Errorf("%s: expected positive explain timings, got %d / %d",
-				key, e.ExplainNS, e.ExplainInstrumentedNS)
-		}
-		for _, c := range []string{obs.GroupsScored, obs.SubgroupBatches, obs.SubgroupNodesExplored} {
-			if e.Counters[c] == 0 {
-				t.Errorf("%s: expected a nonzero %s counter from the subgroup searches", key, c)
-			}
-		}
-		if e.CountingNS <= 0 {
-			t.Errorf("%s: expected a positive counting_ns", key)
-		}
-		for _, c := range []string{obs.CountingDensePasses, obs.CountingPartitions} {
-			if e.Counters[c] == 0 {
-				t.Errorf("%s: expected a nonzero %s counter from the kernel capture windows", key, c)
-			}
-		}
 	}
 }
 

@@ -16,8 +16,8 @@
 // column × every outcome, with varying subgroup options), or supplied
 // explicitly with -queries (one SQL statement per line).
 //
-// With -json the run's metrics are written as a flat JSON object in the
-// BENCH_serve.json vocabulary (see docs/BENCHMARKS.md).
+// With -json the run's metrics are written as nexusload's JSON report
+// (loadgen.BenchMetrics documents the fields).
 package main
 
 import (
@@ -80,7 +80,7 @@ func run(args []string) error {
 		shedBatchAt  = fs.Int("shed-batch-at", 0, "in-process server: interactive backlog that sheds batch work (0 = queue/2)")
 		cacheEntries = fs.Int("report-cache", 512, "in-process server: report-cache entries (0 = off)")
 
-		jsonOut = fs.String("json", "", "write metrics as flat JSON to this file (\"-\" = stdout)")
+		jsonOut = fs.String("json", "", "write nexusload's JSON report to this file (\"-\" = stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -46,6 +46,7 @@ func TestDistributedFlightsIdentical(t *testing.T) {
 	}
 	want := stableSummary(wantRep)
 
+	var units1 int64 // dist_units on the 1-worker fleet
 	for _, workers := range []int{1, 4} {
 		urls, srvs := startWorkerFleet(t, workers, distworker.Config{})
 		ctr := obs.NewCounters()
@@ -77,8 +78,14 @@ func TestDistributedFlightsIdentical(t *testing.T) {
 					wantGroups[i].String(), wantGroups[i].Size, wantGroups[i].Score)
 			}
 		}
-		if ctr.Get(obs.DistUnits) == 0 {
+		switch dispatched := ctr.Get(obs.DistUnits); {
+		case dispatched == 0:
 			t.Errorf("%d workers: dist_units = 0; scoring never reached the fleet", workers)
+		case workers == 1:
+			units1 = dispatched
+		case dispatched != units1:
+			t.Errorf("dist_units varies with fleet size: %d at 1 worker, %d at %d — partitioning is not deterministic",
+				units1, dispatched, workers)
 		}
 		var units int64
 		for _, s := range srvs {

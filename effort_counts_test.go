@@ -1,0 +1,143 @@
+package nexus_test
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"nexus"
+	"nexus/internal/kg"
+	"nexus/internal/obs"
+	"nexus/internal/workload"
+)
+
+// effortCount is one counter of a finished trace.
+type effortCount struct {
+	name string
+	n    int64
+}
+
+// effortCounts pins, per workload, every counter TestEffortCountsExact's
+// run leaves in its trace, sorted by name. A change that moves pipeline
+// effort edits this table in the same commit: the failing test prints the
+// observed table ready to paste over the stale one.
+var effortCounts = map[string][]effortCount{
+	"so": {
+		{"biased_attrs", 61},
+		{"cache_hits", 2},
+		{"candidates_scored", 55},
+		{"ci_tests", 1157},
+		{"composite_rebuilds", 3},
+		{"counting_dense_passes", 2544},
+		{"counting_id_joins", 24},
+		{"counting_partitions", 8194},
+		{"enc_cache_hits", 1299},
+		{"entities_ambiguous", 0},
+		{"entities_linked", 189},
+		{"entities_unresolved", 5},
+		{"groups_scored", 1500},
+		{"ipw_fits", 61},
+		{"kg_attrs", 393},
+		{"kg_attrs_hop1", 393},
+		{"mcimr_iterations", 2},
+		{"mcimr_skips", 11},
+		{"permutations_run", 2046},
+		{"pruned.offline.constant", 2},
+		{"pruned.offline.high-entropy", 4},
+		{"pruned.online.low-relevance", 340},
+		{"rowset_cache_hits", 2422},
+		{"subgroup_batches", 376},
+		{"subgroup_nodes_explored", 1500},
+		{"subgroup_nodes_pushed", 20803},
+	},
+	"flights": {
+		{"biased_attrs", 62},
+		{"cache_hits", 1},
+		{"candidates_scored", 55},
+		{"ci_tests", 2809},
+		{"composite_rebuilds", 1},
+		{"counting_dense_passes", 3621},
+		{"counting_id_joins", 2},
+		{"counting_partitions", 7676},
+		{"enc_cache_hits", 2222},
+		{"entities_ambiguous", 0},
+		{"entities_linked", 654},
+		{"entities_unresolved", 100},
+		{"groups_scored", 1500},
+		{"ipw_fits", 62},
+		{"kg_attrs", 934},
+		{"kg_attrs_hop1", 934},
+		{"mcimr_iterations", 1},
+		{"mcimr_skips", 11},
+		{"permutations_run", 1261},
+		{"pruned.offline.constant", 3},
+		{"pruned.offline.high-entropy", 2},
+		{"pruned.online.low-relevance", 883},
+		{"rowset_cache_hits", 2385},
+		{"subgroup_batches", 378},
+		{"subgroup_nodes_explored", 1500},
+		{"subgroup_nodes_pushed", 12092},
+	},
+}
+
+// TestEffortCountsExact is the deterministic half of performance tracking:
+// how much work one Explain + Subgroups(5, 0) does on two seeded workloads
+// (candidates pruned, CI tests and permutations run, counting-kernel passes,
+// lattice nodes pushed and scored), compared exactly. Wall clock is
+// bench/run.sh's job. Core.Parallelism is 1 because at higher settings
+// permTest's early exit races its sibling blocks, and permutations_run and
+// counting_dense_passes drift by a few per run.
+//
+// Not t.Parallel(): the counting_* entries are deltas of process-wide
+// counters, so a concurrent Explain in this process would leak into them.
+func TestEffortCountsExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full explanations; skipped in -short mode")
+	}
+	workloads := []struct {
+		key   string
+		rows  int
+		make  func(*kg.World, workload.Config) *workload.Dataset
+		query string
+	}{
+		{"so", 8000, workload.StackOverflow, "SELECT Country, avg(Salary) FROM SO GROUP BY Country"},
+		{"flights", 20000, workload.Flights, flightsQuery},
+	}
+	for _, w := range workloads {
+		t.Run(w.key, func(t *testing.T) {
+			tr := obs.New(w.key)
+			world := kg.NewWorld(kg.WorldConfig{Seed: 11})
+			ds := w.make(world, workload.Config{Rows: w.rows, Seed: 12})
+			opts := &nexus.Options{Trace: tr}
+			opts.Core.Parallelism = 1
+			sess := nexus.NewSession(world.Graph, opts)
+			sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
+			sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
+			rep, err := sess.Explain(w.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := rep.Subgroups(5, 0); err != nil {
+				t.Fatal(err)
+			}
+
+			var got []effortCount
+			for name, n := range tr.Close().Counters {
+				got = append(got, effortCount{name, n})
+			}
+			slices.SortFunc(got, func(a, b effortCount) int { return strings.Compare(a.name, b.name) })
+			if slices.Equal(got, effortCounts[w.key]) {
+				return
+			}
+			var b strings.Builder
+			fmt.Fprintf(&b, "\t%q: {\n", w.key)
+			for _, c := range got {
+				fmt.Fprintf(&b, "\t\t{%q, %d},\n", c.name, c.n)
+			}
+			b.WriteString("\t},\n")
+			t.Errorf("effort counters differ from the pinned table; if the change is intended, "+
+				"replace the %q entry of effortCounts with:\n%s", w.key, b.String())
+		})
+	}
+}

@@ -9,9 +9,11 @@
 // workers pull indices from a shared counter (closed loop), or pace
 // themselves against a global target rate (open loop, Config.Rate).
 //
-// loadgen is the measurement half of cmd/nexusload and of the serve
-// benchmark baseline BENCH_serve.json (bench_serve_test.go at the repo
-// root); docs/BENCHMARKS.md documents the derived fields.
+// loadgen is the measurement half of cmd/nexusload and of
+// TestServeClosedLoopCounts at the repo root, which pins the
+// schedule-invariant outcomes of a 16-client run; serving latency across
+// commits is tracked by the benchmark's serve_mix workload
+// (bench/README.md), not here.
 package loadgen
 
 import (
@@ -131,14 +133,16 @@ func (r *Result) CacheHitRatio() float64 {
 	return float64(hits) / float64(ok)
 }
 
-// BenchMetrics flattens a result into the BENCH_serve.json vocabulary
-// (docs/BENCHMARKS.md). Top-level names are deterministic counters —
-// scripts/benchcmp gates them strictly in both directions — so only
-// schedule-invariant quantities may appear there; everything timing- or
-// scheduling-dependent lives under "wall_ns", whose path marks it for
-// benchcmp's wall-clock rules (increase-only, sub-10ms baselines ignored).
-// The hit/shared split in particular depends on request interleaving, so
-// only the sum ("cache_served") is exposed as a counter.
+// BenchMetrics flattens a result into nexusload's JSON report (-json).
+// Top-level names are outcome counts — requests sent and OK per tier,
+// shed, rejected, errors, "cache_misses" (one per distinct query shape
+// under single-flight) and the two ratios derived from them — which, for
+// a seeded Config sized inside the server's queue depths, repeat exactly
+// across runs and machines. The hit/shared split depends on request
+// interleaving, so only its sum ("cache_served") appears there.
+// Everything timing-dependent — latency percentiles and the run total in
+// nanoseconds, throughput in requests per second — is nested under
+// "wall_ns".
 func BenchMetrics(res *Result) map[string]any {
 	served := res.Interactive.CacheHits + res.Interactive.CacheShared +
 		res.Batch.CacheHits + res.Batch.CacheShared

@@ -190,24 +190,6 @@ func TestWriteTreeRendersPhasesAndCounters(t *testing.T) {
 	}
 }
 
-func TestFlattenSumsRepeatedPaths(t *testing.T) {
-	tr := New("root")
-	for i := 0; i < 3; i++ {
-		tr.Start("iter").End()
-	}
-	snap := tr.Close()
-	flat := snap.Flatten()
-	if flat["root"] != snap.TotalNS {
-		t.Fatalf("flat[root] = %d, want %d", flat["root"], snap.TotalNS)
-	}
-	if flat["root/iter"] <= 0 {
-		t.Fatalf("flat[root/iter] = %d, want > 0", flat["root/iter"])
-	}
-	if len(flat) != 2 {
-		t.Fatalf("flat = %v, want 2 paths", flat)
-	}
-}
-
 func TestPrunedAndHopCounterNames(t *testing.T) {
 	if got := PrunedCounter("offline", "high-entropy"); got != "pruned.offline.high-entropy" {
 		t.Fatalf("PrunedCounter = %q", got)

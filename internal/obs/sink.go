@@ -125,28 +125,6 @@ func (s Snapshot) JSON() []byte {
 	return b
 }
 
-// Flatten maps slash-joined span paths to total duration in nanoseconds,
-// summing spans that share a path (e.g. repeated MCIMR iterations). This is
-// the per-phase accounting benchmarks compare across commits.
-func (s Snapshot) Flatten() map[string]int64 {
-	out := make(map[string]int64)
-	var walk func(d *SpanData, prefix string)
-	walk = func(d *SpanData, prefix string) {
-		path := d.Name
-		if prefix != "" {
-			path = prefix + "/" + d.Name
-		}
-		out[path] += d.DurNS
-		for _, c := range d.Children {
-			walk(c, path)
-		}
-	}
-	if s.Root != nil {
-		walk(s.Root, "")
-	}
-	return out
-}
-
 // WriteTree renders the snapshot as a human-readable phase tree: every span
 // with its duration, its share of the total, allocation delta and
 // attributes, followed by the sorted counters.

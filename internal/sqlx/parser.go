@@ -56,22 +56,64 @@ type Condition struct {
 // String renders the condition as SQL.
 func (c Condition) String() string {
 	if c.IsStr {
-		return fmt.Sprintf("%s %s '%s'", c.Attr, c.Op, c.Str)
+		return fmt.Sprintf("%s %s %s", quoteIdent(c.Attr), c.Op, quoteString(c.Str))
 	}
-	return fmt.Sprintf("%s %s %g", c.Attr, c.Op, c.Num)
+	return fmt.Sprintf("%s %s %g", quoteIdent(c.Attr), c.Op, c.Num)
+}
+
+// quoteIdent renders a name so that it lexes back as one identifier: bare
+// where the lexer would read it whole, otherwise quoted in the style its
+// bytes allow (a back-quoted name cannot hold '`', a bracketed one ']').
+func quoteIdent(s string) string {
+	bare := s != "" && isIdentStart(rune(s[0]))
+	for i := 1; bare && i < len(s); i++ {
+		bare = isIdentPart(rune(s[i]))
+	}
+	switch {
+	case bare:
+		return s
+	case !strings.Contains(s, "`"):
+		return "`" + s + "`"
+	default:
+		return "[" + s + "]"
+	}
+}
+
+// quoteString renders a string literal in whichever quote it does not
+// contain (the lexer has no escapes). A value holding both can only have
+// been written as a quoted identifier, which the parser also accepts as a
+// value, so it goes back out as one.
+func quoteString(s string) string {
+	switch {
+	case !strings.Contains(s, "'"):
+		return "'" + s + "'"
+	case !strings.Contains(s, `"`):
+		return `"` + s + `"`
+	default:
+		return quoteIdent(s)
+	}
 }
 
 // Exposure returns the primary exposure attribute (first GROUP BY key).
 func (q *Query) Exposure() string { return q.GroupBy[0] }
 
-// String reproduces a canonical SQL rendering of the query.
+// String reproduces a canonical SQL rendering of the query, one that Parse
+// accepts and renders back unchanged (FuzzParse).
 func (q *Query) String() string {
+	groupBy := make([]string, len(q.GroupBy))
+	for i, g := range q.GroupBy {
+		groupBy[i] = quoteIdent(g)
+	}
+	outcome := quoteIdent(q.Outcome)
+	if q.Outcome == "*" && q.Agg == table.AggCount {
+		outcome = "*"
+	}
 	var b strings.Builder
 	b.WriteString("SELECT ")
-	b.WriteString(strings.Join(q.GroupBy, ", "))
-	fmt.Fprintf(&b, ", %s(%s) FROM %s", q.Agg, q.Outcome, q.Table)
+	b.WriteString(strings.Join(groupBy, ", "))
+	fmt.Fprintf(&b, ", %s(%s) FROM %s", q.Agg, outcome, quoteIdent(q.Table))
 	if q.Join != nil {
-		fmt.Fprintf(&b, " JOIN %s ON %s = %s", q.Join.Table, q.Join.LeftKey, q.Join.RightKey)
+		fmt.Fprintf(&b, " JOIN %s ON %s = %s", quoteIdent(q.Join.Table), quoteIdent(q.Join.LeftKey), quoteIdent(q.Join.RightKey))
 	}
 	if len(q.Where) > 0 {
 		b.WriteString(" WHERE ")
@@ -82,7 +124,7 @@ func (q *Query) String() string {
 		b.WriteString(strings.Join(parts, " AND "))
 	}
 	b.WriteString(" GROUP BY ")
-	b.WriteString(strings.Join(q.GroupBy, ", "))
+	b.WriteString(strings.Join(groupBy, ", "))
 	return b.String()
 }
 

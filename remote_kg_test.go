@@ -101,26 +101,34 @@ func TestRemoteKGFlightsIdentical(t *testing.T) {
 
 // TestRemoteKGRequestBudget pins the batching contract: a remote flights
 // extraction issues at most hops × linkColumns × 4 HTTP requests — per-hop
-// batches, never per-entity pointer chasing (which would take thousands of
-// round trips for the same extraction).
+// batches, never per-entity pointer chasing. The naive case (one item per
+// request, no cache) is that pointer-chasing shape, kept as the yardstick:
+// it must cost at least 10× the batched client's requests.
 func TestRemoteKGRequestBudget(t *testing.T) {
 	w := integrationWorld()
-	for _, hops := range []int{1, 2} {
+	linkCols := len(workload.Flights(w, workload.Config{Rows: 16, Seed: 12}).LinkColumns)
+	requests := func(hops int, copts kgremote.Options) int64 {
 		srv := kgserve.New(kgserve.Config{Source: w.Graph})
 		hs := httptest.NewServer(srv.Handler())
+		defer hs.Close()
 		counters := obs.NewCounters()
-		client := kgremote.New(hs.URL, kgremote.Options{HTTPClient: hs.Client(), Counters: counters})
-
-		sess := flightsSession(w, client, &nexus.Options{Hops: hops})
+		copts.HTTPClient = hs.Client()
+		copts.Counters = counters
+		sess := flightsSession(w, kgremote.New(hs.URL, copts), &nexus.Options{Hops: hops})
 		if _, err := sess.Prepare(flightsQuery); err != nil {
-			hs.Close()
 			t.Fatal(err)
 		}
-		linkCols := len(workload.Flights(w, workload.Config{Rows: 16, Seed: 12}).LinkColumns)
+		return counters.Get(obs.KGHTTPRequests)
+	}
+	batched := map[int]int64{}
+	for _, hops := range []int{1, 2} {
+		batched[hops] = requests(hops, kgremote.Options{})
 		budget := int64(hops * linkCols * 4)
-		if got := counters.Get(obs.KGHTTPRequests); got == 0 || got > budget {
+		if got := batched[hops]; got == 0 || got > budget {
 			t.Errorf("hops=%d: %d HTTP requests, budget %d (link columns: %d)", hops, got, budget, linkCols)
 		}
-		hs.Close()
+	}
+	if naive := requests(1, kgremote.Options{BatchSize: 1, MaxInflight: 8, CacheSize: -1}); naive < 10*batched[1] {
+		t.Errorf("naive backend used %d requests vs %d batched — batching regressed", naive, batched[1])
 	}
 }

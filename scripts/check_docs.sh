@@ -2,12 +2,12 @@
 # check_docs.sh — docs hygiene gate for CI.
 #
 #   1. gofmt: the tree must be gofmt-clean.
-#   2. links: every relative markdown link in docs/*.md must point at a
-#      file that exists.
+#   2. links: every relative markdown link in README.md and docs/*.md
+#      must point at a file that exists.
 #   3. symbols: every `pkg.Symbol`-style identifier mentioned in
-#      docs/ARCHITECTURE.md, docs/API.md, docs/OPERATIONS.md and
-#      docs/BENCHMARKS.md must still exist somewhere in the Go sources,
-#      so the docs cannot silently rot after a rename.
+#      docs/ARCHITECTURE.md, docs/API.md and docs/OPERATIONS.md must still
+#      exist somewhere in the Go sources, so the docs cannot silently rot
+#      after a rename.
 #   4. sections: load-bearing doc sections (referenced from code comments
 #      and other docs) must keep existing under their exact headings.
 #
@@ -23,9 +23,9 @@ if [ -n "$unformatted" ]; then
     fail=1
 fi
 
-# --- 2. relative links in docs/*.md -----------------------------------------
+# --- 2. relative links in README.md and docs/*.md ---------------------------
 tmp_broken=$(mktemp)
-for doc in docs/*.md; do
+for doc in README.md docs/*.md; do
     dir=$(dirname "$doc")
     # extract the (target) parts of [text](target) links, one per line
     grep -o '](\([^)]*\))' "$doc" | sed 's/^](//; s/)$//' | while IFS= read -r link; do
@@ -51,7 +51,7 @@ rm -f "$tmp_broken"
 # Go sources.
 symfail=$(
     grep -ho '`[A-Za-z][A-Za-z0-9_]*\(\.[A-Za-z][A-Za-z0-9_]*\)\{1,2\}`' \
-        docs/ARCHITECTURE.md docs/API.md docs/OPERATIONS.md docs/BENCHMARKS.md |
+        docs/ARCHITECTURE.md docs/API.md docs/OPERATIONS.md |
         tr -d '\`' | tr '.' '\n' | grep '^[A-Z]' | sort -u |
         while IFS= read -r sym; do
             if ! grep -rqw --include='*.go' --exclude='*_test.go' "$sym" .; then
@@ -95,14 +95,10 @@ require_section docs/API.md '## Job tiers and load shedding'
 require_section docs/OPERATIONS.md '## Capacity tuning'
 require_section docs/OPERATIONS.md '## Failure modes and the metrics that diagnose them'
 require_section docs/OPERATIONS.md '### Invalidating the report cache'
-require_section docs/BENCHMARKS.md '## The two metric classes'
-require_section docs/BENCHMARKS.md '## Running the gate and regenerating baselines'
 require_section docs/ARCHITECTURE.md '## Columnar data engine'
-require_section docs/BENCHMARKS.md '### BENCH_scale.json'
 require_section README.md '### Paper-scale quickstart'
 require_section docs/ARCHITECTURE.md '## Distributed scoring'
 require_section docs/OPERATIONS.md '## nexusw flags'
-require_section docs/BENCHMARKS.md '### BENCH_dist.json'
 require_section README.md '### Distributed scoring fleet'
 
 if [ "$fail" -ne 0 ]; then

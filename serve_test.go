@@ -2,10 +2,8 @@ package nexus_test
 
 import (
 	"context"
-	"encoding/json"
 	"net"
 	"net/http"
-	"os"
 	"testing"
 	"time"
 
@@ -18,29 +16,19 @@ import (
 	"nexus/internal/workload"
 )
 
-// TestBenchServeJSON regenerates BENCH_serve.json, the serving-tier bench
-// baseline: an in-process nexusd (report cache + tiered scheduler over the
-// Forbes fixture) driven by internal/loadgen with a ≥1k-request
-// mixed-priority closed-loop run. scripts/check_bench.sh gates the emitted
-// metrics with scripts/benchcmp; docs/BENCHMARKS.md documents the fields.
-//
-// Every top-level metric is deterministic by construction and benchcmp
-// holds it to ±25%: the schedule is seeded, the request count exceeds
-// nothing the queues can't hold (concurrency ≤ both queue depths, so shed
-// and rejected are exactly 0), and single-flight pins cache_misses to the
-// number of distinct query shapes. Latency and throughput live under
-// "wall_ns" where benchcmp applies wall-clock rules instead.
-func TestBenchServeJSON(t *testing.T) {
+// TestServeClosedLoopCounts drives an in-process nexusd (report cache +
+// tiered scheduler over the Forbes fixture) with internal/loadgen — 16
+// closed-loop clients, 1,200 mixed-priority requests over six query shapes —
+// and pins the outcomes that hold under any goroutine schedule: concurrency
+// stays under both queue depths, so nothing is shed or rejected, and
+// single-flight admits exactly one cache miss per distinct shape.
+func TestServeClosedLoopCounts(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skipping profile emission in -short mode")
+		t.Skip("1,200-request load run; skipped in -short mode")
 	}
 	const (
-		requests      = 1200
-		concurrency   = 16
-		batchFraction = 0.3
-		workers       = 4 // pinned (not GOMAXPROCS) for machine independence
-		queueDepth    = 64
-		batchDepth    = 256
+		requests    = 1200
+		concurrency = 16
 	)
 
 	world := kg.NewWorld(kg.WorldConfig{Seed: 11})
@@ -58,9 +46,9 @@ func TestBenchServeJSON(t *testing.T) {
 	sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
 	srv := server.New(server.Config{
 		Session:         sess,
-		Workers:         workers,
-		QueueDepth:      queueDepth,
-		BatchQueueDepth: batchDepth,
+		Workers:         4,
+		QueueDepth:      64,
+		BatchQueueDepth: 256,
 		Metrics:         metrics,
 		ReportCache: reportcache.New(reportcache.Config{
 			Version:  sess.DatasetFingerprint() + "/" + sess.KGVersion(),
@@ -80,9 +68,7 @@ func TestBenchServeJSON(t *testing.T) {
 			t.Errorf("server shutdown: %v", err)
 		}
 	}()
-	base := "http://" + ln.Addr().String()
 
-	// Six distinct shapes → exactly six report-cache misses.
 	mix := []loadgen.Query{
 		{SQL: "SELECT Category, avg(Pay) FROM Forbes GROUP BY Category"},
 		{SQL: "SELECT Category, avg(Pay) FROM Forbes GROUP BY Category", Subgroups: 3},
@@ -92,11 +78,11 @@ func TestBenchServeJSON(t *testing.T) {
 		{SQL: "SELECT Year, avg(Pay) FROM Forbes GROUP BY Year", Subgroups: 5},
 	}
 	res, err := loadgen.Run(context.Background(), loadgen.Config{
-		BaseURL:       base,
+		BaseURL:       "http://" + ln.Addr().String(),
 		Client:        &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: concurrency}},
 		Requests:      requests,
 		Concurrency:   concurrency,
-		BatchFraction: batchFraction,
+		BatchFraction: 0.3,
 		Queries:       mix,
 		Seed:          1,
 		Timeout:       2 * time.Minute,
@@ -105,41 +91,21 @@ func TestBenchServeJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The determinism the baseline depends on, pinned here rather than
-	// left for benchcmp to notice a drift.
 	if errs := res.Interactive.Errors + res.Batch.Errors; errs != 0 {
-		t.Fatalf("%d requests failed", errs)
+		t.Errorf("%d requests failed", errs)
 	}
 	if res.Shed() != 0 || res.Interactive.Rejected+res.Batch.Rejected != 0 {
-		t.Fatalf("unexpected admission refusals: shed=%d rejected=%d (concurrency must stay under the queue depths)",
+		t.Errorf("unexpected admission refusals: shed=%d rejected=%d (concurrency must stay under the queue depths)",
 			res.Shed(), res.Interactive.Rejected+res.Batch.Rejected)
 	}
 	if misses := res.Interactive.CacheMisses + res.Batch.CacheMisses; misses != len(mix) {
-		t.Fatalf("cache_misses = %d, want %d (one per distinct shape under single-flight)", misses, len(mix))
+		t.Errorf("cache_misses = %d, want %d (one per distinct shape under single-flight)", misses, len(mix))
 	}
 	if res.Interactive.OK != res.Interactive.Sent || res.Batch.OK != res.Batch.Sent {
-		t.Fatalf("not every request succeeded: interactive %d/%d, batch %d/%d",
+		t.Errorf("not every request succeeded: interactive %d/%d, batch %d/%d",
 			res.Interactive.OK, res.Interactive.Sent, res.Batch.OK, res.Batch.Sent)
 	}
 	if ratio := res.CacheHitRatio(); ratio < 0.9 {
-		t.Fatalf("cache_hit_ratio = %g, want ≥ 0.9 at %d requests over %d shapes", ratio, requests, len(mix))
-	}
-
-	out := loadgen.BenchMetrics(res)
-	out["config"] = map[string]any{
-		"dataset":          "forbes",
-		"rows":             400,
-		"requests":         requests,
-		"concurrency":      concurrency,
-		"batch_fraction":   batchFraction,
-		"distinct_queries": len(mix),
-		"workers":          workers,
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+		t.Errorf("cache_hit_ratio = %g, want ≥ 0.9 at %d requests over %d shapes", ratio, requests, len(mix))
 	}
 }
