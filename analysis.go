@@ -48,6 +48,33 @@ type Analysis struct {
 	// session trace's counter set when tracing is on, and a private set
 	// otherwise — one storage, so NumBiased and the trace cannot disagree.
 	metrics *obs.Counters
+	// slotOutcomes memoises, per link column, what the lazy per-candidate
+	// stages derive from the column's row→slot mapping and the outcome alone.
+	slotMu       sync.Mutex
+	slotOutcomes map[string]*slotOutcome
+}
+
+// slotOutcome is the outcome aggregated to one link column's entity slots,
+// computed once and shared read-only by every attribute extracted through
+// that column (they share the row→slot mapping, see Attribute.RowSlots).
+type slotOutcome struct {
+	meanOnce sync.Once
+	meanO    []float64     // mean outcome per slot, NaN where no row has one
+	meanOEnc *bins.Encoded // meanO discretized; nil when it does not encode
+
+	contOnce sync.Once
+	oSlot    [][]float64 // [oCode][slot] counts over rows with both present
+}
+
+func (a *Analysis) slotOutcomeOf(linkColumn string) *slotOutcome {
+	a.slotMu.Lock()
+	defer a.slotMu.Unlock()
+	so := a.slotOutcomes[linkColumn]
+	if so == nil {
+		so = new(slotOutcome)
+		a.slotOutcomes[linkColumn] = so
+	}
+	return so
 }
 
 // adaptiveBins picks the discretization granularity from the view size:
@@ -135,6 +162,8 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 		binOpts:   s.opts.Bins,
 		byName:    map[string]*core.Candidate{},
 		metrics:   tr.Counters(),
+
+		slotOutcomes: map[string]*slotOutcome{},
 	}
 	if a.metrics == nil {
 		a.metrics = s.opts.Metrics
@@ -291,27 +320,26 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candid
 	// table: permuting an attribute at entity granularity only regroups
 	// slot columns, so each permuted statistic costs O(#slots · |O|)
 	// instead of O(#rows).
-	var contOnce sync.Once
-	var oSlot [][]float64 // [oCode][slot] counts over rows with both present
+	shared := a.slotOutcomeOf(attr.LinkColumn)
 	c.FastMarginalPerm = func(o *bins.Encoded, b, allow int, seed uint64) (bool, bool) {
 		ent, err := attr.EntityEncode(a.binOpts)
 		if err != nil || ent.Card == 0 {
 			return false, false
 		}
-		slots := attr.RowSlots()
-		contOnce.Do(func() {
-			oSlot = make([][]float64, o.Card)
-			for i := range oSlot {
-				oSlot[i] = make([]float64, attr.Col.Len())
+		shared.contOnce.Do(func() {
+			shared.oSlot = make([][]float64, o.Card)
+			for i := range shared.oSlot {
+				shared.oSlot[i] = make([]float64, attr.Col.Len())
 			}
-			for i, sl := range slots {
+			for i, sl := range attr.RowSlots() {
 				oc := o.Codes[i]
 				if sl < 0 || oc == bins.Missing {
 					continue
 				}
-				oSlot[oc][sl]++
+				shared.oSlot[oc][sl]++
 			}
 		})
+		oSlot := shared.oSlot
 		a.metrics.Add(obs.CITests, 1)
 		observed := slotMI(oSlot, ent.Codes, ent.Card)
 		if observed <= 0 {
@@ -340,7 +368,7 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candid
 	var once sync.Once
 	var weights []float64
 	c.Weights = func(enc *bins.Encoded) []float64 {
-		once.Do(func() { weights = s.ipwWeights(a, attr) })
+		once.Do(func() { weights = s.ipwWeights(a, attr, shared) })
 		return weights
 	}
 	return c
@@ -403,46 +431,50 @@ func hashString(s string) uint64 {
 // extracted attribute is an entity-level event, so both the detection and
 // the propensity model run at entity (slot) level and are broadcast through
 // the row→slot mapping.
-func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute) []float64 {
+func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute, shared *slotOutcome) []float64 {
 	slots := attr.RowSlots()
 	nSlots := attr.Col.Len()
 	if nSlots == 0 {
 		return nil
 	}
 	// Slot-level mean outcome (the observed variable R_E may depend on).
-	out := a.View.MustColumn(a.Result.Outcome)
-	sum := make([]float64, nSlots)
-	cnt := make([]float64, nSlots)
-	for i, sl := range slots {
-		if sl < 0 || out.IsNull(i) {
-			continue
+	shared.meanOnce.Do(func() {
+		out := a.View.MustColumn(a.Result.Outcome)
+		sum := make([]float64, nSlots)
+		cnt := make([]float64, nSlots)
+		for i, sl := range slots {
+			if sl < 0 || out.IsNull(i) {
+				continue
+			}
+			sum[sl] += out.Float(i)
+			cnt[sl]++
 		}
-		sum[sl] += out.Float(i)
-		cnt[sl]++
-	}
-	meanO := make([]float64, nSlots)
-	for i := range meanO {
-		if cnt[i] > 0 {
-			meanO[i] = sum[i] / cnt[i]
-		} else {
-			meanO[i] = math.NaN()
+		shared.meanO = make([]float64, nSlots)
+		for i := range shared.meanO {
+			if cnt[i] > 0 {
+				shared.meanO[i] = sum[i] / cnt[i]
+			} else {
+				shared.meanO[i] = math.NaN()
+			}
 		}
-	}
-	meanOEnc, err := bins.Encode(table.NewFloatColumn("meanO", meanO), a.binOpts)
-	if err != nil {
+		// An encode error leaves meanOEnc nil: no attribute of this link
+		// column gets weights, as when each of them failed the same encode.
+		shared.meanOEnc, _ = bins.Encode(table.NewFloatColumn("meanO", shared.meanO), a.binOpts)
+	})
+	if shared.meanOEnc == nil {
 		return nil
 	}
 	entEnc, err := attr.EntityEncode(a.binOpts)
 	if err != nil {
 		return nil
 	}
-	rep := missing.DetectBiasCounted(entEnc, map[string]*bins.Encoded{"O": meanOEnc}, s.opts.BiasThreshold, a.metrics)
+	rep := missing.DetectBiasCounted(entEnc, map[string]*bins.Encoded{"O": shared.meanOEnc}, s.opts.BiasThreshold, a.metrics)
 	if !rep.Biased {
 		return nil
 	}
 	a.metrics.Add(obs.BiasedAttrs, 1)
 	a.metrics.Add(obs.IPWFits, 1)
-	slotW := missing.Weights(entEnc, meanO)
+	slotW := missing.Weights(entEnc, shared.meanO)
 	w := make([]float64, len(slots))
 	for i, sl := range slots {
 		if sl >= 0 {

@@ -9,7 +9,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"nexus/internal/bins"
 	"nexus/internal/infotheory"
@@ -174,9 +173,9 @@ type GroupCond struct {
 	Code int32
 }
 
-// GroupSpec identifies one subgroup by its conditions. The row set is
+// GroupSpec identifies one subgroup by its conditions. The row list is
 // re-derived by scanning the view (Rows), which yields the identical
-// ascending row order the coordinator's partition-carving produces — that
+// ascending list the coordinator carves from the parent's — that
 // equivalence is what makes remote subgroup scores byte-identical.
 type GroupSpec struct {
 	Conds []GroupCond
@@ -184,9 +183,9 @@ type GroupSpec struct {
 
 // Rows returns the ascending row indices of the view matching every
 // condition of spec.
-func (gc *GroupContext) Rows(spec GroupSpec) []int {
+func (gc *GroupContext) Rows(spec GroupSpec) []int32 {
 	n := gc.T.Len()
-	out := make([]int, 0, n/4)
+	out := make([]int32, 0, n/4)
 scan:
 	for r := 0; r < n; r++ {
 		for _, c := range spec.Conds {
@@ -194,7 +193,7 @@ scan:
 				continue scan
 			}
 		}
-		out = append(out, r)
+		out = append(out, int32(r))
 	}
 	return out
 }
@@ -302,63 +301,25 @@ func (l Local) PermBlock(ctx context.Context, sc *ScoreContext, spec PermSpec) (
 }
 
 // SubgroupBatch implements Scorer: each group's rows are re-derived from its
-// conditions and scored with ScoreGroupRows on a per-worker scratch buffer.
+// conditions and scored with ScoreGroupRows, in parallel.
 func (l Local) SubgroupBatch(ctx context.Context, gc *GroupContext, groups []GroupSpec) ([]float64, error) {
-	n := gc.T.Len()
 	out := make([]float64, len(groups))
-	workers := l.par()
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		scratch := make([]float64, n)
-		for i := range groups {
-			if ctx.Err() != nil {
-				break
-			}
-			out[i] = ScoreGroupRows(gc.T, gc.O, gc.Explanation, gc.Rows(groups[i]), gc.Base, scratch)
-		}
-	} else {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scratch := make([]float64, n)
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(groups) || ctx.Err() != nil {
-						return
-					}
-					out[i] = ScoreGroupRows(gc.T, gc.O, gc.Explanation, gc.Rows(groups[i]), gc.Base, scratch)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	parallelForCtx(ctx, len(groups), l.par(), func(i int) {
+		out[i] = ScoreGroupRows(gc.T, gc.O, gc.Explanation, gc.Rows(groups[i]), gc.Base)
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ScoreGroupRows computes I(O;T|E) restricted to a subgroup's rows by
-// masking weights outside the group, with the bias-corrected estimator (the
-// plug-in CMI inflates as groups shrink). scratch is a caller-owned buffer
-// covering every view row; rows only ever index into it. It is the single
-// scoring function behind the subgroup lattice search, the Local scorer and
-// the distributed workers, so all three produce bit-identical scores.
-func ScoreGroupRows(t, o *bins.Encoded, explanation []*bins.Encoded, rows []int, base []float64, scratch []float64) float64 {
-	for i := range scratch {
-		scratch[i] = 0
-	}
-	for _, r := range rows {
-		if base != nil {
-			scratch[r] = base[r]
-		} else {
-			scratch[r] = 1
-		}
-	}
-	return infotheory.CondMutualInfoDebiased(o, t, explanation, scratch)
+// ScoreGroupRows computes I(O;T|E) over a subgroup's rows (ascending view
+// row indices; base, when non-nil, holds per-view-row weights) with the
+// bias-corrected estimator — the plug-in CMI inflates as groups shrink, which
+// would make every small group look unexplained. It tallies from the row
+// list, so it costs the group, not the view. It is the single scoring
+// function behind the subgroup lattice search, the Local scorer and the
+// distributed workers, so all three produce bit-identical scores.
+func ScoreGroupRows(t, o *bins.Encoded, explanation []*bins.Encoded, rows []int32, base []float64) float64 {
+	return infotheory.CondMutualInfoDebiasedRows(o, t, explanation, base, rows)
 }

@@ -39,6 +39,7 @@
 package counting
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -89,8 +90,9 @@ type Counters struct {
 	// IDJoins counts composite dense-ID builds over ≥ 2 variables (the
 	// JoinVars / conditioning-set coding).
 	IDJoins int64
-	// Partitions counts row-partition passes (the subgroup lattice's
-	// per-attribute child partitions and table group-by row grouping).
+	// Partitions counts row-partition passes (the subgroup lattice's fused
+	// child-size histogram, one per expanded node, and table group-by row
+	// grouping).
 	Partitions int64
 }
 
@@ -366,16 +368,7 @@ func CountXYZ(x, y []int32, cx, cy int, zids []int32, zcard int, w []float64) XY
 }
 
 func countXYZDense(x, y []int32, cx, cy int, zids []int32, zcard int, w []float64) XYZ {
-	densePasses.Add(1)
-	need := zcard*cx*cy + zcard*cx + zcard*cy + zcard
-	sc := grab(need)
-	buf := sc.buf
-	cut := func(n int) []float64 { part := buf[:n:n]; buf = buf[n:]; return part }
-	t := XYZ{Dense: true, Cx: cx, Cy: cy, Zcard: zcard, sc: sc}
-	t.Joint = cut(zcard * cx * cy)
-	t.ZX = cut(zcard * cx)
-	t.ZY = cut(zcard * cy)
-	t.Z = cut(zcard)
+	t := newDenseXYZ(cx, cy, zcard)
 	for i := 0; i < len(zids); i++ {
 		zi := zids[i]
 		xc, yc := x[i], y[i]
@@ -394,8 +387,30 @@ func countXYZDense(x, y []int32, cx, cy int, zids []int32, zcard int, w []float6
 }
 
 func countXYZSparse(x, y []int32, cx, cy int, zids []int32, zcard int, w []float64) XYZ {
+	t := newSparseXYZ(cx, cy, zcard)
+	for i := range zids {
+		t.addSparse(zids[i], x[i], y[i], weightAt(w, i))
+	}
+	return t
+}
+
+func newDenseXYZ(cx, cy, zcard int) XYZ {
+	densePasses.Add(1)
+	need := zcard*cx*cy + zcard*cx + zcard*cy + zcard
+	sc := grab(need)
+	buf := sc.buf
+	cut := func(n int) []float64 { part := buf[:n:n]; buf = buf[n:]; return part }
+	t := XYZ{Dense: true, Cx: cx, Cy: cy, Zcard: zcard, sc: sc}
+	t.Joint = cut(zcard * cx * cy)
+	t.ZX = cut(zcard * cx)
+	t.ZY = cut(zcard * cy)
+	t.Z = cut(zcard)
+	return t
+}
+
+func newSparseXYZ(cx, cy, zcard int) XYZ {
 	sparsePasses.Add(1)
-	t := XYZ{
+	return XYZ{
 		Cx: cx, Cy: cy, Zcard: zcard,
 		MJoint: make(map[Cell]float64),
 		MZX:    make(map[[2]int32]float64),
@@ -404,21 +419,52 @@ func countXYZSparse(x, y []int32, cx, cy int, zids []int32, zcard int, w []float
 		XSeen:  make(map[int32]struct{}),
 		YSeen:  make(map[int32]struct{}),
 	}
-	for i := 0; i < len(zids); i++ {
-		zi := zids[i]
-		xc, yc := x[i], y[i]
-		if zi < 0 || xc < 0 || yc < 0 {
-			continue
+}
+
+// addSparse tallies one row into the map form; an incomplete row is skipped.
+func (t *XYZ) addSparse(zi, xc, yc int32, wt float64) {
+	if zi < 0 || xc < 0 || yc < 0 {
+		return
+	}
+	t.MJoint[Cell{zi, xc, yc}] += wt
+	t.MZX[[2]int32{zi, xc}] += wt
+	t.MZY[[2]int32{zi, yc}] += wt
+	t.MZ[zi] += wt
+	t.XSeen[xc] = struct{}{}
+	t.YSeen[yc] = struct{}{}
+	t.WeightSum += wt
+	t.WeightSqSum += wt * wt
+}
+
+// CountXYZRows is CountXYZ restricted to the listed rows, visited in slice
+// order. Over an ascending list it adds, cell by cell, exactly the terms the
+// full pass adds under a weight vector that is zero off the list (a
+// zero-weight row adds +0.0 everywhere), so the dense tally is bit-identical
+// to that masked pass at the cost of len(rows) visits instead of len(zids).
+// The sparse tally differs from it on purpose: only listed rows create cells,
+// so no cell, margin or seen-set entry exists for a row outside the group.
+func CountXYZRows(x, y []int32, cx, cy int, zids []int32, zcard int, w []float64, rows []int32) XYZ {
+	size := zcard * cx * cy
+	if size > 0 && size <= MaxDense {
+		t := newDenseXYZ(cx, cy, zcard)
+		for _, r := range rows {
+			zi, xc, yc := zids[r], x[r], y[r]
+			if zi < 0 || xc < 0 || yc < 0 {
+				continue
+			}
+			wt := weightAt(w, int(r))
+			t.Joint[(int(zi)*cx+int(xc))*cy+int(yc)] += wt
+			t.ZX[int(zi)*cx+int(xc)] += wt
+			t.ZY[int(zi)*cy+int(yc)] += wt
+			t.Z[zi] += wt
+			t.WeightSum += wt
+			t.WeightSqSum += wt * wt
 		}
-		wt := weightAt(w, i)
-		t.MJoint[Cell{zi, xc, yc}] += wt
-		t.MZX[[2]int32{zi, xc}] += wt
-		t.MZY[[2]int32{zi, yc}] += wt
-		t.MZ[zi] += wt
-		t.XSeen[xc] = struct{}{}
-		t.YSeen[yc] = struct{}{}
-		t.WeightSum += wt
-		t.WeightSqSum += wt * wt
+		return t
+	}
+	t := newSparseXYZ(cx, cy, zcard)
+	for _, r := range rows {
+		t.addSparse(zids[r], x[r], y[r], weightAt(w, int(r)))
 	}
 	return t
 }
@@ -535,24 +581,115 @@ func (s *Screen) Release() {
 // ---------------------------------------------------------------------------
 // Row partitioning (group-by).
 
-// PartitionRows groups the given rows by their code in the codes column,
-// skipping missing rows. Codes are returned in first-appearance order (the
-// subgroup lattice sorts them; group-by callers key off first appearance);
-// each part lists its rows in the input order.
-func PartitionRows(codes []int32, rows []int) (order []int32, parts map[int32][]int) {
-	partitions.Add(1)
-	parts = make(map[int32][]int)
-	for _, r := range rows {
-		c := codes[r]
-		if c < 0 {
-			continue
-		}
-		if parts[c] == nil {
-			order = append(order, c)
-		}
-		parts[c] = append(parts[c], r)
+// Packed is a row-major matrix of the codes of several columns, built once
+// so that every later pass over a row subset reads one short contiguous run
+// per row instead of one scattered load per column. Cell (r, j) holds column
+// j's code of row r plus one (0 = missing), in the narrowest unsigned width
+// that fits the widest column.
+type Packed struct {
+	cols int
+	off  []int // column j's histogram bins are [off[j], off[j+1]); bin 0 = missing
+	u8   []uint8
+	u16  []uint16
+	u32  []uint32 // exactly one of u8, u16, u32 is set
+}
+
+// Pack builds the matrix over n rows. A code outside [0, Card) is an error:
+// the histogram bins are sized from Card.
+func Pack(dims []Dim, n int) (*Packed, error) {
+	p := &Packed{cols: len(dims), off: make([]int, len(dims)+1)}
+	widest := 0
+	for j, d := range dims {
+		p.off[j+1] = p.off[j] + d.Card + 1
+		widest = maxInt(widest, d.Card)
 	}
-	return order, parts
+	var err error
+	switch {
+	case widest < 1<<8:
+		p.u8, err = packCells[uint8](dims, n)
+	case widest < 1<<16:
+		p.u16, err = packCells[uint16](dims, n)
+	default:
+		p.u32, err = packCells[uint32](dims, n)
+	}
+	return p, err
+}
+
+// Bins returns the histogram length Histogram needs.
+func (p *Packed) Bins() int { return p.off[p.cols] }
+
+// Column returns column j's part of a histogram, indexed by code.
+func (p *Packed) Column(hist []int32, j int) []int32 { return hist[p.off[j]+1 : p.off[j+1]] }
+
+// Histogram adds, for every column j ≥ from at once, the number of listed
+// rows per code to hist — the sizes of all one-condition refinements of the
+// row set from a single pass over it.
+func (p *Packed) Histogram(rows []int32, from int, hist []int32) {
+	partitions.Add(1)
+	switch {
+	case p.u8 != nil:
+		histCells(p.u8, p.cols, p.off, rows, from, hist)
+	case p.u16 != nil:
+		histCells(p.u16, p.cols, p.off, rows, from, hist)
+	default:
+		histCells(p.u32, p.cols, p.off, rows, from, hist)
+	}
+}
+
+// Select returns the listed rows whose column-j code is code, in input
+// order. size is how many there are, as Histogram counted them.
+func (p *Packed) Select(rows []int32, j int, code int32, size int) []int32 {
+	switch {
+	case p.u8 != nil:
+		return selectCells(p.u8, p.cols, rows, j, uint8(code+1), size)
+	case p.u16 != nil:
+		return selectCells(p.u16, p.cols, rows, j, uint16(code+1), size)
+	default:
+		return selectCells(p.u32, p.cols, rows, j, uint32(code+1), size)
+	}
+}
+
+type cell interface{ uint8 | uint16 | uint32 }
+
+func packCells[C cell](dims []Dim, n int) ([]C, error) {
+	cells := make([]C, n*len(dims))
+	for j, d := range dims {
+		for r, c := range d.Codes[:n] {
+			if int(c) >= d.Card {
+				return nil, fmt.Errorf("counting: column %d row %d has code %d outside [0, %d)", j, r, c, d.Card)
+			}
+			if c >= 0 {
+				cells[r*len(dims)+j] = C(c + 1)
+			}
+		}
+	}
+	return cells, nil
+}
+
+func histCells[C cell](cells []C, cols int, off []int, rows []int32, from int, hist []int32) {
+	for _, r := range rows {
+		row := cells[int(r)*cols : (int(r)+1)*cols]
+		for j := from; j < cols; j++ {
+			hist[off[j]+int(row[j])]++
+		}
+	}
+}
+
+// selectCells stores every row and advances past it only on a match, so the
+// loop has no data-dependent branch around the store; it stops at size.
+func selectCells[C cell](cells []C, cols int, rows []int32, j int, want C, size int) []int32 {
+	out := make([]int32, size)
+	k := 0
+	for _, r := range rows {
+		if k == size {
+			break
+		}
+		out[k] = r
+		if cells[int(r)*cols+j] == want {
+			k++
+		}
+	}
+	return out[:k]
 }
 
 // GroupRows partitions the row indices [0, len(ids)) by their dense group id

@@ -176,7 +176,7 @@ func TestCountersAdvance(t *testing.T) {
 	base := Stats()
 	v := CountVec([]int32{0, 1}, 2, nil)
 	v.Release()
-	PartitionRows([]int32{0, 1}, []int{0, 1})
+	GroupRows([]int32{0, 1}, 2)
 	IDs([]Dim{{Codes: []int32{0}, Card: 1}, {Codes: []int32{0}, Card: 1}}, 1)
 	d := Stats().Delta(base)
 	if d.DensePasses < 1 || d.Partitions < 1 || d.IDJoins < 1 {
@@ -188,5 +188,82 @@ func TestCountersAdvance(t *testing.T) {
 		if names[want] == 0 {
 			t.Fatalf("Each missing %s: %v", want, names)
 		}
+	}
+}
+
+// TestPackedHistogramSelect checks the packed code matrix at each cell width
+// against a per-row recount: the fused histogram of every column at once, and
+// the ascending row selection a lattice child is carved with.
+func TestPackedHistogramSelect(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	const n = 700
+	for _, widest := range []int{3, 255, 256, 70000} {
+		dims := []Dim{{Card: 2}, {Card: widest}, {Card: 5}}
+		for j := range dims {
+			dims[j].Codes = make([]int32, n)
+			for i := range dims[j].Codes {
+				dims[j].Codes[i] = int32(r.Intn(dims[j].Card))
+				if i%2 == 0 {
+					dims[j].Codes[i] = int32(dims[j].Card - 1) // the top code is always present
+				}
+				if r.Intn(9) == 0 {
+					dims[j].Codes[i] = Missing
+				}
+			}
+		}
+		p, err := Pack(dims, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [3]bool{p.u8 != nil, p.u16 != nil, p.u32 != nil}; got != [3]bool{widest < 256, widest >= 256 && widest < 65536, widest >= 65536} {
+			t.Fatalf("widest card %d: cell widths in use (u8, u16, u32) = %v", widest, got)
+		}
+		var rows []int32
+		for i := 0; i < n; i++ {
+			if r.Intn(3) > 0 {
+				rows = append(rows, int32(i))
+			}
+		}
+		const from = 1
+		hist := make([]int32, p.Bins())
+		p.Histogram(rows, from, hist)
+		for j, d := range dims {
+			want := make([]int32, d.Card)
+			if j >= from {
+				for _, row := range rows {
+					if c := d.Codes[row]; c >= 0 {
+						want[c]++
+					}
+				}
+			}
+			got := p.Column(hist, j)
+			if len(got) != d.Card {
+				t.Fatalf("column %d: %d bins, want %d", j, len(got), d.Card)
+			}
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("widest %d column %d code %d: histogram %d, recount %d", widest, j, c, got[c], want[c])
+				}
+			}
+			code := int32(d.Card - 1)
+			var wantSel []int32
+			for _, row := range rows {
+				if d.Codes[row] == code {
+					wantSel = append(wantSel, row)
+				}
+			}
+			sel := p.Select(rows, j, code, len(wantSel))
+			if len(sel) == 0 || len(sel) != len(wantSel) {
+				t.Fatalf("widest %d column %d: selected %d rows, want %d (> 0)", widest, j, len(sel), len(wantSel))
+			}
+			for k := range sel {
+				if sel[k] != wantSel[k] {
+					t.Fatalf("widest %d column %d: selection differs at %d", widest, j, k)
+				}
+			}
+		}
+	}
+	if _, err := Pack([]Dim{{Codes: []int32{0, 2}, Card: 2}}, 2); err == nil {
+		t.Fatal("a code outside [0, Card) must be rejected")
 	}
 }

@@ -6,8 +6,10 @@ package counting
 // per-row map tally must agree cell for cell. Weights are dyadic rationals
 // (multiples of 0.25), so every accumulation is exact and the comparison is
 // equality, not epsilon — any disagreement is a real counting bug, never
-// float noise. The seed corpus is checked in under testdata/fuzz; CI runs
-// the target as a bounded smoke iteration.
+// float noise. A rows-subset mode does the same for the row-list entry point
+// (CountXYZRows, dense and map form) against the naive tally of an ascending
+// subset the fuzz bytes pick. The seed corpus is checked in under
+// testdata/fuzz; CI runs the target as a bounded smoke iteration.
 
 import (
 	"testing"
@@ -108,6 +110,59 @@ func FuzzCountParity(f *testing.F) {
 			if d.Z[zi] != naiveZ[int32(zi)] || s.MZ[int32(zi)] != naiveZ[int32(zi)] {
 				t.Fatalf("Z[%d]: dense %v map %v naive %v", zi, d.Z[zi], s.MZ[int32(zi)], naiveZ[int32(zi)])
 			}
+		}
+
+		// Rows-subset mode: the weight byte's high bits pick an ascending row
+		// subset; the row-list pass must equal a naive tally of just those
+		// rows, cell for cell, in both representations — and must not know
+		// about any other row (the map form holds no cell, margin or seen
+		// code the subset does not have).
+		var rows []int32
+		subNaive := map[cell]float64{}
+		subX, subY := map[int32]struct{}{}, map[int32]struct{}{}
+		var subTotal float64
+		for i := 0; i < n; i++ {
+			if data[4+4*i+3]>>3%3 == 0 {
+				continue
+			}
+			rows = append(rows, int32(i))
+			if x[i] < 0 || y[i] < 0 || z[i] < 0 {
+				continue
+			}
+			wt := 1.0
+			if w != nil {
+				wt = w[i]
+			}
+			subNaive[cell{z[i], x[i], y[i]}] += wt
+			subX[x[i]], subY[y[i]] = struct{}{}, struct{}{}
+			subTotal += wt
+		}
+		rd := CountXYZRows(x, y, cx, cy, z, zc, w, rows)
+		defer rd.Release()
+		// zcard·cx·cy > MaxDense routes the same rows to the map form; the
+		// cells are keyed by code, so the inflated zcard changes nothing else.
+		rs := CountXYZRows(x, y, cx, cy, z, MaxDense+1, w, rows)
+		if !rd.Dense || rs.Dense {
+			t.Fatalf("row-list representations: dense %v, forced-sparse dense %v", rd.Dense, rs.Dense)
+		}
+		if rd.WeightSum != subTotal || rs.WeightSum != subTotal {
+			t.Fatalf("subset weight sums: dense %v map %v naive %v", rd.WeightSum, rs.WeightSum, subTotal)
+		}
+		for zi := 0; zi < zc; zi++ {
+			for xc := 0; xc < cx; xc++ {
+				for yc := 0; yc < cy; yc++ {
+					dv := rd.Joint[(zi*cx+xc)*cy+yc]
+					sv := rs.MJoint[Cell{int32(zi), int32(xc), int32(yc)}]
+					nv := subNaive[cell{int32(zi), int32(xc), int32(yc)}]
+					if dv != sv || dv != nv {
+						t.Fatalf("subset cell (%d,%d,%d): dense %v map %v naive %v", zi, xc, yc, dv, sv, nv)
+					}
+				}
+			}
+		}
+		if len(rs.MJoint) != len(subNaive) || len(rs.XSeen) != len(subX) || len(rs.YSeen) != len(subY) {
+			t.Fatalf("subset map form holds %d cells, %d x codes, %d y codes; the subset has %d, %d, %d",
+				len(rs.MJoint), len(rs.XSeen), len(rs.YSeen), len(subNaive), len(subX), len(subY))
 		}
 
 		// The one-axis pass must agree with the three-axis z margin when fed

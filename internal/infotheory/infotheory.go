@@ -127,6 +127,23 @@ func CondMutualInfoDebiased(x, y Var, given []Var, w []float64) float64 {
 	return debiasedMI(cmi(x, y, given, w), w != nil)
 }
 
+// CondMutualInfoDebiasedRows is CondMutualInfoDebiased restricted to the
+// listed rows (ascending), at the cost of the list rather than the table: it
+// tallies through counting.CountXYZRows and finalizes like the full pass
+// under a weight vector that is w on the list and 0 off it. On the dense path
+// the result is math.Float64bits-equal to that masked pass. N_eff is always
+// the Kish form, as it is under a mask: with unit weights Σw²=Σw=k and k·k/k
+// is exactly k.
+func CondMutualInfoDebiasedRows(x, y Var, given []Var, w []float64, rows []int32) float64 {
+	cx, cy := x.Card, y.Card
+	if cx == 0 || cy == 0 {
+		return 0
+	}
+	zids, zcard := DenseIDs(given, x.Len())
+	t := counting.CountXYZRows(x.Codes, y.Codes, cx, cy, zids, zcard, w, rows)
+	return debiasedMI(xyzStats(&t), true)
+}
+
 func debiasedMI(s cmiStats, weighted bool) float64 {
 	if s.weightSum <= 0 {
 		return 0
@@ -162,10 +179,14 @@ func cmi(x, y Var, given []Var, w []float64) cmiStats {
 		return cmiStats{}
 	}
 	t := counting.CountXYZ(x.Codes, y.Codes, cx, cy, zids, zcard, w)
+	return xyzStats(&t)
+}
+
+func xyzStats(t *counting.XYZ) cmiStats {
 	if t.Dense {
-		return cmiDenseStats(&t)
+		return cmiDenseStats(t)
 	}
-	return cmiSparseStats(&t)
+	return cmiSparseStats(t)
 }
 
 // cmiDenseStats finalizes the dense three-way tally. Loop order (z outer,

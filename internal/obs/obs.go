@@ -80,9 +80,14 @@ const (
 	// subgroups.Options.Parallelism; results never change with it.
 	SubgroupBatches = "subgroup_batches"
 	GroupsScored    = "groups_scored"
-	// RowsetCacheHits counts group row-set lookups served by the per-run
-	// parent→child row-index cache of the lattice search — each hit is a
-	// row-set that did not have to be re-intersected from the root.
+	// SubgroupRowsVisited counts the rows the lattice search's histogram,
+	// carve and tally passes touch. Divided by GroupsScored it tracks the
+	// mean group size, not the view's row count. With a remote Scorer the
+	// tally passes run on the workers and are not included.
+	SubgroupRowsVisited = "subgroup_rows_visited"
+	// RowsetCacheHits is no longer written: the lattice search's row-set
+	// cache is gone (nodes carry their row lists). The name stays until the
+	// benchmark module, which reads it, drops the metric.
 	RowsetCacheHits = "rowset_cache_hits"
 	// ExtractCacheHits / ExtractCacheMisses count lookups in the keyed
 	// per-dataset KG-extraction cache (nexus.ExtractionCache): a hit means a
@@ -141,7 +146,8 @@ const (
 	// by the unified counting kernel's dense-array fast path versus its
 	// hash-map fallback (internal/counting). CountingIDJoins counts composite
 	// dense-ID builds over two or more variables; CountingPartitions counts
-	// row-partition passes (subgroup lattice children, table group-by).
+	// row-partition passes (one fused child-size histogram per expanded
+	// subgroup lattice node, table group-by).
 	CountingDensePasses  = "counting_dense_passes"
 	CountingSparsePasses = "counting_sparse_passes"
 	CountingIDJoins      = "counting_id_joins"

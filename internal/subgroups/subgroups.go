@@ -16,10 +16,9 @@ package subgroups
 import (
 	"container/heap"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,18 +45,12 @@ type Assignment struct {
 	Value   string
 }
 
-// Group is a context refinement with its size and explanation score. Row
-// sets live in a per-run cache during the search (see rowsetCache), not on
-// the group, so heap nodes stay small.
+// Group is a context refinement with its size and explanation score.
 type Group struct {
 	Conds []Assignment
 	Size  int
 	// Score is I(O;T|C',E) — above τ means the explanation fails here.
 	Score float64
-
-	// key canonically identifies the refinement (the (AttrIdx, Code)
-	// sequence, packed); it indexes the per-run row-set and score caches.
-	key string
 }
 
 // String renders the refinement like "Continent == Europe".
@@ -99,10 +92,12 @@ type Options struct {
 	// MinSize skips groups smaller than this (default 1% of rows, min 10) —
 	// tiny groups have meaningless CMI estimates.
 	MinSize int
-	// MaxExplored caps the number of scored lattice nodes (default 1500).
-	// When the explanation holds everywhere, the exhaustive traversal is
-	// polynomial but large; the cap keeps the search interactive — in
-	// practice unexplained groups surface within a handful of nodes (§5.4).
+	// MaxExplored caps the number of lattice nodes the traversal consumes
+	// (default 1500). When the explanation holds everywhere, the exhaustive
+	// traversal is polynomial but large; the cap keeps the search interactive
+	// — in practice unexplained groups surface within a handful of nodes
+	// (§5.4). It is also what bounds the frontier: a child that the remaining
+	// budget cannot reach is never pushed (see search.expand).
 	MaxExplored int
 	// Parallelism bounds the scoring workers (default GOMAXPROCS). It also
 	// sets the frontier batch size (Parallelism × 4 heap nodes are scored
@@ -114,9 +109,10 @@ type Options struct {
 	Weights []float64
 	// Scorer, when non-nil, routes frontier-batch scoring through the
 	// core.Scorer seam — e.g. a distremote.Scorer fanning the batch out to
-	// a worker fleet. Workers re-derive each group's row set by the same
-	// ascending scan the coordinator uses, so results stay byte-identical
-	// to in-process scoring at any fleet size. Nil scores in process.
+	// a worker fleet. Workers re-derive each group's row list by an ascending
+	// view scan, the order the coordinator's carving keeps, and score it with
+	// the same core.ScoreGroupRows, so results stay byte-identical to
+	// in-process scoring at any fleet size. Nil scores in process.
 	Scorer core.Scorer
 	// ScoreTag qualifies the dataset fingerprint shipped to remote scoring
 	// workers (see core.ScoreContext.Tag). Ignored when Scorer is nil.
@@ -140,12 +136,15 @@ func (o *Options) addCounter(name string, delta int64) {
 }
 
 // Stats reports search effort. Both fields are schedule-independent: they
-// count the nodes the serial traversal order consumes, not the speculative
+// follow from the serial traversal order alone, not from the speculative
 // scoring work (which the groups_scored counter tracks and which grows with
 // Parallelism).
 type Stats struct {
 	Explored int // nodes whose score was consumed by the traversal
-	Pushed   int // nodes pushed onto the heap
+	// Pushed counts the nodes pushed onto the heap: the refinements of
+	// expanded nodes that pass MinSize, refine their parent and were, when
+	// generated, still within reach of the MaxExplored budget.
+	Pushed int
 }
 
 // batchFactor sizes the frontier batch: up to Parallelism × batchFactor
@@ -175,19 +174,26 @@ func TopUnexplained(t, o *bins.Encoded, explanation []*bins.Encoded, attrs []Ref
 //     the minimum is unique and the pop sequence depends only on the heap's
 //     contents, never on the physical array layout batching reshuffles.
 //   - Scoring batches pop the top nodes, score the not-yet-scored ones
-//     concurrently (memoizing results), and push every node back — the
-//     contents are unchanged, so the consume order is unchanged.
-//   - scoreGroup is a pure function of the group's row set: each evaluation
-//     runs the same float operations in the same order on a private scratch
-//     buffer, whichever worker runs it, so memoized scores are bit-identical
-//     to serially computed ones.
+//     concurrently (the score is stored on the node), and push every node
+//     back — the contents are unchanged, so the consume order is unchanged.
+//   - A node's score is a pure function of its row list, and the list is the
+//     same ascending one whichever worker carves it from the parent's: each
+//     evaluation runs the same float operations in the same order, so
+//     stored scores are bit-identical to serially computed ones.
 //   - All state transitions — Explored counting, τ comparison, ancestor
-//     suppression, child expansion, the K and MaxExplored stop conditions —
-//     happen on one goroutine, consuming memoized scores in pop order.
+//     suppression, child expansion and the reachability cut, the K and
+//     MaxExplored stop conditions — happen on one goroutine, consuming
+//     stored scores in pop order.
 //
-// Only scheduling-effort counters (subgroup_batches, groups_scored) vary
-// with Parallelism; results and Stats do not.
+// Only scheduling-effort counters (subgroup_batches, groups_scored,
+// subgroup_rows_visited) vary with Parallelism; results and Stats do not.
 func TopUnexplainedCtx(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options) ([]Group, Stats, error) {
+	return topUnexplained(ctx, t, o, explanation, attrs, opts, nil)
+}
+
+// topUnexplained is TopUnexplainedCtx; consumed, when non-nil, observes every
+// node the traversal consumes, in order (the cut-exactness test's probe).
+func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options, consumed func(Group)) ([]Group, Stats, error) {
 	if opts.K <= 0 {
 		opts.K = 5
 	}
@@ -207,12 +213,14 @@ func TopUnexplainedCtx(ctx context.Context, t, o *bins.Encoded, explanation []*b
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	for _, a := range attrs {
+	dims := make([]counting.Dim, len(attrs))
+	for i, a := range attrs {
 		if a.Enc.Len() != n {
 			return nil, Stats{}, fmt.Errorf("subgroups: attribute %q has %d rows, view has %d", a.Name, a.Enc.Len(), n)
 		}
+		dims[i] = counting.Dim{Codes: a.Enc.Codes, Card: a.Enc.Card}
 	}
-	// A short weight vector would panic inside a scoring worker (scratch is
+	// A short weight vector would panic inside a scoring worker (weights are
 	// indexed by view row); reject it up front instead.
 	if opts.Weights != nil && len(opts.Weights) != n {
 		return nil, Stats{}, fmt.Errorf("subgroups: weights cover %d rows, view has %d", len(opts.Weights), n)
@@ -228,12 +236,16 @@ func TopUnexplainedCtx(ctx context.Context, t, o *bins.Encoded, explanation []*b
 	countBase := counting.Stats()
 	defer func() { counting.Stats().Delta(countBase).Each(opts.addCounter) }()
 
-	// Fold a multi-attribute explanation into one pre-joined composite
-	// (infotheory.JoinVars): every scored lattice node conditions on the same
-	// explanation, so the per-node estimator joins 2 columns instead of
-	// len(explanation)+1. The row partition — and hence every score — is
-	// identical.
-	if len(explanation) > 1 {
+	// Every scored lattice node conditions on the same explanation, so hand
+	// the per-node estimator one column it can use as its stratum ids
+	// unchanged: a multi-attribute explanation pre-joined into its composite
+	// (infotheory.JoinVars), an empty one as the single all-rows stratum. The
+	// row partition — and hence every score — is identical.
+	switch len(explanation) {
+	case 0:
+		explanation = []*bins.Encoded{{Name: "explanation", Codes: make([]int32, n), Card: 1}}
+	case 1:
+	default:
 		vars := make([]infotheory.Var, len(explanation))
 		for i, e := range explanation {
 			vars[i] = e
@@ -242,194 +254,145 @@ func TopUnexplainedCtx(ctx context.Context, t, o *bins.Encoded, explanation []*b
 		opts.addCounter(obs.CompositeRebuilds, 1)
 	}
 
-	var stats Stats
-	h := &groupHeap{}
-	heap.Init(h)
-
-	allRows := make([]int, n)
-	for i := range allRows {
-		allRows[i] = i
+	codes, err := counting.Pack(dims, n)
+	if err != nil {
+		return nil, Stats{}, fmt.Errorf("subgroups: %w", err)
 	}
-	rc := newRowsetCache(attrs, allRows)
-	sc := newScorer(t, o, explanation, opts.Weights, n, opts.Parallelism)
+	s := &search{t: t, o: o, explanation: explanation, attrs: attrs, opts: &opts,
+		codes: codes, hist: make([]int32, codes.Bins()), sizes: make(sizeIndex, n+2)}
 	if opts.Scorer != nil {
 		attrEncs := make([]*bins.Encoded, len(attrs))
 		for i, a := range attrs {
 			attrEncs[i] = a.Enc
 		}
-		sc.remote = opts.Scorer
-		sc.gc = &core.GroupContext{T: t, O: o, Explanation: explanation,
+		s.gc = &core.GroupContext{T: t, O: o, Explanation: explanation,
 			Attrs: attrEncs, Base: opts.Weights, Tag: opts.ScoreTag}
 	}
-	root := Group{Size: n}
-	pushChildren(h, root, allRows, attrs, &opts, &stats, rc)
+	defer func() { opts.addCounter(obs.SubgroupRowsVisited, s.visited.Load()) }()
+
+	root := &node{Group: Group{Size: n}, rows: make([]int32, n), carved: true}
+	for i := range root.rows {
+		root.rows[i] = int32(i)
+	}
+	s.expand(root)
 
 	var results []Group
-	for h.Len() > 0 && len(results) < opts.K && stats.Explored < opts.MaxExplored {
+	for s.heap.Len() > 0 && len(results) < opts.K && s.stats.Explored < opts.MaxExplored {
 		if err := ctx.Err(); err != nil {
-			return nil, stats, fmt.Errorf("subgroups: lattice search: %w", err)
+			return nil, s.stats, fmt.Errorf("subgroups: lattice search: %w", err)
 		}
-		if !sc.has((*h)[0].key) {
+		if !s.heap[0].scored {
 			// The next node to consume is unscored: score a frontier batch —
 			// the top Parallelism × batchFactor nodes — concurrently, then
 			// put them back. Heap contents (and thus the consume order) are
-			// unchanged; only the score memo fills in.
-			var batch []Group
+			// unchanged; only scores (and row lists) fill in.
+			var batch []*node
 			limit := opts.Parallelism * batchFactor
-			for len(batch) < limit && h.Len() > 0 {
-				batch = append(batch, heap.Pop(h).(Group))
+			for len(batch) < limit && s.heap.Len() > 0 {
+				batch = append(batch, heap.Pop(&s.heap).(*node))
 			}
-			err := sc.scoreBatch(ctx, batch, rc, &opts)
+			err := s.scoreBatch(ctx, batch)
 			for _, g := range batch {
-				heap.Push(h, g)
+				heap.Push(&s.heap, g)
 			}
 			opts.addCounter(obs.SubgroupBatches, 1)
 			if err != nil {
-				return nil, stats, fmt.Errorf("subgroups: lattice search: %w", err)
+				return nil, s.stats, fmt.Errorf("subgroups: lattice search: %w", err)
 			}
 		}
-		g := heap.Pop(h).(Group)
-		stats.Explored++
-		g.Score = sc.take(g.key)
+		g := heap.Pop(&s.heap).(*node)
+		s.sizes.add(g.Size, -1)
+		s.stats.Explored++
+		if consumed != nil {
+			consumed(g.Group)
+		}
 		if g.Score > opts.Tau {
 			// update(R, C'): insert unless an ancestor already qualified.
 			// Descendants of a qualifying group are pruned (not expanded).
 			dominated := false
 			for _, r := range results {
-				if r.isAncestorOf(g) {
+				if r.isAncestorOf(g.Group) {
 					dominated = true
 					break
 				}
 			}
 			if !dominated {
-				results = append(results, g)
+				results = append(results, g.Group)
 			}
-			rc.drop(g.key)
 			continue
 		}
 		if len(g.Conds) < opts.MaxDepth {
-			rows, hit := rc.rows(g)
-			if hit {
-				opts.addCounter(obs.RowsetCacheHits, 1)
-			}
-			pushChildren(h, g, rows, attrs, &opts, &stats, rc)
+			s.expand(g)
 		}
-		rc.drop(g.key)
 	}
-	opts.addCounter(obs.SubgroupNodesExplored, int64(stats.Explored))
-	opts.addCounter(obs.SubgroupNodesPushed, int64(stats.Pushed))
-	sp.SetInt("explored", int64(stats.Explored))
-	sp.SetInt("pushed", int64(stats.Pushed))
+	opts.addCounter(obs.SubgroupNodesExplored, int64(s.stats.Explored))
+	opts.addCounter(obs.SubgroupNodesPushed, int64(s.stats.Pushed))
+	sp.SetInt("explored", int64(s.stats.Explored))
+	sp.SetInt("pushed", int64(s.stats.Pushed))
 	sp.SetInt("groups-found", int64(len(results)))
-	return results, stats, nil
+	return results, s.stats, nil
 }
 
-// extendKey appends one (attr, code) condition to a parent's canonical key.
-func extendKey(parent string, attrIdx int, code int32) string {
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], uint32(attrIdx))
-	binary.LittleEndian.PutUint32(b[4:], uint32(code))
-	return parent + string(b[:])
+// node is a lattice node on the frontier. Until the node is carved, rows is
+// its parent's row list, from which its last condition selects its own; a
+// node is carved when it is first scored in process, or when it is expanded
+// after a remote Scorer scored it — so a pushed node that is never reached
+// costs its conditions and nothing per row.
+type node struct {
+	Group
+	rows   []int32 // ascending view rows
+	carved bool
+	scored bool
 }
 
-// rowsetCache holds each live lattice node's row-index set, keyed by the
-// node's canonical condition key. A child's row set is computed exactly once
-// — by partitioning its parent's rows when the parent is expanded — instead
-// of being re-intersected from the root at every use; entries are dropped
-// once the node is consumed. The cache is written only between batches (on
-// the traversal goroutine) and read concurrently by scoring workers.
-type rowsetCache struct {
-	attrs []RefinementAttr
-	root  []int
-	m     map[string][]int
-}
-
-func newRowsetCache(attrs []RefinementAttr, root []int) *rowsetCache {
-	return &rowsetCache{attrs: attrs, root: root, m: make(map[string][]int)}
-}
-
-func (rc *rowsetCache) put(key string, rows []int) { rc.m[key] = rows }
-func (rc *rowsetCache) drop(key string)            { delete(rc.m, key) }
-
-// rows returns the group's row set and whether it was served from the cache.
-// The miss path — re-intersecting the group's conditions from the root —
-// exists for robustness only (every pushed node is cached until consumed);
-// it produces the identical ascending row order the partition path does.
-func (rc *rowsetCache) rows(g Group) ([]int, bool) {
-	if r, ok := rc.m[g.key]; ok {
-		return r, true
-	}
-	out := make([]int, 0, g.Size)
-scan:
-	for _, r := range rc.root {
-		for _, c := range g.Conds {
-			if rc.attrs[c.AttrIdx].Enc.Codes[r] != c.Code {
-				continue scan
-			}
-		}
-		out = append(out, r)
-	}
-	return out, false
-}
-
-// scorer memoizes frontier scores and owns the per-worker scratch buffers.
-// The memo is written only after the worker pool of a batch has joined, so
-// the traversal goroutine reads it without synchronization.
-type scorer struct {
+// search is the state of one lattice traversal. Everything but visited is
+// owned by the traversal goroutine; scoring workers touch only the nodes of
+// their batch, one worker per node, and are joined before the traversal
+// reads them.
+type search struct {
 	t, o        *bins.Encoded
 	explanation []*bins.Encoded
-	base        []float64
-	scores      map[string]float64
-	scratch     [][]float64 // one per worker slot, each sized to the view
-	n           int
+	attrs       []RefinementAttr
+	opts        *Options
+	gc          *core.GroupContext // set when opts.Scorer is
 
-	// remote/gc, when set, route whole frontier batches through the
-	// core.Scorer seam instead of the in-process worker pool.
-	remote core.Scorer
-	gc     *core.GroupContext
+	codes *counting.Packed // attrs' codes, row-major
+	hist  []int32          // expand's scratch, codes.Bins() long
+	heap  nodeHeap
+	sizes sizeIndex // the heap's nodes by size
+	stats Stats
+
+	visited atomic.Int64 // rows touched by histogram, carve and tally passes
 }
 
-func newScorer(t, o *bins.Encoded, explanation []*bins.Encoded, base []float64, n, parallelism int) *scorer {
-	return &scorer{
-		t: t, o: o, explanation: explanation, base: base,
-		scores:  make(map[string]float64),
-		scratch: make([][]float64, parallelism),
-		n:       n,
+// carve replaces the parent's row list on n by n's own: one pass over the
+// parent's rows keeping those with the last condition's code, in order.
+func (s *search) carve(n *node) {
+	if n.carved {
+		return
 	}
+	last := n.Conds[len(n.Conds)-1]
+	s.visited.Add(int64(len(n.rows)))
+	n.rows = s.codes.Select(n.rows, last.AttrIdx, last.Code, n.Size)
+	n.carved = true
 }
 
-func (s *scorer) has(key string) bool {
-	_, ok := s.scores[key]
-	return ok
-}
-
-func (s *scorer) take(key string) float64 {
-	v := s.scores[key]
-	delete(s.scores, key)
-	return v
-}
-
-// scoreBatch evaluates every not-yet-scored group of the batch, fanning the
+// scoreBatch evaluates every not-yet-scored node of the batch, fanning the
 // evaluations out over up to Parallelism workers. Workers stop claiming new
-// groups once ctx is cancelled and are always joined before return, so none
-// outlives the call; a cancelled batch reports ctx.Err() and stores only
-// the evaluations that completed.
-func (s *scorer) scoreBatch(ctx context.Context, batch []Group, rc *rowsetCache, opts *Options) error {
-	todo := make([]Group, 0, len(batch))
+// nodes once ctx is cancelled and are always joined before return, so none
+// outlives the call; a cancelled batch reports ctx.Err() and leaves the
+// nodes it did not reach unscored.
+func (s *search) scoreBatch(ctx context.Context, batch []*node) error {
+	todo := make([]*node, 0, len(batch))
 	for _, g := range batch {
-		if !s.has(g.key) {
+		if !g.scored {
 			todo = append(todo, g)
 		}
 	}
-	if len(todo) == 0 {
-		return ctx.Err()
-	}
-	if s.remote != nil {
-		// Remote scoring: ship the batch as (attr, code) condition specs.
-		// The worker re-derives each row set by an ascending view scan —
-		// the same order rc.rows produces — so the scores are the bits the
-		// in-process path computes. rowset_cache_hits stays flat in this
-		// mode (row sets are derived worker-side, not looked up here).
+	s.opts.addCounter(obs.GroupsScored, int64(len(todo)))
+	if s.gc != nil {
+		// Remote scoring: ship the batch as (attr, code) condition specs;
+		// nothing is carved here.
 		specs := make([]core.GroupSpec, len(todo))
 		for i, g := range todo {
 			conds := make([]core.GroupCond, len(g.Conds))
@@ -438,138 +401,126 @@ func (s *scorer) scoreBatch(ctx context.Context, batch []Group, rc *rowsetCache,
 			}
 			specs[i] = core.GroupSpec{Conds: conds}
 		}
-		remoteVals, err := s.remote.SubgroupBatch(ctx, s.gc, specs)
+		vals, err := s.opts.Scorer.SubgroupBatch(ctx, s.gc, specs)
 		if err != nil {
 			return err
 		}
 		for i, g := range todo {
-			s.scores[g.key] = remoteVals[i]
+			g.Score, g.scored = vals[i], true
 		}
-		opts.addCounter(obs.GroupsScored, int64(len(todo)))
 		return ctx.Err()
 	}
-	vals := make([]float64, len(todo))
-	done := make([]bool, len(todo))
-	var hits int64
-	workers := opts.Parallelism
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	eval := func(w, i int) {
-		if s.scratch[w] == nil {
-			s.scratch[w] = make([]float64, s.n)
-		}
-		rows, hit := rc.rows(todo[i])
-		if hit {
-			atomic.AddInt64(&hits, 1)
-		}
-		vals[i] = scoreGroup(s.t, s.o, s.explanation, rows, s.base, s.scratch[w])
-		done[i] = true
-	}
-	if workers <= 1 {
-		for i := range todo {
-			if ctx.Err() != nil {
-				break
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(todo) || ctx.Err() != nil {
+				return
 			}
-			eval(0, i)
-		}
-	} else {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(todo) || ctx.Err() != nil {
-						return
-					}
-					eval(w, i)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	for i, g := range todo {
-		if done[i] {
-			s.scores[g.key] = vals[i]
+			g := todo[i]
+			s.carve(g)
+			s.visited.Add(int64(len(g.rows)))
+			g.Score = core.ScoreGroupRows(s.t, s.o, s.explanation, g.rows, s.opts.Weights)
+			g.scored = true
 		}
 	}
-	opts.addCounter(obs.GroupsScored, int64(len(todo)))
-	opts.addCounter(obs.RowsetCacheHits, hits)
+	workers := min(s.opts.Parallelism, len(todo))
+	if workers <= 1 {
+		work()
+		return ctx.Err()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
 	return ctx.Err()
 }
 
-// pushChildren generates the children of g: refinements extending it with
-// one assignment of an attribute whose index exceeds the last used index
-// (so every lattice node is generated exactly once). Children are pushed in
-// ascending code order — a map-ordered push would make the heap's tie
-// handling, and with it the traversal, vary between runs. Each child's row
-// set is carved out of the parent's rows here, once, and cached for the
-// child's later scoring and expansion.
-func pushChildren(h *groupHeap, g Group, gRows []int, attrs []RefinementAttr, opts *Options, stats *Stats, rc *rowsetCache) {
-	startAttr := 0
+// expand pushes the children of g: refinements extending it with one
+// assignment of an attribute whose index exceeds the last used index (so
+// every lattice node is generated exactly once), in ascending attribute and
+// code order. One pass over g's rows counts the sizes of all of them; a
+// child is pushed with that size and g's row list, not its own.
+//
+// A child is not pushed when the budget cannot reach it. The heap pops by
+// size, so a child is consumed only after every node strictly larger than it
+// has been, and every pop spends one unit of MaxExplored: with at least
+// MaxExplored − Explored strictly larger nodes already on the heap, the
+// search stops before the child's turn whatever is pushed later. Such a
+// child is never popped, scored into a result or expanded, so leaving it out
+// changes no pop, score, result or Explored — only Stats.Pushed and the
+// speculative tail of groups_scored.
+func (s *search) expand(g *node) {
+	from := 0
 	if len(g.Conds) > 0 {
-		startAttr = g.Conds[len(g.Conds)-1].AttrIdx + 1
+		from = g.Conds[len(g.Conds)-1].AttrIdx + 1
 	}
-	for ai := startAttr; ai < len(attrs); ai++ {
-		enc := attrs[ai].Enc
-		// Partition g's rows by the attribute's codes (unified counting
-		// kernel; first-seen order re-sorted ascending, as before).
-		codes, parts := counting.PartitionRows(enc.Codes, gRows)
-		sort.Slice(codes, func(a, b int) bool { return codes[a] < codes[b] })
-		for _, code := range codes {
-			rows := parts[code]
-			if len(rows) < opts.MinSize || len(rows) == g.Size {
+	if from >= len(s.attrs) {
+		return
+	}
+	s.carve(g)
+	clear(s.hist)
+	s.codes.Histogram(g.rows, from, s.hist)
+	s.visited.Add(int64(len(g.rows)))
+	for ai := from; ai < len(s.attrs); ai++ {
+		enc := s.attrs[ai].Enc
+		for code, count := range s.codes.Column(s.hist, ai) {
+			size := int(count)
+			if size < s.opts.MinSize || size == g.Size {
 				// Too small, or the assignment does not refine (constant
 				// within the group).
 				continue
 			}
-			label := fmt.Sprintf("%d", code)
-			if int(code) < len(enc.Labels) {
+			if s.heap.Len()-s.sizes.upTo(size) >= s.opts.MaxExplored-s.stats.Explored {
+				continue
+			}
+			label := strconv.Itoa(code)
+			if code < len(enc.Labels) {
 				label = enc.Labels[code]
 			}
-			child := Group{
+			heap.Push(&s.heap, &node{rows: g.rows, Group: Group{
 				Conds: append(append([]Assignment(nil), g.Conds...), Assignment{
-					AttrIdx: ai, Attr: attrs[ai].Name, Code: code, Value: label,
+					AttrIdx: ai, Attr: s.attrs[ai].Name, Code: int32(code), Value: label,
 				}),
-				Size: len(rows),
-				key:  extendKey(g.key, ai, code),
-			}
-			rc.put(child.key, rows)
-			heap.Push(h, child)
-			stats.Pushed++
+				Size: size,
+			}})
+			s.sizes.add(size, 1)
+			s.stats.Pushed++
 		}
 	}
 }
 
-// scoreGroup computes I(O;T|E) restricted to the group's rows by masking
-// weights outside the group. The bias-corrected estimator is essential
-// here: the plug-in CMI inflates as groups shrink, which would make every
-// small group look "unexplained". With a 0/1 mask the Kish effective sample
-// size equals the group size, so the correction is exact per group.
-//
-// scratch is a caller-owned buffer covering every view row; rows only ever
-// index into it (never into per-attribute bin space), so a refinement
-// attribute with more bins than the exposure/outcome encodings cannot
-// overrun it — pinned by TestTopUnexplainedWideRefinementAttr.
-//
-// The body lives in core.ScoreGroupRows so that remote scoring workers run
-// the exact function the in-process path runs.
-func scoreGroup(t, o *bins.Encoded, explanation []*bins.Encoded, rows []int, base []float64, scratch []float64) float64 {
-	return core.ScoreGroupRows(t, o, explanation, rows, base, scratch)
+// sizeIndex counts the heap's nodes by size: a Fenwick tree over [0, n].
+type sizeIndex []int32
+
+func (f sizeIndex) add(size int, d int32) {
+	for i := size + 1; i < len(f); i += i & -i {
+		f[i] += d
+	}
 }
 
-// groupHeap is a max-heap of groups by size. Ties are broken on a total
+// upTo returns how many nodes have Size ≤ size.
+func (f sizeIndex) upTo(size int) (c int) {
+	for i := size + 1; i > 0; i -= i & -i {
+		c += int(f[i])
+	}
+	return c
+}
+
+// nodeHeap is a max-heap of nodes by size. Ties are broken on a total
 // order — depth, then the (AttrIdx, Code) condition sequence — so the pop
 // order, and therefore TopUnexplained's output, is identical across runs
 // even when many groups share a size (container/heap is not stable), and
 // independent of the physical array layout the batched frontier reshuffles.
-type groupHeap []Group
+type nodeHeap []*node
 
-func (h groupHeap) Len() int { return len(h) }
-func (h groupHeap) Less(i, j int) bool {
+func (h nodeHeap) Len() int { return len(h) }
+func (h nodeHeap) Less(i, j int) bool {
 	if h[i].Size != h[j].Size {
 		return h[i].Size > h[j].Size
 	}
@@ -587,12 +538,13 @@ func (h groupHeap) Less(i, j int) bool {
 	}
 	return false
 }
-func (h groupHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *groupHeap) Push(x interface{}) { *h = append(*h, x.(Group)) }
-func (h *groupHeap) Pop() interface{} {
+func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(*node)) }
+func (h *nodeHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	x := old[n-1]
+	old[n-1] = nil
 	*h = old[:n-1]
 	return x
 }

@@ -179,7 +179,7 @@ func TestTopUnexplainedLengthMismatch(t *testing.T) {
 
 // tieHeavyFixture builds a tie-heavy lattice: every refinement attribute
 // splits the rows into equal-size parts, so the heap holds many groups of
-// identical size and any order-dependence — map iteration in pushChildren,
+// identical size and any order-dependence — map iteration in the expansion,
 // unstable heap tie handling, batch-boundary effects of the parallel
 // frontier — surfaces as output drift. The explanation is deliberately weak
 // (most groups qualify) and has two attributes, so the pre-joined composite
@@ -357,19 +357,24 @@ func TestTopUnexplainedCancellation(t *testing.T) {
 	})
 }
 
-// TestTopUnexplainedWideRefinementAttr is the scratch-sizing regression
-// test: a refinement attribute with far more bins than the exposure/outcome
-// encodings (and a Labels table shorter than its code range) must neither
-// overrun the per-worker scratch buffers — which are sized once up front to
-// the view's row count, never to a bin count — nor derail determinism under
-// parallel scoring.
+// TestTopUnexplainedWideRefinementAttr is the sizing regression test:
+// refinement attributes with far more bins than the exposure/outcome
+// encodings — one with a Labels table shorter than its code range, one with
+// Card ≥ 256, whose codes leave the packed code matrix's uint8 width — must
+// neither overrun anything sized from a narrower column (the size-histogram
+// bins, the matrix cells) nor derail determinism under parallel scoring.
 func TestTopUnexplainedWideRefinementAttr(t *testing.T) {
 	n := 3000
 	tv := make([]string, n)
 	ov := make([]string, n)
 	zv := make([]string, n)
 	wide := make([]int32, n)
+	huge := make([]int32, n)
 	for i := 0; i < n; i++ {
+		huge[i] = int32(i % 300) // even rows: 10 per even bin, below MinSize …
+		if i%2 == 1 {
+			huge[i] = 296 + int32(i/2%4) // … odd rows: 375 on each of the last four
+		}
 		c := i % 3 // root encodings: card 3
 		tv[i] = fmt.Sprintf("t%d", c)
 		ov[i] = fmt.Sprintf("o%d", (c+i%2)%3)
@@ -385,9 +390,10 @@ func TestTopUnexplainedWideRefinementAttr(t *testing.T) {
 	}
 	te, oe, ze := mk("T", tv), mk("O", ov), mk("Z", zv)
 	// Hand-built encoding: more bins than the root encodings, and only two
-	// labels for thirty codes, so pushChildren's label fallback runs too.
+	// labels for thirty codes, so the label fallback of search.expand runs too.
 	wideEnc := &bins.Encoded{Name: "wide", Card: 30, Labels: []string{"w0", "w1"}, Codes: wide}
-	attrs := []RefinementAttr{{Name: "wide", Enc: wideEnc}}
+	hugeEnc := &bins.Encoded{Name: "huge", Card: 300, Codes: huge}
+	attrs := []RefinementAttr{{Name: "wide", Enc: wideEnc}, {Name: "huge", Enc: hugeEnc}}
 
 	var want string
 	for _, p := range []int{1, 4} {
@@ -398,6 +404,9 @@ func TestTopUnexplainedWideRefinementAttr(t *testing.T) {
 		}
 		if st.Pushed == 0 {
 			t.Fatal("wide attribute pushed no groups; fixture broken")
+		}
+		if len(groups) == 0 || groups[0].String() != "huge == 296" || groups[0].Size != 385 {
+			t.Fatalf("top group = %v, want huge == 296 with 385 rows", groups)
 		}
 		got := renderSearch(groups, st)
 		if p == 1 {
