@@ -81,25 +81,6 @@ func (a *Analysis) slotOutcomeOf(linkColumn string) *slotOutcome {
 // coarse bins keep the plug-in estimators and the permutation tests
 // informative on small relations (Covid-19 has one row per country), while
 // large relations support the full 8 bins.
-// permuteObserved shuffles the non-missing codes among the non-missing
-// positions, preserving the missingness pattern — the correct null model
-// when missingness is value-dependent (a full shuffle would compare
-// statistics computed over different complete-case subpopulations).
-func permuteObserved(codes []int32, rng *stats.RNG) []int32 {
-	out := make([]int32, len(codes))
-	copy(out, codes)
-	idx := make([]int, 0, len(codes))
-	for i, c := range out {
-		if c != bins.Missing {
-			idx = append(idx, i)
-		}
-	}
-	rng.Shuffle(len(idx), func(a, b int) {
-		out[idx[a]], out[idx[b]] = out[idx[b]], out[idx[a]]
-	})
-	return out
-}
-
 func adaptiveBins(rows int) int {
 	switch {
 	case rows < 600:
@@ -171,7 +152,7 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 	if a.metrics == nil {
 		a.metrics = obs.NewCounters()
 	}
-	if a.binOpts.Bins == 0 || s.opts.AutoBins {
+	if a.binOpts.Bins == 0 {
 		a.binOpts.Bins = adaptiveBins(res.View.NumRows())
 	}
 
@@ -296,14 +277,16 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candid
 	}
 
 	// Permutation at entity granularity: shuffle the entity-level codes
-	// across slots, then broadcast through the row→slot mapping. This is the
-	// null model of the responsibility test for extracted attributes.
+	// across slots (among the observed ones, as every null model here does:
+	// core.ShuffleObserved), then broadcast through the row→slot mapping.
+	// This is the null model of the responsibility test for extracted
+	// attributes.
 	c.Permute = func(rng *stats.RNG) (*bins.Encoded, error) {
 		ent, err := attr.EntityEncode(a.binOpts)
 		if err != nil {
 			return nil, err
 		}
-		codes := permuteObserved(ent.Codes, rng)
+		codes := core.ShuffleObserved(ent, rng).Codes
 		slots := attr.RowSlots()
 		out := &bins.Encoded{Name: attr.Name, Card: ent.Card, Labels: ent.Labels, Codes: make([]int32, len(slots))}
 		for i, sl := range slots {
@@ -346,12 +329,11 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candid
 			return false, true
 		}
 		exceed := 0
-		rng := stats.NewRNG(seed*0x9e3779b9 + hashString(attr.Name))
+		rng := stats.NewRNG(seed*0x9e3779b9 + core.HashName(attr.Name))
 		ran := 0
 		for t := 0; t < b; t++ {
 			ran++
-			perm := permuteObserved(ent.Codes, rng)
-			if slotMI(oSlot, perm, ent.Card) >= observed {
+			if slotMI(oSlot, core.ShuffleObserved(ent, rng).Codes, ent.Card) >= observed {
 				exceed++
 				if exceed > allow {
 					break
@@ -417,15 +399,6 @@ func slotMI(oSlot [][]float64, slotCodes []int32, card int) float64 {
 	return mi
 }
 
-func hashString(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // ipwWeights detects selection bias for one extracted attribute and, when
 // found, returns row-level IPW weights (nil otherwise). Missingness of an
 // extracted attribute is an entity-level event, so both the detection and
@@ -468,7 +441,7 @@ func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute, shared *slotO
 	if err != nil {
 		return nil
 	}
-	rep := missing.DetectBiasCounted(entEnc, map[string]*bins.Encoded{"O": shared.meanOEnc}, s.opts.BiasThreshold, a.metrics)
+	rep := missing.DetectBiasCounted(entEnc, map[string]*bins.Encoded{"O": shared.meanOEnc}, missing.DefaultThreshold, a.metrics)
 	if !rep.Biased {
 		return nil
 	}
@@ -520,7 +493,7 @@ func (a *Analysis) ExplainCtx(ctx context.Context) (*Report, error) {
 		// coincidentally equal encodings cannot alias on a shared fleet.
 		opts.ScoreTag = a.session.DatasetFingerprint() + "|" + a.session.KGVersion()
 	}
-	ex, err := core.ExplainCtx(ctx, a.T, a.O, a.Candidates, opts)
+	ex, err := core.Explain(ctx, a.T, a.O, a.Candidates, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -646,7 +619,7 @@ func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Option
 	if err != nil {
 		return nil, subgroups.Stats{}, err
 	}
-	return subgroups.TopUnexplainedCtx(ctx, r.Analysis.T, r.Analysis.O, encs, attrs, opts)
+	return subgroups.TopUnexplained(ctx, r.Analysis.T, r.Analysis.O, encs, attrs, opts)
 }
 
 // ExplainSubgroup re-explains the query inside one unexplained subgroup —
@@ -744,6 +717,12 @@ func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 	return out, nil
 }
 
+// maxRefinementCard is the cardinality up to which a categorical attribute
+// is a subgroup refinement dimension outright: Algorithm 2 reports the
+// *largest* unexplained groups, and past ~20 values an attribute's groups are
+// small unless one value dominates (the second rule of refinementEligible).
+const maxRefinementCard = 20
+
 // refinementEligible admits a categorical attribute as a subgroup dimension
 // when it is either low-cardinality or has at least one value covering ≥5%
 // of the rows (so high-cardinality attributes with a dominant shared value,
@@ -752,7 +731,7 @@ func (a *Analysis) refinementEligible(e *bins.Encoded) bool {
 	if e.Card < 2 || e.Card > 256 {
 		return false
 	}
-	if e.Card <= a.session.opts.MaxRefinementCard {
+	if e.Card <= maxRefinementCard {
 		return true
 	}
 	counts := make([]int, e.Card)
@@ -841,26 +820,8 @@ func (a *Analysis) Responsibility(names []string) (map[string]float64, error) {
 	}
 	full := infotheory.CondMutualInfo(a.O, a.T, encs, nil)
 	out := make(map[string]float64, len(names))
-	if len(names) == 1 {
-		out[names[0]] = 1
-		return out, nil
-	}
-	var denom float64
-	drops := make([]float64, len(names))
-	for i := range names {
-		without := make([]*bins.Encoded, 0, len(encs)-1)
-		for j, e := range encs {
-			if j != i {
-				without = append(without, e)
-			}
-		}
-		drops[i] = infotheory.CondMutualInfo(a.O, a.T, without, nil) - full
-		denom += drops[i]
-	}
-	for i, n := range names {
-		if denom != 0 {
-			out[n] = drops[i] / denom
-		}
+	for i, share := range core.Responsibilities(a.T, a.O, encs, nil, full) {
+		out[names[i]] = share
 	}
 	return out, nil
 }

@@ -5,8 +5,15 @@ import (
 	"testing"
 
 	"nexus/internal/bins"
+	"nexus/internal/core"
 	"nexus/internal/stats"
 )
+
+// permuteObserved is the entity-level null model's shuffle as kgCandidate
+// calls it: core.ShuffleObserved over a bare code vector.
+func permuteObserved(codes []int32, rng *stats.RNG) []int32 {
+	return core.ShuffleObserved(&bins.Encoded{Codes: codes}, rng).Codes
+}
 
 func TestAdaptiveBinsBoundaries(t *testing.T) {
 	cases := []struct {

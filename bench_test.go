@@ -281,7 +281,7 @@ func BenchmarkHeadlineFlights(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex, err := core.Explain(a.T, a.O, a.Candidates, benchOpts())
+		ex, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func BenchmarkExplain(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Explain(a.T, a.O, a.Candidates, benchOpts()); err != nil {
+		if _, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -385,7 +385,7 @@ func BenchmarkExplainTraced(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts()
 		opts.Trace = obs.New("bench")
-		if _, err := core.Explain(a.T, a.O, a.Candidates, opts); err != nil {
+		if _, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, opts); err != nil {
 			b.Fatal(err)
 		}
 		opts.Trace.Close()
@@ -410,7 +410,7 @@ func BenchmarkExplainMetrics(b *testing.B) {
 		tr := obs.NewWithCounters("bench", registry.Counters())
 		tr.AddSink(stages)
 		opts.Trace = tr
-		if _, err := core.Explain(a.T, a.O, a.Candidates, opts); err != nil {
+		if _, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, opts); err != nil {
 			b.Fatal(err)
 		}
 		tr.Close()

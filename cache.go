@@ -7,11 +7,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"nexus/internal/extract"
 	"nexus/internal/kg"
 	"nexus/internal/obs"
+	"nexus/internal/sfcache"
 	"nexus/internal/sqlx"
 )
 
@@ -24,6 +24,14 @@ import (
 // GROUP BY / aggregate part of the query — so a warm cache removes the most
 // expensive phase of Prepare entirely.
 //
+// It is internal/sfcache instantiated over *extract.Extraction, so it shares
+// that cache's rules with the serving tier's report cache: a failed
+// extraction is evicted (the next request retries), a request that joined
+// an extraction never inherits a failure caused by the extracting request's
+// own deadline or disconnect (it extracts itself instead), and completed
+// extractions are kept on an LRU list of extractionCacheEntries — an evicted
+// context re-extracts and counts as a miss.
+//
 // Correctness rests on two invariants the serving path maintains:
 //
 //   - registered tables and the entity linker are immutable while requests
@@ -35,23 +43,35 @@ import (
 // methods are safe for concurrent use. A nil *ExtractionCache disables
 // caching (every Prepare extracts).
 type ExtractionCache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
+	c *sfcache.Cache[*extract.Extraction]
 	// counters, when non-nil, receives ExtractCacheHits/ExtractCacheMisses.
 	counters *obs.Counters
 }
 
-type cacheEntry struct {
-	done chan struct{} // closed when ex/err are final
-	ex   *extract.Extraction
-	err  error
-}
+// extractionCacheEntries bounds the completed extractions an ExtractionCache
+// retains. The key contains the WHERE clause and every extraction pins a
+// row→slot vector per link column plus its entity-level attributes, so
+// without a bound a long-running nexusd grows with the number of distinct
+// contexts ever asked. A constant rather than an option: a serving mix
+// revisits a handful of contexts (the benchmark's cycles 12 SQL texts), and
+// an evicted one costs a single re-extraction.
+const extractionCacheEntries = 64
 
 // NewExtractionCache returns an empty cache. counters may be nil; when set
 // (e.g. to a server-wide obs.Counters published over /metrics) every
-// lookup increments obs.ExtractCacheHits or obs.ExtractCacheMisses.
+// lookup increments obs.ExtractCacheHits — a completed entry or a joined
+// in-flight extraction — or obs.ExtractCacheMisses.
 func NewExtractionCache(counters *obs.Counters) *ExtractionCache {
-	return &ExtractionCache{entries: map[string]*cacheEntry{}, counters: counters}
+	return &ExtractionCache{
+		c: sfcache.New[*extract.Extraction](sfcache.Config{
+			MaxEntries: extractionCacheEntries,
+			Counters:   counters,
+			Hits:       obs.ExtractCacheHits,
+			Shared:     obs.ExtractCacheHits,
+			Misses:     obs.ExtractCacheMisses,
+		}),
+		counters: counters,
+	}
 }
 
 // Hits returns the number of cache hits recorded so far (0 when the cache
@@ -79,48 +99,17 @@ func (c *ExtractionCache) Misses() int64 {
 	return c.counters.Get(obs.ExtractCacheMisses)
 }
 
-// get returns the extraction for key, running fn at most once per key
-// (unless fn fails, in which case the entry is evicted so a later request
-// retries). The second return reports whether the lookup was a hit — either
-// a completed entry or an in-flight extraction started by another caller.
-//
-// Waiters honour their own ctx: a caller whose context ends while the
-// extraction is still in flight unblocks with ctx.Err() without cancelling
-// the extraction (other waiters may still want it).
+// get returns the extraction for key, running fn (under the caller's ctx)
+// at most once per key across concurrent callers. The second return reports
+// whether the lookup was a hit — either a completed entry or an in-flight
+// extraction started by another caller.
 func (c *ExtractionCache) get(ctx context.Context, key string, fn func() (*extract.Extraction, error)) (*extract.Extraction, bool, error) {
 	if c == nil {
 		ex, err := fn()
 		return ex, false, err
 	}
-	c.mu.Lock()
-	e, hit := c.entries[key]
-	if !hit {
-		e = &cacheEntry{done: make(chan struct{})}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-
-	if hit {
-		c.counters.Add(obs.ExtractCacheHits, 1)
-		select {
-		case <-e.done:
-			return e.ex, true, e.err
-		case <-ctx.Done():
-			return nil, true, fmt.Errorf("nexus: waiting for in-flight extraction: %w", ctx.Err())
-		}
-	}
-
-	c.counters.Add(obs.ExtractCacheMisses, 1)
-	e.ex, e.err = fn()
-	if e.err != nil {
-		// Do not cache failures (the canonical one is cancellation of the
-		// extracting request); evict so the next request retries.
-		c.mu.Lock()
-		delete(c.entries, key)
-		c.mu.Unlock()
-	}
-	close(e.done)
-	return e.ex, false, e.err
+	ex, out, err := c.c.Get(ctx, key, fn)
+	return ex, out != sfcache.Miss, err
 }
 
 // ReportKey derives the serving tier's report-cache key for one explain

@@ -3,6 +3,7 @@ package nexus
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -101,5 +102,41 @@ func TestExtractionCacheFailureUnblocksWaiters(t *testing.T) {
 	})
 	if hit || err != nil {
 		t.Fatalf("post-failure get: hit=%v err=%v", hit, err)
+	}
+}
+
+// TestExtractionCacheBounded pins the LRU bound: the key embeds the WHERE
+// clause and every extraction pins row-length vectors, so a serving process
+// must not retain one per context ever asked. Capacity+1 distinct contexts
+// evict the first, which then re-extracts and counts as a miss.
+func TestExtractionCacheBounded(t *testing.T) {
+	ctx := context.Background()
+	c := NewExtractionCache(obs.NewCounters())
+	extractions := map[string]int{}
+	lookup := func(key string) bool {
+		_, hit, err := c.get(ctx, key, func() (*extract.Extraction, error) {
+			extractions[key]++
+			return &extract.Extraction{}, nil
+		})
+		if err != nil {
+			t.Fatalf("get(%q): %v", key, err)
+		}
+		return hit
+	}
+	key := func(i int) string { return fmt.Sprintf("SO|where=Country = 'c%d'", i) }
+	for i := 0; i <= extractionCacheEntries; i++ {
+		if lookup(key(i)) {
+			t.Fatalf("first lookup of %q was a hit", key(i))
+		}
+	}
+	if !lookup(key(extractionCacheEntries)) {
+		t.Fatal("the most recent context was not retained")
+	}
+	if lookup(key(0)) || extractions[key(0)] != 2 {
+		t.Fatalf("the least recently used context was retained past the bound (extracted %d times, want 2)", extractions[key(0)])
+	}
+	lookups := int64(extractionCacheEntries + 3)
+	if h, m := c.Hits(), c.Misses(); h != 1 || h+m != lookups {
+		t.Fatalf("hits=%d misses=%d, want 1 hit and %d lookups in all", h, m, lookups)
 	}
 }

@@ -17,20 +17,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"nexus"
-	"nexus/internal/colstore"
-	"nexus/internal/distremote"
-	"nexus/internal/kg"
-	"nexus/internal/kgremote"
 	"nexus/internal/obs"
-	"nexus/internal/workload"
 )
 
 func main() {
@@ -89,76 +84,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tr.AddSink(jsonSink)
 	}
 
+	su := nexus.Setup{
+		Dataset: *dataset, Rows: *rows, CSV: *csvPath, Table: *tableName, Links: nexus.SplitList(*links),
+		Seed: *seed, KG: *kgURL, DistWorkers: nexus.SplitList(*distW),
+	}
 	fmt.Fprintln(stdout, "generating knowledge graph...")
-	wsp := tr.Start("world-gen")
-	world := kg.NewWorld(kg.WorldConfig{Seed: *seed})
-	wsp.End()
-	// The local world is always generated — the synthetic datasets sample
-	// its entities — but with -kg the extraction backend is the remote
-	// server (which must run with the same -seed for identical results).
-	var src kg.Source = world.Graph
-	if *kgURL != "" {
-		fmt.Fprintf(stdout, "using remote knowledge graph at %s\n", *kgURL)
-		src = kgremote.New(*kgURL, kgremote.Options{Counters: tr.Counters()})
+	if su.KG != "" {
+		fmt.Fprintf(stdout, "using remote knowledge graph at %s\n", su.KG)
+	}
+	if len(su.DistWorkers) > 0 {
+		fmt.Fprintf(stdout, "distributed scoring across %d worker(s)\n", len(su.DistWorkers))
 	}
 	opts := nexus.Options{Hops: *hops, DisableIPW: *noIPW, Trace: tr}
 	opts.Core.Parallelism = *par
-	if *distW != "" {
-		fleet := strings.Split(*distW, ",")
-		for i := range fleet {
-			fleet[i] = strings.TrimSpace(fleet[i])
-		}
-		fmt.Fprintf(stdout, "distributed scoring across %d worker(s)\n", len(fleet))
-		opts.Core.Scorer = distremote.New(fleet, distremote.Options{Parallelism: *par, Counters: tr.Counters()})
-	}
-	sess := nexus.NewSessionFromSource(src, &opts)
-
-	lsp := tr.Start("load-dataset")
-	switch {
-	case *csvPath != "":
-		f, err := os.Open(*csvPath)
-		if err != nil {
-			return err
-		}
-		// Stream through the chunked columnar ingester so arbitrarily large
-		// CSVs load with bounded resident memory, then drain into the flat
-		// table the pipeline consumes (dictionary codes carry over unchanged).
-		st, err := colstore.FromCSV(f, colstore.Options{Counters: tr.Counters()})
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", *csvPath, err)
-		}
-		ingest := st.Stats()
-		tbl, err := st.Drain()
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", *csvPath, err)
-		}
-		var linkCols []string
-		if *links != "" {
-			linkCols = splitComma(*links)
-		}
-		for _, lc := range linkCols {
-			if !tbl.HasColumn(lc) {
-				return fmt.Errorf("link column %q not in %s (columns: %s)",
-					lc, *csvPath, strings.Join(tbl.ColumnNames(), ", "))
-			}
-		}
-		sess.RegisterTable(*tableName, tbl, linkCols...)
-		fmt.Fprintf(stdout, "loaded %s: %d rows × %d columns (%d chunks, %d dict entries)\n",
-			*csvPath, tbl.NumRows(), tbl.NumCols(), ingest.Chunks, ingest.DictEntries)
-	case *dataset != "":
-		ds, err := workload.ByName(world, *dataset, *rows, *seed)
-		if err != nil {
-			return err
-		}
-		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
-		sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-		fmt.Fprintf(stdout, "generated %s: %d rows, link columns %v\n", ds.Name, ds.Table.NumRows(), ds.LinkColumns)
-	default:
+	sess, ds, err := nexus.Open(su, opts)
+	if errors.Is(err, nexus.ErrNoDataset) {
 		fs.Usage()
-		return fmt.Errorf("provide -dataset or -csv")
 	}
-	lsp.End()
+	if err != nil {
+		return err
+	}
+	if su.CSV != "" {
+		fmt.Fprintf(stdout, "loaded %s: %d rows × %d columns (%d chunks, %d dict entries)\n",
+			su.CSV, ds.Table.NumRows(), ds.Table.NumCols(), ds.Ingest.Chunks, ds.Ingest.DictEntries)
+	} else {
+		fmt.Fprintf(stdout, "generated %s: %d rows, link columns %v\n", ds.Name, ds.Table.NumRows(), ds.LinkColumns)
+	}
 
 	rep, err := sess.Explain(*sql)
 	if err != nil {
@@ -195,18 +146,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "\ntotal %v\n", time.Duration(snap.TotalNS).Round(time.Millisecond))
 	return nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

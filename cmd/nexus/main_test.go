@@ -44,6 +44,26 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 }
 
+// -links is split on commas, trimmed, and empty fields dropped — the one
+// parse nexus and nexusd share (nexus.SplitList). A trailing comma or blanks
+// around a name used to fail link-column validation in one binary or both.
+func TestLinksFlagParsing(t *testing.T) {
+	for _, links := range []string{"City,", " City ", ","} {
+		var out, errw strings.Builder
+		err := run([]string{"-csv", "testdata/tiny.csv", "-table", "t", "-links", links,
+			"-sql", "SELECT City, avg(V) FROM t GROUP BY City"}, &out, &errw)
+		if err != nil {
+			t.Fatalf("-links %q: %v", links, err)
+		}
+	}
+	var out, errw strings.Builder
+	err := run([]string{"-csv", "testdata/tiny.csv", "-table", "t", "-links", "City, Nope",
+		"-sql", "SELECT City, avg(V) FROM t GROUP BY City"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), `link column "Nope"`) {
+		t.Fatalf(`-links "City, Nope": error %v, want the trimmed name reported`, err)
+	}
+}
+
 func TestRunSuccessTinyDataset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explains a small dataset end to end")

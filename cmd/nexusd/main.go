@@ -29,8 +29,8 @@
 package main
 
 import (
+	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"strings"
@@ -38,14 +38,10 @@ import (
 
 	"nexus"
 	"nexus/internal/colstore"
-	"nexus/internal/distremote"
-	"nexus/internal/kg"
-	"nexus/internal/kgremote"
 	"nexus/internal/obs"
 	"nexus/internal/reportcache"
 	"nexus/internal/rpc"
 	"nexus/internal/server"
-	"nexus/internal/workload"
 )
 
 func main() { rpc.Main(run) }
@@ -94,15 +90,17 @@ func run(args []string) error {
 	// Resident sealed-chunk bytes of the columnar ingest layer: the
 	// peak-memory proxy for CSV loading, read at exposition time.
 	registry.SetGaugeFunc(obs.ColstoreChunkBytes, colstore.ResidentBytes)
-	log.Printf("generating knowledge graph (seed %d)...", *seed)
-	world := kg.NewWorld(kg.WorldConfig{Seed: *seed})
-	// The local world is always generated — the synthetic datasets sample
-	// its entities — but with -kg the extraction backend is the remote kgd
-	// server (which must run with the same -seed for identical results).
-	var src kg.Source = world.Graph
-	if *kgURL != "" {
-		log.Printf("using remote knowledge graph at %s", *kgURL)
-		src = kgremote.New(*kgURL, kgremote.Options{Counters: metrics, Registry: registry})
+	su := nexus.Setup{
+		Dataset: *dataset, Rows: *rows, CSV: *csvPath, Table: *tableName, Links: nexus.SplitList(*links),
+		Seed: *seed, KG: *kgURL, DistWorkers: nexus.SplitList(*distWorkers), HedgeAfter: *hedgeAfter,
+		Registry: registry,
+	}
+	log.Printf("generating knowledge graph (seed %d)...", su.Seed)
+	if su.KG != "" {
+		log.Printf("using remote knowledge graph at %s", su.KG)
+	}
+	if len(su.DistWorkers) > 0 {
+		log.Printf("distributed scoring across %d worker(s): %s", len(su.DistWorkers), strings.Join(su.DistWorkers, ", "))
 	}
 	sessOpts := nexus.Options{
 		Hops:       *hops,
@@ -118,64 +116,20 @@ func run(args []string) error {
 		ExtractCache: nexus.NewExtractionCache(metrics),
 	}
 	sessOpts.Core.Parallelism = *par
-	if *distWorkers != "" {
-		fleet := strings.Split(*distWorkers, ",")
-		for i := range fleet {
-			fleet[i] = strings.TrimSpace(fleet[i])
-		}
-		log.Printf("distributed scoring across %d worker(s): %s", len(fleet), strings.Join(fleet, ", "))
-		sessOpts.Core.Scorer = distremote.New(fleet, distremote.Options{
-			HedgeAfter:  *hedgeAfter,
-			Parallelism: *par,
-			Counters:    metrics,
-		})
-	}
-	sess := nexus.NewSessionFromSource(src, &sessOpts)
-
-	switch {
-	case *csvPath != "":
-		f, err := os.Open(*csvPath)
-		if err != nil {
-			return err
-		}
-		// Stream through the chunked columnar ingester (bounded resident
-		// memory however large the CSV), then drain into the flat table the
-		// pipeline consumes. Ingest counters land in /metrics alongside the
-		// resident-chunk-bytes gauge registered below.
-		st, err := colstore.FromCSV(f, colstore.Options{Counters: metrics})
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", *csvPath, err)
-		}
-		ingest := st.Stats()
-		tbl, err := st.Drain()
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", *csvPath, err)
-		}
-		var linkCols []string
-		if *links != "" {
-			linkCols = strings.Split(*links, ",")
-		}
-		for _, lc := range linkCols {
-			if !tbl.HasColumn(lc) {
-				return fmt.Errorf("link column %q not in %s (columns: %s)",
-					lc, *csvPath, strings.Join(tbl.ColumnNames(), ", "))
-			}
-		}
-		sess.RegisterTable(*tableName, tbl, linkCols...)
-		log.Printf("serving %s as %q: %d rows × %d columns (%d chunks, %d dict entries)",
-			*csvPath, *tableName, tbl.NumRows(), tbl.NumCols(), ingest.Chunks, ingest.DictEntries)
-	case *dataset != "":
-		ds, err := workload.ByName(world, *dataset, *rows, *seed)
-		if err != nil {
-			return err
-		}
-		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
-		sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-		log.Printf("serving %s: %d rows, link columns %v", ds.Name, ds.Table.NumRows(), ds.LinkColumns)
-	default:
+	// A CSV's ingest counters land in /metrics alongside the
+	// resident-chunk-bytes gauge registered above.
+	sess, ds, err := nexus.Open(su, sessOpts)
+	if errors.Is(err, nexus.ErrNoDataset) {
 		fs.Usage()
-		return fmt.Errorf("provide -dataset or -csv")
+	}
+	if err != nil {
+		return err
+	}
+	if su.CSV != "" {
+		log.Printf("serving %s as %q: %d rows × %d columns (%d chunks, %d dict entries)",
+			su.CSV, ds.Name, ds.Table.NumRows(), ds.Table.NumCols(), ds.Ingest.Chunks, ds.Ingest.DictEntries)
+	} else {
+		log.Printf("serving %s: %d rows, link columns %v", ds.Name, ds.Table.NumRows(), ds.LinkColumns)
 	}
 
 	// The report cache's version is fixed to the loaded dataset + KG source

@@ -7,6 +7,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"sort"
 	"time"
@@ -38,7 +39,7 @@ type Result struct {
 
 // MESA runs the full system (pruning + MCIMR).
 func MESA(t, o *bins.Encoded, cands []*core.Candidate, opts core.Options) (*Result, error) {
-	ex, err := core.Explain(t, o, cands, opts)
+	ex, err := core.Explain(context.Background(), t, o, cands, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +52,7 @@ func MESA(t, o *bins.Encoded, cands []*core.Candidate, opts core.Options) (*Resu
 // "MESA-" rows in Table 2 never contain raw identifiers like wikiID.
 func MESAMinus(t, o *bins.Encoded, cands []*core.Candidate, opts core.Options) (*Result, error) {
 	opts.DisableOnlinePrune = true
-	ex, err := core.Explain(t, o, cands, opts)
+	ex, err := core.Explain(context.Background(), t, o, cands, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,8 @@
 // records; rows that later contradict a sampled type demote the column to
 // String and backfill earlier values (losslessly inside the retained
 // sample, canonically formatted past it). Non-finite numerics (NaN/Inf
-// spellings) are stored as nulls, matching table.ReadCSV. Resident memory
+// spellings) are stored as nulls: they parse as floats but would poison the
+// entropy and CMI estimators downstream. Resident memory
 // is bounded by the sealed chunks (tracked by a process-wide gauge,
 // ResidentBytes) plus one open chunk per column and the inference sample —
 // never by the size of the input.
@@ -63,8 +64,8 @@ type Stats struct {
 	// bitmaps and dictionaries for this table.
 	ChunkBytes int64 `json:"chunk_bytes"`
 	// SourceBytesEst estimates what materializing the raw records as
-	// [][]string (the pre-colstore ReadCSV strategy) would have held
-	// resident: field bytes plus string-header and slice-header overhead.
+	// [][]string would have held resident: field bytes plus string-header
+	// and slice-header overhead.
 	SourceBytesEst int64 `json:"source_bytes_est"`
 }
 
@@ -130,15 +131,9 @@ func (c *Column) Dict() []string { return c.dict }
 // ChunkValid returns chunk k's validity bitmap.
 func (c *Column) ChunkValid(k int) *table.Bitmap { return c.chunks[k].valid }
 
-// ChunkFloats returns chunk k's float values (NaN at null slots).
-func (c *Column) ChunkFloats(k int) []float64 { return c.chunks[k].floats }
-
 // ChunkCodes returns chunk k's table-global dictionary codes (-1 at null
 // slots): directly consumable by counting.IDs with card = len(Dict()).
 func (c *Column) ChunkCodes(k int) []int32 { return c.chunks[k].codes }
-
-// ChunkBools returns chunk k's bool values.
-func (c *Column) ChunkBools(k int) []bool { return c.chunks[k].bools }
 
 func (c *Column) at(i int) (*chunk, int) {
 	return c.chunks[i/c.chunkRows], i % c.chunkRows

@@ -24,8 +24,10 @@ type Options struct {
 }
 
 // FromCSV streams a CSV input (header row first) into a chunked table in a
-// single pass. Type inference, null handling and dictionary order match
-// table.ReadCSV exactly.
+// single pass. It is the repository's one CSV ingester: every binary and the
+// benchmark read tables through FromCSV(...).Drain(). Column types follow
+// table.InferCSVType over the inference sample; empty fields and non-finite
+// numerics are nulls; string dictionaries are in first-seen order.
 func FromCSV(r io.Reader, opt Options) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true

@@ -28,7 +28,7 @@ func permTest(ctx context.Context, b, allow, parallelism int, eval func(i int) (
 	var exceeded, evaluated int64
 	var errOnce sync.Once
 	var firstErr error
-	parallelForCtx(ctx, b, parallelism, func(i int) {
+	parallelFor(ctx, b, parallelism, func(i int) {
 		if atomic.LoadInt64(&exceeded) > int64(allow) {
 			return // reject verdict already determined
 		}
@@ -69,7 +69,7 @@ func permDependent(ctx context.Context, tr *obs.Trace, o *bins.Encoded, cand *Ca
 	if observed <= 0 {
 		return false, nil
 	}
-	base := seed*0x9e3779b9 + uint64(depth)*1000003 + hashName(cand.Name)
+	base := seed*0x9e3779b9 + uint64(depth)*1000003 + HashName(cand.Name)
 	count, ran, err := permTest(ctx, b, allow, parallelism, func(i int) (bool, error) {
 		pe, err := cand.Permute(stats.NewRNG(base + uint64(i)*0x45d9f3b))
 		if err != nil {
@@ -99,7 +99,7 @@ func permDependentWire(ctx context.Context, tr *obs.Trace, scorer Scorer, sctx *
 	if observed <= 0 {
 		return false, nil
 	}
-	base := seed*0x9e3779b9 + uint64(depth)*1000003 + hashName(name)
+	base := seed*0x9e3779b9 + uint64(depth)*1000003 + HashName(name)
 	seeds := make([]uint64, b)
 	for i := range seeds {
 		seeds[i] = base + uint64(i)*0x45d9f3b
@@ -122,7 +122,7 @@ func gainSignificantWire(ctx context.Context, tr *obs.Trace, scorer Scorer, sctx
 
 	tr.Add(obs.CITests, 1)
 	observed := infotheory.CondMutualInfo(sctx.O, sctx.T, append(append([]infotheory.Var{}, given...), sctx.Cands[candIdx]), nil)
-	base := seed*0x2545f491 + uint64(iter)*7919 + hashName(name)
+	base := seed*0x2545f491 + uint64(iter)*7919 + HashName(name)
 	seeds := make([]uint64, b)
 	for i := range seeds {
 		seeds[i] = base + uint64(i)*0x9e3779b9
@@ -157,7 +157,10 @@ func countExceed(exceed []bool) int {
 	return n
 }
 
-func hashName(s string) uint64 {
+// HashName folds an attribute name into a permutation seed (an FNV-1a-style
+// hash whose constants are pinned: every seeded null model in the pipeline,
+// row-level or entity-level, derives its RNG stream from it).
+func HashName(s string) uint64 {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])

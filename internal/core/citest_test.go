@@ -148,10 +148,10 @@ func TestPermDependentDeterministic(t *testing.T) {
 }
 
 func TestHashNameStability(t *testing.T) {
-	if hashName("GDP") == hashName("HDI") {
+	if HashName("GDP") == HashName("HDI") {
 		t.Fatal("hash collision between short names")
 	}
-	if hashName("GDP") != hashName("GDP") {
+	if HashName("GDP") != HashName("GDP") {
 		t.Fatal("hash not deterministic")
 	}
 }
@@ -184,7 +184,7 @@ func TestMCIMRSkipBudgetStops(t *testing.T) {
 		c, _ := entityCandidate(t, fmt.Sprintf("junk%02d", j), entVals, rowsPer)
 		cands = append(cands, c)
 	}
-	sel, err := MCIMR(tt, o, cands, Options{K: 5, SkipBudget: 4, Seed: 1})
+	sel, err := MCIMRCtx(context.Background(), tt, o, cands, Options{K: 5, SkipBudget: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

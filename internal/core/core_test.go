@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -79,7 +80,7 @@ func buildScenario(tb testing.TB, n int, seed uint64) *scenario {
 
 func TestExplainFindsConfounders(t *testing.T) {
 	s := buildScenario(t, 8000, 1)
-	res, err := Explain(s.t, s.o, s.all, DefaultOptions())
+	res, err := Explain(context.Background(), s.t, s.o, s.all, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestExplainFindsConfounders(t *testing.T) {
 
 func TestMCIMRAvoidsRedundantDuplicate(t *testing.T) {
 	s := buildScenario(t, 8000, 2)
-	sel, err := MCIMR(s.t, s.o, s.all, Options{K: 2, RespThreshold: 0.02})
+	sel, err := MCIMRCtx(context.Background(), s.t, s.o, s.all, Options{K: 2, RespThreshold: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestMCIMRAvoidsRedundantDuplicate(t *testing.T) {
 
 func TestResponsibilityTestStopsEarly(t *testing.T) {
 	s := buildScenario(t, 8000, 3)
-	res, err := Explain(s.t, s.o, s.all, Options{K: 5, RespThreshold: 0.02})
+	res, err := Explain(context.Background(), s.t, s.o, s.all, Options{K: 5, RespThreshold: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestResponsibilityTestStopsEarly(t *testing.T) {
 
 func TestResponsibilitiesSumToOne(t *testing.T) {
 	s := buildScenario(t, 8000, 4)
-	res, err := Explain(s.t, s.o, s.all, DefaultOptions())
+	res, err := Explain(context.Background(), s.t, s.o, s.all, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestResponsibilitiesSumToOne(t *testing.T) {
 
 func TestSingleAttrResponsibilityIsOne(t *testing.T) {
 	s := buildScenario(t, 4000, 5)
-	res, err := Explain(s.t, s.o, []*Candidate{s.z1}, DefaultOptions())
+	res, err := Explain(context.Background(), s.t, s.o, []*Candidate{s.z1}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestSingleAttrResponsibilityIsOne(t *testing.T) {
 
 func TestExplainEmptyCandidates(t *testing.T) {
 	s := buildScenario(t, 1000, 6)
-	res, err := Explain(s.t, s.o, nil, DefaultOptions())
+	res, err := Explain(context.Background(), s.t, s.o, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestOfflinePruneRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := []*Candidate{mk("const", constant), mk("wikiID", unique), mc, mk("good", ok)}
-	kept, stats, err := OfflinePrune(cands, DefaultPruneOptions())
+	kept, stats, err := OfflinePruneCtx(context.Background(), nil, cands, DefaultPruneOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestOfflinePruneEntityLevelUnique(t *testing.T) {
 	}
 	c.EntityCard = 100
 	c.EntityComplete = 100
-	kept, st, err := OfflinePrune([]*Candidate{c}, DefaultPruneOptions())
+	kept, st, err := OfflinePruneCtx(context.Background(), nil, []*Candidate{c}, DefaultPruneOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestOnlinePruneLogicalDependency(t *testing.T) {
 	codes := make([]int32, s.t.Len())
 	copy(codes, s.t.Codes)
 	fd := FromEncoded(&bins.Encoded{Name: "Tcode", Codes: codes, Card: s.t.Card}, OriginKG)
-	kept, st, err := OnlinePrune(s.t, s.o, []*Candidate{fd, s.z1}, DefaultPruneOptions())
+	kept, st, err := OnlinePruneCtx(context.Background(), nil, s.t, s.o, []*Candidate{fd, s.z1}, DefaultPruneOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestOnlinePruneLogicalDependency(t *testing.T) {
 
 func TestOnlinePruneLowRelevance(t *testing.T) {
 	s := buildScenario(t, 8000, 9)
-	kept, st, err := OnlinePrune(s.t, s.o, []*Candidate{s.noise, s.z1}, DefaultPruneOptions())
+	kept, st, err := OnlinePruneCtx(context.Background(), nil, s.t, s.o, []*Candidate{s.noise, s.z1}, DefaultPruneOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestExplainWithoutPruningStillWorks(t *testing.T) {
 	opts := DefaultOptions()
 	opts.DisableOfflinePrune = true
 	opts.DisableOnlinePrune = true
-	res, err := Explain(s.t, s.o, s.all, opts)
+	res, err := Explain(context.Background(), s.t, s.o, s.all, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,14 +339,16 @@ func TestCombineWeights(t *testing.T) {
 	}
 }
 
+// The §5 explainability score of an explicit attribute set is I(O;T|E): on
+// the scenario both planted confounders together explain most of I(O;T).
 func TestEvaluateSet(t *testing.T) {
 	s := buildScenario(t, 6000, 11)
 	e1, _ := s.z1.Enc()
 	e2, _ := s.z2.Enc()
 	base := infotheory.MutualInfo(s.o, s.t, nil)
-	both := EvaluateSet(s.t, s.o, []*bins.Encoded{e1, e2}, nil)
+	both := infotheory.CondMutualInfo(s.o, s.t, []*bins.Encoded{e1, e2}, nil)
 	if both >= base/2 {
-		t.Fatalf("EvaluateSet = %.3f, base %.3f", both, base)
+		t.Fatalf("I(O;T|Z1,Z2) = %.3f, base %.3f", both, base)
 	}
 }
 
@@ -367,18 +370,18 @@ func TestCandidatesFromTable(t *testing.T) {
 func TestParallelForMatchesSerial(t *testing.T) {
 	n := 1000
 	out := make([]int, n)
-	parallelFor(n, 8, func(i int) { out[i] = i * i })
+	parallelFor(context.Background(), n, 8, func(i int) { out[i] = i * i })
 	for i := range out {
 		if out[i] != i*i {
 			t.Fatalf("index %d not processed", i)
 		}
 	}
 	// Degenerate worker counts.
-	parallelFor(3, 100, func(i int) { out[i] = -1 })
+	parallelFor(context.Background(), 3, 100, func(i int) { out[i] = -1 })
 	if out[0] != -1 || out[2] != -1 {
 		t.Fatal("workers > n broken")
 	}
-	parallelFor(0, 4, func(i int) { t.Fatal("fn called for n=0") })
+	parallelFor(context.Background(), 0, 4, func(i int) { t.Fatal("fn called for n=0") })
 }
 
 func TestExplainEncodesOncePerCandidate(t *testing.T) {
@@ -403,7 +406,7 @@ func TestExplainEncodesOncePerCandidate(t *testing.T) {
 	tr := obs.New("enc-count")
 	opts := DefaultOptions()
 	opts.Trace = tr
-	if _, err := Explain(s.t, s.o, cands, opts); err != nil {
+	if _, err := Explain(context.Background(), s.t, s.o, cands, opts); err != nil {
 		t.Fatal(err)
 	}
 	for i, c := range cands {
@@ -440,7 +443,7 @@ func TestMCIMRParallelismInvariant(t *testing.T) {
 		}
 		return b.String()
 	}
-	serial, err := MCIMR(s.t, s.o, cands, Options{K: 4, Seed: 7, Parallelism: 1})
+	serial, err := MCIMRCtx(context.Background(), s.t, s.o, cands, Options{K: 4, Seed: 7, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +452,7 @@ func TestMCIMRParallelismInvariant(t *testing.T) {
 	}
 	want := render(serial)
 	for _, p := range []int{2, 4, 8} {
-		sel, err := MCIMR(s.t, s.o, cands, Options{K: 4, Seed: 7, Parallelism: p})
+		sel, err := MCIMRCtx(context.Background(), s.t, s.o, cands, Options{K: 4, Seed: 7, Parallelism: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +490,7 @@ func TestMCIMRNegativeSkipBudgetStopsAtFirstFailure(t *testing.T) {
 		cands = append(cands, c)
 	}
 	tr := obs.New("neg-budget")
-	sel, err := MCIMR(tt, o, cands, Options{K: 5, SkipBudget: -1, Seed: 1, Trace: tr})
+	sel, err := MCIMRCtx(context.Background(), tt, o, cands, Options{K: 5, SkipBudget: -1, Seed: 1, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

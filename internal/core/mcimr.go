@@ -23,30 +23,6 @@ type Options struct {
 	// RespThreshold is the normalized-CMI threshold of the responsibility
 	// test (Lemma 4.2). Default 0.02.
 	RespThreshold float64
-	// PermTests is the number of permutations of the permutation-based
-	// responsibility test used for candidates that provide Permute.
-	// Default 19, with PermAllow exceedances tolerated (one-sided test at
-	// p ≤ (PermAllow+1)/(PermTests+1), so 0.1 by default). Candidates
-	// without Permute use the analytic debiased-CMI test.
-	PermTests int
-	// PermAllow is the number of permuted statistics allowed to reach the
-	// observed one before the candidate is declared independent (default 0:
-	// the observed statistic must beat every permutation; with the default
-	// PermTests of 19 that is a one-sided test at p ≤ 0.05). The argmin
-	// ordering of Algorithm 1 preferentially surfaces the candidates whose
-	// *chance* correlation is largest, so the strictest per-candidate level
-	// is appropriate.
-	PermAllow int
-	// MinGain is the minimum reduction of the joint score required to
-	// accept an attribute, as a fraction of the base score I(O;T|C)
-	// (default 0.05). For candidates that provide Permute the gain is
-	// additionally calibrated against a permutation null (see
-	// gainSignificant); MinGain alone guards the rest.
-	MinGain float64
-	// GainPermTests is the number of permutations of the calibrated gain
-	// test (default 19; with the default PermAllow of 0 that is a one-sided
-	// test at p ≤ 0.05).
-	GainPermTests int
 	// SkipBudget bounds how many failing candidates (responsibility test
 	// or gain guard) are set aside across the whole run before MCIMR
 	// stops. Algorithm 1 as published stops at the *first* failing
@@ -91,6 +67,26 @@ type Options struct {
 	ScoreTag string
 }
 
+// The stopping tests of Algorithm 1 run at one fixed level.
+const (
+	// permTests is the number of permutations of the permutation-based
+	// responsibility test (candidates that provide Permute; the others use
+	// the analytic debiased-CMI test) and of the calibrated gain test.
+	permTests = 19
+	// permAllow is the number of permuted statistics allowed to reach the
+	// observed one before the candidate is declared independent: none. With
+	// 19 permutations that is a one-sided test at p ≤ (0+1)/(19+1) = 0.05.
+	// The argmin ordering of Algorithm 1 preferentially surfaces the
+	// candidates whose *chance* correlation is largest, so the strictest
+	// per-candidate level is appropriate.
+	permAllow = 0
+	// minGain is the minimum reduction of the joint score required to accept
+	// an attribute, as a fraction of the base score I(O;T|C). For candidates
+	// that provide Permute the gain is additionally calibrated against a
+	// permutation null (see gainSignificant); minGain alone guards the rest.
+	minGain = 0.05
+)
+
 // DefaultOptions returns the paper's default configuration.
 func DefaultOptions() Options {
 	return Options{K: 5, RespThreshold: 0.02, Prune: DefaultPruneOptions()}
@@ -103,23 +99,8 @@ func (o *Options) applyDefaults() {
 	if o.RespThreshold <= 0 {
 		o.RespThreshold = 0.02
 	}
-	if o.PermTests <= 0 {
-		o.PermTests = 19
-	}
-	if o.PermAllow < 0 {
-		o.PermAllow = 0
-	}
-	if o.MinGain == 0 {
-		o.MinGain = 0.05
-	}
-	if o.MinGain < 0 {
-		o.MinGain = 0
-	}
 	if o.SkipBudget == 0 {
 		o.SkipBudget = 10
-	}
-	if o.GainPermTests <= 0 {
-		o.GainPermTests = 19
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -168,16 +149,10 @@ func (e *Explanation) Names() []string {
 
 // Explain solves Correlation-Explanation for exposure t and outcome o over
 // the candidate attributes: prune (§4.2), select with MCIMR (Alg. 1), rank
-// by responsibility (Def. 2.5). It is ExplainCtx with a background context
-// (the run cannot be cancelled).
-func Explain(t, o *bins.Encoded, cands []*Candidate, opts Options) (*Explanation, error) {
-	return ExplainCtx(context.Background(), t, o, cands, opts)
-}
-
-// ExplainCtx is Explain honouring ctx. Every phase — both pruning passes,
-// the MCIMR relevance/redundancy passes and permutation tests, the final
-// scoring — carries cooperative cancellation checkpoints, so a deadline or
-// an abandoned request stops the run promptly (typically within one
+// by responsibility (Def. 2.5). Every phase — both pruning passes, the MCIMR
+// relevance/redundancy passes and permutation tests, the final scoring —
+// carries cooperative cancellation checkpoints, so a deadline or an
+// abandoned request stops the run promptly (typically within one
 // per-candidate unit of work). On cancellation the returned error wraps
 // ctx.Err(), so errors.Is(err, context.DeadlineExceeded) and
 // errors.Is(err, context.Canceled) distinguish the two server cases.
@@ -185,7 +160,7 @@ func Explain(t, o *bins.Encoded, cands []*Candidate, opts Options) (*Explanation
 // All phases share one per-run scoring cache: a candidate is encoded (and
 // its IPW weights derived) at most once per Explain call, no matter how
 // many phases touch it.
-func ExplainCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Explanation, error) {
+func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Explanation, error) {
 	opts.applyDefaults()
 	start := time.Now()
 	tr := opts.Trace
@@ -239,7 +214,9 @@ func ExplainCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opt
 	res.Score = infotheory.CondMutualInfo(o, t, encs, w)
 	ssp.End()
 	rsp := tr.Start("responsibility")
-	assignResponsibilities(t, o, res, encs, w)
+	for i, share := range Responsibilities(t, o, encs, w, res.Score) {
+		res.Attrs[i].Responsibility = share
+	}
 	rsp.SetInt("explanation-size", int64(len(res.Attrs)))
 	rsp.End()
 	res.Elapsed = time.Since(start)
@@ -270,18 +247,14 @@ type Selection struct {
 	Weights [][]float64
 }
 
-// MCIMR implements Algorithm 1: incremental selection by minimal conditional
-// mutual information and minimal redundancy, stopping at K attributes or
-// when the responsibility test (Lemma 4.2) fails for the next attribute.
-// It is MCIMRCtx with a background context.
-func MCIMR(t, o *bins.Encoded, cands []*Candidate, opts Options) (*Selection, error) {
-	return MCIMRCtx(context.Background(), t, o, cands, opts)
-}
-
-// MCIMRCtx is MCIMR honouring ctx: cancellation is checked before every
-// iteration, before every candidate consideration, and inside the parallel
-// relevance/redundancy passes and permutation tests. On cancellation the
-// returned error wraps ctx.Err().
+// MCIMRCtx implements Algorithm 1: incremental selection by minimal
+// conditional mutual information and minimal redundancy, stopping at K
+// attributes or when the responsibility test (Lemma 4.2) fails for the next
+// attribute. Cancellation is checked before every iteration, before every
+// candidate consideration, and inside the parallel relevance/redundancy
+// passes and permutation tests; on cancellation the returned error wraps
+// ctx.Err(). (The suffix stays until a benchmark PR can rename the call in
+// bench/pipeline.go; there is no non-ctx form.)
 func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Selection, error) {
 	opts.applyDefaults()
 	return mcimrCached(ctx, newRunCache(opts.Trace), t, o, cands, opts)
@@ -298,11 +271,11 @@ type considerEval struct {
 	w        []float64
 	respSkip bool    // responsibility test says O ⊥ E | selected
 	newScore float64 // I(O;T|C,selected,E); valid when !respSkip
-	gainOK   bool    // calibrated gain verdict; valid when the MinGain threshold passed
+	gainOK   bool    // calibrated gain verdict; valid when the minGain threshold passed
 	err      error
 }
 
-// mcimrCached is the MCIMR implementation behind MCIMRCtx/ExplainCtx,
+// mcimrCached is the MCIMR implementation behind MCIMRCtx and Explain,
 // sharing the per-run scoring cache rc with the pruning phases.
 //
 // Two representation tricks keep the consider loop off the hot path's
@@ -361,7 +334,7 @@ func mcimrCached(ctx context.Context, rc *runCache, t, o *bins.Encoded, cands []
 	rsp := tr.Start("relevance-pass")
 	sctx := &ScoreContext{T: t, O: o, Tag: opts.ScoreTag,
 		Cands: make([]*bins.Encoded, len(cands)), Weights: make([][]float64, len(cands))}
-	parallelForCtx(ctx, len(cands), opts.Parallelism, func(i int) {
+	parallelFor(ctx, len(cands), opts.Parallelism, func(i int) {
 		st := &state{cand: cands[i]}
 		states[i] = st
 		enc, err := rc.enc(cands[i])
@@ -439,9 +412,9 @@ func mcimrCached(ctx context.Context, rc *runCache, t, o *bins.Encoded, cands []
 		// shrinks under any extra conditioning (stratum shattering), so the
 		// gain is calibrated against permuted copies of the candidate,
 		// which shatter identically. The calibration only runs when the
-		// MinGain threshold passed (currentScore is frozen per iteration).
+		// minGain threshold passed (currentScore is frozen per iteration).
 		ev.newScore = infotheory.CondMutualInfo(o, t, append(given(), ev.enc), combineWeights(selW, ev.w))
-		if !opts.DisableStopping && ev.newScore < currentScore-opts.MinGain*baseScore {
+		if !opts.DisableStopping && ev.newScore < currentScore-minGain*baseScore {
 			ev.gainOK, ev.err = gainSignificant(ctx, t, o, cst.cand, ev.enc, given(), opts, iter, scorer, sctx, idx)
 		}
 		return ev
@@ -508,7 +481,7 @@ func mcimrCached(ctx context.Context, rc *runCache, t, o *bins.Encoded, cands []
 			evals := make([]*considerEval, len(batch))
 			if len(batch) > 1 {
 				tr.Add(obs.SpeculativeEvals, int64(len(batch)-1))
-				parallelForCtx(ctx, len(batch), opts.Parallelism, func(bi int) {
+				parallelFor(ctx, len(batch), opts.Parallelism, func(bi int) {
 					evals[bi] = evalOne(states[batch[bi].idx], batch[bi].idx, iter)
 				})
 			}
@@ -546,7 +519,7 @@ func mcimrCached(ctx context.Context, rc *runCache, t, o *bins.Encoded, cands []
 					}
 					continue
 				}
-				if !opts.DisableStopping && (ev.newScore >= currentScore-opts.MinGain*baseScore || !ev.gainOK) {
+				if !opts.DisableStopping && (ev.newScore >= currentScore-minGain*baseScore || !ev.gainOK) {
 					cst.skipped = true
 					skipsLeft--
 					tr.Add(obs.MCIMRSkips, 1)
@@ -597,7 +570,7 @@ func mcimrCached(ctx context.Context, rc *runCache, t, o *bins.Encoded, cands []
 		// Accumulate redundancy with the newly selected attribute
 		// (parallel over remaining candidates).
 		red := tr.Start("redundancy-pass")
-		parallelForCtx(ctx, len(states), opts.Parallelism, func(i int) {
+		parallelFor(ctx, len(states), opts.Parallelism, func(i int) {
 			si := states[i]
 			if si.selected || si.skipped || si.err != nil {
 				return
@@ -633,8 +606,8 @@ func mcimrCached(ctx context.Context, rc *runCache, t, o *bins.Encoded, cands []
 // true means O ⊥ E | selected (adding E has ≈0 responsibility; stop).
 //
 // Candidates exposing Permute get a permutation test at their source
-// granularity: the observed I(O;E|selected) must exceed all but PermAllow
-// of opts.PermTests permuted statistics. This is the calibration that
+// granularity: the observed I(O;E|selected) must exceed all but permAllow
+// of permTests permuted statistics. This is the calibration that
 // matters for entity-level attributes, whose chance correlation lives at
 // entity rather than row granularity. Candidates without Permute fall back
 // to the analytic debiased-CMI test with IPW weights.
@@ -657,10 +630,10 @@ func respIndependent(ctx context.Context, o *bins.Encoded, cand *Candidate, enc 
 	var err error
 	if cand.WirePerm {
 		dependent, err = permDependentWire(ctx, opts.Trace, scorer, sctx, idx, o, cand.Name, given,
-			depth, opts.PermTests, opts.PermAllow, opts.Seed+uint64(iter))
+			depth, permTests, permAllow, opts.Seed+uint64(iter))
 	} else {
 		dependent, err = permDependent(ctx, opts.Trace, o, cand, enc, given, depth,
-			opts.PermTests, opts.PermAllow, opts.Parallelism, opts.Seed+uint64(iter))
+			permTests, permAllow, opts.Parallelism, opts.Seed+uint64(iter))
 	}
 	if err != nil {
 		return false, err
@@ -670,11 +643,11 @@ func respIndependent(ctx context.Context, o *bins.Encoded, cand *Candidate, enc 
 
 // gainSignificant calibrates the joint-score reduction of a candidate
 // against its permutation null: the unweighted joint score with the real
-// candidate must undercut the joint score of all but PermAllow of
-// GainPermTests permuted copies. A permuted copy has identical cardinality
+// candidate must undercut the joint score of all but permAllow of
+// permTests permuted copies. A permuted copy has identical cardinality
 // and missingness, so it shatters the contingency strata exactly as much —
 // any additional reduction must be genuine dependence. Candidates without
-// Permute pass (MinGain already screened them). given is the pre-joined
+// Permute pass (minGain already screened them). given is the pre-joined
 // selected prefix; a Permute failure propagates as an error instead of
 // silently counting against the candidate.
 func gainSignificant(ctx context.Context, t, o *bins.Encoded, cand *Candidate, enc *bins.Encoded, given []infotheory.Var, opts Options, iter int, scorer Scorer, sctx *ScoreContext, idx int) (bool, error) {
@@ -683,12 +656,12 @@ func gainSignificant(ctx context.Context, t, o *bins.Encoded, cand *Candidate, e
 	}
 	if cand.WirePerm {
 		return gainSignificantWire(ctx, opts.Trace, scorer, sctx, idx, cand.Name, given,
-			opts.GainPermTests, opts.PermAllow, opts.Seed, iter)
+			permTests, permAllow, opts.Seed, iter)
 	}
 	opts.Trace.Add(obs.CITests, 1)
 	observed := infotheory.CondMutualInfo(o, t, append(append([]infotheory.Var{}, given...), enc), nil)
-	base := opts.Seed*0x2545f491 + uint64(iter)*7919 + hashName(cand.Name)
-	count, ran, err := permTest(ctx, opts.GainPermTests, opts.PermAllow, opts.Parallelism, func(i int) (bool, error) {
+	base := opts.Seed*0x2545f491 + uint64(iter)*7919 + HashName(cand.Name)
+	count, ran, err := permTest(ctx, permTests, permAllow, opts.Parallelism, func(i int) (bool, error) {
 		pe, err := cand.Permute(stats.NewRNG(base + uint64(i)*0x9e3779b9))
 		if err != nil {
 			return false, err
@@ -700,41 +673,38 @@ func gainSignificant(ctx context.Context, t, o *bins.Encoded, cand *Candidate, e
 	if err != nil {
 		return false, err
 	}
-	return count <= opts.PermAllow, nil
+	return count <= permAllow, nil
 }
 
-// assignResponsibilities computes Def. 2.5 over the final explanation.
-func assignResponsibilities(t, o *bins.Encoded, res *Explanation, encs []*bins.Encoded, w []float64) {
+// Responsibilities computes Def. 2.5 for an attribute set: attribute i's
+// share of the total leave-one-out increase of the score, where full is
+// I(O;T|C,E) over the whole set under weights w. A single attribute bears
+// all the responsibility; when no attribute's removal moves the score every
+// share is 0.
+func Responsibilities(t, o *bins.Encoded, encs []*bins.Encoded, w []float64, full float64) []float64 {
 	k := len(encs)
-	if k == 0 {
-		return
-	}
+	shares := make([]float64, k)
 	if k == 1 {
-		res.Attrs[0].Responsibility = 1
-		return
+		shares[0] = 1
+		return shares
 	}
-	full := res.Score
-	drops := make([]float64, k)
 	var denom float64
-	for i := 0; i < k; i++ {
+	for i := range shares {
 		without := make([]*bins.Encoded, 0, k-1)
-		for j := 0; j < k; j++ {
+		for j, e := range encs {
 			if j != i {
-				without = append(without, encs[j])
+				without = append(without, e)
 			}
 		}
-		drops[i] = infotheory.CondMutualInfo(o, t, without, w) - full
-		denom += drops[i]
+		shares[i] = infotheory.CondMutualInfo(o, t, without, w) - full
+		denom += shares[i]
 	}
-	for i := 0; i < k; i++ {
+	for i := range shares {
 		if denom != 0 {
-			res.Attrs[i].Responsibility = drops[i] / denom
+			shares[i] /= denom
+		} else {
+			shares[i] = 0
 		}
 	}
-}
-
-// EvaluateSet returns I(O;T|E) for an explicit attribute set — the
-// explainability score used throughout §5 — with optional weights.
-func EvaluateSet(t, o *bins.Encoded, encs []*bins.Encoded, w []float64) float64 {
-	return infotheory.CondMutualInfo(o, t, encs, w)
+	return shares
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -75,7 +76,7 @@ func TestExplainInvariants(t *testing.T) {
 		opts := DefaultOptions()
 		opts.K = 3
 		opts.Seed = seed
-		ex, err := Explain(tt, oo, cands, opts)
+		ex, err := Explain(context.Background(), tt, oo, cands, opts)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -117,11 +118,11 @@ func TestExplainDeterministic(t *testing.T) {
 	tt, oo, cands := randomProblem(77)
 	opts := DefaultOptions()
 	opts.Seed = 5
-	a, err := Explain(tt, oo, cands, opts)
+	a, err := Explain(context.Background(), tt, oo, cands, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Explain(tt, oo, cands, opts)
+	b, err := Explain(context.Background(), tt, oo, cands, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestExplainMonotoneInK(t *testing.T) {
 		opts := DefaultOptions()
 		opts.K = k
 		opts.Seed = 9
-		ex, err := Explain(tt, oo, cands, opts)
+		ex, err := Explain(context.Background(), tt, oo, cands, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestMCIMRFixedKSelectsExactlyK(t *testing.T) {
 	opts := DefaultOptions()
 	opts.K = 3
 	opts.DisableStopping = true
-	sel, err := MCIMR(tt, oo, cands, opts)
+	sel, err := MCIMRCtx(context.Background(), tt, oo, cands, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

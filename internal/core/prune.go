@@ -75,16 +75,13 @@ func newPruneStats(input int) PruneStats {
 	return PruneStats{Input: input, Dropped: make(map[PruneReason]int)}
 }
 
-// OfflinePrune applies the across-queries filters (§4.2, "Preprocessing
+// OfflinePruneCtx applies the across-queries filters (§4.2, "Preprocessing
 // pruning"): constants, mostly-missing attributes, and near-unique
-// identifiers. It does not need T or O and can run at ingestion time.
-func OfflinePrune(cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	return OfflinePruneCtx(context.Background(), nil, cands, opts)
-}
-
-// OfflinePruneCtx is OfflinePrune reporting into a trace (nil = no-op) and
-// honouring ctx: the per-candidate pass stops dispatching work once ctx is
-// done and the call returns an error wrapping ctx.Err().
+// identifiers. It does not need T or O and can run at ingestion time. It
+// reports into tr (nil = no-op) and honours ctx: the per-candidate pass
+// stops dispatching work once ctx is done and the call returns an error
+// wrapping ctx.Err(). (Suffix and positional trace stay until a benchmark PR
+// can edit the call in bench/pipeline.go; there is no non-ctx form.)
 func OfflinePruneCtx(ctx context.Context, tr *obs.Trace, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
 	return offlinePruneCached(ctx, tr, newRunCache(tr), cands, opts)
 }
@@ -98,7 +95,7 @@ func offlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, cands 
 		err    error
 	}
 	verdicts := make([]verdict, len(cands))
-	parallelForCtx(ctx, len(cands), 0, func(i int) {
+	parallelFor(ctx, len(cands), 0, func(i int) {
 		c := cands[i]
 		enc, err := rc.enc(c)
 		if err != nil {
@@ -140,20 +137,15 @@ func offlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, cands 
 	return kept, stats, nil
 }
 
-// OnlinePrune applies the query-specific filters (§4.2, "Online pruning"):
-// approximate functional dependencies with T or O (Lemma A.2 — conditioning
-// on such attributes fakes a perfect explanation) and the low-relevance test
-// (appendix Relevance Test).
-func OnlinePrune(t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	return OnlinePruneCtx(context.Background(), nil, t, o, cands, opts)
-}
-
-// OnlinePruneCtx is OnlinePrune reporting CI-test and permutation counts
-// into a trace (nil = no-op; counters only: the per-candidate work runs on
-// parallel workers, where spans are not safe to open) and honouring ctx: the
-// per-candidate pass (FD tests, relevance tests, permutation nulls) stops
-// dispatching work once ctx is done and the call returns an error wrapping
-// ctx.Err().
+// OnlinePruneCtx applies the query-specific filters (§4.2, "Online
+// pruning"): approximate functional dependencies with T or O (Lemma A.2 —
+// conditioning on such attributes fakes a perfect explanation) and the
+// low-relevance test (appendix Relevance Test). It reports CI-test and
+// permutation counts into tr (nil = no-op; counters only: the per-candidate
+// work runs on parallel workers, where spans are not safe to open) and
+// honours ctx: the per-candidate pass (FD tests, relevance tests,
+// permutation nulls) stops dispatching work once ctx is done and the call
+// returns an error wrapping ctx.Err(). (Same naming note as OfflinePruneCtx.)
 func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
 	return onlinePruneCached(ctx, tr, newRunCache(tr), t, o, cands, opts)
 }
@@ -168,7 +160,7 @@ func onlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, t, o *b
 	verdicts := make([]verdict, len(cands))
 	ht := infotheory.Entropy(t, nil)
 	ho := infotheory.Entropy(o, nil)
-	parallelForCtx(ctx, len(cands), 0, func(i int) {
+	parallelFor(ctx, len(cands), 0, func(i int) {
 		c := cands[i]
 		enc, err := rc.enc(c)
 		if err != nil {
@@ -255,18 +247,13 @@ func permBudget(opts PruneOptions) int {
 }
 
 // parallelFor runs fn(i) for i in [0, n) on up to workers goroutines
-// (GOMAXPROCS when workers ≤ 0).
-func parallelFor(n, workers int, fn func(i int)) {
-	parallelForCtx(context.Background(), n, workers, fn)
-}
-
-// parallelForCtx is parallelFor with cooperative cancellation: once ctx is
+// (GOMAXPROCS when workers ≤ 0), with cooperative cancellation: once ctx is
 // done no further indices are dispatched (in-flight fn calls run to
 // completion — they are bounded per-item units of work). Callers must treat
 // the outputs as incomplete whenever ctx.Err() != nil on return; the
 // function itself returns nothing so partially filled result slices are
 // never observed as complete.
-func parallelForCtx(ctx context.Context, n, workers int, fn func(i int)) {
+func parallelFor(ctx context.Context, n, workers int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -307,5 +294,5 @@ feed:
 }
 
 // cancelStride is how many sequential iterations run between context checks
-// in the single-worker fast path of parallelForCtx.
+// in the single-worker fast path of parallelFor.
 const cancelStride = 16

@@ -264,7 +264,7 @@ func (l Local) par() int {
 // candidate, in parallel.
 func (l Local) Relevance(ctx context.Context, sc *ScoreContext, cands []int) ([]float64, error) {
 	out := make([]float64, len(cands))
-	parallelForCtx(ctx, len(cands), l.par(), func(i int) {
+	parallelFor(ctx, len(cands), l.par(), func(i int) {
 		ci := cands[i]
 		out[i] = infotheory.CondMutualInfo(sc.O, sc.T, []infotheory.Var{sc.Cands[ci]}, sc.Weights[ci])
 	})
@@ -304,7 +304,7 @@ func (l Local) PermBlock(ctx context.Context, sc *ScoreContext, spec PermSpec) (
 // conditions and scored with ScoreGroupRows, in parallel.
 func (l Local) SubgroupBatch(ctx context.Context, gc *GroupContext, groups []GroupSpec) ([]float64, error) {
 	out := make([]float64, len(groups))
-	parallelForCtx(ctx, len(groups), l.par(), func(i int) {
+	parallelFor(ctx, len(groups), l.par(), func(i int) {
 		out[i] = ScoreGroupRows(gc.T, gc.O, gc.Explanation, gc.Rows(groups[i]), gc.Base)
 	})
 	if err := ctx.Err(); err != nil {

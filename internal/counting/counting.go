@@ -67,7 +67,7 @@ type Dim struct {
 
 // ---------------------------------------------------------------------------
 // Effort counters. Process-wide atomics: the kernel is called from parallel
-// workers that cannot carry a per-run sink, so callers (core.ExplainCtx, the
+// workers that cannot carry a per-run sink, so callers (core.Explain, the
 // subgroup search) snapshot before/after and publish the delta into their
 // trace or counter set. Concurrent runs therefore attribute each other's
 // passes to whichever capture window is open — totals are always conserved,

@@ -182,13 +182,6 @@ func (e *Extraction) Table() (*table.Table, error) {
 	return out, nil
 }
 
-// Extract mines attributes for the entities referenced by linkCols of base.
-// It is ExtractCtx with a background context (extraction cannot be
-// cancelled).
-func Extract(base *table.Table, linkCols []string, src kg.Source, linker *ned.Linker, opts Options) (*Extraction, error) {
-	return ExtractCtx(context.Background(), base, linkCols, src, linker, opts)
-}
-
 // ExtractCtx mines attributes for the entities referenced by linkCols of
 // base, honouring ctx: entity linking and graph walking check for
 // cancellation between slots, so a deadline or a disconnected client stops
@@ -202,6 +195,8 @@ func Extract(base *table.Table, linkCols []string, src kg.Source, linker *ned.Li
 // batched fetches (one GetProperties plus one Entities round trip per hop
 // frontier per link column, and one Resolve round trip per link column), so
 // remote extraction costs O(hops) round trips instead of O(entities).
+// (The suffix stays until a benchmark PR can rename the call in
+// bench/pipeline.go; there is no non-ctx form.)
 func ExtractCtx(ctx context.Context, base *table.Table, linkCols []string, src kg.Source, linker *ned.Linker, opts Options) (*Extraction, error) {
 	if opts.Hops <= 0 {
 		opts.Hops = 1

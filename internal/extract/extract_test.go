@@ -54,7 +54,7 @@ func baseTable() *table.Table {
 
 func TestExtractOneHop(t *testing.T) {
 	g := smallGraph()
-	ex, err := Extract(baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestExtractTwoHop(t *testing.T) {
 	g := smallGraph()
 	opts := DefaultOptions()
 	opts.Hops = 2
-	ex, err := Extract(baseTable(), []string{"country"}, g, ned.NewLinker(g), opts)
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestExtractTwoHop(t *testing.T) {
 
 func TestExtractMultiValuedNumeric(t *testing.T) {
 	g := smallGraph()
-	ex, err := Extract(baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestExtractMultiValuedNumeric(t *testing.T) {
 
 func TestExtractOneToManyCount(t *testing.T) {
 	g := smallGraph()
-	ex, err := Extract(baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestExtractOneToManyCount(t *testing.T) {
 func TestExtractSumAggregation(t *testing.T) {
 	g := smallGraph()
 	opts := Options{Hops: 2, OneToMany: table.AggSum}
-	ex, err := Extract(baseTable(), []string{"country"}, g, ned.NewLinker(g), opts)
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestExtractSumAggregation(t *testing.T) {
 
 func TestExtractLinkStats(t *testing.T) {
 	g := smallGraph()
-	ex, err := Extract(baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestExtractLinkStats(t *testing.T) {
 
 func TestExtractEncode(t *testing.T) {
 	g := smallGraph()
-	ex, err := Extract(baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestExtractEncode(t *testing.T) {
 
 func TestExtractErrors(t *testing.T) {
 	g := smallGraph()
-	if _, err := Extract(baseTable(), []string{"nope"}, g, ned.NewLinker(g), DefaultOptions()); err == nil {
+	if _, err := ExtractCtx(context.Background(), baseTable(), []string{"nope"}, g, ned.NewLinker(g), DefaultOptions()); err == nil {
 		t.Fatal("expected error for unknown link column")
 	}
 	tbl := table.MustFromColumns(table.NewFloatColumn("num", []float64{1}))
-	if _, err := Extract(tbl, []string{"num"}, g, ned.NewLinker(g), DefaultOptions()); err == nil {
+	if _, err := ExtractCtx(context.Background(), tbl, []string{"num"}, g, ned.NewLinker(g), DefaultOptions()); err == nil {
 		t.Fatal("expected error for non-string link column")
 	}
 }
@@ -224,7 +224,7 @@ func TestExtractNameCollisionAcrossLinkColumns(t *testing.T) {
 		table.NewStringColumn("c1", []string{"A"}),
 		table.NewStringColumn("c2", []string{"B"}),
 	)
-	ex, err := Extract(tbl, []string{"c1", "c2"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), tbl, []string{"c1", "c2"}, g, ned.NewLinker(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestExtractNameCollisionAcrossLinkColumns(t *testing.T) {
 
 func TestExtractTableMaterialization(t *testing.T) {
 	g := smallGraph()
-	ex, err := Extract(baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +278,12 @@ func TestExtractSnapshotParity(t *testing.T) {
 	tbl := table.MustFromColumns(table.NewStringColumn("Country", names))
 	for _, hops := range []int{1, 2} {
 		opts := Options{Hops: hops, OneToMany: table.AggMean}
-		direct, err := Extract(tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), opts)
+		direct, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := &opaqueSource{Source: w.Graph}
-		snap, err := Extract(tbl, []string{"Country"}, src, ned.NewSourceLinker(src), opts)
+		snap, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, src, ned.NewSourceLinker(src), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func TestExtractFromWorld(t *testing.T) {
 		names = append(names, w.Countries[i%len(w.Countries)].Name)
 	}
 	tbl := table.MustFromColumns(table.NewStringColumn("Country", names))
-	ex, err := Extract(tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,11 +365,11 @@ func TestExtractWorldTwoHopGrowsCandidates(t *testing.T) {
 		names[i] = w.Countries[i].Name
 	}
 	tbl := table.MustFromColumns(table.NewStringColumn("Country", names))
-	ex1, err := Extract(tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), Options{Hops: 1, OneToMany: table.AggMean})
+	ex1, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), Options{Hops: 1, OneToMany: table.AggMean})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex2, err := Extract(tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), Options{Hops: 2, OneToMany: table.AggMean})
+	ex2, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), Options{Hops: 2, OneToMany: table.AggMean})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestExtractWorldTwoHopGrowsCandidates(t *testing.T) {
 
 func TestWithColumn(t *testing.T) {
 	g := smallGraph()
-	ex, err := Extract(baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestWithColumn(t *testing.T) {
 
 func TestWithColumnLengthMismatchPanics(t *testing.T) {
 	g := smallGraph()
-	ex, err := Extract(baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

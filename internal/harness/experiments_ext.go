@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -106,7 +107,7 @@ func (s *Suite) RandomQueries(perDataset int, coreOpts core.Options) (*RandomQue
 			if err != nil {
 				return nil, fmt.Errorf("harness: random query %q: %w", sql, err)
 			}
-			ex, err := core.Explain(a.T, a.O, a.Candidates, coreOpts)
+			ex, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, coreOpts)
 			if err != nil {
 				return nil, err
 			}
@@ -237,11 +238,11 @@ func (s *Suite) PruningImpact(coreOpts core.Options) ([]PruningRow, error) {
 		if prune == (core.PruneOptions{}) {
 			prune = core.DefaultPruneOptions()
 		}
-		kept, offStats, err := core.OfflinePrune(a.Candidates, prune)
+		kept, offStats, err := core.OfflinePruneCtx(context.Background(), nil, a.Candidates, prune)
 		if err != nil {
 			return nil, err
 		}
-		kept2, onStats, err := core.OnlinePrune(a.T, a.O, kept, prune)
+		kept2, onStats, err := core.OnlinePruneCtx(context.Background(), nil, a.T, a.O, kept, prune)
 		if err != nil {
 			return nil, err
 		}

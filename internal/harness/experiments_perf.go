@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -67,7 +68,7 @@ func (s *Suite) Fig4(dataset string, sizes []int, base core.Options) ([]PerfPoin
 		}
 		for _, v := range []PruneVariant{VariantNoPruning, VariantOffline, VariantMCIMR} {
 			start := time.Now()
-			ex, err := core.Explain(a.T, a.O, cands, optsFor(v, base))
+			ex, err := core.Explain(context.Background(), a.T, a.O, cands, optsFor(v, base))
 			if err != nil {
 				return nil, err
 			}
@@ -99,7 +100,7 @@ func (s *Suite) Fig5(dataset string, rowCounts []int, base core.Options) ([]Perf
 			return nil, err
 		}
 		start := time.Now()
-		ex, err := core.Explain(a.T, a.O, a.Candidates, base)
+		ex, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, base)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +127,7 @@ func (s *Suite) Fig6(dataset string, ks []int, base core.Options) ([]PerfPoint, 
 		opts := base
 		opts.K = k
 		start := time.Now()
-		ex, err := core.Explain(a.T, a.O, a.Candidates, opts)
+		ex, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +155,7 @@ func (s *Suite) Headline(rows int, base core.Options) (PerfPoint, error) {
 		return PerfPoint{}, err
 	}
 	start := time.Now()
-	ex, err := core.Explain(a.T, a.O, a.Candidates, base)
+	ex, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, base)
 	if err != nil {
 		return PerfPoint{}, err
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -157,7 +158,7 @@ func (s *Suite) fig3Run(a *nexus.Analysis, spec QuerySpec, targets map[string]*e
 			}
 			cands = append(cands, nc)
 		}
-		ex, err := core.Explain(a.T, a.O, cands, coreOpts)
+		ex, err := core.Explain(context.Background(), a.T, a.O, cands, coreOpts)
 		if err != nil {
 			return 0, err
 		}

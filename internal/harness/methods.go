@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -41,11 +42,11 @@ func RunAll(a *nexus.Analysis, spec QuerySpec, coreOpts core.Options) (map[strin
 	if prune == (core.PruneOptions{}) {
 		prune = core.DefaultPruneOptions()
 	}
-	offline, _, err := core.OfflinePrune(a.Candidates, prune)
+	offline, _, err := core.OfflinePruneCtx(context.Background(), nil, a.Candidates, prune)
 	if err != nil {
 		return nil, err
 	}
-	pruned, _, err := core.OnlinePrune(a.T, a.O, offline, prune)
+	pruned, _, err := core.OnlinePruneCtx(context.Background(), nil, a.T, a.O, offline, prune)
 	if err != nil {
 		return nil, err
 	}

@@ -297,9 +297,3 @@ func (c *Client) ClassProps(ctx context.Context, class string) ([]string, error)
 // the graph behind the same URL) should be paired with a report-cache
 // invalidation or a URL change — docs/OPERATIONS.md covers the procedure.
 func (c *Client) Version() string { return "remote:" + c.base }
-
-// CacheLen reports the entries held by each LRU (entities, property maps,
-// resolutions) — observability for tests and debugging.
-func (c *Client) CacheLen() (ents, props, resolve int) {
-	return c.ents.Len(), c.props.Len(), c.resolve.Len()
-}

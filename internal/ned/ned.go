@@ -92,7 +92,7 @@ func NewLinker(g *kg.Graph) *Linker { return NewSourceLinker(g) }
 // NewSourceLinker returns a linker over any knowledge-graph backend.
 // Resolution semantics are identical for every backend; only the transport
 // differs, which is why a remote linker can fail where an in-memory one
-// cannot — use ResolveBatch / ResolveCtx when the source is fallible.
+// cannot — ResolveBatch and Resolve report that failure, Link cannot.
 func NewSourceLinker(src kg.Source) *Linker {
 	return &Linker{
 		src:     src,
@@ -137,9 +137,11 @@ func (l *Linker) ResolveBatch(ctx context.Context, values []string) ([]Resolutio
 	return out, nil
 }
 
-// ResolveCtx resolves a single value with error propagation (a one-element
-// ResolveBatch).
-func (l *Linker) ResolveCtx(ctx context.Context, value string) (kg.EntityID, Outcome, error) {
+// Resolve links a single value (a one-element ResolveBatch) without
+// touching the linker's accumulated statistics. Unlike Link it is safe for
+// concurrent use (the lookup indexes are immutable after alias
+// registration) and reports backend failures.
+func (l *Linker) Resolve(ctx context.Context, value string) (kg.EntityID, Outcome, error) {
 	res, err := l.ResolveBatch(ctx, []string{value})
 	if err != nil {
 		return 0, Unlinked, err
@@ -147,25 +149,17 @@ func (l *Linker) ResolveCtx(ctx context.Context, value string) (kg.EntityID, Out
 	return res[0].ID, res[0].Outcome, nil
 }
 
-// Resolve links value to an entity id without touching the linker's
-// accumulated statistics. Unlike Link it is safe for concurrent use (the
-// lookup indexes are immutable after alias registration). Resolve cannot
-// report backend failures; over a fallible (remote) source a transport
-// error degrades to Unlinked, so batch extraction paths use ResolveBatch,
-// which propagates errors instead.
-func (l *Linker) Resolve(value string) (kg.EntityID, Outcome) {
-	id, out, err := l.ResolveCtx(context.Background(), value)
-	if err != nil {
-		return 0, Unlinked
-	}
-	return id, out
-}
-
 // Link resolves value to an entity id. The second return is the outcome;
 // stats are accumulated on the linker. Because of that accumulation Link is
-// NOT safe for concurrent use; concurrent callers should use Resolve.
+// NOT safe for concurrent use; concurrent callers should use Resolve. Link
+// cannot report backend failures: over a fallible (remote) source a
+// transport error degrades to Unlinked, which is why extraction links
+// through ResolveBatch.
 func (l *Linker) Link(value string) (kg.EntityID, Outcome) {
-	id, out := l.Resolve(value)
+	id, out, err := l.Resolve(context.Background(), value)
+	if err != nil {
+		id, out = 0, Unlinked
+	}
 	switch out {
 	case Linked:
 		l.stats.Linked++
@@ -215,9 +209,6 @@ func (l *Linker) overlay(value string, srv kg.Link) (kg.EntityID, Outcome) {
 
 // Stats returns the accumulated link statistics.
 func (l *Linker) Stats() Stats { return l.stats }
-
-// ResetStats clears the accumulated statistics.
-func (l *Linker) ResetStats() { l.stats = Stats{} }
 
 // Normalize lowercases, trims, and collapses inner whitespace; it also
 // strips a small set of punctuation so "St. Louis" matches "St Louis". It

@@ -3,25 +3,19 @@
 // the first (cold) computation — keyed by the normalized explain request
 // plus the dataset fingerprint and knowledge-graph source version.
 //
-// It extends the single-flight idiom of nexus.ExtractionCache one layer
-// out: where the extraction cache deduplicates the KG walk across requests
-// that share a dataset context, the report cache deduplicates the *entire*
-// pipeline (parse → extract → prune → MCIMR → subgroups → JSON encoding)
-// across requests that are equivalent after canonicalization. N concurrent
-// identical requests run one computation; the N−1 waiters block on the
-// leader's entry and observe OutcomeShared.
-//
-// Differences from ExtractionCache, all serving-tier requirements:
-//
-//   - bounded: completed entries live on an LRU list capped at MaxEntries,
-//     and each expires TTL after completion (lazy expiry at lookup);
-//   - versioned: every entry is stamped with the cache's version string at
-//     creation; SetVersion purges completed entries and prevents in-flight
-//     entries of the old version from being retained, so a dataset reload
-//     or KG source change can invalidate atomically;
-//   - failure-proof: an entry whose computation fails is evicted before the
-//     error propagates, so a timeout or cancellation is never served to a
-//     later request as a stale failure.
+// It is the repository's single-flight cache (internal/sfcache: one
+// computation per key across concurrent callers, bounded LRU, eviction on
+// failure, and a waiter never inherits a failure caused by its leader's own
+// deadline or disconnect) instantiated over []byte, one layer out from
+// nexus.ExtractionCache: where the extraction cache deduplicates the KG walk
+// across requests that share a dataset context, the report cache
+// deduplicates the *entire* pipeline (parse → extract → prune → MCIMR →
+// subgroups → JSON encoding) across requests that are equivalent after
+// canonicalization. What this package adds is the serving vocabulary — the
+// X-Nexus-Cache outcome strings, the report_cache_* counters, a TTL — and
+// versioning: SetVersion purges completed entries and keeps computations in
+// flight under the old version from being retained, so a dataset reload or
+// KG source change can invalidate atomically.
 //
 // Values are opaque []byte rather than decoded reports deliberately: a hit
 // returns the identical bytes the cold computation produced (pinned by
@@ -31,40 +25,28 @@
 package reportcache
 
 import (
-	"container/list"
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
 	"nexus/internal/obs"
+	"nexus/internal/sfcache"
 )
 
 // Outcome classifies one Get: who computed the bytes this caller received.
-type Outcome int
+// Its String form is the X-Nexus-Cache header value.
+type Outcome = sfcache.Outcome
 
 const (
 	// OutcomeMiss — this caller ran the computation (and, on success, filled
 	// the cache).
-	OutcomeMiss Outcome = iota
+	OutcomeMiss = sfcache.Miss
 	// OutcomeHit — a completed, unexpired entry was served.
-	OutcomeHit
+	OutcomeHit = sfcache.Hit
 	// OutcomeShared — the caller joined an in-flight computation started by
 	// another request and shared its result (single-flight).
-	OutcomeShared
+	OutcomeShared = sfcache.Shared
 )
-
-// String renders the outcome as the X-Nexus-Cache header value.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeHit:
-		return "hit"
-	case OutcomeShared:
-		return "shared"
-	default:
-		return "miss"
-	}
-}
 
 // Config configures a Cache. Zero fields select the documented defaults.
 type Config struct {
@@ -92,28 +74,13 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// entry is one cached (or in-flight) report. done is closed when data/err
-// are final; elem is non-nil once the entry is completed and on the LRU
-// list.
-type entry struct {
-	key     string
-	version string
-	done    chan struct{}
-	data    []byte
-	err     error
-	expires time.Time // zero when TTL is disabled
-	elem    *list.Element
-}
-
 // Cache is a versioned, bounded, single-flight report cache. Construct
 // with New; all methods are safe for concurrent use. A nil *Cache disables
 // caching: Get runs the computation directly and reports OutcomeMiss.
 type Cache struct {
-	cfg Config
+	c *sfcache.Cache[[]byte]
 
 	mu      sync.Mutex
-	entries map[string]*entry
-	lru     *list.List // completed entries, most recent at front
 	version string
 }
 
@@ -121,9 +88,15 @@ type Cache struct {
 func New(cfg Config) *Cache {
 	cfg.applyDefaults()
 	return &Cache{
-		cfg:     cfg,
-		entries: map[string]*entry{},
-		lru:     list.New(),
+		c: sfcache.New[[]byte](sfcache.Config{
+			MaxEntries: cfg.MaxEntries,
+			TTL:        cfg.TTL,
+			Counters:   cfg.Counters,
+			Hits:       obs.ReportCacheHits,
+			Misses:     obs.ReportCacheMisses,
+			Shared:     obs.ReportCacheShared,
+			Evictions:  obs.ReportCacheEvictions,
+		}),
 		version: cfg.Version,
 	}
 }
@@ -152,30 +125,17 @@ func (c *Cache) SetVersion(v string) {
 		return
 	}
 	c.version = v
-	c.purgeLocked()
+	c.c.Purge()
 }
 
 // Invalidate drops every completed entry without changing the version
-// (e.g. an operator flush). In-flight computations are unaffected.
+// (e.g. an operator flush after reloading contents at an identical shape).
+// Like a version bump it keeps computations already in flight — which may
+// have read the old contents — from being retained.
 func (c *Cache) Invalidate() {
-	if c == nil {
-		return
+	if c != nil {
+		c.c.Purge()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.purgeLocked()
-}
-
-// purgeLocked drops all completed entries. In-flight ones stay in the map
-// so their waiters still share one computation, but completion will not
-// retain them if the version moved on.
-func (c *Cache) purgeLocked() {
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		delete(c.entries, e.key)
-		c.cfg.Counters.Add(obs.ReportCacheEvictions, 1)
-	}
-	c.lru.Init()
 }
 
 // Len reports the number of completed entries (0 for a nil cache).
@@ -183,100 +143,25 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+	return c.c.Len()
 }
 
 // Get returns the cached bytes for key, running compute at most once per
-// key across concurrent callers. The Outcome reports whether this caller
-// computed (miss), found a completed entry (hit), or joined an in-flight
-// computation (shared).
+// key across concurrent callers; compute runs under the caller's ctx. The
+// Outcome reports whether this caller computed (miss), found a completed
+// entry (hit), or joined an in-flight computation (shared).
 //
 // A failed computation is evicted before its error returns — waiters that
-// already joined share the failure, but no later Get can observe it. A
-// waiter whose ctx ends while the computation is in flight unblocks with
-// ctx.Err() without cancelling the computation (other waiters may still
-// want the result).
+// already joined share the failure, but no later Get can observe it. The
+// exception is a failure returned after the leader's own ctx ended (its
+// deadline, its client's disconnect): a waiter whose ctx is still live does
+// not receive it but computes afresh, as a miss. A waiter whose ctx ends
+// while the computation is in flight unblocks with ctx.Err() without
+// cancelling the computation (other waiters may still want the result).
 func (c *Cache) Get(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, Outcome, error) {
 	if c == nil {
 		data, err := compute()
 		return data, OutcomeMiss, err
 	}
-
-	c.mu.Lock()
-	now := time.Now()
-	e, ok := c.entries[key]
-	if ok && e.elem != nil && !e.expires.IsZero() && now.After(e.expires) {
-		// Lazily expire: treat as absent and recompute under a fresh entry.
-		c.removeLocked(e)
-		c.cfg.Counters.Add(obs.ReportCacheEvictions, 1)
-		ok = false
-	}
-	if !ok {
-		e = &entry{key: key, version: c.version, done: make(chan struct{})}
-		c.entries[key] = e
-		c.mu.Unlock()
-		c.cfg.Counters.Add(obs.ReportCacheMisses, 1)
-
-		e.data, e.err = compute()
-		c.complete(e)
-		close(e.done)
-		return e.data, OutcomeMiss, e.err
-	}
-	completed := e.elem != nil
-	if completed {
-		c.lru.MoveToFront(e.elem)
-	}
-	c.mu.Unlock()
-
-	if completed {
-		c.cfg.Counters.Add(obs.ReportCacheHits, 1)
-		return e.data, OutcomeHit, e.err
-	}
-	c.cfg.Counters.Add(obs.ReportCacheShared, 1)
-	select {
-	case <-e.done:
-		return e.data, OutcomeShared, e.err
-	case <-ctx.Done():
-		return nil, OutcomeShared, fmt.Errorf("reportcache: waiting for in-flight report: %w", ctx.Err())
-	}
-}
-
-// complete finalizes a leader's entry: failures and version-skewed results
-// are evicted, successes join the LRU list (evicting the oldest completed
-// entries beyond MaxEntries).
-func (c *Cache) complete(e *entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// The entry may already have been removed by SetVersion/Invalidate; only
-	// act if it is still the live entry for its key.
-	live := c.entries[e.key] == e
-	if e.err != nil || e.version != c.version {
-		if live {
-			delete(c.entries, e.key)
-		}
-		return
-	}
-	if !live {
-		return
-	}
-	if c.cfg.TTL > 0 {
-		e.expires = time.Now().Add(c.cfg.TTL)
-	}
-	e.elem = c.lru.PushFront(e)
-	for c.lru.Len() > c.cfg.MaxEntries {
-		oldest := c.lru.Back().Value.(*entry)
-		c.removeLocked(oldest)
-		c.cfg.Counters.Add(obs.ReportCacheEvictions, 1)
-	}
-}
-
-// removeLocked unlinks a completed entry from both indexes.
-func (c *Cache) removeLocked(e *entry) {
-	delete(c.entries, e.key)
-	if e.elem != nil {
-		c.lru.Remove(e.elem)
-		e.elem = nil
-	}
+	return c.c.Get(ctx, key, compute)
 }

@@ -128,9 +128,6 @@ type jobStore struct {
 }
 
 func newJobStore(keep int) *jobStore {
-	if keep <= 0 {
-		keep = 1024
-	}
 	return &jobStore{m: map[string]*Job{}, keep: keep}
 }
 

@@ -64,7 +64,7 @@ func terminalJob(state JobState) *Job {
 	return &Job{ctx: ctx, cancel: func() {}, done: make(chan struct{}), state: state, enqueued: time.Now()}
 }
 
-// TestJobStoreEvictionKeepsRunning: when more jobs than KeepJobs are
+// TestJobStoreEvictionKeepsRunning: when more jobs than the store keeps are
 // retained, only terminal jobs are evicted (oldest first); running and
 // queued jobs survive even beyond the bound, and the order index stays
 // consistent with the map.

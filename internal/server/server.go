@@ -77,6 +77,16 @@ const (
 	CtrEncodeErrors = "encode_errors"
 )
 
+const (
+	// maxSubgroups caps the per-request subgroups k: Algorithm 2 ranks
+	// groups by size, and past the first twenty a request is asking for the
+	// small ones at the full cost of the lattice search.
+	maxSubgroups = 20
+	// keepJobs bounds the terminal jobs retained for GET /v1/jobs/{id}, so a
+	// long-running daemon does not grow with the requests it has served.
+	keepJobs = 1024
+)
+
 // StatusClientClosedRequest is the non-standard (nginx-convention) status
 // recorded when the client went away before the explanation finished.
 const StatusClientClosedRequest = 499
@@ -116,10 +126,6 @@ type Config struct {
 	// (default 5m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxSubgroups caps the per-request subgroups k (default 20).
-	MaxSubgroups int
-	// KeepJobs bounds retained terminal jobs (default 1024).
-	KeepJobs int
 	// Metrics receives the server counters. Sharing this set with the
 	// session's nexus.ExtractionCache makes cache traffic visible on
 	// /metrics too. Nil allocates a private set.
@@ -172,9 +178,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.MaxSubgroups <= 0 {
-		c.MaxSubgroups = 20
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry(c.Metrics)
@@ -231,7 +234,7 @@ func New(cfg Config) *Server {
 		cfg:         cfg,
 		metrics:     cfg.Metrics,
 		registry:    cfg.Registry,
-		jobs:        newJobStore(cfg.KeepJobs),
+		jobs:        newJobStore(keepJobs),
 		sched:       newTierQueue(limits),
 		cache:       cfg.ReportCache,
 		stages:      obs.NewStageSink(cfg.Registry),
@@ -515,8 +518,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", `"priority" must be "interactive" or "batch"`)
 		return
 	}
-	if req.Subgroups > s.cfg.MaxSubgroups {
-		req.Subgroups = s.cfg.MaxSubgroups
+	if req.Subgroups > maxSubgroups {
+		req.Subgroups = maxSubgroups
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -544,9 +547,15 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Synchronous jobs inherit the request context so a disconnected
-	// client cancels the work.
+	// client cancels the work. The same deadline-carrying context is the
+	// one the request waits under in the report cache, which is how the
+	// cache tells a leader that failed on its own deadline or disconnect
+	// from a leader whose failure its waiters should share (the job runs
+	// under a child, so finishing it does not end rctx).
+	rctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
 	runSync := func() (JobStatus, *httpError) {
-		jctx, cancel := context.WithTimeout(r.Context(), timeout)
+		jctx, cancel := context.WithCancel(rctx)
 		j := &Job{ctx: jctx, cancel: cancel, done: make(chan struct{}), state: JobQueued, req: req, tier: tier, enqueued: time.Now()}
 		if herr := s.enqueue(j, tier); herr != nil {
 			return JobStatus{}, herr
@@ -557,7 +566,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 	if s.cache != nil {
 		if key, err := s.cfg.Session.ReportKey(req.SQL, req.Subgroups, req.Tau); err == nil {
-			s.explainCached(w, r, key, runSync)
+			s.explainCached(rctx, w, key, runSync)
 			return
 		}
 		// Unparsable queries fall through: the pipeline reports them as
@@ -581,9 +590,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // (MarshalIndent plus the encoder's trailing newline), so a hit is
 // byte-identical to the miss that filled it. Failures — admission
 // refusals, pipeline errors, a waiter's own context ending — are never
-// stored (the cache evicts on error) and keep their HTTP classification.
-func (s *Server) explainCached(w http.ResponseWriter, r *http.Request, key string, runSync func() (JobStatus, *httpError)) {
-	data, outcome, err := s.cache.Get(r.Context(), key, func() ([]byte, error) {
+// stored (the cache evicts on error) and keep their HTTP classification;
+// a 408/499 earned by the leading request's own ctx is not shared with the
+// requests that joined it (they recompute, see sfcache).
+func (s *Server) explainCached(ctx context.Context, w http.ResponseWriter, key string, runSync func() (JobStatus, *httpError)) {
+	data, outcome, err := s.cache.Get(ctx, key, func() ([]byte, error) {
 		st, herr := runSync()
 		if herr != nil {
 			return nil, herr

@@ -7,9 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
+	"nexus"
+	"nexus/internal/kg"
 	"nexus/internal/obs"
 	"nexus/internal/reportcache"
 )
@@ -354,5 +357,81 @@ func TestAsyncBypassesCache(t *testing.T) {
 	}
 	if m := metrics.Get(obs.ReportCacheMisses); m != 0 {
 		t.Fatalf("async request touched the report cache (misses=%d)", m)
+	}
+}
+
+// gatedSource is a KG backend whose name resolution blocks until the test
+// opens the gate; entered is closed by the first call to reach it.
+type gatedSource struct {
+	kg.Source
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedSource) Resolve(ctx context.Context, values []string) ([]kg.Link, error) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	return g.Source.Resolve(ctx, values)
+}
+
+// TestJoinedRequestDoesNotInheritLeaderTimeout: request A (timeout_ms 1)
+// leads a report-cache computation and request B (default timeout) joins it.
+// A's 408 is A's alone — B must not be answered with it but recompute and
+// get its 200. The single worker is held by a gated job so that A is still
+// in flight, its deadline long gone, when B joins.
+func TestJoinedRequestDoesNotInheritLeaderTimeout(t *testing.T) {
+	world, ds := fixture(t)
+	gate := &gatedSource{Source: world.Graph, entered: make(chan struct{}), release: make(chan struct{})}
+	metrics := obs.NewCounters()
+	sess := nexus.NewSessionFromSource(gate, &nexus.Options{Hops: 1, ExtractCache: nexus.NewExtractionCache(metrics)})
+	sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
+	sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
+	srv := New(Config{Session: sess, Metrics: metrics, Workers: 1,
+		ReportCache: reportcache.New(reportcache.Config{Counters: metrics})})
+	srv.Start()
+	defer srv.shutdownWorkers(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	waitFor := func(counter string) {
+		for metrics.Get(counter) == 0 {
+			runtime.Gosched()
+		}
+	}
+
+	// An async job (it bypasses the report cache) takes the only worker and
+	// parks inside the gate.
+	if code, body := postExplain(t, ts.URL, ExplainRequest{SQL: "SELECT Year, avg(Pay) FROM Forbes GROUP BY Year", Async: true}); code != http.StatusAccepted {
+		t.Fatalf("blocker: status %d (%s)", code, body)
+	}
+	<-gate.entered
+
+	var wg sync.WaitGroup
+	var codeA, codeB int
+	var bodyA, bodyB []byte
+	var hdrB string
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		codeA, bodyA, _ = postExplainFull(t, ts.URL, ExplainRequest{SQL: testSQL, TimeoutMS: 1})
+	}()
+	waitFor(obs.ReportCacheMisses) // A leads, its job queued behind the blocker
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		codeB, bodyB, hdrB = postExplainFull(t, ts.URL, ExplainRequest{SQL: testSQL})
+	}()
+	waitFor(obs.ReportCacheShared) // B has joined A's computation
+	close(gate.release)
+	wg.Wait()
+
+	if codeA != http.StatusRequestTimeout || errKind(t, bodyA) != "timeout" {
+		t.Fatalf("A (timeout_ms 1): status %d (%s), want 408 timeout", codeA, bodyA)
+	}
+	if codeB != http.StatusOK {
+		t.Fatalf("B joined A and was answered with A's failure: status %d (%s)", codeB, bodyB)
+	}
+	if hdrB == "" {
+		t.Fatalf("B: no %s header", CacheHeader)
 	}
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, ignoring NaN values.
 // It returns NaN when no finite values are present.
@@ -73,69 +70,4 @@ func Pearson(x, y []float64) float64 {
 		return math.NaN()
 	}
 	return cov / math.Sqrt(vx*vy)
-}
-
-// Spearman returns Spearman's rank correlation of the pairwise complete
-// observations of x and y, with average ranks for ties.
-func Spearman(x, y []float64) float64 {
-	var xs, ys []float64
-	for i := 0; i < len(x) && i < len(y); i++ {
-		if !math.IsNaN(x[i]) && !math.IsNaN(y[i]) {
-			xs = append(xs, x[i])
-			ys = append(ys, y[i])
-		}
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the 1-based average ranks of xs (ties share the mean rank).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation; NaN values are ignored. Returns NaN on empty input.
-func Quantile(xs []float64, q float64) float64 {
-	clean := make([]float64, 0, len(xs))
-	for _, v := range xs {
-		if !math.IsNaN(v) {
-			clean = append(clean, v)
-		}
-	}
-	if len(clean) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(clean)
-	if q <= 0 {
-		return clean[0]
-	}
-	if q >= 1 {
-		return clean[len(clean)-1]
-	}
-	pos := q * float64(len(clean)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return clean[lo]
-	}
-	frac := pos - float64(lo)
-	return clean[lo]*(1-frac) + clean[hi]*frac
 }

@@ -64,31 +64,6 @@ func TestPearsonConstant(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Monotone nonlinear relation → Spearman 1, Pearson < 1.
-	x := []float64{1, 2, 3, 4, 5, 6}
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = math.Exp(v)
-	}
-	if s := Spearman(x, y); math.Abs(s-1) > 1e-12 {
-		t.Fatalf("Spearman = %v, want 1", s)
-	}
-	if p := Pearson(x, y); p >= 1-1e-9 {
-		t.Fatalf("Pearson = %v, expected < 1 for nonlinear relation", p)
-	}
-}
-
-func TestRanksWithTies(t *testing.T) {
-	ranks := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if math.Abs(ranks[i]-want[i]) > 1e-12 {
-			t.Fatalf("ranks = %v, want %v", ranks, want)
-		}
-	}
-}
-
 func TestMeanIgnoresNaN(t *testing.T) {
 	if m := Mean([]float64{1, math.NaN(), 3}); math.Abs(m-2) > 1e-12 {
 		t.Fatalf("Mean = %v, want 2", m)
@@ -105,24 +80,5 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 	if s := StdDev(xs); math.Abs(s-2) > 1e-12 {
 		t.Fatalf("StdDev = %v, want 2", s)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if v := Quantile(xs, c.q); math.Abs(v-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, v, c.want)
-		}
-	}
-	if v := Quantile(nil, 0.5); !math.IsNaN(v) {
-		t.Fatalf("Quantile(nil) = %v, want NaN", v)
-	}
-	// Interpolation between points.
-	if v := Quantile([]float64{0, 10}, 0.25); math.Abs(v-2.5) > 1e-12 {
-		t.Fatalf("Quantile interp = %v, want 2.5", v)
 	}
 }

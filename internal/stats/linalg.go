@@ -8,47 +8,6 @@ import (
 // ErrSingular is returned when a linear system is (numerically) singular.
 var ErrSingular = errors.New("stats: singular matrix")
 
-// solve solves A x = b in place using Gaussian elimination with partial
-// pivoting. A is row-major n×n, b has length n. A and b are clobbered.
-func solve(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		pivot := col
-		best := math.Abs(a[col][col])
-		for row := col + 1; row < n; row++ {
-			if v := math.Abs(a[row][col]); v > best {
-				best, pivot = v, row
-			}
-		}
-		if best < 1e-12 {
-			return nil, ErrSingular
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		inv := 1 / a[col][col]
-		for row := col + 1; row < n; row++ {
-			f := a[row][col] * inv
-			if f == 0 {
-				continue
-			}
-			for k := col; k < n; k++ {
-				a[row][k] -= f * a[col][k]
-			}
-			b[row] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for row := n - 1; row >= 0; row-- {
-		sum := b[row]
-		for k := row + 1; k < n; k++ {
-			sum -= a[row][k] * x[k]
-		}
-		x[row] = sum / a[row][row]
-	}
-	return x, nil
-}
-
 // invert returns the inverse of the n×n matrix a (a is not modified).
 func invert(a [][]float64) ([][]float64, error) {
 	n := len(a)

@@ -21,18 +21,6 @@ func PartialCorr(x, y []float64, controls ...[]float64) float64 {
 	return Pearson(rx, ry)
 }
 
-// PartialSpearman is PartialCorr on average ranks — the rank-based variant
-// (§2.2, Spearman's coefficient) that tolerates monotone nonlinearity.
-func PartialSpearman(x, y []float64, controls ...[]float64) float64 {
-	xr := ranksWithNaN(x)
-	yr := ranksWithNaN(y)
-	cr := make([][]float64, len(controls))
-	for i, c := range controls {
-		cr[i] = ranksWithNaN(c)
-	}
-	return PartialCorr(xr, yr, cr...)
-}
-
 // olsResiduals regresses v on the controls and returns per-row residuals
 // (NaN where any input was NaN).
 func olsResiduals(v []float64, controls [][]float64) ([]float64, bool) {
@@ -62,26 +50,4 @@ func olsResiduals(v []float64, controls [][]float64) ([]float64, bool) {
 		}
 	}
 	return out, true
-}
-
-// ranksWithNaN ranks the non-NaN entries (average ranks for ties) and keeps
-// NaN positions NaN.
-func ranksWithNaN(xs []float64) []float64 {
-	var clean []float64
-	var idx []int
-	for i, v := range xs {
-		if !math.IsNaN(v) {
-			clean = append(clean, v)
-			idx = append(idx, i)
-		}
-	}
-	r := Ranks(clean)
-	out := make([]float64, len(xs))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	for k, i := range idx {
-		out[i] = r[k]
-	}
-	return out
 }

@@ -92,28 +92,6 @@ func TestPartialCorrNaNRows(t *testing.T) {
 	}
 }
 
-func TestPartialSpearmanMonotoneConfounder(t *testing.T) {
-	// The confounder acts through a monotone nonlinearity; the linear
-	// partial correlation under-adjusts while the rank-based variant
-	// removes more of the dependence.
-	rng := NewRNG(6)
-	n := 5000
-	x := make([]float64, n)
-	y := make([]float64, n)
-	z := make([]float64, n)
-	for i := 0; i < n; i++ {
-		z[i] = rng.Norm()
-		g := math.Exp(z[i]) // monotone nonlinear channel
-		x[i] = g + 0.2*rng.Norm()
-		y[i] = g + 0.2*rng.Norm()
-	}
-	lin := math.Abs(PartialCorr(x, y, z))
-	rank := math.Abs(PartialSpearman(x, y, z))
-	if rank > lin+0.05 {
-		t.Fatalf("rank-based partial %.3f worse than linear %.3f on monotone confounding", rank, lin)
-	}
-}
-
 func TestPartialCorrDegenerateControls(t *testing.T) {
 	x, y, _ := confounded(7, 100)
 	constant := make([]float64, 100)

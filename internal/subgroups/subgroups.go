@@ -10,7 +10,7 @@
 // pool, while every traversal decision (pop order, expansion, result
 // insertion, stop conditions) is replayed on a single goroutine in exactly
 // the serial order. Output is therefore byte-identical at any Parallelism;
-// see TopUnexplainedCtx.
+// see TopUnexplained.
 package subgroups
 
 import (
@@ -155,16 +155,10 @@ const batchFactor = 4
 
 // TopUnexplained runs Algorithm 2: it returns the k largest context
 // refinements whose explanation score exceeds τ, together with search
-// statistics. It is TopUnexplainedCtx with a background context.
-func TopUnexplained(t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options) ([]Group, Stats, error) {
-	return TopUnexplainedCtx(context.Background(), t, o, explanation, attrs, opts)
-}
-
-// TopUnexplainedCtx is TopUnexplained honouring ctx: cancellation is checked
-// before every batch and between worker evaluations, so a deadline or an
-// abandoned request stops the search within one CMI evaluation per worker.
-// On cancellation the returned error wraps ctx.Err() and no worker
-// goroutines outlive the call.
+// statistics. Cancellation is checked before every batch and between worker
+// evaluations, so a deadline or an abandoned request stops the search within
+// one CMI evaluation per worker. On cancellation the returned error wraps
+// ctx.Err() and no worker goroutines outlive the call.
 //
 // The traversal is parallel but its output is byte-identical to the serial
 // one at any Options.Parallelism. The argument:
@@ -187,11 +181,11 @@ func TopUnexplained(t, o *bins.Encoded, explanation []*bins.Encoded, attrs []Ref
 //
 // Only scheduling-effort counters (subgroup_batches, groups_scored,
 // subgroup_rows_visited) vary with Parallelism; results and Stats do not.
-func TopUnexplainedCtx(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options) ([]Group, Stats, error) {
+func TopUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options) ([]Group, Stats, error) {
 	return topUnexplained(ctx, t, o, explanation, attrs, opts, nil)
 }
 
-// topUnexplained is TopUnexplainedCtx; consumed, when non-nil, observes every
+// topUnexplained is TopUnexplained; consumed, when non-nil, observes every
 // node the traversal consumes, in order (the cut-exactness test's probe).
 func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options, consumed func(Group)) ([]Group, Stats, error) {
 	if opts.K <= 0 {
@@ -230,7 +224,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 	defer sp.End()
 	// Publish the search's counting-kernel effort (dense/sparse passes, ID
 	// joins, partitions) as the delta of the kernel's process-wide counters
-	// over this call. The capture windows never nest: core.ExplainCtx (the
+	// over this call. The capture windows never nest: core.Explain (the
 	// only other capture site) and the subgroup search are sibling phases,
 	// so no pass is counted twice.
 	countBase := counting.Stats()

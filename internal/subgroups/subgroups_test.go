@@ -66,7 +66,7 @@ func buildData(tb testing.TB, n int, seed uint64) (t, o, z *bins.Encoded, attrs 
 
 func TestTopUnexplainedFindsEU(t *testing.T) {
 	te, oe, ze, attrs := buildData(t, 12000, 1)
-	groups, stats, err := TopUnexplained(te, oe, []*bins.Encoded{ze}, attrs, Options{K: 3, Tau: 0.2})
+	groups, stats, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs, Options{K: 3, Tau: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestTopUnexplainedFindsEU(t *testing.T) {
 
 func TestTopUnexplainedOrderedBySize(t *testing.T) {
 	te, oe, ze, attrs := buildData(t, 12000, 2)
-	groups, _, err := TopUnexplained(te, oe, []*bins.Encoded{ze}, attrs, Options{K: 5, Tau: 0.05})
+	groups, _, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs, Options{K: 5, Tau: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestTopUnexplainedOrderedBySize(t *testing.T) {
 
 func TestTopUnexplainedAncestorSuppression(t *testing.T) {
 	te, oe, ze, attrs := buildData(t, 12000, 3)
-	groups, _, err := TopUnexplained(te, oe, []*bins.Encoded{ze}, attrs, Options{K: 10, Tau: 0.2})
+	groups, _, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs, Options{K: 10, Tau: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestTopUnexplainedAncestorSuppression(t *testing.T) {
 func TestTopUnexplainedRespectsTau(t *testing.T) {
 	te, oe, ze, attrs := buildData(t, 12000, 4)
 	// τ above any group's score → nothing qualifies.
-	groups, _, err := TopUnexplained(te, oe, []*bins.Encoded{ze}, attrs, Options{K: 5, Tau: 100})
+	groups, _, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs, Options{K: 5, Tau: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTopUnexplainedPerfectExplanation(t *testing.T) {
 		e, _ := bins.Encode(table.NewStringColumn(name, vals), bins.DefaultOptions())
 		return e
 	}
-	groups, _, err := TopUnexplained(mk("T", tv), mk("O", ov), []*bins.Encoded{mk("Z", zv)},
+	groups, _, err := TopUnexplained(context.Background(), mk("T", tv), mk("O", ov), []*bins.Encoded{mk("Z", zv)},
 		[]RefinementAttr{{Name: "region", Enc: mk("r", region)}}, Options{K: 5, Tau: 0.1})
 	if err != nil {
 		t.Fatal(err)
@@ -156,11 +156,11 @@ func TestTopUnexplainedPerfectExplanation(t *testing.T) {
 
 func TestTopUnexplainedMinSize(t *testing.T) {
 	te, oe, ze, attrs := buildData(t, 12000, 6)
-	_, stats1, err := TopUnexplained(te, oe, []*bins.Encoded{ze}, attrs, Options{K: 3, Tau: 0.2, MinSize: 4000})
+	_, stats1, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs, Options{K: 3, Tau: 0.2, MinSize: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats2, err := TopUnexplained(te, oe, []*bins.Encoded{ze}, attrs, Options{K: 3, Tau: 0.2, MinSize: 10})
+	_, stats2, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs, Options{K: 3, Tau: 0.2, MinSize: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTopUnexplainedMinSize(t *testing.T) {
 func TestTopUnexplainedLengthMismatch(t *testing.T) {
 	te, oe, ze, _ := buildData(t, 1000, 7)
 	bad := RefinementAttr{Name: "short", Enc: &bins.Encoded{Name: "short", Card: 1, Codes: make([]int32, 10)}}
-	if _, _, err := TopUnexplained(te, oe, []*bins.Encoded{ze}, []RefinementAttr{bad}, Options{K: 1, Tau: 0.1}); err == nil {
+	if _, _, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, []RefinementAttr{bad}, Options{K: 1, Tau: 0.1}); err == nil {
 		t.Fatal("expected length-mismatch error")
 	}
 }
@@ -240,7 +240,7 @@ func TestTopUnexplainedDeterministic(t *testing.T) {
 	te, oe, expl, attrs := tieHeavyFixture(t)
 	var first string
 	for run := 0; run < 10; run++ {
-		groups, st, err := TopUnexplained(te, oe, expl, attrs, Options{K: 6, Tau: 0.05})
+		groups, st, err := TopUnexplained(context.Background(), te, oe, expl, attrs, Options{K: 6, Tau: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func TestTopUnexplainedParallelismInvariant(t *testing.T) {
 	te, oe, expl, attrs := tieHeavyFixture(t)
 	var want string
 	for _, p := range []int{1, 2, 4, 8} {
-		groups, st, err := TopUnexplained(te, oe, expl, attrs, Options{K: 6, Tau: 0.05, Parallelism: p})
+		groups, st, err := TopUnexplained(context.Background(), te, oe, expl, attrs, Options{K: 6, Tau: 0.05, Parallelism: p})
 		if err != nil {
 			t.Fatalf("Parallelism=%d: %v", p, err)
 		}
@@ -309,7 +309,7 @@ func TestTopUnexplainedCancellation(t *testing.T) {
 	t.Run("pre-cancelled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		groups, _, err := TopUnexplainedCtx(ctx, te, oe, expl, attrs, Options{K: 6, Tau: 0.05, Parallelism: 4})
+		groups, _, err := TopUnexplained(ctx, te, oe, expl, attrs, Options{K: 6, Tau: 0.05, Parallelism: 4})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -323,7 +323,7 @@ func TestTopUnexplainedCancellation(t *testing.T) {
 		// Let a few checkpoints pass so at least one batch is scored, then
 		// cancel; the traversal must notice at its next checkpoint.
 		ctx := &errAfterCtx{Context: context.Background(), after: 3}
-		_, st, err := TopUnexplainedCtx(ctx, te, oe, expl, attrs, Options{K: 6, Tau: 0.05, Parallelism: 4})
+		_, st, err := TopUnexplained(ctx, te, oe, expl, attrs, Options{K: 6, Tau: 0.05, Parallelism: 4})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -331,7 +331,7 @@ func TestTopUnexplainedCancellation(t *testing.T) {
 			t.Fatalf("cancellation did not stop the search early (explored %d)", st.Explored)
 		}
 		// goleak-style goroutine accounting: every scoring worker must have
-		// joined before TopUnexplainedCtx returned, so the count settles
+		// joined before TopUnexplained returned, so the count settles
 		// back to the baseline (polling tolerates unrelated runtime
 		// goroutines winding down).
 		deadline := time.Now().Add(5 * time.Second)
@@ -350,7 +350,7 @@ func TestTopUnexplainedCancellation(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		defer cancel()
 		<-ctx.Done()
-		_, _, err := TopUnexplainedCtx(ctx, te, oe, expl, attrs, Options{K: 6, Tau: 0.05, Parallelism: 4})
+		_, _, err := TopUnexplained(ctx, te, oe, expl, attrs, Options{K: 6, Tau: 0.05, Parallelism: 4})
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 		}
@@ -397,7 +397,7 @@ func TestTopUnexplainedWideRefinementAttr(t *testing.T) {
 
 	var want string
 	for _, p := range []int{1, 4} {
-		groups, st, err := TopUnexplained(te, oe, []*bins.Encoded{ze}, attrs,
+		groups, st, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs,
 			Options{K: 4, Tau: 0.01, MinSize: 50, Parallelism: p})
 		if err != nil {
 			t.Fatalf("Parallelism=%d: %v", p, err)
@@ -424,7 +424,7 @@ func TestTopUnexplainedWideRefinementAttr(t *testing.T) {
 // covering every view row is an error, not a crash.
 func TestTopUnexplainedShortWeights(t *testing.T) {
 	te, oe, ze, attrs := buildData(t, 1000, 8)
-	_, _, err := TopUnexplained(te, oe, []*bins.Encoded{ze}, attrs,
+	_, _, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs,
 		Options{K: 3, Tau: 0.2, Weights: make([]float64, 10)})
 	if err == nil || !strings.Contains(err.Error(), "weights") {
 		t.Fatalf("err = %v, want weights-length error", err)

@@ -4,7 +4,7 @@ package subgroups
 // pre-change traversal kept serial: every refinement of an expanded node is
 // materialised (one map partition per attribute) and pushed, whatever the
 // budget, and every consumed node is scored by the masked full-table pass.
-// TopUnexplainedCtx — size histograms, lazy carving, row-list scoring and the
+// TopUnexplained — size histograms, lazy carving, row-list scoring and the
 // reachability cut — must consume the same nodes with the same score bits
 // and return the same results; only Pushed may differ, downwards.
 
@@ -245,7 +245,7 @@ func TestTopUnexplainedSparseDomain(t *testing.T) {
 		}
 	}
 	counters := obs.NewCounters()
-	groups, _, err := TopUnexplained(te, oe, []*bins.Encoded{ee}, []RefinementAttr{{Name: "region", Enc: region}},
+	groups, _, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ee}, []RefinementAttr{{Name: "region", Enc: region}},
 		Options{K: 1, Tau: 0.2, Counters: counters})
 	if err != nil {
 		t.Fatal(err)

@@ -34,9 +34,6 @@ func (b *Bitmap) Len() int { return b.n }
 // Set sets bit i.
 func (b *Bitmap) Set(i int) { b.bits[i>>6] |= 1 << (uint(i) & 63) }
 
-// Clear clears bit i.
-func (b *Bitmap) Clear(i int) { b.bits[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool { return b.bits[i>>6]&(1<<(uint(i)&63)) != 0 }
 

@@ -19,10 +19,6 @@ func TestBitmapBasics(t *testing.T) {
 	if b.Count() != 3 {
 		t.Fatalf("count = %d, want 3", b.Count())
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 2 {
-		t.Fatal("Clear failed")
-	}
 }
 
 func TestBitmapSetAll(t *testing.T) {

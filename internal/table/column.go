@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Type identifies the storage type of a column.
@@ -211,17 +210,6 @@ func (c *Column) AppendString(v string) {
 		c.dictIdx[v] = code
 	}
 	c.codes = append(c.codes, code)
-}
-
-// appendStringCloned is AppendString for values that may alias a transient
-// input buffer (a csv.Reader record line): the value is copied only when it
-// introduces a new dictionary entry, so retained dictionary strings never
-// pin their source records.
-func (c *Column) appendStringCloned(v string) {
-	if _, ok := c.dictIdx[v]; !ok {
-		v = strings.Clone(v)
-	}
-	c.AppendString(v)
 }
 
 // AppendBool appends a bool value; panics if the column is not Bool.

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -117,5 +118,62 @@ func TestDistinctCountNumeric(t *testing.T) {
 	ic := NewIntColumn("i", []int64{5, 5, 6})
 	if d := ic.DistinctCount(); d != 2 {
 		t.Fatalf("distinct int = %d", d)
+	}
+}
+
+func TestAdoptingColumnConstructors(t *testing.T) {
+	valid := NewBitmap(0)
+	for _, v := range []bool{true, false, true} {
+		valid.Append(v)
+	}
+	fc, err := NewFloatColumnWithValid("f", []float64{1, 99, 3}, valid.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewFloatColumn("f", nil)
+	ref.AppendFloat(1)
+	ref.AppendNull()
+	ref.AppendFloat(3)
+	for i := 0; i < 3; i++ {
+		if fc.IsNull(i) != ref.IsNull(i) || fc.StringAt(i) != ref.StringAt(i) {
+			t.Fatalf("float row %d: (%v,%q) want (%v,%q)", i, fc.IsNull(i), fc.StringAt(i), ref.IsNull(i), ref.StringAt(i))
+		}
+	}
+
+	sc, err := NewStringColumnFromCodes("s", []int32{1, 7, 0}, []string{"a", "b"}, valid.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(sc.Strings()); got != fmt.Sprint([]string{"b", "", "a"}) {
+		t.Fatalf("string values = %s", got)
+	}
+	if sc.Code(1) != -1 {
+		t.Fatalf("null code = %d, want -1 (normalized)", sc.Code(1))
+	}
+	// Appending to an adopted column must keep interning against its dict.
+	sc.AppendString("b")
+	if sc.Code(3) != 1 {
+		t.Fatalf("appended code = %d, want 1", sc.Code(3))
+	}
+
+	if _, err := NewStringColumnFromCodes("s", []int32{2, 0, 0}, []string{"a", "b"}, valid.Clone()); err == nil {
+		t.Fatal("out-of-range code on a valid row must error")
+	}
+	if _, err := NewStringColumnFromCodes("s", []int32{0, 0, 0}, []string{"a", "a"}, valid.Clone()); err == nil {
+		t.Fatal("duplicate dictionary entries must error")
+	}
+	if _, err := NewFloatColumnWithValid("f", []float64{1}, valid.Clone()); err == nil {
+		t.Fatal("length mismatch must error")
+	}
+
+	bc, err := NewBoolColumnWithValid("b", []bool{true, true, false}, valid.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bc.IsNull(1) {
+		t.Fatal("row 1 should be null")
+	}
+	if v, ok := bc.BoolAt(0); !ok || !v {
+		t.Fatal("row 0 should be true")
 	}
 }

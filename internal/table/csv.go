@@ -1,307 +1,15 @@
 package table
 
-import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"math"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
-// WriteCSV serializes the table as CSV with a header row. Nulls serialize as
-// empty fields.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.ColumnNames()); err != nil {
-		return err
-	}
-	rec := make([]string, t.NumCols())
-	for i, n := 0, t.NumRows(); i < n; i++ {
-		for j, c := range t.cols {
-			if c.IsNull(i) {
-				rec[j] = ""
-			} else {
-				rec[j] = c.StringAt(i)
-			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// CSVSampleRows is the default type-inference sample size for the streaming
-// CSV readers: ReadCSV buffers at most this many raw records before deciding
-// column types, then streams the remainder in a single pass.
-const CSVSampleRows = 1 << 16
-
-// ReadCSV parses a CSV stream with a header row into a table, inferring
-// column types: a column where every non-empty field parses as a number
-// becomes Float; every non-empty field "true"/"false" becomes Bool;
-// otherwise String. Empty fields are nulls, as are non-finite numerics
-// (NaN/Inf spellings), which would otherwise poison the entropy and CMI
-// estimators downstream.
-//
-// Parsing is single-pass and streaming: types are inferred over a bounded
-// sample of CSVSampleRows records and later rows that contradict the sampled
-// type demote the column to String (promote-and-backfill). Inputs that fit
-// inside the sample produce byte-identical tables to ReadCSVOracle; past the
-// sample, backfilled numeric values are re-rendered in the canonical
-// strconv.FormatFloat 'g' form rather than their original spelling.
-func ReadCSV(r io.Reader) (*Table, error) {
-	return ReadCSVSampled(r, CSVSampleRows)
-}
-
-// ReadCSVSampled is ReadCSV with an explicit inference sample size
-// (sampleRows <= 0 selects CSVSampleRows).
-func ReadCSVSampled(r io.Reader, sampleRows int) (*Table, error) {
-	if sampleRows <= 0 {
-		sampleRows = CSVSampleRows
-	}
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("table: empty CSV input")
-	}
-	if err != nil {
-		return nil, err
-	}
-	names := append([]string(nil), header...)
-
-	// Phase 1: buffer up to sampleRows raw records and infer column types
-	// exactly as the full-materialization oracle would over that prefix. The
-	// sample is retained until the end so in-sample demotions backfill from
-	// the original field bytes.
-	sample := make([][]string, 0, min(sampleRows, 1024))
-	for len(sample) < sampleRows {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		sample = append(sample, append([]string(nil), rec...))
-	}
-	cols := make([]*csvCol, len(names))
-	for j, name := range names {
-		cols[j] = &csvCol{name: name, j: j, sample: sample}
-		if typ, any := InferCSVType(sample, j); any {
-			cols[j].decide(typ)
-		}
-	}
-	for _, rec := range sample {
-		for _, b := range cols {
-			b.append(csvField(rec, b.j))
-		}
-	}
-
-	// Phase 2: stream the remaining records, promoting on conflict.
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range cols {
-			b.append(csvField(rec, b.j))
-		}
-	}
-
-	t := New()
-	for _, b := range cols {
-		if err := t.AddColumn(b.finish()); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// csvCol builds one column of a streaming CSV read. Until the first
-// non-empty field is seen the column type is undecided and only a null count
-// is tracked; a later field that contradicts the decided type demotes the
-// column to String, backfilling earlier values (losslessly inside the
-// retained sample, canonically formatted past it).
-type csvCol struct {
-	name    string
-	j       int
-	sample  [][]string
-	decided bool
-	col     *Column
-	nulls   int // nulls seen while undecided
-	// nonFinite remembers the original spelling of numeric fields stored as
-	// nulls (NaN/Inf), so a later demotion to String restores them.
-	nonFinite map[int]string
-}
-
-func csvField(rec []string, j int) string {
-	if j < len(rec) {
-		return rec[j]
-	}
-	return ""
-}
-
-func (b *csvCol) decide(typ Type) {
-	b.decided = true
-	b.col = NewColumn(b.name, typ)
-	for i := 0; i < b.nulls; i++ {
-		b.col.AppendNull()
-	}
-}
-
-func (b *csvCol) append(field string) {
-	if field == "" {
-		if b.decided {
-			b.col.AppendNull()
-		} else {
-			b.nulls++
-		}
-		return
-	}
-	if !b.decided {
-		b.decide(classifyCSVField(field))
-	}
-	switch b.col.Typ {
-	case Float:
-		v, err := strconv.ParseFloat(field, 64)
-		switch {
-		case err != nil:
-			b.demote()
-			b.col.appendStringCloned(field)
-		case math.IsNaN(v) || math.IsInf(v, 0):
-			b.col.AppendNull()
-			if b.nonFinite == nil {
-				b.nonFinite = make(map[int]string)
-			}
-			b.nonFinite[b.col.Len()-1] = strings.Clone(field)
-		default:
-			b.col.AppendFloat(v)
-		}
-	case Bool:
-		if field != "true" && field != "false" {
-			b.demote()
-			b.col.appendStringCloned(field)
-			return
-		}
-		b.col.AppendBool(field == "true")
-	default:
-		b.col.appendStringCloned(field)
-	}
-}
-
-// demote rebuilds the column as String: rows inside the retained sample are
-// replayed from their raw fields, rows past it from the typed storage (with
-// non-finite spellings restored from the sidecar).
-func (b *csvCol) demote() {
-	old := b.col
-	ns := NewColumn(b.name, String)
-	for i := 0; i < old.Len(); i++ {
-		if i < len(b.sample) {
-			if f := csvField(b.sample[i], b.j); f == "" {
-				ns.AppendNull()
-			} else {
-				ns.appendStringCloned(f)
-			}
-			continue
-		}
-		if orig, ok := b.nonFinite[i]; ok {
-			ns.AppendString(orig)
-			continue
-		}
-		if old.IsNull(i) {
-			ns.AppendNull()
-		} else {
-			ns.AppendString(old.StringAt(i))
-		}
-	}
-	b.col = ns
-	b.nonFinite = nil
-}
-
-func (b *csvCol) finish() *Column {
-	if !b.decided {
-		// Every field was empty: an all-null String column, matching the
-		// oracle's !any verdict.
-		b.decide(String)
-	}
-	return b.col
-}
-
-// classifyCSVField is the single-field type verdict used when the first
-// non-empty value of a column arrives after the inference sample. Precedence
-// matches InferCSVType: numeric (including non-finite spellings) over bool
-// over string.
-func classifyCSVField(field string) Type {
-	if _, err := strconv.ParseFloat(field, 64); err == nil {
-		return Float
-	}
-	if field == "true" || field == "false" {
-		return Bool
-	}
-	return String
-}
-
-// ReadCSVOracle parses a CSV stream by materializing every record and
-// scanning each column twice — the original ReadCSV implementation, kept as
-// the differential oracle for the streaming reader and for
-// colstore-vs-in-memory tests. Semantics match ReadCSV on inputs that fit in
-// the inference sample, including the non-finite-numerics-as-nulls rule.
-func ReadCSVOracle(r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("table: empty CSV input")
-	}
-	header := records[0]
-	rows := records[1:]
-
-	t := New()
-	for j, name := range header {
-		typ, _ := InferCSVType(rows, j)
-		col := NewColumn(name, typ)
-		for _, rec := range rows {
-			field := csvField(rec, j)
-			if field == "" {
-				col.AppendNull()
-				continue
-			}
-			switch typ {
-			case Float:
-				v, err := strconv.ParseFloat(field, 64)
-				if err != nil {
-					return nil, fmt.Errorf("table: column %q row value %q: %v", name, field, err)
-				}
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					col.AppendNull()
-					continue
-				}
-				col.AppendFloat(v)
-			case Bool:
-				col.AppendBool(field == "true")
-			default:
-				col.AppendString(field)
-			}
-		}
-		if err := t.AddColumn(col); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// InferCSVType reports the CSV type-inference verdict for column j over the
-// given raw records, and whether any non-empty field was seen at all (when
-// none was, the String verdict is provisional: a streaming reader keeps the
-// column undecided until a value arrives).
+// InferCSVType is the CSV type-inference rule of the ingester
+// (colstore.FromCSV): it reports the verdict for column j over the given raw
+// records — a column where every non-empty field parses as a number is Float
+// (non-finite spellings included; the ingester stores those as nulls), every
+// non-empty field "true"/"false" is Bool, anything else String — and whether
+// any non-empty field was seen at all (when none was, the String verdict is
+// provisional: the ingester keeps the column undecided until a value
+// arrives).
 func InferCSVType(rows [][]string, j int) (typ Type, any bool) {
 	allNum, allBool := true, true
 	for _, rec := range rows {

@@ -1,11 +1,6 @@
 package table
 
-import (
-	"bytes"
-	"math"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestInnerJoin(t *testing.T) {
 	left := MustFromColumns(
@@ -113,62 +108,5 @@ func TestJoinUnknownKeys(t *testing.T) {
 	}
 	if _, err := tbl.Join(tbl, "k", "zz", InnerJoin); err == nil {
 		t.Fatal("expected unknown right key error")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tbl := MustFromColumns(
-		NewStringColumn("name", []string{"alice", "", "carol"}),
-		NewFloatColumn("score", []float64{1.5, 2, math.NaN()}),
-		NewBoolColumn("active", []bool{true, false, true}),
-	)
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumRows() != 3 || back.NumCols() != 3 {
-		t.Fatalf("shape = %d×%d", back.NumRows(), back.NumCols())
-	}
-	if back.MustColumn("score").Typ != Float {
-		t.Fatalf("score type = %v", back.MustColumn("score").Typ)
-	}
-	if back.MustColumn("active").Typ != Bool {
-		t.Fatalf("active type = %v", back.MustColumn("active").Typ)
-	}
-	if !back.MustColumn("name").IsNull(1) || !back.MustColumn("score").IsNull(2) {
-		t.Fatal("nulls lost in round trip")
-	}
-	if back.MustColumn("score").Float(0) != 1.5 {
-		t.Fatal("value lost in round trip")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Fatal("expected error on empty input")
-	}
-}
-
-func TestReadCSVTypeInference(t *testing.T) {
-	in := "a,b,c\n1,x,true\n2,y,false\n,z,\n"
-	tbl, err := ReadCSV(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.MustColumn("a").Typ != Float {
-		t.Fatal("a should infer Float")
-	}
-	if tbl.MustColumn("b").Typ != String {
-		t.Fatal("b should infer String")
-	}
-	if tbl.MustColumn("c").Typ != Bool {
-		t.Fatal("c should infer Bool")
-	}
-	if !tbl.MustColumn("a").IsNull(2) {
-		t.Fatal("empty numeric should be null")
 	}
 }

@@ -111,9 +111,9 @@ func (g *flightsGen) next() flightsRow {
 
 // FlightsCSV streams the Flights dataset as CSV text (header first) without
 // ever materializing the table: resident memory is one record regardless of
-// the row count. Numeric fields use the canonical strconv 'g' form, exactly
-// what table.Table.WriteCSV emits, so for equal (World, Config) the output
-// is byte-identical to generating the table and serializing it.
+// the row count. Numeric fields use the canonical strconv 'g' form, which
+// parses back to the same float, so for equal (World, Config) ingesting the
+// output yields exactly the table Flights generates.
 func FlightsCSV(w *kg.World, cfg Config, out io.Writer) error {
 	g, n := newFlightsGen(w, cfg)
 	cw := csv.NewWriter(out)

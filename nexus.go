@@ -34,8 +34,6 @@ type Options struct {
 	// equal-frequency bin count from the analysis-view size (4 for tiny
 	// views, 6 medium, 8 large); set it explicitly to pin the granularity.
 	Bins bins.Options
-	// AutoBins forces adaptive bin selection even when Bins.Bins is set.
-	AutoBins bool
 	// Core controls pruning and MCIMR (default core.DefaultOptions).
 	Core core.Options
 	// Hops is the KG extraction depth (default 1; §5.4 evaluates 2).
@@ -45,12 +43,6 @@ type Options struct {
 	// DisableIPW turns off selection-bias detection and weighting
 	// (complete-case analysis everywhere).
 	DisableIPW bool
-	// BiasThreshold is the normalized-CMI threshold of the selection-bias
-	// detector (default missing.DefaultThreshold).
-	BiasThreshold float64
-	// MaxRefinementCard bounds the cardinality of attributes used as
-	// subgroup refinement dimensions (default 20).
-	MaxRefinementCard int
 	// Trace, when non-nil, receives hierarchical spans and counters from
 	// every phase of the pipeline — parse/execute, NED, KG extraction,
 	// selection-bias detection + IPW, pruning, MCIMR iterations,
@@ -98,9 +90,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Hops == 0 {
 		o.Hops = 1
-	}
-	if o.MaxRefinementCard == 0 {
-		o.MaxRefinementCard = 20
 	}
 }
 
