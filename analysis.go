@@ -10,6 +10,7 @@ import (
 
 	"nexus/internal/bins"
 	"nexus/internal/core"
+	"nexus/internal/counting"
 	"nexus/internal/extract"
 	"nexus/internal/infotheory"
 	"nexus/internal/missing"
@@ -61,9 +62,6 @@ type slotOutcome struct {
 	meanOnce sync.Once
 	meanO    []float64     // mean outcome per slot, NaN where no row has one
 	meanOEnc *bins.Encoded // meanO discretized; nil when it does not encode
-
-	contOnce sync.Once
-	oSlot    [][]float64 // [oCode][slot] counts over rows with both present
 }
 
 func (a *Analysis) slotOutcomeOf(linkColumn string) *slotOutcome {
@@ -241,14 +239,19 @@ func (s *Session) linkColumnsIn(tableName string, view *table.Table) []string {
 	return out
 }
 
-// kgCandidate wraps an extracted attribute as a core.Candidate with lazy
-// encoding and lazy IPW weights (selection-bias detection + logistic
-// propensity fit at entity level, broadcast to rows).
+// kgCandidate wraps an extracted attribute as a core.Candidate in entity
+// form: the slot-level encoding, the link column's shared row→slot map and
+// lazy per-slot IPW weights (selection-bias detection + logistic propensity
+// fit at entity level). Enc and Weights broadcast those to rows, lazily and
+// once; the prunes work from the entity form, so most candidates never are.
 func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candidate {
+	slots := attr.RowSlots()
+	entEnc := func() (*bins.Encoded, error) { return attr.EntityEncode(a.binOpts) }
 	c := &core.Candidate{
 		Name:   attr.Name,
 		Origin: core.OriginKG,
 		Hops:   attr.Hops,
+		Entity: &core.Entity{Slots: slots, Enc: entEnc},
 	}
 	// Entity-level uniqueness statistics drive the high-entropy prune, but
 	// only for categorical attributes: a continuous numeric attribute is
@@ -259,8 +262,8 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candid
 		c.EntityCard = attr.Col.DistinctCount()
 		c.EntityComplete = attr.Col.Len() - attr.Col.NullCount()
 	}
-	// Row-level encoding cache: pruning, MCIMR and the final ranking all
-	// re-request the encoding; repeat calls are counted as cache hits.
+	// Row-level encoding cache: MCIMR, the final ranking and the subgroup
+	// search all re-request the encoding; repeats count as cache hits.
 	var encOnce sync.Once
 	var encCached *bins.Encoded
 	var encErr error
@@ -268,6 +271,7 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candid
 		hit := true
 		encOnce.Do(func() {
 			hit = false
+			a.metrics.Add(obs.KGRowEncodings, 1)
 			encCached, encErr = attr.Encode(a.binOpts)
 		})
 		if hit {
@@ -282,12 +286,11 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candid
 	// This is the null model of the responsibility test for extracted
 	// attributes.
 	c.Permute = func(rng *stats.RNG) (*bins.Encoded, error) {
-		ent, err := attr.EntityEncode(a.binOpts)
+		ent, err := entEnc()
 		if err != nil {
 			return nil, err
 		}
 		codes := core.ShuffleObserved(ent, rng).Codes
-		slots := attr.RowSlots()
 		out := &bins.Encoded{Name: attr.Name, Card: ent.Card, Labels: ent.Labels, Codes: make([]int32, len(slots))}
 		for i, sl := range slots {
 			if sl < 0 {
@@ -299,111 +302,38 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candid
 		return out, nil
 	}
 
-	// Fast marginal permutation test via an outcome×slot contingency
-	// table: permuting an attribute at entity granularity only regroups
-	// slot columns, so each permuted statistic costs O(#slots · |O|)
-	// instead of O(#rows).
-	shared := a.slotOutcomeOf(attr.LinkColumn)
-	c.FastMarginalPerm = func(o *bins.Encoded, b, allow int, seed uint64) (bool, bool) {
-		ent, err := attr.EntityEncode(a.binOpts)
-		if err != nil || ent.Card == 0 {
-			return false, false
-		}
-		shared.contOnce.Do(func() {
-			shared.oSlot = make([][]float64, o.Card)
-			for i := range shared.oSlot {
-				shared.oSlot[i] = make([]float64, attr.Col.Len())
-			}
-			for i, sl := range attr.RowSlots() {
-				oc := o.Codes[i]
-				if sl < 0 || oc == bins.Missing {
-					continue
-				}
-				shared.oSlot[oc][sl]++
-			}
-		})
-		oSlot := shared.oSlot
-		a.metrics.Add(obs.CITests, 1)
-		observed := slotMI(oSlot, ent.Codes, ent.Card)
-		if observed <= 0 {
-			return false, true
-		}
-		exceed := 0
-		rng := stats.NewRNG(seed*0x9e3779b9 + core.HashName(attr.Name))
-		ran := 0
-		for t := 0; t < b; t++ {
-			ran++
-			if slotMI(oSlot, core.ShuffleObserved(ent, rng).Codes, ent.Card) >= observed {
-				exceed++
-				if exceed > allow {
-					break
-				}
-			}
-		}
-		a.metrics.Add(obs.PermutationsRun, int64(ran))
-		return exceed <= allow, true
-	}
-
 	if s.opts.DisableIPW {
 		return c
 	}
-	var once sync.Once
-	var weights []float64
-	c.Weights = func(enc *bins.Encoded) []float64 {
-		once.Do(func() { weights = s.ipwWeights(a, attr, shared) })
-		return weights
+	shared := a.slotOutcomeOf(attr.LinkColumn)
+	var slotOnce, rowOnce sync.Once
+	var slotW, rowW []float64
+	c.Entity.Weights = func() []float64 {
+		slotOnce.Do(func() { slotW = s.ipwWeights(a, attr, shared) })
+		return slotW
+	}
+	c.Weights = func(*bins.Encoded) []float64 {
+		rowOnce.Do(func() {
+			sw := c.Entity.Weights()
+			if sw == nil {
+				return
+			}
+			rowW = make([]float64, len(slots))
+			for i, sl := range slots {
+				if sl >= 0 {
+					rowW[i] = sw[sl]
+				}
+			}
+		})
+		return rowW
 	}
 	return c
 }
 
-// slotMI computes I(O; E) where E assigns entity slots to codes, from a
-// precomputed outcome×slot contingency table.
-func slotMI(oSlot [][]float64, slotCodes []int32, card int) float64 {
-	cardO := len(oSlot)
-	joint := make([]float64, cardO*card)
-	eTot := make([]float64, card)
-	oTot := make([]float64, cardO)
-	total := 0.0
-	for oc := 0; oc < cardO; oc++ {
-		row := oSlot[oc]
-		for sl, cnt := range row {
-			if cnt == 0 {
-				continue
-			}
-			ec := slotCodes[sl]
-			if ec == bins.Missing {
-				continue
-			}
-			joint[oc*card+int(ec)] += cnt
-			eTot[ec] += cnt
-			oTot[oc] += cnt
-			total += cnt
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	mi := 0.0
-	for oc := 0; oc < cardO; oc++ {
-		for ec := 0; ec < card; ec++ {
-			pj := joint[oc*card+ec]
-			if pj <= 0 {
-				continue
-			}
-			mi += pj / total * math.Log2(total*pj/(oTot[oc]*eTot[ec]))
-		}
-	}
-	if mi < 0 {
-		mi = 0
-	}
-	return mi
-}
-
 // ipwWeights detects selection bias for one extracted attribute and, when
-// found, returns row-level IPW weights (nil otherwise). Missingness of an
-// extracted attribute is an entity-level event, so both the detection and
-// the propensity model run at entity (slot) level and are broadcast through
-// the row→slot mapping.
+// found, returns its IPW weights, one per entity slot (nil otherwise).
+// Missingness of an extracted attribute is an entity-level event, so both the
+// detection and the propensity model run at entity (slot) level.
 func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute, shared *slotOutcome) []float64 {
 	slots := attr.RowSlots()
 	nSlots := attr.Col.Len()
@@ -447,14 +377,7 @@ func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute, shared *slotO
 	}
 	a.metrics.Add(obs.BiasedAttrs, 1)
 	a.metrics.Add(obs.IPWFits, 1)
-	slotW := missing.Weights(entEnc, shared.meanO)
-	w := make([]float64, len(slots))
-	for i, sl := range slots {
-		if sl >= 0 {
-			w[i] = slotW[sl]
-		}
-	}
-	return w
+	return missing.Weights(entEnc, shared.meanO)
 }
 
 // NumBiased returns the number of KG attributes flagged with selection bias
@@ -670,7 +593,9 @@ func (r *Report) explanationEncodings() ([]*bins.Encoded, error) {
 
 // refinementAttrs picks the categorical dimensions for subgroup discovery:
 // input columns first, then low-cardinality KG attributes, capped for
-// tractability.
+// tractability. A KG attribute is judged at entity level (every rule is an
+// integer function of slot codes × rows per slot) and broadcast to rows,
+// through its candidate's memoised Enc, only when picked.
 func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 	const maxAttrs = 24
 	var out []subgroups.RefinementAttr
@@ -686,7 +611,7 @@ func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if a.refinementEligible(e) {
+		if refinementEligible(rowsPerCode(e, nil), len(e.Codes), 1) {
 			out = append(out, subgroups.RefinementAttr{Name: col.Name, Enc: e})
 			if len(out) >= maxAttrs {
 				return out, nil
@@ -694,21 +619,30 @@ func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 		}
 	}
 	if a.Extraction != nil {
-		names := append([]string(nil), a.Extraction.Names()...)
-		sort.Strings(names)
-		for _, name := range names {
-			attr := a.Extraction.Attr(name)
+		attrs := append([]*extract.Attribute(nil), a.Extraction.Attrs...)
+		sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
+		rowsPerSlot := map[string][]int32{} // per link column
+		for _, attr := range attrs {
 			if attr.Col.Typ != table.String {
 				continue
 			}
-			e, err := attr.Encode(a.binOpts)
+			ent, err := attr.EntityEncode(a.binOpts)
 			if err != nil {
 				return nil, err
 			}
-			if e.MissingFraction() > 0.5 || !a.refinementEligible(e) {
+			rows, ok := rowsPerSlot[attr.LinkColumn]
+			if !ok {
+				rows = counting.RowsPerSlot(attr.RowSlots())
+				rowsPerSlot[attr.LinkColumn] = rows
+			}
+			if !refinementEligible(rowsPerCode(ent, rows), len(attr.RowSlots()), 0.5) {
 				continue
 			}
-			out = append(out, subgroups.RefinementAttr{Name: name, Enc: e})
+			e, err := a.byName[attr.Name].Enc()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, subgroups.RefinementAttr{Name: attr.Name, Enc: e})
 			if len(out) >= maxAttrs {
 				break
 			}
@@ -717,36 +651,51 @@ func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 	return out, nil
 }
 
+// rowsPerCode counts the rows under each code of e. Position i of e stands
+// for rows[i] rows — e is slot-level and rows the link column's rows per
+// slot — or, when rows is nil, for one row.
+func rowsPerCode(e *bins.Encoded, rows []int32) []int {
+	counts := make([]int, e.Card)
+	if rows == nil {
+		for _, c := range e.Codes {
+			if c != bins.Missing {
+				counts[c]++
+			}
+		}
+		return counts
+	}
+	for s, k := range rows {
+		if c := e.Codes[s]; c != bins.Missing {
+			counts[c] += int(k)
+		}
+	}
+	return counts
+}
+
 // maxRefinementCard is the cardinality up to which a categorical attribute
 // is a subgroup refinement dimension outright: Algorithm 2 reports the
 // *largest* unexplained groups, and past ~20 values an attribute's groups are
 // small unless one value dominates (the second rule of refinementEligible).
 const maxRefinementCard = 20
 
-// refinementEligible admits a categorical attribute as a subgroup dimension
-// when it is either low-cardinality or has at least one value covering ≥5%
-// of the rows (so high-cardinality attributes with a dominant shared value,
-// like Currency == Euro, still produce large groups).
-func (a *Analysis) refinementEligible(e *bins.Encoded) bool {
-	if e.Card < 2 || e.Card > 256 {
+// refinementEligible admits a categorical attribute, given its rows per
+// value, as a subgroup dimension when it is either low-cardinality or has at
+// least one value covering ≥5% of the n rows (so high-cardinality attributes
+// with a dominant shared value, like Currency == Euro, still produce large
+// groups), and at most maxMissing of the rows lack a value.
+func refinementEligible(counts []int, n int, maxMissing float64) bool {
+	if len(counts) < 2 || len(counts) > 256 {
 		return false
 	}
-	if e.Card <= maxRefinementCard {
-		return true
-	}
-	counts := make([]int, e.Card)
-	for _, c := range e.Codes {
-		if c != bins.Missing {
-			counts[c]++
-		}
-	}
-	top := 0
+	present, top := 0, 0
 	for _, c := range counts {
-		if c > top {
-			top = c
-		}
+		present += c
+		top = max(top, c)
 	}
-	return float64(top) >= 0.05*float64(len(e.Codes))
+	if n > 0 && float64(n-present)/float64(n) > maxMissing {
+		return false
+	}
+	return len(counts) <= maxRefinementCard || float64(top) >= 0.05*float64(n)
 }
 
 // PartialCorrelations computes, for each named numeric attribute, the

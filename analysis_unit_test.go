@@ -87,3 +87,27 @@ func TestPermuteObservedShuffles(t *testing.T) {
 		t.Fatal("permuteObserved returned the identity permutation on 60 values")
 	}
 }
+
+func TestPermuteObservedPreservesPattern(t *testing.T) {
+	codes := []int32{0, bins.Missing, 1, 2, bins.Missing, 0}
+	out := permuteObserved(codes, stats.NewRNG(7))
+	if out[1] != bins.Missing || out[4] != bins.Missing {
+		t.Fatal("missing positions moved")
+	}
+	// Multiset of observed codes preserved.
+	count := map[int32]int{}
+	for i, c := range out {
+		if c == bins.Missing {
+			continue
+		}
+		count[c]++
+		_ = i
+	}
+	if count[0] != 2 || count[1] != 1 || count[2] != 1 {
+		t.Fatalf("observed multiset changed: %v", count)
+	}
+	// Input untouched.
+	if codes[0] != 0 || codes[2] != 1 {
+		t.Fatal("permuteObserved mutated input")
+	}
+}

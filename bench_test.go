@@ -339,6 +339,43 @@ func BenchmarkTopUnexplained(b *testing.B) {
 	}
 }
 
+// BenchmarkOnlinePruneFlights measures the online prune (§4.2) alone, on
+// Flights Q1 at 20,000 rows, so the layer can be compared across commits
+// without the bench/ harness: ns per row·candidate (the normalisation of
+// core.online_prune_ns_per_row_cand) and, with -benchmem, the bytes it
+// allocates. Each iteration prepares the query afresh and runs the offline
+// prune outside the timer, so the candidates are as cold — nothing encoded,
+// no IPW weights fitted — as the ones a one-call Explain hands the prune.
+func BenchmarkOnlinePruneFlights(b *testing.B) {
+	world := kg.NewWorld(kg.WorldConfig{Seed: 11})
+	ds := workload.Flights(world, workload.Config{Rows: 20000, Seed: 12})
+	sess := nexus.NewSession(world.Graph, nil)
+	sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
+	sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
+	ctx := context.Background()
+	opts := core.DefaultPruneOptions()
+	var rowCands float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		a, err := sess.Prepare(flightsQuery)
+		if err != nil {
+			b.Fatal(err)
+		}
+		offline, _, err := core.OfflinePruneCtx(ctx, nil, a.Candidates, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rowCands = float64(a.View.NumRows()) * float64(len(offline))
+		b.StartTimer()
+		if _, _, err := core.OnlinePruneCtx(ctx, nil, a.T, a.O, offline, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rowCands, "ns/row·cand")
+}
+
 // benchAnalysis prepares the SO Q1 analysis once for the Explain benchmarks.
 var (
 	benchAnalysisOnce sync.Once

@@ -25,14 +25,14 @@ type effortCount struct {
 var effortCounts = map[string][]effortCount{
 	"so": {
 		{"biased_attrs", 61},
-		{"cache_hits", 2},
+		{"cache_hits", 4},
 		{"candidates_scored", 55},
 		{"ci_tests", 1157},
 		{"composite_rebuilds", 3},
 		{"counting_dense_passes", 2544},
 		{"counting_id_joins", 24},
-		{"counting_partitions", 869},
-		{"enc_cache_hits", 1299},
+		{"counting_partitions", 871},
+		{"enc_cache_hits", 496},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 189},
 		{"entities_unresolved", 5},
@@ -40,6 +40,7 @@ var effortCounts = map[string][]effortCount{
 		{"ipw_fits", 61},
 		{"kg_attrs", 393},
 		{"kg_attrs_hop1", 393},
+		{"kg_row_encodings", 122},
 		{"mcimr_iterations", 2},
 		{"mcimr_skips", 11},
 		{"permutations_run", 2046},
@@ -53,14 +54,14 @@ var effortCounts = map[string][]effortCount{
 	},
 	"flights": {
 		{"biased_attrs", 62},
-		{"cache_hits", 1},
+		{"cache_hits", 4},
 		{"candidates_scored", 55},
 		{"ci_tests", 2809},
 		{"composite_rebuilds", 1},
 		{"counting_dense_passes", 3621},
 		{"counting_id_joins", 2},
-		{"counting_partitions", 848},
-		{"enc_cache_hits", 2222},
+		{"counting_partitions", 851},
+		{"enc_cache_hits", 342},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 654},
 		{"entities_unresolved", 100},
@@ -68,6 +69,7 @@ var effortCounts = map[string][]effortCount{
 		{"ipw_fits", 62},
 		{"kg_attrs", 934},
 		{"kg_attrs_hop1", 934},
+		{"kg_row_encodings", 123},
 		{"mcimr_iterations", 1},
 		{"mcimr_skips", 11},
 		{"permutations_run", 1261},
@@ -131,6 +133,14 @@ func TestEffortCountsExact(t *testing.T) {
 			if w.key == "flights" {
 				if v, bound := counters[obs.SubgroupRowsVisited], counters[obs.GroupsScored]*int64(w.rows)/2; v >= bound {
 					t.Errorf("subgroup_rows_visited = %d, want < groups_scored × rows / 2 = %d", v, bound)
+				}
+				// The noise-free form of "candidates stay at entity level
+				// through both prunes": only survivors, IPW-weighted candidates
+				// and refinement attributes are broadcast to rows (every
+				// extracted attribute was, before the prunes worked from the
+				// entity form).
+				if v, bound := counters[obs.KGRowEncodings], counters[obs.KGAttrs]/4; v >= bound {
+					t.Errorf("kg_row_encodings = %d, want < kg_attrs / 4 = %d", v, bound)
 				}
 			}
 			var got []effortCount

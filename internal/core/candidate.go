@@ -38,7 +38,8 @@ type Candidate struct {
 
 	// Enc produces the row-level encoding aligned with the analysis view.
 	// It may be called multiple times; implementations decide whether to
-	// cache. It must be safe for concurrent use.
+	// cache. It must be safe for concurrent use. For a candidate with an
+	// entity form it is the slot-level encoding broadcast to rows.
 	Enc func() (*bins.Encoded, error)
 
 	// Weights optionally produces IPW weights (package missing) for the
@@ -65,20 +66,36 @@ type Candidate struct {
 	// permutation-test path.
 	WirePerm bool
 
-	// FastMarginalPerm optionally implements the marginal permutation
-	// relevance test (dependence of the candidate on the outcome against a
-	// source-granularity permutation null) more efficiently than generic
-	// row-level permutation — e.g. via an outcome×entity contingency table
-	// that makes each permutation O(#entities) instead of O(#rows).
-	// Returns (dependent, true) when it handled the test; (_, false) falls
-	// back to the generic path.
-	FastMarginalPerm func(o *bins.Encoded, b, allow int, seed uint64) (dependent, ok bool)
+	// Entity, when non-nil, is the candidate's entity form: the candidate is
+	// a function of a linked entity, so one code per entity slot plus the
+	// row→slot map say everything Enc's n-long vector does. Both prunes work
+	// from it (offline from slot codes × rows per slot, online by folding
+	// the run's (slot, T, O) cube), and Enc is only called for what survives
+	// them, for candidates that carry IPW weights — weighted tallies are not
+	// folded, see counting.SlotCube — and past counting.MaxDense. Stripping
+	// the field selects the row path, which gives the same verdicts.
+	Entity *Entity
 
 	// EntityCard/EntityComplete are source-granularity statistics used by
 	// offline pruning (a wikiID is unique per *entity*, not per row). Zero
 	// means "use row-level statistics".
 	EntityCard     int
 	EntityComplete int
+}
+
+// Entity is the entity form of a candidate (see Candidate.Entity). Enc and
+// Weights must be safe for concurrent use and are expected to memoise.
+type Entity struct {
+	// Slots maps each view row to its entity slot, -1 for an unresolved row.
+	// Candidates extracted through one link column share one map (the same
+	// backing array); a prune run tallies each distinct map once.
+	Slots []int32
+	// Enc returns the slot-level encoding: one code per slot.
+	Enc func() (*bins.Encoded, error)
+	// Weights returns per-slot IPW weights, nil when no selection bias was
+	// detected. A nil func means the candidate is never weighted.
+	// Candidate.Weights is this vector broadcast through Slots.
+	Weights func() []float64
 }
 
 // FromEncoded wraps a pre-computed encoding as a candidate.

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"nexus/internal/bins"
+	"nexus/internal/counting"
 	"nexus/internal/infotheory"
 	"nexus/internal/obs"
 	"nexus/internal/stats"
@@ -82,6 +84,57 @@ func permDependent(ctx context.Context, tr *obs.Trace, o *bins.Encoded, cand *Ca
 		return false, err
 	}
 	return count <= allow, nil
+}
+
+// entityPermDependent is the marginal permutation relevance test of an
+// entity-form candidate: its dependence on the outcome must beat a null that
+// shuffles the slot-level codes across slots (the null Candidate.Permute
+// broadcasts). Permuting at entity granularity only regroups slots, so each
+// statistic costs O(#slots · |O|) from the cube's (o, slot) cells instead of
+// O(#rows) — the cube of this run's outcome. Serial; exits early like permTest.
+func entityPermDependent(tr *obs.Trace, cube *counting.SlotCube, name string, ent *bins.Encoded, b, allow int, seed uint64) bool {
+	tr.Add(obs.CITests, 1)
+	observed := slotMI(cube, ent.Codes, ent.Card)
+	if observed <= 0 {
+		return false
+	}
+	rng := stats.NewRNG(seed*0x9e3779b9 + HashName(name))
+	exceed, ran := 0, 0
+	for ran < b && exceed <= allow {
+		ran++
+		if slotMI(cube, ShuffleObserved(ent, rng).Codes, ent.Card) >= observed {
+			exceed++
+		}
+	}
+	tr.Add(obs.PermutationsRun, int64(ran))
+	return exceed <= allow
+}
+
+// slotMI computes I(O; E) where E assigns the cube's entity slots to codes,
+// over the rows that have a slot, an outcome and a present code.
+func slotMI(cube *counting.SlotCube, slotCodes []int32, card int) float64 {
+	p := cube.PairO(slotCodes, card)
+	defer p.Release()
+	if p.Total <= 0 {
+		return 0
+	}
+	mi := 0.0
+	for oc := 0; oc < p.Cx; oc++ {
+		joint := p.Joint[oc*card : (oc+1)*card]
+		oTot := 0.0
+		for _, pj := range joint {
+			oTot += pj
+		}
+		for ec, pj := range joint {
+			if pj > 0 {
+				mi += pj / p.Total * math.Log2(p.Total*pj/(oTot*p.EMargin[ec]))
+			}
+		}
+	}
+	if mi < 0 {
+		mi = 0
+	}
+	return mi
 }
 
 // permDependentWire is permDependent routed through the Scorer seam for

@@ -1,10 +1,11 @@
-package nexus
+package core
 
 import (
 	"math"
 	"testing"
 
 	"nexus/internal/bins"
+	"nexus/internal/counting"
 	"nexus/internal/infotheory"
 	"nexus/internal/stats"
 	"nexus/internal/table"
@@ -39,17 +40,9 @@ func TestSlotMIMatchesRowLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Contingency (o code × slot).
-	oSlot := make([][]float64, o.Card)
-	for i := range oSlot {
-		oSlot[i] = make([]float64, nSlots)
-	}
-	for i := 0; i < n; i++ {
-		if o.Codes[i] != bins.Missing {
-			oSlot[o.Codes[i]][rowSlot[i]]++
-		}
-	}
-	fast := slotMI(oSlot, slotCodes, 4)
+	// Contingency (o code × slot): the cube's own, under a constant exposure.
+	cube := counting.NewSlotCube(rowSlot, o.Codes, make([]int32, n), o.Card, 1)
+	fast := slotMI(cube, slotCodes, 4)
 
 	// Row-level reference.
 	rowCodes := make([]int32, n)
@@ -60,29 +53,5 @@ func TestSlotMIMatchesRowLevel(t *testing.T) {
 	slow := infotheory.MutualInfo(o, e, nil)
 	if math.Abs(fast-slow) > 1e-9 {
 		t.Fatalf("slotMI = %v, row-level MI = %v", fast, slow)
-	}
-}
-
-func TestPermuteObservedPreservesPattern(t *testing.T) {
-	codes := []int32{0, bins.Missing, 1, 2, bins.Missing, 0}
-	out := permuteObserved(codes, stats.NewRNG(7))
-	if out[1] != bins.Missing || out[4] != bins.Missing {
-		t.Fatal("missing positions moved")
-	}
-	// Multiset of observed codes preserved.
-	count := map[int32]int{}
-	for i, c := range out {
-		if c == bins.Missing {
-			continue
-		}
-		count[c]++
-		_ = i
-	}
-	if count[0] != 2 || count[1] != 1 || count[2] != 1 {
-		t.Fatalf("observed multiset changed: %v", count)
-	}
-	// Input untouched.
-	if codes[0] != 0 || codes[2] != 1 {
-		t.Fatal("permuteObserved mutated input")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"nexus/internal/bins"
+	"nexus/internal/counting"
 	"nexus/internal/infotheory"
 	"nexus/internal/obs"
 )
@@ -87,54 +88,100 @@ func OfflinePruneCtx(ctx context.Context, tr *obs.Trace, cands []*Candidate, opt
 }
 
 func offlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	stats := newPruneStats(len(cands))
-	kept := make([]*Candidate, 0, len(cands))
-	type verdict struct {
-		keep   bool
-		reason PruneReason
-		err    error
-	}
-	verdicts := make([]verdict, len(cands))
-	parallelFor(ctx, len(cands), 0, func(i int) {
-		c := cands[i]
-		enc, err := rc.enc(c)
-		if err != nil {
-			verdicts[i] = verdict{err: err}
-			return
+	rowsPerSlot := perSlotMap(cands, counting.RowsPerSlot)
+	return prunePass(ctx, "offline", cands, func(_ int, c *Candidate) (PruneReason, error) {
+		// What the rules read off the encoding: length, missing count and
+		// cardinality. An entity form yields them as exact integers from slot
+		// codes × rows per slot, without the row vector.
+		var n, missing, distinct int
+		if c.Entity != nil {
+			ent, err := c.Entity.Enc()
+			if err != nil {
+				return "", err
+			}
+			n, missing, distinct = len(c.Entity.Slots), len(c.Entity.Slots), ent.Card
+			for s, rows := range rowsPerSlot[slotMapKey(c.Entity.Slots)] {
+				if ent.Codes[s] != bins.Missing {
+					missing -= int(rows)
+				}
+			}
+		} else {
+			enc, err := rc.enc(c)
+			if err != nil {
+				return "", err
+			}
+			n, missing, distinct = enc.Len(), enc.MissingCount(), enc.Card
 		}
-		complete := enc.Len() - enc.MissingCount()
-		distinct := enc.Card
+		complete := n - missing
 		if c.EntityCard > 0 {
 			distinct = c.EntityCard
 			complete = c.EntityComplete
 		}
 		switch {
-		case enc.MissingFraction() > opts.MaxMissingFrac:
-			verdicts[i] = verdict{reason: PruneMissing}
+		case n > 0 && float64(missing)/float64(n) > opts.MaxMissingFrac:
+			return PruneMissing, nil
 		case distinct <= 1:
-			verdicts[i] = verdict{reason: PruneConstant}
+			return PruneConstant, nil
 		case distinct > opts.HighEntropyMin && complete > 0 &&
 			float64(distinct) >= opts.NearUniqueFrac*float64(complete):
-			verdicts[i] = verdict{reason: PruneUnique}
-		default:
-			verdicts[i] = verdict{keep: true}
+			return PruneUnique, nil
 		}
+		return "", nil
 	})
+}
+
+// prunePass runs judge over the candidates on parallel workers and splits
+// them into the kept ones, in order, and drop counts per reason; judge
+// returns "" to keep. Once ctx is done no further candidate is dispatched
+// and the pass returns an error wrapping ctx.Err().
+func prunePass(ctx context.Context, phase string, cands []*Candidate, judge func(i int, c *Candidate) (PruneReason, error)) ([]*Candidate, PruneStats, error) {
+	stats := newPruneStats(len(cands))
+	reasons := make([]PruneReason, len(cands))
+	errs := make([]error, len(cands))
+	parallelFor(ctx, len(cands), 0, func(i int) { reasons[i], errs[i] = judge(i, cands[i]) })
 	if err := ctx.Err(); err != nil {
-		return nil, stats, fmt.Errorf("core: offline prune: %w", err)
+		return nil, stats, fmt.Errorf("core: %s prune: %w", phase, err)
 	}
-	for i, v := range verdicts {
-		if v.err != nil {
-			return nil, stats, v.err
-		}
-		if v.keep {
-			kept = append(kept, cands[i])
-		} else {
-			stats.Dropped[v.reason]++
+	kept := make([]*Candidate, 0, len(cands))
+	for i, c := range cands {
+		switch {
+		case errs[i] != nil:
+			return nil, stats, errs[i]
+		case reasons[i] == "":
+			kept = append(kept, c)
+		default:
+			stats.Dropped[reasons[i]]++
 		}
 	}
 	stats.Kept = len(kept)
 	return kept, stats, nil
+}
+
+// perSlotMap builds one aggregate per distinct row→slot map among the
+// candidates' entity forms (one per link column), which a prune run owns and
+// its workers share read-only.
+func perSlotMap[V any](cands []*Candidate, build func(slots []int32) V) map[*int32]V {
+	out := make(map[*int32]V)
+	for _, c := range cands {
+		if c.Entity == nil {
+			continue
+		}
+		k := slotMapKey(c.Entity.Slots)
+		if _, ok := out[k]; !ok {
+			out[k] = build(c.Entity.Slots)
+		}
+	}
+	return out
+}
+
+// slotMapKey identifies a row→slot map by its backing array, which is how
+// the candidates of one link column are recognised as sharing it; the maps
+// of a zero-row view are all the same empty one.
+func slotMapKey(slots []int32) *int32 {
+	if len(slots) == 0 {
+		return nil
+	}
+	return &slots[0]
 }
 
 // OnlinePruneCtx applies the query-specific filters (§4.2, "Online
@@ -151,36 +198,47 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 }
 
 func onlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	stats := newPruneStats(len(cands))
-	type verdict struct {
-		keep   bool
-		reason PruneReason
-		err    error
-	}
-	verdicts := make([]verdict, len(cands))
 	ht := infotheory.Entropy(t, nil)
 	ho := infotheory.Entropy(o, nil)
-	parallelFor(ctx, len(cands), 0, func(i int) {
-		c := cands[i]
-		enc, err := rc.enc(c)
-		if err != nil {
-			verdicts[i] = verdict{err: err}
-			return
+	cubes := perSlotMap(cands, func(slots []int32) *counting.SlotCube {
+		return counting.NewSlotCube(slots, o.Codes, t.Codes, o.Card, t.Card)
+	})
+	return prunePass(ctx, "online", cands, func(i int, c *Candidate) (PruneReason, error) {
+		// One fused tally yields both approximate-FD ratios (Lemma A.2:
+		// E ⇒ T or E ⇒ O fakes a perfect explanation) and the contingency
+		// tallies of both low-relevance tests. An unweighted entity-form
+		// candidate gets it by folding its link column's (slot, T, O) cube;
+		// every other candidate by a counting pass over its row encoding.
+		var (
+			sc   *infotheory.OnlineScreen
+			enc  *bins.Encoded // row-level, when the row pass ran
+			ent  *bins.Encoded // slot-level, for an entity form
+			cube *counting.SlotCube
+			err  error
+		)
+		if c.Entity != nil {
+			if ent, err = c.Entity.Enc(); err != nil {
+				return "", err
+			}
+			cube = cubes[slotMapKey(c.Entity.Slots)]
+			if c.Entity.Weights == nil || c.Entity.Weights() == nil {
+				sc = infotheory.ScreenSlots(cube, ent)
+			}
 		}
-		w, err := rc.weights(c)
-		if err != nil {
-			verdicts[i] = verdict{err: err}
-			return
+		if sc == nil {
+			if enc, err = rc.enc(c); err != nil {
+				return "", err
+			}
+			w, err := rc.weights(c)
+			if err != nil {
+				return "", err
+			}
+			sc = infotheory.ScreenAll(o, t, enc, w)
 		}
-		// One fused counting pass yields both approximate-FD
-		// ratios (Lemma A.2: E ⇒ T or E ⇒ O fakes a perfect explanation)
-		// and the contingency tallies of both low-relevance tests.
-		sc := infotheory.ScreenAll(o, t, enc, w)
 		defer sc.Release()
 		hOgivenE, hTgivenE := sc.FDEntropies()
 		if (ht > 0 && hTgivenE/ht < opts.FDThreshold) || (ho > 0 && hOgivenE/ho < opts.FDThreshold) {
-			verdicts[i] = verdict{reason: PruneFD}
-			return
+			return PruneFD, nil
 		}
 		// Low relevance: (O ⊥ E | C) and (O ⊥ E | C, T). The conditional
 		// test is only needed when the (cheaper) marginal one fired.
@@ -188,55 +246,31 @@ func onlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, t, o *b
 		if sc.MarginalIndependent(opts.RelevanceThreshold) {
 			tr.Add(obs.CITests, 1)
 			if sc.CondIndependentGivenT(opts.RelevanceThreshold) {
-				verdicts[i] = verdict{reason: PruneIrrelevant}
-				return
+				return PruneIrrelevant, nil
 			}
 		}
 		// Permutation relevance: the dependence on O must beat a source-
 		// granularity permutation null (kills entity-sampling chance).
-		if !opts.DisablePermRelevance && (c.Permute != nil || c.FastMarginalPerm != nil) {
+		if !opts.DisablePermRelevance && (c.Permute != nil || c.Entity != nil) {
 			b := opts.PermRelevanceTests
 			if b <= 0 {
 				b = 19
 			}
-			dependent, handled := false, false
-			if c.FastMarginalPerm != nil {
-				dependent, handled = c.FastMarginalPerm(o, b, 0, 0x5eed+uint64(i))
-			}
-			if !handled {
-				if c.Permute == nil || enc.Len() > permBudget(opts) {
-					dependent = true // cannot test affordably; keep
-				} else {
-					dependent, err = permDependent(ctx, tr, o, c, enc, nil, 0, b, 0, 1, 0x5eed+uint64(i))
-					if err != nil {
-						verdicts[i] = verdict{err: err}
-						return
-					}
+			dependent := true // kept when the test is not affordable
+			switch {
+			case c.Entity != nil:
+				dependent = entityPermDependent(tr, cube, c.Name, ent, b, 0, 0x5eed+uint64(i))
+			case enc.Len() <= permBudget(opts):
+				if dependent, err = permDependent(ctx, tr, o, c, enc, nil, 0, b, 0, 1, 0x5eed+uint64(i)); err != nil {
+					return "", err
 				}
 			}
 			if !dependent {
-				verdicts[i] = verdict{reason: PruneIrrelevant}
-				return
+				return PruneIrrelevant, nil
 			}
 		}
-		verdicts[i] = verdict{keep: true}
+		return "", nil
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, stats, fmt.Errorf("core: online prune: %w", err)
-	}
-	kept := make([]*Candidate, 0, len(cands))
-	for i, v := range verdicts {
-		if v.err != nil {
-			return nil, stats, v.err
-		}
-		if v.keep {
-			kept = append(kept, cands[i])
-		} else {
-			stats.Dropped[v.reason]++
-		}
-	}
-	stats.Kept = len(kept)
-	return kept, stats, nil
 }
 
 func permBudget(opts PruneOptions) int {

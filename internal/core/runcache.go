@@ -11,9 +11,10 @@ import (
 // the IPW weight vector — for the duration of one Explain run. Candidate
 // implementations are free to cache internally (the session's KG candidates
 // do), but the core pipeline must not depend on that: without memoization a
-// candidate surviving both prunes is encoded by the offline prune, the
-// online prune, the relevance pass, every consider-loop visit and every
-// redundancy pass — up to K+2 times. The cache pins both results behind a
+// candidate surviving both prunes is encoded by the relevance pass, every
+// consider-loop visit and every redundancy pass — and, unless its entity form
+// let the prunes work without a row vector (Candidate.Entity), by both
+// prunes: up to K+2 times. The cache pins both results behind a
 // sync.Once per candidate, so every phase after the first observes a hit
 // (counted as obs.EncCacheHits) and concurrent phases (parallel prune
 // workers, the speculative consider batches) share one computation.

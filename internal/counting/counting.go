@@ -503,13 +503,13 @@ type Screen struct {
 	sc         *scratch
 }
 
-// CountScreen runs the fused pass, or returns nil when the joint domain
-// leaves the dense bound (degenerate cards, ce·co > MaxDense or
-// ce·co·ct > MaxDense) — exactly the condition under which the unfused
+// newScreen allocates the zeroed tallies of one screen, or returns nil when
+// the joint domain leaves the dense bound (degenerate cards, ce·co > MaxDense
+// or ce·co·ct > MaxDense) — exactly the condition under which the unfused
 // estimators would abandon their dense path, so the caller's fallback routes
 // precisely the candidates the unfused pipeline would have sent to the
 // sparse estimator.
-func CountScreen(o, t, e []int32, co, ct, ce int, w []float64) *Screen {
+func newScreen(co, ct, ce int) *Screen {
 	if co <= 0 || ct <= 0 || ce <= 0 {
 		return nil
 	}
@@ -532,6 +532,17 @@ func CountScreen(o, t, e []int32, co, ct, ce int, w []float64) *Screen {
 	s.OE = cut(co * ce)
 	s.OM = cut(co)
 	s.EM = cut(ce)
+	return s
+}
+
+// CountScreen runs the fused pass over the rows, or returns nil under
+// newScreen's gate. It is the general kernel — any code column, any weights;
+// SlotCube.Screen is its aggregate form for unweighted per-slot codes.
+func CountScreen(o, t, e []int32, co, ct, ce int, w []float64) *Screen {
+	s := newScreen(co, ct, ce)
+	if s == nil {
+		return nil
+	}
 	eo, zE := s.EO, s.ZE
 	jointT, to, te, tM := s.JointT, s.TO, s.TE, s.TM
 	oe, oM, eM := s.OE, s.OM, s.EM

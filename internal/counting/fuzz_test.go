@@ -8,8 +8,10 @@ package counting
 // equality, not epsilon — any disagreement is a real counting bug, never
 // float noise. A rows-subset mode does the same for the row-list entry point
 // (CountXYZRows, dense and map form) against the naive tally of an ascending
-// subset the fuzz bytes pick. The seed corpus is checked in under
-// testdata/fuzz; CI runs the target as a bounded smoke iteration.
+// subset the fuzz bytes pick, and a slot-cube mode holds the entity-level fold
+// (SlotCube.Screen) to the unweighted row pass over the broadcast codes. The
+// seed corpus is checked in under testdata/fuzz; CI runs the target as a
+// bounded smoke iteration.
 
 import (
 	"testing"
@@ -182,5 +184,19 @@ func FuzzCountParity(f *testing.F) {
 				t.Fatalf("CountVec[%d] = %v, naive %v", zi, v.Counts[zi], naiveZ[int32(zi)])
 			}
 		}
+
+		// Slot-cube mode: z is a row→slot map (a missing z is an unresolved
+		// row), x the outcome, y the exposure, and the row bytes' spare bits
+		// give each slot a code; the fold must be the unweighted row pass
+		// over the broadcast codes, buffer for buffer.
+		ce := int(data[3]>>1) % 7
+		codes := make([]int32, zc)
+		for s := range codes {
+			codes[s] = Missing
+			if b := data[4+(s%n)*4+3] >> 5; ce > 0 && b != 7 {
+				codes[s] = int32(int(b) % ce)
+			}
+		}
+		checkFoldIsRowPass(t, z, x, y, codes, cx, cy, ce)
 	})
 }

@@ -1,0 +1,125 @@
+package counting
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+)
+
+// broadcast expands per-slot codes to rows through a row→slot map, the way
+// extract.Attribute.Encode does: an unresolved row is missing.
+func broadcast(codes, slots []int32) []int32 {
+	out := make([]int32, len(slots))
+	for i, s := range slots {
+		out[i] = Missing
+		if s >= 0 {
+			out[i] = codes[s]
+		}
+	}
+	return out
+}
+
+// checkFoldIsRowPass holds SlotCube.Screen to its contract: every buffer and
+// weight sum == CountScreen over the broadcast codes with nil weights, and
+// nil exactly when that is nil. It returns whether the screen was dense.
+func checkFoldIsRowPass(t testing.TB, slots, o, tc, codes []int32, co, ct, ce int) bool {
+	t.Helper()
+	cube := NewSlotCube(slots, o, tc, co, ct)
+	got := cube.Screen(codes, ce)
+	want := CountScreen(o, tc, broadcast(codes, slots), co, ct, ce, nil)
+	defer got.Release()
+	defer want.Release()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("cards (%d,%d,%d): fold nil = %v, row pass nil = %v", co, ct, ce, got == nil, want == nil)
+	}
+	if got == nil {
+		return false
+	}
+	g, w := *got, *want
+	g.sc, w.sc = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("cards (%d,%d,%d), %d rows, %d slots: fold differs from the row pass\nfold %+v\nrows %+v", co, ct, ce, len(slots), len(codes), g, w)
+	}
+	// The (O, E) pair tally is the screen's, which also counts rows without T.
+	p := cube.PairO(codes, ce)
+	defer p.Release()
+	if p.Total != want.WS2 || !reflect.DeepEqual(p.Joint, want.OE) || !reflect.DeepEqual(p.EMargin, want.EM) {
+		t.Fatalf("cards (%d,%d,%d): PairO (%v %v %v) differs from the row pass (%v %v %v)", co, ct, ce, p.Total, p.Joint, p.EMargin, want.WS2, want.OE, want.EM)
+	}
+	return true
+}
+
+// randomCodes draws n codes below card with about one in miss missing
+// (miss ≤ 0: none).
+func randomCodes(r *rand.Rand, n, card, miss int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		switch {
+		case card == 0 || (miss > 0 && r.Intn(miss) == 0):
+			out[i] = Missing
+		default:
+			out[i] = int32(r.Intn(card))
+		}
+	}
+	return out
+}
+
+// TestSlotCubeScreenMatchesRowPass is the fold differential: random slot maps
+// with unresolved rows, per-slot codes with missing ones and codes no row
+// uses, T and O with missing codes and zero cardinalities.
+func TestSlotCubeScreenMatchesRowPass(t *testing.T) {
+	dense := 0
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n, nSlots := r.Intn(400), 1+r.Intn(40)
+		co, ct, ce := r.Intn(7), r.Intn(9), r.Intn(12)
+		slots := randomCodes(r, n, nSlots, 1+r.Intn(6))
+		if seed%7 == 0 {
+			slots = randomCodes(r, n, nSlots, 1) // every row unresolved
+		}
+		o, tc := randomCodes(r, n, co, r.Intn(5)), randomCodes(r, n, ct, r.Intn(5))
+		codes := randomCodes(r, nSlots, ce, r.Intn(4))
+		if checkFoldIsRowPass(t, slots, o, tc, codes, co, ct, ce) {
+			dense++
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 600}); err != nil {
+		t.Fatal(err)
+	}
+	if dense < 200 {
+		t.Fatalf("only %d of 600 cases were dense", dense)
+	}
+}
+
+// TestSlotCubeScreenDenseGate walks the cardinality product up to and across
+// MaxDense: the fold is dense exactly where the row pass is, including when
+// |T|·|O| alone leaves the bound and the cube holds no cells.
+func TestSlotCubeScreenDenseGate(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	const n, nSlots = 3000, 50
+	for _, c := range []struct {
+		co, ct, ce int
+		dense      bool
+	}{
+		{64, 2048, 32, true},   // ce·co·ct == MaxDense
+		{64, 2048, 33, false},  // one code past it
+		{2049, 2048, 1, false}, // co·ct > MaxDense: no cube cells
+		{2048, 1, 2049, false}, // ce·co > MaxDense
+		{8, 0, 4, false},       // no exposure at all
+	} {
+		slots := randomCodes(r, n, nSlots, 5)
+		o, tc := randomCodes(r, n, c.co, 9), randomCodes(r, n, c.ct, 9)
+		codes := randomCodes(r, nSlots, c.ce, 6)
+		if got := checkFoldIsRowPass(t, slots, o, tc, codes, c.co, c.ct, c.ce); got != c.dense {
+			t.Fatalf("cards (%d,%d,%d): dense = %v, want %v", c.co, c.ct, c.ce, got, c.dense)
+		}
+	}
+}
+
+func TestRowsPerSlot(t *testing.T) {
+	if got, want := RowsPerSlot([]int32{2, 0, -1, 2, 2}), []int32{1, 0, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("RowsPerSlot = %v, want %v", got, want)
+	}
+}

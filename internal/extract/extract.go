@@ -4,10 +4,11 @@
 // Extraction is entity-level: each distinct value of a link column is
 // resolved (package ned) to at most one entity, all reachable properties up
 // to Options.Hops are flattened into per-entity attribute values (the
-// universal relation), and row-level columns are materialized lazily by
-// broadcasting through the row→entity mapping. This keeps extraction and
-// encoding O(#entities) rather than O(#rows), which is what lets nexus
-// explain the 5.8M-row Flights dataset in seconds.
+// universal relation), and row-level columns are materialized lazily, and
+// only for the attributes that need one, by broadcasting through the
+// row→entity mapping. This keeps extraction and encoding O(#entities) rather
+// than O(#rows), which is what lets nexus explain the 5.8M-row Flights
+// dataset in seconds.
 package extract
 
 import (
@@ -55,9 +56,9 @@ type Attribute struct {
 
 	rowSlot []int32 // shared per link column; base row → slot, -1 unresolved
 
-	// Entity-level encoding cache: the IPW detector, the permutation tests
-	// and the fast marginal test all re-encode the same entity column with
-	// the same options; one binning pass serves them all.
+	// Entity-level encoding cache: both prunes, the IPW detector and the
+	// permutation tests all read the same entity column's encoding under the
+	// same options; one binning pass serves them all.
 	encMu  sync.Mutex
 	encKey bins.Options
 	entEnc *bins.Encoded
@@ -91,9 +92,12 @@ func (a *Attribute) Materialize() *table.Column {
 }
 
 // Encode discretizes the attribute at entity level and broadcasts the codes
-// to row level. Binning thresholds therefore reflect the entity-value
-// distribution (documented deviation: pyitlib binned row-level, which
-// differs only when group sizes are very uneven).
+// to row level: a fresh n-long vector per call. Binning thresholds therefore
+// reflect the entity-value distribution (documented deviation: pyitlib binned
+// row-level, which differs only when group sizes are very uneven). The
+// pipeline prunes from EntityEncode and RowSlots (the candidate's entity
+// form) and broadcasts only what survives; callers count each broadcast as
+// obs.KGRowEncodings.
 func (a *Attribute) Encode(opts bins.Options) (*bins.Encoded, error) {
 	ent, err := a.EntityEncode(opts)
 	if err != nil {

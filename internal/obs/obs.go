@@ -61,6 +61,11 @@ const (
 	EntitiesAmbiguous  = "entities_ambiguous"
 	// KGAttrs counts extracted candidate attributes.
 	KGAttrs = "kg_attrs"
+	// KGRowEncodings counts KG attributes broadcast from slot-level codes to
+	// an n-long row encoding (extract.Attribute.Encode). The prunes work at
+	// entity level, so it tracks survivors, IPW-weighted candidates and
+	// subgroup refinement attributes, not KGAttrs.
+	KGRowEncodings = "kg_row_encodings"
 	// BiasedAttrs counts KG attributes flagged with selection bias (IPW
 	// weights applied). This is the counter behind Analysis.NumBiased.
 	BiasedAttrs = "biased_attrs"
