@@ -77,12 +77,16 @@ func TestTable2And3Ordering(t *testing.T) {
 		specByKey(t, "Covid-19 Q3"),
 		specByKey(t, "Forbes Q3"),
 	}
-	results, err := s.Table2(specs, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(specs) {
-		t.Fatalf("results = %d", len(results))
+	var results []*QueryResult
+	for _, spec := range specs {
+		qr := goldenResults[spec.Key()]
+		if qr == nil {
+			var err error
+			if qr, err = s.RunQuery(spec, core.DefaultOptions()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		results = append(results, qr)
 	}
 	table3 := s.Table3(results)
 	score := map[string]float64{}
