@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,33 +46,49 @@ type Analysis struct {
 	binOpts bins.Options
 	byName  map[string]*core.Candidate
 	// metrics is the counter set every lazy pipeline stage (IPW detection,
-	// permutation tests, encoding-cache hits) reports into. It is the
+	// row broadcasts of KG candidates) reports into. It is the
 	// session trace's counter set when tracing is on, and a private set
 	// otherwise — one storage, so NumBiased and the trace cannot disagree.
 	metrics *obs.Counters
-	// slotOutcomes memoises, per link column, what the lazy per-candidate
-	// stages derive from the column's row→slot mapping and the outcome alone.
-	slotMu       sync.Mutex
-	slotOutcomes map[string]*slotOutcome
+	// slotOutcomes holds, per link column of the extraction, what the lazy
+	// per-candidate stages derive from the column's row→slot mapping and the
+	// outcome alone: an entry is added while Prepare wraps the column's first
+	// attribute, computed on first use and only read afterwards.
+	slotOutcomes map[string]func() slotOutcome
 }
 
 // slotOutcome is the outcome aggregated to one link column's entity slots,
 // computed once and shared read-only by every attribute extracted through
 // that column (they share the row→slot mapping, see Attribute.RowSlots).
 type slotOutcome struct {
-	meanOnce sync.Once
 	meanO    []float64     // mean outcome per slot, NaN where no row has one
 	meanOEnc *bins.Encoded // meanO discretized; nil when it does not encode
 }
 
-func (a *Analysis) slotOutcomeOf(linkColumn string) *slotOutcome {
-	a.slotMu.Lock()
-	defer a.slotMu.Unlock()
-	so := a.slotOutcomes[linkColumn]
-	if so == nil {
-		so = new(slotOutcome)
-		a.slotOutcomes[linkColumn] = so
+// slotOutcomeOf aggregates the outcome over slots, the row→slot map of a link
+// column with nSlots entity slots.
+func (a *Analysis) slotOutcomeOf(slots []int32, nSlots int) slotOutcome {
+	out := a.View.MustColumn(a.Result.Outcome)
+	sum := make([]float64, nSlots)
+	cnt := make([]float64, nSlots)
+	for i, sl := range slots {
+		if sl < 0 || out.IsNull(i) {
+			continue
+		}
+		sum[sl] += out.Float(i)
+		cnt[sl]++
 	}
+	so := slotOutcome{meanO: make([]float64, nSlots)}
+	for i := range so.meanO {
+		if cnt[i] > 0 {
+			so.meanO[i] = sum[i] / cnt[i]
+		} else {
+			so.meanO[i] = math.NaN()
+		}
+	}
+	// An encode error leaves meanOEnc nil: no attribute of this link
+	// column gets weights, as when each of them failed the same encode.
+	so.meanOEnc, _ = bins.Encode(table.NewFloatColumn("meanO", so.meanO), a.binOpts)
 	return so
 }
 
@@ -132,6 +149,9 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 	}
 	esp.SetInt("view-rows", int64(res.View.NumRows()))
 	esp.End()
+	if err := explainable(q, res); err != nil {
+		return nil, err
+	}
 	a := &Analysis{
 		Query:     q,
 		Result:    res,
@@ -142,7 +162,7 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 		byName:    map[string]*core.Candidate{},
 		metrics:   tr.Counters(),
 
-		slotOutcomes: map[string]*slotOutcome{},
+		slotOutcomes: map[string]func() slotOutcome{},
 	}
 	if a.metrics == nil {
 		a.metrics = s.opts.Metrics
@@ -228,6 +248,25 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 	return a, nil
 }
 
+// explainable rejects executed queries that are valid SQL (Session.Query
+// answers them) but pose no Correlation-Explanation problem: an aggregate
+// other than count over a column of strings, whose "correlation" with T is
+// that of arbitrary dictionary codes, and an outcome that is also a grouping
+// attribute (count(*) included, which counts the first one), where O = T. A
+// column without a single value has no type to object to (CSV ingest calls it
+// a string column) and stays the defined "no explanation" it always was.
+func explainable(q *sqlx.Query, res *sqlx.Result) error {
+	out := res.View.MustColumn(res.Outcome)
+	if q.Agg != table.AggCount && out.Typ == table.String && out.NullCount() < out.Len() {
+		return fmt.Errorf("nexus: cannot explain %s(%s): column %q is not numeric", q.Agg, q.Outcome, res.Outcome)
+	}
+	if slices.Contains(res.Exposure, res.Outcome) {
+		return fmt.Errorf("nexus: cannot explain %s(%s) grouped by %s: the outcome column %q is also a grouping attribute",
+			q.Agg, q.Outcome, strings.Join(res.Exposure, ", "), res.Outcome)
+	}
+	return nil
+}
+
 // linkColumnsIn returns the registered link columns still present in view.
 func (s *Session) linkColumnsIn(tableName string, view *table.Table) []string {
 	var out []string
@@ -240,19 +279,26 @@ func (s *Session) linkColumnsIn(tableName string, view *table.Table) []string {
 }
 
 // kgCandidate wraps an extracted attribute as a core.Candidate in entity
-// form: the slot-level encoding, the link column's shared row→slot map and
-// lazy per-slot IPW weights (selection-bias detection + logistic propensity
-// fit at entity level). Enc and Weights broadcast those to rows, lazily and
-// once; the prunes work from the entity form, so most candidates never are.
+// form. It supplies the data — the slot-level encoding, the link column's
+// shared row→slot map, per-slot IPW weights (selection-bias detection +
+// logistic propensity fit at entity level) and the entity-level uniqueness
+// statistics; core.FromEntity derives the row vectors and the permutation
+// null from them, lazily and once, and the prunes work from the entity form,
+// so most candidates never reach rows.
 func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candidate {
-	slots := attr.RowSlots()
-	entEnc := func() (*bins.Encoded, error) { return attr.EntityEncode(a.binOpts) }
-	c := &core.Candidate{
-		Name:   attr.Name,
-		Origin: core.OriginKG,
-		Hops:   attr.Hops,
-		Entity: &core.Entity{Slots: slots, Enc: entEnc},
+	ent := &core.Entity{
+		Slots: attr.RowSlots(),
+		Enc:   func() (*bins.Encoded, error) { return attr.EntityEncode(a.binOpts) },
 	}
+	if !s.opts.DisableIPW {
+		shared := a.slotOutcomes[attr.LinkColumn]
+		if shared == nil { // the link column's first attribute, during Prepare
+			shared = sync.OnceValue(func() slotOutcome { return a.slotOutcomeOf(attr.RowSlots(), attr.Col.Len()) })
+			a.slotOutcomes[attr.LinkColumn] = shared
+		}
+		ent.Weights = func() []float64 { return s.ipwWeights(a, attr, shared) }
+	}
+	c := core.FromEntity(attr.Name, attr.Hops, ent, a.metrics)
 	// Entity-level uniqueness statistics drive the high-entropy prune, but
 	// only for categorical attributes: a continuous numeric attribute is
 	// naturally unique per entity and becomes low-cardinality after
@@ -262,122 +308,34 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candid
 		c.EntityCard = attr.Col.DistinctCount()
 		c.EntityComplete = attr.Col.Len() - attr.Col.NullCount()
 	}
-	// Row-level encoding cache: MCIMR, the final ranking and the subgroup
-	// search all re-request the encoding; repeats count as cache hits.
-	var encOnce sync.Once
-	var encCached *bins.Encoded
-	var encErr error
-	c.Enc = func() (*bins.Encoded, error) {
-		hit := true
-		encOnce.Do(func() {
-			hit = false
-			a.metrics.Add(obs.KGRowEncodings, 1)
-			encCached, encErr = attr.Encode(a.binOpts)
-		})
-		if hit {
-			a.metrics.Add(obs.CacheHits, 1)
-		}
-		return encCached, encErr
-	}
-
-	// Permutation at entity granularity: shuffle the entity-level codes
-	// across slots (among the observed ones, as every null model here does:
-	// core.ShuffleObserved), then broadcast through the row→slot mapping.
-	// This is the null model of the responsibility test for extracted
-	// attributes.
-	c.Permute = func(rng *stats.RNG) (*bins.Encoded, error) {
-		ent, err := entEnc()
-		if err != nil {
-			return nil, err
-		}
-		codes := core.ShuffleObserved(ent, rng).Codes
-		out := &bins.Encoded{Name: attr.Name, Card: ent.Card, Labels: ent.Labels, Codes: make([]int32, len(slots))}
-		for i, sl := range slots {
-			if sl < 0 {
-				out.Codes[i] = bins.Missing
-			} else {
-				out.Codes[i] = codes[sl]
-			}
-		}
-		return out, nil
-	}
-
-	if s.opts.DisableIPW {
-		return c
-	}
-	shared := a.slotOutcomeOf(attr.LinkColumn)
-	var slotOnce, rowOnce sync.Once
-	var slotW, rowW []float64
-	c.Entity.Weights = func() []float64 {
-		slotOnce.Do(func() { slotW = s.ipwWeights(a, attr, shared) })
-		return slotW
-	}
-	c.Weights = func(*bins.Encoded) []float64 {
-		rowOnce.Do(func() {
-			sw := c.Entity.Weights()
-			if sw == nil {
-				return
-			}
-			rowW = make([]float64, len(slots))
-			for i, sl := range slots {
-				if sl >= 0 {
-					rowW[i] = sw[sl]
-				}
-			}
-		})
-		return rowW
-	}
 	return c
 }
 
 // ipwWeights detects selection bias for one extracted attribute and, when
 // found, returns its IPW weights, one per entity slot (nil otherwise).
 // Missingness of an extracted attribute is an entity-level event, so both the
-// detection and the propensity model run at entity (slot) level.
-func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute, shared *slotOutcome) []float64 {
-	slots := attr.RowSlots()
-	nSlots := attr.Col.Len()
-	if nSlots == 0 {
+// detection and the propensity model run at entity (slot) level, against the
+// link column's slot-level mean outcome (the observed variable R_E may depend
+// on).
+func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute, shared func() slotOutcome) []float64 {
+	if attr.Col.Len() == 0 {
 		return nil
 	}
-	// Slot-level mean outcome (the observed variable R_E may depend on).
-	shared.meanOnce.Do(func() {
-		out := a.View.MustColumn(a.Result.Outcome)
-		sum := make([]float64, nSlots)
-		cnt := make([]float64, nSlots)
-		for i, sl := range slots {
-			if sl < 0 || out.IsNull(i) {
-				continue
-			}
-			sum[sl] += out.Float(i)
-			cnt[sl]++
-		}
-		shared.meanO = make([]float64, nSlots)
-		for i := range shared.meanO {
-			if cnt[i] > 0 {
-				shared.meanO[i] = sum[i] / cnt[i]
-			} else {
-				shared.meanO[i] = math.NaN()
-			}
-		}
-		// An encode error leaves meanOEnc nil: no attribute of this link
-		// column gets weights, as when each of them failed the same encode.
-		shared.meanOEnc, _ = bins.Encode(table.NewFloatColumn("meanO", shared.meanO), a.binOpts)
-	})
-	if shared.meanOEnc == nil {
+	so := shared()
+	if so.meanOEnc == nil {
 		return nil
 	}
 	entEnc, err := attr.EntityEncode(a.binOpts)
 	if err != nil {
 		return nil
 	}
-	rep := missing.DetectBiasCounted(entEnc, map[string]*bins.Encoded{"O": shared.meanOEnc}, missing.DefaultThreshold, a.metrics)
+	rep := missing.DetectBiasCounted(entEnc, map[string]*bins.Encoded{"O": so.meanOEnc}, missing.DefaultThreshold, a.metrics)
 	if !rep.Biased {
 		return nil
 	}
 	a.metrics.Add(obs.BiasedAttrs, 1)
 	a.metrics.Add(obs.IPWFits, 1)
-	return missing.Weights(entEnc, shared.meanO)
+	return missing.Weights(entEnc, so.meanO)
 }
 
 // NumBiased returns the number of KG attributes flagged with selection bias

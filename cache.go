@@ -87,11 +87,10 @@ func (c *ExtractionCache) Hits() int64 {
 // cache was built without counters or is nil). Hits+Misses is the total
 // lookup count; the miss count is the number of NED + graph-walk passes
 // actually performed. This is the outermost layer of the caching story:
-// ExtractionCache deduplicates whole extractions across requests, the
-// session's per-attribute encoders deduplicate binning within an
-// extraction, and core's per-run scoring cache deduplicates Enc/Weights
-// calls within one Explain (see docs/ARCHITECTURE.md, "Hot path &
-// caching").
+// ExtractionCache deduplicates whole extractions across requests, an
+// extracted attribute keeps its slot-level binning within an extraction,
+// and a candidate keeps its row vectors within an Analysis (see
+// docs/ARCHITECTURE.md, "Hot path & caching").
 func (c *ExtractionCache) Misses() int64 {
 	if c == nil {
 		return 0

@@ -25,14 +25,12 @@ type effortCount struct {
 var effortCounts = map[string][]effortCount{
 	"so": {
 		{"biased_attrs", 61},
-		{"cache_hits", 4},
 		{"candidates_scored", 55},
 		{"ci_tests", 1157},
 		{"composite_rebuilds", 3},
 		{"counting_dense_passes", 2544},
 		{"counting_id_joins", 24},
 		{"counting_partitions", 871},
-		{"enc_cache_hits", 496},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 189},
 		{"entities_unresolved", 5},
@@ -54,14 +52,12 @@ var effortCounts = map[string][]effortCount{
 	},
 	"flights": {
 		{"biased_attrs", 62},
-		{"cache_hits", 4},
 		{"candidates_scored", 55},
 		{"ci_tests", 2809},
 		{"composite_rebuilds", 1},
 		{"counting_dense_passes", 3621},
 		{"counting_id_joins", 2},
 		{"counting_partitions", 851},
-		{"enc_cache_hits", 342},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 654},
 		{"entities_unresolved", 100},

@@ -6,11 +6,9 @@ import (
 	"testing"
 
 	"nexus"
-	"nexus/internal/extract"
 	"nexus/internal/kg"
 	"nexus/internal/sqlx"
 	"nexus/internal/subgroups"
-	"nexus/internal/table"
 	"nexus/internal/workload"
 )
 
@@ -100,39 +98,6 @@ func TestExplainSubgroupRefinesEurope(t *testing.T) {
 	}
 	if sub.Explanation.BaseScore >= rep.Explanation.BaseScore {
 		t.Log("note: within-Europe correlation not smaller than global (acceptable)")
-	}
-}
-
-// TestDataLakeExtractionFeedsCore runs MCIMR over candidates mined from
-// related tables instead of a knowledge graph (the paper's §2.1
-// generalization).
-func TestDataLakeExtractionFeedsCore(t *testing.T) {
-	w := integrationWorld()
-	ds := workload.Covid(w, workload.Config{Seed: 3})
-
-	// Build an auxiliary "countries" table from the world's ground truth —
-	// i.e., pretend the analyst has a related table instead of DBpedia.
-	names := make([]string, len(w.Countries))
-	gdp := make([]float64, len(w.Countries))
-	gini := make([]float64, len(w.Countries))
-	for i, c := range w.Countries {
-		names[i] = c.Name
-		gdp[i] = c.GDP
-		gini[i] = c.Gini
-	}
-	aux := table.MustFromColumns(
-		table.NewStringColumn("country", names),
-		table.NewFloatColumn("gdp", gdp),
-		table.NewFloatColumn("gini", gini),
-	)
-	src := &extract.TableSource{Tables: map[string]*table.Table{"countries": aux}}
-	ex, err := extract.ExtractFromTables(ds.Table, []string{"Country"}, src,
-		extract.TableOptions{OneToMany: table.AggMean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Attr("countries.gdp") == nil {
-		t.Fatalf("data-lake extraction produced %v", ex.Names())
 	}
 }
 

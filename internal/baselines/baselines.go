@@ -63,10 +63,6 @@ func MESAMinus(t, o *bins.Encoded, cands []*core.Candidate, opts core.Options) (
 type BruteForceOptions struct {
 	// MaxSize bounds subset cardinality (paper's k, default 5).
 	MaxSize int
-	// MaxCandidates keeps only the most relevant candidates before
-	// enumerating subsets; 0 means 18. Without a cap the search is 2^|A|
-	// (the reason the paper could not run Brute-Force on SO or Flights).
-	MaxCandidates int
 	// MinSupport is the minimum average complete-case rows per occupied
 	// conditioning stratum for a subset to be considered estimable
 	// (default 4). Without it the Def. 2.3 objective degenerates: joint
@@ -76,6 +72,11 @@ type BruteForceOptions struct {
 	MinSupport float64
 }
 
+// bruteForceMaxCandidates is how many of the most relevant candidates are kept
+// before enumerating subsets. Without a cap the search is 2^|A| (the reason
+// the paper could not run Brute-Force on SO or Flights).
+const bruteForceMaxCandidates = 18
+
 // BruteForce computes the Def. 2.3 optimum argmin I(O;T|E)·|E| by exhaustive
 // enumeration of attribute subsets (after relevance capping). Ties prefer
 // smaller then lexicographically-earlier sets.
@@ -84,9 +85,6 @@ func BruteForce(t, o *bins.Encoded, cands []*core.Candidate, opts BruteForceOpti
 	if opts.MaxSize <= 0 {
 		opts.MaxSize = 5
 	}
-	if opts.MaxCandidates <= 0 {
-		opts.MaxCandidates = 18
-	}
 	if opts.MinSupport <= 0 {
 		opts.MinSupport = 4
 	}
@@ -94,8 +92,8 @@ func BruteForce(t, o *bins.Encoded, cands []*core.Candidate, opts BruteForceOpti
 	if err != nil {
 		return nil, err
 	}
-	if len(ranked) > opts.MaxCandidates {
-		ranked = ranked[:opts.MaxCandidates]
+	if len(ranked) > bruteForceMaxCandidates {
+		ranked = ranked[:bruteForceMaxCandidates]
 	}
 	n := len(ranked)
 	bestObj := math.Inf(1)
@@ -256,11 +254,14 @@ type NamedSeries struct {
 
 // LROptions tunes the Linear Regression baseline.
 type LROptions struct {
-	K             int     // explanation size (default 5)
-	PValue        float64 // significance cutoff (paper: 0.05)
-	MaxPredictors int     // cap on jointly-fitted predictors (default 40)
-	MaxMissing    float64 // drop series with more missing than this (default 0.5)
+	K      int     // explanation size (default 5)
+	PValue float64 // significance cutoff (paper: 0.05)
 }
+
+const (
+	lrMaxPredictors = 40  // cap on jointly-fitted predictors
+	lrMaxMissing    = 0.5 // series with a larger missing fraction are dropped
+)
 
 // LinearRegression implements the paper's LR baseline: fit OLS of the
 // outcome on (standardized) candidate attributes and return the top-k
@@ -274,12 +275,6 @@ func LinearRegression(outcome []float64, series []NamedSeries, t, o *bins.Encode
 	}
 	if opts.PValue <= 0 {
 		opts.PValue = 0.05
-	}
-	if opts.MaxPredictors <= 0 {
-		opts.MaxPredictors = 40
-	}
-	if opts.MaxMissing <= 0 {
-		opts.MaxMissing = 0.5
 	}
 	res := &Result{Method: MethodLR, Failed: true, Score: math.NaN()}
 
@@ -298,7 +293,7 @@ func LinearRegression(outcome []float64, series []NamedSeries, t, o *bins.Encode
 				miss++
 			}
 		}
-		if len(s.Values) == 0 || float64(miss)/float64(len(s.Values)) > opts.MaxMissing {
+		if len(s.Values) == 0 || float64(miss)/float64(len(s.Values)) > lrMaxMissing {
 			continue
 		}
 		m := stats.Mean(s.Values)
@@ -321,8 +316,8 @@ func LinearRegression(outcome []float64, series []NamedSeries, t, o *bins.Encode
 		preps = append(preps, prepared{s.Name, vals, math.Abs(c)})
 	}
 	sort.SliceStable(preps, func(a, b int) bool { return preps[a].corr > preps[b].corr })
-	if len(preps) > opts.MaxPredictors {
-		preps = preps[:opts.MaxPredictors]
+	if len(preps) > lrMaxPredictors {
+		preps = preps[:lrMaxPredictors]
 	}
 	if len(preps) == 0 {
 		res.Elapsed = time.Since(start)

@@ -17,16 +17,19 @@ type HypDBOptions struct {
 	// MaxAttrs caps the candidate set by uniform random sampling, exactly
 	// as the paper had to do (|A| ≤ 50) to make HypDB terminate. 0 = 50.
 	MaxAttrs int
-	// MaxParentSet bounds the exponential covariate-set search (default 3).
-	// The search cost is Σ C(n, i) for i ≤ MaxParentSet — the exponential
-	// blow-up that makes HypDB unable to scale (§5.1).
-	MaxParentSet int
-	// CIThreshold is the conditional-independence threshold of the
-	// covariate-detection tests. Default 0.02.
-	CIThreshold float64
 	// Seed drives the random candidate capping.
 	Seed uint64
 }
+
+const (
+	// hypDBMaxParentSet bounds the exponential covariate-set search: its cost
+	// is Σ C(n, i) for i ≤ hypDBMaxParentSet — the blow-up that makes HypDB
+	// unable to scale (§5.1).
+	hypDBMaxParentSet = 3
+	// hypDBCIThreshold is the conditional-independence threshold of the
+	// covariate-detection tests.
+	hypDBCIThreshold = 0.02
+)
 
 // HypDB implements the relevant behaviour of the HypDB comparator (Salimi et
 // al. 2018): detect covariates by conditional-independence tests (an
@@ -41,12 +44,6 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, opts HypDBOptions) (*Res
 	}
 	if opts.MaxAttrs <= 0 {
 		opts.MaxAttrs = 50
-	}
-	if opts.MaxParentSet <= 0 {
-		opts.MaxParentSet = 3
-	}
-	if opts.CIThreshold <= 0 {
-		opts.CIThreshold = 0.02
 	}
 
 	// Cap candidates uniformly at random (paper §5.1).
@@ -74,13 +71,13 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, opts HypDBOptions) (*Res
 		if err != nil {
 			return nil, err
 		}
-		if infotheory.CondIndependent(enc, t, nil, nil, opts.CIThreshold) {
+		if infotheory.CondIndependent(enc, t, nil, nil, hypDBCIThreshold) {
 			continue
 		}
 		// Marginal dependence on the outcome. (Testing O given T is
 		// degenerate for entity-level attributes: T determines the entity,
 		// so I(E;O|T) is exactly 0 even for true confounders.)
-		if infotheory.CondIndependent(enc, o, nil, nil, opts.CIThreshold) {
+		if infotheory.CondIndependent(enc, o, nil, nil, hypDBCIThreshold) {
 			continue
 		}
 		drop := base - infotheory.CondMutualInfo(o, t, []infotheory.Var{enc}, nil)
@@ -109,7 +106,7 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, opts HypDBOptions) (*Res
 				bestSet = append(bestSet[:0], cur...)
 			}
 		}
-		if len(cur) == opts.MaxParentSet {
+		if len(cur) == hypDBMaxParentSet {
 			return
 		}
 		for i := next; i < len(searchPool); i++ {

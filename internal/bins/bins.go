@@ -65,6 +65,22 @@ func (e *Encoded) Gather(idx []int) *Encoded {
 	return out
 }
 
+// Broadcast reads e as one code per entity slot and returns the row-level
+// encoding under slots, the row→slot map: row i gets e.Codes[slots[i]], and
+// Missing where slots[i] < 0 (an unresolved row). It is the one place slot
+// codes become row codes.
+func (e *Encoded) Broadcast(slots []int32) *Encoded {
+	out := &Encoded{Name: e.Name, Card: e.Card, Labels: e.Labels, Codes: make([]int32, len(slots))}
+	for i, s := range slots {
+		if s < 0 {
+			out.Codes[i] = Missing
+		} else {
+			out.Codes[i] = e.Codes[s]
+		}
+	}
+	return out
+}
+
 // Options controls discretization.
 type Options struct {
 	Bins     int      // number of bins for numeric columns; default 8

@@ -12,8 +12,10 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"nexus/internal/bins"
+	"nexus/internal/obs"
 	"nexus/internal/stats"
 	"nexus/internal/table"
 )
@@ -27,7 +29,11 @@ const (
 	OriginKG    Origin = "kg"    // extracted from the knowledge source ℰ
 )
 
-// Candidate is one candidate confounding attribute.
+// Candidate is one candidate confounding attribute. It owns every vector
+// derived from it: the three constructors below (FromEncoded, FromColumn,
+// FromEntity) build candidates whose Enc and Weights compute once and are
+// shared by every phase and every run that touches the candidate, so the
+// pipeline calls them freely and keeps no memo of its own.
 type Candidate struct {
 	// Name identifies the attribute in explanations.
 	Name string
@@ -36,10 +42,10 @@ type Candidate struct {
 	// Hops is the extraction depth for KG attributes (0 for input columns).
 	Hops int
 
-	// Enc produces the row-level encoding aligned with the analysis view.
-	// It may be called multiple times; implementations decide whether to
-	// cache. It must be safe for concurrent use. For a candidate with an
-	// entity form it is the slot-level encoding broadcast to rows.
+	// Enc produces the row-level encoding aligned with the analysis view. It
+	// is called by every phase that needs the vector and must be safe for
+	// concurrent use. For a candidate with an entity form it is the slot-level
+	// encoding broadcast to rows.
 	Enc func() (*bins.Encoded, error)
 
 	// Weights optionally produces IPW weights (package missing) for the
@@ -60,9 +66,8 @@ type Candidate struct {
 	// WirePerm marks Permute as the canonical row-level shuffle
 	// (ShuffleObserved of Enc's encoding): a permuted copy is a pure
 	// function of the encoding and an RNG seed, so a remote Scorer can
-	// reproduce it from the registered dataset. Candidates with a custom
-	// source-granularity Permute (KG attributes permute at entity level
-	// through their own closures) leave it false and keep the in-process
+	// reproduce it from the registered dataset. Entity-form candidates
+	// permute at entity level, leave it false and keep the in-process
 	// permutation-test path.
 	WirePerm bool
 
@@ -83,8 +88,19 @@ type Candidate struct {
 	EntityComplete int
 }
 
-// Entity is the entity form of a candidate (see Candidate.Entity). Enc and
-// Weights must be safe for concurrent use and are expected to memoise.
+// vectors returns the candidate's row-level encoding and its IPW weights
+// (nil when it has none).
+func (c *Candidate) vectors() (*bins.Encoded, []float64, error) {
+	enc, err := c.Enc()
+	if err != nil || c.Weights == nil {
+		return enc, nil, err
+	}
+	return enc, c.Weights(enc), nil
+}
+
+// Entity is the entity form of a candidate (see Candidate.Entity and
+// FromEntity). On a built candidate Enc and Weights are safe for concurrent
+// use and compute once.
 type Entity struct {
 	// Slots maps each view row to its entity slot, -1 for an unresolved row.
 	// Candidates extracted through one link column share one map (the same
@@ -96,6 +112,60 @@ type Entity struct {
 	// detected. A nil func means the candidate is never weighted.
 	// Candidate.Weights is this vector broadcast through Slots.
 	Weights func() []float64
+}
+
+// FromEntity builds a KG-origin candidate from its entity form and derives
+// everything row-level from it: Enc is the slot encoding broadcast through
+// ent.Slots (each broadcast counted as obs.KGRowEncodings in counters, nil =
+// uncounted), Weights the slot weights broadcast the same way (0 for an
+// unresolved row), and Permute the null model of an extracted attribute —
+// the slot codes shuffled among the observed slots (ShuffleObserved), then
+// broadcast. Each vector is computed on first use and kept for the life of
+// the candidate; the suppliers ent.Enc and ent.Weights are called at most once
+// and need not memoise or be safe for concurrent use.
+func FromEntity(name string, hops int, ent *Entity, counters *obs.Counters) *Candidate {
+	slots := ent.Slots
+	form := &Entity{Slots: slots, Enc: sync.OnceValues(ent.Enc)}
+	broadcast := func(slotEnc *bins.Encoded) *bins.Encoded {
+		out := slotEnc.Broadcast(slots)
+		out.Name = name
+		return out
+	}
+	c := &Candidate{Name: name, Origin: OriginKG, Hops: hops, Entity: form}
+	c.Enc = sync.OnceValues(func() (*bins.Encoded, error) {
+		counters.Add(obs.KGRowEncodings, 1)
+		slotEnc, err := form.Enc()
+		if err != nil {
+			return nil, err
+		}
+		return broadcast(slotEnc), nil
+	})
+	c.Permute = func(rng *stats.RNG) (*bins.Encoded, error) {
+		slotEnc, err := form.Enc()
+		if err != nil {
+			return nil, err
+		}
+		return broadcast(ShuffleObserved(slotEnc, rng)), nil
+	}
+	if ent.Weights == nil {
+		return c
+	}
+	form.Weights = sync.OnceValue(ent.Weights)
+	rowWeights := sync.OnceValue(func() []float64 {
+		sw := form.Weights()
+		if sw == nil {
+			return nil
+		}
+		w := make([]float64, len(slots))
+		for i, s := range slots {
+			if s >= 0 {
+				w[i] = sw[s]
+			}
+		}
+		return w
+	})
+	c.Weights = func(*bins.Encoded) []float64 { return rowWeights() }
+	return c
 }
 
 // FromEncoded wraps a pre-computed encoding as a candidate.

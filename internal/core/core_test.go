@@ -385,37 +385,113 @@ func TestParallelForMatchesSerial(t *testing.T) {
 }
 
 func TestExplainEncodesOncePerCandidate(t *testing.T) {
-	// Every phase of the pipeline (offline prune, online prune, relevance
-	// pass, consider loop, redundancy pass, scoring) needs the candidate's
-	// encoding; the per-run cache must collapse all of that to exactly one
-	// Candidate.Enc invocation per candidate per Explain call.
-	s := buildScenario(t, 8000, 12)
-	counts := make([]int64, len(s.all))
-	cands := make([]*Candidate, len(s.all))
-	for i, c := range s.all {
-		i, inner := i, c.Enc
-		cands[i] = &Candidate{
-			Name:   c.Name,
-			Origin: c.Origin,
-			Enc: func() (*bins.Encoded, error) {
-				atomic.AddInt64(&counts[i], 1)
-				return inner()
-			},
-		}
+	// The candidate owns its vectors: across offline prune, online prune,
+	// MCIMR's relevance pass, consider loop and redundancy passes (run on 4
+	// workers), and the re-requests a subgroup search makes afterwards, the
+	// suppliers behind FromEntity are called exactly once each, and every
+	// candidate asked for rows is broadcast exactly once.
+	const nEnt, rowsPer = 120, 40
+	n := nEnt * rowsPer
+	rng := stats.NewRNG(12)
+	slots := make([]int32, n)
+	z := make([]float64, nEnt)
+	for e := range z {
+		z[e] = rng.Norm()
 	}
-	tr := obs.New("enc-count")
+	tv, ov := make([]float64, n), make([]float64, n)
+	for i := range slots {
+		e := i % nEnt
+		slots[i] = int32(e)
+		tv[i] = z[e] + rng.Norm()
+		ov[i] = 2*z[e] + 0.5*rng.Norm()
+	}
+	enc := func(name string, vals []float64) *bins.Encoded {
+		e, err := bins.Encode(table.NewFloatColumn(name, vals), bins.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	tEnc, oEnc := enc("T", tv), enc("O", ov)
+
+	attrs := map[string][]float64{"Z": z, "Const": make([]float64, nEnt)}
+	for _, name := range []string{"Zcopy", "Junk1", "Junk2", "Junk3"} {
+		vals := make([]float64, nEnt)
+		for e := range vals {
+			vals[e] = rng.Norm()
+			if name == "Zcopy" {
+				vals[e] = z[e] + 0.3*vals[e]
+			}
+		}
+		attrs[name] = vals
+	}
+	counters := obs.NewCounters()
+	var cands []*Candidate
+	var encCalls, wCalls, requested []*atomic.Int64
+	for i, name := range []string{"Junk1", "Zcopy", "Const", "Z", "Junk2", "Junk3"} {
+		slotEnc := enc(name, attrs[name])
+		nEnc, nW, nReq := new(atomic.Int64), new(atomic.Int64), new(atomic.Int64)
+		weighted := i%2 == 1 // Zcopy, Z, Junk3 take the weighted row pass
+		c := FromEntity(name, 1, &Entity{
+			Slots: slots,
+			Enc: func() (*bins.Encoded, error) {
+				nEnc.Add(1)
+				return slotEnc, nil
+			},
+			Weights: func() []float64 {
+				nW.Add(1)
+				if !weighted {
+					return nil
+				}
+				w := make([]float64, nEnt)
+				for e := range w {
+					w[e] = 1 + float64(e%3)/4
+				}
+				return w
+			},
+		}, counters)
+		inner := c.Enc
+		c.Enc = func() (*bins.Encoded, error) {
+			nReq.Store(1)
+			return inner()
+		}
+		cands = append(cands, c)
+		encCalls, wCalls, requested = append(encCalls, nEnc), append(wCalls, nW), append(requested, nReq)
+	}
+
 	opts := DefaultOptions()
-	opts.Trace = tr
-	if _, err := Explain(context.Background(), s.t, s.o, cands, opts); err != nil {
+	opts.Parallelism = 4
+	ex, err := Explain(context.Background(), tEnc, oEnc, cands, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range cands {
-		if n := atomic.LoadInt64(&counts[i]); n != 1 {
-			t.Fatalf("candidate %s encoded %d times, want exactly 1", c.Name, n)
+	if len(ex.Attrs) == 0 || ex.OfflineStats.Dropped[PruneConstant] != 1 {
+		t.Fatalf("fixture too weak: explanation %v, offline %+v", ex.Names(), ex.OfflineStats)
+	}
+	var rows int64
+	for _, r := range requested {
+		rows += r.Load()
+	}
+	if got := counters.Get(obs.KGRowEncodings); got != rows || rows == 0 || rows == int64(len(cands)) {
+		t.Fatalf("kg_row_encodings = %d, want the %d of %d candidates whose Enc was requested", got, rows, len(cands))
+	}
+	// What Report.Subgroups does next: the explanation's encodings and the
+	// refinement attributes are requested again, here for every candidate.
+	for _, c := range cands {
+		for rep := 0; rep < 2; rep++ {
+			e, w, err := c.vectors()
+			if err != nil || e.Len() != n || (w != nil && len(w) != n) {
+				t.Fatalf("%s: vectors = %d codes, %d weights, %v", c.Name, e.Len(), len(w), err)
+			}
 		}
 	}
-	if tr.Counters().Get(obs.EncCacheHits) == 0 {
-		t.Fatal("no enc-cache hits recorded despite a multi-phase run")
+	for i, c := range cands {
+		if e, w := encCalls[i].Load(), wCalls[i].Load(); e != 1 || w != 1 {
+			t.Errorf("candidate %s: Entity.Enc supplier called %d times, Entity.Weights %d, want exactly 1 each", c.Name, e, w)
+		}
+	}
+	if got := counters.Get(obs.KGRowEncodings); got != int64(len(cands)) {
+		t.Fatalf("kg_row_encodings = %d after every candidate was broadcast, want %d", got, len(cands))
 	}
 }
 

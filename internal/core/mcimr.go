@@ -157,9 +157,8 @@ func (e *Explanation) Names() []string {
 // ctx.Err(), so errors.Is(err, context.DeadlineExceeded) and
 // errors.Is(err, context.Canceled) distinguish the two server cases.
 //
-// All phases share one per-run scoring cache: a candidate is encoded (and
-// its IPW weights derived) at most once per Explain call, no matter how
-// many phases touch it.
+// Every phase reads a candidate's encoding and IPW weights from the candidate
+// itself (Candidate.Enc, Candidate.Weights), which computes them once.
 func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Explanation, error) {
 	opts.applyDefaults()
 	start := time.Now()
@@ -175,14 +174,12 @@ func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts O
 	defer func() { counting.Stats().Delta(countBase).Each(tr.Add) }()
 
 	res := &Explanation{BaseScore: infotheory.MutualInfo(o, t, nil)}
-	rc := newRunCache(tr)
-
 	working := cands
 	if !opts.DisableOfflinePrune {
 		var err error
 		var stats PruneStats
 		sp := tr.Start("offline-prune")
-		working, stats, err = offlinePruneCached(ctx, tr, rc, working, opts.Prune)
+		working, stats, err = OfflinePruneCtx(ctx, tr, working, opts.Prune)
 		recordPruneSpan(tr, sp, "offline", stats)
 		if err != nil {
 			return nil, err
@@ -193,7 +190,7 @@ func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts O
 		var err error
 		var stats PruneStats
 		sp := tr.Start("online-prune")
-		working, stats, err = onlinePruneCached(ctx, tr, rc, t, o, working, opts.Prune)
+		working, stats, err = OnlinePruneCtx(ctx, tr, t, o, working, opts.Prune)
 		recordPruneSpan(tr, sp, "online", stats)
 		if err != nil {
 			return nil, err
@@ -201,7 +198,7 @@ func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts O
 		res.OnlineStats = stats
 	}
 
-	sel, err := mcimrCached(ctx, rc, t, o, working, opts)
+	sel, err := MCIMRCtx(ctx, t, o, working, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -247,19 +244,6 @@ type Selection struct {
 	Weights [][]float64
 }
 
-// MCIMRCtx implements Algorithm 1: incremental selection by minimal
-// conditional mutual information and minimal redundancy, stopping at K
-// attributes or when the responsibility test (Lemma 4.2) fails for the next
-// attribute. Cancellation is checked before every iteration, before every
-// candidate consideration, and inside the parallel relevance/redundancy
-// passes and permutation tests; on cancellation the returned error wraps
-// ctx.Err(). (The suffix stays until a benchmark PR can rename the call in
-// bench/pipeline.go; there is no non-ctx form.)
-func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Selection, error) {
-	opts.applyDefaults()
-	return mcimrCached(ctx, newRunCache(opts.Trace), t, o, cands, opts)
-}
-
 // considerEval is the outcome of evaluating one candidate at the current
 // selection state: the responsibility-test verdict and, when that passes,
 // the joint score with the candidate added plus the calibrated-gain verdict.
@@ -275,8 +259,14 @@ type considerEval struct {
 	err      error
 }
 
-// mcimrCached is the MCIMR implementation behind MCIMRCtx and Explain,
-// sharing the per-run scoring cache rc with the pruning phases.
+// MCIMRCtx implements Algorithm 1: incremental selection by minimal
+// conditional mutual information and minimal redundancy, stopping at K
+// attributes or when the responsibility test (Lemma 4.2) fails for the next
+// attribute. Cancellation is checked before every iteration, before every
+// candidate consideration, and inside the parallel relevance/redundancy
+// passes and permutation tests; on cancellation the returned error wraps
+// ctx.Err(). (The suffix stays until a benchmark PR can rename the call in
+// bench/pipeline.go; there is no non-ctx form.)
 //
 // Two representation tricks keep the consider loop off the hot path's
 // original cost curve without changing a single verdict:
@@ -300,7 +290,7 @@ type considerEval struct {
 //     exhaustion and the accepted attribute are identical to the serial
 //     scan; evaluations ranked after an accepted candidate are discarded
 //     (obs.SpeculativeEvals vs obs.SpeculativeWins measures the trade).
-func mcimrCached(ctx context.Context, rc *runCache, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Selection, error) {
+func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Selection, error) {
 	opts.applyDefaults()
 	tr := opts.Trace
 	msp := tr.Start("mcimr")
@@ -327,27 +317,17 @@ func mcimrCached(ctx context.Context, rc *runCache, t, o *bins.Encoded, cands []
 	}
 
 	// Pass 1: individual relevance of every candidate. Encodings and IPW
-	// weights materialize in parallel through the per-run cache, then the
-	// assembled ScoreContext — the immutable dataset a remote scorer ships
-	// to its workers once — is handed to the Scorer seam. Local evaluates
-	// the same per-candidate CMI the inline loop used to.
+	// weights materialize in parallel, then the assembled ScoreContext — the
+	// immutable dataset a remote scorer ships to its workers once — is handed
+	// to the Scorer seam. Local evaluates the same per-candidate CMI the
+	// inline loop used to.
 	rsp := tr.Start("relevance-pass")
 	sctx := &ScoreContext{T: t, O: o, Tag: opts.ScoreTag,
 		Cands: make([]*bins.Encoded, len(cands)), Weights: make([][]float64, len(cands))}
 	parallelFor(ctx, len(cands), opts.Parallelism, func(i int) {
 		st := &state{cand: cands[i]}
 		states[i] = st
-		enc, err := rc.enc(cands[i])
-		if err != nil {
-			st.err = err
-			return
-		}
-		w, err := rc.weights(cands[i])
-		if err != nil {
-			st.err = err
-			return
-		}
-		sctx.Cands[i], sctx.Weights[i] = enc, w
+		sctx.Cands[i], sctx.Weights[i], st.err = cands[i].vectors()
 	})
 	if err := ctx.Err(); err != nil {
 		rsp.End()
@@ -386,12 +366,7 @@ func mcimrCached(ctx context.Context, rc *runCache, t, o *bins.Encoded, cands []
 
 	evalOne := func(cst *state, idx, iter int) *considerEval {
 		ev := &considerEval{}
-		ev.enc, ev.err = rc.enc(cst.cand)
-		if ev.err != nil {
-			return ev
-		}
-		ev.w, ev.err = rc.weights(cst.cand)
-		if ev.err != nil {
+		if ev.enc, ev.w, ev.err = cst.cand.vectors(); ev.err != nil {
 			return ev
 		}
 		// Responsibility test (Lemma 4.2): O ⊥ E | selected means the
@@ -575,12 +550,7 @@ func mcimrCached(ctx context.Context, rc *runCache, t, o *bins.Encoded, cands []
 			if si.selected || si.skipped || si.err != nil {
 				return
 			}
-			encI, err := rc.enc(si.cand)
-			if err != nil {
-				si.err = err
-				return
-			}
-			wI, err := rc.weights(si.cand)
+			encI, wI, err := si.cand.vectors()
 			if err != nil {
 				si.err = err
 				return

@@ -84,10 +84,6 @@ func newPruneStats(input int) PruneStats {
 // wrapping ctx.Err(). (Suffix and positional trace stay until a benchmark PR
 // can edit the call in bench/pipeline.go; there is no non-ctx form.)
 func OfflinePruneCtx(ctx context.Context, tr *obs.Trace, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	return offlinePruneCached(ctx, tr, newRunCache(tr), cands, opts)
-}
-
-func offlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
 	rowsPerSlot := perSlotMap(cands, counting.RowsPerSlot)
 	return prunePass(ctx, "offline", cands, func(_ int, c *Candidate) (PruneReason, error) {
 		// What the rules read off the encoding: length, missing count and
@@ -106,7 +102,7 @@ func offlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, cands 
 				}
 			}
 		} else {
-			enc, err := rc.enc(c)
+			enc, err := c.Enc()
 			if err != nil {
 				return "", err
 			}
@@ -194,10 +190,6 @@ func slotMapKey(slots []int32) *int32 {
 // permutation nulls) stops dispatching work once ctx is done and the call
 // returns an error wrapping ctx.Err(). (Same naming note as OfflinePruneCtx.)
 func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	return onlinePruneCached(ctx, tr, newRunCache(tr), t, o, cands, opts)
-}
-
-func onlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
 	ht := infotheory.Entropy(t, nil)
 	ho := infotheory.Entropy(o, nil)
 	cubes := perSlotMap(cands, func(slots []int32) *counting.SlotCube {
@@ -226,11 +218,8 @@ func onlinePruneCached(ctx context.Context, tr *obs.Trace, rc *runCache, t, o *b
 			}
 		}
 		if sc == nil {
-			if enc, err = rc.enc(c); err != nil {
-				return "", err
-			}
-			w, err := rc.weights(c)
-			if err != nil {
+			var w []float64
+			if enc, w, err = c.vectors(); err != nil {
 				return "", err
 			}
 			sc = infotheory.ScreenAll(o, t, enc, w)

@@ -95,23 +95,16 @@ func (a *Attribute) Materialize() *table.Column {
 // to row level: a fresh n-long vector per call. Binning thresholds therefore
 // reflect the entity-value distribution (documented deviation: pyitlib binned
 // row-level, which differs only when group sizes are very uneven). The
-// pipeline prunes from EntityEncode and RowSlots (the candidate's entity
-// form) and broadcasts only what survives; callers count each broadcast as
-// obs.KGRowEncodings.
+// pipeline does not call it: a candidate broadcasts its own entity form
+// (core.FromEntity), once, and only when it survives the prunes.
 func (a *Attribute) Encode(opts bins.Options) (*bins.Encoded, error) {
 	ent, err := a.EntityEncode(opts)
 	if err != nil {
 		return nil, err
 	}
-	codes := make([]int32, len(a.rowSlot))
-	for i, s := range a.rowSlot {
-		if s < 0 {
-			codes[i] = bins.Missing
-		} else {
-			codes[i] = ent.Codes[s]
-		}
-	}
-	return &bins.Encoded{Name: a.Name, Codes: codes, Card: ent.Card, Labels: ent.Labels}, nil
+	out := ent.Broadcast(a.rowSlot)
+	out.Name = a.Name
+	return out, nil
 }
 
 // EntityEncode discretizes at entity level only (one code per slot). The

@@ -230,20 +230,22 @@ func corruptAttribute(attr *extract.Attribute, frac float64, mode RemovalMode, r
 
 // corruptedCandidate wraps a corrupted attribute per the handling strategy.
 func corruptedCandidate(a *nexus.Analysis, attr *extract.Attribute, handling Handling, rng *stats.RNG) (*core.Candidate, error) {
+	var imputed *table.Column
 	switch handling {
 	case HandleImpute:
-		imputed := attr.WithColumn(missing.ImputeMean(attr.Col))
-		c := &core.Candidate{Name: attr.Name, Origin: core.OriginKG, Hops: attr.Hops}
-		c.Enc = func() (*bins.Encoded, error) { return imputed.Encode(bins.DefaultOptions()) }
-		return c, nil
+		imputed = missing.ImputeMean(attr.Col)
 	case HandleMultiImpute:
-		imputed := attr.WithColumn(missing.SampleImpute(attr.Col, rng))
-		c := &core.Candidate{Name: attr.Name, Origin: core.OriginKG, Hops: attr.Hops}
-		c.Enc = func() (*bins.Encoded, error) { return imputed.Encode(bins.DefaultOptions()) }
-		return c, nil
+		imputed = missing.SampleImpute(attr.Col, rng)
 	default:
 		return a.KGCandidate(attr), nil
 	}
+	enc, err := attr.WithColumn(imputed).Encode(bins.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	c := core.FromEncoded(enc, core.OriginKG)
+	c.Hops = attr.Hops
+	return c, nil
 }
 
 // FormatFig3 renders the sweep.

@@ -8,69 +8,38 @@ import (
 	"nexus/internal/stats"
 )
 
-// WorldConfig controls the synthetic DBpedia-like world generator.
+// WorldConfig controls the synthetic DBpedia-like world generator: the seed.
+// Everything else about the world is fixed by the constants below.
 type WorldConfig struct {
 	Seed uint64
-
-	NumCountries int // default 188 (the Covid-19 dataset size)
-	NumCities    int // default 320
-	NumAirlines  int // default 14
-	NumPeople    int // default 1647 (the Forbes dataset size)
-
-	// CountryFillers etc. add this many extra synthetic properties per
-	// class so the candidate space reaches the paper's scale (Table 1).
-	CountryFillers int // default 330
-	CityFillers    int // default 420
-	PersonFillers  int // default 300
-
-	// MissingRate is the baseline probability that a property value is
-	// absent from the graph (MCAR component). Defaults per class are set
-	// in ApplyDefaults to match the paper's §5.2 prevalence numbers.
-	CountryMissing float64 // default 0.30
-	CityMissing    float64 // default 0.38
-	PersonMissing  float64 // default 0.45
-
-	// BiasedFraction is the fraction of properties whose missingness is
-	// value-dependent (selection bias, §3.2). Default 0.15.
-	BiasedFraction float64
 }
 
-// ApplyDefaults fills zero fields with defaults.
-func (c *WorldConfig) ApplyDefaults() {
-	if c.NumCountries == 0 {
-		c.NumCountries = 188
-	}
-	if c.NumCities == 0 {
-		c.NumCities = 320
-	}
-	if c.NumAirlines == 0 {
-		c.NumAirlines = 14
-	}
-	if c.NumPeople == 0 {
-		c.NumPeople = 1647
-	}
-	if c.CountryFillers == 0 {
-		c.CountryFillers = 330
-	}
-	if c.CityFillers == 0 {
-		c.CityFillers = 420
-	}
-	if c.PersonFillers == 0 {
-		c.PersonFillers = 300
-	}
-	if c.CountryMissing == 0 {
-		c.CountryMissing = 0.30
-	}
-	if c.CityMissing == 0 {
-		c.CityMissing = 0.38
-	}
-	if c.PersonMissing == 0 {
-		c.PersonMissing = 0.45
-	}
-	if c.BiasedFraction == 0 {
-		c.BiasedFraction = 0.15
-	}
-}
+// The size of the generated world, chosen so each dataset's entity count and
+// candidate space reach the paper's scale (Table 1).
+const (
+	numCountries = 188 // the Covid-19 dataset size
+	numCities    = 320
+	numAirlines  = 14
+	numPeople    = 1647 // the Forbes dataset size
+
+	// Extra synthetic properties per class.
+	countryFillers = 330
+	cityFillers    = 420
+	personFillers  = 300
+)
+
+// The sparsity of the generated graph, matching the prevalence numbers of the
+// paper's §5.2.
+const (
+	// Baseline probability that a property value is absent from the graph
+	// (the MCAR component), per class.
+	countryMissing = 0.30
+	cityMissing    = 0.38
+	personMissing  = 0.45
+	// biasedFraction is the fraction of properties whose missingness is
+	// value-dependent (selection bias, §3.2).
+	biasedFraction = 0.15
+)
 
 // Country records the ground-truth latent and realized values of a country.
 // The workload generators draw outcomes from these values — even when the
@@ -182,9 +151,8 @@ type World struct {
 	BiasedProps map[string]bool
 }
 
-// NewWorld generates the synthetic world deterministically from cfg.Seed.
+// NewWorld generates the synthetic world deterministically from seed.
 func NewWorld(cfg WorldConfig) *World {
-	cfg.ApplyDefaults()
 	w := &World{
 		Graph:       NewGraph(),
 		CountryIdx:  make(map[string]int),
@@ -196,10 +164,10 @@ func NewWorld(cfg WorldConfig) *World {
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	w.genContinentsAndCurrencies(rng.Split())
-	w.genCountries(cfg, rng.Split())
-	w.genStatesAndCities(cfg, rng.Split())
-	w.genAirlines(cfg, rng.Split())
-	w.genPeople(cfg, rng.Split())
+	w.genCountries(rng.Split())
+	w.genStatesAndCities(rng.Split())
+	w.genAirlines(rng.Split())
+	w.genPeople(rng.Split())
 	return w
 }
 
@@ -321,20 +289,20 @@ func (w *World) genContinentsAndCurrencies(rng *stats.RNG) {
 	}
 }
 
-func (w *World) genCountries(cfg WorldConfig, rng *stats.RNG) {
+func (w *World) genCountries(rng *stats.RNG) {
 	g := w.Graph
 
 	type roster struct{ name, continent, currency, who string }
-	countries := make([]roster, 0, cfg.NumCountries)
+	countries := make([]roster, 0, numCountries)
 	for _, rc := range realCountries {
-		if len(countries) == cfg.NumCountries {
+		if len(countries) == numCountries {
 			break
 		}
 		countries = append(countries, roster{rc.name, rc.continent, rc.currency, rc.who})
 	}
 	syllA := []string{"Al", "Be", "Cor", "Dra", "El", "Fa", "Gor", "Hel", "Is", "Ju", "Kal", "Lor", "Mar", "Nor", "Or", "Pal", "Qua", "Ras", "Sel", "Tor", "Ur", "Val", "Wes", "Xan", "Yor", "Zan"}
 	syllB := []string{"dova", "land", "mia", "nia", "ria", "stan", "tova", "vania", "waro", "zia"}
-	for i := 0; len(countries) < cfg.NumCountries; i++ {
+	for i := 0; len(countries) < numCountries; i++ {
 		name := syllA[i%len(syllA)] + syllB[(i/len(syllA))%len(syllB)]
 		if i >= len(syllA)*len(syllB) {
 			name = fmt.Sprintf("%s %d", name, i)
@@ -350,7 +318,7 @@ func (w *World) genCountries(cfg WorldConfig, rng *stats.RNG) {
 
 	// Decide which fillers correlate with development and which properties
 	// carry selection bias. Property decisions are global per class.
-	fillerCorr := make([]float64, cfg.CountryFillers)
+	fillerCorr := make([]float64, countryFillers)
 	for f := range fillerCorr {
 		if rng.Float64() < 0.2 {
 			fillerCorr[f] = 0.3 + 0.3*rng.Float64() // development-correlated filler
@@ -453,7 +421,7 @@ func (w *World) genCountries(cfg WorldConfig, rng *stats.RNG) {
 		// name — they are the analogue of DBpedia's secondary development
 		// statistics (life expectancy, literacy, ...) and are legitimate
 		// confounders; pure-noise fillers keep the anonymous name.
-		for f := 0; f < cfg.CountryFillers; f++ {
+		for f := 0; f < countryFillers; f++ {
 			if f%7 == 3 {
 				// Low-cardinality categorical filler.
 				g.Set(id, fmt.Sprintf("Code Group %03d", f), Str(fmt.Sprintf("G%d", rng.Intn(4))))
@@ -478,7 +446,7 @@ func (w *World) genCountries(cfg WorldConfig, rng *stats.RNG) {
 	w.setRank("Population Rank", func(c *Country) float64 { return -c.Population })
 
 	// Sparsity + selection bias over country properties.
-	w.injectMissing(rng, "Country", cfg.CountryMissing, cfg.BiasedFraction,
+	w.injectMissing(rng, "Country", countryMissing, biasedFraction,
 		[]string{"Type", "wikiID", "Continent"}) // keep these always present
 }
 

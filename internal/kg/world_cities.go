@@ -33,7 +33,7 @@ var realCities = []struct{ name, state string }{
 	{"Kansas City", "MO"}, {"Cleveland", "OH"}, {"Pittsburgh", "PA"},
 }
 
-func (w *World) genStatesAndCities(cfg WorldConfig, rng *stats.RNG) {
+func (w *World) genStatesAndCities(rng *stats.RNG) {
 	g := w.Graph
 
 	// States first: each carries its own climate/size latents that its
@@ -81,21 +81,21 @@ func (w *World) genStatesAndCities(cfg WorldConfig, rng *stats.RNG) {
 
 	// Cities.
 	type roster struct{ name, state string }
-	cities := make([]roster, 0, cfg.NumCities)
+	cities := make([]roster, 0, numCities)
 	for _, rc := range realCities {
-		if len(cities) == cfg.NumCities {
+		if len(cities) == numCities {
 			break
 		}
 		cities = append(cities, roster{rc.name, rc.state})
 	}
 	prefixes := []string{"North", "South", "East", "West", "New", "Old", "Lake", "Fort", "Port", "Mount"}
 	stems := []string{"field", "ville", "burg", "ton", "wood", "haven", "dale", "ford", "crest", "view"}
-	for i := 0; len(cities) < cfg.NumCities; i++ {
+	for i := 0; len(cities) < numCities; i++ {
 		name := fmt.Sprintf("%s %s%s", prefixes[i%len(prefixes)], string(rune('A'+(i/len(prefixes))%26)), stems[(i/len(prefixes)/26)%len(stems)])
 		cities = append(cities, roster{name, usStates[rng.Intn(len(usStates))]})
 	}
 
-	fillerCorr := make([]float64, cfg.CityFillers)
+	fillerCorr := make([]float64, cityFillers)
 	for f := range fillerCorr {
 		if rng.Float64() < 0.2 {
 			fillerCorr[f] = 0.4 + 0.4*rng.Float64()
@@ -148,7 +148,7 @@ func (w *World) genStatesAndCities(cfg WorldConfig, rng *stats.RNG) {
 		if sid, ok := g.Lookup("State " + r.state); ok {
 			g.Set(id, "State Entity", Ent(sid))
 		}
-		for f := 0; f < cfg.CityFillers; f++ {
+		for f := 0; f < cityFillers; f++ {
 			if f%6 == 2 {
 				g.Set(id, fmt.Sprintf("City Code %03d", f), Str(fmt.Sprintf("C%d", rng.Intn(5))))
 				continue
@@ -163,8 +163,8 @@ func (w *World) genStatesAndCities(cfg WorldConfig, rng *stats.RNG) {
 	}
 	w.setCityRank("Population Ranking", func(c *City) float64 { return -c.Population })
 
-	w.injectMissing(rng, "State", cfg.CityMissing, cfg.BiasedFraction, []string{"Type", "wikiID"})
-	w.injectMissing(rng, "City", cfg.CityMissing, cfg.BiasedFraction, []string{"Type", "wikiID", "State"})
+	w.injectMissing(rng, "State", cityMissing, biasedFraction, []string{"Type", "wikiID"})
+	w.injectMissing(rng, "City", cityMissing, biasedFraction, []string{"Type", "wikiID", "State"})
 }
 
 func (w *World) setStateRank(prop string, key func(*State) float64) {
@@ -195,9 +195,9 @@ var airlineNames = []string{
 	"Kestrel Air", "Latitude", "Meridian Air", "Nimbus Airlines",
 }
 
-func (w *World) genAirlines(cfg WorldConfig, rng *stats.RNG) {
+func (w *World) genAirlines(rng *stats.RNG) {
 	g := w.Graph
-	for idx := 0; idx < cfg.NumAirlines; idx++ {
+	for idx := 0; idx < numAirlines; idx++ {
 		name := airlineNames[idx%len(airlineNames)]
 		if idx >= len(airlineNames) {
 			name = fmt.Sprintf("%s %d", name, idx)
@@ -242,7 +242,7 @@ func (w *World) genAirlines(cfg WorldConfig, rng *stats.RNG) {
 			g.Set(id, name, Num(v))
 		}
 	}
-	w.injectMissing(rng, "Airline", 0.15, cfg.BiasedFraction, []string{"Type", "wikiID"})
+	w.injectMissing(rng, "Airline", 0.15, biasedFraction, []string{"Type", "wikiID"})
 }
 
 func sortByKey(order []int, key func(int) float64) {

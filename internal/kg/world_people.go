@@ -23,10 +23,10 @@ var lastNames = []string{
 	"Okafor", "Petrov", "Quintana", "Romano", "Silva", "Tanaka",
 }
 
-func (w *World) genPeople(cfg WorldConfig, rng *stats.RNG) {
+func (w *World) genPeople(rng *stats.RNG) {
 	g := w.Graph
 
-	fillerCorr := make([]float64, cfg.PersonFillers)
+	fillerCorr := make([]float64, personFillers)
 	for f := range fillerCorr {
 		if rng.Float64() < 0.2 {
 			fillerCorr[f] = 0.4 + 0.4*rng.Float64()
@@ -35,7 +35,7 @@ func (w *World) genPeople(cfg WorldConfig, rng *stats.RNG) {
 
 	citizenships := []string{"United States", "United Kingdom", "Canada", "Australia", "France", "Germany", "Brazil", "Spain", "Japan", "Mexico"}
 
-	for idx := 0; idx < cfg.NumPeople; idx++ {
+	for idx := 0; idx < numPeople; idx++ {
 		cat := PersonCategories[rng.Choice([]float64{0.3, 0.15, 0.3, 0.15, 0.1})]
 		name := fmt.Sprintf("%s %s", firstNames[rng.Intn(len(firstNames))], lastNames[rng.Intn(len(lastNames))])
 		// Ensure uniqueness by suffixing a serial when needed.
@@ -97,7 +97,7 @@ func (w *World) genPeople(cfg WorldConfig, rng *stats.RNG) {
 		// Category-scoped fillers: each filler property only exists for two
 		// of the five categories, amplifying structural missingness.
 		catIdx := indexOf(PersonCategories, cat)
-		for f := 0; f < cfg.PersonFillers; f++ {
+		for f := 0; f < personFillers; f++ {
 			if (f+catIdx)%3 != 0 {
 				continue
 			}
@@ -115,7 +115,7 @@ func (w *World) genPeople(cfg WorldConfig, rng *stats.RNG) {
 		}
 	}
 
-	w.injectMissing(rng, "Person", cfg.PersonMissing, cfg.BiasedFraction, []string{"Type", "wikiID"})
+	w.injectMissing(rng, "Person", personMissing, biasedFraction, []string{"Type", "wikiID"})
 }
 
 func indexOf(xs []string, v string) int {

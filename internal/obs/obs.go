@@ -62,7 +62,7 @@ const (
 	// KGAttrs counts extracted candidate attributes.
 	KGAttrs = "kg_attrs"
 	// KGRowEncodings counts KG attributes broadcast from slot-level codes to
-	// an n-long row encoding (extract.Attribute.Encode). The prunes work at
+	// an n-long row encoding (core.FromEntity's Enc). The prunes work at
 	// entity level, so it tracks survivors, IPW-weighted candidates and
 	// subgroup refinement attributes, not KGAttrs.
 	KGRowEncodings = "kg_row_encodings"
@@ -71,9 +71,6 @@ const (
 	BiasedAttrs = "biased_attrs"
 	// IPWFits counts logistic propensity-model fits.
 	IPWFits = "ipw_fits"
-	// CacheHits counts reuses of a lazily computed encoding (the inputs all
-	// entropy/CMI evaluations share): every hit is a re-binning avoided.
-	CacheHits = "cache_hits"
 	// SubgroupNodesExplored / SubgroupNodesPushed mirror subgroups.Stats.
 	SubgroupNodesExplored = "subgroup_nodes_explored"
 	SubgroupNodesPushed   = "subgroup_nodes_pushed"
@@ -111,9 +108,9 @@ const (
 	ReportCacheMisses    = "report_cache_misses"
 	ReportCacheShared    = "report_cache_singleflight_shared"
 	ReportCacheEvictions = "report_cache_evictions"
-	// EncCacheHits counts repeat Candidate.Enc/Weights lookups served by the
-	// per-run memo cache in core (every phase after the first to touch a
-	// candidate hits instead of re-encoding).
+	// EncCacheHits is no longer written: core's per-run memo is gone (a
+	// candidate computes its own vectors once). The name stays until the
+	// benchmark module, which reads it, drops the metric.
 	EncCacheHits = "enc_cache_hits"
 	// CompositeRebuilds counts rebuilds of the pre-joined conditioning-set
 	// variable (once per accepted MCIMR attribute, plus one per subgroup

@@ -12,33 +12,18 @@ type LogisticModel struct {
 	Iter int       // iterations used by the optimizer
 }
 
-// LogisticOptions tunes the gradient-based fit.
-type LogisticOptions struct {
-	MaxIter  int     // default 200
-	LR       float64 // learning rate, default 0.5
-	Tol      float64 // convergence tolerance on gradient norm, default 1e-6
-	L2       float64 // ridge penalty, default 1e-4 (keeps separation finite)
-	Standard bool    // standardize predictors internally (default true via FitLogistic)
-}
+// The gradient-descent fit of FitLogistic.
+const (
+	logisticMaxIter = 200
+	logisticLR      = 0.5  // learning rate
+	logisticTol     = 1e-6 // convergence tolerance on the gradient norm
+	logisticL2      = 1e-4 // ridge penalty (keeps separation finite)
+)
 
 // FitLogistic fits a logistic regression of the binary labels y (0/1) on the
 // predictor columns xs using gradient descent with internal standardization.
 // Rows containing NaN in any predictor are dropped.
 func FitLogistic(y []int, xs ...[]float64) (*LogisticModel, error) {
-	return FitLogisticOpt(y, LogisticOptions{MaxIter: 200, LR: 0.5, Tol: 1e-6, L2: 1e-4, Standard: true}, xs...)
-}
-
-// FitLogisticOpt is FitLogistic with explicit options.
-func FitLogisticOpt(y []int, opt LogisticOptions, xs ...[]float64) (*LogisticModel, error) {
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 200
-	}
-	if opt.LR <= 0 {
-		opt.LR = 0.5
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-6
-	}
 	p := len(xs)
 	n0 := len(y)
 	for _, x := range xs {
@@ -74,18 +59,15 @@ func FitLogisticOpt(y []int, opt LogisticOptions, xs ...[]float64) (*LogisticMod
 			std[j] += d * d
 		}
 		std[j] = math.Sqrt(std[j] / float64(n))
-		if std[j] == 0 || !opt.Standard {
+		if std[j] == 0 {
 			std[j] = 1
-		}
-		if !opt.Standard {
-			mean[j] = 0
 		}
 	}
 
 	w := make([]float64, p+1)
 	grad := make([]float64, p+1)
 	iters := 0
-	for it := 0; it < opt.MaxIter; it++ {
+	for it := 0; it < logisticMaxIter; it++ {
 		iters = it + 1
 		for k := range grad {
 			grad[k] = 0
@@ -106,12 +88,12 @@ func FitLogisticOpt(y []int, opt LogisticOptions, xs ...[]float64) (*LogisticMod
 		for k := range grad {
 			grad[k] /= float64(n)
 			if k > 0 {
-				grad[k] += opt.L2 * w[k]
+				grad[k] += logisticL2 * w[k]
 			}
 			norm += grad[k] * grad[k]
-			w[k] -= opt.LR * grad[k]
+			w[k] -= logisticLR * grad[k]
 		}
-		if math.Sqrt(norm) < opt.Tol {
+		if math.Sqrt(norm) < logisticTol {
 			break
 		}
 	}

@@ -5,9 +5,9 @@
 #   2. links: every relative markdown link in README.md and docs/*.md
 #      must point at a file that exists.
 #   3. symbols: every `pkg.Symbol`-style identifier mentioned in
-#      docs/ARCHITECTURE.md, docs/API.md and docs/OPERATIONS.md must still
-#      exist somewhere in the Go sources, so the docs cannot silently rot
-#      after a rename.
+#      docs/ARCHITECTURE.md, docs/API.md, docs/OPERATIONS.md, DESIGN.md and
+#      README.md must still exist somewhere in the Go sources, so the docs
+#      cannot silently rot after a rename.
 #   4. sections: load-bearing doc sections (referenced from code comments
 #      and other docs) must keep existing under their exact headings.
 #
@@ -51,7 +51,7 @@ rm -f "$tmp_broken"
 # Go sources.
 symfail=$(
     grep -ho '`[A-Za-z][A-Za-z0-9_]*\(\.[A-Za-z][A-Za-z0-9_]*\)\{1,2\}`' \
-        docs/ARCHITECTURE.md docs/API.md docs/OPERATIONS.md |
+        docs/ARCHITECTURE.md docs/API.md docs/OPERATIONS.md DESIGN.md README.md |
         tr -d '\`' | tr '.' '\n' | grep '^[A-Z]' | sort -u |
         while IFS= read -r sym; do
             if ! grep -rqw --include='*.go' --exclude='*_test.go' "$sym" .; then
@@ -60,7 +60,7 @@ symfail=$(
         done
 )
 if [ -n "$symfail" ]; then
-    echo "check_docs: symbols cited in docs/ no longer exist in the Go sources:" >&2
+    echo "check_docs: symbols cited in the docs no longer exist in the Go sources:" >&2
     echo "$symfail" >&2
     fail=1
 fi
