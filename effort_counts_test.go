@@ -55,6 +55,7 @@ var effortCounts = map[string][]effortCount{
 		{"candidates_scored", 55},
 		{"ci_tests", 2809},
 		{"composite_rebuilds", 1},
+		{"cond_walks", 34},
 		{"counting_dense_passes", 3621},
 		{"counting_id_joins", 2},
 		{"counting_partitions", 851},

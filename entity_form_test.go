@@ -11,6 +11,7 @@ import (
 	"nexus"
 	"nexus/internal/core"
 	"nexus/internal/counting"
+	"nexus/internal/infotheory"
 	"nexus/internal/kg"
 	"nexus/internal/stats"
 	"nexus/internal/table"
@@ -165,6 +166,92 @@ func TestPrunesAgreeWithAndWithoutEntityForm(t *testing.T) {
 					if !reflect.DeepEqual(candidateNames(ent2), candidateNames(row2)) || !reflect.DeepEqual(entStats2, rowStats2) {
 						t.Fatalf("online prune differs:\nentity form %v %+v\n   row form %v %+v", candidateNames(ent2), entStats2, candidateNames(row2), rowStats2)
 					}
+				})
+			}
+		}
+	}
+}
+
+// TestCondVerdictsMatchUnfusedOnDatasets holds the conditional finalize the
+// online prune runs to the unfused estimator, candidate by candidate, over
+// the datasets, seeds and depths of TestPrunesAgreeWithAndWithoutEntityForm:
+// the screen the prune would build for a candidate (the cube fold for an
+// unweighted entity form, the row pass otherwise) must give, at every
+// threshold, the verdict of infotheory.CondIndependent over the candidate's
+// broadcast encoding — a math.Log2 walk over its own row tally, which the
+// entropy form shares no code with.
+func TestCondVerdictsMatchUnfusedOnDatasets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("24 prepared analyses; skipped in -short mode")
+	}
+	datasets := []struct {
+		name string
+		make func(*kg.World, workload.Config) *workload.Dataset
+		rows int
+		sql  string
+	}{
+		{"so", workload.StackOverflow, 2000, "SELECT Country, avg(Salary) FROM SO GROUP BY Country"},
+		{"flights", workload.Flights, 2000, flightsQuery},
+		{"covid", workload.Covid, 0, "SELECT Country, avg(Deaths_per_100_cases) FROM `Covid-19` GROUP BY Country"},
+		{"forbes", workload.Forbes, 0, "SELECT Name, avg(Pay) FROM Forbes WHERE Category = 'Athletes' GROUP BY Name"},
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		world := kg.NewWorld(kg.WorldConfig{Seed: seed})
+		for _, d := range datasets {
+			ds := d.make(world, workload.Config{Rows: d.rows, Seed: seed + 10})
+			for hops := 1; hops <= 2; hops++ {
+				t.Run(fmt.Sprintf("%s/seed=%d/hops=%d", d.name, seed, hops), func(t *testing.T) {
+					sess := nexus.NewSession(world.Graph, &nexus.Options{Hops: hops})
+					sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
+					sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
+					a, err := sess.Prepare(d.sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cubes := map[*int32]*counting.SlotCube{}
+					folded, byEntropyForm, verdicts := 0, 0, 0
+					for _, c := range a.Candidates {
+						enc, err := c.Enc()
+						if err != nil {
+							t.Fatal(err)
+						}
+						var w []float64
+						if c.Weights != nil {
+							w = c.Weights(enc)
+						}
+						var sc *infotheory.OnlineScreen
+						if c.Entity != nil && w == nil {
+							ent, err := c.Entity.Enc()
+							if err != nil {
+								t.Fatal(err)
+							}
+							key := &c.Entity.Slots[0]
+							if cubes[key] == nil {
+								cubes[key] = counting.NewSlotCube(c.Entity.Slots, a.O.Codes, a.T.Codes, a.O.Card, a.T.Card)
+							}
+							if sc = infotheory.ScreenSlots(cubes[key], ent); sc != nil {
+								folded++
+							}
+						}
+						if sc == nil {
+							sc = infotheory.ScreenAll(a.O, a.T, enc, w)
+						}
+						for _, thr := range []float64{0.001, 0.02, 0.1, 0.5} {
+							got, want := sc.CondIndependentGivenT(thr), infotheory.CondIndependent(a.O, enc, []infotheory.Var{a.T}, w, thr)
+							if got != want {
+								t.Fatalf("%s at threshold %v: the prune's screen says independent = %v, the unfused estimator %v", c.Name, thr, got, want)
+							}
+							verdicts++
+							if !sc.CondWalked() {
+								byEntropyForm++
+							}
+						}
+						sc.Release()
+					}
+					if folded == 0 || byEntropyForm == 0 {
+						t.Fatalf("fixture too weak: %d candidates folded, %d verdicts by the entropy form", folded, byEntropyForm)
+					}
+					t.Logf("%d candidates (%d folded), %d of %d verdicts by the entropy form", len(a.Candidates), folded, byEntropyForm, verdicts)
 				})
 			}
 		}

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"nexus"
+	"nexus/internal/counting"
 	"nexus/internal/server"
 	"nexus/internal/workload"
 )
@@ -24,15 +28,36 @@ import (
 // Session.Query keeps answering it. The degenerate inputs that have a defined
 // result today keep it: "no explanation" at zero bits for an empty result
 // set, a single-valued exposure, an all-null outcome and a header-only CSV; a
-// clean error for a ragged one.
+// clean error for a ragged one; and the pinned non-zero results of one row
+// per group (every tally of the conditional test is 1, its statistic exactly
+// zero) and of a joint domain past counting.MaxDense (the screen has no dense
+// tally and the prune falls back to the unfused estimators).
 func TestMeaninglessAndDegenerateQueries(t *testing.T) {
 	dir := t.TempDir()
-	csv := func(name, body string) nexus.Setup {
+	csv := func(name, body string, links ...string) nexus.Setup {
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return nexus.Setup{CSV: path, Table: "t", Links: []string{"Country"}, Seed: 7}
+		return nexus.Setup{CSV: path, Table: "t", Links: links, Seed: 7}
+	}
+	// One row per country: pay falls with the country's place in the roster.
+	var oneRowGroups strings.Builder
+	oneRowGroups.WriteString("Country,Pay,Age\n")
+	for i, c := range []string{"United States", "Germany", "France", "Italy", "Spain", "Portugal", "Netherlands", "Belgium",
+		"Austria", "Greece", "Ireland", "Finland", "United Kingdom", "Switzerland", "Norway", "Sweden"} {
+		fmt.Fprintf(&oneRowGroups, "%s,%d,%d\n", c, 9000-500*i+37*(i%3), 25+(7*i)%30)
+	}
+	// 3,000 exposure groups × 8 outcome bins × a 300-valued column beside them.
+	const wideRows, wideGroups, wideZones = 30000, 3000, 300
+	if wideGroups*8*wideZones <= counting.MaxDense {
+		t.Fatal("the wide fixture no longer leaves the dense bound")
+	}
+	var wide strings.Builder
+	wide.WriteString("Grp,Pay,Zone\n")
+	for i := 0; i < wideRows; i++ {
+		g := (i * 7) % wideGroups
+		fmt.Fprintf(&wide, "g%d,%d,z%d\n", g, (g%17)*10+(i*13)%29, (g+i/wideGroups)%wideZones)
 	}
 	so := workload.StackOverflow(integrationWorld(), workload.Config{Rows: 2000, Seed: 5})
 	soSession := func() (*nexus.Session, error) {
@@ -47,14 +72,23 @@ func TestMeaninglessAndDegenerateQueries(t *testing.T) {
 		}
 	}
 	const csvQuery = "SELECT Country, avg(Pay) FROM t GROUP BY Country"
+	type result struct {
+		bits      float64
+		attrs     []string
+		subgroups int
+	}
 	cases := []struct {
 		name string
 		sess func() (*nexus.Session, error)
 		sql  string
-		// wantErr is a substring of the error ("" = a defined result: zero
-		// bits, no explanation). openErr marks an error of the load itself.
+		// wantErr is a substring of the error ("" = a defined result, see
+		// want). openErr marks an error of the load itself.
 		wantErr string
 		openErr bool
+		// want is the defined result: the unexplained correlation in bits (to
+		// two decimals), the explanation, and how many of the 2 subgroups
+		// asked for exist. Zero: 0 bits, no explanation, no subgroups.
+		want result
 	}{
 		{name: "average of a string column that is also the exposure", sess: soSession,
 			sql: "SELECT Country, avg(Country) FROM SO GROUP BY Country", wantErr: `column "Country" is not numeric`},
@@ -71,11 +105,15 @@ func TestMeaninglessAndDegenerateQueries(t *testing.T) {
 			sql: "SELECT Country, avg(Salary) FROM SO WHERE Continent = 'Atlantis' GROUP BY Country"},
 		{name: "single-valued exposure", sess: soSession,
 			sql: "SELECT Continent, avg(Salary) FROM SO WHERE Continent = 'Europe' GROUP BY Continent"},
-		{name: "all-null outcome", sess: open(csv("nullo.csv", "Country,Pay,Age\nFrance,,30\nGermany,,41\nFrance,,25\nItaly,,33\n")),
+		{name: "all-null outcome", sess: open(csv("nullo.csv", "Country,Pay,Age\nFrance,,30\nGermany,,41\nFrance,,25\nItaly,,33\n", "Country")),
 			sql: csvQuery},
-		{name: "header-only CSV", sess: open(csv("header.csv", "Country,Pay,Age\n")), sql: csvQuery},
-		{name: "ragged CSV", sess: open(csv("ragged.csv", "Country,Pay,Age\nFrance,1,2\nGermany,3\n")), sql: csvQuery,
+		{name: "header-only CSV", sess: open(csv("header.csv", "Country,Pay,Age\n", "Country")), sql: csvQuery},
+		{name: "ragged CSV", sess: open(csv("ragged.csv", "Country,Pay,Age\nFrance,1,2\nGermany,3\n", "Country")), sql: csvQuery,
 			wantErr: "wrong number of fields", openErr: true},
+		{name: "one row per group", sess: open(csv("onerow.csv", oneRowGroups.String(), "Country")), sql: csvQuery,
+			want: result{bits: 1.98, attrs: []string{"Population Estimate"}}},
+		{name: "joint domain past MaxDense", sess: open(csv("wide.csv", wide.String())),
+			sql: "SELECT Grp, avg(Pay) FROM t GROUP BY Grp", want: result{bits: 2.17}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -107,14 +145,21 @@ func TestMeaninglessAndDegenerateQueries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Session.Explain: %v, want a defined result", err)
 			}
-			if ex := rep.Explanation; ex.BaseScore != 0 || len(ex.Attrs) != 0 {
-				t.Fatalf("Session.Explain: %.4f bits explained by %v, want 0 bits and no explanation", ex.BaseScore, ex.Names())
+			ex, want := rep.Explanation, tc.want
+			if math.Abs(ex.BaseScore-want.bits) >= 0.005 || !slices.Equal(ex.Names(), want.attrs) {
+				t.Fatalf("Session.Explain: %.4f bits explained by %v, want %.2f bits and %v", ex.BaseScore, ex.Names(), want.bits, want.attrs)
 			}
-			if _, _, err := rep.Subgroups(2, 0); err != nil {
-				t.Fatalf("Subgroups: %v", err)
+			groups, _, err := rep.Subgroups(2, 0)
+			if err != nil || len(groups) != want.subgroups {
+				t.Fatalf("Subgroups: %d groups, %v; want %d", len(groups), err, want.subgroups)
 			}
-			if code != http.StatusOK || body.BaseScore != 0 || len(body.Attributes) != 0 || len(body.Subgroups) != 0 {
-				t.Fatalf("POST /v1/explain: %d %+v, want 200 with 0 bits and no explanation", code, body)
+			var served []string
+			for _, a := range body.Attributes {
+				served = append(served, a.Name)
+			}
+			if code != http.StatusOK || body.BaseScore != ex.BaseScore || !slices.Equal(served, want.attrs) || len(body.Subgroups) != want.subgroups {
+				t.Fatalf("POST /v1/explain: %d %+v, want 200 with Session.Explain's %.4f bits, %v and %d subgroups",
+					code, body, ex.BaseScore, want.attrs, want.subgroups)
 			}
 		})
 	}

@@ -98,11 +98,24 @@ func entityPermDependent(tr *obs.Trace, cube *counting.SlotCube, name string, en
 	if observed <= 0 {
 		return false
 	}
+	// ShuffleObserved's draws, into one scratch vector: the observed slots
+	// are indexed once per test, not once per draw.
 	rng := stats.NewRNG(seed*0x9e3779b9 + HashName(name))
+	codes := make([]int32, len(ent.Codes))
+	observedSlots := make([]int, 0, len(ent.Codes))
+	for s, c := range ent.Codes {
+		if c != bins.Missing {
+			observedSlots = append(observedSlots, s)
+		}
+	}
 	exceed, ran := 0, 0
 	for ran < b && exceed <= allow {
 		ran++
-		if slotMI(cube, ShuffleObserved(ent, rng).Codes, ent.Card) >= observed {
+		copy(codes, ent.Codes)
+		rng.Shuffle(len(observedSlots), func(i, j int) {
+			codes[observedSlots[i]], codes[observedSlots[j]] = codes[observedSlots[j]], codes[observedSlots[i]]
+		})
+		if slotMI(cube, codes, ent.Card) >= observed {
 			exceed++
 		}
 	}

@@ -234,7 +234,11 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 		tr.Add(obs.CITests, 1)
 		if sc.MarginalIndependent(opts.RelevanceThreshold) {
 			tr.Add(obs.CITests, 1)
-			if sc.CondIndependentGivenT(opts.RelevanceThreshold) {
+			independent := sc.CondIndependentGivenT(opts.RelevanceThreshold)
+			if sc.CondWalked() {
+				tr.Add(obs.CondWalks, 1)
+			}
+			if independent {
 				return PruneIrrelevant, nil
 			}
 		}

@@ -16,21 +16,21 @@ package counting
 // and cannot be folded bit for bit; they keep the row pass.
 type SlotCube struct {
 	co, ct int
-	// pair is keyed by (o, slot), over the rows with a slot and an outcome:
+	// pair is keyed by (slot, o), over the rows with a slot and an outcome:
 	// the (O, E) tallies, which count a row whatever its T.
 	pair slotCells
-	// cube is keyed by (t·co+o, slot), over those of them that have a T: the
-	// (O, T, E) tallies; a fold walks JointT forward. It is empty when
-	// |T|·|O| leaves MaxDense: no screen over them is dense then.
+	// cube is keyed by (slot, t·co+o), over those of them that have a T: the
+	// (O, T, E) joint. It is empty when |T|·|O| leaves MaxDense: no screen
+	// over them is dense then.
 	cube slotCells
 }
 
-// slotCells lists the rows per (major key, slot), sorted by both: the cells
-// of the i-th distinct major key, major[i], are [start[i], start[i+1]).
+// slotCells lists the rows per (slot, key), sorted by both: the cells of slot
+// s are [start[s], start[s+1]). A candidate has one code per slot, so a fold
+// reads it once per slot and its inner loop has no branch on it.
 type slotCells struct {
-	major []int32
 	start []int32
-	slot  []int32
+	key   []int32
 	rows  []float64
 }
 
@@ -51,8 +51,8 @@ func RowsPerSlot(slots []int32) []int32 {
 }
 
 // NewSlotCube tallies the rows of a row→slot map against the outcome o and
-// exposure t: three stable counting sorts (slot, then o, then t) and a merge
-// of equal neighbours, O(rows + slots + |T|).
+// exposure t: stable counting sorts (o, [t,] slot) and a merge of equal
+// neighbours, O(rows + slots + |T|).
 func NewSlotCube(slots, o, t []int32, co, ct int) *SlotCube {
 	partitions.Add(1)
 	c := &SlotCube{co: co, ct: ct}
@@ -62,11 +62,11 @@ func NewSlotCube(slots, o, t []int32, co, ct int) *SlotCube {
 		rows[i] = int32(i)
 		nSlots = maxInt(nSlots, int(s)+1)
 	}
-	rows = sortRows(sortRows(rows, slots, nSlots), o, co)
-	c.pair = mergeCells(rows, slots, func(r int32) int32 { return o[r] })
+	rows = sortRows(rows, o, co)
+	c.pair = mergeCells(sortRows(rows, slots, nSlots), slots, nSlots, func(r int32) int32 { return o[r] })
 	if co > 0 && ct > 0 && co*ct <= MaxDense {
-		rows = sortRows(rows, t, ct)
-		c.cube = mergeCells(rows, slots, func(r int32) int32 { return t[r]*int32(co) + o[r] })
+		rows = sortRows(sortRows(rows, t, ct), slots, nSlots)
+		c.cube = mergeCells(rows, slots, nSlots, func(r int32) int32 { return t[r]*int32(co) + o[r] })
 	}
 	return c
 }
@@ -93,53 +93,67 @@ func sortRows(rows, keys []int32, card int) []int32 {
 	return out
 }
 
-// mergeCells collapses rows sorted by (major(row), slot) into one cell per
+// mergeCells collapses rows sorted by (slot, key(row)) into one cell per
 // distinct pair.
-func mergeCells(rows, slots []int32, major func(r int32) int32) slotCells {
-	var c slotCells
-	lastMajor, lastSlot := int32(-1), int32(-1)
+func mergeCells(rows, slots []int32, nSlots int, key func(r int32) int32) slotCells {
+	c := slotCells{start: make([]int32, nSlots+1)}
+	lastSlot, lastKey := int32(-1), int32(-1)
 	for _, r := range rows {
-		m, s := major(r), slots[r]
-		if m != lastMajor {
-			c.major = append(c.major, m)
-			c.start = append(c.start, int32(len(c.slot)))
-		}
-		if m != lastMajor || s != lastSlot {
-			c.slot = append(c.slot, s)
+		s, k := slots[r], key(r)
+		if s != lastSlot || k != lastKey {
+			c.key = append(c.key, k)
 			c.rows = append(c.rows, 0)
-			lastMajor, lastSlot = m, s
+			c.start[s+1]++ // cells of slot s, summed into offsets below
+			lastSlot, lastKey = s, k
 		}
 		c.rows[len(c.rows)-1]++
 	}
-	c.start = append(c.start, int32(len(c.slot)))
+	for s := 0; s < nSlots; s++ {
+		c.start[s+1] += c.start[s]
+	}
 	return c
+}
+
+// fold adds every cell's rows to out[key·ce+code], code being e's for the
+// cell's slot; a slot whose code is missing is skipped whole.
+func (c *slotCells) fold(e []int32, ce int, out []float64) {
+	for s := 0; s+1 < len(c.start); s++ {
+		ec := int(e[s])
+		if ec < 0 {
+			continue
+		}
+		key := c.key[c.start[s]:c.start[s+1]]
+		rows := c.rows[c.start[s]:c.start[s+1]]
+		for k, run := range key {
+			out[int(run)*ce+ec] += rows[k]
+		}
+	}
 }
 
 // Screen folds the cube through e, one code per slot with cardinality ce:
 // what CountScreen(o, t, e broadcast to rows, co, ct, ce, nil) returns, nil
-// exactly when that is nil, at one visit per cell. Counted as a dense pass
-// like the row pass it stands for.
+// exactly when that is nil. Only the two joints are folded cell by cell; the
+// margins are dense sums of them — sums of integers, exact in any order.
+// Counted as a dense pass like the row pass it stands for.
 func (c *SlotCube) Screen(e []int32, ce int) *Screen {
 	s := newScreen(c.co, c.ct, ce)
 	if s == nil {
 		return nil
 	}
-	co, slot, rows := c.co, c.cube.slot, c.cube.rows
-	for i, run := range c.cube.major {
-		tc, oc := int(run)/co, int(run)%co
-		joint, te := s.JointT[int(run)*ce:(int(run)+1)*ce], s.TE[tc*ce:(tc+1)*ce]
-		var n float64 // rows of the run with E present
-		for k := c.cube.start[i]; k < c.cube.start[i+1]; k++ {
-			if ec := e[slot[k]]; ec >= 0 {
-				joint[ec] += rows[k]
-				te[ec] += rows[k]
-				s.EO[int(ec)*co+oc] += rows[k]
-				n += rows[k]
-			}
+	co := c.co
+	c.cube.fold(e, ce, s.JointT)
+	for run := range s.TO {
+		tc, oc := run/co, run%co
+		te := s.TE[tc*ce : (tc+1)*ce]
+		var rows float64
+		for ec, n := range s.JointT[run*ce : (run+1)*ce] {
+			te[ec] += n
+			s.EO[ec*co+oc] += n
+			rows += n
 		}
-		s.TO[run] += n
-		s.TM[tc] += n
-		s.WS3 += n
+		s.TO[run] = rows
+		s.TM[tc] += rows
+		s.WS3 += rows
 	}
 	s.WS2 = c.foldPair(e, ce, s.OE, s.EM)
 	for oc := 0; oc < co; oc++ {
@@ -152,7 +166,7 @@ func (c *SlotCube) Screen(e []int32, ce int) *Screen {
 	return s
 }
 
-// PairO folds the (o, slot) cells through e the same way: the (O, E) tally
+// PairO folds the (slot, o) cells through e the same way: the (O, E) tally
 // over the rows with a slot, an outcome and a present code, whatever their T.
 // Not counted as a pass. Backed by pooled storage — call Release when done.
 func (c *SlotCube) PairO(e []int32, ce int) Pair {
@@ -163,14 +177,11 @@ func (c *SlotCube) PairO(e []int32, ce int) Pair {
 }
 
 func (c *SlotCube) foldPair(e []int32, ce int, joint, eMargin []float64) (total float64) {
-	for i, oc := range c.pair.major {
-		row := joint[int(oc)*ce : (int(oc)+1)*ce]
-		for k := c.pair.start[i]; k < c.pair.start[i+1]; k++ {
-			if ec := e[c.pair.slot[k]]; ec >= 0 {
-				row[ec] += c.pair.rows[k]
-				eMargin[ec] += c.pair.rows[k]
-				total += c.pair.rows[k]
-			}
+	c.pair.fold(e, ce, joint)
+	for oc := 0; oc < c.co; oc++ {
+		for ec, n := range joint[oc*ce : (oc+1)*ce] {
+			eMargin[ec] += n
+			total += n
 		}
 	}
 	return total

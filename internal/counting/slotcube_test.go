@@ -123,3 +123,42 @@ func TestRowsPerSlot(t *testing.T) {
 		t.Fatalf("RowsPerSlot = %v, want %v", got, want)
 	}
 }
+
+// TestSlotCubeSlotMajorCorners pins the shapes a slot-major cell list can get
+// wrong: a slot with no rows between two that have some, trailing slots whose
+// rows lack an outcome or an exposure (no cells), a code vector longer than
+// the last slot any row names, every code missing, and |T|·|O| past MaxDense,
+// where the cube is empty but the (slot, o) cells still answer PairO.
+func TestSlotCubeSlotMajorCorners(t *testing.T) {
+	const m = Missing
+	slots := []int32{0, 0, 2, 2, 2, m, 5, 5, 6, 7}
+	o := []int32{1, 0, 1, 1, m, 0, 2, 0, m, 1}
+	tc := []int32{0, 1, 1, 1, 0, 0, m, 2, 1, m}
+	for name, codes := range map[string][]int32{
+		"a code per slot":         {0, 1, 2, 1, 0, 2, 1, 0},
+		"codes past the map":      {2, 0, 1, 1, 0, 1, 2, 0, 1, 1, 2},
+		"holes among the codes":   {1, m, m, 0, 1, 2, m, 0},
+		"every code missing":      {m, m, m, m, m, m, m, m},
+		"only the empty slot set": {m, 2, m, 0, 1, m, m, m},
+	} {
+		if !checkFoldIsRowPass(t, slots, o, tc, codes, 3, 3, 3) {
+			t.Fatalf("%s: the fold left the dense path", name)
+		}
+	}
+
+	// co·ct > MaxDense: no screen is dense and the cube holds no cells.
+	const co, ct, ce = 2049, 2048, 3
+	r := rand.New(rand.NewSource(8))
+	wideSlots, wideO, wideT := randomCodes(r, 500, 40, 6), randomCodes(r, 500, co, 7), randomCodes(r, 500, ct, 7)
+	codes := randomCodes(r, 40, ce, 5)
+	cube := NewSlotCube(wideSlots, wideO, wideT, co, ct)
+	if len(cube.cube.key) != 0 || cube.Screen(codes, ce) != nil {
+		t.Fatalf("past MaxDense the cube holds %d cells and Screen != nil is %v", len(cube.cube.key), cube.Screen(codes, ce) != nil)
+	}
+	got, want := cube.PairO(codes, ce), CountPair(wideO, broadcast(codes, wideSlots), co, ce, nil)
+	defer got.Release()
+	defer want.Release()
+	if got.Total != want.Total || !reflect.DeepEqual(got.Joint, want.Joint) || !reflect.DeepEqual(got.EMargin, want.EMargin) {
+		t.Fatalf("PairO past MaxDense: total %v, e margin %v; the row pass has %v, %v", got.Total, got.EMargin, want.Total, want.EMargin)
+	}
+}

@@ -74,35 +74,6 @@ func Screen(o, t, e Var, w []float64) (rel, hOgivenE, hTgivenE float64) {
 	return s.mi, s.hx, s.hy
 }
 
-// CondEntropyPair returns H(x | e) over the joint complete cases of x and
-// e in a single counting pass — the hot path of the approximate-FD tests.
-func CondEntropyPair(x, e Var, w []float64) float64 {
-	cx, ce := x.Card, e.Card
-	if cx == 0 || ce == 0 {
-		return 0
-	}
-	if cx*ce > maxDense {
-		// Rare (two huge dictionaries); fall back to the generic path.
-		all := []Var{x, e}
-		mw := maskedWeights(all, w)
-		return JointEntropy(all, mw) - JointEntropy([]Var{e}, mw)
-	}
-	p := counting.CountPair(x.Codes, e.Codes, cx, ce, w)
-	defer p.Release()
-	if p.Total <= 0 {
-		return 0
-	}
-	h := 0.0
-	for xc := 0; xc < cx; xc++ {
-		for yc := 0; yc < ce; yc++ {
-			if pj := p.Joint[xc*ce+yc]; pj > 0 {
-				h -= pj / p.Total * math.Log2(pj/p.EMargin[yc])
-			}
-		}
-	}
-	return h
-}
-
 // MutualInfo returns I(X; Y) in bits over complete cases.
 func MutualInfo(x, y Var, w []float64) float64 {
 	return CondMutualInfo(x, y, nil, w)
@@ -388,23 +359,6 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// NormalizedCMI returns I(X;Y|G) / min(H(X|G), H(Y|G)); 0 when either
-// conditional entropy is 0. Used as a scale-free dependence score for
-// conditional-independence tests. The conditional entropies are computed
-// over the complete cases of (X, Y, G) jointly, in the same counting pass
-// as the CMI.
-func NormalizedCMI(x, y Var, given []Var, w []float64) float64 {
-	s := cmi(x, y, given, w)
-	if s.mi == 0 {
-		return 0
-	}
-	m := math.Min(s.hx, s.hy)
-	if m <= 0 {
-		return 0
-	}
-	return s.mi / m
 }
 
 // CondIndependent reports whether X ⊥ Y | G at the given threshold. It

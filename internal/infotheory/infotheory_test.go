@@ -294,19 +294,6 @@ func TestDenseIDsSparseFallback(t *testing.T) {
 	}
 }
 
-func TestNormalizedCMIBounds(t *testing.T) {
-	x := enc(t, "x", []string{"a", "a", "b", "b"})
-	y := enc(t, "y", []string{"p", "p", "q", "q"})
-	v := NormalizedCMI(x, y, nil, nil)
-	if math.Abs(v-1) > 1e-9 {
-		t.Fatalf("normalized CMI of determined pair = %v, want 1", v)
-	}
-	indep := enc(t, "z", []string{"0", "1", "0", "1"})
-	if v := NormalizedCMI(x, indep, nil, nil); v > 1e-9 {
-		t.Fatalf("normalized CMI of independent pair = %v, want 0", v)
-	}
-}
-
 func TestCondIndependent(t *testing.T) {
 	z := enc(t, "z", []string{"0", "0", "1", "1", "0", "0", "1", "1"})
 	x := enc(t, "x", []string{"a", "a", "b", "b", "a", "a", "b", "b"})

@@ -60,43 +60,6 @@ func oracleCondEntropy(x Var, given []Var, w []float64) float64 {
 	return oracleJointEntropy(all, maskedWeights(all, w)) - oracleJointEntropy(given, maskedWeights(all, w))
 }
 
-func oracleCondEntropyPair(x, e Var, w []float64) float64 {
-	cx, ce := x.Card, e.Card
-	if cx == 0 || ce == 0 {
-		return 0
-	}
-	if cx*ce > maxDense {
-		all := []Var{x, e}
-		mw := maskedWeights(all, w)
-		return oracleJointEntropy(all, mw) - oracleJointEntropy([]Var{e}, mw)
-	}
-	joint := make([]float64, cx*ce)
-	ec := make([]float64, ce)
-	total := 0.0
-	for i, xc := range x.Codes {
-		yc := e.Codes[i]
-		if xc == bins.Missing || yc == bins.Missing {
-			continue
-		}
-		wt := weightAt(w, i)
-		joint[int(xc)*ce+int(yc)] += wt
-		ec[yc] += wt
-		total += wt
-	}
-	if total <= 0 {
-		return 0
-	}
-	h := 0.0
-	for xc := 0; xc < cx; xc++ {
-		for yc := 0; yc < ce; yc++ {
-			if pj := joint[xc*ce+yc]; pj > 0 {
-				h -= pj / total * math.Log2(pj/ec[yc])
-			}
-		}
-	}
-	return h
-}
-
 func oracleCMI(x, y Var, given []Var, w []float64) cmiStats {
 	n := x.Len()
 	zids, zcard := oracleDenseIDs(given, n)
@@ -387,20 +350,6 @@ func TestCondEntropyMatchesOracleBitwise(t *testing.T) {
 		}
 		w := oracleRandWeights(r, n)
 		return bitsEqual(CondEntropy(x, given, w), oracleCondEntropy(x, given, w))
-	}
-	if err := quick.Check(prop, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCondEntropyPairMatchesOracleBitwise(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(200)
-		x := oracleRandVar(r, "x", n, 1+r.Intn(10), 0.2)
-		e := oracleRandVar(r, "e", n, 1+r.Intn(10), 0.2)
-		w := oracleRandWeights(r, n)
-		return bitsEqual(CondEntropyPair(x, e, w), oracleCondEntropyPair(x, e, w))
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
 		t.Fatal(err)

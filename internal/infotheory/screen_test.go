@@ -49,37 +49,6 @@ func TestScreenMatchesComponents(t *testing.T) {
 	}
 }
 
-func TestCondEntropyPairMatchesGeneric(t *testing.T) {
-	check := func(seed uint64) bool {
-		rng := stats.NewRNG(seed)
-		n := 50 + rng.Intn(300)
-		x := randVar(rng, n, 4, 0.15)
-		e := randVar(rng, n, 6, 0.15)
-		fast := CondEntropyPair(x, e, nil)
-		slow := CondEntropy(x, []Var{e}, nil)
-		return math.Abs(fast-slow) < 1e-9
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCondEntropyPairWeighted(t *testing.T) {
-	rng := stats.NewRNG(4)
-	n := 300
-	x := randVar(rng, n, 3, 0)
-	e := randVar(rng, n, 4, 0)
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 0.5 + rng.Float64()
-	}
-	fast := CondEntropyPair(x, e, w)
-	slow := CondEntropy(x, []Var{e}, w)
-	if math.Abs(fast-slow) > 1e-9 {
-		t.Fatalf("weighted pair entropy %v != generic %v", fast, slow)
-	}
-}
-
 func TestDebiasedLessThanRaw(t *testing.T) {
 	rng := stats.NewRNG(8)
 	n := 500

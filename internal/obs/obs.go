@@ -46,6 +46,10 @@ const (
 	// all permutation tests (responsibility, gain calibration, relevance
 	// prune, fast marginal).
 	PermutationsRun = "permutations_run"
+	// CondWalks counts the online prune's conditional tests (O ⊥ E | T)
+	// finalized by the math.Log2 walk — IPW-weighted tallies, plus any
+	// unweighted one too close to a decision boundary for the entropy form.
+	CondWalks = "cond_walks"
 	// CandidatesScored counts candidates whose individual relevance
 	// I(O;T|C,E) was computed by the MCIMR relevance pass.
 	CandidatesScored = "candidates_scored"
