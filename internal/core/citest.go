@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -47,39 +47,94 @@ func permTest(ctx context.Context, b, allow, parallelism int, eval func(i int) (
 	return int(atomic.LoadInt64(&exceeded)), int(atomic.LoadInt64(&evaluated)), firstErr
 }
 
-// permDependent reports whether the observed statistic I(O; E | given)
-// significantly exceeds its permutation null: the candidate's values are
-// shuffled at source granularity (entities for KG attributes, preserving
-// the missingness pattern) and the observed value must exceed all but
-// `allow` of the b permuted statistics — a one-sided test at
-// p ≤ (allow+1)/(b+1).
-//
-// This is the calibrated dependence test used by the responsibility test
-// (Lemma 4.2) and by the permutation variant of the low-relevance prune:
-// entity-level attributes correlate with the outcome by chance at entity
-// granularity, which row-level χ² corrections cannot account for.
+// stat is the statistic op tests, for a candidate encoding e (real or
+// permuted) under the pre-joined prefix given: I(O; E | given) for the
+// responsibility test, the joint score I(O; T | given, E) for the gain test.
+// Both are unweighted — a permuted copy has no IPW weights of its own.
+func (op PermOp) stat(t, o, e *bins.Encoded, given []infotheory.Var) float64 {
+	if op == PermGain {
+		return infotheory.CondMutualInfo(o, t, append(append([]infotheory.Var{}, given...), e), nil)
+	}
+	return infotheory.CondMutualInfo(o, e, given, nil)
+}
+
+// exceeds reports whether a permuted statistic counts against the observed
+// one: a permuted copy as dependent on O as the real candidate (PermResp), or
+// one that "explains" as much of the joint score (PermGain).
+func (op PermOp) exceeds(perm, observed float64) bool {
+	if op == PermGain {
+		return perm <= observed
+	}
+	return perm >= observed
+}
+
+// permSignificant is the pipeline's one permutation test: it reports whether
+// the observed statistic of op beats its permutation null — all but allow of b
+// permuted statistics must not exceed it, a one-sided test at
+// p ≤ (allow+1)/(b+1). The candidate's values are shuffled at source
+// granularity (entities for KG attributes, preserving the missingness
+// pattern): entity-level attributes correlate with the outcome by chance at
+// entity granularity, which row-level χ² corrections cannot account for. It
+// serves the responsibility test (Lemma 4.2), the calibrated gain guard and
+// the permutation variant of the low-relevance prune.
 //
 // given may be a pre-joined composite of the selected prefix
-// (infotheory.JoinVars); depth is the logical size of the conditioning set,
-// kept separate so the seed schedule is unchanged by the composite
-// representation. Errors from Permute propagate to the caller.
-func permDependent(ctx context.Context, tr *obs.Trace, o *bins.Encoded, cand *Candidate, enc *bins.Encoded, given []infotheory.Var,
-	depth, b, allow, parallelism int, seed uint64) (bool, error) {
+// (infotheory.JoinVars). Permutation i draws from seed base + i·stride, where
+// base folds seed, step (the logical prefix size for PermResp, the iteration
+// for PermGain — kept apart from the composite so its representation leaves
+// the schedule unchanged) and the candidate's name. The observed statistic
+// and PermResp's observed ≤ 0 shortcut stay in this process, so a degenerate
+// candidate never costs a network round trip.
+//
+// A WirePerm candidate's block goes through scorer.PermBlock when a scorer is
+// given (sctx.Cands[idx] being enc); every other block runs cand.Permute under
+// permTest. Local.PermBlock is permTest over ShuffleObserved and the same
+// stat/exceeds, so for a FromColumn candidate the two arms are bit-identical
+// (TestPermArmsAgree). A block cut short by ctx yields no verdict: the error
+// wraps ctx.Err(), as does any Permute or scorer failure.
+func permSignificant(ctx context.Context, tr *obs.Trace, op PermOp, t, o *bins.Encoded, cand *Candidate, enc *bins.Encoded, given []infotheory.Var,
+	seed uint64, step, b, allow, parallelism int, scorer Scorer, sctx *ScoreContext, idx int) (bool, error) {
 
 	tr.Add(obs.CITests, 1)
-	observed := infotheory.CondMutualInfo(o, enc, given, nil)
-	if observed <= 0 {
+	observed := op.stat(t, o, enc, given)
+	if op != PermGain && observed <= 0 {
 		return false, nil
 	}
-	base := seed*0x9e3779b9 + uint64(depth)*1000003 + HashName(cand.Name)
-	count, ran, err := permTest(ctx, b, allow, parallelism, func(i int) (bool, error) {
-		pe, err := cand.Permute(stats.NewRNG(base + uint64(i)*0x45d9f3b))
-		if err != nil {
-			return false, err
+	base, stride := seed*0x9e3779b9+uint64(step)*1000003, uint64(0x45d9f3b)
+	if op == PermGain {
+		base, stride = seed*0x2545f491+uint64(step)*7919, 0x9e3779b9
+	}
+	base += HashName(cand.Name)
+
+	var count, ran int
+	var err error
+	if cand.WirePerm && scorer != nil {
+		seeds := make([]uint64, b)
+		for i := range seeds {
+			seeds[i] = base + uint64(i)*stride
 		}
-		return infotheory.CondMutualInfo(o, pe, given, nil) >= observed, nil
-	})
+		var exceed []bool
+		exceed, ran, err = scorer.PermBlock(ctx, sctx, PermSpec{
+			Cand: idx, Given: givenVar(given), Op: op, Observed: observed, Seeds: seeds, Allow: allow,
+		})
+		for _, e := range exceed {
+			if e {
+				count++
+			}
+		}
+	} else {
+		count, ran, err = permTest(ctx, b, allow, parallelism, func(i int) (bool, error) {
+			pe, err := cand.Permute(stats.NewRNG(base + uint64(i)*stride))
+			if err != nil {
+				return false, err
+			}
+			return op.exceeds(op.stat(t, o, pe, given), observed), nil
+		})
+	}
 	tr.Add(obs.PermutationsRun, int64(ran))
+	if err == nil && ctx.Err() != nil {
+		err = fmt.Errorf("core: permutation test of %q: %w", cand.Name, ctx.Err())
+	}
 	if err != nil {
 		return false, err
 	}
@@ -101,20 +156,12 @@ func entityPermDependent(tr *obs.Trace, cube *counting.SlotCube, name string, en
 	// ShuffleObserved's draws, into one scratch vector: the observed slots
 	// are indexed once per test, not once per draw.
 	rng := stats.NewRNG(seed*0x9e3779b9 + HashName(name))
+	draw := observedShuffle(ent.Codes)
 	codes := make([]int32, len(ent.Codes))
-	observedSlots := make([]int, 0, len(ent.Codes))
-	for s, c := range ent.Codes {
-		if c != bins.Missing {
-			observedSlots = append(observedSlots, s)
-		}
-	}
 	exceed, ran := 0, 0
 	for ran < b && exceed <= allow {
 		ran++
-		copy(codes, ent.Codes)
-		rng.Shuffle(len(observedSlots), func(i, j int) {
-			codes[observedSlots[i]], codes[observedSlots[j]] = codes[observedSlots[j]], codes[observedSlots[i]]
-		})
+		draw(codes, rng)
 		if slotMI(cube, codes, ent.Card) >= observed {
 			exceed++
 		}
@@ -124,84 +171,22 @@ func entityPermDependent(tr *obs.Trace, cube *counting.SlotCube, name string, en
 }
 
 // slotMI computes I(O; E) where E assigns the cube's entity slots to codes,
-// over the rows that have a slot, an outcome and a present code.
+// over the rows that have a slot, an outcome and a present code: the marginal
+// finalize of infotheory over the cube's (O, E) fold, equal bit for bit to
+// infotheory.MutualInfo on the broadcast encoding.
 func slotMI(cube *counting.SlotCube, slotCodes []int32, card int) float64 {
 	p := cube.PairO(slotCodes, card)
 	defer p.Release()
-	if p.Total <= 0 {
-		return 0
-	}
-	mi := 0.0
+	var few [16]float64 // no allocation per draw for the usual handful of outcome bins
+	oMargin := few[:0]
 	for oc := 0; oc < p.Cx; oc++ {
-		joint := p.Joint[oc*card : (oc+1)*card]
-		oTot := 0.0
-		for _, pj := range joint {
-			oTot += pj
+		rows := 0.0
+		for _, n := range p.Joint[oc*card : (oc+1)*card] {
+			rows += n
 		}
-		for ec, pj := range joint {
-			if pj > 0 {
-				mi += pj / p.Total * math.Log2(p.Total*pj/(oTot*p.EMargin[ec]))
-			}
-		}
+		oMargin = append(oMargin, rows)
 	}
-	if mi < 0 {
-		mi = 0
-	}
-	return mi
-}
-
-// permDependentWire is permDependent routed through the Scorer seam for
-// wire-permutable candidates: same statistic, same seed schedule (the block
-// base and the per-permutation stride are unchanged), same early-exit
-// semantics — with Local the two paths are bit-identical, and a remote
-// scorer reproduces the block from the explicit seeds. The observed
-// statistic and the <= 0 shortcut stay on the coordinator, so a degenerate
-// candidate never costs a network round trip.
-func permDependentWire(ctx context.Context, tr *obs.Trace, scorer Scorer, sctx *ScoreContext, candIdx int, o *bins.Encoded, name string, given []infotheory.Var,
-	depth, b, allow int, seed uint64) (bool, error) {
-
-	tr.Add(obs.CITests, 1)
-	observed := infotheory.CondMutualInfo(o, sctx.Cands[candIdx], given, nil)
-	if observed <= 0 {
-		return false, nil
-	}
-	base := seed*0x9e3779b9 + uint64(depth)*1000003 + HashName(name)
-	seeds := make([]uint64, b)
-	for i := range seeds {
-		seeds[i] = base + uint64(i)*0x45d9f3b
-	}
-	exceed, ran, err := scorer.PermBlock(ctx, sctx, PermSpec{
-		Cand: candIdx, Given: givenVar(given), Op: PermResp,
-		Observed: observed, Seeds: seeds, Allow: allow,
-	})
-	tr.Add(obs.PermutationsRun, int64(ran))
-	if err != nil {
-		return false, err
-	}
-	return countExceed(exceed) <= allow, nil
-}
-
-// gainSignificantWire is the calibrated gain test routed through the Scorer
-// seam (see permDependentWire for the equivalence argument).
-func gainSignificantWire(ctx context.Context, tr *obs.Trace, scorer Scorer, sctx *ScoreContext, candIdx int, name string, given []infotheory.Var,
-	b, allow int, seed uint64, iter int) (bool, error) {
-
-	tr.Add(obs.CITests, 1)
-	observed := infotheory.CondMutualInfo(sctx.O, sctx.T, append(append([]infotheory.Var{}, given...), sctx.Cands[candIdx]), nil)
-	base := seed*0x2545f491 + uint64(iter)*7919 + HashName(name)
-	seeds := make([]uint64, b)
-	for i := range seeds {
-		seeds[i] = base + uint64(i)*0x9e3779b9
-	}
-	exceed, ran, err := scorer.PermBlock(ctx, sctx, PermSpec{
-		Cand: candIdx, Given: givenVar(given), Op: PermGain,
-		Observed: observed, Seeds: seeds, Allow: allow,
-	})
-	tr.Add(obs.PermutationsRun, int64(ran))
-	if err != nil {
-		return false, err
-	}
-	return countExceed(exceed) <= allow, nil
+	return infotheory.TallyMutualInfo(p.Joint, oMargin, p.EMargin, p.Total)
 }
 
 // givenVar unwraps the ≤1-element pre-joined conditioning set into the
@@ -211,16 +196,6 @@ func givenVar(given []infotheory.Var) *bins.Encoded {
 		return nil
 	}
 	return given[0]
-}
-
-func countExceed(exceed []bool) int {
-	n := 0
-	for _, e := range exceed {
-		if e {
-			n++
-		}
-	}
-	return n
 }
 
 // HashName folds an attribute name into a permutation seed (an FNV-1a-style

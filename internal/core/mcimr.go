@@ -12,7 +12,6 @@ import (
 	"nexus/internal/counting"
 	"nexus/internal/infotheory"
 	"nexus/internal/obs"
-	"nexus/internal/stats"
 )
 
 // Options configures Explain / MCIMR.
@@ -372,7 +371,7 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 		// Responsibility test (Lemma 4.2): O ⊥ E | selected means the
 		// attribute's responsibility would be ≈ 0.
 		if !opts.DisableStopping {
-			ind, err := respIndependent(ctx, o, cst.cand, ev.enc, ev.w, given(), selW, len(sel.Encs), opts, iter, scorer, sctx, idx)
+			ind, err := respIndependent(ctx, cst.cand, ev.enc, ev.w, given(), selW, len(sel.Encs), opts, iter, scorer, sctx, idx)
 			if err != nil {
 				ev.err = err
 				return ev
@@ -390,7 +389,7 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 		// minGain threshold passed (currentScore is frozen per iteration).
 		ev.newScore = infotheory.CondMutualInfo(o, t, append(given(), ev.enc), combineWeights(selW, ev.w))
 		if !opts.DisableStopping && ev.newScore < currentScore-minGain*baseScore {
-			ev.gainOK, ev.err = gainSignificant(ctx, t, o, cst.cand, ev.enc, given(), opts, iter, scorer, sctx, idx)
+			ev.gainOK, ev.err = gainSignificant(ctx, cst.cand, ev.enc, given(), opts, iter, scorer, sctx, idx)
 		}
 		return ev
 	}
@@ -576,74 +575,37 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 // true means O ⊥ E | selected (adding E has ≈0 responsibility; stop).
 //
 // Candidates exposing Permute get a permutation test at their source
-// granularity: the observed I(O;E|selected) must exceed all but permAllow
-// of permTests permuted statistics. This is the calibration that
-// matters for entity-level attributes, whose chance correlation lives at
-// entity rather than row granularity. Candidates without Permute fall back
-// to the analytic debiased-CMI test with IPW weights.
+// granularity (permSignificant, PermResp). Candidates without Permute fall
+// back to the analytic debiased-CMI test with IPW weights.
 //
 // given is the pre-joined composite of the selected prefix (possibly nil);
 // w the candidate's own IPW weights; selW the prefix's combined weights;
 // depth the logical size of the prefix, used only for permutation-seed
-// derivation so the composite representation leaves the seed schedule
-// unchanged.
-// scorer and sctx route the permutation blocks of wire-permutable
-// candidates (idx into sctx.Cands) through the distributed-scoring seam;
-// Local reproduces the in-process path bit for bit.
-func respIndependent(ctx context.Context, o *bins.Encoded, cand *Candidate, enc *bins.Encoded, w []float64, given []infotheory.Var, selW []float64, depth int, opts Options, iter int, scorer Scorer, sctx *ScoreContext, idx int) (bool, error) {
+// derivation; idx the candidate's index in sctx.Cands.
+func respIndependent(ctx context.Context, cand *Candidate, enc *bins.Encoded, w []float64, given []infotheory.Var, selW []float64, depth int, opts Options, iter int, scorer Scorer, sctx *ScoreContext, idx int) (bool, error) {
 	if cand.Permute == nil {
 		opts.Trace.Add(obs.CITests, 1)
 		testW := combineWeights(selW, w)
-		return infotheory.CondIndependent(o, enc, given, testW, opts.RespThreshold), nil
+		return infotheory.CondIndependent(sctx.O, enc, given, testW, opts.RespThreshold), nil
 	}
-	var dependent bool
-	var err error
-	if cand.WirePerm {
-		dependent, err = permDependentWire(ctx, opts.Trace, scorer, sctx, idx, o, cand.Name, given,
-			depth, permTests, permAllow, opts.Seed+uint64(iter))
-	} else {
-		dependent, err = permDependent(ctx, opts.Trace, o, cand, enc, given, depth,
-			permTests, permAllow, opts.Parallelism, opts.Seed+uint64(iter))
-	}
-	if err != nil {
-		return false, err
-	}
-	return !dependent, nil
+	dependent, err := permSignificant(ctx, opts.Trace, PermResp, sctx.T, sctx.O, cand, enc, given,
+		opts.Seed+uint64(iter), depth, permTests, permAllow, opts.Parallelism, scorer, sctx, idx)
+	return !dependent, err
 }
 
 // gainSignificant calibrates the joint-score reduction of a candidate
-// against its permutation null: the unweighted joint score with the real
-// candidate must undercut the joint score of all but permAllow of
-// permTests permuted copies. A permuted copy has identical cardinality
-// and missingness, so it shatters the contingency strata exactly as much —
-// any additional reduction must be genuine dependence. Candidates without
-// Permute pass (minGain already screened them). given is the pre-joined
-// selected prefix; a Permute failure propagates as an error instead of
-// silently counting against the candidate.
-func gainSignificant(ctx context.Context, t, o *bins.Encoded, cand *Candidate, enc *bins.Encoded, given []infotheory.Var, opts Options, iter int, scorer Scorer, sctx *ScoreContext, idx int) (bool, error) {
+// against its permutation null (permSignificant, PermGain): the unweighted
+// joint score with the real candidate must undercut the joint score of all
+// but permAllow of permTests permuted copies. A permuted copy has identical
+// cardinality and missingness, so it shatters the contingency strata exactly
+// as much — any additional reduction must be genuine dependence. Candidates
+// without Permute pass (minGain already screened them).
+func gainSignificant(ctx context.Context, cand *Candidate, enc *bins.Encoded, given []infotheory.Var, opts Options, iter int, scorer Scorer, sctx *ScoreContext, idx int) (bool, error) {
 	if cand.Permute == nil {
 		return true, nil
 	}
-	if cand.WirePerm {
-		return gainSignificantWire(ctx, opts.Trace, scorer, sctx, idx, cand.Name, given,
-			permTests, permAllow, opts.Seed, iter)
-	}
-	opts.Trace.Add(obs.CITests, 1)
-	observed := infotheory.CondMutualInfo(o, t, append(append([]infotheory.Var{}, given...), enc), nil)
-	base := opts.Seed*0x2545f491 + uint64(iter)*7919 + HashName(cand.Name)
-	count, ran, err := permTest(ctx, permTests, permAllow, opts.Parallelism, func(i int) (bool, error) {
-		pe, err := cand.Permute(stats.NewRNG(base + uint64(i)*0x9e3779b9))
-		if err != nil {
-			return false, err
-		}
-		perm := infotheory.CondMutualInfo(o, t, append(append([]infotheory.Var{}, given...), pe), nil)
-		return perm <= observed, nil // the permuted copy "explains" as much
-	})
-	opts.Trace.Add(obs.PermutationsRun, int64(ran))
-	if err != nil {
-		return false, err
-	}
-	return count <= permAllow, nil
+	return permSignificant(ctx, opts.Trace, PermGain, sctx.T, sctx.O, cand, enc, given,
+		opts.Seed, iter, permTests, permAllow, opts.Parallelism, scorer, sctx, idx)
 }
 
 // Responsibilities computes Def. 2.5 for an attribute set: attribute i's

@@ -254,7 +254,7 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 			case c.Entity != nil:
 				dependent = entityPermDependent(tr, cube, c.Name, ent, b, 0, 0x5eed+uint64(i))
 			case enc.Len() <= permBudget(opts):
-				if dependent, err = permDependent(ctx, tr, o, c, enc, nil, 0, b, 0, 1, 0x5eed+uint64(i)); err != nil {
+				if dependent, err = permSignificant(ctx, tr, PermResp, t, o, c, enc, nil, 0x5eed+uint64(i), 0, b, 0, 1, nil, nil, 0); err != nil {
 					return "", err
 				}
 			}

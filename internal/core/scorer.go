@@ -229,17 +229,27 @@ func hashWeights(h io.Writer, w []float64) {
 // statistics are bit-identical for the same seed.
 func ShuffleObserved(enc *bins.Encoded, rng *stats.RNG) *bins.Encoded {
 	codes := make([]int32, len(enc.Codes))
-	copy(codes, enc.Codes)
+	observedShuffle(enc.Codes)(codes, rng)
+	return &bins.Encoded{Name: enc.Name, Codes: codes, Card: enc.Card, Labels: enc.Labels}
+}
+
+// observedShuffle indexes the observed positions of codes once and returns
+// the draw: dst becomes a copy of codes with the observed codes shuffled among
+// those positions. A test that draws many permutations of one vector keeps
+// the draw and one dst.
+func observedShuffle(codes []int32) func(dst []int32, rng *stats.RNG) {
 	idx := make([]int, 0, len(codes))
 	for i, cd := range codes {
 		if cd != bins.Missing {
 			idx = append(idx, i)
 		}
 	}
-	rng.Shuffle(len(idx), func(a, b int) {
-		codes[idx[a]], codes[idx[b]] = codes[idx[b]], codes[idx[a]]
-	})
-	return &bins.Encoded{Name: enc.Name, Codes: codes, Card: enc.Card, Labels: enc.Labels}
+	return func(dst []int32, rng *stats.RNG) {
+		copy(dst, codes)
+		rng.Shuffle(len(idx), func(a, b int) {
+			dst[idx[a]], dst[idx[b]] = dst[idx[b]], dst[idx[a]]
+		})
+	}
 }
 
 // Local is the in-process Scorer: today's code path, and the oracle every
@@ -274,7 +284,8 @@ func (l Local) Relevance(ctx context.Context, sc *ScoreContext, cands []int) ([]
 	return out, nil
 }
 
-// PermBlock implements Scorer via the shared early-exit permutation driver.
+// PermBlock implements Scorer via the shared early-exit permutation driver,
+// with the statistic and exceedance rule permSignificant's other arm uses.
 func (l Local) PermBlock(ctx context.Context, sc *ScoreContext, spec PermSpec) ([]bool, int, error) {
 	enc := sc.Cands[spec.Cand]
 	var given []infotheory.Var
@@ -284,15 +295,8 @@ func (l Local) PermBlock(ctx context.Context, sc *ScoreContext, spec PermSpec) (
 	exceed := make([]bool, len(spec.Seeds))
 	_, ran, err := permTest(ctx, len(spec.Seeds), spec.Allow, l.par(), func(i int) (bool, error) {
 		pe := ShuffleObserved(enc, stats.NewRNG(spec.Seeds[i]))
-		var ex bool
-		switch spec.Op {
-		case PermGain:
-			ex = infotheory.CondMutualInfo(sc.O, sc.T, append(append([]infotheory.Var{}, given...), pe), nil) <= spec.Observed
-		default:
-			ex = infotheory.CondMutualInfo(sc.O, pe, given, nil) >= spec.Observed
-		}
-		exceed[i] = ex
-		return ex, nil
+		exceed[i] = spec.Op.exceeds(spec.Op.stat(sc.T, sc.O, pe, given), spec.Observed)
+		return exceed[i], nil
 	})
 	if err != nil {
 		return nil, 0, err

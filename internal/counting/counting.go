@@ -186,7 +186,7 @@ func IDs(dims []Dim, n int) (ids []int32, card int) {
 		ids = make([]int32, n)
 		return ids, 1
 	case 1:
-		return dims[0].Codes, maxInt(dims[0].Card, 1)
+		return dims[0].Codes, max(dims[0].Card, 1)
 	}
 	idJoins.Add(1)
 	// Try direct product indexing while the domain stays small.
@@ -244,14 +244,7 @@ func IDs(dims []Dim, n int) (ids []int32, card int) {
 		}
 		ids[i] = id
 	}
-	return ids, maxInt(len(seen), 1)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return ids, max(len(seen), 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -612,7 +605,7 @@ func Pack(dims []Dim, n int) (*Packed, error) {
 	widest := 0
 	for j, d := range dims {
 		p.off[j+1] = p.off[j] + d.Card + 1
-		widest = maxInt(widest, d.Card)
+		widest = max(widest, d.Card)
 	}
 	var err error
 	switch {

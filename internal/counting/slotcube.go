@@ -39,7 +39,7 @@ type slotCells struct {
 func RowsPerSlot(slots []int32) []int32 {
 	nSlots := 0
 	for _, s := range slots {
-		nSlots = maxInt(nSlots, int(s)+1)
+		nSlots = max(nSlots, int(s)+1)
 	}
 	rows := make([]int32, nSlots)
 	for _, s := range slots {
@@ -60,7 +60,7 @@ func NewSlotCube(slots, o, t []int32, co, ct int) *SlotCube {
 	nSlots := 0
 	for i, s := range slots {
 		rows[i] = int32(i)
-		nSlots = maxInt(nSlots, int(s)+1)
+		nSlots = max(nSlots, int(s)+1)
 	}
 	rows = sortRows(rows, o, co)
 	c.pair = mergeCells(sortRows(rows, slots, nSlots), slots, nSlots, func(r int32) int32 { return o[r] })

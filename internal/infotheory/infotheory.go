@@ -41,31 +41,6 @@ func Entropy(x Var, w []float64) float64 {
 	return h
 }
 
-// JointEntropy returns H(X1, ..., Xk) in bits over rows where every variable
-// is present.
-func JointEntropy(xs []Var, w []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := xs[0].Len()
-	ids, card := DenseIDs(xs, n)
-	v := counting.CountVec(ids, card, w)
-	h := entropyOf(v.Counts, v.Total)
-	v.Release()
-	return h
-}
-
-// CondEntropy returns H(X | G1, ..., Gk) in bits over complete cases.
-// With an empty conditioning set it equals Entropy(x, w).
-func CondEntropy(x Var, given []Var, w []float64) float64 {
-	if len(given) == 0 {
-		return Entropy(x, w)
-	}
-	all := append([]Var{x}, given...)
-	mw := maskedWeights(all, w)
-	return JointEntropy(all, mw) - JointEntropy(given, mw)
-}
-
 // Screen returns, from one counting pass, the triple the online prune and
 // the relevance ranking need for a candidate e: the relevance I(O;T|E) and
 // the conditional entropies H(O|E) and H(T|E) over the joint complete cases.
@@ -77,6 +52,17 @@ func Screen(o, t, e Var, w []float64) (rel, hOgivenE, hTgivenE float64) {
 // MutualInfo returns I(X; Y) in bits over complete cases.
 func MutualInfo(x, y Var, w []float64) float64 {
 	return CondMutualInfo(x, y, nil, w)
+}
+
+// TallyMutualInfo returns I(X; Y) in bits from a dense tally the caller
+// holds — joint[x·len(yMargin)+y], its two margins and their total: MutualInfo's
+// finalize (denseMI with one stratum) for a tally that was folded rather than
+// counted over rows, as the entity-level permutation null of core does.
+func TallyMutualInfo(joint, xMargin, yMargin []float64, total float64) float64 {
+	if total <= 0 {
+		return 0
+	}
+	return denseMI(joint, xMargin, yMargin, []float64{total}, len(xMargin), len(yMargin), total)
 }
 
 // CondMutualInfo returns I(X; Y | G1, ..., Gk) in bits over rows where x, y
@@ -123,7 +109,7 @@ func debiasedMI(s cmiStats, weighted bool) float64 {
 	if weighted && s.weightSqSum > 0 {
 		neff = s.weightSum * s.weightSum / s.weightSqSum // Kish effective N
 	}
-	df := float64(maxInt(s.nx-1, 0)) * float64(maxInt(s.ny-1, 0)) * float64(maxInt(s.nz, 1))
+	df := float64(max(s.nx-1, 0)) * float64(max(s.ny-1, 0)) * float64(max(s.nz, 1))
 	v := s.mi - df/(2*neff*math.Ln2)
 	if v < 0 {
 		v = 0
@@ -154,79 +140,91 @@ func cmi(x, y Var, given []Var, w []float64) cmiStats {
 }
 
 func xyzStats(t *counting.XYZ) cmiStats {
-	if t.Dense {
-		return cmiDenseStats(t)
+	if !t.Dense {
+		return cmiSparseStats(t)
 	}
-	return cmiSparseStats(t)
+	defer t.Release()
+	return cmiDenseStats(t.Joint, t.ZX, t.ZY, t.Z, t.Cx, t.Cy, t.WeightSum, t.WeightSqSum)
 }
 
-// cmiDenseStats finalizes the dense three-way tally. Loop order (z outer,
-// then x, then y; margins after the MI) matches the pre-kernel estimator
-// exactly — same float-add sequence, bit-identical statistics.
-func cmiDenseStats(t *counting.XYZ) cmiStats {
-	defer t.Release()
-	cx, cy, zcard := t.Cx, t.Cy, t.Zcard
-	s := cmiStats{weightSum: t.WeightSum, weightSqSum: t.WeightSqSum}
-	if s.weightSum <= 0 {
+// cmiDenseStats is the one dense finalize: every plug-in statistic read off a
+// dense contingency tally goes through it. The tally is laid out
+// joint[(z·cx+x)·cy+y] with margins zx[z·cx+x], zy[z·cy+y] and z[z] (one
+// stratum for a marginal test) — counting.XYZ's buffers, and equally the
+// (JointT, TO, TE, TM) and (OE, OM, EM, {WS2}) tallies of counting.Screen.
+// The support sizes are read off the margins: weights are never negative, so
+// a code has a positive margin cell exactly where denseMI's walk meets it.
+func cmiDenseStats(joint, zx, zy, z []float64, cx, cy int, weightSum, weightSqSum float64) cmiStats {
+	if weightSum <= 0 {
 		return cmiStats{}
 	}
-	total := s.weightSum
-	xSeen := make([]bool, cx)
-	ySeen := make([]bool, cy)
+	return cmiStats{
+		mi:        denseMI(joint, zx, zy, z, cx, cy, weightSum),
+		hx:        denseCondEntropy(zx, z, cx, weightSum),
+		hy:        denseCondEntropy(zy, z, cy, weightSum),
+		weightSum: weightSum, weightSqSum: weightSqSum,
+		nx: supportSize(zx, cx), ny: supportSize(zy, cy), nz: positives(z),
+	}
+}
+
+// denseMI is the (z, x, y) walk: I(X;Y|Z) in bits, clamped at 0. Loop order
+// (z outer, then x, then y) is the float-add sequence every bit-identity pin
+// in this package rests on.
+func denseMI(joint, zx, zy, z []float64, cx, cy int, total float64) float64 {
 	mi := 0.0
-	for zi := 0; zi < zcard; zi++ {
-		if t.Z[zi] <= 0 {
+	for zi, pz := range z {
+		if pz <= 0 {
 			continue
 		}
-		s.nz++
 		for xc := 0; xc < cx; xc++ {
-			pzx := t.ZX[zi*cx+xc]
+			pzx := zx[zi*cx+xc]
 			if pzx <= 0 {
 				continue
 			}
-			xSeen[xc] = true
 			for yc := 0; yc < cy; yc++ {
-				pj := t.Joint[(zi*cx+xc)*cy+yc]
+				pj := joint[(zi*cx+xc)*cy+yc]
 				if pj <= 0 {
 					continue
 				}
-				ySeen[yc] = true
-				pzy := t.ZY[zi*cy+yc]
-				mi += pj / total * math.Log2(t.Z[zi]*pj/(pzx*pzy))
+				pzy := zy[zi*cy+yc]
+				mi += pj / total * math.Log2(pz*pj/(pzx*pzy))
 			}
-		}
-	}
-	for _, seen := range xSeen {
-		if seen {
-			s.nx++
-		}
-	}
-	for _, seen := range ySeen {
-		if seen {
-			s.ny++
 		}
 	}
 	if mi < 0 {
 		mi = 0
 	}
-	s.mi = mi
-	// Conditional entropies from the same tallies.
-	for zi := 0; zi < zcard; zi++ {
-		if t.Z[zi] <= 0 {
+	return mi
+}
+
+// denseCondEntropy computes H(V|Z) = -Σ p(z,v) log2 p(v|z) from the margin
+// zv[z·card+v], z outer.
+func denseCondEntropy(zv, z []float64, card int, total float64) (h float64) {
+	for zi, pz := range z {
+		if pz <= 0 {
 			continue
 		}
-		for xc := 0; xc < cx; xc++ {
-			if pzx := t.ZX[zi*cx+xc]; pzx > 0 {
-				s.hx -= pzx / total * math.Log2(pzx/t.Z[zi])
-			}
-		}
-		for yc := 0; yc < cy; yc++ {
-			if pzy := t.ZY[zi*cy+yc]; pzy > 0 {
-				s.hy -= pzy / total * math.Log2(pzy/t.Z[zi])
+		for _, pzv := range zv[zi*card : (zi+1)*card] {
+			if pzv > 0 {
+				h -= pzv / total * math.Log2(pzv/pz)
 			}
 		}
 	}
-	return s
+	return h
+}
+
+// supportSize counts the codes v with a positive cell zv[z·card+v] in some
+// stratum.
+func supportSize(zv []float64, card int) (n int) {
+	for v := 0; v < card; v++ {
+		for i := v; i < len(zv); i += card {
+			if zv[i] > 0 {
+				n++
+				break
+			}
+		}
+	}
+	return n
 }
 
 // cmiSparseStats finalizes the hash-map fallback tally. Unlike the
@@ -320,45 +318,6 @@ func entropyOf(counts []float64, total float64) float64 {
 		}
 	}
 	return h
-}
-
-// maskedWeights zeroes the weight of any row where one of the variables is
-// missing so that joint and marginal entropies are computed over the same
-// complete-case population.
-func maskedWeights(vars []Var, w []float64) []float64 {
-	if len(vars) == 0 {
-		return w
-	}
-	n := vars[0].Len()
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		miss := false
-		for _, v := range vars {
-			if v.Codes[i] == bins.Missing {
-				miss = true
-				break
-			}
-		}
-		if miss {
-			continue
-		}
-		out[i] = weightAt(w, i)
-	}
-	return out
-}
-
-func weightAt(w []float64, i int) float64 {
-	if w == nil {
-		return 1
-	}
-	return w[i]
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CondIndependent reports whether X ⊥ Y | G at the given threshold. It

@@ -161,28 +161,6 @@ func TestChainRuleProperty(t *testing.T) {
 	}
 }
 
-func TestCondEntropyDecomposition(t *testing.T) {
-	// H(X|Y) = H(X,Y) - H(Y).
-	x := enc(t, "x", []string{"a", "a", "b", "c", "b", "a"})
-	y := enc(t, "y", []string{"0", "1", "0", "1", "1", "0"})
-	lhs := CondEntropy(x, []Var{y}, nil)
-	rhs := JointEntropy([]Var{x, y}, nil) - Entropy(y, nil)
-	if math.Abs(lhs-rhs) > 1e-9 {
-		t.Fatalf("H(X|Y) = %v, want %v", lhs, rhs)
-	}
-	// Conditioning cannot increase entropy.
-	if lhs > Entropy(x, nil)+1e-12 {
-		t.Fatal("H(X|Y) > H(X)")
-	}
-}
-
-func TestCondEntropyEmptyConditioning(t *testing.T) {
-	x := enc(t, "x", []string{"a", "b", "a", "b"})
-	if math.Abs(CondEntropy(x, nil, nil)-Entropy(x, nil)) > 1e-12 {
-		t.Fatal("H(X|∅) != H(X)")
-	}
-}
-
 func TestCMIMultipleConditioningVars(t *testing.T) {
 	// Y determined jointly by Z1 XOR Z2; conditioning on both kills I(Y;X)
 	// where X = Z1 (imperfect single conditioning).

@@ -120,54 +120,14 @@ func (s *OnlineScreen) FDEntropies() (hOgivenE, hTgivenE float64) {
 }
 
 // MarginalIndependent reports O ⊥ E at the threshold — identical to
-// CondIndependent(o, e, nil, w, threshold). This mirrors cmiDenseStats with
-// a single stratum (empty conditioning set) over the (O,E) complete cases.
+// CondIndependent(o, e, nil, w, threshold): cmiDenseStats with one stratum over
+// the (O,E) complete cases.
 func (s *OnlineScreen) MarginalIndependent(threshold float64) bool {
 	f := s.tally
 	if f == nil {
 		return CondIndependent(s.o, s.e, nil, s.w, threshold)
 	}
-	st := cmiStats{weightSum: f.WS2, weightSqSum: f.WSQ2}
-	if f.WS2 <= 0 {
-		return condIndependentStats(cmiStats{}, s.weighted, threshold)
-	}
-	total := f.WS2
-	st.nz = 1
-	mi := 0.0
-	for xc := 0; xc < f.Co; xc++ {
-		px := f.OM[xc]
-		if px <= 0 {
-			continue
-		}
-		st.nx++
-		for yc := 0; yc < f.Ce; yc++ {
-			pj := f.OE[xc*f.Ce+yc]
-			if pj <= 0 {
-				continue
-			}
-			py := f.EM[yc]
-			mi += pj / total * math.Log2(total*pj/(px*py))
-		}
-	}
-	for yc := 0; yc < f.Ce; yc++ {
-		if f.EM[yc] > 0 {
-			st.ny++
-		}
-	}
-	if mi < 0 {
-		mi = 0
-	}
-	st.mi = mi
-	for xc := 0; xc < f.Co; xc++ {
-		if px := f.OM[xc]; px > 0 {
-			st.hx -= px / total * math.Log2(px/total)
-		}
-	}
-	for yc := 0; yc < f.Ce; yc++ {
-		if py := f.EM[yc]; py > 0 {
-			st.hy -= py / total * math.Log2(py/total)
-		}
-	}
+	st := cmiDenseStats(f.OE, f.OM, f.EM, []float64{f.WS2}, f.Co, f.Ce, f.WS2, f.WSQ2)
 	return condIndependentStats(st, s.weighted, threshold)
 }
 
@@ -177,15 +137,14 @@ func (s *OnlineScreen) MarginalIndependent(threshold float64) bool {
 // is a function of the input alone. Unweighted tallies are integer counts, so
 // condStatsEntropy's table look-ups decide whenever decideWithin proves the
 // verdict is the walk's. Weighted tallies, and the rare statistic within
-// entropyBound of a decision boundary, take the walk below: cmiDenseStats's
-// finalize, verbatim, over the z = t tallies of the fused pass.
+// entropyBound of a decision boundary, take the walk: cmiDenseStats over the
+// z = t tallies of the fused pass.
 func (s *OnlineScreen) CondIndependentGivenT(threshold float64) bool {
 	f := s.tally
 	s.condWalked = f == nil // the unfused estimator is a math.Log2 walk too
 	if f == nil {
 		return CondIndependent(s.o, s.e, []Var{s.t}, s.w, threshold)
 	}
-	st := cmiStats{weightSum: f.WS3, weightSqSum: f.WSQ3}
 	if f.WS3 <= 0 {
 		return condIndependentStats(cmiStats{}, s.weighted, threshold)
 	}
@@ -195,61 +154,7 @@ func (s *OnlineScreen) CondIndependentGivenT(threshold float64) bool {
 		}
 	}
 	s.condWalked = true
-	total := f.WS3
-	xSeen := make([]bool, f.Co)
-	ySeen := make([]bool, f.Ce)
-	mi := 0.0
-	for zi := 0; zi < f.Ct; zi++ {
-		if f.TM[zi] <= 0 {
-			continue
-		}
-		st.nz++
-		for xc := 0; xc < f.Co; xc++ {
-			pzx := f.TO[zi*f.Co+xc]
-			if pzx <= 0 {
-				continue
-			}
-			xSeen[xc] = true
-			for yc := 0; yc < f.Ce; yc++ {
-				pj := f.JointT[(zi*f.Co+xc)*f.Ce+yc]
-				if pj <= 0 {
-					continue
-				}
-				ySeen[yc] = true
-				pzy := f.TE[zi*f.Ce+yc]
-				mi += pj / total * math.Log2(f.TM[zi]*pj/(pzx*pzy))
-			}
-		}
-	}
-	for _, seen := range xSeen {
-		if seen {
-			st.nx++
-		}
-	}
-	for _, seen := range ySeen {
-		if seen {
-			st.ny++
-		}
-	}
-	if mi < 0 {
-		mi = 0
-	}
-	st.mi = mi
-	for zi := 0; zi < f.Ct; zi++ {
-		if f.TM[zi] <= 0 {
-			continue
-		}
-		for xc := 0; xc < f.Co; xc++ {
-			if pzx := f.TO[zi*f.Co+xc]; pzx > 0 {
-				st.hx -= pzx / total * math.Log2(pzx/f.TM[zi])
-			}
-		}
-		for yc := 0; yc < f.Ce; yc++ {
-			if pzy := f.TE[zi*f.Ce+yc]; pzy > 0 {
-				st.hy -= pzy / total * math.Log2(pzy/f.TM[zi])
-			}
-		}
-	}
+	st := cmiDenseStats(f.JointT, f.TO, f.TE, f.TM, f.Co, f.Ce, f.WS3, f.WSQ3)
 	return condIndependentStats(st, s.weighted, threshold)
 }
 
@@ -300,15 +205,7 @@ func sumKLogK(counts []float64) (sum float64) {
 // mi, hx and hy differ from the walk's in their last bits, by less than
 // entropyBound.
 func condStatsEntropy(f *counting.Screen) cmiStats {
-	st := cmiStats{weightSum: f.WS3, weightSqSum: f.WSQ3, ny: positives(f.ZE), nz: positives(f.TM)}
-	for oc := 0; oc < f.Co; oc++ {
-		for tc := 0; tc < f.Ct; tc++ {
-			if f.TO[tc*f.Co+oc] > 0 {
-				st.nx++
-				break
-			}
-		}
-	}
+	st := cmiStats{weightSum: f.WS3, weightSqSum: f.WSQ3, nx: supportSize(f.TO, f.Co), ny: positives(f.ZE), nz: positives(f.TM)}
 	a, b, c, j := sumKLogK(f.TM), sumKLogK(f.TO), sumKLogK(f.TE), sumKLogK(f.JointT)
 	st.mi = math.Max(((j-b)+(a-c))/f.WS3, 0)
 	st.hx, st.hy = (a-b)/f.WS3, (a-c)/f.WS3
