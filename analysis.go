@@ -13,7 +13,6 @@ import (
 	"nexus/internal/core"
 	"nexus/internal/counting"
 	"nexus/internal/extract"
-	"nexus/internal/infotheory"
 	"nexus/internal/missing"
 	"nexus/internal/ned"
 	"nexus/internal/obs"
@@ -711,23 +710,21 @@ func (a *Analysis) rawSeries(name string) ([]float64, bool) {
 
 // Responsibility re-ranks an explicit attribute set by Def. 2.5 and returns
 // name → responsibility. It lets analysts probe sets beyond the one MCIMR
-// selected.
+// selected, scoring them as Explain scores its own (core.ScoreSet): under
+// the attributes' IPW weights.
 func (a *Analysis) Responsibility(names []string) (map[string]float64, error) {
-	encs := make([]*bins.Encoded, len(names))
+	cands := make([]*core.Candidate, len(names))
 	for i, n := range names {
-		c := a.Candidate(n)
-		if c == nil {
+		if cands[i] = a.Candidate(n); cands[i] == nil {
 			return nil, fmt.Errorf("nexus: unknown attribute %q", n)
 		}
-		e, err := c.Enc()
-		if err != nil {
-			return nil, err
-		}
-		encs[i] = e
 	}
-	full := infotheory.CondMutualInfo(a.O, a.T, encs, nil)
+	_, shares, err := core.ScoreSet(a.T, a.O, cands)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]float64, len(names))
-	for i, share := range core.Responsibilities(a.T, a.O, encs, nil, full) {
+	for i, share := range shares {
 		out[names[i]] = share
 	}
 	return out, nil

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"syscall"
 	"time"
 
 	"nexus/internal/core"
@@ -249,12 +250,21 @@ func main() {
 			n = 1000000
 		}
 		fmt.Printf("§5.3 headline: explaining Flights Q1 at %d rows...\n", n)
-		p, err := suite.Headline(n, opts)
+		ex, allocated, err := suite.Headline(n, opts)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("MCIMR explained Flights (%d rows) in %v (|E| = %d; paper: <10 s at 5.8M rows)\n",
-			n, p.Elapsed.Round(time.Millisecond), p.ExplSize)
+			n, ex.Elapsed.Round(time.Millisecond), len(ex.Attrs))
+		fmt.Printf("explanation: %s\n", strings.Join(ex.Names(), ", "))
+		// Peak RSS as the benchmark reads peak_rss_mb: getrusage's maxrss, KiB
+		// on Linux, for the whole process so far (world and dataset included).
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			return err
+		}
+		fmt.Printf("explain allocated %.2f GiB; process peak RSS %.0f MB\n",
+			float64(allocated)/(1<<30), float64(ru.Maxrss)/1024)
 		return nil
 	})
 

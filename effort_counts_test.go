@@ -38,7 +38,7 @@ var effortCounts = map[string][]effortCount{
 		{"ipw_fits", 61},
 		{"kg_attrs", 393},
 		{"kg_attrs_hop1", 393},
-		{"kg_row_encodings", 122},
+		{"kg_row_encodings", 20},
 		{"mcimr_iterations", 2},
 		{"mcimr_skips", 11},
 		{"permutations_run", 2046},
@@ -66,7 +66,7 @@ var effortCounts = map[string][]effortCount{
 		{"ipw_fits", 62},
 		{"kg_attrs", 934},
 		{"kg_attrs_hop1", 934},
-		{"kg_row_encodings", 123},
+		{"kg_row_encodings", 23},
 		{"mcimr_iterations", 1},
 		{"mcimr_skips", 11},
 		{"permutations_run", 1261},
@@ -117,6 +117,11 @@ func TestEffortCountsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The noise-free form of "a KG candidate never becomes an n-long
+			// vector": the explain itself broadcasts none of them.
+			if v := tr.Counters().Get(obs.KGRowEncodings); v != 0 {
+				t.Errorf("kg_row_encodings = %d after Explain, want 0", v)
+			}
 			if _, _, err := rep.Subgroups(5, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -131,14 +136,18 @@ func TestEffortCountsExact(t *testing.T) {
 				if v, bound := counters[obs.SubgroupRowsVisited], counters[obs.GroupsScored]*int64(w.rows)/2; v >= bound {
 					t.Errorf("subgroup_rows_visited = %d, want < groups_scored × rows / 2 = %d", v, bound)
 				}
-				// The noise-free form of "candidates stay at entity level
-				// through both prunes": only survivors, IPW-weighted candidates
-				// and refinement attributes are broadcast to rows (every
-				// extracted attribute was, before the prunes worked from the
-				// entity form).
-				if v, bound := counters[obs.KGRowEncodings], counters[obs.KGAttrs]/4; v >= bound {
-					t.Errorf("kg_row_encodings = %d, want < kg_attrs / 4 = %d", v, bound)
-				}
+			}
+			// Rows are built only for what the subgroup search requests: its
+			// refinement attributes and the explanation it conditions on
+			// (every extracted attribute was broadcast before the prunes
+			// worked from the entity form, and every survivor and weighted
+			// candidate before the scoring core read it through its map).
+			refine, err := nexus.RefinementAttrCount(rep.Analysis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, bound := counters[obs.KGRowEncodings], int64(refine+len(rep.Explanation.Attrs)); v > bound {
+				t.Errorf("kg_row_encodings = %d, want ≤ refinement attributes + |E| = %d", v, bound)
 			}
 			var got []effortCount
 			for name, n := range counters {

@@ -31,16 +31,39 @@ type Encoded struct {
 	Codes  []int32
 	Card   int      // number of distinct codes (bins or categories)
 	Labels []string // human-readable label per code (may be nil)
+	// Slots, when non-nil, makes this the indirect form of a column whose
+	// value is a function of an entity slot: Codes holds one code per slot
+	// and Slots maps each row to its slot, so row i's code is
+	// Codes[Slots[i]], or Missing where Slots[i] < 0 (an unresolved row).
+	// The counting kernel reads it through the map (counting.Dim);
+	// e.Broadcast(e.Slots) is the same column with one code per row.
+	Slots []int32
 }
 
 // Len returns the number of rows.
-func (e *Encoded) Len() int { return len(e.Codes) }
+func (e *Encoded) Len() int {
+	if e.Slots != nil {
+		return len(e.Slots)
+	}
+	return len(e.Codes)
+}
 
-// MissingCount returns the number of Missing codes.
+// code returns row i's code.
+func (e *Encoded) code(i int) int32 {
+	if e.Slots == nil {
+		return e.Codes[i]
+	}
+	if s := e.Slots[i]; s >= 0 {
+		return e.Codes[s]
+	}
+	return Missing
+}
+
+// MissingCount returns the number of rows whose code is Missing.
 func (e *Encoded) MissingCount() int {
 	n := 0
-	for _, c := range e.Codes {
-		if c == Missing {
+	for i := range e.Len() {
+		if e.code(i) == Missing {
 			n++
 		}
 	}
@@ -49,26 +72,26 @@ func (e *Encoded) MissingCount() int {
 
 // MissingFraction returns the fraction of Missing codes (0 on empty input).
 func (e *Encoded) MissingFraction() float64 {
-	if len(e.Codes) == 0 {
+	if e.Len() == 0 {
 		return 0
 	}
-	return float64(e.MissingCount()) / float64(len(e.Codes))
+	return float64(e.MissingCount()) / float64(e.Len())
 }
 
-// Gather returns a new Encoded restricted to the given row indices.
+// Gather returns a new direct Encoded restricted to the given row indices.
 func (e *Encoded) Gather(idx []int) *Encoded {
 	out := &Encoded{Name: e.Name, Card: e.Card, Labels: e.Labels}
 	out.Codes = make([]int32, len(idx))
 	for i, r := range idx {
-		out.Codes[i] = e.Codes[r]
+		out.Codes[i] = e.code(r)
 	}
 	return out
 }
 
-// Broadcast reads e as one code per entity slot and returns the row-level
-// encoding under slots, the row→slot map: row i gets e.Codes[slots[i]], and
-// Missing where slots[i] < 0 (an unresolved row). It is the one place slot
-// codes become row codes.
+// Broadcast reads e.Codes as one code per entity slot and returns the
+// row-level encoding under slots, the row→slot map: row i gets
+// e.Codes[slots[i]], and Missing where slots[i] < 0 (an unresolved row). It
+// is the one place slot codes become row codes.
 func (e *Encoded) Broadcast(slots []int32) *Encoded {
 	out := &Encoded{Name: e.Name, Card: e.Card, Labels: e.Labels, Codes: make([]int32, len(slots))}
 	for i, s := range slots {

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"nexus/internal/bins"
+	"nexus/internal/infotheory"
 	"nexus/internal/obs"
 	"nexus/internal/stats"
 	"nexus/internal/table"
@@ -31,9 +32,9 @@ const (
 
 // Candidate is one candidate confounding attribute. It owns every vector
 // derived from it: the three constructors below (FromEncoded, FromColumn,
-// FromEntity) build candidates whose Enc and Weights compute once and are
-// shared by every phase and every run that touches the candidate, so the
-// pipeline calls them freely and keeps no memo of its own.
+// FromEntity) build candidates whose vectors compute once and are shared by
+// every phase and every run that touches the candidate, so the pipeline
+// calls them freely and keeps no memo of its own.
 type Candidate struct {
 	// Name identifies the attribute in explanations.
 	Name string
@@ -43,24 +44,27 @@ type Candidate struct {
 	Hops int
 
 	// Enc produces the row-level encoding aligned with the analysis view. It
-	// is called by every phase that needs the vector and must be safe for
-	// concurrent use. For a candidate with an entity form it is the slot-level
-	// encoding broadcast to rows.
+	// must be safe for concurrent use. For a candidate with an entity form
+	// it is the slot-level encoding broadcast to rows — n codes built for
+	// callers outside the scoring core (the subgroup search, the baselines);
+	// the core itself reads the entity form.
 	Enc func() (*bins.Encoded, error)
 
 	// Weights optionally produces IPW weights (package missing) for the
-	// candidate's complete cases when selection bias was detected; nil
-	// disables weighting for this candidate. Must be safe for concurrent
-	// use.
+	// candidate's complete cases when selection bias was detected, one per
+	// row of enc; nil disables weighting for this candidate. Must be safe
+	// for concurrent use. Like Enc, an entity form's row weights exist for
+	// callers outside the scoring core.
 	Weights func(enc *bins.Encoded) []float64
 
 	// Permute returns an encoding whose values are randomly permuted at the
 	// candidate's source granularity — across entities for KG attributes
-	// (then broadcast to rows), across rows for input columns. It powers
-	// the permutation-based responsibility test: entity-level attributes
-	// can correlate with the outcome by chance at entity granularity, a
-	// signal row-level χ² corrections cannot calibrate away. Nil falls back
-	// to the analytic debiased-CMI test.
+	// (the slot codes shuffled, read through the same row→slot map), across
+	// rows for input columns. It powers the permutation-based
+	// responsibility test: entity-level attributes can correlate with the
+	// outcome by chance at entity granularity, a signal row-level χ²
+	// corrections cannot calibrate away. Nil falls back to the analytic
+	// debiased-CMI test.
 	Permute func(rng *stats.RNG) (*bins.Encoded, error)
 
 	// WirePerm marks Permute as the canonical row-level shuffle
@@ -73,11 +77,12 @@ type Candidate struct {
 
 	// Entity, when non-nil, is the candidate's entity form: the candidate is
 	// a function of a linked entity, so one code per entity slot plus the
-	// row→slot map say everything Enc's n-long vector does. Both prunes work
-	// from it (offline from slot codes × rows per slot, online by folding
-	// the run's (slot, T, O) cube), and Enc is only called for what survives
-	// them, for candidates that carry IPW weights — weighted tallies are not
-	// folded, see counting.SlotCube — and past counting.MaxDense. Stripping
+	// row→slot map say everything Enc's n-long vector does. The scoring core
+	// works from it alone: the offline prune from slot codes × rows per
+	// slot, the online prune by folding the run's (slot, T, O) cube — or,
+	// for IPW-weighted candidates and past counting.MaxDense, by a row pass
+	// that reads the slot codes and slot weights through the map — and
+	// MCIMR and the final score through the same map (vectors). Stripping
 	// the field selects the row path, which gives the same verdicts.
 	Entity *Entity
 
@@ -88,14 +93,29 @@ type Candidate struct {
 	EntityComplete int
 }
 
-// vectors returns the candidate's row-level encoding and its IPW weights
-// (nil when it has none).
+// vectors returns what the scoring core reads of the candidate: its encoding
+// and its IPW weights (nil when it has none), the weights in the encoding's
+// form. An entity form gives its slot encoding read through the row→slot map
+// (bins.Encoded.Slots) and its slot weights, so nothing n-long is built;
+// every other candidate gives Enc and Weights.
 func (c *Candidate) vectors() (*bins.Encoded, []float64, error) {
+	if e := c.Entity; e != nil {
+		enc, err := e.encoding(c.Name)
+		if err != nil || e.Weights == nil {
+			return enc, nil, err
+		}
+		return enc, e.Weights(), nil
+	}
 	enc, err := c.Enc()
 	if err != nil || c.Weights == nil {
 		return enc, nil, err
 	}
 	return enc, c.Weights(enc), nil
+}
+
+// weightsOf pairs a candidate's weights with its encoding's row→slot map.
+func weightsOf(enc *bins.Encoded, w []float64) infotheory.Weights {
+	return infotheory.Weights{W: w, Slots: enc.Slots}
 }
 
 // Entity is the entity form of a candidate (see Candidate.Entity and
@@ -114,55 +134,54 @@ type Entity struct {
 	Weights func() []float64
 }
 
-// FromEntity builds a KG-origin candidate from its entity form and derives
-// everything row-level from it: Enc is the slot encoding broadcast through
-// ent.Slots (each broadcast counted as obs.KGRowEncodings in counters, nil =
-// uncounted), Weights the slot weights broadcast the same way (0 for an
-// unresolved row), and Permute the null model of an extracted attribute —
-// the slot codes shuffled among the observed slots (ShuffleObserved), then
-// broadcast. Each vector is computed on first use and kept for the life of
-// the candidate; the suppliers ent.Enc and ent.Weights are called at most once
+// encoding is the entity form as one indirect column named name: the slot
+// codes read through Slots. It shares the slot encoding's codes.
+func (e *Entity) encoding(name string) (*bins.Encoded, error) {
+	slotEnc, err := e.Enc()
+	if err != nil {
+		return nil, err
+	}
+	return &bins.Encoded{Name: name, Codes: slotEnc.Codes, Card: slotEnc.Card, Labels: slotEnc.Labels, Slots: e.Slots}, nil
+}
+
+// FromEntity builds a KG-origin candidate from its entity form. The scoring
+// core reads the form itself (vectors); Permute is the null model of an
+// extracted attribute — the slot codes shuffled among the observed slots
+// (ShuffleObserved), under the same map, so a draw costs the slots, not the
+// rows. Enc and Weights broadcast the slot encoding and slot weights through
+// ent.Slots (0 for an unresolved row's weight) for callers outside the core,
+// each computed on first use and kept for the life of the candidate; every
+// broadcast encoding is counted as obs.KGRowEncodings in counters (nil =
+// uncounted). The suppliers ent.Enc and ent.Weights are called at most once
 // and need not memoise or be safe for concurrent use.
 func FromEntity(name string, hops int, ent *Entity, counters *obs.Counters) *Candidate {
 	slots := ent.Slots
-	form := &Entity{Slots: slots, Enc: sync.OnceValues(ent.Enc)}
-	broadcast := func(slotEnc *bins.Encoded) *bins.Encoded {
-		out := slotEnc.Broadcast(slots)
-		out.Name = name
-		return out
+	if slots == nil {
+		slots = []int32{} // a zero-row view: the indirect form still has no rows
 	}
+	form := &Entity{Slots: slots, Enc: sync.OnceValues(ent.Enc)}
 	c := &Candidate{Name: name, Origin: OriginKG, Hops: hops, Entity: form}
 	c.Enc = sync.OnceValues(func() (*bins.Encoded, error) {
 		counters.Add(obs.KGRowEncodings, 1)
-		slotEnc, err := form.Enc()
+		enc, err := form.encoding(name)
 		if err != nil {
 			return nil, err
 		}
-		return broadcast(slotEnc), nil
+		return enc.Broadcast(slots), nil
 	})
 	c.Permute = func(rng *stats.RNG) (*bins.Encoded, error) {
-		slotEnc, err := form.Enc()
+		enc, err := form.encoding(name)
 		if err != nil {
 			return nil, err
 		}
-		return broadcast(ShuffleObserved(slotEnc, rng)), nil
+		return ShuffleObserved(enc, rng), nil
 	}
 	if ent.Weights == nil {
 		return c
 	}
 	form.Weights = sync.OnceValue(ent.Weights)
 	rowWeights := sync.OnceValue(func() []float64 {
-		sw := form.Weights()
-		if sw == nil {
-			return nil
-		}
-		w := make([]float64, len(slots))
-		for i, s := range slots {
-			if s >= 0 {
-				w[i] = sw[s]
-			}
-		}
-		return w
+		return infotheory.Weights{W: form.Weights(), Slots: slots}.Rows()
 	})
 	c.Weights = func(*bins.Encoded) []float64 { return rowWeights() }
 	return c
@@ -259,21 +278,42 @@ func CombineExposure(parts []*bins.Encoded) *bins.Encoded {
 	return out
 }
 
-// combineWeights multiplies weight vectors elementwise, treating nil as
-// all-ones. Returns nil when every input is nil.
-func combineWeights(ws ...[]float64) []float64 {
+// weightProduct multiplies weight vectors elementwise, each read in its own
+// form, treating a nil W as all ones. With no weighted input the result is
+// unweighted; with one it is that input as it is, so a candidate's slot
+// weights stay slot weights. Only a product of two or more builds a row
+// vector: the first input broadcast to rows, then multiplied by the others
+// left to right — the float operations of multiplying their broadcasts, an
+// unresolved row's weight 0 included.
+func weightProduct(ws ...infotheory.Weights) infotheory.Weights {
+	var first infotheory.Weights
 	var out []float64
 	for _, w := range ws {
-		if w == nil {
+		switch {
+		case w.W == nil:
+			continue
+		case first.W == nil:
+			first = w
+			continue
+		case out == nil:
+			out = first.Rows()
+		}
+		if w.Slots == nil {
+			for r := range out {
+				out[r] *= w.W[r]
+			}
 			continue
 		}
-		if out == nil {
-			out = append([]float64(nil), w...)
-			continue
-		}
-		for i := range out {
-			out[i] *= w[i]
+		for r, s := range w.Slots {
+			wt := 0.0
+			if s >= 0 {
+				wt = w.W[s]
+			}
+			out[r] *= wt
 		}
 	}
-	return out
+	if out == nil {
+		return first
+	}
+	return infotheory.Weights{W: out}
 }

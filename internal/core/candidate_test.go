@@ -12,8 +12,9 @@ import (
 
 // TestFromEntityPermuteIsShuffleObservedBroadcast pins the null model of an
 // entity-form candidate: the slot codes shuffled among the observed slots by
-// ShuffleObserved — same RNG draws — and then broadcast through the row→slot
-// map, with missing slot codes and unresolved rows staying Missing.
+// ShuffleObserved — same RNG draws — and read through the row→slot map, which
+// the draw keeps, with missing slot codes and unresolved rows staying Missing.
+// The draw is compared through Broadcast.
 func TestFromEntityPermuteIsShuffleObservedBroadcast(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		rng := stats.NewRNG(seed)
@@ -27,10 +28,14 @@ func TestFromEntityPermuteIsShuffleObservedBroadcast(t *testing.T) {
 			slots[i] = int32(rng.Intn(nSlots+1)) - 1 // -1 is an unresolved row
 		}
 		c := FromEntity("E", 1, &Entity{Slots: slots, Enc: func() (*bins.Encoded, error) { return ent, nil }}, nil)
-		got, err := c.Permute(stats.NewRNG(seed * 31))
+		draw, err := c.Permute(stats.NewRNG(seed * 31))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(draw.Codes) != nSlots || draw.Len() != n {
+			t.Fatalf("seed %d: Permute drew %d codes for %d rows, want %d for %d", seed, len(draw.Codes), draw.Len(), nSlots, n)
+		}
+		got := draw.Broadcast(draw.Slots)
 		shuffled := ShuffleObserved(ent, stats.NewRNG(seed*31)).Codes
 		want := make([]int32, n)
 		for i, s := range slots {

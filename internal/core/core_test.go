@@ -385,11 +385,12 @@ func TestParallelForMatchesSerial(t *testing.T) {
 }
 
 func TestExplainEncodesOncePerCandidate(t *testing.T) {
-	// The candidate owns its vectors: across offline prune, online prune,
-	// MCIMR's relevance pass, consider loop and redundancy passes (run on 4
-	// workers), and the re-requests a subgroup search makes afterwards, the
-	// suppliers behind FromEntity are called exactly once each, and every
-	// candidate asked for rows is broadcast exactly once.
+	// Explain broadcasts no entity-form candidate: across offline prune,
+	// online prune, MCIMR's relevance pass, consider loop and redundancy
+	// passes (run on 4 workers) and the final score, weighted candidates
+	// included, no candidate's Enc is asked for rows, and the suppliers
+	// behind FromEntity are called exactly once each. The rows a subgroup
+	// search requests afterwards are built once per candidate.
 	const nEnt, rowsPer = 120, 40
 	n := nEnt * rowsPer
 	rng := stats.NewRNG(12)
@@ -472,16 +473,27 @@ func TestExplainEncodesOncePerCandidate(t *testing.T) {
 	for _, r := range requested {
 		rows += r.Load()
 	}
-	if got := counters.Get(obs.KGRowEncodings); got != rows || rows == 0 || rows == int64(len(cands)) {
-		t.Fatalf("kg_row_encodings = %d, want the %d of %d candidates whose Enc was requested", got, rows, len(cands))
+	if got := counters.Get(obs.KGRowEncodings); got != 0 || rows != 0 {
+		t.Fatalf("kg_row_encodings = %d and %d candidates' Enc requested during Explain, want 0", got, rows)
+	}
+	// The scoring core's view stays in entity form: nEnt codes and weights
+	// under the n-row map.
+	for _, c := range cands {
+		e, w, err := c.vectors()
+		if err != nil || e.Len() != n || len(e.Codes) != nEnt || (w != nil && len(w) != nEnt) {
+			t.Fatalf("%s: vectors = %d rows over %d codes, %d weights, %v", c.Name, e.Len(), len(e.Codes), len(w), err)
+		}
 	}
 	// What Report.Subgroups does next: the explanation's encodings and the
-	// refinement attributes are requested again, here for every candidate.
+	// refinement attributes are requested as rows, here for every candidate.
 	for _, c := range cands {
 		for rep := 0; rep < 2; rep++ {
-			e, w, err := c.vectors()
-			if err != nil || e.Len() != n || (w != nil && len(w) != n) {
-				t.Fatalf("%s: vectors = %d codes, %d weights, %v", c.Name, e.Len(), len(w), err)
+			e, err := c.Enc()
+			if err != nil || e.Len() != n || e.Slots != nil {
+				t.Fatalf("%s: Enc = %d rows (indirect %v), %v", c.Name, e.Len(), e.Slots != nil, err)
+			}
+			if w := c.Weights; w != nil && w(e) != nil && len(w(e)) != n {
+				t.Fatalf("%s: %d row weights, want %d", c.Name, len(w(e)), n)
 			}
 		}
 	}

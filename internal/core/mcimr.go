@@ -157,7 +157,8 @@ func (e *Explanation) Names() []string {
 // errors.Is(err, context.Canceled) distinguish the two server cases.
 //
 // Every phase reads a candidate's encoding and IPW weights from the candidate
-// itself (Candidate.Enc, Candidate.Weights), which computes them once.
+// itself, which computes them once; a KG candidate's stay in entity form,
+// read through the row→slot map, so Explain builds no n-long vector for it.
 func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Explanation, error) {
 	opts.applyDefaults()
 	start := time.Now()
@@ -203,18 +204,11 @@ func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts O
 	}
 	res.Attrs = sel.Attrs
 
-	// Final joint score and responsibilities over the selected set.
-	encs := sel.Encs
-	w := combineWeights(sel.Weights...)
-	ssp := tr.Start("final-score")
-	res.Score = infotheory.CondMutualInfo(o, t, encs, w)
-	ssp.End()
-	rsp := tr.Start("responsibility")
-	for i, share := range Responsibilities(t, o, encs, w, res.Score) {
+	var shares []float64
+	res.Score, shares = scoreSet(tr, t, o, sel.Encs, sel.Weights)
+	for i, share := range shares {
 		res.Attrs[i].Responsibility = share
 	}
-	rsp.SetInt("explanation-size", int64(len(res.Attrs)))
-	rsp.End()
 	res.Elapsed = time.Since(start)
 	esp.SetFloat("base-score", res.BaseScore)
 	esp.SetFloat("score", res.Score)
@@ -236,7 +230,8 @@ func recordPruneSpan(tr *obs.Trace, sp *obs.Span, phase string, st PruneStats) {
 }
 
 // Selection is the raw MCIMR output: the chosen attributes with their
-// encodings and per-attribute IPW weights (needed for joint scoring).
+// encodings and per-attribute IPW weights (needed for joint scoring), each
+// weight vector in its encoding's form.
 type Selection struct {
 	Attrs   []SelectedAttr
 	Encs    []*bins.Encoded
@@ -278,7 +273,7 @@ type considerEval struct {
 //     bit-identical — but each estimator call now joins 2 columns instead
 //     of k+1. The combined IPW weights of the prefix are folded
 //     incrementally alongside (same left-to-right order as
-//     combineWeights over the full set).
+//     weightProduct over the full set).
 //
 //   - Candidates are ranked once per iteration by the Eq. 5 objective
 //     (score ascending, candidate index as tie-break — exactly the order
@@ -355,7 +350,7 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 
 	// Pre-joined composite of the selected prefix and its combined weights.
 	var selJoin infotheory.Var
-	var selW []float64
+	var selW infotheory.Weights
 	given := func() []infotheory.Var {
 		if selJoin == nil {
 			return nil
@@ -387,7 +382,7 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 		// gain is calibrated against permuted copies of the candidate,
 		// which shatter identically. The calibration only runs when the
 		// minGain threshold passed (currentScore is frozen per iteration).
-		ev.newScore = infotheory.CondMutualInfo(o, t, append(given(), ev.enc), combineWeights(selW, ev.w))
+		ev.newScore = infotheory.CondMutualInfoOf(o, t, append(given(), ev.enc), weightProduct(selW, weightsOf(ev.enc, ev.w)))
 		if !opts.DisableStopping && ev.newScore < currentScore-minGain*baseScore {
 			ev.gainOK, ev.err = gainSignificant(ctx, cst.cand, ev.enc, given(), opts, iter, scorer, sctx, idx)
 		}
@@ -529,17 +524,22 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 		})
 		sel.Encs = append(sel.Encs, chosenEnc)
 		sel.Weights = append(sel.Weights, chosenW)
-		if selJoin == nil {
-			selJoin = chosenEnc
-		} else {
-			selJoin = infotheory.JoinVars("selected", selJoin, chosenEnc)
-		}
 		tr.Add(obs.CompositeRebuilds, 1)
-		selW = combineWeights(selW, chosenW)
+		selW = weightProduct(selW, weightsOf(chosenEnc, chosenW))
 
 		if iter == opts.K-1 {
 			isp.End()
 			break
+		}
+		// The accepted attribute read into rows once (a KG attribute through
+		// its map): the redundancy pass below and, through the prefix
+		// composite, every test of the later iterations condition on it, as
+		// they do on the composite of two or more.
+		chosenRows := infotheory.JoinVars(chosenEnc.Name, chosenEnc)
+		if selJoin == nil {
+			selJoin = chosenRows
+		} else {
+			selJoin = infotheory.JoinVars("selected", selJoin, chosenRows)
 		}
 		// Accumulate redundancy with the newly selected attribute
 		// (parallel over remaining candidates).
@@ -554,8 +554,8 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 				si.err = err
 				return
 			}
-			wi := combineWeights(wI, chosenW)
-			si.redSum += infotheory.MutualInfo(encI, chosenEnc, wi)
+			wi := weightProduct(weightsOf(encI, wI), weightsOf(chosenEnc, chosenW))
+			si.redSum += infotheory.CondMutualInfoOf(encI, chosenRows, nil, wi)
 		})
 		red.End()
 		isp.End()
@@ -579,14 +579,15 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 // back to the analytic debiased-CMI test with IPW weights.
 //
 // given is the pre-joined composite of the selected prefix (possibly nil);
-// w the candidate's own IPW weights; selW the prefix's combined weights;
+// w the candidate's own IPW weights, in enc's form; selW the prefix's
+// combined weights;
 // depth the logical size of the prefix, used only for permutation-seed
 // derivation; idx the candidate's index in sctx.Cands.
-func respIndependent(ctx context.Context, cand *Candidate, enc *bins.Encoded, w []float64, given []infotheory.Var, selW []float64, depth int, opts Options, iter int, scorer Scorer, sctx *ScoreContext, idx int) (bool, error) {
+func respIndependent(ctx context.Context, cand *Candidate, enc *bins.Encoded, w []float64, given []infotheory.Var, selW infotheory.Weights, depth int, opts Options, iter int, scorer Scorer, sctx *ScoreContext, idx int) (bool, error) {
 	if cand.Permute == nil {
 		opts.Trace.Add(obs.CITests, 1)
-		testW := combineWeights(selW, w)
-		return infotheory.CondIndependent(sctx.O, enc, given, testW, opts.RespThreshold), nil
+		testW := weightProduct(selW, weightsOf(enc, w))
+		return infotheory.CondIndependentOf(sctx.O, enc, given, testW, opts.RespThreshold), nil
 	}
 	dependent, err := permSignificant(ctx, opts.Trace, PermResp, sctx.T, sctx.O, cand, enc, given,
 		opts.Seed+uint64(iter), depth, permTests, permAllow, opts.Parallelism, scorer, sctx, idx)
@@ -608,12 +609,47 @@ func gainSignificant(ctx context.Context, cand *Candidate, enc *bins.Encoded, gi
 		opts.Seed, iter, permTests, permAllow, opts.Parallelism, scorer, sctx, idx)
 }
 
-// Responsibilities computes Def. 2.5 for an attribute set: attribute i's
+// ScoreSet is the final score of an attribute set and its Def. 2.5
+// responsibilities, computed from the candidates exactly as Explain computes
+// them for the set MCIMR selects: I(O;T|C,E) under the product of the
+// candidates' IPW weights, and each candidate's share of the leave-one-out
+// increase of that score, in the order given.
+func ScoreSet(t, o *bins.Encoded, cands []*Candidate) (score float64, shares []float64, err error) {
+	encs := make([]*bins.Encoded, len(cands))
+	ws := make([][]float64, len(cands))
+	for i, c := range cands {
+		if encs[i], ws[i], err = c.vectors(); err != nil {
+			return 0, nil, err
+		}
+	}
+	score, shares = scoreSet(nil, t, o, encs, ws)
+	return score, shares, nil
+}
+
+// scoreSet is ScoreSet over the candidates' vectors (ws[i] in encs[i]'s
+// form), reporting its two phases into tr.
+func scoreSet(tr *obs.Trace, t, o *bins.Encoded, encs []*bins.Encoded, ws [][]float64) (float64, []float64) {
+	forms := make([]infotheory.Weights, len(encs))
+	for i, e := range encs {
+		forms[i] = weightsOf(e, ws[i])
+	}
+	w := weightProduct(forms...)
+	ssp := tr.Start("final-score")
+	score := infotheory.CondMutualInfoOf(o, t, encs, w)
+	ssp.End()
+	rsp := tr.Start("responsibility")
+	shares := responsibilities(t, o, encs, w, score)
+	rsp.SetInt("explanation-size", int64(len(encs)))
+	rsp.End()
+	return score, shares
+}
+
+// responsibilities computes Def. 2.5 for an attribute set: attribute i's
 // share of the total leave-one-out increase of the score, where full is
 // I(O;T|C,E) over the whole set under weights w. A single attribute bears
 // all the responsibility; when no attribute's removal moves the score every
 // share is 0.
-func Responsibilities(t, o *bins.Encoded, encs []*bins.Encoded, w []float64, full float64) []float64 {
+func responsibilities(t, o *bins.Encoded, encs []*bins.Encoded, w infotheory.Weights, full float64) []float64 {
 	k := len(encs)
 	shares := make([]float64, k)
 	if k == 1 {
@@ -628,7 +664,7 @@ func Responsibilities(t, o *bins.Encoded, encs []*bins.Encoded, w []float64, ful
 				without = append(without, e)
 			}
 		}
-		shares[i] = infotheory.CondMutualInfo(o, t, without, w) - full
+		shares[i] = infotheory.CondMutualInfoOf(o, t, without, w) - full
 		denom += shares[i]
 	}
 	for i := range shares {

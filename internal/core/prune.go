@@ -200,29 +200,22 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 		// E ⇒ T or E ⇒ O fakes a perfect explanation) and the contingency
 		// tallies of both low-relevance tests. An unweighted entity-form
 		// candidate gets it by folding its link column's (slot, T, O) cube;
-		// every other candidate by a counting pass over its row encoding.
-		var (
-			sc   *infotheory.OnlineScreen
-			enc  *bins.Encoded // row-level, when the row pass ran
-			ent  *bins.Encoded // slot-level, for an entity form
-			cube *counting.SlotCube
-			err  error
-		)
+		// every other candidate by a counting pass over the rows, which reads
+		// an entity form's slot codes and slot weights through its map.
+		enc, w, err := c.vectors()
+		if err != nil {
+			return "", err
+		}
+		var sc *infotheory.OnlineScreen
+		var cube *counting.SlotCube
 		if c.Entity != nil {
-			if ent, err = c.Entity.Enc(); err != nil {
-				return "", err
-			}
 			cube = cubes[slotMapKey(c.Entity.Slots)]
-			if c.Entity.Weights == nil || c.Entity.Weights() == nil {
-				sc = infotheory.ScreenSlots(cube, ent)
+			if w == nil {
+				sc = infotheory.ScreenSlots(cube, enc)
 			}
 		}
 		if sc == nil {
-			var w []float64
-			if enc, w, err = c.vectors(); err != nil {
-				return "", err
-			}
-			sc = infotheory.ScreenAll(o, t, enc, w)
+			sc = infotheory.ScreenAllOf(o, t, enc, weightsOf(enc, w))
 		}
 		defer sc.Release()
 		hOgivenE, hTgivenE := sc.FDEntropies()
@@ -252,7 +245,7 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 			dependent := true // kept when the test is not affordable
 			switch {
 			case c.Entity != nil:
-				dependent = entityPermDependent(tr, cube, c.Name, ent, b, 0, 0x5eed+uint64(i))
+				dependent = entityPermDependent(tr, cube, c.Name, enc, b, 0, 0x5eed+uint64(i))
 			case enc.Len() <= permBudget(opts):
 				if dependent, err = permSignificant(ctx, tr, PermResp, t, o, c, enc, nil, 0x5eed+uint64(i), 0, b, 0, 1, nil, nil, 0); err != nil {
 					return "", err

@@ -51,9 +51,11 @@ type Scorer interface {
 
 // ScoreContext is the immutable dataset of one MCIMR run: the exposure T,
 // the outcome O, and the candidate encodings with their per-candidate IPW
-// weights (nil entries = unweighted). It is built once per run and shared by
-// every Relevance / PermBlock call, so remote scorers can register it with
-// workers once, keyed by Fingerprint.
+// weights (nil entries = unweighted). A KG candidate's encoding is indirect
+// (bins.Encoded.Slots) and its weights are then per slot, under the same
+// map. It is built once per run and shared by every Relevance / PermBlock
+// call, so remote scorers can register it with workers once, keyed by
+// Fingerprint.
 type ScoreContext struct {
 	T, O    *bins.Encoded
 	Cands   []*bins.Encoded
@@ -69,8 +71,9 @@ type ScoreContext struct {
 }
 
 // Fingerprint returns a content hash of the full context (tag, shape, codes,
-// weight bits), computed once. Two contexts with equal fingerprints score
-// identically, so workers cache registered datasets under it.
+// row→slot maps, weight bits), computed once. Two contexts with equal
+// fingerprints score identically, so workers cache registered datasets under
+// it.
 func (sc *ScoreContext) Fingerprint() string {
 	sc.fpOnce.Do(func() {
 		h := fnv.New64a()
@@ -209,6 +212,18 @@ func hashEnc(h io.Writer, e *bins.Encoded) {
 		binary.LittleEndian.PutUint32(b[:4], uint32(c))
 		h.Write(b[:4])
 	}
+	if e.Slots == nil {
+		return
+	}
+	// Codes per slot under a map: a different column from the same codes per
+	// row, so the map is part of the content.
+	io.WriteString(h, "slots")
+	binary.LittleEndian.PutUint64(b[:], uint64(len(e.Slots)))
+	h.Write(b[:])
+	for _, s := range e.Slots {
+		binary.LittleEndian.PutUint32(b[:4], uint32(s))
+		h.Write(b[:4])
+	}
 }
 
 func hashWeights(h io.Writer, w []float64) {
@@ -225,12 +240,26 @@ func hashWeights(h io.Writer, w []float64) {
 // among the observed positions, preserving the missingness pattern (the
 // valid null under biased missingness). It is the canonical row-level
 // permutation: Candidate.Permute of input columns, the Local scorer and the
-// distributed workers all call this one function, so their permuted
-// statistics are bit-identical for the same seed.
+// distributed workers all draw it (the scorer through observedShuffler, once
+// per block), so their permuted statistics are bit-identical for the same
+// seed. For an indirect enc the
+// positions are the entity slots and the copy keeps enc's row→slot map: the
+// entity-level null of a KG attribute, at the cost of its slots.
 func ShuffleObserved(enc *bins.Encoded, rng *stats.RNG) *bins.Encoded {
-	codes := make([]int32, len(enc.Codes))
-	observedShuffle(enc.Codes)(codes, rng)
-	return &bins.Encoded{Name: enc.Name, Codes: codes, Card: enc.Card, Labels: enc.Labels}
+	return observedShuffler(enc)(rng)
+}
+
+// observedShuffler indexes the observed positions of enc once and returns
+// ShuffleObserved's draw, for a test that draws many permutations of one
+// column.
+func observedShuffler(enc *bins.Encoded) func(rng *stats.RNG) *bins.Encoded {
+	draw := observedShuffle(enc.Codes)
+	return func(rng *stats.RNG) *bins.Encoded {
+		out := *enc
+		out.Codes = make([]int32, len(enc.Codes))
+		draw(out.Codes, rng)
+		return &out
+	}
 }
 
 // observedShuffle indexes the observed positions of codes once and returns
@@ -238,10 +267,10 @@ func ShuffleObserved(enc *bins.Encoded, rng *stats.RNG) *bins.Encoded {
 // those positions. A test that draws many permutations of one vector keeps
 // the draw and one dst.
 func observedShuffle(codes []int32) func(dst []int32, rng *stats.RNG) {
-	idx := make([]int, 0, len(codes))
+	idx := make([]int32, 0, len(codes))
 	for i, cd := range codes {
 		if cd != bins.Missing {
-			idx = append(idx, i)
+			idx = append(idx, int32(i))
 		}
 	}
 	return func(dst []int32, rng *stats.RNG) {
@@ -275,8 +304,8 @@ func (l Local) par() int {
 func (l Local) Relevance(ctx context.Context, sc *ScoreContext, cands []int) ([]float64, error) {
 	out := make([]float64, len(cands))
 	parallelFor(ctx, len(cands), l.par(), func(i int) {
-		ci := cands[i]
-		out[i] = infotheory.CondMutualInfo(sc.O, sc.T, []infotheory.Var{sc.Cands[ci]}, sc.Weights[ci])
+		e := sc.Cands[cands[i]]
+		out[i] = infotheory.CondMutualInfoOf(sc.O, sc.T, []infotheory.Var{e}, weightsOf(e, sc.Weights[cands[i]]))
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -293,8 +322,9 @@ func (l Local) PermBlock(ctx context.Context, sc *ScoreContext, spec PermSpec) (
 		given = []infotheory.Var{spec.Given}
 	}
 	exceed := make([]bool, len(spec.Seeds))
+	shuffle := observedShuffler(enc)
 	_, ran, err := permTest(ctx, len(spec.Seeds), spec.Allow, l.par(), func(i int) (bool, error) {
-		pe := ShuffleObserved(enc, stats.NewRNG(spec.Seeds[i]))
+		pe := shuffle(stats.NewRNG(spec.Seeds[i]))
 		exceed[i] = spec.Op.exceeds(spec.Op.stat(sc.T, sc.O, pe, given), spec.Observed)
 		return exceed[i], nil
 	})

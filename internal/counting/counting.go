@@ -21,7 +21,11 @@
 //     cardinality-product allocation per statistic;
 //   - one missing-row convention (code < 0 is skipped; a row is counted by a
 //     pass only when every axis of that pass is present) and one weight
-//     convention (nil = uniform 1.0).
+//     convention (nil = uniform 1.0);
+//   - two input forms for every column and weight vector (Dim, Weights):
+//     one value per row, or one per entity slot read through the row→slot
+//     map, so a knowledge-graph attribute is tallied from its slot codes and
+//     slot weights without ever becoming an n-long vector.
 //
 // Bit-identity discipline: every Count* accumulation loop preserves the
 // per-row visit order and the exact float-add sequence of the pre-migration
@@ -40,6 +44,7 @@ package counting
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -58,11 +63,198 @@ const Missing int32 = -1
 // every statistic is computed with.
 const MaxDense = 1 << 22
 
-// Dim is one code column feeding a counting pass: Codes[i] ∈ [0, Card) or
-// negative for missing.
+// Dim is one code column feeding a counting pass, in one of two input forms.
+// Direct: row r's code is Codes[r]. Indirect (Slots set): Codes holds one
+// code per entity slot and Slots is the row→slot map, so row r's code is
+// Codes[Slots[r]], or Missing where Slots[r] < 0 (an unresolved row). Either
+// way a code is in [0, Card) or negative for missing. A Dim with neither
+// Codes nor Slots is the constant column: every row has code 0, the single
+// stratum of an unconditioned pass (Card 1).
+//
+// A pass reads an indirect column through its map and never builds the
+// n-long vector. It visits the same rows in the same order and adds the same
+// weights as over the broadcast column, so every tally is bit-identical to
+// the direct form's.
 type Dim struct {
 	Codes []int32
 	Card  int
+	Slots []int32
+}
+
+// Weights is a per-row weight vector in the same two forms: row r weighs
+// W[r], or, with Slots set, W[Slots[r]] and 0 for an unresolved row — what
+// broadcasting the slot weights to rows gives. A nil W weighs every row 1.
+type Weights struct {
+	W     []float64
+	Slots []int32
+}
+
+// Rows returns w as a fresh row vector: a copy of W, or W broadcast through
+// Slots; nil for uniform weights.
+func (w Weights) Rows() []float64 {
+	switch {
+	case w.W == nil:
+		return nil
+	case w.Slots == nil:
+		return append([]float64(nil), w.W...)
+	}
+	out := make([]float64, len(w.Slots))
+	for r, s := range w.Slots {
+		if s >= 0 {
+			out[r] = w.W[s]
+		}
+	}
+	return out
+}
+
+// rows returns how many rows d spans.
+func (d Dim) rows() int {
+	if d.Slots != nil {
+		return len(d.Slots)
+	}
+	return len(d.Codes)
+}
+
+func (d Dim) direct() bool { return d.Slots == nil && d.Codes != nil }
+
+// runRows is how many rows a pass over an indirect input gathers at a time:
+// the gathered columns then sit in L1 beside the tallies.
+const runRows = 512
+
+// zeros is the constant column's codes for one run.
+var zeros [runRows]int32
+
+// forRuns hands f the codes of dims (at most three) and the weights of the
+// rows in order — every row, or the listed rows when list is non-nil — as
+// direct slices, cols[j] belonging to dims[j]. When every input is direct and
+// there is no list, the one run is the inputs themselves, so the direct form
+// pays nothing; otherwise the rows are gathered, through each row→slot map
+// and the list, into runs of at most runRows rows. Either way f sees the same
+// rows in the same order, so a tally loop over the runs adds exactly the
+// terms, in exactly the order, that it adds over the broadcast columns.
+func forRuns(list []int32, dims []Dim, w Weights, f func(cols [3][]int32, w []float64)) {
+	n := len(list)
+	if list == nil {
+		all := w.Slots == nil
+		var cols [3][]int32
+		for j, d := range dims {
+			all = all && d.direct()
+			cols[j] = d.Codes
+			n = max(n, d.rows())
+		}
+		if all {
+			f(cols, w.W)
+			return
+		}
+	}
+	gatherRuns(n, list, dims, w, f)
+}
+
+// runScratch is gatherRuns' buffers; pooled, because f may keep nothing but
+// escape analysis cannot know it.
+type runScratch struct {
+	codes [3][runRows]int32
+	w     [runRows]float64
+}
+
+var runPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+func gatherRuns(n int, list []int32, dims []Dim, w Weights, f func(cols [3][]int32, w []float64)) {
+	sc := runPool.Get().(*runScratch)
+	defer runPool.Put(sc)
+	buf, wbuf := &sc.codes, &sc.w
+	for lo := 0; lo < n; lo += runRows {
+		hi := min(lo+runRows, n)
+		var rows []int32
+		if list != nil {
+			rows = list[lo:hi]
+		}
+		var cols [3][]int32
+		for j, d := range dims {
+			cols[j] = d.gather(lo, hi, rows, buf[j][:])
+		}
+		f(cols, w.gather(lo, hi, rows, wbuf[:]))
+	}
+}
+
+// gather returns the codes of rows [lo, hi) — of rows, list[lo:hi], when it
+// is non-nil: a sub-slice of a direct column without a list, else the first
+// hi−lo cells of buf filled.
+func (d Dim) gather(lo, hi int, rows, buf []int32) []int32 {
+	switch {
+	case d.Codes == nil && d.Slots == nil:
+		return zeros[:hi-lo]
+	case d.Slots == nil && rows == nil:
+		return d.Codes[lo:hi]
+	case d.Slots == nil:
+		buf = buf[:len(rows)]
+		for i, r := range rows {
+			buf[i] = d.Codes[r]
+		}
+		return buf
+	case len(d.Codes) == 0: // no slot has a code
+		buf = buf[:hi-lo]
+		for i := range buf {
+			buf[i] = Missing
+		}
+		return buf
+	}
+	src := d.Slots[lo:hi]
+	if rows != nil { // the listed rows' slots, decoded in place below
+		src = buf[:len(rows)]
+		for i, r := range rows {
+			src[i] = d.Slots[r]
+		}
+	}
+	// Without a branch on the slot: an unresolved row (s < 0, so neg = -1)
+	// reads slot 0 and ORs in all ones, which is Missing.
+	codes := d.Codes
+	buf = buf[:len(src)]
+	for i, s := range src {
+		neg := s >> 31
+		buf[i] = codes[s&^neg] | neg
+	}
+	return buf
+}
+
+// gather is Dim.gather for weights; nil for uniform weights.
+func (w Weights) gather(lo, hi int, rows []int32, buf []float64) []float64 {
+	switch {
+	case w.W == nil:
+		return nil
+	case w.Slots == nil && rows == nil:
+		return w.W[lo:hi]
+	case w.Slots == nil:
+		buf = buf[:len(rows)]
+		for i, r := range rows {
+			buf[i] = w.W[r]
+		}
+		return buf
+	case len(w.W) == 0: // no slot has a weight: every row is unresolved
+		buf = buf[:hi-lo]
+		clear(buf)
+		return buf
+	}
+	// As Dim.gather, an unresolved row reads slot 0 and clears every bit,
+	// which is +0.
+	ws := w.W
+	at := func(s int32) float64 {
+		neg := int64(s >> 31)
+		return math.Float64frombits(math.Float64bits(ws[s&^int32(neg)]) &^ uint64(neg))
+	}
+	if rows != nil {
+		buf = buf[:len(rows)]
+		for i, r := range rows {
+			buf[i] = at(w.Slots[r])
+		}
+		return buf
+	}
+	src := w.Slots[lo:hi]
+	buf = buf[:len(src)]
+	for i, s := range src {
+		buf[i] = at(s)
+	}
+	return buf
 }
 
 // ---------------------------------------------------------------------------
@@ -175,18 +367,21 @@ func weightAt(w []float64, i int) float64 {
 // IDs maps each row to a dense id identifying the combination of codes of
 // the given dimensions (-1 when any is missing), and returns the number of
 // distinct ids. With no dimensions every row maps to id 0; with one the
-// dimension's own code column is returned unchanged (aliased, not copied).
+// dimension's own codes are returned — its code column itself (aliased, not
+// copied) in the direct form, read through the map in the indirect form.
 // While the cardinality product stays within MaxDense the id is the direct
 // product index (so incremental joins compose, see infotheory.JoinVars);
 // beyond it observed combinations are numbered densely in first-seen order —
-// the partition, and hence every downstream count, is unaffected.
+// the partition, and hence every downstream count, is unaffected. Indirect
+// dimensions are read through their maps a run of rows at a time.
 func IDs(dims []Dim, n int) (ids []int32, card int) {
-	switch len(dims) {
-	case 0:
-		ids = make([]int32, n)
-		return ids, 1
-	case 1:
+	switch {
+	case len(dims) == 0:
+		return make([]int32, n), 1
+	case len(dims) == 1 && dims[0].Slots == nil:
 		return dims[0].Codes, max(dims[0].Card, 1)
+	case len(dims) == 1:
+		return productIDs(dims, n), max(dims[0].Card, 1)
 	}
 	idJoins.Add(1)
 	// Try direct product indexing while the domain stays small.
@@ -203,48 +398,65 @@ func IDs(dims []Dim, n int) (ids []int32, card int) {
 			break
 		}
 	}
-	ids = make([]int32, n)
 	if ok {
-		for i := 0; i < n; i++ {
-			id := 0
-			for _, g := range dims {
-				c := g.Codes[i]
-				if c < 0 {
-					id = -1
-					break
-				}
-				id = id*g.Card + int(c)
-			}
-			ids[i] = int32(id)
-		}
-		return ids, product
+		return productIDs(dims, n), product
 	}
-	// Fall back to dense assignment of observed combinations.
+	// Fall back to dense assignment of observed combinations, in row order.
+	ids = make([]int32, n)
 	seen := make(map[string]int32)
-	buf := make([]byte, 0, len(dims)*4)
-	for i := 0; i < n; i++ {
-		buf = buf[:0]
-		miss := false
-		for _, g := range dims {
-			c := g.Codes[i]
-			if c < 0 {
-				miss = true
-				break
+	key := make([]byte, 0, len(dims)*4)
+	cols := make([][]int32, len(dims))
+	bufs := make([]int32, len(dims)*runRows)
+	for lo := 0; lo < n; lo += runRows {
+		hi := min(lo+runRows, n)
+		for j, g := range dims {
+			cols[j] = g.gather(lo, hi, nil, bufs[j*runRows:])
+		}
+	row:
+		for i := range hi - lo {
+			key = key[:0]
+			for _, col := range cols {
+				c := col[i]
+				if c < 0 {
+					ids[lo+i] = -1
+					continue row
+				}
+				key = append(key, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
 			}
-			buf = append(buf, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
+			id, found := seen[string(key)]
+			if !found {
+				id = int32(len(seen))
+				seen[string(key)] = id
+			}
+			ids[lo+i] = id
 		}
-		if miss {
-			ids[i] = -1
-			continue
-		}
-		id, found := seen[string(buf)]
-		if !found {
-			id = int32(len(seen))
-			seen[string(buf)] = id
-		}
-		ids[i] = id
 	}
 	return ids, max(len(seen), 1)
+}
+
+// productIDs is IDs' product indexing, id = (…(c₁·card₂ + c₂)…)·cardₖ + cₖ,
+// folded one dimension at a time over a run of rows; the caller has checked
+// that the product of the cards fits in MaxDense.
+func productIDs(dims []Dim, n int) []int32 {
+	ids := make([]int32, n)
+	var buf [runRows]int32
+	for lo := 0; lo < n; lo += runRows {
+		hi := min(lo+runRows, n)
+		out := ids[lo:hi]
+		for _, g := range dims {
+			card := int32(g.Card)
+			for i, c := range g.gather(lo, hi, nil, buf[:]) {
+				switch {
+				case out[i] < 0:
+				case c < 0:
+					out[i] = -1
+				default:
+					out[i] = out[i]*card + c
+				}
+			}
+		}
+	}
+	return ids
 }
 
 // ---------------------------------------------------------------------------
@@ -258,20 +470,31 @@ type Vec struct {
 	sc     *scratch
 }
 
-// CountVec tallies one code column, skipping missing rows.
+// CountVec is CountVecOf over a direct column.
 func CountVec(codes []int32, card int, w []float64) Vec {
+	return CountVecOf(Dim{Codes: codes, Card: card}, Weights{W: w})
+}
+
+// CountVecOf tallies one code column, skipping missing rows.
+func CountVecOf(x Dim, w Weights) Vec {
 	densePasses.Add(1)
-	sc := grab(card)
+	sc := grab(x.Card)
 	v := Vec{Counts: sc.buf, sc: sc}
-	for i, c := range codes {
+	forRuns(nil, []Dim{x}, w, v.tally)
+	return v
+}
+
+func (v *Vec) tally(cols [3][]int32, w []float64) {
+	counts, total := v.Counts, v.Total
+	for i, c := range cols[0] {
 		if c < 0 {
 			continue
 		}
 		wt := weightAt(w, i)
-		v.Counts[c] += wt
-		v.Total += wt
+		counts[c] += wt
+		total += wt
 	}
-	return v
+	v.Total = total
 }
 
 // Release returns the tally storage to the pool; the Vec must not be read
@@ -296,23 +519,9 @@ type Pair struct {
 	sc      *scratch
 }
 
-// CountPair tallies two code columns jointly. The caller gates on
-// cx*ce ≤ MaxDense (the conditional-entropy fast path's bound).
-func CountPair(x, e []int32, cx, ce int, w []float64) Pair {
-	densePasses.Add(1)
+func newPair(cx, ce int) Pair {
 	sc := grab(cx*ce + ce)
-	p := Pair{Cx: cx, Ce: ce, Joint: sc.buf[: cx*ce : cx*ce], EMargin: sc.buf[cx*ce:], sc: sc}
-	for i, xc := range x {
-		yc := e[i]
-		if xc < 0 || yc < 0 {
-			continue
-		}
-		wt := weightAt(w, i)
-		p.Joint[int(xc)*ce+int(yc)] += wt
-		p.EMargin[yc] += wt
-		p.Total += wt
-	}
-	return p
+	return Pair{Cx: cx, Ce: ce, Joint: sc.buf[: cx*ce : cx*ce], EMargin: sc.buf[cx*ce:], sc: sc}
 }
 
 // Release returns the tally storage to the pool.
@@ -347,21 +556,39 @@ type XYZ struct {
 	sc            *scratch
 }
 
-// CountXYZ tallies x and y against the z strata of zids (a pre-joined
-// conditioning id column, see IDs). The dense path applies when the joint
-// domain zcard·cx·cy is positive and within MaxDense — the same gate the
-// pre-migration estimators used, so the fallback routes exactly the passes
-// the old code sent to its hash-map tally.
-func CountXYZ(x, y []int32, cx, cy int, zids []int32, zcard int, w []float64) XYZ {
-	size := zcard * cx * cy
-	if size > 0 && size <= MaxDense {
-		return countXYZDense(x, y, cx, cy, zids, zcard, w)
-	}
-	return countXYZSparse(x, y, cx, cy, zids, zcard, w)
+// CountXYZOf tallies x and y against the z strata (the conditioning column:
+// one variable, or a pre-joined composite, see IDs), every input in either
+// form. The dense path applies when the joint domain |Z|·|X|·|Y| is positive
+// and within MaxDense — the same gate the pre-migration estimators used, so
+// the fallback routes exactly the passes the old code sent to its hash-map
+// tally.
+func CountXYZOf(x, y, z Dim, w Weights) XYZ {
+	t := newXYZ(x.Card, y.Card, z.Card)
+	forRuns(nil, []Dim{x, y, z}, w, t.tally)
+	return t
 }
 
-func countXYZDense(x, y []int32, cx, cy int, zids []int32, zcard int, w []float64) XYZ {
-	t := newDenseXYZ(cx, cy, zcard)
+func newXYZ(cx, cy, zcard int) XYZ {
+	if size := zcard * cx * cy; size > 0 && size <= MaxDense {
+		return newDenseXYZ(cx, cy, zcard)
+	}
+	return newSparseXYZ(cx, cy, zcard)
+}
+
+// tally adds the rows of one run, cols = (x, y, z), in row order.
+func (t *XYZ) tally(cols [3][]int32, w []float64) {
+	x, y, zids := cols[0], cols[1], cols[2]
+	if !t.Dense {
+		for i := range zids {
+			t.addSparse(zids[i], x[i], y[i], weightAt(w, i))
+		}
+		return
+	}
+	// Locals, not t's fields: a store into a tally could alias *t as far as
+	// the compiler knows, which would reload every field per row.
+	cx, cy := t.Cx, t.Cy
+	joint, zx, zy, zm := t.Joint, t.ZX, t.ZY, t.Z
+	ws, wsq := t.WeightSum, t.WeightSqSum
 	for i := 0; i < len(zids); i++ {
 		zi := zids[i]
 		xc, yc := x[i], y[i]
@@ -369,22 +596,14 @@ func countXYZDense(x, y []int32, cx, cy int, zids []int32, zcard int, w []float6
 			continue
 		}
 		wt := weightAt(w, i)
-		t.Joint[(int(zi)*cx+int(xc))*cy+int(yc)] += wt
-		t.ZX[int(zi)*cx+int(xc)] += wt
-		t.ZY[int(zi)*cy+int(yc)] += wt
-		t.Z[zi] += wt
-		t.WeightSum += wt
-		t.WeightSqSum += wt * wt
+		joint[(int(zi)*cx+int(xc))*cy+int(yc)] += wt
+		zx[int(zi)*cx+int(xc)] += wt
+		zy[int(zi)*cy+int(yc)] += wt
+		zm[zi] += wt
+		ws += wt
+		wsq += wt * wt
 	}
-	return t
-}
-
-func countXYZSparse(x, y []int32, cx, cy int, zids []int32, zcard int, w []float64) XYZ {
-	t := newSparseXYZ(cx, cy, zcard)
-	for i := range zids {
-		t.addSparse(zids[i], x[i], y[i], weightAt(w, i))
-	}
-	return t
+	t.WeightSum, t.WeightSqSum = ws, wsq
 }
 
 func newDenseXYZ(cx, cy, zcard int) XYZ {
@@ -429,35 +648,43 @@ func (t *XYZ) addSparse(zi, xc, yc int32, wt float64) {
 	t.WeightSqSum += wt * wt
 }
 
-// CountXYZRows is CountXYZ restricted to the listed rows, visited in slice
-// order. Over an ascending list it adds, cell by cell, exactly the terms the
-// full pass adds under a weight vector that is zero off the list (a
+// CountXYZRowsOf is CountXYZOf restricted to the listed rows, visited in
+// slice order. Over an ascending list it adds, cell by cell, exactly the
+// terms the full pass adds under a weight vector that is zero off the list (a
 // zero-weight row adds +0.0 everywhere), so the dense tally is bit-identical
-// to that masked pass at the cost of len(rows) visits instead of len(zids).
+// to that masked pass at the cost of len(rows) visits instead of a table's.
 // The sparse tally differs from it on purpose: only listed rows create cells,
 // so no cell, margin or seen-set entry exists for a row outside the group.
-func CountXYZRows(x, y []int32, cx, cy int, zids []int32, zcard int, w []float64, rows []int32) XYZ {
-	size := zcard * cx * cy
-	if size > 0 && size <= MaxDense {
-		t := newDenseXYZ(cx, cy, zcard)
+// Direct inputs are read at the listed rows in place; an indirect input makes
+// the pass gather every input's listed rows a run at a time.
+func CountXYZRowsOf(x, y, z Dim, w Weights, rows []int32) XYZ {
+	t := newXYZ(x.Card, y.Card, z.Card)
+	if len(rows) == 0 {
+		return t // and not forRuns' every row
+	}
+	if !x.direct() || !y.direct() || !z.direct() || w.Slots != nil {
+		forRuns(rows, []Dim{x, y, z}, w, t.tally)
+		return t
+	}
+	xs, ys, zids, cx, cy := x.Codes, y.Codes, z.Codes, x.Card, y.Card
+	if !t.Dense {
 		for _, r := range rows {
-			zi, xc, yc := zids[r], x[r], y[r]
-			if zi < 0 || xc < 0 || yc < 0 {
-				continue
-			}
-			wt := weightAt(w, int(r))
-			t.Joint[(int(zi)*cx+int(xc))*cy+int(yc)] += wt
-			t.ZX[int(zi)*cx+int(xc)] += wt
-			t.ZY[int(zi)*cy+int(yc)] += wt
-			t.Z[zi] += wt
-			t.WeightSum += wt
-			t.WeightSqSum += wt * wt
+			t.addSparse(zids[r], xs[r], ys[r], weightAt(w.W, int(r)))
 		}
 		return t
 	}
-	t := newSparseXYZ(cx, cy, zcard)
 	for _, r := range rows {
-		t.addSparse(zids[r], x[r], y[r], weightAt(w, int(r)))
+		zi, xc, yc := zids[r], xs[r], ys[r]
+		if zi < 0 || xc < 0 || yc < 0 {
+			continue
+		}
+		wt := weightAt(w.W, int(r))
+		t.Joint[(int(zi)*cx+int(xc))*cy+int(yc)] += wt
+		t.ZX[int(zi)*cx+int(xc)] += wt
+		t.ZY[int(zi)*cy+int(yc)] += wt
+		t.Z[zi] += wt
+		t.WeightSum += wt
+		t.WeightSqSum += wt * wt
 	}
 	return t
 }
@@ -528,18 +755,32 @@ func newScreen(co, ct, ce int) *Screen {
 	return s
 }
 
-// CountScreen runs the fused pass over the rows, or returns nil under
-// newScreen's gate. It is the general kernel — any code column, any weights;
-// SlotCube.Screen is its aggregate form for unweighted per-slot codes.
+// CountScreen is CountScreenOf over direct columns.
 func CountScreen(o, t, e []int32, co, ct, ce int, w []float64) *Screen {
-	s := newScreen(co, ct, ce)
+	return CountScreenOf(Dim{Codes: o, Card: co}, Dim{Codes: t, Card: ct}, Dim{Codes: e, Card: ce}, Weights{W: w})
+}
+
+// CountScreenOf runs the fused pass over the rows, or returns nil under
+// newScreen's gate. It is the general kernel — any code column in either
+// form, any weights; SlotCube.Screen is its aggregate form for unweighted
+// per-slot codes.
+func CountScreenOf(o, t, e Dim, w Weights) *Screen {
+	s := newScreen(o.Card, t.Card, e.Card)
 	if s == nil {
 		return nil
 	}
+	forRuns(nil, []Dim{o, t, e}, w, s.tally)
+	return s
+}
+
+// tally adds the rows of one run, cols = (o, t, e), in row order.
+func (s *Screen) tally(cols [3][]int32, w []float64) {
+	o, t, e := cols[0], cols[1], cols[2]
+	co, ce := s.Co, s.Ce
 	eo, zE := s.EO, s.ZE
 	jointT, to, te, tM := s.JointT, s.TO, s.TE, s.TM
 	oe, oM, eM := s.OE, s.OM, s.EM
-	var ws2, wsq2, ws3, wsq3 float64
+	ws2, wsq2, ws3, wsq3 := s.WS2, s.WSQ2, s.WS3, s.WSQ3
 	for i := 0; i < len(e); i++ {
 		oc, tc, ec := o[i], t[i], e[i]
 		if oc < 0 || ec < 0 {
@@ -566,7 +807,6 @@ func CountScreen(o, t, e []int32, co, ct, ce int, w []float64) *Screen {
 		wsq3 += wt * wt
 	}
 	s.WS2, s.WSQ2, s.WS3, s.WSQ3 = ws2, wsq2, ws3, wsq3
-	return s
 }
 
 // Release returns the tally storage to the pool; the Screen must not be read
@@ -657,13 +897,17 @@ type cell interface{ uint8 | uint16 | uint32 }
 
 func packCells[C cell](dims []Dim, n int) ([]C, error) {
 	cells := make([]C, n*len(dims))
+	var buf [runRows]int32
 	for j, d := range dims {
-		for r, c := range d.Codes[:n] {
-			if int(c) >= d.Card {
-				return nil, fmt.Errorf("counting: column %d row %d has code %d outside [0, %d)", j, r, c, d.Card)
-			}
-			if c >= 0 {
-				cells[r*len(dims)+j] = C(c + 1)
+		for lo := 0; lo < n; lo += runRows {
+			hi := min(lo+runRows, n)
+			for i, c := range d.gather(lo, hi, nil, buf[:]) {
+				if int(c) >= d.Card {
+					return nil, fmt.Errorf("counting: column %d row %d has code %d outside [0, %d)", j, lo+i, c, d.Card)
+				}
+				if c >= 0 {
+					cells[(lo+i)*len(dims)+j] = C(c + 1)
+				}
 			}
 		}
 	}

@@ -8,12 +8,15 @@ package counting
 // equality, not epsilon — any disagreement is a real counting bug, never
 // float noise. A rows-subset mode does the same for the row-list entry point
 // (CountXYZRows, dense and map form) against the naive tally of an ascending
-// subset the fuzz bytes pick, and a slot-cube mode holds the entity-level fold
-// (SlotCube.Screen) to the unweighted row pass over the broadcast codes. The
+// subset the fuzz bytes pick, a slot-cube mode holds the entity-level fold
+// (SlotCube.Screen) to the unweighted row pass over the broadcast codes, and
+// an indirect-form mode holds every pass over slot codes and slot weights
+// read through row→slot maps to the same pass over their broadcasts. The
 // seed corpus is checked in under testdata/fuzz; CI runs the target as a
 // bounded smoke iteration.
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -198,5 +201,81 @@ func FuzzCountParity(f *testing.F) {
 			}
 		}
 		checkFoldIsRowPass(t, z, x, y, codes, cx, cy, ce)
+
+		checkIndirectIsBroadcast(t, data[4:], x, y, z, cx, cy, zc, w)
 	})
+}
+
+// checkIndirectIsBroadcast is the indirect-form mode: x and z are re-read as
+// one code per slot under two row→slot maps the row bytes pick (slot -1 an
+// unresolved row), w as one weight per slot under a third map — so a row
+// without a weight slot may still be counted, with weight 0 — and y stays
+// direct;
+// every pass over these inputs must equal, cell for cell, the same pass over
+// their broadcasts — dense and past MaxDense, over all rows and a row list,
+// and for the composite ids.
+func checkIndirectIsBroadcast(t *testing.T, rows []byte, x, y, z []int32, cx, cy, zc int, w []float64) {
+	n := len(x)
+	slotsX, slotsZ, slotsW := make([]int32, n), make([]int32, n), make([]int32, n)
+	var list []int32
+	for i := range slotsX {
+		slotsX[i] = int32((7*i+int(rows[4*i]))%(n+1)) - 1
+		slotsZ[i] = int32((int(rows[4*i+1])+3*int(rows[4*i+2]))%(n+1)) - 1
+		slotsW[i] = int32((5*i+int(rows[4*i+3]))%(n+1)) - 1
+		if rows[4*i+3]&1 == 0 {
+			list = append(list, int32(i))
+		}
+	}
+	xi, yd, zi := Dim{Codes: x, Card: cx, Slots: slotsX}, Dim{Codes: y, Card: cy}, Dim{Codes: z, Card: zc, Slots: slotsZ}
+	wi := Weights{W: w, Slots: slotsW}
+	bx, bz, bw := broadcast(x, slotsX), broadcast(z, slotsZ), wi.Rows()
+
+	same := func(what string, got, want XYZ) {
+		t.Helper()
+		g, w := got, want
+		g.sc, w.sc = nil, nil
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: indirect tally differs from the broadcast one\nindirect  %+v\nbroadcast %+v", what, g, w)
+		}
+		got.Release()
+		want.Release()
+	}
+	same("CountXYZ dense", CountXYZOf(xi, yd, zi, wi), CountXYZ(bx, y, cx, cy, bz, zc, bw))
+	same("CountXYZ past MaxDense", CountXYZOf(xi, yd, Dim{Codes: z, Card: MaxDense + 1, Slots: slotsZ}, wi),
+		CountXYZ(bx, y, cx, cy, bz, MaxDense+1, bw))
+	same("CountXYZ constant z", CountXYZOf(xi, yd, Dim{Card: 1}, wi), CountXYZ(bx, y, cx, cy, make([]int32, n), 1, bw))
+	same("CountXYZRows dense", CountXYZRowsOf(xi, yd, zi, wi, list), CountXYZRows(bx, y, cx, cy, bz, zc, bw, list))
+	same("CountXYZRows past MaxDense", CountXYZRowsOf(xi, yd, Dim{Codes: z, Card: MaxDense + 1, Slots: slotsZ}, wi, list),
+		CountXYZRows(bx, y, cx, cy, bz, MaxDense+1, bw, list))
+
+	gs, ws := CountScreenOf(yd, Dim{Codes: bz, Card: zc}, xi, wi), CountScreen(y, bz, bx, cy, zc, cx, bw)
+	g, ws2 := *gs, *ws
+	g.sc, ws2.sc = nil, nil
+	if !reflect.DeepEqual(g, ws2) {
+		t.Fatalf("CountScreen: indirect screen differs from the broadcast one\nindirect  %+v\nbroadcast %+v", g, ws2)
+	}
+	gs.Release()
+	ws.Release()
+
+	gv, wv := CountVecOf(xi, wi), CountVec(bx, cx, bw)
+	if gv.Total != wv.Total || !reflect.DeepEqual(gv.Counts, wv.Counts) {
+		t.Fatalf("CountVec: indirect %v (%v), broadcast %v (%v)", gv.Counts, gv.Total, wv.Counts, wv.Total)
+	}
+	gv.Release()
+	wv.Release()
+
+	for _, c := range []struct {
+		name      string
+		got, want []Dim
+	}{
+		{"one indirect", []Dim{xi}, []Dim{{Codes: bx, Card: cx}}},
+		{"product", []Dim{xi, yd, zi}, []Dim{{Codes: bx, Card: cx}, yd, {Codes: bz, Card: zc}}},
+		{"first-seen", []Dim{zi, {Codes: y, Card: 0}, xi}, []Dim{{Codes: bz, Card: zc}, {Codes: y, Card: 0}, {Codes: bx, Card: cx}}},
+	} {
+		got, gotCard := IDs(c.got, n)
+		want, wantCard := IDs(c.want, n)
+		if gotCard != wantCard || !reflect.DeepEqual(got, want) {
+			t.Fatalf("IDs %s: indirect %v (card %d), broadcast %v (card %d)", c.name, got, gotCard, want, wantCard)
+		}
+	}
 }

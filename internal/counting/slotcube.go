@@ -170,8 +170,7 @@ func (c *SlotCube) Screen(e []int32, ce int) *Screen {
 // over the rows with a slot, an outcome and a present code, whatever their T.
 // Not counted as a pass. Backed by pooled storage — call Release when done.
 func (c *SlotCube) PairO(e []int32, ce int) Pair {
-	sc := grab(c.co*ce + ce)
-	p := Pair{Cx: c.co, Ce: ce, Joint: sc.buf[: c.co*ce : c.co*ce], EMargin: sc.buf[c.co*ce:], sc: sc}
+	p := newPair(c.co, ce)
 	p.Total = c.foldPair(e, ce, p.Joint, p.EMargin)
 	return p
 }

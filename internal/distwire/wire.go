@@ -42,6 +42,7 @@ import (
 
 	"nexus/internal/bins"
 	"nexus/internal/core"
+	"nexus/internal/counting"
 )
 
 // Endpoint paths.
@@ -79,7 +80,13 @@ type Column struct {
 
 // FromEncoded converts an encoded column to its wire form, aliasing the
 // codes slice (the caller must not mutate it while a request is in flight).
+// Wire columns are row-level: an indirect column (a KG candidate, or a
+// selected prefix that is one, see bins.Encoded.Slots) is broadcast to rows
+// here, the one place the fleet's columns are built from the slot form.
 func FromEncoded(e *bins.Encoded) Column {
+	if e.Slots != nil {
+		e = e.Broadcast(e.Slots)
+	}
 	return Column{Name: e.Name, Card: e.Card, Codes: e.Codes}
 }
 
@@ -143,7 +150,8 @@ func (d *Dataset) Rows() int {
 }
 
 // FromScoreContext builds the wire dataset of an MCIMR scoring context.
-// Slices are aliased, not copied.
+// Slices of row-level columns and weights are aliased, not copied; an
+// indirect candidate and its per-slot weights are broadcast to rows.
 func FromScoreContext(sc *core.ScoreContext) Dataset {
 	d := Dataset{
 		Fingerprint: sc.Fingerprint(),
@@ -153,7 +161,11 @@ func FromScoreContext(sc *core.ScoreContext) Dataset {
 	d.Cols = append(d.Cols, FromEncoded(sc.T), FromEncoded(sc.O))
 	for i, c := range sc.Cands {
 		d.Cols = append(d.Cols, FromEncoded(c))
-		d.Weights = append(d.Weights, sc.Weights[i])
+		w := sc.Weights[i]
+		if c.Slots != nil {
+			w = counting.Weights{W: w, Slots: c.Slots}.Rows()
+		}
+		d.Weights = append(d.Weights, w)
 	}
 	return d
 }

@@ -95,8 +95,9 @@ func (a *Attribute) Materialize() *table.Column {
 // to row level: a fresh n-long vector per call. Binning thresholds therefore
 // reflect the entity-value distribution (documented deviation: pyitlib binned
 // row-level, which differs only when group sizes are very uneven). The
-// pipeline does not call it: a candidate broadcasts its own entity form
-// (core.FromEntity), once, and only when it survives the prunes.
+// pipeline does not call it: the scoring core reads a candidate's entity form
+// through the row→slot map, and a candidate broadcasts it (core.FromEntity),
+// once, only for callers outside the core.
 func (a *Attribute) Encode(opts bins.Options) (*bins.Encoded, error) {
 	ent, err := a.EntityEncode(opts)
 	if err != nil {

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -140,29 +141,30 @@ func (s *Suite) Fig6(dataset string, ks []int, base core.Options) ([]PerfPoint, 
 }
 
 // Headline runs the §5.3 headline: explain the Flights dataset at the given
-// row count and report wall-clock time (paper: < 10 s at 5.8M rows).
-func (s *Suite) Headline(rows int, base core.Options) (PerfPoint, error) {
+// row count. It returns the explanation, whose Elapsed is the wall-clock time
+// of the explain (paper: < 10 s at 5.8M rows), and the bytes the explain
+// allocated (the growth of runtime.MemStats.TotalAlloc across the call).
+func (s *Suite) Headline(rows int, base core.Options) (*core.Explanation, uint64, error) {
 	ds := workload.Flights(s.World, workload.Config{Rows: rows, Seed: s.Seed + 3})
 	sess := s.SessionWith("Flights", nexusOptions(base))
 	sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 	sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
 	spec, err := firstQuery("Flights")
 	if err != nil {
-		return PerfPoint{}, err
+		return nil, 0, err
 	}
 	a, err := sess.Prepare(spec.SQL)
 	if err != nil {
-		return PerfPoint{}, err
+		return nil, 0, err
 	}
-	start := time.Now()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	ex, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, base)
+	runtime.ReadMemStats(&after)
 	if err != nil {
-		return PerfPoint{}, err
+		return nil, 0, err
 	}
-	return PerfPoint{
-		Dataset: "Flights", Variant: VariantMCIMR, X: float64(rows),
-		Elapsed: time.Since(start), ExplSize: len(ex.Attrs),
-	}, nil
+	return ex, after.TotalAlloc - before.TotalAlloc, nil
 }
 
 // regenerate rebuilds a dataset at a specific row count (same world/seed).

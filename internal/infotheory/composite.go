@@ -27,12 +27,14 @@ import "nexus/internal/bins"
 // unaffected).
 //
 // With zero variables JoinVars returns nil (the empty conditioning set);
-// with one it returns that variable unchanged.
+// with one direct variable it returns that variable unchanged, and one
+// indirect variable (bins.Encoded.Slots) it reads into rows once, so every
+// later pass conditions on a plain column.
 func JoinVars(name string, vars ...Var) Var {
-	switch len(vars) {
-	case 0:
+	switch {
+	case len(vars) == 0:
 		return nil
-	case 1:
+	case len(vars) == 1 && vars[0].Slots == nil:
 		return vars[0]
 	}
 	n := vars[0].Len()

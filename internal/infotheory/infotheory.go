@@ -7,6 +7,12 @@
 // optional per-row weight vector; a nil weight vector means uniform weights.
 // This mirrors how the paper combines complete-case analysis with IPW (§3.2).
 //
+// A variable, and a weight vector handed to an …Of entry point, may be in
+// the indirect form of a knowledge-graph attribute — one value per entity
+// slot plus the row→slot map (bins.Encoded.Slots, Weights.Slots) — which the
+// kernel reads through the map. Every statistic is bit-identical to the one
+// computed over the same variable broadcast to rows.
+//
 // All counting passes route through the unified kernel (internal/counting);
 // this package owns only the finalize arithmetic — probabilities and
 // logarithms over the kernel's tally buffers. The finalize loops read those
@@ -24,8 +30,17 @@ import (
 	"nexus/internal/counting"
 )
 
-// Var is a discretized column.
+// Var is a discretized column, direct or indirect (see bins.Encoded.Slots).
 type Var = *bins.Encoded
+
+// Weights is a weight vector in the kernel's two forms: one weight per row,
+// or one per entity slot read through a row→slot map.
+type Weights = counting.Weights
+
+// dim is v as a kernel column.
+func dim(v Var) counting.Dim {
+	return counting.Dim{Codes: v.Codes, Card: v.Card, Slots: v.Slots}
+}
 
 // maxDense bounds the contingency-array size of the dense fast path; larger
 // joint domains fall back to hash maps. It is the kernel's bound — the gates
@@ -35,7 +50,7 @@ const maxDense = counting.MaxDense
 // Entropy returns the Shannon entropy H(X) in bits over complete cases,
 // optionally weighted. Returns 0 when no complete cases exist.
 func Entropy(x Var, w []float64) float64 {
-	v := counting.CountVec(x.Codes, x.Card, w)
+	v := counting.CountVecOf(dim(x), Weights{W: w})
 	h := entropyOf(v.Counts, v.Total)
 	v.Release()
 	return h
@@ -70,7 +85,12 @@ func TallyMutualInfo(joint, xMargin, yMargin []float64, total float64) float64 {
 // cases exist. Negative values arising from floating-point error are clamped
 // to 0.
 func CondMutualInfo(x, y Var, given []Var, w []float64) float64 {
-	return cmi(x, y, given, w).mi
+	return CondMutualInfoOf(x, y, given, Weights{W: w})
+}
+
+// CondMutualInfoOf is CondMutualInfo under weights in either form.
+func CondMutualInfoOf(x, y Var, given []Var, w Weights) float64 {
+	return cmiOf(x, y, given, w).mi
 }
 
 // CondMutualInfoDebiased returns the plug-in CMI minus its expected value
@@ -86,7 +106,7 @@ func CondMutualInfoDebiased(x, y Var, given []Var, w []float64) float64 {
 
 // CondMutualInfoDebiasedRows is CondMutualInfoDebiased restricted to the
 // listed rows (ascending), at the cost of the list rather than the table: it
-// tallies through counting.CountXYZRows and finalizes like the full pass
+// tallies through counting.CountXYZRowsOf and finalizes like the full pass
 // under a weight vector that is w on the list and 0 off it. On the dense path
 // the result is math.Float64bits-equal to that masked pass. N_eff is always
 // the Kish form, as it is under a mask: with unit weights Σw²=Σw=k and k·k/k
@@ -96,8 +116,8 @@ func CondMutualInfoDebiasedRows(x, y Var, given []Var, w []float64, rows []int32
 	if cx == 0 || cy == 0 {
 		return 0
 	}
-	zids, zcard := DenseIDs(given, x.Len())
-	t := counting.CountXYZRows(x.Codes, y.Codes, cx, cy, zids, zcard, w, rows)
+	z := strata(given, x.Len())
+	t := counting.CountXYZRowsOf(dim(x), dim(y), z, Weights{W: w}, rows)
 	return debiasedMI(xyzStats(&t), true)
 }
 
@@ -129,14 +149,32 @@ type cmiStats struct {
 }
 
 func cmi(x, y Var, given []Var, w []float64) cmiStats {
-	n := x.Len()
-	zids, zcard := DenseIDs(given, n)
-	cx, cy := x.Card, y.Card
-	if cx == 0 || cy == 0 {
+	return cmiOf(x, y, given, Weights{W: w})
+}
+
+func cmiOf(x, y Var, given []Var, w Weights) cmiStats {
+	z := strata(given, x.Len())
+	if x.Card == 0 || y.Card == 0 {
 		return cmiStats{}
 	}
-	t := counting.CountXYZ(x.Codes, y.Codes, cx, cy, zids, zcard, w)
+	t := counting.CountXYZOf(dim(x), dim(y), z, w)
 	return xyzStats(&t)
+}
+
+// strata is the conditioning set as one kernel column: the constant column
+// of the single stratum, the one variable in its own form, or the composite
+// ids of a larger set (DenseIDs, read through any row→slot maps).
+func strata(given []Var, n int) counting.Dim {
+	switch len(given) {
+	case 0:
+		return counting.Dim{Card: 1}
+	case 1:
+		z := dim(given[0])
+		z.Card = max(z.Card, 1)
+		return z
+	}
+	ids, card := DenseIDs(given, n)
+	return counting.Dim{Codes: ids, Card: card}
 }
 
 func xyzStats(t *counting.XYZ) cmiStats {
@@ -290,17 +328,12 @@ func sparseCondEntropy(zv map[[2]int32]float64, z map[int32]float64, total float
 // DenseIDs maps each row to a dense id identifying the combination of codes
 // of the given variables (-1 when any is missing), and returns the number of
 // distinct ids. With no variables every row maps to id 0. This is the
-// kernel's composite coding (counting.IDs) over the variables' code columns.
+// kernel's composite coding (counting.IDs) over the variables' code columns,
+// each read in its own form.
 func DenseIDs(given []Var, n int) (ids []int32, card int) {
-	switch len(given) {
-	case 0:
-		return counting.IDs(nil, n)
-	case 1:
-		return counting.IDs([]counting.Dim{{Codes: given[0].Codes, Card: given[0].Card}}, n)
-	}
 	dims := make([]counting.Dim, len(given))
 	for i, g := range given {
-		dims[i] = counting.Dim{Codes: g.Codes, Card: g.Card}
+		dims[i] = dim(g)
 	}
 	return counting.IDs(dims, n)
 }
@@ -325,7 +358,12 @@ func entropyOf(counts []float64, total float64) float64 {
 // efficient CI test used as the responsibility test (Lemma 4.2) and for
 // pruning.
 func CondIndependent(x, y Var, given []Var, w []float64, threshold float64) bool {
-	return condIndependentStats(cmi(x, y, given, w), w != nil, threshold)
+	return CondIndependentOf(x, y, given, Weights{W: w}, threshold)
+}
+
+// CondIndependentOf is CondIndependent under weights in either form.
+func CondIndependentOf(x, y Var, given []Var, w Weights, threshold float64) bool {
+	return condIndependentStats(cmiOf(x, y, given, w), w.W != nil, threshold)
 }
 
 // condIndependentStats is the verdict half of CondIndependent, shared with

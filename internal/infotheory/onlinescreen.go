@@ -42,7 +42,7 @@ type OnlineScreen struct {
 
 	// Inputs, kept for the fallback path.
 	o, t, e Var
-	w       []float64
+	w       Weights
 }
 
 // ScreenAll runs the fused counting pass. The dense path applies under
@@ -50,9 +50,16 @@ type OnlineScreen struct {
 // (joint domain within maxDense); otherwise the methods fall back to the
 // unfused estimators, which are identical in value.
 func ScreenAll(o, t, e Var, w []float64) *OnlineScreen {
+	return ScreenAllOf(o, t, e, Weights{W: w})
+}
+
+// ScreenAllOf is ScreenAll under weights in either form: an IPW-weighted
+// entity-form candidate is screened from its slot codes and slot weights,
+// read through the row→slot map.
+func ScreenAllOf(o, t, e Var, w Weights) *OnlineScreen {
 	return &OnlineScreen{
-		weighted: w != nil, o: o, t: t, e: e, w: w,
-		tally: counting.CountScreen(o.Codes, t.Codes, e.Codes, o.Card, t.Card, e.Card, w),
+		weighted: w.W != nil, o: o, t: t, e: e, w: w,
+		tally: counting.CountScreenOf(dim(o), dim(t), dim(e), w),
 	}
 }
 
@@ -89,8 +96,8 @@ func (s *OnlineScreen) Release() {
 func (s *OnlineScreen) FDEntropies() (hOgivenE, hTgivenE float64) {
 	f := s.tally
 	if f == nil {
-		_, hO, hT := Screen(s.o, s.t, s.e, s.w)
-		return hO, hT
+		st := cmiOf(s.o, s.t, []Var{s.e}, s.w)
+		return st.hx, st.hy
 	}
 	if f.WS3 <= 0 {
 		return 0, 0
@@ -125,7 +132,7 @@ func (s *OnlineScreen) FDEntropies() (hOgivenE, hTgivenE float64) {
 func (s *OnlineScreen) MarginalIndependent(threshold float64) bool {
 	f := s.tally
 	if f == nil {
-		return CondIndependent(s.o, s.e, nil, s.w, threshold)
+		return CondIndependentOf(s.o, s.e, nil, s.w, threshold)
 	}
 	st := cmiDenseStats(f.OE, f.OM, f.EM, []float64{f.WS2}, f.Co, f.Ce, f.WS2, f.WSQ2)
 	return condIndependentStats(st, s.weighted, threshold)
@@ -143,7 +150,7 @@ func (s *OnlineScreen) CondIndependentGivenT(threshold float64) bool {
 	f := s.tally
 	s.condWalked = f == nil // the unfused estimator is a math.Log2 walk too
 	if f == nil {
-		return CondIndependent(s.o, s.e, []Var{s.t}, s.w, threshold)
+		return CondIndependentOf(s.o, s.e, []Var{s.t}, s.w, threshold)
 	}
 	if f.WS3 <= 0 {
 		return condIndependentStats(cmiStats{}, s.weighted, threshold)
