@@ -144,9 +144,10 @@ func (s *Session) ReportKey(sql string, subgroups int, tau float64) (string, err
 // DatasetFingerprint hashes the registered catalog — table names, shapes,
 // column names, link columns and candidate exclusions — into a short hex
 // token. It distinguishes datasets (and re-registrations that change the
-// schema or row count) cheaply without reading cell data; loading different
-// *contents* at an identical shape should be paired with an explicit
-// report-cache invalidation (docs/OPERATIONS.md).
+// schema or row count) cheaply without reading cell data. Different
+// *contents* at an identical shape get the same token; nexusd loads its data
+// once, so a restart is what invalidates the report cache then
+// (docs/OPERATIONS.md).
 func (s *Session) DatasetFingerprint() string {
 	h := fnv.New64a()
 	names := make([]string, 0, len(s.catalog))

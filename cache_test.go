@@ -9,7 +9,10 @@ import (
 	"testing"
 
 	"nexus/internal/extract"
+	"nexus/internal/kg"
 	"nexus/internal/obs"
+	"nexus/internal/table"
+	"nexus/internal/workload"
 )
 
 // TestExtractionCacheEvictsFailures is the regression test for the
@@ -138,5 +141,61 @@ func TestExtractionCacheBounded(t *testing.T) {
 	lookups := int64(extractionCacheEntries + 3)
 	if h, m := c.Hits(), c.Misses(); h != 1 || h+m != lookups {
 		t.Fatalf("hits=%d misses=%d, want 1 hit and %d lookups in all", h, m, lookups)
+	}
+}
+
+// TestReportKeyCanonicalAndScoped pins the report-cache key, the one thing
+// that keeps reports of different data apart (the cache has no version
+// stamp): SQL that means the same query maps to one key, and every input that
+// shapes the report — the options, the session's depth, the registered rows,
+// the KG — maps to a key of its own.
+func TestReportKeyCanonicalAndScoped(t *testing.T) {
+	world := kg.NewWorld(kg.WorldConfig{Seed: 11})
+	ds, err := workload.ByName(world, "forbes", 400, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(src kg.Source, hops int, tbl *table.Table) *Session {
+		s := NewSessionFromSource(src, &Options{Hops: hops})
+		s.RegisterTable(ds.Name, tbl, ds.LinkColumns...)
+		s.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
+		return s
+	}
+	key := func(s *Session, sql string, subgroups int, tau float64) string {
+		t.Helper()
+		k, err := s.ReportKey(sql, subgroups, tau)
+		if err != nil {
+			t.Fatalf("ReportKey(%q): %v", sql, err)
+		}
+		return k
+	}
+	const sql = "SELECT Category, avg(Pay) FROM Forbes WHERE Year >= 2010 AND Category != 'Actors' GROUP BY Category"
+	base := session(world.Graph, 1, ds.Table)
+	want := key(base, sql, 3, 0.2)
+
+	for _, same := range []string{
+		"SELECT Category, avg(Pay) FROM Forbes WHERE Category != 'Actors' AND Year >= 2010 GROUP BY Category",
+		"select  Category ,AVG( Pay )\n  from Forbes where Year>=2010 and Category!='Actors'   group by Category",
+	} {
+		if got := key(base, same, 3, 0.2); got != want {
+			t.Errorf("%q: key %q, want %q (the same query)", same, got, want)
+		}
+	}
+
+	n := ds.Table.NumRows()
+	rows := make([]int, n+1)
+	for i := range rows {
+		rows[i] = min(i, n-1)
+	}
+	for name, got := range map[string]string{
+		"subgroups":    key(base, sql, 5, 0.2),
+		"tau":          key(base, sql, 3, 0.3),
+		"hops":         key(session(world.Graph, 2, ds.Table), sql, 3, 0.2),
+		"one more row": key(session(world.Graph, 1, ds.Table.Gather(rows)), sql, 3, 0.2),
+		"KG-less":      key(session(nil, 1, ds.Table), sql, 3, 0.2),
+	} {
+		if got == want {
+			t.Errorf("%s: key unchanged (%q)", name, got)
+		}
 	}
 }

@@ -14,7 +14,7 @@
 //	nexusd -csv data.csv -table mydata -links Country -addr :8080
 //	nexusd -dataset so -addr :8080 -debug-addr 127.0.0.1:8081 -slow-threshold 2s
 //
-// Synchronous explanations flow through a versioned report cache
+// Synchronous explanations flow through a report cache
 // (-report-cache; X-Nexus-Cache response header) and a two-tier scheduler:
 // the request's "priority" field selects interactive (default) or batch,
 // batch work queues deeper (-batch-queue) but dequeues at a lower weight
@@ -132,10 +132,9 @@ func run(args []string) error {
 		log.Printf("serving %s: %d rows, link columns %v", ds.Name, ds.Table.NumRows(), ds.LinkColumns)
 	}
 
-	// The report cache's version is fixed to the loaded dataset + KG source
-	// at startup; its per-key suffix repeats the same pair via
-	// Session.ReportKey, so either layer alone is enough to keep reports
-	// from different data apart.
+	// Every report-cache key ends in the loaded dataset's fingerprint and
+	// the KG source version (Session.ReportKey), and the data is loaded once
+	// above: a restart is the cache's only invalidation.
 	var reports *reportcache.Cache
 	if *cacheEntries > 0 {
 		ttl := *cacheTTL
@@ -145,7 +144,6 @@ func run(args []string) error {
 		reports = reportcache.New(reportcache.Config{
 			MaxEntries: *cacheEntries,
 			TTL:        ttl,
-			Version:    sess.DatasetFingerprint() + "/" + sess.KGVersion(),
 			Counters:   metrics,
 		})
 		log.Printf("report cache: %d entries, ttl %s", *cacheEntries, *cacheTTL)

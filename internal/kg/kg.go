@@ -97,8 +97,8 @@ func NewGraph() *Graph {
 // content-shape fingerprint over the entity and triple counts. Every
 // AddEntity/Set/Add/Delete changes one of the counts in practice (the
 // synthetic worlds only grow), so the serving tier can key report caches
-// on it; replacing values in place at constant counts needs an explicit
-// cache invalidation instead.
+// on it; replacing values in place at constant counts needs a restart of
+// the serving daemon instead.
 func (g *Graph) Version() string {
 	return fmt.Sprintf("mem:%d:%d", g.NumEntities(), g.NumTriples())
 }

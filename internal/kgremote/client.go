@@ -294,6 +294,6 @@ func (c *Client) ClassProps(ctx context.Context, class string) ([]string, error)
 // Version implements kg.Versioned for the remote backend. The client
 // cannot observe the server's graph content, so the version is the
 // endpoint identity: repointing -kg at a different kgd (or regenerating
-// the graph behind the same URL) should be paired with a report-cache
-// invalidation or a URL change — docs/OPERATIONS.md covers the procedure.
+// the graph behind the same URL) should be paired with a restart of nexusd
+// or a URL change — docs/OPERATIONS.md covers the procedure.
 func (c *Client) Version() string { return "remote:" + c.base }

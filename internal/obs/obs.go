@@ -103,11 +103,11 @@ const (
 	ExtractCacheHits   = "extract_cache_hits"
 	ExtractCacheMisses = "extract_cache_misses"
 	// ReportCacheHits / ReportCacheMisses / ReportCacheShared /
-	// ReportCacheEvictions count lookups in the versioned serving-tier
+	// ReportCacheEvictions count lookups in the serving-tier
 	// report cache (internal/reportcache): a hit serves the stored bytes of
 	// an earlier computation, a miss runs the full pipeline, and a shared
 	// lookup joined an in-flight computation under single-flight. Evictions
-	// count LRU overflow, TTL expiry and version-bump purges together.
+	// count LRU overflow and TTL expiry together.
 	ReportCacheHits      = "report_cache_hits"
 	ReportCacheMisses    = "report_cache_misses"
 	ReportCacheShared    = "report_cache_singleflight_shared"

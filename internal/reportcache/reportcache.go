@@ -1,7 +1,8 @@
-// Package reportcache is the versioned response cache of the serving tier:
-// it memoizes whole explanation reports — the exact bytes nexusd wrote for
-// the first (cold) computation — keyed by the normalized explain request
-// plus the dataset fingerprint and knowledge-graph source version.
+// Package reportcache is the response cache of the serving tier: it
+// memoizes whole explanation reports — the exact bytes nexusd wrote for the
+// first (cold) computation — keyed by the normalized explain request plus
+// the dataset fingerprint and knowledge-graph source version
+// (nexus.Session.ReportKey).
 //
 // It is the repository's single-flight cache (internal/sfcache: one
 // computation per key across concurrent callers, bounded LRU, eviction on
@@ -12,10 +13,10 @@
 // deduplicates the *entire* pipeline (parse → extract → prune → MCIMR →
 // subgroups → JSON encoding) across requests that are equivalent after
 // canonicalization. What this package adds is the serving vocabulary — the
-// X-Nexus-Cache outcome strings, the report_cache_* counters, a TTL — and
-// versioning: SetVersion purges completed entries and keeps computations in
-// flight under the old version from being retained, so a dataset reload or
-// KG source change can invalidate atomically.
+// X-Nexus-Cache outcome strings, the report_cache_* counters, a default TTL.
+// There is no invalidation call: a key names the dataset shape and KG
+// version it was computed from, and nexusd loads its data once at startup,
+// so a restart, which empties the cache, is the invalidation.
 //
 // Values are opaque []byte rather than decoded reports deliberately: a hit
 // returns the identical bytes the cold computation produced (pinned by
@@ -26,7 +27,6 @@ package reportcache
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"nexus/internal/obs"
@@ -58,7 +58,8 @@ type Config struct {
 	// negative disables expiry). Expiry is lazy: an expired entry is
 	// evicted by the next lookup that finds it.
 	TTL time.Duration
-	// Version stamps entries; see SetVersion. Empty is a valid version.
+	// Version is unread: the key already carries the dataset fingerprint
+	// and KG version. It remains only for callers that still set it.
 	Version string
 	// Counters, when non-nil, receives obs.ReportCacheHits / Misses /
 	// Shared / Evictions.
@@ -74,68 +75,25 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Cache is a versioned, bounded, single-flight report cache. Construct
-// with New; all methods are safe for concurrent use. A nil *Cache disables
-// caching: Get runs the computation directly and reports OutcomeMiss.
+// Cache is a bounded, single-flight report cache. Construct with New; all
+// methods are safe for concurrent use. A nil *Cache disables caching: Get
+// runs the computation directly and reports OutcomeMiss.
 type Cache struct {
 	c *sfcache.Cache[[]byte]
-
-	mu      sync.Mutex
-	version string
 }
 
 // New builds an empty cache.
 func New(cfg Config) *Cache {
 	cfg.applyDefaults()
-	return &Cache{
-		c: sfcache.New[[]byte](sfcache.Config{
-			MaxEntries: cfg.MaxEntries,
-			TTL:        cfg.TTL,
-			Counters:   cfg.Counters,
-			Hits:       obs.ReportCacheHits,
-			Misses:     obs.ReportCacheMisses,
-			Shared:     obs.ReportCacheShared,
-			Evictions:  obs.ReportCacheEvictions,
-		}),
-		version: cfg.Version,
-	}
-}
-
-// Version returns the current cache version ("" for a nil cache).
-func (c *Cache) Version() string {
-	if c == nil {
-		return ""
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
-}
-
-// SetVersion bumps the cache version. When v differs from the current
-// version every completed entry is purged immediately, and in-flight
-// computations keyed under the old version complete for their waiters but
-// are not retained. Setting the same version is a no-op.
-func (c *Cache) SetVersion(v string) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v == c.version {
-		return
-	}
-	c.version = v
-	c.c.Purge()
-}
-
-// Invalidate drops every completed entry without changing the version
-// (e.g. an operator flush after reloading contents at an identical shape).
-// Like a version bump it keeps computations already in flight — which may
-// have read the old contents — from being retained.
-func (c *Cache) Invalidate() {
-	if c != nil {
-		c.c.Purge()
-	}
+	return &Cache{c: sfcache.New[[]byte](sfcache.Config{
+		MaxEntries: cfg.MaxEntries,
+		TTL:        cfg.TTL,
+		Counters:   cfg.Counters,
+		Hits:       obs.ReportCacheHits,
+		Misses:     obs.ReportCacheMisses,
+		Shared:     obs.ReportCacheShared,
+		Evictions:  obs.ReportCacheEvictions,
+	})}
 }
 
 // Len reports the number of completed entries (0 for a nil cache).

@@ -127,55 +127,6 @@ func TestErrorEvicted(t *testing.T) {
 	}
 }
 
-func TestVersionBumpInvalidates(t *testing.T) {
-	ctrs := obs.NewCounters()
-	c := New(Config{Version: "v1", Counters: ctrs})
-	mustGet(t, c, "k", constant("old"))
-	c.SetVersion("v2")
-	if c.Len() != 0 {
-		t.Fatalf("Len after version bump = %d, want 0", c.Len())
-	}
-	data, out := mustGet(t, c, "k", constant("new"))
-	if out != OutcomeMiss || string(data) != "new" {
-		t.Fatalf("post-bump lookup: data=%q out=%v, want recomputed miss", data, out)
-	}
-	if ev := ctrs.Get(obs.ReportCacheEvictions); ev != 1 {
-		t.Fatalf("%s = %d, want 1", obs.ReportCacheEvictions, ev)
-	}
-	// Same-version set is a no-op: the v2 entry survives.
-	c.SetVersion("v2")
-	if _, out := mustGet(t, c, "k", constant("x")); out != OutcomeHit {
-		t.Fatalf("same-version SetVersion evicted the entry (outcome %v)", out)
-	}
-}
-
-// TestVersionBumpDropsInFlight: a computation begun under the old version
-// still answers its waiters but is not retained.
-func TestVersionBumpDropsInFlight(t *testing.T) {
-	c := New(Config{Version: "v1"})
-	computing := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		data, _, err := c.Get(context.Background(), "k", func() ([]byte, error) {
-			close(computing)
-			<-release
-			return []byte("stale"), nil
-		})
-		if err != nil || string(data) != "stale" {
-			t.Errorf("leader across bump: data=%q err=%v", data, err)
-		}
-	}()
-	<-computing
-	c.SetVersion("v2")
-	close(release)
-	<-done
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d, want 0: old-version result must not be retained", c.Len())
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	ctrs := obs.NewCounters()
 	c := New(Config{MaxEntries: 2, Counters: ctrs})
@@ -252,9 +203,7 @@ func TestNilCacheComputesDirectly(t *testing.T) {
 	if err != nil || out != OutcomeMiss || string(data) != "direct" {
 		t.Fatalf("nil cache: data=%q out=%v err=%v", data, out, err)
 	}
-	c.SetVersion("v")
-	c.Invalidate()
-	if c.Len() != 0 || c.Version() != "" {
+	if c.Len() != 0 {
 		t.Fatal("nil cache accessors must be zero no-ops")
 	}
 }

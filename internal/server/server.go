@@ -261,9 +261,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// ReportCache exposes the server's response cache (nil when disabled).
-func (s *Server) ReportCache() *reportcache.Cache { return s.cache }
-
 // Metrics exposes the server's counter set (rendered as counters on /metrics).
 func (s *Server) Metrics() *obs.Counters { return s.metrics }
 

@@ -313,32 +313,6 @@ func TestReportCacheErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestReportCacheVersionBumpInvalidates: bumping the cache version (the
-// operator's invalidation hook for in-place data reloads) forces the next
-// request to recompute.
-func TestReportCacheVersionBumpInvalidates(t *testing.T) {
-	srv, metrics := newCachedServer(t, Config{Workers: 2})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	if code, body, hdr := postExplainFull(t, ts.URL, ExplainRequest{SQL: testSQL}); code != http.StatusOK || hdr != "miss" {
-		t.Fatalf("first: status %d header %q (%s)", code, hdr, body)
-	}
-	srv.ReportCache().SetVersion("reload-2")
-	code, _, hdr := postExplainFull(t, ts.URL, ExplainRequest{SQL: testSQL})
-	if code != http.StatusOK || hdr != "miss" {
-		t.Fatalf("after bump: status %d header %q, want 200 miss", code, hdr)
-	}
-	if got := metrics.Get(CtrCompleted); got != 2 {
-		t.Fatalf("%s = %d, want 2 (bump must recompute)", CtrCompleted, got)
-	}
-	if code, _, hdr := postExplainFull(t, ts.URL, ExplainRequest{SQL: testSQL}); code != http.StatusOK || hdr != "hit" {
-		t.Fatalf("after recompute: status %d header %q, want 200 hit", code, hdr)
-	}
-}
-
 // TestAsyncBypassesCache: async requests never touch the report cache (their
 // contract is a fresh job id) and carry no cache header.
 func TestAsyncBypassesCache(t *testing.T) {

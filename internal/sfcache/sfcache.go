@@ -76,7 +76,6 @@ type Config struct {
 // abandoned are final; elem is non-nil while the entry is on the LRU list.
 type entry[V any] struct {
 	key       string
-	gen       uint64
 	done      chan struct{}
 	val       V
 	err       error
@@ -93,7 +92,6 @@ type Cache[V any] struct {
 	mu      sync.Mutex
 	entries map[string]*entry[V]
 	lru     *list.List // completed entries, most recent at front
-	gen     uint64     // bumped by Purge; older in-flight entries are not retained
 }
 
 // New builds an empty cache.
@@ -117,17 +115,6 @@ func (c *Cache[V]) Len() int {
 	return c.lru.Len()
 }
 
-// Purge drops every completed entry. Computations in flight still answer
-// their waiters, but their results are not retained.
-func (c *Cache[V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	for c.lru.Len() > 0 {
-		c.evictLocked(c.lru.Back().Value.(*entry[V]))
-	}
-}
-
 // Get returns the value for key, running compute at most once per key across
 // concurrent callers; compute runs under the caller's own ctx. The Outcome
 // reports whether this caller computed, found a completed entry, or joined a
@@ -141,7 +128,7 @@ func (c *Cache[V]) Get(ctx context.Context, key string, compute func() (V, error
 			ok = false
 		}
 		if !ok {
-			e = &entry[V]{key: key, gen: c.gen, done: make(chan struct{})}
+			e = &entry[V]{key: key, done: make(chan struct{})}
 			c.entries[key] = e
 			c.mu.Unlock()
 			c.count(c.cfg.Misses)
@@ -176,13 +163,13 @@ func (c *Cache[V]) Get(ctx context.Context, key string, compute func() (V, error
 	}
 }
 
-// complete finalizes a leader's entry: a failure or a result that a Purge
-// overtook is dropped, a success joins the LRU list (evicting the least
-// recently used completed entries beyond MaxEntries).
+// complete finalizes a leader's entry: a failure is dropped, a success joins
+// the LRU list (evicting the least recently used completed entries beyond
+// MaxEntries).
 func (c *Cache[V]) complete(e *entry[V]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.err != nil || e.gen != c.gen {
+	if e.err != nil {
 		delete(c.entries, e.key)
 		return
 	}

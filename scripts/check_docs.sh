@@ -10,6 +10,9 @@
 #      cannot silently rot after a rename.
 #   4. sections: load-bearing doc sections (referenced from code comments
 #      and other docs) must keep existing under their exact headings.
+#   5. paths: every `cmd/<name>` or `internal/<pkg>` cited in backticks in
+#      README.md, DESIGN.md and docs/*.md must still be a directory, so a
+#      deleted binary or package cannot stay documented.
 #
 # Run from the repository root: ./scripts/check_docs.sh
 set -u
@@ -94,12 +97,26 @@ require_section docs/API.md '## Report cache'
 require_section docs/API.md '## Job tiers and load shedding'
 require_section docs/OPERATIONS.md '## Capacity tuning'
 require_section docs/OPERATIONS.md '## Failure modes and the metrics that diagnose them'
-require_section docs/OPERATIONS.md '### Invalidating the report cache'
+require_section docs/OPERATIONS.md '### A restart is the invalidation'
 require_section docs/ARCHITECTURE.md '## Columnar data engine'
 require_section README.md '### Paper-scale quickstart'
 require_section docs/ARCHITECTURE.md '## Distributed scoring'
 require_section docs/OPERATIONS.md '## nexusw flags'
 require_section README.md '### Distributed scoring fleet'
+
+# --- 5. cmd/ and internal/ paths cited in the docs must exist ---------------
+pathfail=$(
+    grep -ho '`\(cmd\|internal\)/[A-Za-z0-9_]*' README.md DESIGN.md docs/*.md |
+        tr -d '\`' | sort -u |
+        while IFS= read -r dir; do
+            [ -d "$dir" ] || echo "$dir"
+        done
+)
+if [ -n "$pathfail" ]; then
+    echo "check_docs: paths cited in the docs no longer exist:" >&2
+    echo "$pathfail" >&2
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     exit 1
