@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"nexus/internal/bins"
 	"nexus/internal/core"
@@ -49,11 +48,9 @@ type Analysis struct {
 	// session trace's counter set when tracing is on, and a private set
 	// otherwise — one storage, so NumBiased and the trace cannot disagree.
 	metrics *obs.Counters
-	// slotOutcomes holds, per link column of the extraction, what the lazy
-	// per-candidate stages derive from the column's row→slot mapping and the
-	// outcome alone: an entry is added while Prepare wraps the column's first
-	// attribute, computed on first use and only read afterwards.
-	slotOutcomes map[string]func() slotOutcome
+	// ipw is the extraction's IPW state under this analysis's outcome and
+	// bins, shared by every analysis that asks the same of the extraction.
+	ipw *ipwState
 }
 
 // slotOutcome is the outcome aggregated to one link column's entity slots,
@@ -68,27 +65,23 @@ type slotOutcome struct {
 // column with nSlots entity slots.
 func (a *Analysis) slotOutcomeOf(slots []int32, nSlots int) slotOutcome {
 	out := a.View.MustColumn(a.Result.Outcome)
-	sum := make([]float64, nSlots)
-	cnt := make([]float64, nSlots)
+	meanO, cnt := make([]float64, nSlots), make([]float64, nSlots)
 	for i, sl := range slots {
-		if sl < 0 || out.IsNull(i) {
-			continue
+		if sl >= 0 && !out.IsNull(i) {
+			meanO[sl] += out.Float(i)
+			cnt[sl]++
 		}
-		sum[sl] += out.Float(i)
-		cnt[sl]++
 	}
-	so := slotOutcome{meanO: make([]float64, nSlots)}
-	for i := range so.meanO {
-		if cnt[i] > 0 {
-			so.meanO[i] = sum[i] / cnt[i]
-		} else {
-			so.meanO[i] = math.NaN()
+	for i := range meanO {
+		meanO[i] /= cnt[i]
+		if cnt[i] == 0 {
+			meanO[i] = math.NaN()
 		}
 	}
 	// An encode error leaves meanOEnc nil: no attribute of this link
 	// column gets weights, as when each of them failed the same encode.
-	so.meanOEnc, _ = bins.Encode(table.NewFloatColumn("meanO", so.meanO), a.binOpts)
-	return so
+	enc, _ := bins.Encode(table.NewFloatColumn("meanO", meanO), a.binOpts)
+	return slotOutcome{meanO: meanO, meanOEnc: enc}
 }
 
 // adaptiveBins picks the discretization granularity from the view size:
@@ -125,11 +118,6 @@ func (s *Session) PrepareCtx(ctx context.Context, sql string) (*Analysis, error)
 	return s.PrepareQueryCtx(ctx, q)
 }
 
-// PrepareQuery is Prepare for a pre-parsed query.
-func (s *Session) PrepareQuery(q *sqlx.Query) (*Analysis, error) {
-	return s.PrepareQueryCtx(context.Background(), q)
-}
-
 // PrepareQueryCtx is PrepareCtx for a pre-parsed query.
 func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis, error) {
 	tr := s.traceFor(ctx)
@@ -160,8 +148,6 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 		binOpts:   s.opts.Bins,
 		byName:    map[string]*core.Candidate{},
 		metrics:   tr.Counters(),
-
-		slotOutcomes: map[string]func() slotOutcome{},
 	}
 	if a.metrics == nil {
 		a.metrics = s.opts.Metrics
@@ -211,12 +197,12 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 	// KG candidates over the view. With an ExtractCache the whole NED +
 	// graph-walk pass runs once per dataset context (singleflight); repeat
 	// and concurrent requests share the cached Extraction, including its
-	// per-attribute encoding caches.
+	// per-attribute encoding caches and, per outcome column, its IPW state.
 	if s.src != nil {
 		links := s.linkColumnsIn(q.Table, res.View)
 		if len(links) > 0 {
 			ksp := tr.Start("kg-extract")
-			ex, hit, err := s.opts.ExtractCache.get(ctx, extractionKey(q, links, s.opts.Hops), func() (*extract.Extraction, error) {
+			ce, hit, err := s.opts.ExtractCache.lookup(ctx, extractionKey(q, links, s.opts.Hops), func() (*extract.Extraction, error) {
 				return extract.ExtractCtx(ctx, res.View, links, s.src, s.linker, extract.Options{
 					Hops:      s.opts.Hops,
 					OneToMany: s.opts.OneToMany,
@@ -230,14 +216,14 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 			if hit {
 				a.metrics.Add(obs.ExtractCacheHits, 1)
 			}
-			a.Extraction = ex
-			for lc, st := range ex.LinkStats {
+			a.Extraction, a.ipw = ce.ex, ce.ipwFor(res.Outcome, a.binOpts)
+			for lc, st := range ce.ex.LinkStats {
 				a.LinkStats[lc] = st
 			}
-			for _, attr := range ex.Attrs {
-				a.Candidates = append(a.Candidates, s.kgCandidate(a, attr))
+			for i, attr := range ce.ex.Attrs {
+				a.Candidates = append(a.Candidates, s.kgCandidate(a, attr, &a.ipw.weights[i]))
 			}
-			ksp.SetInt("attributes", int64(len(ex.Attrs)))
+			ksp.SetInt("attributes", int64(len(ce.ex.Attrs)))
 			ksp.End()
 		}
 	}
@@ -280,22 +266,23 @@ func (s *Session) linkColumnsIn(tableName string, view *table.Table) []string {
 // kgCandidate wraps an extracted attribute as a core.Candidate in entity
 // form. It supplies the data — the slot-level encoding, the link column's
 // shared row→slot map, per-slot IPW weights (selection-bias detection +
-// logistic propensity fit at entity level) and the entity-level uniqueness
-// statistics; core.FromEntity derives the row vectors and the permutation
-// null from them, lazily and once, and the prunes work from the entity form,
-// so most candidates never reach rows.
-func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candidate {
+// logistic propensity fit at entity level, memoised in weights) and the
+// entity-level uniqueness statistics; core.FromEntity derives the row vectors
+// and the permutation null from them, lazily and once, and the prunes work
+// from the entity form, so most candidates never reach rows.
+func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute, weights *onceValue[[]float64]) *core.Candidate {
 	ent := &core.Entity{
 		Slots: attr.RowSlots(),
 		Enc:   func() (*bins.Encoded, error) { return attr.EntityEncode(a.binOpts) },
 	}
 	if !s.opts.DisableIPW {
-		shared := a.slotOutcomes[attr.LinkColumn]
-		if shared == nil { // the link column's first attribute, during Prepare
-			shared = sync.OnceValue(func() slotOutcome { return a.slotOutcomeOf(attr.RowSlots(), attr.Col.Len()) })
-			a.slotOutcomes[attr.LinkColumn] = shared
+		ent.Weights = func() []float64 {
+			w := weights.get(func() []float64 { return a.ipwWeights(attr) })
+			if w != nil {
+				a.metrics.Add(obs.BiasedAttrs, 1)
+			}
+			return w
 		}
-		ent.Weights = func() []float64 { return s.ipwWeights(a, attr, shared) }
 	}
 	c := core.FromEntity(attr.Name, attr.Hops, ent, a.metrics)
 	// Entity-level uniqueness statistics drive the high-entropy prune, but
@@ -316,11 +303,12 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute) *core.Candid
 // detection and the propensity model run at entity (slot) level, against the
 // link column's slot-level mean outcome (the observed variable R_E may depend
 // on).
-func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute, shared func() slotOutcome) []float64 {
+func (a *Analysis) ipwWeights(attr *extract.Attribute) []float64 {
 	if attr.Col.Len() == 0 {
 		return nil
 	}
-	so := shared()
+	shared, _ := a.ipw.outcomes.LoadOrStore(attr.LinkColumn, new(onceValue[slotOutcome]))
+	so := shared.(*onceValue[slotOutcome]).get(func() slotOutcome { return a.slotOutcomeOf(attr.RowSlots(), attr.Col.Len()) })
 	if so.meanOEnc == nil {
 		return nil
 	}
@@ -328,26 +316,27 @@ func (s *Session) ipwWeights(a *Analysis, attr *extract.Attribute, shared func()
 	if err != nil {
 		return nil
 	}
-	rep := missing.DetectBiasCounted(entEnc, map[string]*bins.Encoded{"O": so.meanOEnc}, missing.DefaultThreshold, a.metrics)
+	rep := missing.DetectBias(entEnc, map[string]*bins.Encoded{"O": so.meanOEnc}, missing.DefaultThreshold, a.metrics)
 	if !rep.Biased {
 		return nil
 	}
-	a.metrics.Add(obs.BiasedAttrs, 1)
 	a.metrics.Add(obs.IPWFits, 1)
 	return missing.Weights(entEnc, so.meanO)
 }
 
 // NumBiased returns the number of KG attributes flagged with selection bias
-// so far (detection is lazy; the count is complete after an Explain). The
-// count is read from the same counter set a trace snapshots, so the two can
-// never disagree.
+// whose weights this analysis has read so far (detection is lazy, and may
+// have run for an earlier analysis of the same cached extraction; the count
+// is complete after an Explain). The count is read from the same counter set
+// a trace snapshots, so the two can never disagree.
 func (a *Analysis) NumBiased() int { return int(a.metrics.Get(obs.BiasedAttrs)) }
 
-// KGCandidate wraps an extracted attribute (typically a modified copy, e.g.
-// with injected missingness) as a candidate with the session's usual lazy
-// encoding and IPW wiring.
+// KGCandidate wraps an attribute of a's extraction (typically a modified
+// copy, e.g. with injected missingness) as a candidate with the session's
+// usual lazy encoding and IPW wiring. Its weights are its own, fitted to its
+// column; only the link column's slot-level outcome is shared.
 func (a *Analysis) KGCandidate(attr *extract.Attribute) *core.Candidate {
-	return a.session.kgCandidate(a, attr)
+	return a.session.kgCandidate(a, attr, new(onceValue[[]float64]))
 }
 
 // Candidate returns the named candidate, or nil.

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
+	"nexus/internal/bins"
 	"nexus/internal/extract"
 	"nexus/internal/kg"
 	"nexus/internal/obs"
@@ -24,13 +26,13 @@ import (
 // GROUP BY / aggregate part of the query — so a warm cache removes the most
 // expensive phase of Prepare entirely.
 //
-// It is internal/sfcache instantiated over *extract.Extraction, so it shares
-// that cache's rules with the serving tier's report cache: a failed
-// extraction is evicted (the next request retries), a request that joined
-// an extraction never inherits a failure caused by the extracting request's
-// own deadline or disconnect (it extracts itself instead), and completed
-// extractions are kept on an LRU list of extractionCacheEntries — an evicted
-// context re-extracts and counts as a miss.
+// It is internal/sfcache instantiated over cachedExtraction (the extraction
+// and its IPW state), so it shares that cache's rules with the serving tier's
+// report cache: a failed extraction is evicted (the next request retries), a
+// request that joined an extraction never inherits a failure caused by the
+// extracting request's own deadline or disconnect (it extracts itself
+// instead), and completed extractions are kept on an LRU list of
+// extractionCacheEntries — an evicted context re-extracts and counts as a miss.
 //
 // Correctness rests on two invariants the serving path maintains:
 //
@@ -43,7 +45,7 @@ import (
 // methods are safe for concurrent use. A nil *ExtractionCache disables
 // caching (every Prepare extracts).
 type ExtractionCache struct {
-	c *sfcache.Cache[*extract.Extraction]
+	c *sfcache.Cache[*cachedExtraction]
 	// counters, when non-nil, receives ExtractCacheHits/ExtractCacheMisses.
 	counters *obs.Counters
 }
@@ -63,7 +65,7 @@ const extractionCacheEntries = 64
 // in-flight extraction — or obs.ExtractCacheMisses.
 func NewExtractionCache(counters *obs.Counters) *ExtractionCache {
 	return &ExtractionCache{
-		c: sfcache.New[*extract.Extraction](sfcache.Config{
+		c: sfcache.New[*cachedExtraction](sfcache.Config{
 			MaxEntries: extractionCacheEntries,
 			Counters:   counters,
 			Hits:       obs.ExtractCacheHits,
@@ -88,8 +90,10 @@ func (c *ExtractionCache) Hits() int64 {
 // lookup count; the miss count is the number of NED + graph-walk passes
 // actually performed. This is the outermost layer of the caching story:
 // ExtractionCache deduplicates whole extractions across requests, an
-// extracted attribute keeps its slot-level binning within an extraction,
-// and a candidate keeps its row vectors within an Analysis (see
+// extraction keeps its selection-bias verdicts, IPW fits and slot-level mean
+// outcomes per outcome column across requests (ipwState), an extracted
+// attribute keeps its slot-level binning within an extraction, and a
+// candidate keeps its row vectors within an Analysis (see
 // docs/ARCHITECTURE.md, "Hot path & caching").
 func (c *ExtractionCache) Misses() int64 {
 	if c == nil {
@@ -98,17 +102,66 @@ func (c *ExtractionCache) Misses() int64 {
 	return c.counters.Get(obs.ExtractCacheMisses)
 }
 
-// get returns the extraction for key, running fn (under the caller's ctx)
+// lookup returns the extraction for key, running fn (under the caller's ctx)
 // at most once per key across concurrent callers. The second return reports
 // whether the lookup was a hit — either a completed entry or an in-flight
-// extraction started by another caller.
-func (c *ExtractionCache) get(ctx context.Context, key string, fn func() (*extract.Extraction, error)) (*extract.Extraction, bool, error) {
-	if c == nil {
+// extraction started by another caller. A nil cache wraps a fresh extraction
+// the same way, shared with nobody.
+func (c *ExtractionCache) lookup(ctx context.Context, key string, fn func() (*extract.Extraction, error)) (*cachedExtraction, bool, error) {
+	wrap := func() (*cachedExtraction, error) {
 		ex, err := fn()
-		return ex, false, err
+		return &cachedExtraction{ex: ex}, err
 	}
-	ex, out, err := c.c.Get(ctx, key, fn)
-	return ex, out != sfcache.Miss, err
+	if c == nil {
+		ce, err := wrap()
+		return ce, false, err
+	}
+	ce, out, err := c.c.Get(ctx, key, wrap)
+	return ce, out != sfcache.Miss, err
+}
+
+// cachedExtraction is what an ExtractionCache holds per dataset context: the
+// extraction, and its IPW state per outcome column and bin options asked. Bias
+// detection, the propensity fits and the slot-level mean outcome read the
+// view's rows, the row→slot maps and the slot values, which the context fixes,
+// and the outcome column and bins, which the ipwKey fixes, so every analysis
+// sharing both shares their results. The state holds values only, each
+// computed by the first analysis that needs it, never a closure over it.
+type cachedExtraction struct {
+	ex  *extract.Extraction
+	ipw sync.Map // ipwKey → *ipwState
+}
+
+type ipwKey struct {
+	outcome string
+	bins    bins.Options
+}
+
+type ipwState struct {
+	outcomes sync.Map               // link column → *onceValue[slotOutcome]
+	weights  []onceValue[[]float64] // per position in Extraction.Attrs; nil = no selection bias
+}
+
+// onceValue is a value computed by its first reader.
+type onceValue[T any] struct {
+	once sync.Once
+	v    T
+}
+
+func (o *onceValue[T]) get(f func() T) T {
+	o.once.Do(func() { o.v = f() })
+	return o.v
+}
+
+// ipwFor returns ce's IPW state under (outcome, opts), creating it on first
+// request.
+func (ce *cachedExtraction) ipwFor(outcome string, opts bins.Options) *ipwState {
+	k := ipwKey{outcome, opts}
+	st, ok := ce.ipw.Load(k)
+	if !ok {
+		st, _ = ce.ipw.LoadOrStore(k, &ipwState{weights: make([]onceValue[[]float64], len(ce.ex.Attrs))})
+	}
+	return st.(*ipwState)
 }
 
 // ReportKey derives the serving tier's report-cache key for one explain

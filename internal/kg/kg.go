@@ -81,6 +81,9 @@ type Graph struct {
 	triples []map[string][]Value
 	// classProps caches the union of property names per class.
 	classProps map[string]map[string]struct{}
+	// numTriples is the total length of every triples value list, kept
+	// current by Set, Add and Delete.
+	numTriples int
 }
 
 // NewGraph returns an empty graph.
@@ -98,7 +101,7 @@ func NewGraph() *Graph {
 // AddEntity/Set/Add/Delete changes one of the counts in practice (the
 // synthetic worlds only grow), so the serving tier can key report caches
 // on it; replacing values in place at constant counts needs a restart of
-// the serving daemon instead.
+// the serving daemon instead. Both counts are maintained, not scanned.
 func (g *Graph) Version() string {
 	return fmt.Sprintf("mem:%d:%d", g.NumEntities(), g.NumTriples())
 }
@@ -147,6 +150,7 @@ func (g *Graph) EntitiesOfClass(class string) []EntityID {
 
 // Set sets (replacing) the values of a property on an entity.
 func (g *Graph) Set(id EntityID, prop string, vals ...Value) {
+	g.numTriples += len(vals) - len(g.triples[id][prop])
 	g.triples[id][prop] = vals
 	g.classProps[g.entities[id].Class][prop] = struct{}{}
 }
@@ -154,11 +158,13 @@ func (g *Graph) Set(id EntityID, prop string, vals ...Value) {
 // Add appends a value to a (possibly multi-valued) property.
 func (g *Graph) Add(id EntityID, prop string, v Value) {
 	g.triples[id][prop] = append(g.triples[id][prop], v)
+	g.numTriples++
 	g.classProps[g.entities[id].Class][prop] = struct{}{}
 }
 
 // Delete removes a property from an entity (used for sparsity injection).
 func (g *Graph) Delete(id EntityID, prop string) {
+	g.numTriples -= len(g.triples[id][prop])
 	delete(g.triples[id], prop)
 }
 
@@ -201,12 +207,4 @@ func (g *Graph) ClassProperties(class string) []string {
 }
 
 // NumTriples returns the total number of (entity, property, value) triples.
-func (g *Graph) NumTriples() int {
-	n := 0
-	for _, m := range g.triples {
-		for _, vs := range m {
-			n += len(vs)
-		}
-	}
-	return n
-}
+func (g *Graph) NumTriples() int { return g.numTriples }

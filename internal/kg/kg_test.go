@@ -1,6 +1,8 @@
 package kg
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -108,13 +110,66 @@ func TestValueString(t *testing.T) {
 	}
 }
 
+// scanTriples is the full-scan reference for NumTriples.
+func scanTriples(g *Graph) int {
+	n := 0
+	for _, m := range g.triples {
+		for _, vs := range m {
+			n += len(vs)
+		}
+	}
+	return n
+}
+
+// TestNumTriples pins the maintained triple count (and so Version) to a full
+// scan of the graph after every kind of mutation.
 func TestNumTriples(t *testing.T) {
 	g := NewGraph()
 	us := g.AddEntity("US", "Country")
+	de := g.AddEntity("DE", "Country")
+	check := func(step string, want int) {
+		t.Helper()
+		if n, scan := g.NumTriples(), scanTriples(g); n != want || scan != want {
+			t.Fatalf("%s: NumTriples %d, scan %d, want %d", step, n, scan, want)
+		}
+		if v, want := g.Version(), fmt.Sprintf("mem:2:%d", want); v != want {
+			t.Fatalf("%s: Version %q, want %q", step, v, want)
+		}
+	}
 	g.Set(us, "a", Num(1))
 	g.Add(us, "b", Num(1))
 	g.Add(us, "b", Num(2))
-	if n := g.NumTriples(); n != 3 {
-		t.Fatalf("triples = %d", n)
+	check("set and add", 3)
+	g.Set(us, "b", Num(7), Num(8), Num(9))
+	check("set replacing a multi-valued property", 4)
+	g.Set(us, "b")
+	check("set with no values", 1)
+	g.Delete(us, "a")
+	check("delete of a present property", 0)
+	g.Delete(us, "a")
+	g.Delete(de, "never set")
+	check("delete of an absent property", 0)
+	g.Add(us, "a", Num(3))
+	check("add after delete", 1)
+
+	rng := rand.New(rand.NewPCG(7, 28))
+	ids, props := []EntityID{us, de}, []string{"a", "b", "c"}
+	for step := 0; step < 2000; step++ {
+		id, prop := ids[rng.IntN(len(ids))], props[rng.IntN(len(props))]
+		switch rng.IntN(3) {
+		case 0:
+			vals := make([]Value, rng.IntN(4))
+			for i := range vals {
+				vals[i] = Num(float64(step))
+			}
+			g.Set(id, prop, vals...)
+		case 1:
+			g.Add(id, prop, Num(float64(step)))
+		default:
+			g.Delete(id, prop)
+		}
+		if n, scan := g.NumTriples(), scanTriples(g); n != scan {
+			t.Fatalf("random step %d: NumTriples %d, scan %d", step, n, scan)
+		}
 	}
 }

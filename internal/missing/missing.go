@@ -54,15 +54,9 @@ func Indicator(attr *bins.Encoded) *bins.Encoded {
 // indicator R_E is (conditionally) independent of the observed variables
 // (Props 3.2/3.3). observed maps variable names (typically the outcome, the
 // exposure, and other fully-observed input attributes) to their encodings.
-// Dependence of R_E on any of them flags selection bias.
-func DetectBias(attr *bins.Encoded, observed map[string]*bins.Encoded, threshold float64) Report {
-	return DetectBiasCounted(attr, observed, threshold, nil)
-}
-
-// DetectBiasCounted is DetectBias reporting each recoverability test into a
-// counter set (package obs; nil = no-op): one CITests increment per observed
-// variable actually tested.
-func DetectBiasCounted(attr *bins.Encoded, observed map[string]*bins.Encoded, threshold float64, m *obs.Counters) Report {
+// Dependence of R_E on any of them flags selection bias. Each test actually
+// run adds one CITests to m (package obs; nil = no-op).
+func DetectBias(attr *bins.Encoded, observed map[string]*bins.Encoded, threshold float64, m *obs.Counters) Report {
 	if threshold <= 0 {
 		threshold = DefaultThreshold
 	}
@@ -238,44 +232,6 @@ func SampleImpute(col *table.Column, rng *stats.RNG) *table.Column {
 		case table.Bool:
 			v, _ := col.BoolAt(src)
 			out.AppendBool(v)
-		}
-	}
-	return out
-}
-
-// MultipleImpute returns m independently sampled completions of col
-// (classic MI; downstream estimates are averaged across the copies).
-func MultipleImpute(col *table.Column, m int, seed uint64) []*table.Column {
-	rng := stats.NewRNG(seed)
-	out := make([]*table.Column, m)
-	for i := range out {
-		out[i] = SampleImpute(col, rng.Split())
-	}
-	return out
-}
-
-// ImputeEncoded replaces Missing codes with the modal code — the encoded
-// analogue of mean/mode imputation used by the Fig. 3 harness.
-func ImputeEncoded(e *bins.Encoded) *bins.Encoded {
-	counts := make([]int, e.Card)
-	for _, c := range e.Codes {
-		if c != bins.Missing {
-			counts[c]++
-		}
-	}
-	mode, best := int32(bins.Missing), -1
-	for c, cnt := range counts {
-		if cnt > best {
-			best, mode = cnt, int32(c)
-		}
-	}
-	out := &bins.Encoded{Name: e.Name, Card: e.Card, Labels: e.Labels}
-	out.Codes = make([]int32, len(e.Codes))
-	for i, c := range e.Codes {
-		if c == bins.Missing {
-			out.Codes[i] = mode
-		} else {
-			out.Codes[i] = c
 		}
 	}
 	return out

@@ -67,7 +67,7 @@ func buildBiasData(t *testing.T, biased bool) (attr *bins.Encoded, outcome *bins
 
 func TestDetectBiasFlagsBiasedAttribute(t *testing.T) {
 	attr, outcome, _ := buildBiasData(t, true)
-	rep := DetectBias(attr, map[string]*bins.Encoded{"O": outcome}, 0)
+	rep := DetectBias(attr, map[string]*bins.Encoded{"O": outcome}, 0, nil)
 	if !rep.Biased {
 		t.Fatal("selection bias not detected on value-dependent missingness")
 	}
@@ -78,7 +78,7 @@ func TestDetectBiasFlagsBiasedAttribute(t *testing.T) {
 
 func TestDetectBiasPassesMCAR(t *testing.T) {
 	attr, outcome, _ := buildBiasData(t, false)
-	rep := DetectBias(attr, map[string]*bins.Encoded{"O": outcome}, 0)
+	rep := DetectBias(attr, map[string]*bins.Encoded{"O": outcome}, 0, nil)
 	if rep.Biased {
 		t.Fatalf("MCAR attribute flagged as biased (DependsOn=%v)", rep.DependsOn)
 	}
@@ -89,7 +89,7 @@ func TestDetectBiasPassesMCAR(t *testing.T) {
 
 func TestDetectBiasFullyObserved(t *testing.T) {
 	attr := encFloat(t, "x", []float64{1, 2, 3, 4})
-	rep := DetectBias(attr, map[string]*bins.Encoded{"O": attr}, 0)
+	rep := DetectBias(attr, map[string]*bins.Encoded{"O": attr}, 0, nil)
 	if rep.Biased || rep.MissingFrac != 0 {
 		t.Fatalf("fully observed attribute misreported: %+v", rep)
 	}
@@ -250,21 +250,6 @@ func TestImputeMeanAllNull(t *testing.T) {
 	}
 }
 
-func TestImputeEncoded(t *testing.T) {
-	e := &bins.Encoded{Name: "x", Card: 3, Codes: []int32{0, bins.Missing, 1, 0, bins.Missing}}
-	out := ImputeEncoded(e)
-	if out.MissingCount() != 0 {
-		t.Fatal("encoded imputation left missing")
-	}
-	if out.Codes[1] != 0 || out.Codes[4] != 0 {
-		t.Fatalf("imputed codes = %v, want modal 0", out.Codes)
-	}
-	// Original untouched.
-	if e.Codes[1] != bins.Missing {
-		t.Fatal("ImputeEncoded mutated its input")
-	}
-}
-
 func TestSampleImputeFillsFromObserved(t *testing.T) {
 	col := table.NewFloatColumn("x", []float64{1, math.NaN(), 3, math.NaN(), 1})
 	out := SampleImpute(col, stats.NewRNG(5))
@@ -299,43 +284,5 @@ func TestSampleImputeCategorical(t *testing.T) {
 	}
 	if v := out.StringAt(1); v != "a" && v != "b" {
 		t.Fatalf("imputed %q not from support", v)
-	}
-}
-
-func TestMultipleImpute(t *testing.T) {
-	vals := make([]float64, 200)
-	rng := stats.NewRNG(3)
-	for i := range vals {
-		if rng.Float64() < 0.4 {
-			vals[i] = math.NaN()
-		} else {
-			vals[i] = rng.Norm()
-		}
-	}
-	col := table.NewFloatColumn("x", vals)
-	copies := MultipleImpute(col, 3, 7)
-	if len(copies) != 3 {
-		t.Fatalf("copies = %d", len(copies))
-	}
-	differ := false
-	for i := 0; i < col.Len(); i++ {
-		if col.IsNull(i) && copies[0].Float(i) != copies[1].Float(i) {
-			differ = true
-		}
-		for _, c := range copies {
-			if c.NullCount() != 0 {
-				t.Fatal("MI copy has nulls")
-			}
-		}
-	}
-	if !differ {
-		t.Fatal("MI copies identical; draws not independent")
-	}
-	// Determinism for fixed seed.
-	again := MultipleImpute(col, 3, 7)
-	for i := 0; i < col.Len(); i++ {
-		if copies[0].Float(i) != again[0].Float(i) {
-			t.Fatal("MultipleImpute not deterministic")
-		}
 	}
 }

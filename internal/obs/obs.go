@@ -70,10 +70,12 @@ const (
 	// entity level, so it tracks survivors, IPW-weighted candidates and
 	// subgroup refinement attributes, not KGAttrs.
 	KGRowEncodings = "kg_row_encodings"
-	// BiasedAttrs counts KG attributes flagged with selection bias (IPW
-	// weights applied). This is the counter behind Analysis.NumBiased.
+	// BiasedAttrs counts, per analysis, the biased KG attributes whose IPW
+	// weights it read, fitted by it or by an earlier analysis of the same
+	// cached extraction and outcome. The counter behind Analysis.NumBiased.
 	BiasedAttrs = "biased_attrs"
-	// IPWFits counts logistic propensity-model fits.
+	// IPWFits counts logistic propensity-model fits actually run. A served
+	// request that reuses the fits cached with its extraction counts none.
 	IPWFits = "ipw_fits"
 	// SubgroupNodesExplored / SubgroupNodesPushed mirror subgroups.Stats.
 	SubgroupNodesExplored = "subgroup_nodes_explored"
