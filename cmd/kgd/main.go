@@ -5,7 +5,6 @@
 //	POST /kg/v1/resolve      batch entity resolution
 //	POST /kg/v1/entities     batch entity records
 //	POST /kg/v1/properties   batch property maps
-//	POST /kg/v1/class-props  class property universe
 //	GET  /kg/v1/stats        per-endpoint request counters
 //	GET  /metrics            Prometheus text exposition (prefix kgd_)
 //	GET  /debug/slow         slowest captured requests (with -slow-threshold)

@@ -234,10 +234,10 @@ func TestCondVerdictsMatchUnfusedOnDatasets(t *testing.T) {
 							}
 						}
 						if sc == nil {
-							sc = infotheory.ScreenAll(a.O, a.T, enc, w)
+							sc = infotheory.ScreenAll(a.O, a.T, enc, infotheory.Weights{W: w})
 						}
 						for _, thr := range []float64{0.001, 0.02, 0.1, 0.5} {
-							got, want := sc.CondIndependentGivenT(thr), infotheory.CondIndependent(a.O, enc, []infotheory.Var{a.T}, w, thr)
+							got, want := sc.CondIndependentGivenT(thr), infotheory.CondIndependent(a.O, enc, []infotheory.Var{a.T}, infotheory.Weights{W: w}, thr)
 							if got != want {
 								t.Fatalf("%s at threshold %v: the prune's screen says independent = %v, the unfused estimator %v", c.Name, thr, got, want)
 							}

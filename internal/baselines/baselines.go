@@ -125,7 +125,7 @@ func BruteForce(t, o *bins.Encoded, cands []*core.Candidate, opts BruteForceOpti
 			if !supported(sel, opts.MinSupport) {
 				return
 			}
-			score := infotheory.CondMutualInfo(o, t, sel, productWeights(wsel, t.Len()))
+			score := infotheory.CondMutualInfo(o, t, sel, infotheory.Weights{W: productWeights(wsel, t.Len())})
 			obj := score * float64(len(cur))
 			if obj < bestObj-1e-12 {
 				bestObj = obj
@@ -177,7 +177,7 @@ func TopK(t, o *bins.Encoded, cands []*core.Candidate, k int) (*Result, error) {
 			wsel = append(wsel, r.weights)
 		}
 	}
-	res.Score = infotheory.CondMutualInfo(o, t, sel, productWeights(wsel, t.Len()))
+	res.Score = infotheory.CondMutualInfo(o, t, sel, infotheory.Weights{W: productWeights(wsel, t.Len())})
 	res.Failed = len(res.Attrs) == 0
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -203,7 +203,7 @@ func rankByRelevance(t, o *bins.Encoded, cands []*core.Candidate) ([]rankedCand,
 		if c.Weights != nil {
 			w = c.Weights(enc)
 		}
-		rel := infotheory.CondMutualInfo(o, t, []infotheory.Var{enc}, w)
+		rel := infotheory.CondMutualInfo(o, t, []infotheory.Var{enc}, infotheory.Weights{W: w})
 		out = append(out, rankedCand{cand: c, enc: enc, weights: w, relevance: rel})
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].relevance < out[b].relevance })
@@ -361,7 +361,7 @@ func LinearRegression(outcome []float64, series []NamedSeries, t, o *bins.Encode
 		}
 	}
 	if len(sel) > 0 {
-		res.Score = infotheory.CondMutualInfo(o, t, sel, nil)
+		res.Score = infotheory.CondMutualInfo(o, t, sel, infotheory.Weights{})
 	}
 	res.Elapsed = time.Since(start)
 	return res

@@ -71,16 +71,16 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, opts HypDBOptions) (*Res
 		if err != nil {
 			return nil, err
 		}
-		if infotheory.CondIndependent(enc, t, nil, nil, hypDBCIThreshold) {
+		if infotheory.CondIndependent(enc, t, nil, infotheory.Weights{}, hypDBCIThreshold) {
 			continue
 		}
 		// Marginal dependence on the outcome. (Testing O given T is
 		// degenerate for entity-level attributes: T determines the entity,
 		// so I(E;O|T) is exactly 0 even for true confounders.)
-		if infotheory.CondIndependent(enc, o, nil, nil, hypDBCIThreshold) {
+		if infotheory.CondIndependent(enc, o, nil, infotheory.Weights{}, hypDBCIThreshold) {
 			continue
 		}
-		drop := base - infotheory.CondMutualInfo(o, t, []infotheory.Var{enc}, nil)
+		drop := base - infotheory.CondMutualInfo(o, t, []infotheory.Var{enc}, infotheory.Weights{})
 		covs = append(covs, covariate{cand: c, enc: enc, drop: drop})
 	}
 	sort.SliceStable(covs, func(a, b int) bool { return covs[a].drop > covs[b].drop })
@@ -101,7 +101,7 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, opts HypDBOptions) (*Res
 			for i, idx := range cur {
 				sel[i] = searchPool[idx].enc
 			}
-			if s := infotheory.CondMutualInfo(o, t, sel, nil); s < bestScore {
+			if s := infotheory.CondMutualInfo(o, t, sel, infotheory.Weights{}); s < bestScore {
 				bestScore = s
 				bestSet = append(bestSet[:0], cur...)
 			}

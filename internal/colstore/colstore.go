@@ -12,9 +12,8 @@
 // the local entries are remapped into a table-global dictionary. Because
 // chunks seal in row order and local entries are first-seen ordered, the
 // global dictionary ends up in overall first-seen order — exactly the order
-// table.Column.AppendString would have produced — so global codes feed
-// counting.IDs / infotheory.DenseIDs with zero re-hashing, and
-// materializing a column is a flat copy of code arrays.
+// table.Column.AppendString would have produced — so draining a column into
+// a table.Column is a flat copy of code arrays, never a re-hash.
 //
 // Ingest. FromCSV streams records in a single pass (csv.Reader with
 // ReuseRecord). Column types are inferred on a bounded sample of raw
@@ -27,6 +26,9 @@
 // ResidentBytes) plus one open chunk per column and the inference sample —
 // never by the size of the input.
 //
+// Read. A table is read once, by Drain, which hands the pipeline an
+// in-memory table.Table and releases the chunks as it goes.
+//
 // The design follows grailbio gql's chunked columns ("arbitrarily large
 // files regardless of memory"): sequential ingest, bounded residency,
 // dictionary codes as the interchange currency with the counting kernel.
@@ -34,7 +36,6 @@ package colstore
 
 import (
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
 	"nexus/internal/table"
@@ -101,151 +102,38 @@ func (ch *chunk) bytes() int64 {
 	return b
 }
 
-// Column is one finished chunked column. Construct via Ingest.
-type Column struct {
-	name      string
-	typ       table.Type
-	chunkRows int
-	rows      int
-	chunks    []*chunk
-	dict      []string // table-global dictionary (String columns)
-	bytes     int64    // accounted chunk+dict bytes
-}
-
-// Name returns the column name.
-func (c *Column) Name() string { return c.name }
-
-// Type returns the storage type.
-func (c *Column) Type() table.Type { return c.typ }
-
-// Len returns the number of rows.
-func (c *Column) Len() int { return c.rows }
-
-// NumChunks returns the number of sealed chunks.
-func (c *Column) NumChunks() int { return len(c.chunks) }
-
-// Dict returns the table-global dictionary of a String column (nil
-// otherwise). The returned slice must not be modified.
-func (c *Column) Dict() []string { return c.dict }
-
-// ChunkValid returns chunk k's validity bitmap.
-func (c *Column) ChunkValid(k int) *table.Bitmap { return c.chunks[k].valid }
-
-// ChunkCodes returns chunk k's table-global dictionary codes (-1 at null
-// slots): directly consumable by counting.IDs with card = len(Dict()).
-func (c *Column) ChunkCodes(k int) []int32 { return c.chunks[k].codes }
-
-func (c *Column) at(i int) (*chunk, int) {
-	return c.chunks[i/c.chunkRows], i % c.chunkRows
-}
-
-// IsNull reports whether row i is null.
-func (c *Column) IsNull(i int) bool {
-	ch, off := c.at(i)
-	return !ch.valid.Get(off)
-}
-
-// Float returns the float value at row i (NaN when null).
-func (c *Column) Float(i int) float64 {
-	ch, off := c.at(i)
-	return ch.floats[off]
-}
-
-// Code returns the global dictionary code at row i (-1 when null).
-func (c *Column) Code(i int) int32 {
-	ch, off := c.at(i)
-	return ch.codes[off]
-}
-
-// BoolAt returns the bool value at row i; ok is false when null.
-func (c *Column) BoolAt(i int) (v, ok bool) {
-	ch, off := c.at(i)
-	if !ch.valid.Get(off) {
-		return false, false
-	}
-	return ch.bools[off], true
-}
-
-// StringAt formats the value at row i exactly like table.Column.StringAt
-// ("" when null).
-func (c *Column) StringAt(i int) string {
-	ch, off := c.at(i)
-	if !ch.valid.Get(off) {
-		return ""
-	}
-	switch c.typ {
-	case table.String:
-		return c.dict[ch.codes[off]]
-	case table.Float:
-		return strconv.FormatFloat(ch.floats[off], 'g', -1, 64)
-	case table.Bool:
-		return strconv.FormatBool(ch.bools[off])
-	default:
-		return ""
-	}
+// column is one finished chunked column.
+type column struct {
+	name   string
+	typ    table.Type
+	rows   int
+	chunks []*chunk
+	dict   []string // table-global dictionary (String columns)
+	bytes  int64    // accounted chunk+dict bytes
 }
 
 // Table is a finished chunked columnar table. Construct via FromCSV or
-// Ingest.Finish.
+// Ingest.Finish; read it once, with Drain.
 type Table struct {
-	chunkRows int
-	rows      int
-	cols      []*Column
-	index     map[string]int
-	stats     Stats
-	released  bool
+	cols     []*column
+	stats    Stats
+	released bool
 }
-
-// NumRows returns the row count.
-func (t *Table) NumRows() int { return t.rows }
-
-// NumCols returns the column count.
-func (t *Table) NumCols() int { return len(t.cols) }
-
-// ChunkRows returns the rows-per-chunk of this table.
-func (t *Table) ChunkRows() int { return t.chunkRows }
-
-// ColumnNames returns the column names in ingest order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		names[i] = c.name
-	}
-	return names
-}
-
-// Column returns the named column, or nil.
-func (t *Table) Column(name string) *Column {
-	i, ok := t.index[name]
-	if !ok {
-		return nil
-	}
-	return t.cols[i]
-}
-
-// Columns returns the columns in ingest order.
-func (t *Table) Columns() []*Column { return t.cols }
 
 // Stats returns the ingest statistics of this table.
 func (t *Table) Stats() Stats { return t.stats }
 
-// ToTable materializes the store as an in-memory table.Table, keeping the
-// chunks resident: global dictionary codes are concatenated, never
-// re-hashed.
-func (t *Table) ToTable() (*table.Table, error) { return t.materialize(false) }
-
 // Drain materializes the store as an in-memory table.Table and releases the
 // chunks column by column as it goes, so peak residency is the flat table
-// plus roughly one column of chunks. The store is unusable afterwards.
-func (t *Table) Drain() (*table.Table, error) { return t.materialize(true) }
-
-func (t *Table) materialize(release bool) (*table.Table, error) {
+// plus roughly one column of chunks: global dictionary codes are
+// concatenated, never re-hashed. The store is unusable afterwards.
+func (t *Table) Drain() (*table.Table, error) {
 	if t.released {
 		return nil, fmt.Errorf("colstore: table already drained")
 	}
 	out := table.New()
 	for _, c := range t.cols {
-		fc, err := c.materialize(release)
+		fc, err := c.drain()
 		if err != nil {
 			return nil, err
 		}
@@ -253,14 +141,12 @@ func (t *Table) materialize(release bool) (*table.Table, error) {
 			return nil, err
 		}
 	}
-	if release {
-		t.released = true
-		t.stats.ChunkBytes = 0
-	}
+	t.released = true
+	t.stats.ChunkBytes = 0
 	return out, nil
 }
 
-func (c *Column) materialize(release bool) (*table.Column, error) {
+func (c *column) drain() (*table.Column, error) {
 	n := c.rows
 	valid := table.NewBitmap(0)
 	for _, ch := range c.chunks {
@@ -290,22 +176,16 @@ func (c *Column) materialize(release bool) (*table.Column, error) {
 		for _, ch := range c.chunks {
 			codes = append(codes, ch.codes...)
 		}
-		dict := c.dict
-		if !release {
-			dict = append([]string(nil), dict...)
-		}
-		fc, err = table.NewStringColumnFromCodes(c.name, codes, dict, valid)
+		fc, err = table.NewStringColumnFromCodes(c.name, codes, c.dict, valid)
 	default:
 		return nil, fmt.Errorf("colstore: column %q: unsupported type %v", c.name, c.typ)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if release {
-		residentBytes.Add(-c.bytes)
-		c.bytes = 0
-		c.chunks = nil
-		c.dict = nil
-	}
+	residentBytes.Add(-c.bytes)
+	c.bytes = 0
+	c.chunks = nil
+	c.dict = nil
 	return fc, nil
 }

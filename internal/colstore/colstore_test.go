@@ -8,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nexus/internal/counting"
 	"nexus/internal/table"
 )
 
@@ -86,8 +85,8 @@ func TestQuickChunkBoundaryRowCounts(t *testing.T) {
 			return false
 		}
 		wantChunks := (n + chunkRows - 1) / chunkRows
-		if int(st.Stats().Chunks) != wantChunks || st.Column("c0").NumChunks() != wantChunks {
-			t.Logf("chunks %d/%d, want %d", st.Stats().Chunks, st.Column("c0").NumChunks(), wantChunks)
+		if int(st.Stats().Chunks) != wantChunks {
+			t.Logf("chunks %d, want %d", st.Stats().Chunks, wantChunks)
 			return false
 		}
 		got, err := st.Drain()
@@ -108,9 +107,9 @@ func TestQuickChunkBoundaryRowCounts(t *testing.T) {
 	}
 }
 
-// Dictionary round-trip property: for every string column, every non-null
-// code indexes the global dictionary, the dictionary is duplicate-free, and
-// value→code→value is the identity.
+// Dictionary round-trip property: for every drained string column, every
+// non-null code indexes the global dictionary, the dictionary is
+// duplicate-free, and value→code→value is the identity.
 func TestQuickDictionaryRoundTrip(t *testing.T) {
 	f := func(seed int64, nRows uint8) bool {
 		st, err := FromCSV(strings.NewReader(genCSV(rand.New(rand.NewSource(seed)), 4, int(nRows))), Options{ChunkRows: 8, SampleRows: 4})
@@ -118,15 +117,19 @@ func TestQuickDictionaryRoundTrip(t *testing.T) {
 			t.Logf("ingest: %v", err)
 			return false
 		}
-		for _, c := range st.Columns() {
-			if c.Type() != table.String {
+		tbl, err := st.Drain()
+		if err != nil {
+			t.Logf("drain: %v", err)
+			return false
+		}
+		for _, c := range tbl.Columns() {
+			if c.Typ != table.String {
 				continue
 			}
-			dict := c.Dict()
-			inverse := make(map[string]int32, len(dict))
-			for code, v := range dict {
+			inverse := make(map[string]int32, len(c.Dict))
+			for code, v := range c.Dict {
 				if _, dup := inverse[v]; dup {
-					t.Logf("column %q: duplicate dict entry %q", c.Name(), v)
+					t.Logf("column %q: duplicate dict entry %q", c.Name, v)
 					return false
 				}
 				inverse[v] = int32(code)
@@ -135,17 +138,17 @@ func TestQuickDictionaryRoundTrip(t *testing.T) {
 				code := c.Code(i)
 				if c.IsNull(i) {
 					if code != -1 {
-						t.Logf("column %q row %d: null with code %d", c.Name(), i, code)
+						t.Logf("column %q row %d: null with code %d", c.Name, i, code)
 						return false
 					}
 					continue
 				}
-				if code < 0 || int(code) >= len(dict) {
-					t.Logf("column %q row %d: code %d out of range", c.Name(), i, code)
+				if code < 0 || int(code) >= len(c.Dict) {
+					t.Logf("column %q row %d: code %d out of range", c.Name, i, code)
 					return false
 				}
-				if inverse[dict[code]] != code {
-					t.Logf("column %q row %d: round trip %d→%q→%d", c.Name(), i, code, dict[code], inverse[dict[code]])
+				if inverse[c.Dict[code]] != code {
+					t.Logf("column %q row %d: round trip %d→%q→%d", c.Name, i, code, c.Dict[code], inverse[c.Dict[code]])
 					return false
 				}
 			}
@@ -157,92 +160,29 @@ func TestQuickDictionaryRoundTrip(t *testing.T) {
 	}
 }
 
-// Null-bitmap property: null positions survive chunking — the per-chunk
-// bitmaps, the row accessors and the drained table all agree, across chunk
-// boundaries.
+// Null-bitmap property: null positions survive chunking — a store ingested
+// in 8-row chunks drains to the same table, nulls, values and dictionary
+// order included, as the same input ingested in one chunk.
 func TestQuickNullBitmapAcrossChunks(t *testing.T) {
 	f := func(seed int64, nRows uint8) bool {
 		in := genCSV(rand.New(rand.NewSource(seed)), 3, int(nRows))
-		st, err := FromCSV(strings.NewReader(in), Options{ChunkRows: 8, SampleRows: 4})
-		if err != nil {
-			t.Logf("ingest: %v", err)
-			return false
-		}
-		nulls := map[string][]bool{}
-		for _, c := range st.Columns() {
-			for k := 0; k < c.NumChunks(); k++ {
-				valid := c.ChunkValid(k)
-				for off := 0; off < valid.Len(); off++ {
-					row := len(nulls[c.Name()])
-					if valid.Get(off) == c.IsNull(row) {
-						t.Logf("column %q chunk %d off %d (row %d): bitmap and row accessor disagree", c.Name(), k, off, row)
-						return false
-					}
-					nulls[c.Name()] = append(nulls[c.Name()], !valid.Get(off))
-				}
-			}
-		}
-		flat, err := st.Drain()
-		if err != nil {
-			t.Logf("drain: %v", err)
-			return false
-		}
-		for _, fc := range flat.Columns() {
-			if len(nulls[fc.Name]) != fc.Len() {
-				t.Logf("column %q: chunk bitmaps cover %d rows, want %d", fc.Name, len(nulls[fc.Name]), fc.Len())
+		var drained [2]*table.Table
+		for i, chunkRows := range []int{8, DefaultChunkRows} {
+			st, err := FromCSV(strings.NewReader(in), Options{ChunkRows: chunkRows, SampleRows: 4})
+			if err != nil {
+				t.Logf("ingest: %v", err)
 				return false
 			}
-			for row, null := range nulls[fc.Name] {
-				if fc.IsNull(row) != null {
-					t.Logf("column %q row %d: drained null=%v, chunk bitmap null=%v", fc.Name, row, fc.IsNull(row), null)
-					return false
-				}
+			if drained[i], err = st.Drain(); err != nil {
+				t.Logf("drain: %v", err)
+				return false
 			}
 		}
+		requireEqualTables(t, drained[0], drained[1], fmt.Sprintf("seed %d, %d rows", seed, nRows))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Per-chunk codes are directly consumable by the counting kernel: tallying
-// chunk by chunk with card = len(Dict) sums to the whole-column tally.
-func TestChunkCodesFeedCountingKernel(t *testing.T) {
-	in := genCSV(rand.New(rand.NewSource(7)), 2, 200)
-	st, err := FromCSV(strings.NewReader(in), Options{ChunkRows: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c *Column
-	for _, cand := range st.Columns() {
-		if cand.Type() == table.String {
-			c = cand
-			break
-		}
-	}
-	if c == nil {
-		t.Fatal("no string column generated")
-	}
-	card := len(c.Dict())
-	total := make([]float64, card)
-	for k := 0; k < c.NumChunks(); k++ {
-		v := counting.CountVec(c.ChunkCodes(k), card, nil)
-		for i := range total {
-			total[i] += v.Counts[i]
-		}
-		v.Release()
-	}
-	flat := make([]int32, 0, c.Len())
-	for k := 0; k < c.NumChunks(); k++ {
-		flat = append(flat, c.ChunkCodes(k)...)
-	}
-	whole := counting.CountVec(flat, card, nil)
-	defer whole.Release()
-	for i := range total {
-		if total[i] != whole.Counts[i] {
-			t.Fatalf("code %d: per-chunk sum %v != whole-column %v", i, total[i], whole.Counts[i])
-		}
 	}
 }
 
@@ -277,24 +217,6 @@ func TestResidentBytesLifecycle(t *testing.T) {
 	if st.Stats().ChunkBytes != 0 {
 		t.Fatalf("drained ChunkBytes = %d, want 0", st.Stats().ChunkBytes)
 	}
-}
-
-// ToTable keeps the chunks resident and both materializations agree.
-func TestToTableKeepsChunks(t *testing.T) {
-	in := genCSV(rand.New(rand.NewSource(5)), 3, 100)
-	st, err := FromCSV(strings.NewReader(in), Options{ChunkRows: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := st.ToTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := st.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualTables(t, first, second, "ToTable vs Drain")
 }
 
 // Ingest.Append must tolerate reuse of the caller's record slice, short

@@ -184,26 +184,19 @@ func (in *Ingest) Finish() (*Table, error) {
 	in.done = true
 	in.sample = nil
 
-	t := &Table{
-		chunkRows: in.opt.ChunkRows,
-		rows:      in.rows,
-		index:     make(map[string]int, len(in.cols)),
-	}
+	t := &Table{}
 	var dictEntries, chunkBytes int64
-	for i, b := range in.cols {
-		col := &Column{
-			name:      b.name,
-			typ:       b.typ,
-			chunkRows: in.opt.ChunkRows,
-			rows:      b.rows,
-			chunks:    b.sealed,
-			dict:      b.dict,
-			bytes:     b.bytes,
-		}
+	for _, b := range in.cols {
+		t.cols = append(t.cols, &column{
+			name:   b.name,
+			typ:    b.typ,
+			rows:   b.rows,
+			chunks: b.sealed,
+			dict:   b.dict,
+			bytes:  b.bytes,
+		})
 		dictEntries += int64(len(b.dict))
 		chunkBytes += b.bytes
-		t.cols = append(t.cols, col)
-		t.index[b.name] = i
 	}
 	t.stats = Stats{
 		Rows:           int64(in.rows),

@@ -53,9 +53,9 @@ func permTest(ctx context.Context, b, allow, parallelism int, eval func(i int) (
 // Both are unweighted — a permuted copy has no IPW weights of its own.
 func (op PermOp) stat(t, o, e *bins.Encoded, given []infotheory.Var) float64 {
 	if op == PermGain {
-		return infotheory.CondMutualInfo(o, t, append(append([]infotheory.Var{}, given...), e), nil)
+		return infotheory.CondMutualInfo(o, t, append(append([]infotheory.Var{}, given...), e), infotheory.Weights{})
 	}
-	return infotheory.CondMutualInfo(o, e, given, nil)
+	return infotheory.CondMutualInfo(o, e, given, infotheory.Weights{})
 }
 
 // exceeds reports whether a permuted statistic counts against the observed

@@ -346,7 +346,7 @@ func TestEvaluateSet(t *testing.T) {
 	e1, _ := s.z1.Enc()
 	e2, _ := s.z2.Enc()
 	base := infotheory.MutualInfo(s.o, s.t, nil)
-	both := infotheory.CondMutualInfo(s.o, s.t, []*bins.Encoded{e1, e2}, nil)
+	both := infotheory.CondMutualInfo(s.o, s.t, []*bins.Encoded{e1, e2}, infotheory.Weights{})
 	if both >= base/2 {
 		t.Fatalf("I(O;T|Z1,Z2) = %.3f, base %.3f", both, base)
 	}

@@ -382,7 +382,7 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 		// gain is calibrated against permuted copies of the candidate,
 		// which shatter identically. The calibration only runs when the
 		// minGain threshold passed (currentScore is frozen per iteration).
-		ev.newScore = infotheory.CondMutualInfoOf(o, t, append(given(), ev.enc), weightProduct(selW, weightsOf(ev.enc, ev.w)))
+		ev.newScore = infotheory.CondMutualInfo(o, t, append(given(), ev.enc), weightProduct(selW, weightsOf(ev.enc, ev.w)))
 		if !opts.DisableStopping && ev.newScore < currentScore-minGain*baseScore {
 			ev.gainOK, ev.err = gainSignificant(ctx, cst.cand, ev.enc, given(), opts, iter, scorer, sctx, idx)
 		}
@@ -555,7 +555,7 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 				return
 			}
 			wi := weightProduct(weightsOf(encI, wI), weightsOf(chosenEnc, chosenW))
-			si.redSum += infotheory.CondMutualInfoOf(encI, chosenRows, nil, wi)
+			si.redSum += infotheory.CondMutualInfo(encI, chosenRows, nil, wi)
 		})
 		red.End()
 		isp.End()
@@ -587,7 +587,7 @@ func respIndependent(ctx context.Context, cand *Candidate, enc *bins.Encoded, w 
 	if cand.Permute == nil {
 		opts.Trace.Add(obs.CITests, 1)
 		testW := weightProduct(selW, weightsOf(enc, w))
-		return infotheory.CondIndependentOf(sctx.O, enc, given, testW, opts.RespThreshold), nil
+		return infotheory.CondIndependent(sctx.O, enc, given, testW, opts.RespThreshold), nil
 	}
 	dependent, err := permSignificant(ctx, opts.Trace, PermResp, sctx.T, sctx.O, cand, enc, given,
 		opts.Seed+uint64(iter), depth, permTests, permAllow, opts.Parallelism, scorer, sctx, idx)
@@ -635,7 +635,7 @@ func scoreSet(tr *obs.Trace, t, o *bins.Encoded, encs []*bins.Encoded, ws [][]fl
 	}
 	w := weightProduct(forms...)
 	ssp := tr.Start("final-score")
-	score := infotheory.CondMutualInfoOf(o, t, encs, w)
+	score := infotheory.CondMutualInfo(o, t, encs, w)
 	ssp.End()
 	rsp := tr.Start("responsibility")
 	shares := responsibilities(t, o, encs, w, score)
@@ -664,7 +664,7 @@ func responsibilities(t, o *bins.Encoded, encs []*bins.Encoded, w infotheory.Wei
 				without = append(without, e)
 			}
 		}
-		shares[i] = infotheory.CondMutualInfoOf(o, t, without, w) - full
+		shares[i] = infotheory.CondMutualInfo(o, t, without, w) - full
 		denom += shares[i]
 	}
 	for i := range shares {

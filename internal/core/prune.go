@@ -215,7 +215,7 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 			}
 		}
 		if sc == nil {
-			sc = infotheory.ScreenAllOf(o, t, enc, weightsOf(enc, w))
+			sc = infotheory.ScreenAll(o, t, enc, weightsOf(enc, w))
 		}
 		defer sc.Release()
 		hOgivenE, hTgivenE := sc.FDEntropies()

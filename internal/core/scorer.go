@@ -305,7 +305,7 @@ func (l Local) Relevance(ctx context.Context, sc *ScoreContext, cands []int) ([]
 	out := make([]float64, len(cands))
 	parallelFor(ctx, len(cands), l.par(), func(i int) {
 		e := sc.Cands[cands[i]]
-		out[i] = infotheory.CondMutualInfoOf(sc.O, sc.T, []infotheory.Var{e}, weightsOf(e, sc.Weights[cands[i]]))
+		out[i] = infotheory.CondMutualInfo(sc.O, sc.T, []infotheory.Var{e}, weightsOf(e, sc.Weights[cands[i]]))
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err

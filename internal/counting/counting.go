@@ -470,11 +470,6 @@ type Vec struct {
 	sc     *scratch
 }
 
-// CountVec is CountVecOf over a direct column.
-func CountVec(codes []int32, card int, w []float64) Vec {
-	return CountVecOf(Dim{Codes: codes, Card: card}, Weights{W: w})
-}
-
 // CountVecOf tallies one code column, skipping missing rows.
 func CountVecOf(x Dim, w Weights) Vec {
 	densePasses.Add(1)
@@ -755,7 +750,8 @@ func newScreen(co, ct, ce int) *Screen {
 	return s
 }
 
-// CountScreen is CountScreenOf over direct columns.
+// CountScreen is CountScreenOf over direct columns, the signature the
+// benchmark harness calls; the pipeline calls CountScreenOf.
 func CountScreen(o, t, e []int32, co, ct, ce int, w []float64) *Screen {
 	return CountScreenOf(Dim{Codes: o, Card: co}, Dim{Codes: t, Card: ct}, Dim{Codes: e, Card: ce}, Weights{W: w})
 }

@@ -1,5 +1,10 @@
 package counting
 
+// CountVec is the one-axis pass over a direct column.
+func CountVec(codes []int32, card int, w []float64) Vec {
+	return CountVecOf(Dim{Codes: codes, Card: card}, Weights{W: w})
+}
+
 // CountXYZ and CountXYZRows are the three-axis passes over direct columns,
 // zids a pre-joined conditioning id column.
 func CountXYZ(x, y []int32, cx, cy int, zids []int32, zcard int, w []float64) XYZ {

@@ -127,9 +127,9 @@ func TestWorkerDifferential(t *testing.T) {
 			}
 			var observed float64
 			if op == core.PermResp {
-				observed = infotheory.CondMutualInfo(sc.O, sc.Cands[0], nil, nil)
+				observed = infotheory.CondMutualInfo(sc.O, sc.Cands[0], nil, infotheory.Weights{})
 			} else {
-				observed = infotheory.CondMutualInfo(sc.O, sc.T, []infotheory.Var{sc.Cands[0]}, nil)
+				observed = infotheory.CondMutualInfo(sc.O, sc.T, []infotheory.Var{sc.Cands[0]}, infotheory.Weights{})
 			}
 			spec := core.PermSpec{Cand: 0, Op: op, Observed: observed, Seeds: seeds, Allow: len(seeds)}
 			wantEx, wantRan, err := local.PermBlock(context.Background(), sc, spec)

@@ -291,16 +291,10 @@ func extractColumn(ctx context.Context, base *table.Table, col *table.Column, sr
 	var st ned.Stats
 	slotEnt := make([]kg.EntityID, len(resolved)) // entity per slot, -1 unresolved
 	for s, r := range resolved {
-		switch r.Outcome {
-		case ned.Linked:
-			st.Linked++
+		st.Add(r.Outcome)
+		slotEnt[s] = -1
+		if r.Outcome == ned.Linked {
 			slotEnt[s] = r.ID
-		case ned.Unlinked:
-			st.Unlinked++
-			slotEnt[s] = -1
-		case ned.Ambiguous:
-			st.Ambiguous++
-			slotEnt[s] = -1
 		}
 	}
 	res.LinkStats[col.Name] = st
@@ -398,7 +392,7 @@ func prefetchView(ctx context.Context, src kg.Source, roots []kg.EntityID, hops 
 		}
 	}
 	for depth := 1; depth <= hops && len(frontier) > 0; depth++ {
-		props, err := src.GetProperties(ctx, frontier, nil)
+		props, err := src.GetProperties(ctx, frontier)
 		if err != nil {
 			return nil, err
 		}

@@ -256,9 +256,9 @@ type opaqueSource struct {
 	entCalls  int
 }
 
-func (o *opaqueSource) GetProperties(ctx context.Context, ids []kg.EntityID, props []string) ([]kg.Props, error) {
+func (o *opaqueSource) GetProperties(ctx context.Context, ids []kg.EntityID) ([]kg.Props, error) {
 	o.propCalls++
-	return o.Source.GetProperties(ctx, ids, props)
+	return o.Source.GetProperties(ctx, ids)
 }
 
 func (o *opaqueSource) Entities(ctx context.Context, ids []kg.EntityID) ([]kg.Entity, error) {
@@ -283,7 +283,7 @@ func TestExtractSnapshotParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := &opaqueSource{Source: w.Graph}
-		snap, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, src, ned.NewSourceLinker(src), opts)
+		snap, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, src, ned.NewLinker(src), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,17 +26,17 @@ func TestScreenAllMatchesUnfused(t *testing.T) {
 				w[i] = 0.5 + rng.Float64()
 			}
 		}
-		sc := ScreenAll(o, tv, e, w)
+		sc := ScreenAll(o, tv, e, Weights{W: w})
 		hO, hT := sc.FDEntropies()
 		_, wantHO, wantHT := Screen(o, tv, e, w)
 		if hO != wantHO || hT != wantHT {
 			return false
 		}
 		for _, thr := range []float64{0.001, 0.02, 0.1, 0.5} {
-			if sc.MarginalIndependent(thr) != CondIndependent(o, e, nil, w, thr) {
+			if sc.MarginalIndependent(thr) != CondIndependent(o, e, nil, Weights{W: w}, thr) {
 				return false
 			}
-			if sc.CondIndependentGivenT(thr) != CondIndependent(o, e, []Var{tv}, w, thr) {
+			if sc.CondIndependentGivenT(thr) != CondIndependent(o, e, []Var{tv}, Weights{W: w}, thr) {
 				return false
 			}
 		}
@@ -55,16 +55,16 @@ func TestScreenAllFallbackPath(t *testing.T) {
 	o := randVar(rng, n, 4, 0.1)
 	tv := randVar(rng, n, 3, 0.1)
 	e := &bins.Encoded{Name: "deg", Card: 0, Codes: make([]int32, n)}
-	sc := ScreenAll(o, tv, e, nil)
+	sc := ScreenAll(o, tv, e, Weights{})
 	hO, hT := sc.FDEntropies()
 	_, wantHO, wantHT := Screen(o, tv, e, nil)
 	if hO != wantHO || hT != wantHT {
 		t.Fatalf("fallback FDEntropies = (%v,%v), want (%v,%v)", hO, hT, wantHO, wantHT)
 	}
-	if sc.MarginalIndependent(0.02) != CondIndependent(o, e, nil, nil, 0.02) {
+	if sc.MarginalIndependent(0.02) != CondIndependent(o, e, nil, Weights{}, 0.02) {
 		t.Fatal("fallback marginal verdict disagrees")
 	}
-	if sc.CondIndependentGivenT(0.02) != CondIndependent(o, e, []Var{tv}, nil, 0.02) {
+	if sc.CondIndependentGivenT(0.02) != CondIndependent(o, e, []Var{tv}, Weights{}, 0.02) {
 		t.Fatal("fallback conditional verdict disagrees")
 	}
 }
@@ -82,7 +82,7 @@ func TestJoinVarsMatchesSet(t *testing.T) {
 		g2 := randVar(rng, n, 4, 0.1)
 		g3 := randVar(rng, n, 2, 0.1)
 		j := JoinVars("j", g1, g2, g3)
-		if CondMutualInfo(x, y, []Var{j}, nil) != CondMutualInfo(x, y, []Var{g1, g2, g3}, nil) {
+		if CondMutualInfo(x, y, []Var{j}, Weights{}) != CondMutualInfo(x, y, []Var{g1, g2, g3}, Weights{}) {
 			return false
 		}
 		inc := JoinVars("j", JoinVars("j", g1, g2), g3)

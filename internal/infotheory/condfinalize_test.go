@@ -90,8 +90,8 @@ func TestCondEntropyFormWithinBound(t *testing.T) {
 	dense, decided, zeros := 0, 0, 0
 	check := func(seed int64) bool {
 		o, tv, e := condScenario(rand.New(rand.NewSource(seed)))
-		want := cmi(o, e, []Var{tv}, nil)
-		sc := ScreenAll(o, tv, e, nil)
+		want := cmi(o, e, []Var{tv}, Weights{})
+		sc := ScreenAll(o, tv, e, Weights{})
 		isDense := sc.tally != nil && sc.tally.WS3 > 0
 		if f := sc.tally; isDense {
 			dense++
@@ -114,7 +114,7 @@ func TestCondEntropyFormWithinBound(t *testing.T) {
 			}
 		}
 		for _, thr := range condThresholds {
-			if got, want := sc.CondIndependentGivenT(thr), CondIndependent(o, e, []Var{tv}, nil, thr); got != want {
+			if got, want := sc.CondIndependentGivenT(thr), CondIndependent(o, e, []Var{tv}, Weights{}, thr); got != want {
 				t.Errorf("seed %d, threshold %v: CondIndependentGivenT = %v, unfused CondIndependent = %v", seed, thr, got, want)
 				return false
 			}
@@ -142,7 +142,7 @@ func TestCondEntropyFormWithinBound(t *testing.T) {
 // walkRatio returns the walk's debiased-MI ratio d/m of a scenario, the
 // number CondIndependent compares to the threshold (ok = it gets that far).
 func walkRatio(o, t, e Var) (ratio float64, ok bool) {
-	st := cmi(o, e, []Var{t}, nil)
+	st := cmi(o, e, []Var{t}, Weights{})
 	d, m := debiasedMI(st, false), math.Min(st.hx, st.hy)
 	return d / m, d > 0 && m > 0
 }
@@ -162,15 +162,15 @@ func TestCondFinalizeFallsThroughAtTheBoundary(t *testing.T) {
 		}
 		tried++
 		for _, thr := range []float64{math.Nextafter(ratio, 0), ratio, math.Nextafter(ratio, math.Inf(1))} {
-			sc := ScreenAll(o, tv, e, nil)
-			got, want := sc.CondIndependentGivenT(thr), CondIndependent(o, e, []Var{tv}, nil, thr)
+			sc := ScreenAll(o, tv, e, Weights{})
+			got, want := sc.CondIndependentGivenT(thr), CondIndependent(o, e, []Var{tv}, Weights{}, thr)
 			if got != want || !sc.CondWalked() {
 				t.Fatalf("seed %d, threshold %v at ratio %v: verdict %v (walk: %v), judged by the walk: %v",
 					seed, thr, ratio, got, want, sc.CondWalked())
 			}
 		}
 		// Away from the boundary the same tallies are decided without it.
-		sc := ScreenAll(o, tv, e, nil)
+		sc := ScreenAll(o, tv, e, Weights{})
 		if got := sc.CondIndependentGivenT(2 * ratio); !got || sc.CondWalked() {
 			t.Fatalf("seed %d: at twice the ratio %v: independent = %v, judged by the walk: %v", seed, ratio, got, sc.CondWalked())
 		}
@@ -210,8 +210,8 @@ func FuzzCondFinalize(f *testing.F) {
 		if ratio, ok := walkRatio(o, tv, e); ok && place%4 != 0 {
 			thr = []float64{math.Nextafter(ratio, 0), ratio, math.Nextafter(ratio, math.Inf(1))}[place%4-1]
 		}
-		want := CondIndependent(o, e, []Var{tv}, nil, thr)
-		sc := ScreenAll(o, tv, e, nil)
+		want := CondIndependent(o, e, []Var{tv}, Weights{}, thr)
+		sc := ScreenAll(o, tv, e, Weights{})
 		if tally := sc.tally; tally != nil && tally.WS3 > 0 {
 			if got, ok := decideWithin(condStatsEntropy(tally), entropyBound(tally), thr); ok && got != want {
 				t.Fatalf("threshold %v: the entropy form decides %v, the walk %v", thr, got, want)

@@ -120,19 +120,19 @@ func TestIndirectFormEqualsBroadcast(t *testing.T) {
 					return 0
 				}
 				add("Entropy", Entropy(e, bw.W), Entropy(be, bw.W))
-				add("I(E;F)", CondMutualInfoOf(e, f, nil, w), CondMutualInfoOf(be, rowsOf(f), nil, bw))
-				add("I(O;E|given)", CondMutualInfoOf(o, e, given, w), CondMutualInfoOf(o, be, bgiven, bw))
-				add("I(O;T|given,E)", CondMutualInfoOf(o, tv, append(append([]Var{}, given...), e), w),
-					CondMutualInfoOf(o, tv, append(append([]Var{}, bgiven...), be), bw))
+				add("I(E;F)", CondMutualInfo(e, f, nil, w), CondMutualInfo(be, rowsOf(f), nil, bw))
+				add("I(O;E|given)", CondMutualInfo(o, e, given, w), CondMutualInfo(o, be, bgiven, bw))
+				add("I(O;T|given,E)", CondMutualInfo(o, tv, append(append([]Var{}, given...), e), w),
+					CondMutualInfo(o, tv, append(append([]Var{}, bgiven...), be), bw))
 				add("debiased rows", CondMutualInfoDebiasedRows(o, tv, append(append([]Var{}, given...), e), bw.W, list),
 					CondMutualInfoDebiasedRows(o, tv, append(append([]Var{}, bgiven...), be), bw.W, list))
-				got, want := ScreenAllOf(o, tv, e, w), ScreenAllOf(o, tv, be, bw)
+				got, want := ScreenAll(o, tv, e, w), ScreenAll(o, tv, be, bw)
 				gO, gT := got.FDEntropies()
 				wO, wT := want.FDEntropies()
 				add("H(O|E)", gO, wO)
 				add("H(T|E)", gT, wT)
 				for _, thr := range []float64{0.001, 0.02, 0.5} {
-					add(fmt.Sprintf("O⊥E|given at %v", thr), verdict(CondIndependentOf(o, e, given, w, thr)), verdict(CondIndependentOf(o, be, bgiven, bw, thr)))
+					add(fmt.Sprintf("O⊥E|given at %v", thr), verdict(CondIndependent(o, e, given, w, thr)), verdict(CondIndependent(o, be, bgiven, bw, thr)))
 					add(fmt.Sprintf("screen O⊥E at %v", thr), verdict(got.MarginalIndependent(thr)), verdict(want.MarginalIndependent(thr)))
 					add(fmt.Sprintf("screen O⊥E|T at %v", thr), verdict(got.CondIndependentGivenT(thr)), verdict(want.CondIndependentGivenT(thr)))
 					add(fmt.Sprintf("walked at %v", thr), verdict(got.CondWalked()), verdict(want.CondWalked()))

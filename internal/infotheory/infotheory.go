@@ -4,14 +4,15 @@
 //
 // Estimation is complete-case: rows where any involved variable is missing
 // are skipped. Inverse-probability weights (package missing) are passed as an
-// optional per-row weight vector; a nil weight vector means uniform weights.
-// This mirrors how the paper combines complete-case analysis with IPW (§3.2).
+// optional weight vector; a nil vector (a zero Weights) means uniform
+// weights. This mirrors how the paper combines complete-case analysis with
+// IPW (§3.2).
 //
-// A variable, and a weight vector handed to an …Of entry point, may be in
-// the indirect form of a knowledge-graph attribute — one value per entity
-// slot plus the row→slot map (bins.Encoded.Slots, Weights.Slots) — which the
-// kernel reads through the map. Every statistic is bit-identical to the one
-// computed over the same variable broadcast to rows.
+// A variable, and a Weights vector, may be in the indirect form of a
+// knowledge-graph attribute — one value per entity slot plus the row→slot
+// map (bins.Encoded.Slots, Weights.Slots) — which the kernel reads through
+// the map. Every statistic is bit-identical to the one computed over the
+// same variable broadcast to rows.
 //
 // All counting passes route through the unified kernel (internal/counting);
 // this package owns only the finalize arithmetic — probabilities and
@@ -56,17 +57,9 @@ func Entropy(x Var, w []float64) float64 {
 	return h
 }
 
-// Screen returns, from one counting pass, the triple the online prune and
-// the relevance ranking need for a candidate e: the relevance I(O;T|E) and
-// the conditional entropies H(O|E) and H(T|E) over the joint complete cases.
-func Screen(o, t, e Var, w []float64) (rel, hOgivenE, hTgivenE float64) {
-	s := cmi(o, t, []Var{e}, w)
-	return s.mi, s.hx, s.hy
-}
-
 // MutualInfo returns I(X; Y) in bits over complete cases.
 func MutualInfo(x, y Var, w []float64) float64 {
-	return CondMutualInfo(x, y, nil, w)
+	return CondMutualInfo(x, y, nil, Weights{W: w})
 }
 
 // TallyMutualInfo returns I(X; Y) in bits from a dense tally the caller
@@ -83,14 +76,9 @@ func TallyMutualInfo(joint, xMargin, yMargin []float64, total float64) float64 {
 // CondMutualInfo returns I(X; Y | G1, ..., Gk) in bits over rows where x, y
 // and every conditioning variable are present. It returns 0 when no complete
 // cases exist. Negative values arising from floating-point error are clamped
-// to 0.
-func CondMutualInfo(x, y Var, given []Var, w []float64) float64 {
-	return CondMutualInfoOf(x, y, given, Weights{W: w})
-}
-
-// CondMutualInfoOf is CondMutualInfo under weights in either form.
-func CondMutualInfoOf(x, y Var, given []Var, w Weights) float64 {
-	return cmiOf(x, y, given, w).mi
+// to 0. The weights may be in either form.
+func CondMutualInfo(x, y Var, given []Var, w Weights) float64 {
+	return cmi(x, y, given, w).mi
 }
 
 // CondMutualInfoDebiased returns the plug-in CMI minus its expected value
@@ -101,7 +89,7 @@ func CondMutualInfoOf(x, y Var, given []Var, w Weights) float64 {
 // estimate has a positive bias that grows with the number of conditioning
 // strata and would otherwise drown small thresholds.
 func CondMutualInfoDebiased(x, y Var, given []Var, w []float64) float64 {
-	return debiasedMI(cmi(x, y, given, w), w != nil)
+	return debiasedMI(cmi(x, y, given, Weights{W: w}), w != nil)
 }
 
 // CondMutualInfoDebiasedRows is CondMutualInfoDebiased restricted to the
@@ -148,11 +136,7 @@ type cmiStats struct {
 	nx, ny, nz  int // observed distinct x codes, y codes, z strata
 }
 
-func cmi(x, y Var, given []Var, w []float64) cmiStats {
-	return cmiOf(x, y, given, Weights{W: w})
-}
-
-func cmiOf(x, y Var, given []Var, w Weights) cmiStats {
+func cmi(x, y Var, given []Var, w Weights) cmiStats {
 	z := strata(given, x.Len())
 	if x.Card == 0 || y.Card == 0 {
 		return cmiStats{}
@@ -356,14 +340,9 @@ func entropyOf(counts []float64, total float64) float64 {
 // CondIndependent reports whether X ⊥ Y | G at the given threshold. It
 // thresholds the bias-corrected CMI normalized by min(H(X|G), H(Y|G)) — the
 // efficient CI test used as the responsibility test (Lemma 4.2) and for
-// pruning.
-func CondIndependent(x, y Var, given []Var, w []float64, threshold float64) bool {
-	return CondIndependentOf(x, y, given, Weights{W: w}, threshold)
-}
-
-// CondIndependentOf is CondIndependent under weights in either form.
-func CondIndependentOf(x, y Var, given []Var, w Weights, threshold float64) bool {
-	return condIndependentStats(cmiOf(x, y, given, w), w.W != nil, threshold)
+// pruning. The weights may be in either form.
+func CondIndependent(x, y Var, given []Var, w Weights, threshold float64) bool {
+	return condIndependentStats(cmi(x, y, given, w), w.W != nil, threshold)
 }
 
 // condIndependentStats is the verdict half of CondIndependent, shared with

@@ -92,7 +92,7 @@ func TestCMIExplainsAwayConfounder(t *testing.T) {
 	if mi := MutualInfo(x, y, nil); mi < 0.9 {
 		t.Fatalf("marginal I = %v, want ≈1", mi)
 	}
-	if cmi := CondMutualInfo(x, y, []Var{z}, nil); cmi > 1e-9 {
+	if cmi := CondMutualInfo(x, y, []Var{z}, Weights{}); cmi > 1e-9 {
 		t.Fatalf("I(X;Y|Z) = %v, want 0", cmi)
 	}
 }
@@ -103,7 +103,7 @@ func TestCMIConditioningOnIrrelevant(t *testing.T) {
 	y := enc(t, "y", []string{"p", "p", "q", "q", "p", "p", "q", "q"})
 	z := enc(t, "z", []string{"0", "1", "0", "1", "0", "1", "0", "1"})
 	mi := MutualInfo(x, y, nil)
-	cmi := CondMutualInfo(x, y, []Var{z}, nil)
+	cmi := CondMutualInfo(x, y, []Var{z}, Weights{})
 	if math.Abs(mi-cmi) > 1e-9 {
 		t.Fatalf("I = %v but I|Z = %v", mi, cmi)
 	}
@@ -127,7 +127,7 @@ func TestCMINonNegativeProperty(t *testing.T) {
 			return e
 		}
 		x, y, z := mk(3), mk(4), mk(2)
-		return CondMutualInfo(x, y, []Var{z}, nil) >= 0 && MutualInfo(x, y, nil) >= 0
+		return CondMutualInfo(x, y, []Var{z}, Weights{}) >= 0 && MutualInfo(x, y, nil) >= 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -178,12 +178,12 @@ func TestCMIMultipleConditioningVars(t *testing.T) {
 	z1 := enc(t, "z1", z1v)
 	z2 := enc(t, "z2", z2v)
 	y := enc(t, "y", yv)
-	cmiBoth := CondMutualInfo(y, z1, []Var{z1, z2}, nil)
+	cmiBoth := CondMutualInfo(y, z1, []Var{z1, z2}, Weights{})
 	if cmiBoth > 1e-9 {
 		t.Fatalf("I(Y;Z1|Z1,Z2) = %v, want 0 (fully determined)", cmiBoth)
 	}
 	// And conditioning on z2 alone makes y depend on z1 fully.
-	cmi := CondMutualInfo(y, z1, []Var{z2}, nil)
+	cmi := CondMutualInfo(y, z1, []Var{z2}, Weights{})
 	if cmi < 0.9 {
 		t.Fatalf("I(Y;Z1|Z2) = %v, want ≈1", cmi)
 	}
@@ -194,7 +194,7 @@ func TestCMISkipsRowsWithMissing(t *testing.T) {
 	x := enc(t, "x", []string{"a", "b", "a", "b"})
 	y := enc(t, "y", []string{"p", "q", "p", "q"})
 	z := enc(t, "z", []string{"", "", "0", "0"})
-	cmi := CondMutualInfo(x, y, []Var{z}, nil)
+	cmi := CondMutualInfo(x, y, []Var{z}, Weights{})
 	// Complete cases: rows 2,3 → contingency (a,p),(b,q) given z=0 → I = 1.
 	if math.Abs(cmi-1) > 1e-9 {
 		t.Fatalf("CMI over complete cases = %v, want 1", cmi)
@@ -276,10 +276,10 @@ func TestCondIndependent(t *testing.T) {
 	z := enc(t, "z", []string{"0", "0", "1", "1", "0", "0", "1", "1"})
 	x := enc(t, "x", []string{"a", "a", "b", "b", "a", "a", "b", "b"})
 	y := enc(t, "y", []string{"p", "p", "q", "q", "p", "p", "q", "q"})
-	if !CondIndependent(x, y, []Var{z}, nil, 0.05) {
+	if !CondIndependent(x, y, []Var{z}, Weights{}, 0.05) {
 		t.Fatal("X ⊥ Y | Z should hold")
 	}
-	if CondIndependent(x, y, nil, nil, 0.05) {
+	if CondIndependent(x, y, nil, Weights{}, 0.05) {
 		t.Fatal("X ⊥ Y should not hold marginally")
 	}
 }

@@ -48,15 +48,10 @@ type OnlineScreen struct {
 // ScreenAll runs the fused counting pass. The dense path applies under
 // exactly the condition the unfused estimators would use their dense path
 // (joint domain within maxDense); otherwise the methods fall back to the
-// unfused estimators, which are identical in value.
-func ScreenAll(o, t, e Var, w []float64) *OnlineScreen {
-	return ScreenAllOf(o, t, e, Weights{W: w})
-}
-
-// ScreenAllOf is ScreenAll under weights in either form: an IPW-weighted
-// entity-form candidate is screened from its slot codes and slot weights,
-// read through the row→slot map.
-func ScreenAllOf(o, t, e Var, w Weights) *OnlineScreen {
+// unfused estimators, which are identical in value. The weights may be in
+// either form: an IPW-weighted entity-form candidate is screened from its
+// slot codes and slot weights, read through the row→slot map.
+func ScreenAll(o, t, e Var, w Weights) *OnlineScreen {
 	return &OnlineScreen{
 		weighted: w.W != nil, o: o, t: t, e: e, w: w,
 		tally: counting.CountScreenOf(dim(o), dim(t), dim(e), w),
@@ -90,13 +85,13 @@ func (s *OnlineScreen) Release() {
 }
 
 // FDEntropies returns the approximate-FD entropies H(O|E) and H(T|E) over
-// the (O,T,E) complete cases — identical to the last two results of
-// Screen(o, t, e, w), without the relevance term (the prune discards it,
-// and it is the only consumer of the expensive 3-way joint).
+// the (O,T,E) complete cases — the conditional entropies of the unfused
+// I(O;T|E) pass, without its relevance term (the prune discards it, and it
+// is the only consumer of the expensive 3-way joint).
 func (s *OnlineScreen) FDEntropies() (hOgivenE, hTgivenE float64) {
 	f := s.tally
 	if f == nil {
-		st := cmiOf(s.o, s.t, []Var{s.e}, s.w)
+		st := cmi(s.o, s.t, []Var{s.e}, s.w)
 		return st.hx, st.hy
 	}
 	if f.WS3 <= 0 {
@@ -132,7 +127,7 @@ func (s *OnlineScreen) FDEntropies() (hOgivenE, hTgivenE float64) {
 func (s *OnlineScreen) MarginalIndependent(threshold float64) bool {
 	f := s.tally
 	if f == nil {
-		return CondIndependentOf(s.o, s.e, nil, s.w, threshold)
+		return CondIndependent(s.o, s.e, nil, s.w, threshold)
 	}
 	st := cmiDenseStats(f.OE, f.OM, f.EM, []float64{f.WS2}, f.Co, f.Ce, f.WS2, f.WSQ2)
 	return condIndependentStats(st, s.weighted, threshold)
@@ -150,7 +145,7 @@ func (s *OnlineScreen) CondIndependentGivenT(threshold float64) bool {
 	f := s.tally
 	s.condWalked = f == nil // the unfused estimator is a math.Log2 walk too
 	if f == nil {
-		return CondIndependentOf(s.o, s.e, []Var{s.t}, s.w, threshold)
+		return CondIndependent(s.o, s.e, []Var{s.t}, s.w, threshold)
 	}
 	if f.WS3 <= 0 {
 		return condIndependentStats(cmiStats{}, s.weighted, threshold)

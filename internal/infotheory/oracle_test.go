@@ -346,7 +346,7 @@ func TestCMIDenseMatchesOracleBitwise(t *testing.T) {
 			given[i] = oracleRandVar(r, "g", n, 1+r.Intn(4), 0.15)
 		}
 		w := oracleRandWeights(r, n)
-		return statsBitsEqual(cmi(x, y, given, w), oracleCMI(x, y, given, w))
+		return statsBitsEqual(cmi(x, y, given, Weights{W: w}), oracleCMI(x, y, given, w))
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func TestCMISparseMatchesOracle(t *testing.T) {
 	x := oracleRandVar(r, "x", n, 2100, 0.1)
 	y := oracleRandVar(r, "y", n, 2100, 0.1)
 	for _, w := range [][]float64{nil, oracleRandWeights(rand.New(rand.NewSource(8)), n)} {
-		got := cmi(x, y, nil, w)
+		got := cmi(x, y, nil, Weights{W: w})
 		want := oracleCMI(x, y, nil, w)
 		if math.Abs(got.mi-want.mi) > 1e-9 || math.Abs(got.hx-want.hx) > 1e-9 ||
 			math.Abs(got.hy-want.hy) > 1e-9 ||
@@ -374,7 +374,7 @@ func TestCMISparseMatchesOracle(t *testing.T) {
 			!bitsEqual(got.weightSum, want.weightSum) || !bitsEqual(got.weightSqSum, want.weightSqSum) {
 			t.Fatalf("sparse cmi mismatch: got %+v want %+v", got, want)
 		}
-		if again := cmi(x, y, nil, w); !statsBitsEqual(got, again) {
+		if again := cmi(x, y, nil, Weights{W: w}); !statsBitsEqual(got, again) {
 			t.Fatalf("sparse cmi not deterministic: %+v vs %+v", got, again)
 		}
 	}

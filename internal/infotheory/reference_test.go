@@ -7,7 +7,15 @@ import (
 
 // References the tests compare the fused estimators against
 // (TestChainRuleProperty, TestJointEntropyMatchesOracleBitwise,
-// TestScreenMatchesComponents); nothing outside the tests calls them.
+// TestScreenMatchesComponents, TestScreenAllMatchesUnfused); nothing outside
+// the tests calls them.
+
+// Screen returns, from one counting pass, the relevance I(O;T|E) and the
+// conditional entropies H(O|E) and H(T|E) over the joint complete cases.
+func Screen(o, t, e Var, w []float64) (rel, hOgivenE, hTgivenE float64) {
+	s := cmi(o, t, []Var{e}, Weights{W: w})
+	return s.mi, s.hx, s.hy
+}
 
 // JointEntropy returns H(X1, ..., Xk) in bits over rows where every variable
 // is present.
@@ -17,7 +25,7 @@ func JointEntropy(xs []Var, w []float64) float64 {
 	}
 	n := xs[0].Len()
 	ids, card := DenseIDs(xs, n)
-	v := counting.CountVec(ids, card, w)
+	v := counting.CountVecOf(counting.Dim{Codes: ids, Card: card}, Weights{W: w})
 	h := entropyOf(v.Counts, v.Total)
 	v.Release()
 	return h

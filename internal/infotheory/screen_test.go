@@ -34,7 +34,7 @@ func TestScreenMatchesComponents(t *testing.T) {
 		tv := randVar(rng, n, 5, 0.1)
 		e := randVar(rng, n, 3, 0.1)
 		rel, hO, hT := Screen(o, tv, e, nil)
-		if math.Abs(rel-CondMutualInfo(o, tv, []Var{e}, nil)) > 1e-9 {
+		if math.Abs(rel-CondMutualInfo(o, tv, []Var{e}, Weights{})) > 1e-9 {
 			return false
 		}
 		// H(O|E) over the triple-complete population: mask rows where any
@@ -54,7 +54,7 @@ func TestDebiasedLessThanRaw(t *testing.T) {
 	n := 500
 	x := randVar(rng, n, 4, 0)
 	y := randVar(rng, n, 4, 0)
-	raw := CondMutualInfo(x, y, nil, nil)
+	raw := CondMutualInfo(x, y, nil, Weights{})
 	deb := CondMutualInfoDebiased(x, y, nil, nil)
 	if deb > raw {
 		t.Fatalf("debiased %v > raw %v", deb, raw)
@@ -74,7 +74,7 @@ func TestDebiasedKillsIndependentNoise(t *testing.T) {
 		n := 400
 		x := randVar(rng, n, 4, 0)
 		y := randVar(rng, n, 4, 0)
-		if CondMutualInfo(x, y, nil, nil) <= 0 {
+		if CondMutualInfo(x, y, nil, Weights{}) <= 0 {
 			t.Fatal("raw plug-in unexpectedly zero")
 		}
 		if CondMutualInfoDebiased(x, y, nil, nil) == 0 {

@@ -48,6 +48,18 @@ type Link struct {
 // and must be treated as read-only.
 type Props map[string][]Value
 
+// Versioned is an optional Source capability: backends that can identify
+// the graph revision they serve implement it, and the serving tier folds
+// the version into report-cache keys so a backend swap or regeneration
+// invalidates cached explanations (see internal/reportcache). Backends
+// that cannot observe their own mutations should return a new string
+// whenever their content may have changed.
+type Versioned interface {
+	// Version identifies the current graph content; two sources with equal
+	// versions must answer extraction queries identically.
+	Version() string
+}
+
 // Source is the knowledge-graph backend abstraction. The in-memory *Graph
 // implements it natively; internal/kgremote implements it over HTTP against
 // a kgd server. Everything downstream of the session — entity linking
@@ -62,18 +74,6 @@ type Props map[string][]Value
 // the request slice. Errors are transport- or backend-level failures;
 // per-value resolution misses are expressed through Link.Outcome, not
 // errors.
-// Versioned is an optional Source capability: backends that can identify
-// the graph revision they serve implement it, and the serving tier folds
-// the version into report-cache keys so a backend swap or regeneration
-// invalidates cached explanations (see internal/reportcache). Backends
-// that cannot observe their own mutations should return a new string
-// whenever their content may have changed.
-type Versioned interface {
-	// Version identifies the current graph content; two sources with equal
-	// versions must answer extraction queries identically.
-	Version() string
-}
-
 type Source interface {
 	// Resolve links surface forms to entities: exact name match first, then
 	// backend-side normalized match. out[i] corresponds to values[i].
@@ -83,13 +83,8 @@ type Source interface {
 	// attribute values during extraction).
 	Entities(ctx context.Context, ids []EntityID) ([]Entity, error)
 
-	// GetProperties returns each entity's property map. A nil props fetches
-	// every property; a non-nil props restricts the result to those names.
-	GetProperties(ctx context.Context, ids []EntityID, props []string) ([]Props, error)
-
-	// ClassProps returns the union of property names appearing on entities
-	// of the class, sorted — the candidate attribute universe.
-	ClassProps(ctx context.Context, class string) ([]string, error)
+	// GetProperties returns each entity's full property map.
+	GetProperties(ctx context.Context, ids []EntityID) ([]Props, error)
 }
 
 // Normalize lowercases, trims, and collapses inner whitespace; it also
@@ -157,30 +152,15 @@ func (g *Graph) Entities(ctx context.Context, ids []EntityID) ([]Entity, error) 
 	return out, nil
 }
 
-// GetProperties implements Source. With a nil props filter the returned
-// maps are the graph's own (read-only to callers); a non-nil filter copies.
-func (g *Graph) GetProperties(ctx context.Context, ids []EntityID, props []string) ([]Props, error) {
+// GetProperties implements Source. The returned maps are the graph's own
+// (read-only to callers).
+func (g *Graph) GetProperties(ctx context.Context, ids []EntityID) ([]Props, error) {
 	out := make([]Props, len(ids))
 	for i, id := range ids {
 		if id < 0 || int(id) >= len(g.triples) {
 			return nil, fmt.Errorf("kg: unknown entity id %d", id)
 		}
-		if props == nil {
-			out[i] = Props(g.triples[id])
-			continue
-		}
-		m := make(Props, len(props))
-		for _, p := range props {
-			if vs := g.triples[id][p]; len(vs) > 0 {
-				m[p] = vs
-			}
-		}
-		out[i] = m
+		out[i] = Props(g.triples[id])
 	}
 	return out, nil
-}
-
-// ClassProps implements Source.
-func (g *Graph) ClassProps(ctx context.Context, class string) ([]string, error) {
-	return g.ClassProperties(class), nil
 }

@@ -60,27 +60,15 @@ func TestGraphSourceBatches(t *testing.T) {
 		t.Fatal("expected error for unknown id")
 	}
 
-	props, err := g.GetProperties(ctx, []EntityID{de}, nil)
+	props, err := g.GetProperties(ctx, []EntityID{de, eu})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(props[0]) != 3 || props[0]["HDI"][0].Num != 0.94 {
-		t.Fatalf("props = %+v", props[0])
+	if len(props[0]) != 3 || props[0]["HDI"][0].Num != 0.94 || len(props[1]) != 0 {
+		t.Fatalf("props = %+v", props)
 	}
-	filtered, err := g.GetProperties(ctx, []EntityID{de, eu}, []string{"HDI"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filtered[0]) != 1 || len(filtered[1]) != 0 {
-		t.Fatalf("filtered props = %+v", filtered)
-	}
-
-	cps, err := g.ClassProps(ctx, "Country")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) != 3 {
-		t.Fatalf("class props = %v", cps)
+	if _, err := g.GetProperties(ctx, []EntityID{99}); err == nil {
+		t.Fatal("expected error for unknown id")
 	}
 }
 

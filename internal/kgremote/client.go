@@ -5,8 +5,8 @@
 // The client is built for the batched per-hop access pattern of
 // internal/extract: requests arrive as large id batches, which the client
 // splits into chunks of BatchSize and issues with at most MaxInflight
-// in-flight HTTP requests. Per-item LRU caches (entities, full property
-// maps, resolved surface forms) absorb repeat lookups across hops and
+// in-flight HTTP requests. Per-item LRU caches (entities, property maps,
+// resolved surface forms) absorb repeat lookups across hops and
 // across extractions; hits and misses are recorded on the obs counters
 // kg_cache_hits / kg_cache_misses. Package rpc supplies the attempt, retry
 // and fan-out policy: transient failures (HTTP 5xx, transport errors,
@@ -208,41 +208,21 @@ func (c *Client) Entities(ctx context.Context, ids []kg.EntityID) ([]kg.Entity, 
 	return out, nil
 }
 
-// GetProperties implements kg.Source. Full property maps (props == nil) are
-// cached per entity; filtered requests are answered from cached full maps
-// when possible and fetched (uncached) otherwise.
-func (c *Client) GetProperties(ctx context.Context, ids []kg.EntityID, props []string) ([]kg.Props, error) {
+// GetProperties implements kg.Source, serving repeat ids from the LRU.
+func (c *Client) GetProperties(ctx context.Context, ids []kg.EntityID) ([]kg.Props, error) {
 	out := make([]kg.Props, len(ids))
 	var missIdx []int
 	for i, id := range ids {
-		if full, ok := c.props.Get(id); ok {
-			if props == nil {
-				out[i] = full
-			} else {
-				out[i] = filterProps(full, props)
-			}
+		if p, ok := c.props.Get(id); ok {
+			out[i] = p
 			continue
 		}
 		missIdx = append(missIdx, i)
 	}
 	c.opts.Counters.Add(obs.KGCacheHits, int64(len(ids)-len(missIdx)))
 	c.opts.Counters.Add(obs.KGCacheMisses, int64(len(missIdx)))
-	var wireProps []string
-	if props != nil {
-		wireProps = props
-		if len(wireProps) == 0 {
-			// Distinguish "no filter" (nil) from "empty filter" on the
-			// wire: an empty filter yields empty maps locally.
-			for i := range out {
-				if out[i] == nil {
-					out[i] = kg.Props{}
-				}
-			}
-			return out, nil
-		}
-	}
 	err := rpc.ForEachChunk(ctx, len(missIdx), c.opts.BatchSize, c.opts.MaxInflight, func(ctx context.Context, lo, hi, _ int) error {
-		req := kgwire.PropertiesRequest{IDs: make([]int32, hi-lo), Props: wireProps}
+		req := kgwire.PropertiesRequest{IDs: make([]int32, hi-lo)}
 		for j, i := range missIdx[lo:hi] {
 			req.IDs[j] = int32(ids[i])
 		}
@@ -259,9 +239,7 @@ func (c *Client) GetProperties(ctx context.Context, ids []kg.EntityID, props []s
 				return err
 			}
 			out[i] = p
-			if props == nil {
-				c.props.Put(ids[i], p)
-			}
+			c.props.Put(ids[i], p)
 		}
 		return nil
 	})
@@ -269,26 +247,6 @@ func (c *Client) GetProperties(ctx context.Context, ids []kg.EntityID, props []s
 		return nil, err
 	}
 	return out, nil
-}
-
-func filterProps(full kg.Props, props []string) kg.Props {
-	out := make(kg.Props, len(props))
-	for _, p := range props {
-		if vs, ok := full[p]; ok {
-			out[p] = vs
-		}
-	}
-	return out
-}
-
-// ClassProps implements kg.Source. Class property universes are tiny and
-// queried rarely, so they are not cached.
-func (c *Client) ClassProps(ctx context.Context, class string) ([]string, error) {
-	var resp kgwire.ClassPropsResponse
-	if err := c.post(ctx, kgwire.PathClassProps, kgwire.ClassPropsRequest{Class: class}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Props, nil
 }
 
 // Version implements kg.Versioned for the remote backend. The client

@@ -67,30 +67,13 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Entities = %+v, want %+v", gotE, wantE)
 	}
 
-	wantP, _ := g.GetProperties(ctx, ids, nil)
-	gotP, err := c.GetProperties(ctx, ids, nil)
+	wantP, _ := g.GetProperties(ctx, ids)
+	gotP, err := c.GetProperties(ctx, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotP, wantP) {
 		t.Fatalf("GetProperties = %+v, want %+v", gotP, wantP)
-	}
-	wantF, _ := g.GetProperties(ctx, ids, []string{"HDI"})
-	gotF, err := c.GetProperties(ctx, ids, []string{"HDI"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotF, wantF) {
-		t.Fatalf("filtered GetProperties = %+v, want %+v", gotF, wantF)
-	}
-
-	wantC, _ := g.ClassProps(ctx, "Country")
-	gotC, err := c.ClassProps(ctx, "Country")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotC, wantC) {
-		t.Fatalf("ClassProps = %v, want %v", gotC, wantC)
 	}
 }
 
@@ -102,14 +85,14 @@ func TestCacheServesRepeats(t *testing.T) {
 	c, srv := serve(t, testGraph(), kgserve.Config{}, Options{Counters: counters})
 
 	ids := []kg.EntityID{0, 1}
-	if _, err := c.GetProperties(ctx, ids, nil); err != nil {
+	if _, err := c.GetProperties(ctx, ids); err != nil {
 		t.Fatal(err)
 	}
 	reqs := srv.Requests(kgwire.PathProperties)
 	if reqs == 0 {
 		t.Fatal("first fetch issued no requests")
 	}
-	if _, err := c.GetProperties(ctx, ids, nil); err != nil {
+	if _, err := c.GetProperties(ctx, ids); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Requests(kgwire.PathProperties); got != reqs {
@@ -118,17 +101,6 @@ func TestCacheServesRepeats(t *testing.T) {
 	snap := counters.Snapshot()
 	if snap[obs.KGCacheHits] != 2 || snap[obs.KGCacheMisses] != 2 {
 		t.Fatalf("cache counters = hits %d misses %d, want 2/2", snap[obs.KGCacheHits], snap[obs.KGCacheMisses])
-	}
-	// Filtered requests are answered from the cached full maps too.
-	f, err := c.GetProperties(ctx, []kg.EntityID{0}, []string{"HDI"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f[0]) != 1 || f[0]["HDI"][0].Num != 0.94 {
-		t.Fatalf("filtered-from-cache = %+v", f[0])
-	}
-	if got := srv.Requests(kgwire.PathProperties); got != reqs {
-		t.Fatal("filtered request hit the network despite cached full map")
 	}
 }
 

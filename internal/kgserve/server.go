@@ -48,7 +48,6 @@ func New(cfg Config) *Server {
 	rpc.Handle(s.Server, kgwire.PathResolve, "resolve", s.resolve)
 	rpc.Handle(s.Server, kgwire.PathEntities, "entities", s.entities)
 	rpc.Handle(s.Server, kgwire.PathProperties, "properties", s.properties)
-	rpc.Handle(s.Server, kgwire.PathClassProps, "classprops", s.classProps)
 	rpc.HandleGet(s.Server, kgwire.PathStats, "stats", s.Stats)
 	return s
 }
@@ -109,7 +108,7 @@ func (s *Server) properties(ctx context.Context, req *kgwire.PropertiesRequest) 
 	if err := s.checkBatch(len(req.IDs)); err != nil {
 		return kgwire.PropertiesResponse{}, err
 	}
-	props, err := s.cfg.Source.GetProperties(ctx, entityIDs(req.IDs), req.Props)
+	props, err := s.cfg.Source.GetProperties(ctx, entityIDs(req.IDs))
 	if err != nil {
 		return kgwire.PropertiesResponse{}, err
 	}
@@ -118,9 +117,4 @@ func (s *Server) properties(ctx context.Context, req *kgwire.PropertiesRequest) 
 		resp.Props[i] = kgwire.FromProps(p)
 	}
 	return resp, nil
-}
-
-func (s *Server) classProps(ctx context.Context, req *kgwire.ClassPropsRequest) (kgwire.ClassPropsResponse, error) {
-	props, err := s.cfg.Source.ClassProps(ctx, req.Class)
-	return kgwire.ClassPropsResponse{Props: props}, err
 }

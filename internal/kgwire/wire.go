@@ -8,7 +8,6 @@
 //	POST /kg/v1/resolve      ResolveRequest    → ResolveResponse
 //	POST /kg/v1/entities     EntitiesRequest   → EntitiesResponse
 //	POST /kg/v1/properties   PropertiesRequest → PropertiesResponse
-//	POST /kg/v1/class-props  ClassPropsRequest → ClassPropsResponse
 //	GET  /kg/v1/stats                          → StatsResponse
 //	GET  /healthz                              → 200 "ok" (no fault injection)
 //
@@ -29,9 +28,7 @@ const (
 	PathResolve    = "/kg/v1/resolve"
 	PathEntities   = "/kg/v1/entities"
 	PathProperties = "/kg/v1/properties"
-	PathClassProps = "/kg/v1/class-props"
 	PathStats      = "/kg/v1/stats"
-	PathHealthz    = "/healthz"
 )
 
 // Value is the wire form of kg.Value: a tagged union keyed on Kind.
@@ -156,27 +153,15 @@ type EntitiesResponse struct {
 	Entities []Entity `json:"entities"`
 }
 
-// PropertiesRequest asks for property maps by entity id. A nil/empty Props
-// requests every property of each entity.
+// PropertiesRequest asks for the full property maps of entities by id.
 type PropertiesRequest struct {
-	IDs   []int32  `json:"ids"`
-	Props []string `json:"props,omitempty"`
+	IDs []int32 `json:"ids"`
 }
 
 // PropertiesResponse carries one property map per requested id,
 // index-aligned.
 type PropertiesResponse struct {
 	Props []Props `json:"props"`
-}
-
-// ClassPropsRequest asks for the candidate property universe of a class.
-type ClassPropsRequest struct {
-	Class string `json:"class"`
-}
-
-// ClassPropsResponse carries the sorted property names of the class.
-type ClassPropsResponse struct {
-	Props []string `json:"props"`
 }
 
 // StatsResponse reports server-side request counters, keyed by endpoint

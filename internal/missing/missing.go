@@ -71,7 +71,7 @@ func DetectBias(attr *bins.Encoded, observed map[string]*bins.Encoded, threshold
 	}
 	for name, v := range observed {
 		m.Add(obs.CITests, 1)
-		if !infotheory.CondIndependent(r, v, nil, nil, threshold) {
+		if !infotheory.CondIndependent(r, v, nil, infotheory.Weights{}, threshold) {
 			rep.Biased = true
 			rep.DependsOn = append(rep.DependsOn, name)
 		}

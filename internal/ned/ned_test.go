@@ -16,6 +16,16 @@ func testGraph() (*kg.Graph, kg.EntityID, kg.EntityID) {
 	return g, ru, us
 }
 
+// link resolves one value through ResolveBatch.
+func link(t *testing.T, l *Linker, value string) (kg.EntityID, Outcome) {
+	t.Helper()
+	res, err := l.ResolveBatch(context.Background(), []string{value})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0].ID, res[0].Outcome
+}
+
 func TestNormalize(t *testing.T) {
 	cases := map[string]string{
 		"  United   States ": "united states",
@@ -35,7 +45,7 @@ func TestNormalize(t *testing.T) {
 func TestLinkExact(t *testing.T) {
 	g, ru, _ := testGraph()
 	l := NewLinker(g)
-	id, out := l.Link("Russia")
+	id, out := link(t, l, "Russia")
 	if out != Linked || id != ru {
 		t.Fatalf("link = %v %v", id, out)
 	}
@@ -44,12 +54,12 @@ func TestLinkExact(t *testing.T) {
 func TestLinkNormalized(t *testing.T) {
 	g, _, us := testGraph()
 	l := NewLinker(g)
-	id, out := l.Link("  united STATES ")
+	id, out := link(t, l, "  united STATES ")
 	if out != Linked || id != us {
 		t.Fatalf("link = %v %v", id, out)
 	}
 	// Punctuation-insensitive.
-	if id, out := l.Link("St Louis"); out != Linked || g.Entity(id).Name != "St. Louis" {
+	if id, out := link(t, l, "St Louis"); out != Linked || g.Entity(id).Name != "St. Louis" {
 		t.Fatalf("St Louis link = %v", out)
 	}
 }
@@ -59,22 +69,27 @@ func TestLinkAlias(t *testing.T) {
 	l := NewLinker(g)
 	// "Russian Federation" fails until an alias is registered — the paper's
 	// reported failure mode.
-	if _, out := l.Link("Russian Federation"); out != Unlinked {
+	if _, out := link(t, l, "Russian Federation"); out != Unlinked {
 		t.Fatalf("expected Unlinked, got %v", out)
 	}
 	l.AddAlias("Russian Federation", ru)
-	if id, out := l.Link("Russian Federation"); out != Linked || id != ru {
+	if id, out := link(t, l, "Russian Federation"); out != Linked || id != ru {
 		t.Fatal("alias link failed")
 	}
 }
 
-func TestLinkAmbiguous(t *testing.T) {
+// ambiguousGraph holds two entities whose names normalize alike, so only a
+// verbatim name resolves either.
+func ambiguousGraph() *kg.Graph {
 	g := kg.NewGraph()
-	r1 := g.AddEntity("Ronaldo Luis Nazario de Lima", "Person")
-	r2 := g.AddEntity("Cristiano Ronaldo", "Person")
-	l := NewLinker(g)
-	l.AddAmbiguousAlias("Ronaldo", r1, r2)
-	if _, out := l.Link("Ronaldo"); out != Ambiguous {
+	g.AddEntity("Ronaldo", "Person")
+	g.AddEntity("ronaldo", "Person")
+	return g
+}
+
+func TestLinkAmbiguous(t *testing.T) {
+	l := NewLinker(ambiguousGraph())
+	if _, out := link(t, l, "RONALDO"); out != Ambiguous {
 		t.Fatalf("expected Ambiguous, got %v", out)
 	}
 }
@@ -82,43 +97,23 @@ func TestLinkAmbiguous(t *testing.T) {
 func TestLinkEmpty(t *testing.T) {
 	g, _, _ := testGraph()
 	l := NewLinker(g)
-	if _, out := l.Link(""); out != Unlinked {
+	if _, out := link(t, l, ""); out != Unlinked {
 		t.Fatal("empty string should be Unlinked")
 	}
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	g, ru, _ := testGraph()
-	l := NewLinker(g)
-	l.AddAmbiguousAlias("X", ru, ru)
-	l.Link("Russia")
-	l.Link("Narnia")
-	l.Link("X")
-	s := l.Stats()
-	if s.Linked != 1 || s.Unlinked != 1 || s.Ambiguous != 1 || s.Total() != 3 {
+	l := NewLinker(ambiguousGraph())
+	res, err := l.ResolveBatch(context.Background(), []string{"Ronaldo", "Narnia", "RONALDO"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Stats
+	for _, r := range res {
+		s.Add(r.Outcome)
+	}
+	if s != (Stats{Linked: 1, Unlinked: 1, Ambiguous: 1}) {
 		t.Fatalf("stats = %+v", s)
-	}
-	if r := s.SuccessRate(); r < 0.33 || r > 0.34 {
-		t.Fatalf("success rate = %v", r)
-	}
-}
-
-func TestSuccessRateEmpty(t *testing.T) {
-	if (Stats{}).SuccessRate() != 1 {
-		t.Fatal("empty stats success rate should be 1")
-	}
-}
-
-func TestLinkColumn(t *testing.T) {
-	g, _, _ := testGraph()
-	l := NewLinker(g)
-	res := l.LinkColumn([]string{"Russia", "Russia", "Narnia", "", "United States"})
-	if len(res) != 2 {
-		t.Fatalf("linked %d values, want 2", len(res))
-	}
-	// Duplicates counted once.
-	if l.Stats().Total() != 3 {
-		t.Fatalf("attempts = %d, want 3 distinct", l.Stats().Total())
 	}
 }
 
@@ -143,20 +138,16 @@ func (f *flakySource) Resolve(ctx context.Context, values []string) ([]kg.Link, 
 
 // TestResolveBatchPropagatesErrors is the regression test for the remote
 // backend: a transport failure must surface as an error, never be folded
-// into Unlinked (which would poison the missing-value accounting), and must
-// leave the linker's statistics untouched.
+// into Unlinked (which would poison the missing-value accounting).
 func TestResolveBatchPropagatesErrors(t *testing.T) {
 	g, ru, _ := testGraph()
 	boom := errors.New("kg backend unreachable")
 	src := &flakySource{Source: g, failures: 1, err: boom}
-	l := NewSourceLinker(src)
+	l := NewLinker(src)
 
 	_, err := l.ResolveBatch(context.Background(), []string{"Russia", "Narnia"})
 	if !errors.Is(err, boom) {
 		t.Fatalf("ResolveBatch error = %v, want %v", err, boom)
-	}
-	if s := l.Stats(); s.Total() != 0 {
-		t.Fatalf("failed resolve leaked into stats: %+v", s)
 	}
 
 	// The next attempt (backend recovered) resolves with unchanged
@@ -177,40 +168,33 @@ func TestResolveBatchPropagatesErrors(t *testing.T) {
 }
 
 // TestSourceLinkerParity pins the alias precedence over a source-backed
-// linker to the historical semantics: exact beats alias beats normalized,
-// and ambiguous aliases merge with backend candidates.
+// linker to the historical semantics: exact beats alias beats normalized.
 func TestSourceLinkerParity(t *testing.T) {
 	g := kg.NewGraph()
 	ru := g.AddEntity("Russia", "Country")
 	cr := g.AddEntity("Cristiano Ronaldo", "Person")
-	l := NewSourceLinker(g)
+	l := NewLinker(g)
 	l.AddAlias("Russian Federation", ru)
-	// An ambiguous alias with one id merges with the backend's normalized
-	// candidate for the same key → two candidates → Ambiguous.
-	l.AddAmbiguousAlias("cristiano ronaldo", ru)
+	// An alias whose key is also an entity's normalized name.
+	l.AddAlias("cristiano ronaldo", ru)
 
-	if id, out, _ := l.Resolve(context.Background(), "Russian Federation"); out != Linked || id != ru {
+	if id, out := link(t, l, "Russian Federation"); out != Linked || id != ru {
 		t.Fatalf("alias resolve = %v %v", id, out)
 	}
-	// Exact name match still wins over the ambiguous alias.
-	if id, out, _ := l.Resolve(context.Background(), "Cristiano Ronaldo"); out != Linked || id != cr {
+	// Exact name match wins over the alias.
+	if id, out := link(t, l, "Cristiano Ronaldo"); out != Linked || id != cr {
 		t.Fatalf("exact resolve = %v %v", id, out)
 	}
-	// Non-exact surface form hits alias + normalized merge → Ambiguous.
-	if _, out, _ := l.Resolve(context.Background(), "cristiano  ronaldo"); out != Ambiguous {
-		t.Fatalf("merged resolve = %v", out)
-	}
-	// A single ambiguous-alias id with no backend candidate links.
-	l.AddAmbiguousAlias("the motherland", ru)
-	if id, out, _ := l.Resolve(context.Background(), "The Motherland"); out != Linked || id != ru {
-		t.Fatalf("single-candidate ambiguous alias = %v %v", id, out)
+	// A non-exact surface form: the alias wins over the normalized match.
+	if id, out := link(t, l, "cristiano  ronaldo"); out != Linked || id != ru {
+		t.Fatalf("alias over normalized = %v %v", id, out)
 	}
 }
 
 func TestLinkerOnWorld(t *testing.T) {
 	w := kg.NewWorld(kg.WorldConfig{Seed: 2})
 	l := NewLinker(w.Graph)
-	if id, out := l.Link("germany"); out != Linked || w.Graph.Entity(id).Name != "Germany" {
+	if id, out := link(t, l, "germany"); out != Linked || w.Graph.Entity(id).Name != "Germany" {
 		t.Fatalf("world link failed: %v", out)
 	}
 }

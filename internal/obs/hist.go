@@ -97,34 +97,6 @@ func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 // RecordSince records the elapsed time since t0 in nanoseconds.
 func (h *Histogram) RecordSince(t0 time.Time) { h.Record(int64(time.Since(t0))) }
 
-// Merge adds o's recorded samples into h (both keep working afterwards;
-// concurrent Records during the merge may be partially included). This is
-// what makes per-worker or per-shard histograms foldable into one.
-func (h *Histogram) Merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	dst := &h.stripes[0]
-	for si := range o.stripes {
-		src := &o.stripes[si]
-		for b := range src.counts {
-			if n := atomic.LoadInt64(&src.counts[b]); n != 0 {
-				atomic.AddInt64(&dst.counts[b], n)
-			}
-		}
-		atomic.AddInt64(&dst.count, atomic.LoadInt64(&src.count))
-		atomic.AddInt64(&dst.sum, atomic.LoadInt64(&src.sum))
-	}
-}
-
-// Name returns the histogram's registered name ("" for a nil histogram).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // HistBucket is one non-empty bucket of a snapshot. Upper is the largest
 // sample the bucket holds (inclusive), in the histogram's raw unit; Count
 // is that bucket's own count (not cumulative).
@@ -166,33 +138,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Quantile returns an upper bound on the q-quantile (q in [0,1]) of the
-// recorded samples: the inclusive upper edge of the bucket the quantile
-// falls in, so the estimate is at most 25% above the true value. Returns 0
-// for an empty snapshot.
-func (s HistSnapshot) Quantile(q float64) int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for _, b := range s.Buckets {
-		cum += b.Count
-		if cum >= rank {
-			return b.Upper
-		}
-	}
-	return s.Buckets[len(s.Buckets)-1].Upper
-}
-
 // Gauge is an instantaneous int64 level (queue depth, busy workers,
 // retained jobs). All methods are atomic and no-ops on a nil receiver.
 // Construct through Registry.Gauge.
@@ -200,14 +145,6 @@ type Gauge struct {
 	name   string
 	labels string
 	v      int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	atomic.StoreInt64(&g.v, v)
 }
 
 // Add moves the level by delta.

@@ -40,7 +40,7 @@ func TestWritePrometheusExposition(t *testing.T) {
 	r := NewRegistry(nil)
 	r.Counters().Add("jobs.accepted", 3)
 	r.Counters().Add("encode_errors_total", 1) // already suffixed: must not double
-	r.Gauge("queue_depth").Set(4)
+	r.Gauge("queue_depth").Add(4)
 	r.SetGaugeFunc("jobs_retained", func() int64 { return 9 })
 	h := r.Histogram("http_request_seconds", UnitSeconds, "route", "explain")
 	h.Record(1e9) // 1s

@@ -302,14 +302,6 @@ func (t *Trace) AddSink(s Sink) {
 	t.mu.Unlock()
 }
 
-// Root returns the root span (nil for a nil trace).
-func (t *Trace) Root() *Span {
-	if t == nil {
-		return nil
-	}
-	return t.root
-}
-
 // Start opens a new span as a child of the currently open span. The caller
 // must End it; nesting follows call order.
 func (t *Trace) Start(name string) *Span {

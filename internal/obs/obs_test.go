@@ -204,8 +204,12 @@ func TestSnapshotJSONRoundTrips(t *testing.T) {
 	tr.Start("phase").End()
 	tr.Add(KGAttrs, 5)
 	snap := tr.Close()
+	b, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var back Snapshot
-	if err := json.Unmarshal(snap.JSON(), &back); err != nil {
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Name != "root" || back.Counters[KGAttrs] != 5 || back.Root.Children[0].Name != "phase" {

@@ -67,23 +67,14 @@ type SpanData struct {
 	Children   []*SpanData `json:"children,omitempty"`
 }
 
-// Snapshot is a point-in-time export of a trace: the span tree plus the
-// counter values. It marshals to JSON directly (the export
-// consumed by the harness and bench_test.go).
+// Snapshot is a point-in-time export of a trace (Trace.Close returns it):
+// the span tree plus the counter values. It marshals to JSON directly (the
+// export consumed by the harness and bench_test.go).
 type Snapshot struct {
 	Name     string           `json:"name"`
 	TotalNS  int64            `json:"total_ns"`
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Root     *SpanData        `json:"root,omitempty"`
-}
-
-// Snapshot exports the trace's current state. Safe to call on a live trace
-// and on a nil trace (which yields a zero Snapshot).
-func (t *Trace) Snapshot() Snapshot {
-	if t == nil {
-		return Snapshot{}
-	}
-	return t.snapshot()
 }
 
 func (t *Trace) snapshot() Snapshot {
@@ -114,15 +105,6 @@ func exportSpan(s *Span, origin time.Time) *SpanData {
 		d.Children = append(d.Children, exportSpan(c, origin))
 	}
 	return d
-}
-
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() []byte {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return []byte("{}")
-	}
-	return b
 }
 
 // WriteTree renders the snapshot as a human-readable phase tree: every span

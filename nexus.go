@@ -134,7 +134,7 @@ func NewSessionFromSource(src kg.Source, opts *Options) *Session {
 		excludes: map[string][]string{},
 	}
 	if src != nil {
-		s.linker = ned.NewSourceLinker(src)
+		s.linker = ned.NewLinker(src)
 	}
 	return s
 }

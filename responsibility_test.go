@@ -69,7 +69,7 @@ func TestResponsibilityAppliesIPWWeights(t *testing.T) {
 	}
 	leaveOut := func(w []float64, i int) float64 {
 		rest := append(append([]infotheory.Var{}, encs[:i]...), encs[i+1:]...)
-		return infotheory.CondMutualInfo(a.O, a.T, rest, w) - infotheory.CondMutualInfo(a.O, a.T, encs, w)
+		return infotheory.CondMutualInfo(a.O, a.T, rest, infotheory.Weights{W: w}) - infotheory.CondMutualInfo(a.O, a.T, encs, infotheory.Weights{W: w})
 	}
 	shares := func(w []float64) []float64 {
 		d0, d1 := leaveOut(w, 0), leaveOut(w, 1)
