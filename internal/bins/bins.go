@@ -297,17 +297,3 @@ func distinctSorted(vals []float64) []float64 {
 	}
 	return out
 }
-
-// EncodeTable encodes every column of t with the same options, returning the
-// encodings keyed by column name.
-func EncodeTable(t *table.Table, opts Options) (map[string]*Encoded, error) {
-	out := make(map[string]*Encoded, t.NumCols())
-	for _, c := range t.Columns() {
-		e, err := Encode(c, opts)
-		if err != nil {
-			return nil, fmt.Errorf("bins: column %q: %w", c.Name, err)
-		}
-		out[c.Name] = e
-	}
-	return out, nil
-}

@@ -174,20 +174,6 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestEncodeTable(t *testing.T) {
-	tbl := table.MustFromColumns(
-		table.NewStringColumn("s", []string{"a", "b"}),
-		table.NewFloatColumn("f", []float64{1, 2}),
-	)
-	enc, err := EncodeTable(tbl, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) != 2 || enc["s"] == nil || enc["f"] == nil {
-		t.Fatalf("encodings = %v", enc)
-	}
-}
-
 func TestCodesWithinCardProperty(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)

@@ -44,8 +44,9 @@ type Link struct {
 }
 
 // Props is the property map of one entity: property name → values
-// (multi-valued properties supported). Maps returned by a Source are shared
-// and must be treated as read-only.
+// (multi-valued properties supported). The value slices of a map returned
+// by a Source may be shared with the backend and must be treated as
+// read-only.
 type Props map[string][]Value
 
 // Versioned is an optional Source capability: backends that can identify
@@ -152,15 +153,20 @@ func (g *Graph) Entities(ctx context.Context, ids []EntityID) ([]Entity, error) 
 	return out, nil
 }
 
-// GetProperties implements Source. The returned maps are the graph's own
-// (read-only to callers).
+// GetProperties implements Source. Each entity gets a fresh map; its value
+// slices are read-only windows onto the graph, as Values returns them.
 func (g *Graph) GetProperties(ctx context.Context, ids []EntityID) ([]Props, error) {
 	out := make([]Props, len(ids))
 	for i, id := range ids {
-		if id < 0 || int(id) >= len(g.triples) {
+		if id < 0 || int(id) >= len(g.props) {
 			return nil, fmt.Errorf("kg: unknown entity id %d", id)
 		}
-		out[i] = Props(g.triples[id])
+		e := &g.props[id]
+		m := make(Props, len(e.runs))
+		for _, r := range e.runs {
+			m[g.names[r.prop]] = e.at(r)
+		}
+		out[i] = m
 	}
 	return out, nil
 }

@@ -87,26 +87,6 @@ func ApplyConditions(t *table.Table, conds []Condition) (*table.Table, error) {
 	}), nil
 }
 
-// MatchIndices returns the row indices of t satisfying every condition.
-func MatchIndices(t *table.Table, conds []Condition) ([]int, error) {
-	preds := make([]func(int) bool, 0, len(conds))
-	for _, c := range conds {
-		p, err := predicate(t, c)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, p)
-	}
-	return t.FilterIndices(func(i int) bool {
-		for _, p := range preds {
-			if !p(i) {
-				return false
-			}
-		}
-		return true
-	}), nil
-}
-
 func predicate(t *table.Table, c Condition) (func(int) bool, error) {
 	col := t.Column(c.Attr)
 	if col == nil {

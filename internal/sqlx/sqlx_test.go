@@ -235,14 +235,3 @@ func TestExecuteErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestMatchIndices(t *testing.T) {
-	cat := catalog()
-	idx, err := MatchIndices(cat["SO"], []Condition{{Attr: "Continent", Op: OpEq, IsStr: true, Str: "EU"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 4 {
-		t.Fatalf("indices = %v", idx)
-	}
-}

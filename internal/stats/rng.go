@@ -53,11 +53,6 @@ func (r *RNG) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// NormMS returns a normal variate with the given mean and standard deviation.
-func (r *RNG) NormMS(mean, std float64) float64 {
-	return mean + std*r.Norm()
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -98,18 +98,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestNormMS(t *testing.T) {
-	r := NewRNG(12)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.NormMS(10, 2)
-	}
-	if m := sum / n; math.Abs(m-10) > 0.05 {
-		t.Errorf("NormMS mean = %.4f, want ≈10", m)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	check := func(seed uint64, n uint8) bool {
 		m := int(n%50) + 1
