@@ -491,19 +491,14 @@ func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Option
 	return subgroups.TopUnexplained(ctx, r.Analysis.T, r.Analysis.O, encs, attrs, opts)
 }
 
-// ExplainSubgroup re-explains the query inside one unexplained subgroup —
-// the paper's Example 4.5 workflow: after Algorithm 2 surfaces "Continent ==
-// Europe", the analyst refines the context and obtains a different
+// ExplainSubgroupCtx re-explains the query inside one unexplained subgroup
+// — the paper's Example 4.5 workflow: after Algorithm 2 surfaces "Continent
+// == Europe", the analyst refines the context and obtains a different
 // explanation for that group. Refinements over input-table columns become
 // WHERE conjuncts on the original query; refinements over extracted
 // attributes are not expressible in SQL over the input table and return an
-// error. It is ExplainSubgroupCtx with a background context.
-func (r *Report) ExplainSubgroup(g subgroups.Group) (*Report, error) {
-	return r.ExplainSubgroupCtx(context.Background(), g)
-}
-
-// ExplainSubgroupCtx is ExplainSubgroup honouring ctx through the refined
-// query's prepare and explain phases.
+// error. ctx is honoured through the refined query's prepare and explain
+// phases.
 func (r *Report) ExplainSubgroupCtx(ctx context.Context, g subgroups.Group) (*Report, error) {
 	q := *r.Analysis.Query
 	q.Where = append([]sqlx.Condition(nil), q.Where...)

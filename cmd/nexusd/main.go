@@ -15,10 +15,9 @@
 //	nexusd -dataset so -addr :8080 -debug-addr 127.0.0.1:8081 -slow-threshold 2s
 //
 // Synchronous explanations flow through a report cache
-// (-report-cache; X-Nexus-Cache response header) and a two-tier scheduler:
-// the request's "priority" field selects interactive (default) or batch,
-// batch work queues deeper (-batch-queue) but dequeues at a lower weight
-// (-interactive-weight) and is shed first under load (-shed-batch-at).
+// (-report-cache; X-Nexus-Cache response header). Every explanation waits
+// for a worker (-workers) in one bounded FIFO queue (-queue); a request
+// that finds it full is answered 429.
 //
 // -debug-addr serves net/http/pprof (plus /metrics and /debug/slow) on a
 // separate, typically loopback-only listener. With -slow-threshold set,
@@ -64,10 +63,7 @@ func run(args []string) error {
 		noIPW        = fs.Bool("no-ipw", false, "disable selection-bias detection and IPW")
 		par          = fs.Int("parallelism", 0, "worker goroutines per explanation for MCIMR and the subgroup lattice search (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 		workers      = fs.Int("workers", 0, "concurrent explanations (0 = GOMAXPROCS, capped at 8)")
-		queue        = fs.Int("queue", 0, "queued interactive jobs before 429 (0 = 4 × workers)")
-		batchQueue   = fs.Int("batch-queue", 0, "queued batch-tier jobs before 429 (0 = 4 × interactive queue)")
-		weight       = fs.Int("interactive-weight", 0, "interactive jobs dequeued per batch job when both tiers are backlogged (0 = 4)")
-		shedBatchAt  = fs.Int("shed-batch-at", 0, "interactive backlog at which new batch jobs are shed with 429 (0 = queue/2)")
+		queue        = fs.Int("queue", 0, "queued jobs before 429 (0 = 4 × workers)")
 		cacheEntries = fs.Int("report-cache", 512, "report-cache entries: cached explanation responses served byte-identical on repeat queries (0 = off)")
 		cacheTTL     = fs.Duration("report-cache-ttl", 15*time.Minute, "report-cache entry lifetime (0 = no expiry)")
 		timeout      = fs.Duration("timeout", 60*time.Second, "default per-request timeout")
@@ -150,20 +146,17 @@ func run(args []string) error {
 	}
 
 	srv := server.New(server.Config{
-		Session:           sess,
-		Workers:           *workers,
-		QueueDepth:        *queue,
-		BatchQueueDepth:   *batchQueue,
-		InteractiveWeight: *weight,
-		ShedBatchAt:       *shedBatchAt,
-		ReportCache:       reports,
-		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
-		Metrics:           metrics,
-		Registry:          registry,
-		SlowThreshold:     slowCfg.SlowThreshold,
-		SlowKeep:          slowCfg.SlowKeep,
-		ErrorLog:          log.Default(),
+		Session:        sess,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		ReportCache:    reports,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		Metrics:        metrics,
+		Registry:       registry,
+		SlowThreshold:  slowCfg.SlowThreshold,
+		SlowKeep:       slowCfg.SlowKeep,
+		ErrorLog:       log.Default(),
 	})
 
 	return daemon.Run(srv)

@@ -1,6 +1,7 @@
 package nexus_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -62,16 +63,16 @@ func TestEndToEndCovidPipeline(t *testing.T) {
 				expressible = false
 			}
 		}
-		sub, err := rep.ExplainSubgroup(g)
+		sub, err := rep.ExplainSubgroupCtx(context.Background(), g)
 		if expressible {
 			if err != nil {
-				t.Fatalf("ExplainSubgroup(%s): %v", g.String(), err)
+				t.Fatalf("ExplainSubgroupCtx(%s): %v", g.String(), err)
 			}
 			if sub.Analysis.View.NumRows() != g.Size {
 				t.Fatalf("subgroup view has %d rows, group size %d", sub.Analysis.View.NumRows(), g.Size)
 			}
 		} else if err == nil {
-			t.Fatalf("ExplainSubgroup(%s) should fail for extracted-attribute conditions", g.String())
+			t.Fatalf("ExplainSubgroupCtx(%s) should fail for extracted-attribute conditions", g.String())
 		}
 	}
 }
@@ -89,7 +90,7 @@ func TestExplainSubgroupRefinesEurope(t *testing.T) {
 	// Hand-build the Europe refinement (regardless of whether Algorithm 2
 	// surfaces it at the default τ on this draw).
 	g := subgroups.Group{Conds: []subgroups.Assignment{{Attr: "Continent", Value: "Europe"}}}
-	sub, err := rep.ExplainSubgroup(g)
+	sub, err := rep.ExplainSubgroupCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,16 +133,6 @@ func Encode(c *table.Column, opts Options) (*Encoded, error) {
 	}
 }
 
-// MustEncode is Encode with DefaultOptions, panicking on error; for internal
-// pipelines where the column type is known to be supported.
-func MustEncode(c *table.Column) *Encoded {
-	e, err := Encode(c, DefaultOptions())
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 func encodeString(c *table.Column) *Encoded {
 	n := c.Len()
 	e := &Encoded{Name: c.Name, Codes: make([]int32, n)}

@@ -161,7 +161,10 @@ func TestEncodeConstantColumn(t *testing.T) {
 
 func TestGather(t *testing.T) {
 	c := table.NewStringColumn("x", []string{"a", "b", "", "c"})
-	e := MustEncode(c)
+	e, err := Encode(c, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := e.Gather([]int{3, 2, 0})
 	if g.Len() != 3 {
 		t.Fatal("gather length")

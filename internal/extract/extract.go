@@ -167,19 +167,6 @@ func (e *Extraction) Names() []string {
 	return out
 }
 
-// Table materializes every attribute into a row-level table aligned with
-// Base. Intended for small datasets and exports; large datasets should use
-// the lazy per-attribute accessors.
-func (e *Extraction) Table() (*table.Table, error) {
-	out := table.New()
-	for _, a := range e.Attrs {
-		if err := out.AddColumn(a.Materialize()); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // ExtractCtx mines attributes for the entities referenced by linkCols of
 // base, honouring ctx: entity linking and graph walking check for
 // cancellation between slots, so a deadline or a disconnected client stops

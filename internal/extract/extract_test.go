@@ -239,9 +239,13 @@ func TestExtractTableMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := ex.Table()
-	if err != nil {
-		t.Fatal(err)
+	// Every attribute materializes into one row-level table aligned with
+	// the base (AddColumn refuses a length or name clash).
+	tbl := table.New()
+	for _, a := range ex.Attrs {
+		if err := tbl.AddColumn(a.Materialize()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if tbl.NumRows() != 5 || tbl.NumCols() != len(ex.Attrs) {
 		t.Fatalf("materialized shape %d×%d", tbl.NumRows(), tbl.NumCols())

@@ -28,7 +28,6 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the job reaches a terminal state
-	tier   Tier          // scheduling class, fixed at admission
 
 	mu       sync.Mutex
 	state    JobState
@@ -46,8 +45,6 @@ type JobStatus struct {
 	ID    string   `json:"id"`
 	State JobState `json:"state"`
 	SQL   string   `json:"sql"`
-	// Priority is the job's scheduling tier ("interactive" / "batch").
-	Priority string `json:"priority"`
 	// Error and Code are set for failed/cancelled jobs; Code is the HTTP
 	// status a synchronous request would have received (400, 408, 499...).
 	Error string `json:"error,omitempty"`
@@ -72,7 +69,6 @@ func (j *Job) snapshot() JobStatus {
 		ID:         j.ID,
 		State:      j.state,
 		SQL:        j.req.SQL,
-		Priority:   j.tier.String(),
 		Error:      j.errMsg,
 		Code:       j.code,
 		Result:     j.result,

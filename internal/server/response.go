@@ -23,10 +23,6 @@ type ExplainRequest struct {
 	// Async enqueues the job and returns 202 with a job id immediately;
 	// poll GET /v1/jobs/{id} for the result.
 	Async bool `json:"async,omitempty"`
-	// Priority selects the scheduling tier: "interactive" (the default,
-	// also selected by "") or "batch". Batch jobs queue deeper but are
-	// dequeued at a lower weight and are shed first under overload.
-	Priority string `json:"priority,omitempty"`
 }
 
 // ExplainAttr is one selected attribute of an explanation.
@@ -112,7 +108,7 @@ func buildResponse(rep *nexus.Report, groups []subgroups.Group, groupStats subgr
 type errorBody struct {
 	Error string `json:"error"`
 	// Kind classifies the failure: bad_request, timeout, cancelled,
-	// queue_full, shed, draining, not_found.
+	// queue_full, draining, not_found.
 	Kind string `json:"kind"`
 	Code int    `json:"code"`
 }

@@ -10,18 +10,16 @@
 //	GET  /debug/slow   — the N slowest explanations over the configured
 //	                     threshold, with their full span traces
 //
-// Explanations run on a bounded worker pool fed by two bounded queues —
-// interactive (the default) and batch tiers, dequeued under a weighted
-// policy that favours interactive work. Admission control sheds batch jobs
-// with 429 while the interactive backlog is high, and a full queue answers
-// 429 (backpressure) rather than accepting unbounded work. When a
-// reportcache.Cache is configured, identical requests (after query
+// Explanations run on a bounded worker pool fed by one bounded FIFO queue;
+// a full queue answers 429 (backpressure) rather than accepting unbounded
+// work, and a leftover "priority" field from older clients is ignored.
+// When a reportcache.Cache is configured, identical requests (after query
 // canonicalization) are answered from the cache — single-flight, with an
 // X-Nexus-Cache: hit|miss|shared header — without occupying a worker.
 // Every job runs under a context: per-request deadlines (timeout_ms, capped
 // by the server maximum) map to 408, client disconnects map to 499, and
 // graceful shutdown (Serve returns once its context is cancelled, e.g. by
-// SIGTERM) drains in-flight jobs before exiting. Concurrent requests over
+// SIGTERM) drains in-flight and queued jobs before exiting. Concurrent requests over
 // the same dataset context share one KG extraction through the session's
 // nexus.ExtractionCache.
 package server
@@ -53,16 +51,9 @@ import (
 const (
 	// CtrRequests counts POST /v1/explain requests accepted for execution.
 	CtrRequests = "requests_total"
-	// CtrRejected counts requests refused with 429 for any reason (their
-	// own queue full, or batch load-shedding).
+	// CtrRejected counts requests refused with 429 because the queue was
+	// full.
 	CtrRejected = "jobs_rejected"
-	// CtrShedBatch counts the subset of 429s where a batch job was refused
-	// to protect the interactive tier (interactive backlog at or over
-	// Config.ShedBatchAt), not because the batch queue itself was full.
-	CtrShedBatch = "jobs_shed_batch"
-	// CtrInteractive / CtrBatch count jobs admitted per tier.
-	CtrInteractive = "jobs_interactive"
-	CtrBatch       = "jobs_batch"
 	// CtrCompleted / CtrFailed / CtrTimeout / CtrCancelled count terminal
 	// job states: success, non-context error (400), deadline exceeded
 	// (408), and client disconnect or shutdown (499).
@@ -100,21 +91,9 @@ type Config struct {
 	// Workers bounds concurrently running explanations (default
 	// GOMAXPROCS, capped at 8 — explanations parallelize internally).
 	Workers int
-	// QueueDepth bounds interactive jobs waiting for a worker; a full queue
-	// answers 429 (default 4 × Workers).
+	// QueueDepth bounds jobs waiting for a worker; a full queue answers 429
+	// (default 4 × Workers).
 	QueueDepth int
-	// BatchQueueDepth bounds queued batch-tier jobs (default
-	// 4 × QueueDepth — batch work tolerates a deeper backlog).
-	BatchQueueDepth int
-	// InteractiveWeight is the interactive:batch dequeue ratio when both
-	// tiers have queued work (default 4: four interactive jobs per batch
-	// job, so neither tier starves).
-	InteractiveWeight int
-	// ShedBatchAt refuses new batch jobs with 429 while at least this many
-	// interactive jobs are queued, even when the batch queue has room —
-	// load shedding that spends overflow capacity on the latency-sensitive
-	// tier first (default QueueDepth/2, minimum 1).
-	ShedBatchAt int
 	// ReportCache, when non-nil, memoizes whole explanation responses for
 	// synchronous requests: identical requests (after canonicalization, see
 	// nexus.Session.ReportKey) are served the byte-identical response of
@@ -161,18 +140,6 @@ func (c *Config) applyDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.BatchQueueDepth <= 0 {
-		c.BatchQueueDepth = 4 * c.QueueDepth
-	}
-	if c.InteractiveWeight <= 0 {
-		c.InteractiveWeight = 4
-	}
-	if c.ShedBatchAt <= 0 {
-		c.ShedBatchAt = c.QueueDepth / 2
-		if c.ShedBatchAt < 1 {
-			c.ShedBatchAt = 1
-		}
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
@@ -197,7 +164,7 @@ type Server struct {
 	metrics  *obs.Counters
 	registry *obs.Registry
 	jobs     *jobStore
-	sched    *tierQueue
+	queue    chan *Job // admitted jobs waiting for a worker
 	cache    *reportcache.Cache
 
 	// Serving-metric instruments, resolved once at construction so the
@@ -227,15 +194,12 @@ func New(cfg Config) *Server {
 	}
 	cfg.applyDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	limits := tierLimits{shedBatchAt: cfg.ShedBatchAt, weight: cfg.InteractiveWeight}
-	limits.depth[TierInteractive] = cfg.QueueDepth
-	limits.depth[TierBatch] = cfg.BatchQueueDepth
 	s := &Server{
 		cfg:         cfg,
 		metrics:     cfg.Metrics,
 		registry:    cfg.Registry,
 		jobs:        newJobStore(keepJobs),
-		sched:       newTierQueue(limits),
+		queue:       make(chan *Job, cfg.QueueDepth),
 		cache:       cfg.ReportCache,
 		stages:      obs.NewStageSink(cfg.Registry),
 		queueWait:   cfg.Registry.Histogram("job_queue_wait_seconds", obs.UnitSeconds),
@@ -245,18 +209,8 @@ func New(cfg Config) *Server {
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 	}
-	// Level gauges read live server state at scrape time: the total backlog
-	// (the pre-tier series, kept for dashboard continuity) plus one labeled
-	// series per tier.
-	s.registry.SetGaugeFunc("job_queue_depth", func() int64 {
-		return int64(s.sched.depth(TierInteractive) + s.sched.depth(TierBatch))
-	})
-	s.registry.SetGaugeFunc("job_queue_depth", func() int64 {
-		return int64(s.sched.depth(TierInteractive))
-	}, "tier", "interactive")
-	s.registry.SetGaugeFunc("job_queue_depth", func() int64 {
-		return int64(s.sched.depth(TierBatch))
-	}, "tier", "batch")
+	// Level gauges read live server state at scrape time.
+	s.registry.SetGaugeFunc("job_queue_depth", func() int64 { return int64(len(s.queue)) })
 	s.registry.SetGaugeFunc("jobs_retained", func() int64 { return int64(s.jobs.len()) })
 	return s
 }
@@ -284,11 +238,7 @@ func (s *Server) Start() {
 		s.workers.Add(1)
 		go func() {
 			defer s.workers.Done()
-			for {
-				j, ok := s.sched.pop()
-				if !ok {
-					return
-				}
+			for j := range s.queue {
 				s.run(j)
 			}
 		}()
@@ -351,7 +301,7 @@ func (s *Server) shutdownWorkers(ctx context.Context) error {
 	s.started = false
 	s.mu.Unlock()
 	if started {
-		s.sched.close()
+		close(s.queue)
 		s.workers.Wait()
 	}
 	return err
@@ -488,7 +438,7 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// handleExplain admits a job into its tier queue and, for synchronous
+// handleExplain admits a job into the queue and, for synchronous
 // requests, waits for its terminal state — through the report cache when
 // one is configured.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -510,11 +460,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", `"sql" is required`)
 		return
 	}
-	tier, ok := parseTier(req.Priority)
-	if !ok {
-		s.writeError(w, http.StatusBadRequest, "bad_request", `"priority" must be "interactive" or "batch"`)
-		return
-	}
 	if req.Subgroups > maxSubgroups {
 		req.Subgroups = maxSubgroups
 	}
@@ -531,8 +476,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// fresh job id).
 	if req.Async {
 		jctx, cancel := context.WithTimeout(s.baseCtx, timeout)
-		j := &Job{ctx: jctx, cancel: cancel, done: make(chan struct{}), state: JobQueued, req: req, tier: tier, enqueued: time.Now()}
-		if herr := s.enqueue(j, tier); herr != nil {
+		j := &Job{ctx: jctx, cancel: cancel, done: make(chan struct{}), state: JobQueued, req: req, enqueued: time.Now()}
+		if herr := s.enqueue(j); herr != nil {
 			s.writeError(w, herr.code, herr.kind, herr.msg)
 			return
 		}
@@ -553,8 +498,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	runSync := func() (JobStatus, *httpError) {
 		jctx, cancel := context.WithCancel(rctx)
-		j := &Job{ctx: jctx, cancel: cancel, done: make(chan struct{}), state: JobQueued, req: req, tier: tier, enqueued: time.Now()}
-		if herr := s.enqueue(j, tier); herr != nil {
+		j := &Job{ctx: jctx, cancel: cancel, done: make(chan struct{}), state: JobQueued, req: req, enqueued: time.Now()}
+		if herr := s.enqueue(j); herr != nil {
 			return JobStatus{}, herr
 		}
 		<-j.done
@@ -621,35 +566,23 @@ func (s *Server) explainCached(ctx context.Context, w http.ResponseWriter, key s
 	s.writeRaw(w, http.StatusOK, data)
 }
 
-// enqueue applies admission control and hands the job to the scheduler,
+// enqueue applies admission control and hands the job to the queue,
 // registering it with the in-flight group and the job store. On refusal it
 // returns the httpError to write; the job is not registered anywhere.
-func (s *Server) enqueue(j *Job, tier Tier) *httpError {
+func (s *Server) enqueue(j *Job) *httpError {
 	if !s.admit() {
 		j.cancel()
 		return &httpError{code: http.StatusServiceUnavailable, kind: "draining", msg: "server is shutting down"}
 	}
-	// Register before offering: a worker may pop the job the instant offer
-	// returns, so the id must already be assigned. Refused jobs are removed
+	// Register before sending: a worker may take the job the instant it is
+	// queued, so the id must already be assigned. A refused job is removed
 	// again below.
 	j.ID = s.jobs.add(j)
-	switch s.sched.offer(j, tier) {
-	case admitted:
+	select {
+	case s.queue <- j:
 		s.metrics.Add(CtrRequests, 1)
-		if tier == TierBatch {
-			s.metrics.Add(CtrBatch, 1)
-		} else {
-			s.metrics.Add(CtrInteractive, 1)
-		}
 		return nil
-	case admitShed:
-		s.jobs.remove(j.ID)
-		s.inflight.Done()
-		j.cancel()
-		s.metrics.Add(CtrRejected, 1)
-		s.metrics.Add(CtrShedBatch, 1)
-		return &httpError{code: http.StatusTooManyRequests, kind: "shed", msg: "batch work shed to protect the interactive tier, retry later"}
-	default: // admitFull
+	default:
 		s.jobs.remove(j.ID)
 		s.inflight.Done()
 		j.cancel()

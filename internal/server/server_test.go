@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/signal"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -269,10 +270,19 @@ func TestAsyncJobLifecycle(t *testing.T) {
 }
 
 // TestSIGTERMDrainsInflight is the graceful-shutdown acceptance test: a
-// SIGTERM delivered while an explanation is in flight must let it finish
-// (the synchronous client still gets its 200) before Serve returns.
+// SIGTERM delivered while one explanation runs and two more wait in the
+// queue must let all three finish (each synchronous client still gets its
+// 200) before Serve returns — the queue is closed only once it is empty.
+// The single worker is held in a gated KG lookup until the drain has begun,
+// so the two queued jobs are still queued when the signal lands.
 func TestSIGTERMDrainsInflight(t *testing.T) {
-	srv, metrics := newTestServer(t, Config{Workers: 2})
+	world, ds := fixture(t)
+	gate := &gatedSource{Source: world.Graph, entered: make(chan struct{}), release: make(chan struct{})}
+	metrics := obs.NewCounters()
+	sess := nexus.NewSessionFromSource(gate, &nexus.Options{Hops: 1, ExtractCache: nexus.NewExtractionCache(metrics)})
+	sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
+	sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
+	srv := New(Config{Session: sess, Metrics: metrics, Workers: 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -297,56 +307,109 @@ func TestSIGTERMDrainsInflight(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Launch a synchronous explanation, give it a moment to enter the
-	// pipeline, then deliver SIGTERM to ourselves mid-flight.
+	// Launch three synchronous explanations: the first parks the only
+	// worker inside the gate, the other two wait in the queue behind it.
 	type result struct {
 		code int
 		body []byte
 		err  error
 	}
-	done := make(chan result, 1)
-	go func() {
-		body, _ := json.Marshal(ExplainRequest{SQL: testSQL})
-		resp, err := http.Post(base+"/v1/explain", "application/json", bytes.NewReader(body))
-		if err != nil {
-			done <- result{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		out, _ := io.ReadAll(resp.Body)
-		done <- result{code: resp.StatusCode, body: out}
-	}()
-	for i := 0; metrics.Get(CtrRequests) == 0; i++ {
-		if i > 200 {
-			t.Fatal("request never enqueued")
+	const n = 3
+	done := make(chan result, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			body, _ := json.Marshal(ExplainRequest{SQL: testSQL})
+			resp, err := http.Post(base+"/v1/explain", "application/json", bytes.NewReader(body))
+			if err != nil {
+				done <- result{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			out, _ := io.ReadAll(resp.Body)
+			done <- result{code: resp.StatusCode, body: out}
+		}()
+	}
+	<-gate.entered
+	for i := 0; metrics.Get(CtrRequests) < n; i++ {
+		if i > 1000 {
+			t.Fatalf("only %d of %d requests enqueued", metrics.Get(CtrRequests), n)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if q := len(srv.queue); q != n-1 {
+		t.Fatalf("queue depth at SIGTERM = %d, want %d", q, n-1)
 	}
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
+	for i := 0; !srv.isDraining(); i++ {
+		if i > 1000 {
+			t.Fatal("server never started draining")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(gate.release)
 
-	res := <-done
-	if res.err != nil {
-		t.Fatalf("in-flight request failed: %v", res.err)
-	}
-	if res.code != http.StatusOK {
-		t.Fatalf("in-flight request during drain: status %d, body %s", res.code, res.body)
-	}
-	var er ExplainResponse
-	if err := json.Unmarshal(res.body, &er); err != nil {
-		t.Fatalf("drained response not a result: %v (%s)", err, res.body)
+	for i := 0; i < n; i++ {
+		res := <-done
+		if res.err != nil {
+			t.Fatalf("in-flight request failed: %v", res.err)
+		}
+		if res.code != http.StatusOK {
+			t.Fatalf("in-flight request during drain: status %d, body %s", res.code, res.body)
+		}
+		var er ExplainResponse
+		if err := json.Unmarshal(res.body, &er); err != nil {
+			t.Fatalf("drained response not a result: %v (%s)", err, res.body)
+		}
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("Serve after drain: %v", err)
 	}
-	if got := metrics.Get(CtrCompleted); got != 1 {
-		t.Fatalf("%s = %d, want 1 (job must complete, not be cancelled)", CtrCompleted, got)
+	if got := metrics.Get(CtrCompleted); got != n {
+		t.Fatalf("%s = %d, want %d (every job must complete, not be cancelled)", CtrCompleted, got, n)
 	}
 
 	// New work is refused once draining.
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("listener still accepting after drain")
+	}
+}
+
+// TestLegacyPriorityIgnored: a request that still carries the retired
+// "priority" field is served like any other — same status, same body — not
+// refused as malformed. Each body goes to a fresh server, so both are the
+// first request their server answers.
+func TestLegacyPriorityIgnored(t *testing.T) {
+	serve := func(body string) (int, map[string]any) {
+		srv, _ := newTestServer(t, Config{Workers: 1})
+		srv.Start()
+		defer srv.shutdownWorkers(context.Background())
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/v1/explain", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		var m map[string]any
+		if err := json.Unmarshal(out, &m); err != nil {
+			t.Fatalf("response not JSON: %v (%s)", err, out)
+		}
+		delete(m, "elapsed_ms") // the one field that differs between two runs
+		return resp.StatusCode, m
+	}
+	code, plain := serve(`{"sql": "` + testSQL + `"}`)
+	if code != http.StatusOK {
+		t.Fatalf("without priority: status %d (%v)", code, plain)
+	}
+	code, legacy := serve(`{"sql": "` + testSQL + `", "priority": "urgent"}`)
+	if code != http.StatusOK {
+		t.Fatalf("with priority: status %d, want 200 (%v)", code, legacy)
+	}
+	if !reflect.DeepEqual(plain, legacy) {
+		t.Fatalf("a leftover priority changed the answer:\nwithout: %v\nwith:    %v", plain, legacy)
 	}
 }
 

@@ -13,6 +13,11 @@
 #   5. paths: every `cmd/<name>` or `internal/<pkg>` cited in backticks in
 #      README.md, DESIGN.md and docs/*.md must still be a directory, so a
 #      deleted binary or package cannot stay documented.
+#   6. flags: every command-line flag cited at the start of a code span
+#      (`-name`) in README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md must
+#      be defined by a flag call in cmd/ or internal/rpc/daemon.go, so a
+#      deleted flag cannot stay documented. Go-tool flags (`-race`, ...)
+#      are allowlisted.
 #
 # Run from the repository root: ./scripts/check_docs.sh
 set -u
@@ -87,14 +92,14 @@ require_section docs/ARCHITECTURE.md '### Serving metrics'
 require_section README.md '### Subgroup lattice parallelism'
 require_section docs/ARCHITECTURE.md '## Serving tier: cache + admission control'
 require_section docs/ARCHITECTURE.md '## Unified counting kernel'
-require_section README.md '### Report cache and job tiers'
+require_section README.md '### Report cache and admission control'
 require_section README.md '### Unified counting kernel'
 require_section docs/API.md '## kgd wire protocol'
 require_section docs/API.md '## Timeouts, cancellation, shutdown'
 require_section docs/API.md '## Metrics'
 require_section docs/API.md '### pprof and slow-request capture'
 require_section docs/API.md '## Report cache'
-require_section docs/API.md '## Job tiers and load shedding'
+require_section docs/API.md '## Admission control'
 require_section docs/OPERATIONS.md '## Capacity tuning'
 require_section docs/OPERATIONS.md '## Failure modes and the metrics that diagnose them'
 require_section docs/OPERATIONS.md '### A restart is the invalidation'
@@ -115,6 +120,29 @@ pathfail=$(
 if [ -n "$pathfail" ]; then
     echo "check_docs: paths cited in the docs no longer exist:" >&2
     echo "$pathfail" >&2
+    fail=1
+fi
+
+# --- 6. flags cited in the docs must be defined -----------------------------
+# A flag is defined by a flag-package call whose first string literal names
+# it: fs.Int("queue", ...), fs.StringVar(&x, "csv", ...).
+defined_flags=$(
+    grep -rhoE '\b(fs|flag)\.(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var|BoolVar|DurationVar|Float64Var|IntVar|Int64Var|StringVar|UintVar|Uint64Var)\([^"]*"[A-Za-z0-9_-]+"' \
+        cmd internal/rpc/daemon.go |
+        sed 's/.*"\([^"]*\)"$/\1/' | sort -u
+)
+go_tool_flags='bench benchmem count cpu fuzz fuzztime race run short v'
+flagfail=$(
+    grep -ho '`[^`]*`' README.md DESIGN.md EXPERIMENTS.md docs/*.md |
+        grep -o '^`-[a-z][a-z0-9-]*' | sed 's/^`-//' | sort -u |
+        while IFS= read -r name; do
+            case " $go_tool_flags " in *" $name "*) continue ;; esac
+            echo "$defined_flags" | grep -qxF "$name" || echo "-$name"
+        done
+)
+if [ -n "$flagfail" ]; then
+    echo "check_docs: flags cited in the docs are not defined in cmd/ or internal/rpc/daemon.go:" >&2
+    echo "$flagfail" >&2
     fail=1
 fi
 

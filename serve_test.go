@@ -22,13 +22,13 @@ import (
 )
 
 // TestServeClosedLoopCounts drives an in-process nexusd (report cache +
-// tiered scheduler over the Forbes fixture) with 16 closed-loop clients —
-// 1,200 mixed-priority requests over six query shapes, each request's shape
-// and tier drawn up front from one seeded generator — and pins the outcomes
-// that hold under any goroutine schedule: concurrency stays under both queue
-// depths, so nothing is shed or rejected, and single-flight admits exactly
-// one cache miss per distinct shape. Serving latency is the benchmark's
-// serve_mix workload, not this test's.
+// bounded job queue over the Forbes fixture) with 16 closed-loop clients —
+// 1,200 requests over six query shapes, each request's shape drawn up front
+// from one seeded generator — and pins the outcomes that hold under any
+// goroutine schedule: concurrency stays under the queue depth, so nothing is
+// rejected, and single-flight admits exactly one cache miss per distinct
+// shape. Serving latency is the benchmark's serve_mix workload, not this
+// test's.
 func TestServeClosedLoopCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1,200-request load run; skipped in -short mode")
@@ -52,12 +52,11 @@ func TestServeClosedLoopCounts(t *testing.T) {
 	sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 	sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
 	srv := server.New(server.Config{
-		Session:         sess,
-		Workers:         4,
-		QueueDepth:      64,
-		BatchQueueDepth: 256,
-		Metrics:         metrics,
-		ReportCache:     reportcache.New(reportcache.Config{Counters: metrics}),
+		Session:     sess,
+		Workers:     4,
+		QueueDepth:  64,
+		Metrics:     metrics,
+		ReportCache: reportcache.New(reportcache.Config{Counters: metrics}),
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -82,26 +81,21 @@ func TestServeClosedLoopCounts(t *testing.T) {
 		{SQL: "SELECT Year, avg(Pay) FROM Forbes GROUP BY Year", Subgroups: 5},
 	}
 	// The schedule is fixed before the first client starts: request i's
-	// shape and tier (30 % batch) do not depend on worker timing.
+	// shape does not depend on worker timing.
 	rng := rand.New(rand.NewSource(1))
-	bodies, batch := make([][]byte, requests), make([]int, requests)
+	bodies := make([][]byte, requests)
 	for i := range bodies {
-		req := mix[rng.Intn(len(mix))]
-		if rng.Float64() < 0.3 {
-			req.Priority, batch[i] = "batch", 1
-		}
-		if bodies[i], err = json.Marshal(req); err != nil {
+		if bodies[i], err = json.Marshal(mix[rng.Intn(len(mix))]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	type tally struct{ sent, ok, shed, rejected, errors int }
 	var (
-		next   atomic.Int64
-		mu     sync.Mutex
-		tiers  [2]tally           // interactive, batch
-		caches = map[string]int{} // X-Nexus-Cache of the 200s
-		wg     sync.WaitGroup
+		next                       atomic.Int64
+		mu                         sync.Mutex
+		sent, ok, rejected, failed int
+		caches                     = map[string]int{} // X-Nexus-Cache of the 200s
+		wg                         sync.WaitGroup
 	)
 	url := "http://" + ln.Addr().String() + "/v1/explain"
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: concurrency}, Timeout: 2 * time.Minute}
@@ -110,29 +104,22 @@ func TestServeClosedLoopCounts(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := next.Add(1) - 1; i < requests; i = next.Add(1) - 1 {
-				status, kind, cache := 0, "", ""
+				status, cache := 0, ""
 				if resp, err := client.Post(url, "application/json", bytes.NewReader(bodies[i])); err == nil {
 					status, cache = resp.StatusCode, resp.Header.Get(server.CacheHeader)
-					var eb struct{ Kind string }
-					if status == http.StatusTooManyRequests && json.NewDecoder(resp.Body).Decode(&eb) == nil {
-						kind = eb.Kind
-					}
 					io.Copy(io.Discard, resp.Body) //nolint:errcheck // drain for keep-alive
 					resp.Body.Close()
 				}
 				mu.Lock()
-				tr := &tiers[batch[i]]
-				tr.sent++
-				switch {
-				case status == http.StatusOK:
-					tr.ok++
+				sent++
+				switch status {
+				case http.StatusOK:
+					ok++
 					caches[cache]++
-				case status == http.StatusTooManyRequests && kind == "shed":
-					tr.shed++
-				case status == http.StatusTooManyRequests:
-					tr.rejected++
+				case http.StatusTooManyRequests:
+					rejected++
 				default:
-					tr.errors++
+					failed++
 				}
 				mu.Unlock()
 			}
@@ -140,21 +127,19 @@ func TestServeClosedLoopCounts(t *testing.T) {
 	}
 	wg.Wait()
 
-	in, bt := tiers[0], tiers[1]
-	if errs := in.errors + bt.errors; errs != 0 {
-		t.Errorf("%d requests failed", errs)
+	if failed != 0 {
+		t.Errorf("%d requests failed", failed)
 	}
-	if in.shed+bt.shed != 0 || in.rejected+bt.rejected != 0 {
-		t.Errorf("unexpected admission refusals: shed=%d rejected=%d (concurrency must stay under the queue depths)",
-			in.shed+bt.shed, in.rejected+bt.rejected)
+	if rejected != 0 {
+		t.Errorf("unexpected admission refusals: rejected=%d (concurrency must stay under the queue depth)", rejected)
 	}
 	if misses := caches["miss"]; misses != len(mix) {
 		t.Errorf("cache_misses = %d, want %d (one per distinct shape under single-flight)", misses, len(mix))
 	}
-	if in.ok != in.sent || bt.ok != bt.sent {
-		t.Errorf("not every request succeeded: interactive %d/%d, batch %d/%d", in.ok, in.sent, bt.ok, bt.sent)
+	if ok != sent {
+		t.Errorf("not every request succeeded: %d/%d", ok, sent)
 	}
-	if ok := in.ok + bt.ok; ok == 0 || float64(caches["hit"]+caches["shared"])/float64(ok) < 0.9 {
+	if ok == 0 || float64(caches["hit"]+caches["shared"])/float64(ok) < 0.9 {
 		t.Errorf("cache hits+shared = %d of %d successes, want ≥ 0.9 at %d requests over %d shapes",
 			caches["hit"]+caches["shared"], ok, requests, len(mix))
 	}
