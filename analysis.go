@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"nexus/internal/bins"
 	"nexus/internal/core"
@@ -44,10 +45,13 @@ type Analysis struct {
 	binOpts bins.Options
 	byName  map[string]*core.Candidate
 	// metrics is the counter set every lazy pipeline stage (IPW detection,
-	// row broadcasts of KG candidates) reports into. It is the
-	// session trace's counter set when tracing is on, and a private set
-	// otherwise — one storage, so NumBiased and the trace cannot disagree.
+	// row broadcasts of KG candidates) reports into: the session trace's
+	// counter set when tracing is on, and a private set otherwise. A server
+	// shares one set across all its requests.
 	metrics *obs.Counters
+	// biased counts this analysis's own obs.BiasedAttrs additions, the
+	// count NumBiased reports.
+	biased atomic.Int64
 	// ipw is the extraction's IPW state under this analysis's outcome and
 	// bins, shared by every analysis that asks the same of the extraction.
 	ipw *ipwState
@@ -279,6 +283,7 @@ func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute, weights *onc
 		ent.Weights = func() []float64 {
 			w := weights.get(func() []float64 { return a.ipwWeights(attr) })
 			if w != nil {
+				a.biased.Add(1)
 				a.metrics.Add(obs.BiasedAttrs, 1)
 			}
 			return w
@@ -327,9 +332,9 @@ func (a *Analysis) ipwWeights(attr *extract.Attribute) []float64 {
 // NumBiased returns the number of KG attributes flagged with selection bias
 // whose weights this analysis has read so far (detection is lazy, and may
 // have run for an earlier analysis of the same cached extraction; the count
-// is complete after an Explain). The count is read from the same counter set
-// a trace snapshots, so the two can never disagree.
-func (a *Analysis) NumBiased() int { return int(a.metrics.Get(obs.BiasedAttrs)) }
+// is complete after an Explain). It counts this analysis alone; each count
+// is also added to obs.BiasedAttrs in the analysis's counter set.
+func (a *Analysis) NumBiased() int { return int(a.biased.Load()) }
 
 // KGCandidate wraps an attribute of a's extraction (typically a modified
 // copy, e.g. with injected missingness) as a candidate with the session's

@@ -2,11 +2,10 @@
 // one dataset at startup (a synthetic paper dataset or a CSV), builds a
 // nexus.Session with a shared KG-extraction cache, and exposes:
 //
-//	POST /v1/explain   — explain an aggregate query (sync, or async with a job id)
-//	GET  /v1/jobs/{id} — async job status/result
-//	GET  /healthz      — liveness
-//	GET  /metrics      — Prometheus text exposition (see docs/API.md "Metrics")
-//	GET  /debug/slow   — slowest captured explanations (with -slow-threshold)
+//	POST /v1/explain — explain an aggregate query
+//	GET  /healthz    — liveness
+//	GET  /metrics    — Prometheus text exposition (see docs/API.md "Metrics")
+//	GET  /debug/slow — slowest captured explanations (with -slow-threshold)
 //
 // Usage:
 //
@@ -14,17 +13,18 @@
 //	nexusd -csv data.csv -table mydata -links Country -addr :8080
 //	nexusd -dataset so -addr :8080 -debug-addr 127.0.0.1:8081 -slow-threshold 2s
 //
-// Synchronous explanations flow through a report cache
-// (-report-cache; X-Nexus-Cache response header). Every explanation waits
-// for a worker (-workers) in one bounded FIFO queue (-queue); a request
-// that finds it full is answered 429.
+// Explanations flow through a report cache (-report-cache; X-Nexus-Cache
+// response header). Each runs on the request that asked for it, at most
+// -workers at once; up to -queue more wait in arrival order, and a request
+// that finds the queue full is answered 429.
 //
 // -debug-addr serves net/http/pprof (plus /metrics and /debug/slow) on a
 // separate, typically loopback-only listener. With -slow-threshold set,
 // SIGQUIT dumps the captured slow requests as JSONL to stderr without
 // stopping the process. The process drains gracefully on SIGTERM/SIGINT:
-// in-flight explanations finish (bounded by -drain-timeout) before the
-// listener closes. See docs/API.md for the wire protocol.
+// the listener closes and running and queued explanations finish; past
+// -drain-timeout their connections are closed, which cancels them. See
+// docs/API.md for the wire protocol.
 package main
 
 import (

@@ -153,7 +153,7 @@ func (r *Registry) Gauge(name string, labelPairs ...string) *Gauge {
 
 // SetGaugeFunc registers a callback evaluated at exposition time — the
 // natural shape for levels the owner can read but not eventfully track
-// (queue depth from len(chan), retained jobs from a store). Re-registering
+// (queue depth and busy workers from len(chan)). Re-registering
 // a name replaces the callback.
 func (r *Registry) SetGaugeFunc(name string, fn func() int64, labelPairs ...string) {
 	if r == nil || fn == nil {

@@ -57,8 +57,6 @@ func TestReportCacheHitByteIdentical(t *testing.T) {
 	// Wire the cache to the same counter set the server reports into.
 	cache := reportcache.New(reportcache.Config{Counters: metrics})
 	srv.cache = cache
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -97,8 +95,6 @@ func TestReportCacheHitByteIdentical(t *testing.T) {
 // pipeline once; everyone gets the same bytes.
 func TestReportCacheSingleFlight(t *testing.T) {
 	srv, metrics := newCachedServer(t, Config{Workers: 4})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -138,8 +134,6 @@ func TestReportCacheSingleFlight(t *testing.T) {
 // stale failure.
 func TestReportCacheErrorNotCached(t *testing.T) {
 	srv, _ := newCachedServer(t, Config{Workers: 2})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -160,29 +154,9 @@ func TestReportCacheErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestAsyncBypassesCache: async requests never touch the report cache (their
-// contract is a fresh job id) and carry no cache header.
-func TestAsyncBypassesCache(t *testing.T) {
-	srv, metrics := newCachedServer(t, Config{Workers: 2})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	code, body, hdr := postExplainFull(t, ts.URL, ExplainRequest{SQL: testSQL, Async: true})
-	if code != http.StatusAccepted {
-		t.Fatalf("async: status %d (%s)", code, body)
-	}
-	if hdr != "" {
-		t.Fatalf("async %s = %q, want absent", CacheHeader, hdr)
-	}
-	if m := metrics.Get(obs.ReportCacheMisses); m != 0 {
-		t.Fatalf("async request touched the report cache (misses=%d)", m)
-	}
-}
-
 // gatedSource is a KG backend whose name resolution blocks until the test
-// opens the gate; entered is closed by the first call to reach it.
+// opens the gate or the caller's context ends; entered is closed by the
+// first call to reach it.
 type gatedSource struct {
 	kg.Source
 	once    sync.Once
@@ -192,15 +166,20 @@ type gatedSource struct {
 
 func (g *gatedSource) Resolve(ctx context.Context, values []string) ([]kg.Link, error) {
 	g.once.Do(func() { close(g.entered) })
-	<-g.release
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 	return g.Source.Resolve(ctx, values)
 }
 
-// TestJoinedRequestDoesNotInheritLeaderTimeout: request A (timeout_ms 1)
+// TestJoinedRequestDoesNotInheritLeaderTimeout: request A (timeout_ms 1000)
 // leads a report-cache computation and request B (default timeout) joins it.
 // A's 408 is A's alone — B must not be answered with it but recompute and
-// get its 200. The single worker is held by a gated job so that A is still
-// in flight, its deadline long gone, when B joins.
+// get its 200. A parks in the gated KG lookup until its own deadline has
+// passed, so B joins while A is still in flight; the gate opens for B's
+// recomputation only once A has been answered.
 func TestJoinedRequestDoesNotInheritLeaderTimeout(t *testing.T) {
 	world, ds := fixture(t)
 	gate := &gatedSource{Source: world.Graph, entered: make(chan struct{}), release: make(chan struct{})}
@@ -210,44 +189,33 @@ func TestJoinedRequestDoesNotInheritLeaderTimeout(t *testing.T) {
 	sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
 	srv := New(Config{Session: sess, Metrics: metrics, Workers: 1,
 		ReportCache: reportcache.New(reportcache.Config{Counters: metrics})})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	waitFor := func(counter string) {
-		for metrics.Get(counter) == 0 {
-			runtime.Gosched()
-		}
-	}
 
-	// An async job (it bypasses the report cache) takes the only worker and
-	// parks inside the gate.
-	if code, body := postExplain(t, ts.URL, ExplainRequest{SQL: "SELECT Year, avg(Pay) FROM Forbes GROUP BY Year", Async: true}); code != http.StatusAccepted {
-		t.Fatalf("blocker: status %d (%s)", code, body)
-	}
-	<-gate.entered
-
-	var wg sync.WaitGroup
 	var codeA, codeB int
 	var bodyA, bodyB []byte
 	var hdrB string
-	wg.Add(1)
+	doneA := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		codeA, bodyA, _ = postExplainFull(t, ts.URL, ExplainRequest{SQL: testSQL, TimeoutMS: 1})
+		defer close(doneA)
+		codeA, bodyA, _ = postExplainFull(t, ts.URL, ExplainRequest{SQL: testSQL, TimeoutMS: 1000})
 	}()
-	waitFor(obs.ReportCacheMisses) // A leads, its job queued behind the blocker
+	<-gate.entered // A leads and holds the only worker inside the gate
+	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		codeB, bodyB, hdrB = postExplainFull(t, ts.URL, ExplainRequest{SQL: testSQL})
 	}()
-	waitFor(obs.ReportCacheShared) // B has joined A's computation
+	for metrics.Get(obs.ReportCacheShared) == 0 { // B has joined A's computation
+		runtime.Gosched()
+	}
+	<-doneA
 	close(gate.release)
 	wg.Wait()
 
 	if codeA != http.StatusRequestTimeout || errKind(t, bodyA) != "timeout" {
-		t.Fatalf("A (timeout_ms 1): status %d (%s), want 408 timeout", codeA, bodyA)
+		t.Fatalf("A (timeout_ms 1000): status %d (%s), want 408 timeout", codeA, bodyA)
 	}
 	if codeB != http.StatusOK {
 		t.Fatalf("B joined A and was answered with A's failure: status %d (%s)", codeB, bodyB)

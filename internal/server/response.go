@@ -17,12 +17,10 @@ type ExplainRequest struct {
 	// Tau is the subgroup threshold; ≤ 0 selects the paper-style default
 	// max(0.2, 2 × explanation score).
 	Tau float64 `json:"tau,omitempty"`
-	// TimeoutMS bounds the job's wall-clock run. 0 selects the server
-	// default; values above the server maximum are clamped to it.
+	// TimeoutMS bounds the request's wall-clock time, its wait for a worker
+	// included. 0 selects the server default; values above the server
+	// maximum are clamped to it.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Async enqueues the job and returns 202 with a job id immediately;
-	// poll GET /v1/jobs/{id} for the result.
-	Async bool `json:"async,omitempty"`
 }
 
 // ExplainAttr is one selected attribute of an explanation.
@@ -108,7 +106,7 @@ func buildResponse(rep *nexus.Report, groups []subgroups.Group, groupStats subgr
 type errorBody struct {
 	Error string `json:"error"`
 	// Kind classifies the failure: bad_request, timeout, cancelled,
-	// queue_full, draining, not_found.
+	// queue_full, draining, internal.
 	Kind string `json:"kind"`
 	Code int    `json:"code"`
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/signal"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -85,8 +86,6 @@ func postExplain(t *testing.T, url string, req ExplainRequest) (int, []byte) {
 // once and count N-1 cache hits.
 func TestConcurrentExplainSharesExtraction(t *testing.T) {
 	srv, metrics := newTestServer(t, Config{Workers: 4})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -139,8 +138,6 @@ func TestConcurrentExplainSharesExtraction(t *testing.T) {
 // and map to 408 with the timeout error kind.
 func TestDeadlineReturns408(t *testing.T) {
 	srv, metrics := newTestServer(t, Config{Workers: 2})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -170,8 +167,6 @@ func TestDeadlineReturns408(t *testing.T) {
 // simultaneous requests must see 429s rather than unbounded queueing.
 func TestQueueBackpressure(t *testing.T) {
 	srv, metrics := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -208,73 +203,12 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
-// TestAsyncJobLifecycle drives the async path: 202 + job id, then polling
-// until the job lands with a full result.
-func TestAsyncJobLifecycle(t *testing.T) {
-	srv, _ := newTestServer(t, Config{Workers: 2})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	code, body := postExplain(t, ts.URL, ExplainRequest{SQL: testSQL, Subgroups: 3, Async: true})
-	if code != http.StatusAccepted {
-		t.Fatalf("async status = %d, want 202; body: %s", code, body)
-	}
-	var acc struct {
-		JobID     string `json:"job_id"`
-		StatusURL string `json:"status_url"`
-	}
-	if err := json.Unmarshal(body, &acc); err != nil || acc.JobID == "" {
-		t.Fatalf("bad 202 body: %v (%s)", err, body)
-	}
-
-	deadline := time.Now().Add(60 * time.Second)
-	var st JobStatus
-	for {
-		resp, err := http.Get(ts.URL + acc.StatusURL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == JobDone || st.State == JobFailed || st.State == JobCancelled {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %q", st.State)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if st.State != JobDone {
-		t.Fatalf("job state = %q (error %q), want done", st.State, st.Error)
-	}
-	if st.Result == nil || st.Result.Query == "" {
-		t.Fatalf("done job has no result: %+v", st)
-	}
-	if st.Result.Subgroups == nil {
-		t.Fatal("subgroups requested but absent from result")
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job: status %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestSIGTERMDrainsInflight is the graceful-shutdown acceptance test: a
 // SIGTERM delivered while one explanation runs and two more wait in the
-// queue must let all three finish (each synchronous client still gets its
-// 200) before Serve returns — the queue is closed only once it is empty.
-// The single worker is held in a gated KG lookup until the drain has begun,
-// so the two queued jobs are still queued when the signal lands.
+// queue must let all three finish (each client still gets its 200) before
+// Serve returns. The single worker is held in a gated KG lookup until the
+// drain has begun, so the two queued requests are still queued when the
+// signal lands.
 func TestSIGTERMDrainsInflight(t *testing.T) {
 	world, ds := fixture(t)
 	gate := &gatedSource{Source: world.Graph, entered: make(chan struct{}), release: make(chan struct{})}
@@ -307,8 +241,8 @@ func TestSIGTERMDrainsInflight(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Launch three synchronous explanations: the first parks the only
-	// worker inside the gate, the other two wait in the queue behind it.
+	// Launch three explanations: the first parks the only worker inside the
+	// gate, the other two wait in the queue behind it.
 	type result struct {
 		code int
 		body []byte
@@ -336,13 +270,13 @@ func TestSIGTERMDrainsInflight(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if q := len(srv.queue); q != n-1 {
+	if q := gauge(t, base, "job_queue_depth"); q != n-1 {
 		t.Fatalf("queue depth at SIGTERM = %d, want %d", q, n-1)
 	}
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; !srv.isDraining(); i++ {
+	for i := 0; !srv.draining.Load(); i++ {
 		if i > 1000 {
 			t.Fatal("server never started draining")
 		}
@@ -377,16 +311,13 @@ func TestSIGTERMDrainsInflight(t *testing.T) {
 }
 
 // TestLegacyPriorityIgnored: a request that still carries the retired
-// "priority" field is served like any other — same status, same body — not
-// refused as malformed. Each body goes to a fresh server, so both are the
-// first request their server answers.
+// "priority" or "async" field is served like any other — same status, same
+// body — not refused as malformed, and no job route answers for it.
 func TestLegacyPriorityIgnored(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
 	serve := func(body string) (int, map[string]any) {
-		srv, _ := newTestServer(t, Config{Workers: 1})
-		srv.Start()
-		defer srv.shutdownWorkers(context.Background())
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
 		resp, err := http.Post(ts.URL+"/v1/explain", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -402,22 +333,114 @@ func TestLegacyPriorityIgnored(t *testing.T) {
 	}
 	code, plain := serve(`{"sql": "` + testSQL + `"}`)
 	if code != http.StatusOK {
-		t.Fatalf("without priority: status %d (%v)", code, plain)
+		t.Fatalf("plain: status %d (%v)", code, plain)
 	}
-	code, legacy := serve(`{"sql": "` + testSQL + `", "priority": "urgent"}`)
-	if code != http.StatusOK {
-		t.Fatalf("with priority: status %d, want 200 (%v)", code, legacy)
+	for _, legacy := range []string{`"priority": "urgent"`, `"async": true`} {
+		code, got := serve(`{"sql": "` + testSQL + `", ` + legacy + `}`)
+		if code != http.StatusOK {
+			t.Fatalf("with %s: status %d, want 200 (%v)", legacy, code, got)
+		}
+		if !reflect.DeepEqual(plain, got) {
+			t.Fatalf("a leftover %s changed the answer:\nwithout: %v\nwith:    %v", legacy, plain, got)
+		}
 	}
-	if !reflect.DeepEqual(plain, legacy) {
-		t.Fatalf("a leftover priority changed the answer:\nwithout: %v\nwith:    %v", plain, legacy)
+	resp, err := http.Get(ts.URL + "/v1/jobs/j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/jobs/j1: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestBiasedCandidatesPerRequest: biased_candidates counts the request's own
+// analysis, so repeating a request on one server repeats the answer, while
+// the server-wide biased_attrs counter still sums every request.
+func TestBiasedCandidatesPerRequest(t *testing.T) {
+	srv, metrics := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const n = 3
+	var got []int
+	for i := 0; i < n; i++ {
+		code, body := postExplain(t, ts.URL, ExplainRequest{SQL: testSQL})
+		if code != http.StatusOK {
+			t.Fatalf("request %d: status %d (%s)", i, code, body)
+		}
+		var er ExplainResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("request %d: %v (%s)", i, err, body)
+		}
+		got = append(got, er.BiasedCandidates)
+	}
+	if got[0] == 0 {
+		t.Fatal("biased_candidates = 0: the fixture no longer exercises IPW")
+	}
+	for i, b := range got {
+		if b != got[0] {
+			t.Fatalf("biased_candidates per request = %v, want the same %d each time (request %d)", got, got[0], i)
+		}
+	}
+	if total := metrics.Get(obs.BiasedAttrs); total != int64(n*got[0]) {
+		t.Fatalf("%s = %d, want %d (%d requests × %d)", obs.BiasedAttrs, total, n*got[0], n, got[0])
+	}
+}
+
+// TestDrainTimeoutCancelsRunningRequest: -drain-timeout bounds shutdown even
+// when a running request's own deadline is far later. The request parks in a
+// KG lookup that returns only when its context ends; past the drain bound
+// its connection is dropped, which cancels it, and Serve reports the
+// timeout instead of waiting out the request's 10 s.
+func TestDrainTimeoutCancelsRunningRequest(t *testing.T) {
+	world, ds := fixture(t)
+	gate := &gatedSource{Source: world.Graph, entered: make(chan struct{}), release: make(chan struct{})}
+	metrics := obs.NewCounters()
+	sess := nexus.NewSessionFromSource(gate, &nexus.Options{Hops: 1, ExtractCache: nexus.NewExtractionCache(metrics)})
+	sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
+	sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
+	srv := New(Config{Session: sess, Metrics: metrics, Workers: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ctx, ln, 300*time.Millisecond) }()
+
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		body, _ := json.Marshal(ExplainRequest{SQL: testSQL, TimeoutMS: 10000})
+		resp, err := http.Post("http://"+ln.Addr().String()+"/v1/explain", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-gate.entered
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-serveErr:
+		if err == nil {
+			t.Fatal("Serve returned nil after dropping a running request")
+		}
+		t.Logf("Serve returned after %v: %v", time.Since(start), err)
+	case <-time.After(3 * time.Second):
+		t.Fatal("Serve still draining 3s after a 300ms drain timeout")
+	}
+	select {
+	case <-answered:
+	case <-time.After(3 * time.Second):
+		t.Fatal("the dropped request's client never returned")
 	}
 }
 
 // TestBadRequests covers the 400 envelope.
 func TestBadRequests(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -453,8 +476,6 @@ func TestBadRequests(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
-	srv.Start()
-	defer srv.shutdownWorkers(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -466,4 +487,30 @@ func TestHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
+}
+
+// gauge reads one unlabelled nexusd gauge from GET /metrics.
+func gauge(t *testing.T, base, name string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := "nexusd_" + name + " "
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s", name)
+	return 0
 }

@@ -57,7 +57,6 @@ func TestMetricsExposition(t *testing.T) {
 		Registry:      registry,
 		SlowThreshold: time.Nanosecond,
 	})
-	srv.Start()
 	nexusTS := httptest.NewServer(srv.Handler())
 	defer nexusTS.Close()
 

@@ -18,6 +18,10 @@
 #      be defined by a flag call in cmd/ or internal/rpc/daemon.go, so a
 #      deleted flag cannot stay documented. Go-tool flags (`-race`, ...)
 #      are allowlisted.
+#   7. routes: every `GET /path` or `POST /path` cited in README.md,
+#      DESIGN.md and docs/*.md must occur as /path" in a non-test Go file
+#      under internal/ or cmd/ (a route pattern or a wire path constant), so
+#      a deleted endpoint cannot stay documented.
 #
 # Run from the repository root: ./scripts/check_docs.sh
 set -u
@@ -143,6 +147,20 @@ flagfail=$(
 if [ -n "$flagfail" ]; then
     echo "check_docs: flags cited in the docs are not defined in cmd/ or internal/rpc/daemon.go:" >&2
     echo "$flagfail" >&2
+    fail=1
+fi
+
+# --- 7. routes cited in the docs must be served -----------------------------
+routefail=$(
+    grep -ho '`\(GET\|POST\) /[^` ]*`' README.md DESIGN.md docs/*.md |
+        sed 's/^`[A-Z]* //; s/`$//' | sort -u |
+        while IFS= read -r path; do
+            grep -rqF --include='*.go' --exclude='*_test.go' "$path\"" internal cmd || echo "$path"
+        done
+)
+if [ -n "$routefail" ]; then
+    echo "check_docs: routes cited in the docs are not served by internal/ or cmd/:" >&2
+    echo "$routefail" >&2
     fail=1
 fi
 
