@@ -54,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sql       = fs.String("sql", "", "aggregate query to explain (required)")
 		seed      = fs.Uint64("seed", 11, "world seed")
 		kgURL     = fs.String("kg", "", "remote knowledge-graph server URL (cmd/kgd), e.g. http://localhost:7070; default in-process graph")
-		distW     = fs.String("dist-workers", "", "comma-separated scoring-worker URLs (cmd/nexusw); default in-process scoring")
 		hops      = fs.Int("hops", 1, "KG extraction depth")
 		subgroups = fs.Int("subgroups", 0, "also report the top-k unexplained subgroups")
 		par       = fs.Int("parallelism", 0, "worker goroutines for MCIMR and the subgroup lattice search (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
@@ -86,14 +85,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	su := nexus.Setup{
 		Dataset: *dataset, Rows: *rows, CSV: *csvPath, Table: *tableName, Links: nexus.SplitList(*links),
-		Seed: *seed, KG: *kgURL, DistWorkers: nexus.SplitList(*distW),
+		Seed: *seed, KG: *kgURL,
 	}
 	fmt.Fprintln(stdout, "generating knowledge graph...")
 	if su.KG != "" {
 		fmt.Fprintf(stdout, "using remote knowledge graph at %s\n", su.KG)
-	}
-	if len(su.DistWorkers) > 0 {
-		fmt.Fprintf(stdout, "distributed scoring across %d worker(s)\n", len(su.DistWorkers))
 	}
 	opts := nexus.Options{Hops: *hops, DisableIPW: *noIPW, Trace: tr}
 	opts.Core.Parallelism = *par

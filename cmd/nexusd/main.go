@@ -32,7 +32,6 @@ import (
 	"flag"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"nexus"
@@ -57,8 +56,6 @@ func run(args []string) error {
 		links        = fs.String("links", "", "comma-separated link columns for -csv")
 		seed         = fs.Uint64("seed", 11, "world seed")
 		kgURL        = fs.String("kg", "", "remote knowledge-graph server URL (cmd/kgd), e.g. http://localhost:7070; default in-process graph")
-		distWorkers  = fs.String("dist-workers", "", "comma-separated scoring-worker URLs (cmd/nexusw), e.g. http://localhost:7080,http://localhost:7081; default in-process scoring")
-		hedgeAfter   = fs.Duration("dist-hedge-after", 0, "duplicate a straggling work unit to a second worker after this delay (0 = no hedging; needs ≥ 2 -dist-workers)")
 		hops         = fs.Int("hops", 1, "KG extraction depth")
 		noIPW        = fs.Bool("no-ipw", false, "disable selection-bias detection and IPW")
 		par          = fs.Int("parallelism", 0, "worker goroutines per explanation for MCIMR and the subgroup lattice search (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
@@ -88,15 +85,12 @@ func run(args []string) error {
 	registry.SetGaugeFunc(obs.ColstoreChunkBytes, colstore.ResidentBytes)
 	su := nexus.Setup{
 		Dataset: *dataset, Rows: *rows, CSV: *csvPath, Table: *tableName, Links: nexus.SplitList(*links),
-		Seed: *seed, KG: *kgURL, DistWorkers: nexus.SplitList(*distWorkers), HedgeAfter: *hedgeAfter,
+		Seed: *seed, KG: *kgURL,
 		Registry: registry,
 	}
 	log.Printf("generating knowledge graph (seed %d)...", su.Seed)
 	if su.KG != "" {
 		log.Printf("using remote knowledge graph at %s", su.KG)
-	}
-	if len(su.DistWorkers) > 0 {
-		log.Printf("distributed scoring across %d worker(s): %s", len(su.DistWorkers), strings.Join(su.DistWorkers, ", "))
 	}
 	sessOpts := nexus.Options{
 		Hops:       *hops,

@@ -1,90 +1,27 @@
 package nexus_test
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"io"
-	"net/http"
-	"os/exec"
-	"path/filepath"
-	"strings"
-	"syscall"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"nexus"
 	"nexus/internal/distremote"
-	"nexus/internal/distwire"
+	"nexus/internal/distworker"
 	"nexus/internal/obs"
+	"nexus/internal/rpc"
 )
 
-// startNexusw builds (once) and starts a real nexusw worker process on an
-// ephemeral port, returning its base URL and the running command. The
-// process is SIGKILLed at cleanup unless the test killed it first.
-func startNexusw(t *testing.T, bin string, extraArgs ...string) (string, *exec.Cmd) {
-	t.Helper()
-	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
-	cmd := exec.Command(bin, args...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("starting nexusw: %v", err)
-	}
-	t.Cleanup(func() {
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
-	})
-
-	// nexusw binds before logging, so the first "listening on" line carries
-	// the actual port.
-	addrc := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			if i := strings.Index(line, "listening on "); i >= 0 {
-				select {
-				case addrc <- strings.TrimSpace(line[i+len("listening on "):]):
-				default:
-				}
-			}
-		}
-		io.Copy(io.Discard, stderr)
-	}()
-	select {
-	case addr := <-addrc:
-		return "http://" + addr, cmd
-	case <-time.After(10 * time.Second):
-		t.Fatal("nexusw never logged its listen address")
-		return "", nil
-	}
-}
-
-func buildNexusw(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "nexusw")
-	out, err := exec.Command("go", "build", "-o", bin, "nexus/cmd/nexusw").CombinedOutput()
-	if err != nil {
-		t.Fatalf("building nexusw: %v\n%s", err, out)
-	}
-	return bin
-}
-
 // TestDistributedKillWorkerMidExplanation is the fleet-death acceptance
-// test: two real nexusw processes serve an explanation, and one is
-// SIGKILLed while score traffic is in flight. With failover disabled
-// (MaxAttempts 1), every unit aimed at the dead worker must fall back to
-// local scoring — so the report is still byte-identical to the in-process
-// one, and dist_fallbacks records the rescue.
+// test: two workers serve an explanation, and one dies while score traffic
+// is in flight. The death is what a SIGKILL does to a worker process: its
+// listener closes, so new connections are refused, and its open connections
+// drop. With failover disabled (MaxAttempts 1), every unit aimed at the
+// dead worker must fall back to local scoring — so the report is still
+// byte-identical to the in-process one, and dist_fallbacks records the
+// rescue.
 func TestDistributedKillWorkerMidExplanation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs worker binaries")
-	}
 	w := integrationWorld()
 	local := flightsSession(w, w.Graph, nil)
 	wantRep, err := local.Explain(flightsQuery)
@@ -93,15 +30,18 @@ func TestDistributedKillWorkerMidExplanation(t *testing.T) {
 	}
 	want := stableSummary(wantRep)
 
-	bin := buildNexusw(t)
 	// A little per-request latency keeps the explanation in flight long
 	// enough for the kill to land mid-stream.
-	url0, _ := startNexusw(t, bin, "-latency", "2ms")
-	url1, victim := startNexusw(t, bin, "-latency", "2ms")
+	cfg := distworker.Config{ServerConfig: rpc.ServerConfig{Latency: 2 * time.Millisecond}}
+	survivor := httptest.NewServer(distworker.New(cfg).Handler())
+	defer survivor.Close()
+	victimSrv := distworker.New(cfg)
+	victim := httptest.NewServer(victimSrv.Handler())
+	defer victim.Close()
 
 	ctr := obs.NewCounters()
 	opts := &nexus.Options{Metrics: ctr}
-	opts.Core.Scorer = distremote.New([]string{url0, url1}, distremote.Options{
+	opts.Core.Scorer = distremote.New([]string{survivor.URL, victim.URL}, distremote.Options{
 		ChunkSize:   4,
 		MaxAttempts: 1, // no failover: a dead worker's units must fall back locally
 		Timeout:     5 * time.Second,
@@ -111,23 +51,19 @@ func TestDistributedKillWorkerMidExplanation(t *testing.T) {
 
 	// Kill the victim once it has actually served score traffic, so the
 	// death lands mid-explanation rather than before it.
-	killed := make(chan struct{})
+	killed := make(chan bool, 1)
 	go func() {
-		defer close(killed)
 		deadline := time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
-			resp, err := http.Get(url1 + distwire.PathStats)
-			if err == nil {
-				var st distwire.StatsResponse
-				httpDecode(resp, &st)
-				if st.Units > 0 {
-					victim.Process.Signal(syscall.SIGKILL)
-					victim.Wait()
-					return
-				}
+			if victimSrv.Stats().Units > 0 {
+				victim.Listener.Close()
+				victim.CloseClientConnections()
+				killed <- true
+				return
 			}
-			time.Sleep(2 * time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
+		killed <- false
 	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
@@ -136,8 +72,7 @@ func TestDistributedKillWorkerMidExplanation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("explanation with a killed worker: %v", err)
 	}
-	<-killed
-	if victim.ProcessState == nil {
+	if !<-killed {
 		t.Fatal("victim worker was never killed; the test did not exercise worker death")
 	}
 
@@ -146,12 +81,5 @@ func TestDistributedKillWorkerMidExplanation(t *testing.T) {
 	}
 	if got := ctr.Get(obs.DistFallbacks); got == 0 {
 		t.Error("worker killed mid-explanation but dist_fallbacks = 0")
-	}
-}
-
-func httpDecode(resp *http.Response, v any) {
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		json.NewDecoder(resp.Body).Decode(v)
 	}
 }

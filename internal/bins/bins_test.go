@@ -30,7 +30,10 @@ func TestEncodeString(t *testing.T) {
 }
 
 func TestEncodeBool(t *testing.T) {
-	c := table.NewBoolColumn("b", []bool{true, false, true})
+	c := table.NewColumn("b", table.Bool)
+	for _, v := range []bool{true, false, true} {
+		c.AppendBool(v)
+	}
 	e, err := Encode(c, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

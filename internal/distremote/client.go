@@ -12,16 +12,13 @@
 //     per-attempt timeout) moves to the next worker after a seeded,
 //     jittered exponential backoff. An "unknown dataset" 404 re-registers
 //     and retries in place without consuming an attempt.
-//  2. Straggler hedging: when HedgeAfter elapses with no reply, the unit is
-//     duplicated to the next worker and the first success wins (results are
-//     index-keyed, so duplicates are harmless).
-//  3. Local fallback: a unit that exhausts MaxAttempts (e.g. every worker
+//  2. Local fallback: a unit that exhausts MaxAttempts (e.g. every worker
 //     is dead) is computed in-process with the same core.Local functions
 //     the workers run — the explanation always completes, and completes
 //     identically.
 //
 // Effort is observable on the obs counters dist_units / dist_retries /
-// dist_hedges / dist_fallbacks / dist_http_requests.
+// dist_fallbacks / dist_http_requests.
 package distremote
 
 import (
@@ -63,10 +60,6 @@ type Options struct {
 	RetryMax  time.Duration
 	// Timeout bounds each individual HTTP attempt. Default 10s.
 	Timeout time.Duration
-	// HedgeAfter duplicates a unit to the next worker when the primary has
-	// not replied within this delay (0 disables hedging). Effective only
-	// with ≥ 2 workers.
-	HedgeAfter time.Duration
 	// Seed seeds the jitter RNG, making retry schedules reproducible.
 	// Default 1.
 	Seed uint64
@@ -78,8 +71,8 @@ type Options struct {
 	DisableFallback bool
 	// HTTPClient overrides the transport (tests). Default http.DefaultClient.
 	HTTPClient *http.Client
-	// Counters receives dist_units / dist_retries / dist_hedges /
-	// dist_fallbacks / dist_http_requests. Nil disables recording.
+	// Counters receives dist_units / dist_retries / dist_fallbacks /
+	// dist_http_requests. Nil disables recording.
 	Counters *obs.Counters
 }
 
@@ -96,7 +89,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Scorer is a core.Scorer backed by a fleet of nexusw workers. Safe for
+// Scorer is a core.Scorer backed by a fleet of distworker servers. Safe for
 // concurrent use.
 type Scorer struct {
 	workers []string
@@ -282,7 +275,7 @@ func (s *Scorer) SubgroupBatch(ctx context.Context, gc *core.GroupContext, group
 	return out, nil
 }
 
-// fallback computes a failed unit locally (rung 3 of the ladder), unless
+// fallback computes a failed unit locally (rung 2 of the ladder), unless
 // fallback is disabled or the failure was a cancellation — cancellation
 // must propagate, not be papered over with local compute.
 func (s *Scorer) fallback(ctx context.Context, cause error, compute func(context.Context) (distwire.UnitResult, error)) (distwire.UnitResult, error) {
@@ -299,72 +292,22 @@ func (s *Scorer) fallback(ctx context.Context, cause error, compute func(context
 // errUnknownDataset is the typed form of a 404 "unknown dataset" reply.
 var errUnknownDataset = errors.New("unknown dataset")
 
-// execUnit runs one unit through the retry/failover/hedging ladder. seq,
-// the unit's ordinal within its call, is the deterministic basis for worker
-// placement: attempt a goes to worker (seq+a) mod fleet size. wantLen/wantExceed describe the expected reply shape (index alignment is
+// execUnit runs one unit through the retry/failover ladder. seq, the
+// unit's ordinal within its call, is the deterministic basis for worker
+// placement: attempt a goes to worker (seq+a) mod fleet size.
+// wantLen/wantExceed describe the expected reply shape (index alignment is
 // the merge invariant, so a short reply is a permanent error).
 func (s *Scorer) execUnit(ctx context.Context, st *dsState, unit distwire.Unit, seq, wantLen int, wantExceed bool) (res distwire.UnitResult, err error) {
 	s.opts.Counters.Add(obs.DistUnits, 1)
 	err = s.rpc.Retry(ctx, func(attempt int) (err error) {
-		res, err = s.attemptHedged(ctx, st, unit, seq+attempt, wantLen, wantExceed)
+		worker := s.workers[(seq+attempt)%len(s.workers)]
+		res, err = s.scoreOn(ctx, st, worker, unit, wantLen, wantExceed)
 		return err
 	})
 	if err != nil {
 		return distwire.UnitResult{}, fmt.Errorf("distremote: unit failed: %w", err)
 	}
 	return res, nil
-}
-
-// attemptHedged issues one attempt on the worker selected by slot, racing a
-// duplicate on the next worker when the primary stalls past HedgeAfter.
-// The first success wins; a hedged attempt fails only when both legs fail.
-func (s *Scorer) attemptHedged(ctx context.Context, st *dsState, unit distwire.Unit, slot, wantLen int, wantExceed bool) (distwire.UnitResult, error) {
-	primary := s.workers[slot%len(s.workers)]
-	if s.opts.HedgeAfter <= 0 || len(s.workers) < 2 {
-		return s.scoreOn(ctx, st, primary, unit, wantLen, wantExceed)
-	}
-	backup := s.workers[(slot+1)%len(s.workers)]
-	type reply struct {
-		res distwire.UnitResult
-		err error
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan reply, 2)
-	go func() {
-		res, err := s.scoreOn(cctx, st, primary, unit, wantLen, wantExceed)
-		ch <- reply{res, err}
-	}()
-	timer := time.NewTimer(s.opts.HedgeAfter)
-	defer timer.Stop()
-	timerC := timer.C
-	launched, received := 1, 0
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			received++
-			if r.err == nil {
-				return r.res, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if received == launched {
-				// Every launched leg failed; don't wait on the hedge
-				// timer — the retry loop handles failover.
-				return distwire.UnitResult{}, firstErr
-			}
-		case <-timerC:
-			timerC = nil
-			launched = 2
-			s.opts.Counters.Add(obs.DistHedges, 1)
-			go func() {
-				res, err := s.scoreOn(cctx, st, backup, unit, wantLen, wantExceed)
-				ch <- reply{res, err}
-			}()
-		}
-	}
 }
 
 // scoreOn registers the dataset with the worker if needed, posts the unit,

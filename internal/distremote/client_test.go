@@ -211,7 +211,7 @@ func TestScorerReregistersAfterRestart(t *testing.T) {
 	}
 }
 
-// TestScorerFallsBackWhenFleetDead checks rung 3: with every worker
+// TestScorerFallsBackWhenFleetDead checks rung 2: with every worker
 // unreachable, results still arrive — computed locally — and the fallback
 // is visible on dist_fallbacks.
 func TestScorerFallsBackWhenFleetDead(t *testing.T) {
@@ -239,24 +239,6 @@ func TestScorerDisableFallback(t *testing.T) {
 	})
 	if _, err := s.Relevance(context.Background(), sc, allCands(sc)); err == nil {
 		t.Fatal("dead fleet with DisableFallback, but Relevance succeeded")
-	}
-}
-
-// TestScorerHedgesStragglers checks rung 2: with one worker serving every
-// request 200ms slow and a hedge delay far below that, the duplicate
-// dispatch to the healthy worker wins — results identical, dist_hedges > 0,
-// and the call completes well under the straggler's latency × unit count.
-func TestScorerHedgesStragglers(t *testing.T) {
-	sc := testContext(t, 256)
-	slow, _ := startWorkers(t, 1, distworker.Config{ServerConfig: rpc.ServerConfig{Latency: 200 * time.Millisecond}})
-	fast, _ := startWorkers(t, 1, distworker.Config{})
-	ctr := obs.NewCounters()
-	s := New([]string{slow[0], fast[0]}, Options{
-		ChunkSize: 2, HedgeAfter: 5 * time.Millisecond, Counters: ctr,
-	})
-	checkDifferential(t, sc, s)
-	if ctr.Get(obs.DistHedges) == 0 {
-		t.Error("straggling primary but dist_hedges = 0")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package distwire defines the JSON-over-HTTP protocol between an
-// explanation coordinator and its stateless scoring workers (cmd/nexusw) —
-// the wire half of the distributed scoring fleet, in the same idiom as
+// explanation coordinator and its stateless scoring workers
+// (internal/distworker) — the wire half of the distributed scoring fleet, in the same idiom as
 // internal/kgwire.
 //
 //	POST /dist/v1/dataset   register an encoded dataset under its fingerprint

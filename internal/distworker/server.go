@@ -1,9 +1,8 @@
-// Package distworker is the server half of the distributed scoring fleet
-// (cmd/nexusw is the binary wrapper): it registers encoded datasets under
-// their content fingerprints and executes distwire work units against them
-// using the same core.Local scorer the coordinator runs in-process — the
-// worker cannot drift from the oracle because it *is* the oracle, fed over
-// the wire.
+// Package distworker is the server half of the distributed scoring fleet:
+// it registers encoded datasets under their content fingerprints and
+// executes distwire work units against them using the same core.Local
+// scorer the coordinator runs in-process — the worker cannot drift from the
+// oracle because it *is* the oracle, fed over the wire.
 //
 // Workers are stateless by design: the dataset store is a bounded LRU, and
 // an evicted (or never-seen) fingerprint is answered with 404 "unknown
@@ -24,19 +23,21 @@ import (
 	"nexus/internal/rpc"
 )
 
+const (
+	// parallelism bounds the scoring goroutines per work unit: a fleet gets
+	// its parallelism from concurrent units across workers, and a
+	// single-flight unit keeps per-request latency predictable.
+	parallelism = 1
+	// maxDatasets bounds the dataset LRU. Datasets hold the full encoded
+	// input of a scoring context, so the cap is a memory bound; eviction
+	// only costs the coordinator a re-registration.
+	maxDatasets = 8
+	// maxBatch rejects oversized score requests with 400.
+	maxBatch = 1024
+)
+
 // Config configures a Server.
 type Config struct {
-	// Parallelism bounds the scoring goroutines per work unit (default 1:
-	// a fleet gets its parallelism from concurrent units across workers,
-	// and a single-flight unit keeps per-request latency predictable).
-	Parallelism int
-	// MaxDatasets bounds the dataset LRU (default 8). Datasets hold the
-	// full encoded input of a scoring context, so the cap is a memory
-	// bound; eviction only costs the coordinator a re-registration.
-	MaxDatasets int
-	// MaxBatch rejects oversized score requests with 400 (default 1024
-	// units).
-	MaxBatch int
 	// ServerConfig holds the fault-injection and observability settings;
 	// FailRate and Latency apply to the /dist/v1/ endpoints.
 	rpc.ServerConfig
@@ -47,7 +48,6 @@ type Config struct {
 // New.
 type Server struct {
 	*rpc.Server
-	cfg   Config
 	local core.Local
 	store *rpc.LRU[string, *dataset] // registered datasets by fingerprint
 	units atomic.Int64
@@ -55,20 +55,10 @@ type Server struct {
 
 // New returns a worker server for cfg.
 func New(cfg Config) *Server {
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 1
-	}
-	if cfg.MaxDatasets <= 0 {
-		cfg.MaxDatasets = 8
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 1024
-	}
 	s := &Server{
 		Server: rpc.NewServer("nexusw", cfg.ServerConfig),
-		cfg:    cfg,
-		local:  core.Local{Parallelism: cfg.Parallelism},
-		store:  rpc.NewLRU[string, *dataset](cfg.MaxDatasets),
+		local:  core.Local{Parallelism: parallelism},
+		store:  rpc.NewLRU[string, *dataset](maxDatasets),
 	}
 	rpc.Handle(s.Server, distwire.PathDataset, "dataset", s.register)
 	rpc.Handle(s.Server, distwire.PathScore, "score", s.score)
@@ -105,8 +95,8 @@ func (s *Server) register(_ context.Context, req *distwire.RegisterRequest) (dis
 }
 
 func (s *Server) score(ctx context.Context, req *distwire.ScoreRequest) (distwire.ScoreResponse, error) {
-	if len(req.Units) > s.cfg.MaxBatch {
-		return distwire.ScoreResponse{}, fmt.Errorf("batch of %d units exceeds limit %d", len(req.Units), s.cfg.MaxBatch)
+	if len(req.Units) > maxBatch {
+		return distwire.ScoreResponse{}, fmt.Errorf("batch of %d units exceeds limit %d", len(req.Units), maxBatch)
 	}
 	d, ok := s.store.Get(req.Fingerprint)
 	if !ok {

@@ -211,7 +211,7 @@ func TestWorkerUnknownDataset(t *testing.T) {
 // invalid datasets, oversized batches and out-of-bounds units.
 func TestWorkerRejects400(t *testing.T) {
 	sc := testContext(t, 64)
-	hs := httptest.NewServer(New(Config{MaxBatch: 2}).Handler())
+	hs := httptest.NewServer(New(Config{}).Handler())
 	defer hs.Close()
 	register(t, hs.Client(), hs.URL, distwire.FromScoreContext(sc))
 
@@ -231,7 +231,7 @@ func TestWorkerRejects400(t *testing.T) {
 		t.Errorf("invalid dataset: HTTP %d, want 400", code)
 	}
 	over, _ := json.Marshal(distwire.ScoreRequest{Fingerprint: sc.Fingerprint(),
-		Units: make([]distwire.Unit, 3)})
+		Units: make([]distwire.Unit, maxBatch+1)})
 	if code := post(distwire.PathScore, over); code != http.StatusBadRequest {
 		t.Errorf("oversized batch: HTTP %d, want 400", code)
 	}
@@ -245,18 +245,18 @@ func TestWorkerRejects400(t *testing.T) {
 // TestWorkerLRUEviction pins the bounded dataset store: the oldest dataset
 // falls out and scoring it answers 404, while the retained ones still work.
 func TestWorkerLRUEviction(t *testing.T) {
-	srv := New(Config{MaxDatasets: 2})
+	srv := New(Config{})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	var fps []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= maxDatasets; i++ {
 		sc := testContext(t, 32+i) // distinct shapes → distinct fingerprints
 		d := distwire.FromScoreContext(sc)
 		register(t, hs.Client(), hs.URL, d)
 		fps = append(fps, d.Fingerprint)
 	}
-	if n := srv.Stats().Datasets; n != 2 {
-		t.Fatalf("store holds %d datasets, want 2", n)
+	if n := srv.Stats().Datasets; n != maxDatasets {
+		t.Fatalf("store holds %d datasets, want %d", n, maxDatasets)
 	}
 	body, _ := json.Marshal(distwire.ScoreRequest{Fingerprint: fps[0],
 		Units: []distwire.Unit{{Kind: distwire.KindRelevance, Cands: []int{0}}}})
@@ -268,7 +268,7 @@ func TestWorkerLRUEviction(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("evicted dataset: HTTP %d, want 404", resp.StatusCode)
 	}
-	score(t, hs.Client(), hs.URL, fps[2], distwire.Unit{Kind: distwire.KindRelevance, Cands: []int{0}})
+	score(t, hs.Client(), hs.URL, fps[maxDatasets], distwire.Unit{Kind: distwire.KindRelevance, Cands: []int{0}})
 }
 
 // TestWorkerFaultInjection checks that injected faults hit /dist/v1/ with
@@ -350,8 +350,8 @@ func TestWorkerStatsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestWorkerServeDrains checks the graceful-drain path cmd/nexusw relies
-// on, at the edge -drain-timeout 0 reaches: a request still in flight when
+// TestWorkerServeDrains checks the graceful-drain path at the edge of a
+// zero drain timeout: a request still in flight when
 // the context is cancelled must be answered before Serve returns nil (a
 // zero timeout selects the default, it does not abandon the request).
 func TestWorkerServeDrains(t *testing.T) {

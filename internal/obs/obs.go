@@ -140,11 +140,11 @@ const (
 	KGHTTPRetries  = "kg_http_retries"
 	// DistUnits counts work units dispatched by the distributed scoring
 	// coordinator (internal/distremote); DistRetries counts re-attempts
-	// after a failed unit attempt, DistHedges counts speculative duplicate
-	// dispatches to a second worker when the primary straggles, and
-	// DistFallbacks counts units computed locally after exhausting every
-	// worker attempt. DistHTTPRequests counts every HTTP request issued to
-	// the worker fleet (registrations, scores, retries, hedges).
+	// after a failed unit attempt, and DistFallbacks counts units computed
+	// locally after exhausting every worker attempt. DistHTTPRequests counts
+	// every HTTP request issued to the worker fleet (registrations, scores,
+	// retries). DistHedges is never written; the name stays because the
+	// benchmark still reads it.
 	DistUnits        = "dist_units"
 	DistRetries      = "dist_retries"
 	DistHedges       = "dist_hedges"

@@ -1,6 +1,6 @@
 // Package rpc is the one RPC substrate under the remote knowledge graph
 // (kgremote / kgserve / cmd/kgd) and the scoring fleet (distremote /
-// distworker / cmd/nexusw). It owns every decision the two stacks share, so
+// distworker). It owns every decision the two stacks share, so
 // the protocol packages keep only their wire types and their own policy:
 //
 //   - client half (this file): one JSON attempt with a per-attempt timeout

@@ -17,9 +17,9 @@ import (
 	"nexus/internal/obs"
 )
 
-// Daemon is the process shell kgd, nexusw and nexusd share: the listen,
-// drain, debug and slow-capture flags (plus the fault-injection flags on
-// the two protocol daemons) and the run sequence behind them.
+// Daemon is the process shell kgd and nexusd share: the listen, drain,
+// debug and slow-capture flags (plus the fault-injection flags on kgd) and
+// the run sequence behind them.
 type Daemon struct {
 	name string // flag-set name: log prefix and metric namespace
 

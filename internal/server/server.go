@@ -377,7 +377,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		// Clamp in milliseconds: past about 9.2e12 ms the Duration product
+		// overflows to a negative timeout.
+		timeout = time.Duration(min(int64(req.TimeoutMS), s.cfg.MaxTimeout.Milliseconds())) * time.Millisecond
 	}
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout

@@ -163,6 +163,25 @@ func TestDeadlineReturns408(t *testing.T) {
 	}
 }
 
+// TestTimeoutClampedToMax: a timeout_ms far past -max-timeout is clamped to
+// it, not overflowed into an expired deadline.
+func TestTimeoutClampedToMax(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := fmt.Sprintf(`{"sql": %q, "timeout_ms": 10000000000000}`, testSQL)
+	resp, err := http.Post(ts.URL+"/v1/explain", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200; body: %s", resp.StatusCode, out)
+	}
+}
+
 // TestQueueBackpressure: with one worker and a one-slot queue, a burst of
 // simultaneous requests must see 429s rather than unbounded queueing.
 func TestQueueBackpressure(t *testing.T) {

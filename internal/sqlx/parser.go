@@ -149,15 +149,6 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
-// MustParse parses or panics; for fixtures and examples.
-func MustParse(src string) *Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
 

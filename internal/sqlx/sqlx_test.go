@@ -119,7 +119,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestQueryString(t *testing.T) {
 	src := "SELECT Country, avg(Salary) FROM SO WHERE Continent = 'Europe' GROUP BY Country"
-	q := MustParse(src)
+	q := mustParse(t, src)
 	s := q.String()
 	if !strings.Contains(s, "avg(Salary)") || !strings.Contains(s, "Continent = 'Europe'") {
 		t.Fatalf("String() = %q", s)
@@ -144,7 +144,7 @@ func catalog() Catalog {
 }
 
 func TestExecuteBasic(t *testing.T) {
-	q := MustParse("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	q := mustParse(t, "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	res, err := Execute(q, catalog())
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestExecuteBasic(t *testing.T) {
 }
 
 func TestExecuteWhere(t *testing.T) {
-	q := MustParse("SELECT Country, avg(Salary) FROM SO WHERE Continent = 'EU' GROUP BY Country")
+	q := mustParse(t, "SELECT Country, avg(Salary) FROM SO WHERE Continent = 'EU' GROUP BY Country")
 	res, err := Execute(q, catalog())
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestExecuteWhere(t *testing.T) {
 }
 
 func TestExecuteNumericWhere(t *testing.T) {
-	q := MustParse("SELECT Country, count(Salary) FROM SO WHERE Salary > 60 GROUP BY Country")
+	q := mustParse(t, "SELECT Country, count(Salary) FROM SO WHERE Salary > 60 GROUP BY Country")
 	res, err := Execute(q, catalog())
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestExecuteNumericWhere(t *testing.T) {
 }
 
 func TestExecuteJoin(t *testing.T) {
-	q := MustParse("SELECT Country, avg(GDP) FROM SO JOIN countries ON Country = Name GROUP BY Country")
+	q := mustParse(t, "SELECT Country, avg(GDP) FROM SO JOIN countries ON Country = Name GROUP BY Country")
 	res, err := Execute(q, catalog())
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestExecuteJoin(t *testing.T) {
 }
 
 func TestExecuteCountStar(t *testing.T) {
-	q := MustParse("SELECT Continent, count(*) FROM SO GROUP BY Continent")
+	q := mustParse(t, "SELECT Continent, count(*) FROM SO GROUP BY Continent")
 	res, err := Execute(q, catalog())
 	if err != nil {
 		t.Fatal(err)
@@ -234,4 +234,14 @@ func TestExecuteErrors(t *testing.T) {
 			t.Errorf("Execute(%q) succeeded, want error", src)
 		}
 	}
+}
+
+// mustParse parses src or fails the test.
+func mustParse(t *testing.T, src string) *Query {
+	t.Helper()
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	return q
 }

@@ -71,15 +71,6 @@ func NewFloatColumn(name string, vals []float64) *Column {
 	return c
 }
 
-// NewIntColumn builds an Int column with no nulls.
-func NewIntColumn(name string, vals []int64) *Column {
-	c := NewColumn(name, Int)
-	for _, v := range vals {
-		c.AppendInt(v)
-	}
-	return c
-}
-
 // NewStringColumn builds a String column; empty strings become null.
 func NewStringColumn(name string, vals []string) *Column {
 	c := NewColumn(name, String)
@@ -150,15 +141,6 @@ func NewStringColumnFromCodes(name string, codes []int32, dict []string, valid *
 		}
 	}
 	return &Column{Name: name, Typ: String, Valid: valid, codes: codes, Dict: dict, dictIdx: idx}, nil
-}
-
-// NewBoolColumn builds a Bool column with no nulls.
-func NewBoolColumn(name string, vals []bool) *Column {
-	c := NewColumn(name, Bool)
-	for _, v := range vals {
-		c.AppendBool(v)
-	}
-	return c
 }
 
 // Len returns the number of rows.

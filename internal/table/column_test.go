@@ -42,7 +42,9 @@ func TestFloatColumnNaNBecomesNull(t *testing.T) {
 }
 
 func TestIntColumnConversions(t *testing.T) {
-	c := NewIntColumn("n", []int64{7, -2})
+	c := NewColumn("n", Int)
+	c.AppendInt(7)
+	c.AppendInt(-2)
 	if v := c.Float(0); v != 7 {
 		t.Fatalf("Float = %v", v)
 	}
@@ -55,7 +57,9 @@ func TestIntColumnConversions(t *testing.T) {
 }
 
 func TestBoolColumn(t *testing.T) {
-	c := NewBoolColumn("b", []bool{true, false})
+	c := NewColumn("b", Bool)
+	c.AppendBool(true)
+	c.AppendBool(false)
 	if v, ok := c.BoolAt(0); !ok || !v {
 		t.Fatal("BoolAt(0)")
 	}
@@ -115,7 +119,10 @@ func TestDistinctCountNumeric(t *testing.T) {
 	if d := c.DistinctCount(); d != 3 {
 		t.Fatalf("distinct = %d, want 3", d)
 	}
-	ic := NewIntColumn("i", []int64{5, 5, 6})
+	ic := NewColumn("i", Int)
+	for _, v := range []int64{5, 5, 6} {
+		ic.AppendInt(v)
+	}
 	if d := ic.DistinctCount(); d != 2 {
 		t.Fatalf("distinct int = %d", d)
 	}

@@ -2,7 +2,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -50,19 +49,6 @@ func (t *Table) AddColumn(c *Column) error {
 	t.index[c.Name] = len(t.cols)
 	t.cols = append(t.cols, c)
 	return nil
-}
-
-// DropColumn removes the named column; no-op if absent.
-func (t *Table) DropColumn(name string) {
-	i, ok := t.index[name]
-	if !ok {
-		return
-	}
-	t.cols = append(t.cols[:i], t.cols[i+1:]...)
-	delete(t.index, name)
-	for j := i; j < len(t.cols); j++ {
-		t.index[t.cols[j].Name] = j
-	}
 }
 
 // NumRows returns the number of rows (0 for an empty table).
@@ -146,54 +132,6 @@ func (t *Table) Filter(pred func(row int) bool) *Table {
 		}
 	}
 	return t.Gather(idx)
-}
-
-// FilterIndices returns the indices of rows for which pred is true.
-func (t *Table) FilterIndices(pred func(row int) bool) []int {
-	var idx []int
-	for i, n := 0, t.NumRows(); i < n; i++ {
-		if pred(i) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// Head returns the first n rows (all rows when n exceeds the row count).
-func (t *Table) Head(n int) *Table {
-	if n > t.NumRows() {
-		n = t.NumRows()
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return t.Gather(idx)
-}
-
-// SortBy returns a copy of t sorted ascending by the named column (nulls
-// last; String compares lexically).
-func (t *Table) SortBy(name string) (*Table, error) {
-	c := t.Column(name)
-	if c == nil {
-		return nil, fmt.Errorf("table: sort by unknown column %q", name)
-	}
-	idx := make([]int, t.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		na, nb := c.IsNull(ia), c.IsNull(ib)
-		if na || nb {
-			return !na && nb
-		}
-		if c.Typ == String {
-			return c.StringAt(ia) < c.StringAt(ib)
-		}
-		return c.Float(ia) < c.Float(ib)
-	})
-	return t.Gather(idx), nil
 }
 
 // String renders a compact preview of the table (up to 12 rows).

@@ -42,22 +42,6 @@ func TestAddColumnErrors(t *testing.T) {
 	}
 }
 
-func TestDropColumn(t *testing.T) {
-	tbl := sampleTable(t)
-	tbl.DropColumn("salary")
-	if tbl.HasColumn("salary") || tbl.NumCols() != 2 {
-		t.Fatal("drop failed")
-	}
-	// Index re-map: remaining columns still addressable.
-	if tbl.Column("continent") == nil {
-		t.Fatal("index corrupted after drop")
-	}
-	tbl.DropColumn("does-not-exist") // no-op
-	if tbl.NumCols() != 2 {
-		t.Fatal("no-op drop changed table")
-	}
-}
-
 func TestSelect(t *testing.T) {
 	tbl := sampleTable(t)
 	sub, err := tbl.Select("country", "salary")
@@ -82,63 +66,6 @@ func TestFilter(t *testing.T) {
 	for i := 0; i < eu.NumRows(); i++ {
 		if eu.MustColumn("continent").StringAt(i) != "EU" {
 			t.Fatal("filter kept non-EU row")
-		}
-	}
-}
-
-func TestFilterIndices(t *testing.T) {
-	tbl := sampleTable(t)
-	sal := tbl.MustColumn("salary")
-	idx := tbl.FilterIndices(func(i int) bool { return !sal.IsNull(i) && sal.Float(i) > 90 })
-	if len(idx) != 2 || idx[0] != 0 || idx[1] != 2 {
-		t.Fatalf("indices = %v", idx)
-	}
-}
-
-func TestHead(t *testing.T) {
-	tbl := sampleTable(t)
-	if h := tbl.Head(2); h.NumRows() != 2 {
-		t.Fatal("Head(2)")
-	}
-	if h := tbl.Head(100); h.NumRows() != 6 {
-		t.Fatal("Head over-length")
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	tbl := sampleTable(t)
-	sorted, err := tbl.SortBy("salary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sal := sorted.MustColumn("salary")
-	prev := math.Inf(-1)
-	for i := 0; i < sorted.NumRows()-1; i++ { // last row is the null
-		v := sal.Float(i)
-		if v < prev {
-			t.Fatalf("not sorted at row %d", i)
-		}
-		prev = v
-	}
-	if !sal.IsNull(sorted.NumRows() - 1) {
-		t.Fatal("null should sort last")
-	}
-	if _, err := tbl.SortBy("nope"); err == nil {
-		t.Fatal("expected error for unknown sort column")
-	}
-}
-
-func TestSortByString(t *testing.T) {
-	tbl := sampleTable(t)
-	sorted, err := tbl.SortBy("country")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := sorted.MustColumn("country")
-	want := []string{"DE", "DE", "FR", "FR", "US", "US"}
-	for i, w := range want {
-		if c.StringAt(i) != w {
-			t.Fatalf("row %d = %q, want %q", i, c.StringAt(i), w)
 		}
 	}
 }

@@ -78,8 +78,8 @@ func (o *Options) applyDefaults() {
 		// A zero K means the caller did not configure Core; swap in the
 		// paper defaults but keep the knobs that are meaningful on their
 		// own (the prune toggles, Parallelism and the scoring seam — a
-		// -parallelism or -dist-workers CLI flag must not be silently
-		// dropped just because K was left default).
+		// -parallelism CLI flag, or a Scorer a caller plugged in, must not
+		// be silently dropped just because K was left default).
 		k := o.Core
 		o.Core = core.DefaultOptions()
 		o.Core.DisableOfflinePrune = k.DisableOfflinePrune

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"nexus/internal/colstore"
-	"nexus/internal/distremote"
 	"nexus/internal/kg"
 	"nexus/internal/kgremote"
 	"nexus/internal/obs"
@@ -18,7 +16,7 @@ import (
 // Setup is the part of the command line that cmd/nexus and cmd/nexusd share,
 // field for flag: which dataset to register (a CSV file, or a synthetic paper
 // dataset sampled from the generated world), which knowledge graph to extract
-// from and where candidates are scored.
+// from.
 type Setup struct {
 	Dataset string   // -dataset: so|covid|flights|forbes
 	Rows    int      // -rows: synthetic row count (0 = the dataset's default)
@@ -27,9 +25,7 @@ type Setup struct {
 	Links   []string // -links: link columns of CSV (SplitList of the flag)
 	Seed    uint64   // -seed: world seed
 
-	KG          string        // -kg: kgd URL ("" = the in-process graph)
-	DistWorkers []string      // -dist-workers: nexusw URLs (SplitList of the flag; none = score in process)
-	HedgeAfter  time.Duration // -dist-hedge-after
+	KG string // -kg: kgd URL ("" = the in-process graph)
 	// Registry, when non-nil, receives the remote-KG request histograms.
 	Registry *obs.Registry
 }
@@ -48,8 +44,8 @@ type Loaded struct {
 var ErrNoDataset = errors.New("provide -dataset or -csv")
 
 // SplitList parses a comma-separated flag value: split on commas, trim
-// blanks, drop empty fields. Both list flags (-links, -dist-workers) of both
-// binaries go through it, so "Country," or "a, b" mean the same everywhere.
+// blanks, drop empty fields. The -links flag of both binaries goes through
+// it, so "Country," or "a, b" mean the same in each.
 func SplitList(s string) []string {
 	var out []string
 	for _, f := range strings.Split(s, ",") {
@@ -60,10 +56,11 @@ func SplitList(s string) []string {
 	return out
 }
 
-// Open builds the session a Setup describes — world generation, the KG and
-// scoring backends, the dataset registered with its link columns — on top of
-// the caller's own opts (tracing, caches, depth). Backend and ingest counters
-// go where the pipeline's do: the trace's counter set, else opts.Metrics.
+// Open builds the session a Setup describes — world generation, the KG
+// backend, the dataset registered with its link columns — on top of the
+// caller's own opts (tracing, caches, depth, scorer). Backend and ingest
+// counters go where the pipeline's do: the trace's counter set, else
+// opts.Metrics.
 //
 // The local world is always generated, because the synthetic datasets sample
 // its entities; with Setup.KG the extraction backend is the remote server
@@ -84,13 +81,6 @@ func Open(su Setup, opts Options) (*Session, *Loaded, error) {
 	var src kg.Source = world.Graph
 	if su.KG != "" {
 		src = kgremote.New(su.KG, kgremote.Options{Counters: counters, Registry: su.Registry})
-	}
-	if len(su.DistWorkers) > 0 {
-		opts.Core.Scorer = distremote.New(su.DistWorkers, distremote.Options{
-			HedgeAfter:  su.HedgeAfter,
-			Parallelism: opts.Core.Parallelism,
-			Counters:    counters,
-		})
 	}
 	sess := NewSessionFromSource(src, &opts)
 

@@ -110,8 +110,6 @@ require_section docs/OPERATIONS.md '### A restart is the invalidation'
 require_section docs/ARCHITECTURE.md '## Columnar data engine'
 require_section README.md '### Paper-scale quickstart'
 require_section docs/ARCHITECTURE.md '## Distributed scoring'
-require_section docs/OPERATIONS.md '## nexusw flags'
-require_section README.md '### Distributed scoring fleet'
 
 # --- 5. cmd/ and internal/ paths cited in the docs must exist ---------------
 pathfail=$(
