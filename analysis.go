@@ -45,9 +45,9 @@ type Analysis struct {
 	binOpts bins.Options
 	byName  map[string]*core.Candidate
 	// metrics is the counter set every lazy pipeline stage (IPW detection,
-	// row broadcasts of KG candidates) reports into: the session trace's
-	// counter set when tracing is on, and a private set otherwise. A server
-	// shares one set across all its requests.
+	// row broadcasts of KG candidates) reports into: the counter set of the
+	// prepare context's trace, else Options.Metrics, else a private set. A
+	// server shares one set across all its requests.
 	metrics *obs.Counters
 	// biased counts this analysis's own obs.BiasedAttrs additions, the
 	// count NumBiased reports.
@@ -103,17 +103,11 @@ func adaptiveBins(rows int) int {
 	}
 }
 
-// Prepare parses and executes sql, then assembles the explanation problem.
-// It is PrepareCtx with a background context.
-func (s *Session) Prepare(sql string) (*Analysis, error) {
-	return s.PrepareCtx(context.Background(), sql)
-}
-
 // PrepareCtx parses and executes sql, then assembles the explanation
 // problem, honouring ctx through every phase (query execution, encoding,
 // KG extraction). On cancellation the returned error wraps ctx.Err().
 func (s *Session) PrepareCtx(ctx context.Context, sql string) (*Analysis, error) {
-	psp := s.traceFor(ctx).Start("parse")
+	psp := obs.TraceFrom(ctx).Start("parse")
 	q, err := sqlx.Parse(sql)
 	psp.End()
 	if err != nil {
@@ -124,7 +118,7 @@ func (s *Session) PrepareCtx(ctx context.Context, sql string) (*Analysis, error)
 
 // PrepareQueryCtx is PrepareCtx for a pre-parsed query.
 func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis, error) {
-	tr := s.traceFor(ctx)
+	tr := obs.TraceFrom(ctx)
 	psp := tr.Start("prepare")
 	defer psp.End()
 
@@ -206,7 +200,7 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 		links := s.linkColumnsIn(q.Table, res.View)
 		if len(links) > 0 {
 			ksp := tr.Start("kg-extract")
-			ce, hit, err := s.opts.ExtractCache.lookup(ctx, extractionKey(q, links, s.opts.Hops), func() (*extract.Extraction, error) {
+			ce, err := s.opts.ExtractCache.lookup(ctx, extractionKey(q, links, s.opts.Hops), func() (*extract.Extraction, error) {
 				return extract.ExtractCtx(ctx, res.View, links, s.src, s.linker, extract.Options{
 					Hops:      s.opts.Hops,
 					OneToMany: s.opts.OneToMany,
@@ -216,9 +210,6 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 			if err != nil {
 				ksp.End()
 				return nil, err
-			}
-			if hit {
-				a.metrics.Add(obs.ExtractCacheHits, 1)
 			}
 			a.Extraction, a.ipw = ce.ex, ce.ipwFor(res.Outcome, a.binOpts)
 			for lc, st := range ce.ex.LinkStats {
@@ -237,7 +228,7 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 	return a, nil
 }
 
-// explainable rejects executed queries that are valid SQL (Session.Query
+// explainable rejects executed queries that are valid SQL (sqlx.Execute
 // answers them) but pose no Correlation-Explanation problem: an aggregate
 // other than count over a column of strings, whose "correlation" with T is
 // that of arbitrary dictionary codes, and an outcome that is also a grouping
@@ -347,20 +338,12 @@ func (a *Analysis) KGCandidate(attr *extract.Attribute) *core.Candidate {
 // Candidate returns the named candidate, or nil.
 func (a *Analysis) Candidate(name string) *core.Candidate { return a.byName[name] }
 
-// Explain runs the full MESA pipeline on the prepared analysis. It is
-// ExplainCtx with a background context.
-func (a *Analysis) Explain() (*Report, error) {
-	return a.ExplainCtx(context.Background())
-}
-
 // ExplainCtx runs the full MESA pipeline on the prepared analysis,
 // honouring ctx through pruning, MCIMR and the permutation tests. On
 // cancellation the returned error wraps ctx.Err().
 func (a *Analysis) ExplainCtx(ctx context.Context) (*Report, error) {
 	opts := a.session.opts.Core
-	if opts.Trace == nil {
-		opts.Trace = a.session.traceFor(ctx)
-	}
+	opts.Trace = obs.TraceFrom(ctx)
 	if opts.Scorer != nil && opts.ScoreTag == "" {
 		// Qualify the fingerprints shipped to scoring workers with the same
 		// dataset/KG identity the report cache keys on, so two sessions with
@@ -378,12 +361,6 @@ func (a *Analysis) ExplainCtx(ctx context.Context) (*Report, error) {
 type Report struct {
 	Analysis    *Analysis
 	Explanation *core.Explanation
-}
-
-// Explain is the one-call entry point: parse, execute, prepare, explain.
-// It is ExplainCtx with a background context.
-func (s *Session) Explain(sql string) (*Report, error) {
-	return s.ExplainCtx(context.Background(), sql)
 }
 
 // ExplainCtx is the one-call entry point honouring ctx: parse, execute,
@@ -440,17 +417,11 @@ func safeRatio(a, b float64) float64 {
 	return a / b
 }
 
-// Subgroups finds the top-k largest context refinements where the report's
-// explanation fails (Algorithm 2). tau ≤ 0 selects the paper-style default
-// of max(0.2, 2× the explanation score). It is SubgroupsCtx with a
-// background context.
-func (r *Report) Subgroups(k int, tau float64) ([]subgroups.Group, subgroups.Stats, error) {
-	return r.SubgroupsCtx(context.Background(), k, tau)
-}
-
-// SubgroupsCtx is Subgroups honouring ctx: the lattice search checks for
-// cancellation before scoring each batch. On cancellation the returned
-// error wraps ctx.Err().
+// SubgroupsCtx finds the top-k largest context refinements where the
+// report's explanation fails (Algorithm 2). tau ≤ 0 selects the paper-style
+// default of max(0.2, 2× the explanation score). The lattice search checks
+// ctx for cancellation before scoring each batch; on cancellation the
+// returned error wraps ctx.Err().
 func (r *Report) SubgroupsCtx(ctx context.Context, k int, tau float64) ([]subgroups.Group, subgroups.Stats, error) {
 	return r.SubgroupsWithOptions(ctx, subgroups.Options{K: k, Tau: tau})
 }
@@ -461,7 +432,8 @@ func (r *Report) SubgroupsCtx(ctx context.Context, k int, tau float64) ([]subgro
 // byte-identical at any setting; only wall clock and effort counters move).
 // Zero fields select the session-level defaults SubgroupsCtx uses: the
 // paper-style τ of max(0.2, 2× the explanation score), the session's
-// Core.Parallelism, and the session's Trace/Metrics as counter sinks.
+// Core.Parallelism, and the session's Metrics as the counter sink of a
+// search whose context carries no trace.
 func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Options) ([]subgroups.Group, subgroups.Stats, error) {
 	sess := r.Analysis.session
 	if opts.Tau <= 0 {
@@ -472,9 +444,6 @@ func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Option
 	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = sess.opts.Core.Parallelism
-	}
-	if opts.Trace == nil {
-		opts.Trace = sess.traceFor(ctx)
 	}
 	if opts.Counters == nil {
 		opts.Counters = sess.opts.Metrics

@@ -275,7 +275,7 @@ func BenchmarkHeadlineFlights(b *testing.B) {
 	ds := workload.Flights(world, workload.Config{Rows: 200000, Seed: 14})
 	sess := nexus.NewSession(world.Graph, nil)
 	sess.RegisterTable("Flights", ds.Table, ds.LinkColumns...)
-	a, err := sess.Prepare("SELECT Origin_city, avg(Departure_delay) FROM Flights GROUP BY Origin_city")
+	a, err := sess.PrepareCtx(context.Background(), "SELECT Origin_city, avg(Departure_delay) FROM Flights GROUP BY Origin_city")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func benchReport() (*nexus.Report, error) {
 		sess := nexus.NewSession(world.Graph, nil)
 		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 		sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-		benchReportVal, benchReportErr = sess.Explain("SELECT Origin_city, avg(Departure_delay) FROM Flights GROUP BY Origin_city")
+		benchReportVal, benchReportErr = sess.ExplainCtx(context.Background(), "SELECT Origin_city, avg(Departure_delay) FROM Flights GROUP BY Origin_city")
 	})
 	return benchReportVal, benchReportErr
 }
@@ -359,7 +359,7 @@ func BenchmarkOnlinePruneFlights(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		a, err := sess.Prepare(flightsQuery)
+		a, err := sess.PrepareCtx(context.Background(), flightsQuery)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func benchAnalysis() (*nexus.Analysis, error) {
 		sess := nexus.NewSession(world.Graph, nil)
 		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 		sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-		benchAnalysisVal, benchAnalysisErr = sess.Prepare("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+		benchAnalysisVal, benchAnalysisErr = sess.PrepareCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	})
 	return benchAnalysisVal, benchAnalysisErr
 }

@@ -34,6 +34,14 @@ import (
 // instead), and completed extractions are kept on an LRU list of
 // extractionCacheEntries — an evicted context re-extracts and counts as a miss.
 //
+// It is the outermost layer of the caching story: ExtractionCache
+// deduplicates whole extractions across requests, an extraction keeps its
+// selection-bias verdicts, IPW fits and slot-level mean outcomes per outcome
+// column across requests (ipwState), an extracted attribute keeps its
+// slot-level binning within an extraction, and a candidate keeps its row
+// vectors within an Analysis (see docs/ARCHITECTURE.md, "Hot path &
+// caching").
+//
 // Correctness rests on two invariants the serving path maintains:
 //
 //   - registered tables and the entity linker are immutable while requests
@@ -46,8 +54,6 @@ import (
 // caching (every Prepare extracts).
 type ExtractionCache struct {
 	c *sfcache.Cache[*cachedExtraction]
-	// counters, when non-nil, receives ExtractCacheHits/ExtractCacheMisses.
-	counters *obs.Counters
 }
 
 // extractionCacheEntries bounds the completed extractions an ExtractionCache
@@ -61,8 +67,9 @@ const extractionCacheEntries = 64
 
 // NewExtractionCache returns an empty cache. counters may be nil; when set
 // (e.g. to a server-wide obs.Counters published over /metrics) every
-// lookup increments obs.ExtractCacheHits — a completed entry or a joined
-// in-flight extraction — or obs.ExtractCacheMisses.
+// lookup increments obs.ExtractCacheHits once — a completed entry or a
+// joined in-flight extraction — or obs.ExtractCacheMisses, whose count is the
+// number of NED + graph-walk passes actually performed.
 func NewExtractionCache(counters *obs.Counters) *ExtractionCache {
 	return &ExtractionCache{
 		c: sfcache.New[*cachedExtraction](sfcache.Config{
@@ -72,52 +79,22 @@ func NewExtractionCache(counters *obs.Counters) *ExtractionCache {
 			Shared:     obs.ExtractCacheHits,
 			Misses:     obs.ExtractCacheMisses,
 		}),
-		counters: counters,
 	}
-}
-
-// Hits returns the number of cache hits recorded so far (0 when the cache
-// was built without counters or is nil).
-func (c *ExtractionCache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.counters.Get(obs.ExtractCacheHits)
-}
-
-// Misses returns the number of cache misses recorded so far (0 when the
-// cache was built without counters or is nil). Hits+Misses is the total
-// lookup count; the miss count is the number of NED + graph-walk passes
-// actually performed. This is the outermost layer of the caching story:
-// ExtractionCache deduplicates whole extractions across requests, an
-// extraction keeps its selection-bias verdicts, IPW fits and slot-level mean
-// outcomes per outcome column across requests (ipwState), an extracted
-// attribute keeps its slot-level binning within an extraction, and a
-// candidate keeps its row vectors within an Analysis (see
-// docs/ARCHITECTURE.md, "Hot path & caching").
-func (c *ExtractionCache) Misses() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.counters.Get(obs.ExtractCacheMisses)
 }
 
 // lookup returns the extraction for key, running fn (under the caller's ctx)
-// at most once per key across concurrent callers. The second return reports
-// whether the lookup was a hit — either a completed entry or an in-flight
-// extraction started by another caller. A nil cache wraps a fresh extraction
-// the same way, shared with nobody.
-func (c *ExtractionCache) lookup(ctx context.Context, key string, fn func() (*extract.Extraction, error)) (*cachedExtraction, bool, error) {
+// at most once per key across concurrent callers. A nil cache wraps a fresh
+// extraction the same way, shared with nobody.
+func (c *ExtractionCache) lookup(ctx context.Context, key string, fn func() (*extract.Extraction, error)) (*cachedExtraction, error) {
 	wrap := func() (*cachedExtraction, error) {
 		ex, err := fn()
 		return &cachedExtraction{ex: ex}, err
 	}
 	if c == nil {
-		ce, err := wrap()
-		return ce, false, err
+		return wrap()
 	}
-	ce, out, err := c.c.Get(ctx, key, wrap)
-	return ce, out != sfcache.Miss, err
+	ce, _, err := c.c.Get(ctx, key, wrap)
+	return ce, err
 }
 
 // cachedExtraction is what an ExtractionCache holds per dataset context: the

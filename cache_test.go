@@ -63,7 +63,8 @@ func TestExtractionCacheEvictsFailures(t *testing.T) {
 // receive the error, and the key is still evicted afterwards.
 func TestExtractionCacheFailureUnblocksWaiters(t *testing.T) {
 	ctx := context.Background()
-	c := NewExtractionCache(obs.NewCounters())
+	counters := obs.NewCounters()
+	c := NewExtractionCache(counters)
 	boom := errors.New("transient")
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -93,7 +94,7 @@ func TestExtractionCacheFailureUnblocksWaiters(t *testing.T) {
 	// Hold the extraction open until the waiter has joined it (the hit
 	// counter increments before the waiter blocks on done), so the waiter
 	// cannot arrive after eviction and start its own extraction.
-	for c.Hits() == 0 {
+	for counters.Get(obs.ExtractCacheHits) == 0 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -114,7 +115,8 @@ func TestExtractionCacheFailureUnblocksWaiters(t *testing.T) {
 // evict the first, which then re-extracts and counts as a miss.
 func TestExtractionCacheBounded(t *testing.T) {
 	ctx := context.Background()
-	c := NewExtractionCache(obs.NewCounters())
+	counters := obs.NewCounters()
+	c := NewExtractionCache(counters)
 	extractions := map[string]int{}
 	lookup := func(key string) bool {
 		_, hit, err := c.get(ctx, key, func() (*extract.Extraction, error) {
@@ -139,7 +141,7 @@ func TestExtractionCacheBounded(t *testing.T) {
 		t.Fatalf("the least recently used context was retained past the bound (extracted %d times, want 2)", extractions[key(0)])
 	}
 	lookups := int64(extractionCacheEntries + 3)
-	if h, m := c.Hits(), c.Misses(); h != 1 || h+m != lookups {
+	if h, m := counters.Get(obs.ExtractCacheHits), counters.Get(obs.ExtractCacheMisses); h != 1 || h+m != lookups {
 		t.Fatalf("hits=%d misses=%d, want 1 hit and %d lookups in all", h, m, lookups)
 	}
 }

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -91,9 +92,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if su.KG != "" {
 		fmt.Fprintf(stdout, "using remote knowledge graph at %s\n", su.KG)
 	}
-	opts := nexus.Options{Hops: *hops, DisableIPW: *noIPW, Trace: tr}
+	ctx := obs.WithTrace(context.Background(), tr)
+	opts := nexus.Options{Hops: *hops, DisableIPW: *noIPW}
 	opts.Core.Parallelism = *par
-	sess, ds, err := nexus.Open(su, opts)
+	sess, ds, err := nexus.Open(ctx, su, opts)
 	if errors.Is(err, nexus.ErrNoDataset) {
 		fs.Usage()
 	}
@@ -107,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "generated %s: %d rows, link columns %v\n", ds.Name, ds.Table.NumRows(), ds.LinkColumns)
 	}
 
-	rep, err := sess.Explain(*sql)
+	rep, err := sess.ExplainCtx(ctx, *sql)
 	if err != nil {
 		return err
 	}
@@ -115,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprint(stdout, rep.Summary())
 
 	if *subgroups > 0 {
-		groups, stats, err := rep.Subgroups(*subgroups, 0)
+		groups, stats, err := rep.SubgroupsCtx(ctx, *subgroups, 0)
 		if err != nil {
 			return err
 		}

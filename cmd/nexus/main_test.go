@@ -1,10 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nexus/internal/obs"
 )
 
 // Regression: every failure path must surface as a non-nil error from run
@@ -68,15 +71,37 @@ func TestRunSuccessTinyDataset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explains a small dataset end to end")
 	}
+	traceJSON := filepath.Join(t.TempDir(), "trace.jsonl")
 	var out, errw strings.Builder
 	err := run([]string{
 		"-dataset", "forbes", "-rows", "300",
 		"-sql", "SELECT Category, avg(Pay) FROM Forbes GROUP BY Category",
+		"-subgroups", "2", "-trace-json", traceJSON,
 	}, &out, &errw)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
 	}
 	if !strings.Contains(out.String(), "query:") {
 		t.Fatalf("summary missing from output:\n%s", out.String())
+	}
+	// Every stage reaches the one trace the CLI puts on its context.
+	raw, err := os.ReadFile(traceJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		var ev obs.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if ev.Type == "span" {
+			spans[ev.Name] = true
+		}
+	}
+	for _, want := range []string{"world-gen", "load-dataset", "parse", "prepare", "core-explain", "subgroup-search"} {
+		if !spans[want] {
+			t.Errorf("no %q span in the trace", want)
+		}
 	}
 }

@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"log"
@@ -96,9 +97,8 @@ func run(args []string) error {
 		Hops:       *hops,
 		DisableIPW: *noIPW,
 		// One cache per daemon: concurrent requests over the same dataset
-		// context share a single KG extraction. No Trace — the session
-		// trace is single-request machinery; the server attaches a
-		// per-request trace to each job's context instead (feeding the
+		// context share a single KG extraction. The server attaches a
+		// per-request trace to each request's context (feeding the
 		// per-stage histograms and slow capture), while Metrics routes
 		// every pipeline counter (bias detections, cache hits,
 		// subgroup-search effort) to /metrics.
@@ -108,7 +108,7 @@ func run(args []string) error {
 	sessOpts.Core.Parallelism = *par
 	// A CSV's ingest counters land in /metrics alongside the
 	// resident-chunk-bytes gauge registered above.
-	sess, ds, err := nexus.Open(su, sessOpts)
+	sess, ds, err := nexus.Open(context.Background(), su, sessOpts)
 	if errors.Is(err, nexus.ErrNoDataset) {
 		fs.Usage()
 	}

@@ -33,7 +33,7 @@ func TestColstoreExplainByteIdentical(t *testing.T) {
 	oracleSess := nexus.NewSession(world.Graph, nil)
 	oracleSess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 	oracleSess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-	oracleRep, err := oracleSess.Explain(query)
+	oracleRep, err := oracleSess.ExplainCtx(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestColstoreExplainByteIdentical(t *testing.T) {
 	colSess := nexus.NewSession(world.Graph, nil)
 	colSess.RegisterTable(ds.Name, tbl, workload.FlightsLinkColumns...)
 	colSess.ExcludeCandidates(ds.Name, workload.FlightsExcludeCandidates...)
-	colRep, err := colSess.Explain(query)
+	colRep, err := colSess.ExplainCtx(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 func TestDistributedKillWorkerMidExplanation(t *testing.T) {
 	w := integrationWorld()
 	local := flightsSession(w, w.Graph, nil)
-	wantRep, err := local.Explain(flightsQuery)
+	wantRep, err := local.ExplainCtx(context.Background(), flightsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package nexus_test
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -36,11 +37,11 @@ func TestDistributedFlightsIdentical(t *testing.T) {
 	w := integrationWorld()
 
 	local := flightsSession(w, w.Graph, nil)
-	wantRep, err := local.Explain(flightsQuery)
+	wantRep, err := local.ExplainCtx(context.Background(), flightsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantGroups, _, err := wantRep.Subgroups(3, 0.05)
+	wantGroups, _, err := wantRep.SubgroupsCtx(context.Background(), 3, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +56,14 @@ func TestDistributedFlightsIdentical(t *testing.T) {
 			ChunkSize: 4, Counters: ctr,
 		})
 		sess := flightsSession(w, w.Graph, opts)
-		gotRep, err := sess.Explain(flightsQuery)
+		gotRep, err := sess.ExplainCtx(context.Background(), flightsQuery)
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
 		if got := stableSummary(gotRep); got != want {
 			t.Errorf("%d workers: explanation differs:\n--- distributed ---\n%s\n--- local ---\n%s", workers, got, want)
 		}
-		gotGroups, _, err := gotRep.Subgroups(3, 0.05)
+		gotGroups, _, err := gotRep.SubgroupsCtx(context.Background(), 3, 0.05)
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
@@ -117,11 +118,11 @@ func TestDistributedFlightsIdenticalUnderFaults(t *testing.T) {
 	w := integrationWorld()
 
 	local := flightsSession(w, w.Graph, nil)
-	wantRep, err := local.Explain(flightsQuery)
+	wantRep, err := local.ExplainCtx(context.Background(), flightsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantGroups, _, err := wantRep.Subgroups(3, 0.05)
+	wantGroups, _, err := wantRep.SubgroupsCtx(context.Background(), 3, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +140,11 @@ func TestDistributedFlightsIdenticalUnderFaults(t *testing.T) {
 		Counters:    ctr,
 	})
 	sess := flightsSession(w, w.Graph, opts)
-	gotRep, err := sess.Explain(flightsQuery)
+	gotRep, err := sess.ExplainCtx(context.Background(), flightsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotGroups, _, err := gotRep.Subgroups(3, 0.05)
+	gotGroups, _, err := gotRep.SubgroupsCtx(context.Background(), 3, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package nexus_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -108,12 +109,13 @@ func TestEffortCountsExact(t *testing.T) {
 			tr := obs.New(w.key)
 			world := kg.NewWorld(kg.WorldConfig{Seed: 11})
 			ds := w.make(world, workload.Config{Rows: w.rows, Seed: 12})
-			opts := &nexus.Options{Trace: tr}
+			ctx := obs.WithTrace(context.Background(), tr)
+			opts := &nexus.Options{}
 			opts.Core.Parallelism = 1
 			sess := nexus.NewSession(world.Graph, opts)
 			sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 			sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-			rep, err := sess.Explain(w.query)
+			rep, err := sess.ExplainCtx(ctx, w.query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +124,7 @@ func TestEffortCountsExact(t *testing.T) {
 			if v := tr.Counters().Get(obs.KGRowEncodings); v != 0 {
 				t.Errorf("kg_row_encodings = %d after Explain, want 0", v)
 			}
-			if _, _, err := rep.Subgroups(5, 0); err != nil {
+			if _, _, err := rep.SubgroupsCtx(ctx, 5, 0); err != nil {
 				t.Fatal(err)
 			}
 

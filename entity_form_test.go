@@ -65,7 +65,7 @@ func TestOnlinePruneUsesTheRunsOutcome(t *testing.T) {
 	prepare := func() *nexus.Analysis {
 		sess := nexus.NewSession(w.Graph, nil)
 		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
-		a, err := sess.Prepare("SELECT Country, avg(Deaths_per_100_cases) FROM `Covid-19` GROUP BY Country")
+		a, err := sess.PrepareCtx(context.Background(), "SELECT Country, avg(Deaths_per_100_cases) FROM `Covid-19` GROUP BY Country")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestPrunesAgreeWithAndWithoutEntityForm(t *testing.T) {
 					sess := nexus.NewSession(world.Graph, &nexus.Options{Hops: hops})
 					sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 					sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-					a, err := sess.Prepare(d.sql)
+					a, err := sess.PrepareCtx(context.Background(), d.sql)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -204,7 +204,7 @@ func TestCondVerdictsMatchUnfusedOnDatasets(t *testing.T) {
 					sess := nexus.NewSession(world.Graph, &nexus.Options{Hops: hops})
 					sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 					sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-					a, err := sess.Prepare(d.sql)
+					a, err := sess.PrepareCtx(context.Background(), d.sql)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -274,7 +274,7 @@ func explanationKey(ex *core.Explanation) string {
 // TestEntityFormDegenerateInputs drives inputs at the edges of the entity
 // form through the session: each must give the row path's answer (the same
 // query explained with the entity forms stripped, see rowForm) or the row
-// path's error, and Session.Explain with its defaults — entity-level
+// path's error, and Session.ExplainCtx with its defaults — entity-level
 // permutation test included — must neither panic nor hang on any of them.
 func TestEntityFormDegenerateInputs(t *testing.T) {
 	w := integrationWorld()
@@ -358,7 +358,7 @@ func TestEntityFormDegenerateInputs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			explain := func(opts nexus.Options, strip bool) (string, error) {
-				a, err := tc.sess(opts).Prepare(tc.sql)
+				a, err := tc.sess(opts).PrepareCtx(context.Background(), tc.sql)
 				if err != nil {
 					return "", err
 				}
@@ -368,7 +368,7 @@ func TestEntityFormDegenerateInputs(t *testing.T) {
 				if strip {
 					a.Candidates = rowForm(a.Candidates)
 				}
-				rep, err := a.Explain()
+				rep, err := a.ExplainCtx(context.Background())
 				if err != nil {
 					return "", err
 				}

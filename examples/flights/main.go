@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -28,6 +29,7 @@ func main() {
 	sess := nexus.NewSession(world.Graph, nil)
 	sess.RegisterTable("Flights", flights.Table, flights.LinkColumns...)
 	sess.ExcludeCandidates("Flights", flights.ExcludeCandidates...)
+	ctx := context.Background()
 
 	queries := []struct{ label, sql string }{
 		{"Q1: average delay per origin city",
@@ -40,7 +42,7 @@ func main() {
 	for _, q := range queries {
 		fmt.Printf("\n=== %s ===\n", q.label)
 		start := time.Now()
-		rep, err := sess.Explain(q.sql)
+		rep, err := sess.ExplainCtx(ctx, q.sql)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,9 +32,10 @@ func main() {
 
 	sess := nexus.NewSession(world.Graph, nil)
 	sess.RegisterTable("Covid", covid.Table, covid.LinkColumns...)
+	ctx := context.Background()
 
 	// Ann's query (paper Example 1.1).
-	rep, err := sess.Explain(
+	rep, err := sess.ExplainCtx(ctx,
 		"SELECT Country, avg(Deaths_per_100_cases) FROM Covid GROUP BY Country")
 	if err != nil {
 		log.Fatal(err)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,6 +22,7 @@ func main() {
 
 	sess := nexus.NewSession(world.Graph, nil)
 	sess.RegisterTable("SO", so.Table, so.LinkColumns...)
+	ctx := context.Background()
 
 	// The survey spells some countries differently from the knowledge
 	// graph ("Russian Federation" vs "Russia") — the NED failure mode the
@@ -39,7 +41,7 @@ func main() {
 
 	// Q_so: why do average developer salaries differ so much by country?
 	fmt.Println("=== SO Q1: average salary per country ===")
-	rep, err := sess.Explain("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	rep, err := sess.ExplainCtx(ctx, "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func main() {
 	// clustered, so the global explanation may not hold — a different set
 	// explains the within-Europe differences.
 	fmt.Println("\n=== SO Q3: average salary per country in Europe ===")
-	repEU, err := sess.Explain(
+	repEU, err := sess.ExplainCtx(ctx,
 		"SELECT Country, avg(Salary) FROM SO WHERE Continent = 'Europe' GROUP BY Country")
 	if err != nil {
 		log.Fatal(err)
@@ -73,7 +75,7 @@ func main() {
 	// Unexplained subgroups (Algorithm 2 / Table 4): where does the global
 	// explanation fail?
 	fmt.Println("=== Top-5 unexplained subgroups for SO Q1 (auto τ) ===")
-	groups, stats, err := rep.Subgroups(5, 0)
+	groups, stats, err := rep.SubgroupsCtx(ctx, 5, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 
 	"nexus/internal/extract"
+	"nexus/internal/sfcache"
+	"nexus/internal/sqlx"
 )
 
 // RefinementAttrCount is how many dimensions the subgroup search of a's
@@ -13,11 +15,20 @@ func RefinementAttrCount(a *Analysis) (int, error) {
 	return len(attrs), err
 }
 
-// get is lookup returning the extraction alone, for the cache's own tests.
+// Catalog is s's table catalog, for the external tests that execute a query
+// without explaining it.
+func Catalog(s *Session) sqlx.Catalog { return s.catalog }
+
+// get is lookup returning the extraction alone and whether it was a hit —
+// a completed entry or an in-flight extraction started by another caller —
+// for the cache's own tests.
 func (c *ExtractionCache) get(ctx context.Context, key string, fn func() (*extract.Extraction, error)) (*extract.Extraction, bool, error) {
-	ce, hit, err := c.lookup(ctx, key, fn)
+	ce, out, err := c.c.Get(ctx, key, func() (*cachedExtraction, error) {
+		ex, err := fn()
+		return &cachedExtraction{ex: ex}, err
+	})
 	if err != nil {
-		return nil, hit, err
+		return nil, out != sfcache.Miss, err
 	}
-	return ce.ex, hit, nil
+	return ce.ex, out != sfcache.Miss, nil
 }

@@ -18,14 +18,15 @@ import (
 	"nexus"
 	"nexus/internal/counting"
 	"nexus/internal/server"
+	"nexus/internal/sqlx"
 	"nexus/internal/workload"
 )
 
 // TestMeaninglessAndDegenerateQueries drives queries through both entry
-// points, Session.Explain and POST /v1/explain. A query that is valid SQL but
+// points, Session.ExplainCtx and POST /v1/explain. A query that is valid SQL but
 // poses no explanation problem — an average of strings, an outcome that is
 // its own exposure — is an error naming the column (400 over HTTP), while
-// Session.Query keeps answering it. The degenerate inputs that have a defined
+// sqlx.Execute keeps answering it. The degenerate inputs that have a defined
 // result today keep it: "no explanation" at zero bits for an empty result
 // set, a single-valued exposure, an all-null outcome and a header-only CSV; a
 // clean error for a ragged one; and the pinned non-zero results of one row
@@ -67,7 +68,7 @@ func TestMeaninglessAndDegenerateQueries(t *testing.T) {
 	}
 	open := func(su nexus.Setup) func() (*nexus.Session, error) {
 		return func() (*nexus.Session, error) {
-			sess, _, err := nexus.Open(su, nexus.Options{})
+			sess, _, err := nexus.Open(context.Background(), su, nexus.Options{})
 			return sess, err
 		}
 	}
@@ -127,15 +128,19 @@ func TestMeaninglessAndDegenerateQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sess.Query(tc.sql); err != nil {
-				t.Fatalf("Session.Query must keep executing valid SQL: %v", err)
+			q, err := sqlx.Parse(tc.sql)
+			if err == nil {
+				_, err = sqlx.Execute(q, nexus.Catalog(sess))
+			}
+			if err != nil {
+				t.Fatalf("valid SQL must keep executing: %v", err)
 			}
 
-			rep, err := sess.Explain(tc.sql)
+			rep, err := sess.ExplainCtx(context.Background(), tc.sql)
 			code, body := postExplainSQL(t, sess, tc.sql)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("Session.Explain: %v, want an error containing %q", err, tc.wantErr)
+					t.Fatalf("Session.ExplainCtx: %v, want an error containing %q", err, tc.wantErr)
 				}
 				if code != http.StatusBadRequest || !strings.Contains(body.Error, tc.wantErr) || body.Kind != "bad_request" {
 					t.Fatalf("POST /v1/explain: %d %+v, want 400 bad_request containing %q", code, body, tc.wantErr)
@@ -143,13 +148,13 @@ func TestMeaninglessAndDegenerateQueries(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("Session.Explain: %v, want a defined result", err)
+				t.Fatalf("Session.ExplainCtx: %v, want a defined result", err)
 			}
 			ex, want := rep.Explanation, tc.want
 			if math.Abs(ex.BaseScore-want.bits) >= 0.005 || !slices.Equal(ex.Names(), want.attrs) {
-				t.Fatalf("Session.Explain: %.4f bits explained by %v, want %.2f bits and %v", ex.BaseScore, ex.Names(), want.bits, want.attrs)
+				t.Fatalf("Session.ExplainCtx: %.4f bits explained by %v, want %.2f bits and %v", ex.BaseScore, ex.Names(), want.bits, want.attrs)
 			}
-			groups, _, err := rep.Subgroups(2, 0)
+			groups, _, err := rep.SubgroupsCtx(context.Background(), 2, 0)
 			if err != nil || len(groups) != want.subgroups {
 				t.Fatalf("Subgroups: %d groups, %v; want %d", len(groups), err, want.subgroups)
 			}
@@ -158,7 +163,7 @@ func TestMeaninglessAndDegenerateQueries(t *testing.T) {
 				served = append(served, a.Name)
 			}
 			if code != http.StatusOK || body.BaseScore != ex.BaseScore || !slices.Equal(served, want.attrs) || len(body.Subgroups) != want.subgroups {
-				t.Fatalf("POST /v1/explain: %d %+v, want 200 with Session.Explain's %.4f bits, %v and %d subgroups",
+				t.Fatalf("POST /v1/explain: %d %+v, want 200 with Session.ExplainCtx's %.4f bits, %v and %d subgroups",
 					code, body, ex.BaseScore, want.attrs, want.subgroups)
 			}
 		})

@@ -32,7 +32,7 @@ func TestEndToEndCovidPipeline(t *testing.T) {
 	sess := nexus.NewSession(w.Graph, nil)
 	sess.RegisterTable("Covid", ds.Table, ds.LinkColumns...)
 
-	rep, err := sess.Explain("SELECT Country, avg(Deaths_per_100_cases) FROM Covid GROUP BY Country")
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Deaths_per_100_cases) FROM Covid GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestEndToEndCovidPipeline(t *testing.T) {
 		t.Fatalf("responsibilities sum to %v", sum)
 	}
 
-	groups, _, err := rep.Subgroups(3, 0.05)
+	groups, _, err := rep.SubgroupsCtx(context.Background(), 3, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestExplainSubgroupRefinesEurope(t *testing.T) {
 	ds := workload.StackOverflow(w, workload.Config{Rows: 10000, Seed: 1})
 	sess := nexus.NewSession(w.Graph, nil)
 	sess.RegisterTable("SO", ds.Table, ds.LinkColumns...)
-	rep, err := sess.Explain("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,15 +16,6 @@ import (
 // Missing is the code assigned to null values.
 const Missing int32 = -1
 
-// Strategy selects how numeric columns are discretized.
-type Strategy int
-
-// Discretization strategies.
-const (
-	EqualFrequency Strategy = iota // quantile bins (default; robust to skew)
-	EqualWidth                     // uniform-width bins over [min, max]
-)
-
 // Encoded is a discretized column: Codes[i] ∈ [0, Card) or Missing.
 type Encoded struct {
 	Name   string
@@ -104,14 +95,14 @@ func (e *Encoded) Broadcast(slots []int32) *Encoded {
 	return out
 }
 
-// Options controls discretization.
+// Options controls discretization. Numeric columns are binned at
+// equal-frequency (quantile) cut points, which are robust to skew.
 type Options struct {
-	Bins     int      // number of bins for numeric columns; default 8
-	Strategy Strategy // default EqualFrequency
+	Bins int // number of bins for numeric columns; default 8
 }
 
 // DefaultOptions matches the estimator settings used across nexus.
-func DefaultOptions() Options { return Options{Bins: 8, Strategy: EqualFrequency} }
+func DefaultOptions() Options { return Options{Bins: 8} }
 
 // Encode discretizes a column. Categorical (String/Bool) columns map each
 // distinct value to a code; numeric columns are binned per opts. Numeric
@@ -213,7 +204,7 @@ func encodeNumeric(c *table.Column, opts Options) (*Encoded, error) {
 		return e, nil
 	}
 
-	edges := binEdges(vals, distinct, opts)
+	edges := binEdges(vals, opts.Bins)
 	labels := make([]string, len(edges)+1)
 	for i := range labels {
 		lo, hi := "-inf", "+inf"
@@ -243,18 +234,8 @@ func tiny(v float64) float64 {
 	return math.Abs(v)*1e-12 + 1e-300
 }
 
-func binEdges(vals, distinct []float64, opts Options) []float64 {
-	k := opts.Bins
-	if opts.Strategy == EqualWidth {
-		lo, hi := distinct[0], distinct[len(distinct)-1]
-		width := (hi - lo) / float64(k)
-		edges := make([]float64, 0, k-1)
-		for i := 1; i < k; i++ {
-			edges = append(edges, lo+width*float64(i))
-		}
-		return dedupEdges(edges)
-	}
-	// Equal frequency: quantile cut points.
+// binEdges returns the k-quantile cut points of vals, deduplicated.
+func binEdges(vals []float64, k int) []float64 {
 	sorted := append([]float64(nil), vals...)
 	sort.Float64s(sorted)
 	edges := make([]float64, 0, k-1)

@@ -67,7 +67,7 @@ func TestEncodeNumericEqualFrequency(t *testing.T) {
 		vals[i] = rng.Norm()
 	}
 	c := table.NewFloatColumn("x", vals)
-	e, err := Encode(c, Options{Bins: 8, Strategy: EqualFrequency})
+	e, err := Encode(c, Options{Bins: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,27 +82,6 @@ func TestEncodeNumericEqualFrequency(t *testing.T) {
 		frac := float64(cnt) / float64(len(vals))
 		if frac < 0.08 || frac > 0.17 {
 			t.Errorf("bin %d fraction %.3f, want ≈0.125", b, frac)
-		}
-	}
-}
-
-func TestEncodeNumericEqualWidth(t *testing.T) {
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i) // uniform 0..99
-	}
-	c := table.NewFloatColumn("x", vals)
-	e, err := Encode(c, Options{Bins: 4, Strategy: EqualWidth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Card != 4 {
-		t.Fatalf("card = %d, want 4", e.Card)
-	}
-	// Monotone: codes must be non-decreasing with value.
-	for i := 1; i < len(vals); i++ {
-		if e.Codes[i] < e.Codes[i-1] {
-			t.Fatal("codes not monotone in value")
 		}
 	}
 }

@@ -484,7 +484,7 @@ func TestExplainEncodesOncePerCandidate(t *testing.T) {
 			t.Fatalf("%s: vectors = %d rows over %d codes, %d weights, %v", c.Name, e.Len(), len(e.Codes), len(w), err)
 		}
 	}
-	// What Report.Subgroups does next: the explanation's encodings and the
+	// What Report.SubgroupsCtx does next: the explanation's encodings and the
 	// refinement attributes are requested as rows, here for every candidate.
 	for _, c := range cands {
 		for rep := 0; rep < 2; rep++ {

@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"nexus"
 	"nexus/internal/core"
+	"nexus/internal/obs"
 	"nexus/internal/userstudy"
 )
 
@@ -30,6 +32,7 @@ type AblationRow struct {
 //     repeated here.
 func (s *Suite) Ablations(specs []QuerySpec, base core.Options) ([]AblationRow, error) {
 	panel := userstudy.NewPanel(s.Seed + 991)
+	ctx := obs.WithTrace(context.Background(), base.Trace)
 	var out []AblationRow
 	for _, spec := range specs {
 		variants := []struct {
@@ -43,7 +46,7 @@ func (s *Suite) Ablations(specs []QuerySpec, base core.Options) ([]AblationRow, 
 		for _, v := range variants {
 			sess := s.SessionWith(spec.Dataset, v.opts)
 			start := time.Now()
-			rep, err := sess.Explain(spec.SQL)
+			rep, err := sess.ExplainCtx(ctx, spec.SQL)
 			if err != nil {
 				return nil, fmt.Errorf("harness: ablation %s on %s: %w", v.name, spec.Key(), err)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"nexus"
 	"nexus/internal/core"
+	"nexus/internal/obs"
 	"nexus/internal/subgroups"
 	"nexus/internal/workload"
 )
@@ -29,7 +30,7 @@ func (s *Suite) Table4(coreOpts core.Options) (*Table4Result, error) {
 		return nil, err
 	}
 	sess := s.Session("SO")
-	rep, err := sess.Explain(spec.SQL)
+	rep, err := sess.ExplainCtx(context.Background(), spec.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -43,13 +44,13 @@ func (s *Suite) Table4(coreOpts core.Options) (*Table4Result, error) {
 		tau = 0.2
 	}
 	start := time.Now()
-	groups, stats, err := rep.Subgroups(5, tau)
+	groups, stats, err := rep.SubgroupsCtx(context.Background(), 5, tau)
 	if err != nil {
 		return nil, err
 	}
 	if len(groups) == 0 {
 		tau = rep.Explanation.Score
-		groups, stats, err = rep.Subgroups(5, tau)
+		groups, stats, err = rep.SubgroupsCtx(context.Background(), 5, tau)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +104,7 @@ func (s *Suite) RandomQueries(perDataset int, coreOpts core.Options) (*RandomQue
 		sess := s.Session(name)
 		for _, rq := range workload.RandomQueries(ds, perDataset, s.Seed+77) {
 			sql := strings.Replace(rq.SQL, "FROM "+name, "FROM `"+name+"`", 1)
-			a, err := sess.Prepare(sql)
+			a, err := sess.PrepareCtx(context.Background(), sql)
 			if err != nil {
 				return nil, fmt.Errorf("harness: random query %q: %w", sql, err)
 			}
@@ -171,13 +172,14 @@ type MultiHopRow struct {
 
 // MultiHop runs the §5.4 extension study on the given queries.
 func (s *Suite) MultiHop(specs []QuerySpec, coreOpts core.Options) ([]MultiHopRow, error) {
+	ctx := obs.WithTrace(context.Background(), coreOpts.Trace)
 	var out []MultiHopRow
 	for _, spec := range specs {
 		row := MultiHopRow{Query: spec.Key()}
 		for _, hops := range []int{1, 2} {
 			sess := s.SessionWith(spec.Dataset, nexus.Options{Core: coreOpts, Hops: hops})
 			start := time.Now()
-			rep, err := sess.Explain(spec.SQL)
+			rep, err := sess.ExplainCtx(ctx, spec.SQL)
 			if err != nil {
 				return nil, err
 			}
@@ -230,7 +232,7 @@ func (s *Suite) PruningImpact(coreOpts core.Options) ([]PruningRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := s.Session(name).Prepare(spec.SQL)
+		a, err := s.Session(name).PrepareCtx(context.Background(), spec.SQL)
 		if err != nil {
 			return nil, err
 		}

@@ -51,7 +51,7 @@ func (s *Suite) Fig4(dataset string, sizes []int, base core.Options) ([]PerfPoin
 	if err != nil {
 		return nil, err
 	}
-	a, err := s.Session(dataset).Prepare(spec.SQL)
+	a, err := s.Session(dataset).PrepareCtx(context.Background(), spec.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func (s *Suite) Fig5(dataset string, rowCounts []int, base core.Options) ([]Perf
 		sess := s.SessionWith(dataset, nexusOptions(base))
 		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 		sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-		a, err := sess.Prepare(spec.SQL)
+		a, err := sess.PrepareCtx(context.Background(), spec.SQL)
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +119,7 @@ func (s *Suite) Fig6(dataset string, ks []int, base core.Options) ([]PerfPoint, 
 	if err != nil {
 		return nil, err
 	}
-	a, err := s.Session(dataset).Prepare(spec.SQL)
+	a, err := s.Session(dataset).PrepareCtx(context.Background(), spec.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func (s *Suite) Headline(rows int, base core.Options) (*core.Explanation, uint64
 	if err != nil {
 		return nil, 0, err
 	}
-	a, err := sess.Prepare(spec.SQL)
+	a, err := sess.PrepareCtx(context.Background(), spec.SQL)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -28,7 +29,7 @@ func (s *Suite) Table1() ([]Table1Row, error) {
 		sess := s.Session(name)
 		q := fmt.Sprintf("SELECT %s, avg(%s) FROM `%s` GROUP BY %s",
 			ds.LinkColumns[0], ds.Outcomes[0], ds.Name, ds.LinkColumns[0])
-		a, err := sess.Prepare(q)
+		a, err := sess.PrepareCtx(context.Background(), q)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +68,7 @@ type QueryResult struct {
 // RunQuery prepares and runs all methods on one query spec.
 func (s *Suite) RunQuery(spec QuerySpec, coreOpts core.Options) (*QueryResult, error) {
 	sess := s.Session(spec.Dataset)
-	a, err := sess.Prepare(spec.SQL)
+	a, err := sess.PrepareCtx(context.Background(), spec.SQL)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", spec.Key(), err)
 	}

@@ -76,7 +76,7 @@ func (s *Suite) Fig3(dataset string, fractions []float64, coreOpts core.Options)
 		return nil, err
 	}
 	sess := s.Session(dataset)
-	a, err := sess.Prepare(spec.SQL)
+	a, err := sess.PrepareCtx(context.Background(), spec.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +277,7 @@ func (s *Suite) MissingStats() ([]MissingStatsRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := s.Session(name).Prepare(spec.SQL)
+		a, err := s.Session(name).PrepareCtx(context.Background(), spec.SQL)
 		if err != nil {
 			return nil, err
 		}

@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 
 	"nexus/internal/baselines"
 	"nexus/internal/core"
+	"nexus/internal/obs"
 )
 
 var (
@@ -33,7 +35,7 @@ func specByKey(t *testing.T, key string) QuerySpec {
 func TestQueriesAllParseable(t *testing.T) {
 	s := testSuite()
 	for _, spec := range Queries() {
-		if _, err := s.Session(spec.Dataset).Prepare(spec.SQL); err != nil {
+		if _, err := s.Session(spec.Dataset).PrepareCtx(context.Background(), spec.SQL); err != nil {
 			t.Errorf("%s: %v", spec.Key(), err)
 		}
 	}
@@ -301,12 +303,29 @@ func TestMultiHop(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	s := testSuite()
-	rows, err := s.Ablations([]QuerySpec{specByKey(t, "Covid-19 Q1")}, core.DefaultOptions())
+	base := core.DefaultOptions()
+	base.Trace = obs.New("ablations")
+	rows, err := s.Ablations([]QuerySpec{specByKey(t, "Covid-19 Q1")}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
+	}
+	// The base trace reaches each variant's explanation through the context.
+	explains := 0
+	var walk func(d *obs.SpanData)
+	walk = func(d *obs.SpanData) {
+		if d.Name == "core-explain" {
+			explains++
+		}
+		for _, c := range d.Children {
+			walk(c)
+		}
+	}
+	walk(base.Trace.Close().Root)
+	if explains != 3 {
+		t.Fatalf("%d core-explain spans in the base trace, want 3 (one per variant)", explains)
 	}
 	byVariant := map[string]AblationRow{}
 	for _, r := range rows {

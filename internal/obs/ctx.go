@@ -2,15 +2,12 @@ package obs
 
 import "context"
 
-// Context plumbing for per-request traces. A session-level Trace assumes
-// one Explain at a time (span nesting follows call order), so a server
-// handling concurrent requests cannot set nexus.Options.Trace. Instead it
-// builds one short-lived Trace per request — typically with
-// NewWithCounters over the server's shared counter set plus a StageSink —
-// and attaches it to the request context with WithTrace; the pipeline
-// resolves its trace per call via TraceFrom, preferring the context's
-// trace over the session's. Requests without a context trace keep the
-// session-level behaviour, including the nil no-op path.
+// Context plumbing for traces. The context is the one route by which a trace
+// reaches the nexus pipeline: a caller attaches it with WithTrace and every
+// stage reads it back with TraceFrom, so concurrent requests each carry their
+// own — a server typically builds one short-lived Trace per request with
+// NewWithCounters over its shared counter set plus a StageSink. A context
+// without a trace keeps the nil no-op path.
 
 type traceCtxKey struct{}
 

@@ -107,8 +107,8 @@ func TestConcurrentExplainSharesExtraction(t *testing.T) {
 	}
 	hits := metrics.Get(obs.ExtractCacheHits)
 	misses := metrics.Get(obs.ExtractCacheMisses)
-	if hits == 0 {
-		t.Fatalf("extract_cache_hits = 0 (misses = %d); concurrent requests did not share the extraction", misses)
+	if hits != n-1 {
+		t.Fatalf("extract_cache_hits = %d (misses = %d), want %d: every lookup counts once", hits, misses, n-1)
 	}
 	if misses != 1 {
 		t.Fatalf("extract_cache_misses = %d, want exactly 1", misses)

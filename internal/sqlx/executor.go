@@ -34,7 +34,7 @@ func Execute(q *Query, cat Catalog) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("sqlx: unknown join table %q", q.Join.Table)
 		}
-		j, err := view.Join(right, q.Join.LeftKey, q.Join.RightKey, table.InnerJoin)
+		j, err := view.Join(right, q.Join.LeftKey, q.Join.RightKey)
 		if err != nil {
 			return nil, err
 		}

@@ -117,22 +117,10 @@ type Options struct {
 	// ScoreTag qualifies the dataset fingerprint shipped to remote scoring
 	// workers (see core.ScoreContext.Tag). Ignored when Scorer is nil.
 	ScoreTag string
-	// Trace, when non-nil, receives a lattice-search span and node counters.
-	Trace *obs.Trace
-	// Counters, when non-nil and Trace is nil, receives the node counters
-	// alone — the configuration of servers, which run concurrent searches
-	// and cannot share a span tree but still publish counters.
+	// Counters, when non-nil, receives the node counters of a search whose
+	// context carries no trace; a trace on the context (obs.WithTrace)
+	// receives the lattice-search span, and its counter set replaces this.
 	Counters *obs.Counters
-}
-
-// addCounter routes a counter to the trace when present, else to the bare
-// counter set. Both sinks are safe from any goroutine; both may be nil.
-func (o *Options) addCounter(name string, delta int64) {
-	if o.Trace != nil {
-		o.Trace.Add(name, delta)
-		return
-	}
-	o.Counters.Add(name, delta)
 }
 
 // Stats reports search effort. Both fields are schedule-independent: they
@@ -220,7 +208,11 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 		return nil, Stats{}, fmt.Errorf("subgroups: weights cover %d rows, view has %d", len(opts.Weights), n)
 	}
 
-	sp := opts.Trace.Start("subgroup-search")
+	tr := obs.TraceFrom(ctx)
+	if c := tr.Counters(); c != nil {
+		opts.Counters = c
+	}
+	sp := tr.Start("subgroup-search")
 	defer sp.End()
 	// Publish the search's counting-kernel effort (dense/sparse passes, ID
 	// joins, partitions) as the delta of the kernel's process-wide counters
@@ -228,7 +220,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 	// only other capture site) and the subgroup search are sibling phases,
 	// so no pass is counted twice.
 	countBase := counting.Stats()
-	defer func() { counting.Stats().Delta(countBase).Each(opts.addCounter) }()
+	defer func() { counting.Stats().Delta(countBase).Each(opts.Counters.Add) }()
 
 	// Every scored lattice node conditions on the same explanation, so hand
 	// the per-node estimator one column it can use as its stratum ids
@@ -245,7 +237,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			vars[i] = e
 		}
 		explanation = []*bins.Encoded{infotheory.JoinVars("explanation", vars...)}
-		opts.addCounter(obs.CompositeRebuilds, 1)
+		opts.Counters.Add(obs.CompositeRebuilds, 1)
 	}
 
 	codes, err := counting.Pack(dims, n)
@@ -262,7 +254,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 		s.gc = &core.GroupContext{T: t, O: o, Explanation: explanation,
 			Attrs: attrEncs, Base: opts.Weights, Tag: opts.ScoreTag}
 	}
-	defer func() { opts.addCounter(obs.SubgroupRowsVisited, s.visited.Load()) }()
+	defer func() { opts.Counters.Add(obs.SubgroupRowsVisited, s.visited.Load()) }()
 
 	root := &node{Group: Group{Size: n}, rows: make([]int32, n), carved: true}
 	for i := range root.rows {
@@ -289,7 +281,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			for _, g := range batch {
 				heap.Push(&s.heap, g)
 			}
-			opts.addCounter(obs.SubgroupBatches, 1)
+			opts.Counters.Add(obs.SubgroupBatches, 1)
 			if err != nil {
 				return nil, s.stats, fmt.Errorf("subgroups: lattice search: %w", err)
 			}
@@ -319,8 +311,8 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			s.expand(g)
 		}
 	}
-	opts.addCounter(obs.SubgroupNodesExplored, int64(s.stats.Explored))
-	opts.addCounter(obs.SubgroupNodesPushed, int64(s.stats.Pushed))
+	opts.Counters.Add(obs.SubgroupNodesExplored, int64(s.stats.Explored))
+	opts.Counters.Add(obs.SubgroupNodesPushed, int64(s.stats.Pushed))
 	sp.SetInt("explored", int64(s.stats.Explored))
 	sp.SetInt("pushed", int64(s.stats.Pushed))
 	sp.SetInt("groups-found", int64(len(results)))
@@ -383,7 +375,7 @@ func (s *search) scoreBatch(ctx context.Context, batch []*node) error {
 			todo = append(todo, g)
 		}
 	}
-	s.opts.addCounter(obs.GroupsScored, int64(len(todo)))
+	s.opts.Counters.Add(obs.GroupsScored, int64(len(todo)))
 	if s.gc != nil {
 		// Remote scoring: ship the batch as (attr, code) condition specs;
 		// nothing is carved here.

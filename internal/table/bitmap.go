@@ -16,18 +16,6 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{bits: make([]uint64, (n+63)/64), n: n}
 }
 
-// NewBitmapSet returns a bitmap of n bits, all set.
-func NewBitmapSet(n int) *Bitmap {
-	b := NewBitmap(n)
-	for i := range b.bits {
-		b.bits[i] = ^uint64(0)
-	}
-	if rem := n % 64; rem != 0 && len(b.bits) > 0 {
-		b.bits[len(b.bits)-1] = (uint64(1) << rem) - 1
-	}
-	return b
-}
-
 // Len returns the number of bits.
 func (b *Bitmap) Len() int { return b.n }
 

@@ -21,20 +21,6 @@ func TestBitmapBasics(t *testing.T) {
 	}
 }
 
-func TestBitmapSetAll(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 128, 200} {
-		b := NewBitmapSet(n)
-		if b.Count() != n {
-			t.Fatalf("NewBitmapSet(%d).Count() = %d", n, b.Count())
-		}
-		for i := 0; i < n; i++ {
-			if !b.Get(i) {
-				t.Fatalf("bit %d of %d not set", i, n)
-			}
-		}
-	}
-}
-
 func TestBitmapAppend(t *testing.T) {
 	b := NewBitmap(0)
 	pattern := []bool{true, false, true, true, false}

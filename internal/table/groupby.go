@@ -3,7 +3,6 @@ package table
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"nexus/internal/counting"
@@ -197,27 +196,6 @@ func (t *Table) GroupIndices(keys []string) (map[string][]int, []string, error) 
 		groups[key] = rowsets[i]
 	}
 	return groups, order, nil
-}
-
-// DistinctValues returns the sorted distinct non-null string renderings of
-// the named column.
-func (t *Table) DistinctValues(name string) []string {
-	c := t.Column(name)
-	if c == nil {
-		return nil
-	}
-	seen := make(map[string]struct{})
-	for i, n := 0, c.Len(); i < n; i++ {
-		if !c.IsNull(i) {
-			seen[c.StringAt(i)] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func compositeKey(cols []*Column, row int) string {

@@ -2,22 +2,12 @@ package table
 
 import "fmt"
 
-// JoinKind selects inner or left-outer join semantics.
-type JoinKind int
-
-// Join kinds.
-const (
-	InnerJoin JoinKind = iota
-	LeftJoin           // keep unmatched left rows with nulls on the right
-)
-
-// Join performs a hash join of t (left) with right on leftKey = rightKey.
-// Right-side columns keep their names; on a collision with a left column the
-// right column is renamed "<name>_r". Null keys never match. For LeftJoin,
-// unmatched left rows appear once with null right columns. When a right key
-// occurs multiple times, each match emits one output row (standard SQL
-// semantics).
-func (t *Table) Join(right *Table, leftKey, rightKey string, kind JoinKind) (*Table, error) {
+// Join performs an inner hash join of t (left) with right on leftKey =
+// rightKey. Right-side columns keep their names; on a collision with a left
+// column the right column is renamed "<name>_r". Null keys never match. When
+// a right key occurs multiple times, each match emits one output row
+// (standard SQL semantics).
+func (t *Table) Join(right *Table, leftKey, rightKey string) (*Table, error) {
 	lk := t.Column(leftKey)
 	if lk == nil {
 		return nil, fmt.Errorf("table: join on unknown left key %q", leftKey)
@@ -37,24 +27,12 @@ func (t *Table) Join(right *Table, leftKey, rightKey string, kind JoinKind) (*Ta
 		idx[k] = append(idx[k], i)
 	}
 
-	var leftRows, rightRows []int // rightRows[i] == -1 means "null right side"
+	var leftRows, rightRows []int
 	for i, n := 0, t.NumRows(); i < n; i++ {
 		if lk.IsNull(i) {
-			if kind == LeftJoin {
-				leftRows = append(leftRows, i)
-				rightRows = append(rightRows, -1)
-			}
 			continue
 		}
-		matches := idx[lk.StringAt(i)]
-		if len(matches) == 0 {
-			if kind == LeftJoin {
-				leftRows = append(leftRows, i)
-				rightRows = append(rightRows, -1)
-			}
-			continue
-		}
-		for _, m := range matches {
+		for _, m := range idx[lk.StringAt(i)] {
 			leftRows = append(leftRows, i)
 			rightRows = append(rightRows, m)
 		}
@@ -74,14 +52,8 @@ func (t *Table) Join(right *Table, leftKey, rightKey string, kind JoinKind) (*Ta
 		if out.HasColumn(name) {
 			name += "_r"
 		}
-		nc := NewColumn(name, c.Typ)
-		for _, r := range rightRows {
-			if r < 0 || c.IsNull(r) {
-				nc.AppendNull()
-				continue
-			}
-			appendFrom(nc, c, r)
-		}
+		nc := c.Gather(rightRows)
+		nc.Name = name
 		if err := out.AddColumn(nc); err != nil {
 			return nil, err
 		}

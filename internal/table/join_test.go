@@ -11,7 +11,7 @@ func TestInnerJoin(t *testing.T) {
 		NewStringColumn("name", []string{"US", "DE", "FR"}),
 		NewFloatColumn("gdp", []float64{21, 4, 3}),
 	)
-	j, err := left.Join(right, "country", "name", InnerJoin)
+	j, err := left.Join(right, "country", "name")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,35 +28,13 @@ func TestInnerJoin(t *testing.T) {
 	}
 }
 
-func TestLeftJoinKeepsUnmatched(t *testing.T) {
-	left := MustFromColumns(
-		NewStringColumn("country", []string{"US", "XX"}),
-		NewFloatColumn("salary", []float64{100, 10}),
-	)
-	right := MustFromColumns(
-		NewStringColumn("name", []string{"US"}),
-		NewFloatColumn("gdp", []float64{21}),
-	)
-	j, err := left.Join(right, "country", "name", LeftJoin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.NumRows() != 2 {
-		t.Fatalf("rows = %d, want 2", j.NumRows())
-	}
-	gdp := j.MustColumn("gdp")
-	if gdp.IsNull(0) || !gdp.IsNull(1) {
-		t.Fatal("left-join null pattern wrong")
-	}
-}
-
 func TestJoinDuplicateRightKeys(t *testing.T) {
 	left := MustFromColumns(NewStringColumn("k", []string{"a"}))
 	right := MustFromColumns(
 		NewStringColumn("k", []string{"a", "a"}),
 		NewFloatColumn("v", []float64{1, 2}),
 	)
-	j, err := left.Join(right, "k", "k", InnerJoin)
+	j, err := left.Join(right, "k", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +49,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 		NewStringColumn("k", []string{"", "a"}),
 		NewFloatColumn("v", []float64{9, 1}),
 	)
-	j, err := left.Join(right, "k", "k", InnerJoin)
+	j, err := left.Join(right, "k", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +67,7 @@ func TestJoinNameCollision(t *testing.T) {
 		NewStringColumn("k", []string{"a"}),
 		NewFloatColumn("v", []float64{2}),
 	)
-	j, err := left.Join(right, "k", "k", InnerJoin)
+	j, err := left.Join(right, "k", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +81,10 @@ func TestJoinNameCollision(t *testing.T) {
 
 func TestJoinUnknownKeys(t *testing.T) {
 	tbl := MustFromColumns(NewStringColumn("k", []string{"a"}))
-	if _, err := tbl.Join(tbl, "zz", "k", InnerJoin); err == nil {
+	if _, err := tbl.Join(tbl, "zz", "k"); err == nil {
 		t.Fatal("expected unknown left key error")
 	}
-	if _, err := tbl.Join(tbl, "k", "zz", InnerJoin); err == nil {
+	if _, err := tbl.Join(tbl, "k", "zz"); err == nil {
 		t.Fatal("expected unknown right key error")
 	}
 }

@@ -145,17 +145,6 @@ func TestParseAggFunc(t *testing.T) {
 	}
 }
 
-func TestDistinctValues(t *testing.T) {
-	tbl := sampleTable(t)
-	vals := tbl.DistinctValues("country")
-	if len(vals) != 3 || vals[0] != "DE" || vals[2] != "US" {
-		t.Fatalf("distinct = %v", vals)
-	}
-	if tbl.DistinctValues("nope") != nil {
-		t.Fatal("unknown column should return nil")
-	}
-}
-
 func TestTableString(t *testing.T) {
 	s := sampleTable(t).String()
 	if !strings.Contains(s, "country") || !strings.Contains(s, "6 rows") {

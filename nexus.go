@@ -11,13 +11,15 @@
 //
 //	sess := nexus.NewSession(world.Graph, nil)
 //	sess.RegisterTable("SO", soTable, "Country", "Continent")
-//	rep, err := sess.Explain("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+//	ctx := obs.WithTrace(context.Background(), tr) // tr may be nil: no tracing
+//	rep, err := sess.ExplainCtx(ctx, "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 //	fmt.Println(rep.Summary())
+//
+// A trace reaches the pipeline one way: on the context of each call
+// (obs.WithTrace), so concurrent requests each carry their own.
 package nexus
 
 import (
-	"context"
-
 	"nexus/internal/bins"
 	"nexus/internal/core"
 	"nexus/internal/kg"
@@ -35,6 +37,7 @@ type Options struct {
 	// views, 6 medium, 8 large); set it explicitly to pin the granularity.
 	Bins bins.Options
 	// Core controls pruning and MCIMR (default core.DefaultOptions).
+	// Core.Trace is not read: the trace comes from the context of each call.
 	Core core.Options
 	// Hops is the KG extraction depth (default 1; §5.4 evaluates 2).
 	Hops int
@@ -43,27 +46,12 @@ type Options struct {
 	// DisableIPW turns off selection-bias detection and weighting
 	// (complete-case analysis everywhere).
 	DisableIPW bool
-	// Trace, when non-nil, receives hierarchical spans and counters from
-	// every phase of the pipeline — parse/execute, NED, KG extraction,
-	// selection-bias detection + IPW, pruning, MCIMR iterations,
-	// responsibility ranking and subgroup search (package obs). A nil
-	// trace disables observability at near-zero cost: spans and counters
-	// on a nil trace are allocation-free no-ops.
-	//
-	// A session-level trace assumes one Explain at a time (span nesting
-	// follows call order). Servers handling concurrent requests should
-	// leave it nil and either set Metrics, or attach a short-lived
-	// per-request trace to the request context with obs.WithTrace — the
-	// Ctx entry points prefer a context-carried trace over this field,
-	// and obs.NewWithCounters lets every request trace accumulate into
-	// one shared counter set.
-	Trace *obs.Trace
-	// Metrics, when non-nil and Trace is nil, receives the pipeline's
-	// counters alone (selection-bias detections, cache hits, subgroup
-	// search effort, ...). Unlike a Trace it is safe to share across
-	// concurrent Explain calls — this is how nexusd surfaces per-phase
-	// counters on /metrics. Ignored when Trace is set (the trace's
-	// counter set is used so the two can never disagree).
+	// Metrics, when non-nil, receives the pipeline's counters (selection-bias
+	// detections, cache hits, subgroup search effort, ...) of every call
+	// whose context carries no trace. It is safe to share across concurrent
+	// calls — this is how nexusd surfaces per-phase counters on /metrics. A
+	// call whose context carries a trace counts into the trace's counter set
+	// instead (obs.NewWithCounters lets many request traces share one).
 	Metrics *obs.Counters
 	// ExtractCache, when non-nil, memoizes KG extractions across Explain
 	// calls keyed by (table, WHERE clause, link columns, hops), with
@@ -143,19 +131,6 @@ func NewSessionFromSource(src kg.Source, opts *Options) *Session {
 // Nil when the session has no knowledge graph.
 func (s *Session) Linker() *ned.Linker { return s.linker }
 
-// traceFor resolves the trace one pipeline call should emit into: a
-// per-request trace carried on ctx (obs.WithTrace) wins over the
-// session-level Options.Trace, so a server can give each concurrent
-// request its own span tree while a CLI keeps configuring a single
-// session trace. Both sources may be nil, in which case tracing stays an
-// allocation-free no-op.
-func (s *Session) traceFor(ctx context.Context) *obs.Trace {
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		return tr
-	}
-	return s.opts.Trace
-}
-
 // RegisterTable adds a table to the catalog. linkColumns name the columns
 // whose values reference knowledge-graph entities (Table 1's "columns used
 // for extraction").
@@ -171,16 +146,4 @@ func (s *Session) RegisterTable(name string, t *table.Table, linkColumns ...stri
 // assumption that the analyst chooses the knowledge source.
 func (s *Session) ExcludeCandidates(tableName string, cols ...string) {
 	s.excludes[tableName] = append(s.excludes[tableName], cols...)
-}
-
-// Table returns a registered table (nil when absent).
-func (s *Session) Table(name string) *table.Table { return s.catalog[name] }
-
-// Query parses and executes an aggregate query without explaining it.
-func (s *Session) Query(sql string) (*sqlx.Result, error) {
-	q, err := sqlx.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return sqlx.Execute(q, s.catalog)
 }

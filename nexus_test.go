@@ -1,6 +1,7 @@
 package nexus
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -51,7 +52,7 @@ func economic(name string) bool {
 
 func TestExplainSOQ1FindsEconomicConfounders(t *testing.T) {
 	sess := soSession(t, 12000)
-	rep, err := sess.Explain("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestExplainSOQ1FindsEconomicConfounders(t *testing.T) {
 
 func TestExplainSOQ3EuropeContext(t *testing.T) {
 	sess := soSession(t, 20000)
-	rep, err := sess.Explain("SELECT Country, avg(Salary) FROM SO WHERE Continent = 'Europe' GROUP BY Country")
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO WHERE Continent = 'Europe' GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestExplainSOQ3EuropeContext(t *testing.T) {
 
 func TestExplainCovidQ1(t *testing.T) {
 	sess := covidSession(t)
-	rep, err := sess.Explain("SELECT Country, avg(Deaths_per_100_cases) FROM Covid GROUP BY Covid_country GROUP BY Country")
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Deaths_per_100_cases) FROM Covid GROUP BY Covid_country GROUP BY Country")
 	if err == nil {
 		t.Fatal("malformed SQL accepted")
 	}
-	rep, err = sess.Explain("SELECT Country, avg(Deaths_per_100_cases) FROM Covid GROUP BY Country")
+	rep, err = sess.ExplainCtx(context.Background(), "SELECT Country, avg(Deaths_per_100_cases) FROM Covid GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestExplainCovidQ1(t *testing.T) {
 
 func TestLinkStatsRecorded(t *testing.T) {
 	sess := soSession(t, 8000)
-	a, err := sess.Prepare("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	a, err := sess.PrepareCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestAliasRegistrationImprovesLinking(t *testing.T) {
 	sess := NewSession(w.Graph, nil)
 	sess.RegisterTable("SO", ds.Table, ds.LinkColumns...)
 
-	a1, err := sess.Prepare("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	a1, err := sess.PrepareCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestAliasRegistrationImprovesLinking(t *testing.T) {
 	if id, ok := w.Graph.Lookup("United States"); ok {
 		sess.Linker().AddAlias("USA", id)
 	}
-	a2, err := sess.Prepare("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	a2, err := sess.PrepareCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestAliasRegistrationImprovesLinking(t *testing.T) {
 
 func TestPrepareCandidateComposition(t *testing.T) {
 	sess := soSession(t, 6000)
-	a, err := sess.Prepare("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	a, err := sess.PrepareCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestPrepareCandidateComposition(t *testing.T) {
 
 func TestNumBiasedAfterExplain(t *testing.T) {
 	sess := soSession(t, 8000)
-	rep, err := sess.Explain("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestNumBiasedAfterExplain(t *testing.T) {
 
 func TestSubgroupsSOQ1(t *testing.T) {
 	sess := soSession(t, 20000)
-	rep, err := sess.Explain("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, _, err := rep.Subgroups(5, 0)
+	groups, _, err := rep.SubgroupsCtx(context.Background(), 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestSubgroupsSOQ1(t *testing.T) {
 
 func TestResponsibilityAPI(t *testing.T) {
 	sess := soSession(t, 8000)
-	a, err := sess.Prepare("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	a, err := sess.PrepareCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestResponsibilityAPI(t *testing.T) {
 
 func TestSummaryRendering(t *testing.T) {
 	sess := soSession(t, 6000)
-	rep, err := sess.Explain("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestSessionWithoutGraph(t *testing.T) {
 	ds := workload.StackOverflow(w, workload.Config{Rows: 6000, Seed: 1})
 	sess := NewSession(nil, nil)
 	sess.RegisterTable("SO", ds.Table)
-	rep, err := sess.Explain("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestDisableIPW(t *testing.T) {
 	ds := workload.StackOverflow(w, workload.Config{Rows: 6000, Seed: 1})
 	sess := NewSession(w.Graph, &Options{DisableIPW: true})
 	sess.RegisterTable("SO", ds.Table, ds.LinkColumns...)
-	rep, err := sess.Explain("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestDisableIPW(t *testing.T) {
 
 func TestPartialCorrelations(t *testing.T) {
 	sess := soSession(t, 8000)
-	a, err := sess.Prepare("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	a, err := sess.PrepareCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}

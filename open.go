@@ -1,6 +1,7 @@
 package nexus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -58,18 +59,18 @@ func SplitList(s string) []string {
 
 // Open builds the session a Setup describes — world generation, the KG
 // backend, the dataset registered with its link columns — on top of the
-// caller's own opts (tracing, caches, depth, scorer). Backend and ingest
-// counters go where the pipeline's do: the trace's counter set, else
-// opts.Metrics.
+// caller's own opts (caches, depth, scorer). Its spans go to ctx's trace, and
+// backend and ingest counters where the pipeline's do: the trace's counter
+// set, else opts.Metrics.
 //
 // The local world is always generated, because the synthetic datasets sample
 // its entities; with Setup.KG the extraction backend is the remote server
 // (which must run with the same seed for identical results).
-func Open(su Setup, opts Options) (*Session, *Loaded, error) {
+func Open(ctx context.Context, su Setup, opts Options) (*Session, *Loaded, error) {
 	if su.CSV == "" && su.Dataset == "" {
 		return nil, nil, ErrNoDataset
 	}
-	tr := opts.Trace
+	tr := obs.TraceFrom(ctx)
 	counters := tr.Counters()
 	if counters == nil {
 		counters = opts.Metrics

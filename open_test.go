@@ -1,6 +1,7 @@
 package nexus
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -35,22 +36,22 @@ func TestOpenCSV(t *testing.T) {
 	if err := os.WriteFile(path, []byte("Country,V\nFrance,1\nGermany,2\nFrance,3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sess, ld, err := Open(Setup{CSV: path, Table: "d", Links: SplitList("Country,"), Seed: 11}, Options{})
+	sess, ld, err := Open(context.Background(), Setup{CSV: path, Table: "d", Links: SplitList("Country,"), Seed: 11}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ld.Name != "d" || fmt.Sprint(ld.LinkColumns) != "[Country]" || ld.Ingest.Rows != 3 {
 		t.Fatalf("loaded %q links %v rows %d, want d [Country] 3", ld.Name, ld.LinkColumns, ld.Ingest.Rows)
 	}
-	if sess.Table("d") != ld.Table || fmt.Sprint(sess.links["d"]) != "[Country]" {
+	if sess.catalog["d"] != ld.Table || fmt.Sprint(sess.links["d"]) != "[Country]" {
 		t.Fatalf("table d not registered with its link column (links %v)", sess.links["d"])
 	}
 
-	_, _, err = Open(Setup{CSV: path, Table: "d", Links: []string{"Nope"}, Seed: 11}, Options{})
+	_, _, err = Open(context.Background(), Setup{CSV: path, Table: "d", Links: []string{"Nope"}, Seed: 11}, Options{})
 	if err == nil || !strings.Contains(err.Error(), `link column "Nope" not in `+path+" (columns: Country, V)") {
 		t.Fatalf("unknown link column: %v", err)
 	}
-	if _, _, err := Open(Setup{Seed: 11}, Options{}); !errors.Is(err, ErrNoDataset) {
+	if _, _, err := Open(context.Background(), Setup{Seed: 11}, Options{}); !errors.Is(err, ErrNoDataset) {
 		t.Fatalf("empty setup: %v, want ErrNoDataset", err)
 	}
 }

@@ -1,6 +1,7 @@
 package nexus_test
 
 import (
+	"context"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -50,11 +51,11 @@ func TestRemoteKGFlightsIdentical(t *testing.T) {
 	w := integrationWorld()
 
 	local := flightsSession(w, w.Graph, nil)
-	wantRep, err := local.Explain(flightsQuery)
+	wantRep, err := local.ExplainCtx(context.Background(), flightsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantGroups, _, err := wantRep.Subgroups(3, 0.05)
+	wantGroups, _, err := wantRep.SubgroupsCtx(context.Background(), 3, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestRemoteKGFlightsIdentical(t *testing.T) {
 	})
 
 	remote := flightsSession(w, client, nil)
-	gotRep, err := remote.Explain(flightsQuery)
+	gotRep, err := remote.ExplainCtx(context.Background(), flightsQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotGroups, _, err := gotRep.Subgroups(3, 0.05)
+	gotGroups, _, err := gotRep.SubgroupsCtx(context.Background(), 3, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestRemoteKGRequestBudget(t *testing.T) {
 		copts.HTTPClient = hs.Client()
 		copts.Counters = counters
 		sess := flightsSession(w, kgremote.New(hs.URL, copts), &nexus.Options{Hops: hops})
-		if _, err := sess.Prepare(flightsQuery); err != nil {
+		if _, err := sess.PrepareCtx(context.Background(), flightsQuery); err != nil {
 			t.Fatal(err)
 		}
 		return counters.Get(obs.KGHTTPRequests)

@@ -1,6 +1,7 @@
 package nexus_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestResponsibilityAppliesIPWWeights(t *testing.T) {
 	so := workload.StackOverflow(w, workload.Config{Rows: 5000, Seed: 1})
 	sess := nexus.NewSession(w.Graph, nil)
 	sess.RegisterTable(so.Name, so.Table, so.LinkColumns...)
-	a, err := sess.Prepare("SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	a, err := sess.PrepareCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,11 @@
 #   1. gofmt: the tree must be gofmt-clean.
 #   2. links: every relative markdown link in README.md and docs/*.md
 #      must point at a file that exists.
-#   3. symbols: every `pkg.Symbol`-style identifier mentioned in
+#   3. symbols: every backticked `pkg.Name` or `Type.Member` cited in
 #      docs/ARCHITECTURE.md, docs/API.md, docs/OPERATIONS.md, DESIGN.md and
-#      README.md must still exist somewhere in the Go sources, so the docs
-#      cannot silently rot after a rename.
+#      README.md must resolve to a declaration in the non-test Go sources
+#      (TestDocSymbols, docs_test.go), so the docs cannot silently rot after
+#      a rename or deletion.
 #   4. sections: load-bearing doc sections (referenced from code comments
 #      and other docs) must keep existing under their exact headings.
 #   5. paths: every `cmd/<name>` or `internal/<pkg>` cited in backticks in
@@ -57,23 +58,12 @@ if [ -s "$tmp_broken" ]; then
 fi
 rm -f "$tmp_broken"
 
-# --- 3. exported symbols named in the docs must still exist -----------------
-# Identifiers are cited in backticks as `pkg.Symbol` (or `Type.Field`); we
-# check that the trailing exported name still occurs as a word in non-test
-# Go sources.
-symfail=$(
-    grep -ho '`[A-Za-z][A-Za-z0-9_]*\(\.[A-Za-z][A-Za-z0-9_]*\)\{1,2\}`' \
-        docs/ARCHITECTURE.md docs/API.md docs/OPERATIONS.md DESIGN.md README.md |
-        tr -d '\`' | tr '.' '\n' | grep '^[A-Z]' | sort -u |
-        while IFS= read -r sym; do
-            if ! grep -rqw --include='*.go' --exclude='*_test.go' "$sym" .; then
-                echo "$sym"
-            fi
-        done
-)
-if [ -n "$symfail" ]; then
-    echo "check_docs: symbols cited in the docs no longer exist in the Go sources:" >&2
-    echo "$symfail" >&2
+# --- 3. Go symbols cited in the docs must resolve ---------------------------
+# TestDocSymbols parses the non-test tree and resolves each citation against
+# its declarations: a package's top-level names, a type's fields and methods.
+if ! symout=$(go test -count=1 -run '^TestDocSymbols$' . 2>&1); then
+    echo "check_docs: symbols cited in the docs are not declared in the Go sources:" >&2
+    echo "$symout" >&2
     fail=1
 fi
 
