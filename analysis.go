@@ -323,8 +323,11 @@ func (a *Analysis) ipwWeights(attr *extract.Attribute) []float64 {
 // NumBiased returns the number of KG attributes flagged with selection bias
 // whose weights this analysis has read so far (detection is lazy, and may
 // have run for an earlier analysis of the same cached extraction; the count
-// is complete after an Explain). It counts this analysis alone; each count
-// is also added to obs.BiasedAttrs in the analysis's counter set.
+// is complete after an Explain). Only a candidate that reaches a weighted
+// test is tested for bias: one the online prune's entity-level permutation
+// null rejects never is, so this is not the number of biased attributes in
+// the extraction. It counts this analysis alone; each count is also added to
+// obs.BiasedAttrs in the analysis's counter set.
 func (a *Analysis) NumBiased() int { return int(a.biased.Load()) }
 
 // KGCandidate wraps an attribute of a's extraction (typically a modified

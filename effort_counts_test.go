@@ -25,24 +25,24 @@ type effortCount struct {
 // observed table ready to paste over the stale one.
 var effortCounts = map[string][]effortCount{
 	"so": {
-		{"biased_attrs", 61},
+		{"biased_attrs", 9},
 		{"candidates_scored", 55},
-		{"ci_tests", 1157},
+		{"ci_tests", 526},
 		{"composite_rebuilds", 3},
-		{"counting_dense_passes", 2544},
+		{"counting_dense_passes", 1913},
 		{"counting_id_joins", 24},
 		{"counting_partitions", 871},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 189},
 		{"entities_unresolved", 5},
 		{"groups_scored", 1500},
-		{"ipw_fits", 61},
+		{"ipw_fits", 9},
 		{"kg_attrs", 393},
 		{"kg_attrs_hop1", 393},
 		{"kg_row_encodings", 20},
 		{"mcimr_iterations", 2},
 		{"mcimr_skips", 11},
-		{"permutations_run", 2046},
+		{"permutations_run", 2056},
 		{"pruned.offline.constant", 2},
 		{"pruned.offline.high-entropy", 4},
 		{"pruned.online.low-relevance", 340},
@@ -52,25 +52,25 @@ var effortCounts = map[string][]effortCount{
 		{"subgroup_rows_visited", 5925515},
 	},
 	"flights": {
-		{"biased_attrs", 62},
+		{"biased_attrs", 17},
 		{"candidates_scored", 55},
-		{"ci_tests", 2809},
+		{"ci_tests", 1281},
 		{"composite_rebuilds", 1},
-		{"cond_walks", 34},
-		{"counting_dense_passes", 3621},
+		{"cond_walks", 6},
+		{"counting_dense_passes", 2020},
 		{"counting_id_joins", 2},
 		{"counting_partitions", 851},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 654},
 		{"entities_unresolved", 100},
 		{"groups_scored", 1500},
-		{"ipw_fits", 62},
+		{"ipw_fits", 17},
 		{"kg_attrs", 934},
 		{"kg_attrs_hop1", 934},
 		{"kg_row_encodings", 23},
 		{"mcimr_iterations", 1},
 		{"mcimr_skips", 11},
-		{"permutations_run", 1261},
+		{"permutations_run", 4700},
 		{"pruned.offline.constant", 3},
 		{"pruned.offline.high-entropy", 2},
 		{"pruned.online.low-relevance", 883},

@@ -167,24 +167,25 @@ func encodeBool(c *table.Column) *Encoded {
 
 func encodeNumeric(c *table.Column, opts Options) (*Encoded, error) {
 	n := c.Len()
-	// Collect non-null values.
-	vals := make([]float64, 0, n)
+	// The non-null values, sorted once: the distinct values and the quantile
+	// edges are both read off this copy.
+	sorted := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		if !c.IsNull(i) {
-			vals = append(vals, c.Float(i))
+			sorted = append(sorted, c.Float(i))
 		}
 	}
 	e := &Encoded{Name: c.Name, Codes: make([]int32, n)}
-	if len(vals) == 0 {
+	if len(sorted) == 0 {
 		for i := range e.Codes {
 			e.Codes[i] = Missing
 		}
 		e.Card = 0
 		return e, nil
 	}
+	sort.Float64s(sorted)
 
-	distinct := distinctSorted(vals)
-	if len(distinct) <= opts.Bins {
+	if distinct := distinctUpTo(sorted, opts.Bins); distinct != nil {
 		// Few distinct values: one code per value.
 		codeOf := make(map[float64]int32, len(distinct))
 		labels := make([]string, len(distinct))
@@ -204,7 +205,7 @@ func encodeNumeric(c *table.Column, opts Options) (*Encoded, error) {
 		return e, nil
 	}
 
-	edges := binEdges(vals, opts.Bins)
+	edges := binEdges(sorted, opts.Bins)
 	labels := make([]string, len(edges)+1)
 	for i := range labels {
 		lo, hi := "-inf", "+inf"
@@ -221,23 +222,33 @@ func encodeNumeric(c *table.Column, opts Options) (*Encoded, error) {
 			e.Codes[i] = Missing
 			continue
 		}
-		e.Codes[i] = int32(sort.SearchFloat64s(edges, c.Float(i)+tiny(c.Float(i))))
+		e.Codes[i] = binOf(edges, c.Float(i))
 	}
 	e.Card = len(edges) + 1
 	e.Labels = labels
 	return e, nil
 }
 
-// tiny nudges the search so values exactly equal to an edge land in the
-// upper bin, giving half-open [lo, hi) intervals.
+// binOf returns v's bin under edges: the number of edges at or below v, so a
+// value equal to an edge lands in the upper bin ([lo, hi) intervals). A
+// finite value is nudged up by tiny before the search; an infinite one is
+// placed by the comparison itself (tiny(±Inf) is +Inf, and −Inf + Inf is NaN,
+// which the search would put in the top bin).
+func binOf(edges []float64, v float64) int32 {
+	if math.IsInf(v, 0) {
+		return int32(sort.Search(len(edges), func(i int) bool { return edges[i] > v }))
+	}
+	return int32(sort.SearchFloat64s(edges, v+tiny(v)))
+}
+
+// tiny is the nudge that lands a finite value equal to an edge in the upper
+// bin.
 func tiny(v float64) float64 {
 	return math.Abs(v)*1e-12 + 1e-300
 }
 
-// binEdges returns the k-quantile cut points of vals, deduplicated.
-func binEdges(vals []float64, k int) []float64 {
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
+// binEdges returns the k-quantile cut points of sorted, deduplicated.
+func binEdges(sorted []float64, k int) []float64 {
 	edges := make([]float64, 0, k-1)
 	for i := 1; i < k; i++ {
 		q := float64(i) / float64(k)
@@ -257,12 +268,15 @@ func dedupEdges(edges []float64) []float64 {
 	return out
 }
 
-func distinctSorted(vals []float64) []float64 {
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	out := s[:0]
-	for i, v := range s {
+// distinctUpTo returns the distinct values of sorted in order, or nil when
+// there are more than k of them.
+func distinctUpTo(sorted []float64, k int) []float64 {
+	out := make([]float64, 0, min(k, len(sorted)))
+	for i, v := range sorted {
 		if i == 0 || v != out[len(out)-1] {
+			if len(out) == k {
+				return nil
+			}
 			out = append(out, v)
 		}
 	}

@@ -186,16 +186,39 @@ func slotMapKey(slots []int32) *int32 {
 // low-relevance test (appendix Relevance Test). It reports CI-test and
 // permutation counts into tr (nil = no-op; counters only: the per-candidate
 // work runs on parallel workers, where spans are not safe to open) and
-// honours ctx: the per-candidate pass (FD tests, relevance tests,
-// permutation nulls) stops dispatching work once ctx is done and the call
-// returns an error wrapping ctx.Err(). (Same naming note as OfflinePruneCtx.)
+// honours ctx: the per-candidate pass (entity-level permutation nulls, FD
+// tests, relevance tests, row-level nulls, in that order) stops dispatching
+// work once ctx is done and the call returns an error wrapping ctx.Err(). (Same naming note as OfflinePruneCtx.)
 func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
 	ht := infotheory.Entropy(t, nil)
 	ho := infotheory.Entropy(o, nil)
 	cubes := perSlotMap(cands, func(slots []int32) *counting.SlotCube {
 		return counting.NewSlotCube(slots, o.Codes, t.Codes, o.Card, t.Card)
 	})
+	b := opts.PermRelevanceTests
+	if b <= 0 {
+		b = 19
+	}
 	return prunePass(ctx, "online", cands, func(i int, c *Candidate) (PruneReason, error) {
+		// A candidate is kept iff it passes the entity-level permutation null,
+		// the FD rule and the relevance tests, each a pure function of the
+		// candidate under its seed, so their order moves no verdict. The null
+		// goes first: it reads only the slot codes and the cube's (o, slot)
+		// cells, and the candidates it rejects (most extracted attributes)
+		// then pay for no IPW fit, screen or finalize.
+		var cube *counting.SlotCube
+		if c.Entity != nil {
+			cube = cubes[slotMapKey(c.Entity.Slots)]
+			if !opts.DisablePermRelevance {
+				ent, err := c.Entity.encoding(c.Name)
+				if err != nil {
+					return "", err
+				}
+				if !entityPermDependent(tr, cube, c.Name, ent, b, 0, 0x5eed+uint64(i)) {
+					return PruneIrrelevant, nil
+				}
+			}
+		}
 		// One fused tally yields both approximate-FD ratios (Lemma A.2:
 		// E ⇒ T or E ⇒ O fakes a perfect explanation) and the contingency
 		// tallies of both low-relevance tests. An unweighted entity-form
@@ -207,12 +230,8 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 			return "", err
 		}
 		var sc *infotheory.OnlineScreen
-		var cube *counting.SlotCube
-		if c.Entity != nil {
-			cube = cubes[slotMapKey(c.Entity.Slots)]
-			if w == nil {
-				sc = infotheory.ScreenSlots(cube, enc)
-			}
+		if cube != nil && w == nil {
+			sc = infotheory.ScreenSlots(cube, enc)
 		}
 		if sc == nil {
 			sc = infotheory.ScreenAll(o, t, enc, weightsOf(enc, w))
@@ -235,21 +254,13 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 				return PruneIrrelevant, nil
 			}
 		}
-		// Permutation relevance: the dependence on O must beat a source-
-		// granularity permutation null (kills entity-sampling chance).
-		if !opts.DisablePermRelevance && (c.Permute != nil || c.Entity != nil) {
-			b := opts.PermRelevanceTests
-			if b <= 0 {
-				b = 19
-			}
-			dependent := true // kept when the test is not affordable
-			switch {
-			case c.Entity != nil:
-				dependent = entityPermDependent(tr, cube, c.Name, enc, b, 0, 0x5eed+uint64(i))
-			case enc.Len() <= permBudget(opts):
-				if dependent, err = permSignificant(ctx, tr, PermResp, t, o, c, enc, nil, 0x5eed+uint64(i), 0, b, 0, 1, nil, nil, 0); err != nil {
-					return "", err
-				}
+		// An input column's null shuffles rows (b row passes), so it runs
+		// last, on the candidates nothing cheaper rejected; it is skipped
+		// (the candidate kept) past MaxPermRows.
+		if !opts.DisablePermRelevance && c.Entity == nil && c.Permute != nil && enc.Len() <= permBudget(opts) {
+			dependent, err := permSignificant(ctx, tr, PermResp, t, o, c, enc, nil, 0x5eed+uint64(i), 0, b, 0, 1, nil, nil, 0)
+			if err != nil {
+				return "", err
 			}
 			if !dependent {
 				return PruneIrrelevant, nil

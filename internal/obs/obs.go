@@ -72,7 +72,9 @@ const (
 	KGRowEncodings = "kg_row_encodings"
 	// BiasedAttrs counts, per analysis, the biased KG attributes whose IPW
 	// weights it read, fitted by it or by an earlier analysis of the same
-	// cached extraction and outcome. The counter behind Analysis.NumBiased.
+	// cached extraction and outcome; an attribute the online prune's
+	// entity-level null rejects is never tested. The counter behind
+	// Analysis.NumBiased.
 	BiasedAttrs = "biased_attrs"
 	// IPWFits counts logistic propensity-model fits actually run. A served
 	// request that reuses the fits cached with its extraction counts none.

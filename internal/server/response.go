@@ -56,7 +56,8 @@ type ExplainResponse struct {
 	ExplainedFraction float64       `json:"explained_fraction"`
 	Attributes        []ExplainAttr `json:"attributes"`
 	// Candidates / BiasedCandidates count the candidate pool and how many
-	// extracted attributes received IPW weights for selection bias.
+	// extracted attributes received IPW weights for selection bias (only
+	// those that reached a weighted test were tested; Analysis.NumBiased).
 	Candidates       int `json:"candidates"`
 	BiasedCandidates int `json:"biased_candidates"`
 	// Subgroups is present when the request asked for them.

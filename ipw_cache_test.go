@@ -71,11 +71,11 @@ func TestIPWStateSharedPerExtractionAndOutcome(t *testing.T) {
 	const (
 		salary   = "SELECT Country, avg(Salary) FROM SO GROUP BY Country"
 		byDev    = "SELECT DevType, avg(Salary) FROM SO GROUP BY DevType"
-		years    = "SELECT Country, avg(YearsCode) FROM SO GROUP BY Country"
+		age      = "SELECT Country, avg(Age) FROM SO GROUP BY Country"
 		filtered = "SELECT Country, avg(Salary) FROM SO WHERE Continent != 'Europe' GROUP BY Country"
 	)
 	solo := map[string]ipwRun{}
-	for _, sql := range []string{salary, byDev, years, filtered} {
+	for _, sql := range []string{salary, byDev, age, filtered} {
 		solo[sql] = explain(t, session(nil), sql)
 		if solo[sql].fits == 0 {
 			t.Fatalf("fixture: %s fits no propensity model", sql)
@@ -95,7 +95,7 @@ func TestIPWStateSharedPerExtractionAndOutcome(t *testing.T) {
 		shared, fitted bool
 	}{
 		{"(a) same context and outcome, other GROUP BY", byDev, true, true},
-		{"(b) other outcome over the same context", years, true, false},
+		{"(b) other outcome over the same context", age, true, false},
 		{"(c) other WHERE clause", filtered, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -155,7 +155,7 @@ func TestIPWStateSharedPerExtractionAndOutcome(t *testing.T) {
 
 	t.Run("(e) two outcomes concurrently", func(t *testing.T) {
 		s := session(nexus.NewExtractionCache(nil))
-		sqls := []string{salary, years}
+		sqls := []string{salary, age}
 		got := make([]ipwRun, len(sqls))
 		errs := make([]error, len(sqls))
 		var wg sync.WaitGroup
