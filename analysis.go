@@ -143,7 +143,7 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 		View:      res.View,
 		LinkStats: map[string]ned.Stats{},
 		session:   s,
-		binOpts:   s.opts.Bins,
+		binOpts:   bins.Options{Bins: adaptiveBins(res.View.NumRows())},
 		byName:    map[string]*core.Candidate{},
 		metrics:   tr.Counters(),
 	}
@@ -152,9 +152,6 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 	}
 	if a.metrics == nil {
 		a.metrics = obs.NewCounters()
-	}
-	if a.binOpts.Bins == 0 {
-		a.binOpts.Bins = adaptiveBins(res.View.NumRows())
 	}
 
 	// Encode exposure (possibly multiple grouping attributes) and outcome.
@@ -202,9 +199,8 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 			ksp := tr.Start("kg-extract")
 			ce, err := s.opts.ExtractCache.lookup(ctx, extractionKey(q, links, s.opts.Hops), func() (*extract.Extraction, error) {
 				return extract.ExtractCtx(ctx, res.View, links, s.src, s.linker, extract.Options{
-					Hops:      s.opts.Hops,
-					OneToMany: s.opts.OneToMany,
-					Trace:     tr,
+					Hops:  s.opts.Hops,
+					Trace: tr,
 				})
 			})
 			if err != nil {

@@ -123,7 +123,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "\ntop-%d unexplained subgroups (explored %d nodes):\n", *subgroups, stats.Explored)
 		if len(groups) == 0 {
-			fmt.Fprintln(stdout, "  none — the explanation holds everywhere at the chosen threshold")
+			if stats.Exhausted {
+				fmt.Fprintln(stdout, "  none — the explanation holds everywhere at the chosen threshold")
+			} else {
+				fmt.Fprintf(stdout, "  none found within %d nodes (search budget reached)\n", stats.Explored)
+			}
 		}
 		for i, g := range groups {
 			fmt.Fprintf(stdout, "  %d. size=%-8d score=%.3f  %s\n", i+1, g.Size, g.Score, g.String())

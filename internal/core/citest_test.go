@@ -188,7 +188,7 @@ func TestMCIMRSkipBudgetStops(t *testing.T) {
 		c, _ := entityCandidate(t, fmt.Sprintf("junk%02d", j), entVals, rowsPer)
 		cands = append(cands, c)
 	}
-	sel, err := MCIMRCtx(context.Background(), tt, o, cands, Options{K: 5, SkipBudget: 4, Seed: 1})
+	sel, err := MCIMRCtx(context.Background(), tt, o, cands, Options{K: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

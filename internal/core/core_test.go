@@ -106,7 +106,7 @@ func TestExplainFindsConfounders(t *testing.T) {
 
 func TestMCIMRAvoidsRedundantDuplicate(t *testing.T) {
 	s := buildScenario(t, 8000, 2)
-	sel, err := MCIMRCtx(context.Background(), s.t, s.o, s.all, Options{K: 2, RespThreshold: 0.02})
+	sel, err := MCIMRCtx(context.Background(), s.t, s.o, s.all, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMCIMRAvoidsRedundantDuplicate(t *testing.T) {
 
 func TestResponsibilityTestStopsEarly(t *testing.T) {
 	s := buildScenario(t, 8000, 3)
-	res, err := Explain(context.Background(), s.t, s.o, s.all, Options{K: 5, RespThreshold: 0.02})
+	res, err := Explain(context.Background(), s.t, s.o, s.all, Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,43 +550,50 @@ func TestMCIMRParallelismInvariant(t *testing.T) {
 	}
 }
 
-func TestMCIMRNegativeSkipBudgetStopsAtFirstFailure(t *testing.T) {
-	// SkipBudget < 0 restores Algorithm 1 as published: the run stops at
-	// the first failing candidate instead of setting it aside.
-	rng := stats.NewRNG(31)
-	nEnt, rowsPer := 50, 40
-	oEnt := make([]float64, nEnt)
-	for i := range oEnt {
-		oEnt[i] = rng.Norm()
-	}
-	n := nEnt * rowsPer
-	oVals := make([]float64, n)
-	tVals := make([]string, n)
-	for i := range oVals {
-		oVals[i] = oEnt[i%nEnt] + 0.2*rng.Norm()
-		tVals[i] = fmt.Sprintf("e%d", i%nEnt)
-	}
-	o, _ := bins.Encode(table.NewFloatColumn("O", oVals), bins.DefaultOptions())
-	tt, _ := bins.Encode(table.NewStringColumn("T", tVals), bins.DefaultOptions())
-	var cands []*Candidate
-	for j := 0; j < 8; j++ {
-		entVals := make([]float64, nEnt)
+func TestMCIMREffortIndependentOfParallelism(t *testing.T) {
+	// The consider loop tests one candidate at a time in rank order, so the
+	// tests it runs, the candidates it skips and the iterations it takes do
+	// not depend on Parallelism, which only spreads each pass and each
+	// permutation test over workers. Same pool as
+	// TestMCIMRParallelismInvariant.
+	s := buildScenario(t, 8000, 13)
+	cands := append([]*Candidate{}, s.all...)
+	rng := stats.NewRNG(99)
+	for j := 0; j < 3; j++ {
+		entVals := make([]float64, 200)
 		for i := range entVals {
 			entVals[i] = rng.Norm()
 		}
-		c, _ := entityCandidate(t, fmt.Sprintf("junk%02d", j), entVals, rowsPer)
+		c, _ := entityCandidate(t, fmt.Sprintf("ent%d", j), entVals, 40)
 		cands = append(cands, c)
 	}
-	tr := obs.New("neg-budget")
-	sel, err := MCIMRCtx(context.Background(), tt, o, cands, Options{K: 5, SkipBudget: -1, Seed: 1, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Attrs) != 0 {
-		t.Fatalf("junk-only pool selected %v with SkipBudget<0", sel.Attrs)
-	}
-	if skips := tr.Counters().Get(obs.MCIMRSkips); skips != 1 {
-		t.Fatalf("recorded %d skips, want exactly 1 (stop at first failure)", skips)
+	effort := []string{obs.CITests, obs.MCIMRSkips, obs.MCIMRIterations, obs.CandidatesScored}
+	var want map[string]int64
+	for _, p := range []int{1, 2, 4} {
+		tr := obs.New("effort")
+		if _, err := MCIMRCtx(context.Background(), s.t, s.o, cands, Options{K: 4, Seed: 7, Parallelism: p, Trace: tr}); err != nil {
+			t.Fatal(err)
+		}
+		snap := tr.Counters().Snapshot()
+		if n, ok := snap[obs.SpeculativeEvals]; ok {
+			t.Fatalf("Parallelism=%d: %s = %d, want absent", p, obs.SpeculativeEvals, n)
+		}
+		got := map[string]int64{}
+		for _, name := range effort {
+			got[name] = snap[name]
+		}
+		if want == nil {
+			want = got
+			if want[obs.CITests] == 0 {
+				t.Fatal("serial run ran no CI test; fixture too weak")
+			}
+			continue
+		}
+		for _, name := range effort {
+			if got[name] != want[name] {
+				t.Errorf("Parallelism=%d: %s = %d, serial %d", p, name, got[name], want[name])
+			}
+		}
 	}
 }
 

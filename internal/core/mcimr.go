@@ -19,25 +19,11 @@ type Options struct {
 	// K bounds the explanation size (paper default 5). MCIMR may stop
 	// earlier via the responsibility test.
 	K int
-	// RespThreshold is the normalized-CMI threshold of the responsibility
-	// test (Lemma 4.2). Default 0.02.
-	RespThreshold float64
-	// SkipBudget bounds how many failing candidates (responsibility test
-	// or gain guard) are set aside across the whole run before MCIMR
-	// stops. Algorithm 1 as published stops at the *first* failing
-	// candidate; a bounded skip list keeps that behaviour in spirit while
-	// tolerating the occasional degenerate attribute (near-FD with a
-	// low-cardinality exposure) that reaches the argmin position first.
-	// Default 10. A negative budget restores the published behaviour
-	// exactly: the run stops at the first failing candidate.
-	SkipBudget int
 	// Seed makes the permutation test deterministic.
 	Seed uint64
-	// Parallelism bounds worker goroutines (default GOMAXPROCS). It also
-	// sets how many argmin-ranked candidates the consider loop evaluates
-	// speculatively per batch (capped at 8); 1 reproduces the strictly
-	// serial scan. Selection is identical at any setting — speculative
-	// results are consumed in serial argmin order.
+	// Parallelism bounds the worker goroutines of the relevance pass, the
+	// redundancy pass and every permutation test (default GOMAXPROCS).
+	// Selection is identical at any setting.
 	Parallelism int
 	// Prune tunes §4.2; zero value means DefaultPruneOptions.
 	Prune PruneOptions
@@ -84,22 +70,26 @@ const (
 	// that provide Permute the gain is additionally calibrated against a
 	// permutation null (see gainSignificant); minGain alone guards the rest.
 	minGain = 0.05
+	// respThreshold is the normalized-CMI threshold of the analytic
+	// responsibility test (Lemma 4.2), used by candidates without Permute.
+	respThreshold = 0.02
+	// skipBudget bounds how many failing candidates (responsibility test or
+	// gain guard) are set aside across the whole run before MCIMR stops.
+	// Algorithm 1 as published stops at the *first* failing candidate; a
+	// bounded skip list keeps that behaviour in spirit while tolerating the
+	// occasional degenerate attribute (near-FD with a low-cardinality
+	// exposure) that reaches the argmin position first.
+	skipBudget = 10
 )
 
 // DefaultOptions returns the paper's default configuration.
 func DefaultOptions() Options {
-	return Options{K: 5, RespThreshold: 0.02, Prune: DefaultPruneOptions()}
+	return Options{K: 5, Prune: DefaultPruneOptions()}
 }
 
 func (o *Options) applyDefaults() {
 	if o.K <= 0 {
 		o.K = 5
-	}
-	if o.RespThreshold <= 0 {
-		o.RespThreshold = 0.02
-	}
-	if o.SkipBudget == 0 {
-		o.SkipBudget = 10
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -241,9 +231,6 @@ type Selection struct {
 // considerEval is the outcome of evaluating one candidate at the current
 // selection state: the responsibility-test verdict and, when that passes,
 // the joint score with the candidate added plus the calibrated-gain verdict.
-// Evaluations are pure with respect to the selection state (which only
-// changes when an attribute is accepted), so a batch of them can run
-// concurrently and be consumed later in serial argmin order.
 type considerEval struct {
 	enc      *bins.Encoded
 	w        []float64
@@ -277,13 +264,11 @@ type considerEval struct {
 //
 //   - Candidates are ranked once per iteration by the Eq. 5 objective
 //     (score ascending, candidate index as tie-break — exactly the order
-//     the serial argmin visits them, and frozen for the iteration because
-//     relevance and redundancy only change on accept). Batches of the top
-//     Parallelism (≤8) ranked candidates are then evaluated concurrently
-//     and consumed strictly in rank order, so skip bookkeeping, budget
-//     exhaustion and the accepted attribute are identical to the serial
-//     scan; evaluations ranked after an accepted candidate are discarded
-//     (obs.SpeculativeEvals vs obs.SpeculativeWins measures the trade).
+//     the argmin visits them, and frozen for the iteration because
+//     relevance and redundancy only change on accept). The consider loop
+//     then tests them one at a time in that order, each under its own
+//     span, until one passes; no candidate ranked after the accepted one
+//     is evaluated.
 func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Selection, error) {
 	opts.applyDefaults()
 	tr := opts.Trace
@@ -389,15 +374,7 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 		return ev
 	}
 
-	width := opts.Parallelism
-	if width < 1 {
-		width = 1
-	}
-	if width > 8 {
-		width = 8
-	}
-
-	skipsLeft := opts.SkipBudget
+	skipsLeft := skipBudget
 	for iter := 0; iter < opts.K; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: MCIMR iteration %d: %w", iter+1, err)
@@ -408,7 +385,7 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 		}
 		// NextBestAtt: minimize relevance + redundancy/|E| (Eq. 5).
 		// Candidates that fail the responsibility test or the gain guard
-		// are skipped (bounded by SkipBudget) and the next-best is tried.
+		// are skipped (bounded by skipBudget) and the next-best is tried.
 		type rankedCand struct {
 			idx   int
 			score float64
@@ -434,81 +411,51 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 		var chosen *state
 		var chosenEnc *bins.Encoded
 		var chosenW []float64
-		pos := 0
-		for chosen == nil {
-			if pos >= len(open) {
-				isp.SetStr("outcome", "pool-exhausted")
+		for _, rc := range open {
+			if err := ctx.Err(); err != nil {
 				isp.End()
-				return sel, nil // pool exhausted
+				return nil, fmt.Errorf("core: MCIMR iteration %d: %w", iter+1, err)
 			}
-			end := pos + width
-			if end > len(open) {
-				end = len(open)
+			cst := states[rc.idx]
+			var csp *obs.Span
+			if tr != nil {
+				csp = tr.Start("consider " + cst.cand.Name)
 			}
-			batch := open[pos:end]
-			pos = end
-			evals := make([]*considerEval, len(batch))
-			if len(batch) > 1 {
-				tr.Add(obs.SpeculativeEvals, int64(len(batch)-1))
-				parallelFor(ctx, len(batch), opts.Parallelism, func(bi int) {
-					evals[bi] = evalOne(states[batch[bi].idx], batch[bi].idx, iter)
-				})
+			ev := evalOne(cst, rc.idx, iter)
+			if ev.err != nil {
+				csp.End()
+				isp.End()
+				return nil, ev.err
 			}
-			for bi := range batch {
-				if err := ctx.Err(); err != nil {
-					isp.End()
-					return nil, fmt.Errorf("core: MCIMR iteration %d: %w", iter+1, err)
-				}
-				cst := states[batch[bi].idx]
-				var csp *obs.Span
-				if tr != nil {
-					csp = tr.Start("consider " + cst.cand.Name)
-				}
-				ev := evals[bi]
-				if ev == nil {
-					ev = evalOne(cst, batch[bi].idx, iter) // serial path: evaluated under the span
-				} else if bi > 0 {
-					tr.Add(obs.SpeculativeWins, 1)
-				}
-				if ev.err != nil {
-					csp.End()
-					isp.End()
-					return nil, ev.err
-				}
+			if ev.respSkip || (!opts.DisableStopping && (ev.newScore >= currentScore-minGain*baseScore || !ev.gainOK)) {
+				cst.skipped = true
+				skipsLeft--
+				tr.Add(obs.MCIMRSkips, 1)
 				if ev.respSkip {
-					cst.skipped = true
-					skipsLeft--
-					tr.Add(obs.MCIMRSkips, 1)
 					csp.SetStr("outcome", "skip:responsibility-test")
-					csp.End()
-					if skipsLeft < 0 {
-						isp.SetStr("outcome", "skip-budget-exhausted")
-						isp.End()
-						return sel, nil
-					}
-					continue
-				}
-				if !opts.DisableStopping && (ev.newScore >= currentScore-minGain*baseScore || !ev.gainOK) {
-					cst.skipped = true
-					skipsLeft--
-					tr.Add(obs.MCIMRSkips, 1)
+				} else {
 					csp.SetStr("outcome", "skip:gain-guard")
 					csp.SetFloat("cmi", ev.newScore)
-					csp.End()
-					if skipsLeft < 0 {
-						isp.SetStr("outcome", "skip-budget-exhausted")
-						isp.End()
-						return sel, nil
-					}
-					continue
 				}
-				currentScore = ev.newScore
-				chosen, chosenEnc, chosenW = cst, ev.enc, ev.w
-				csp.SetStr("outcome", "selected")
-				csp.SetFloat("cmi", ev.newScore)
 				csp.End()
-				break
+				if skipsLeft < 0 {
+					isp.SetStr("outcome", "skip-budget-exhausted")
+					isp.End()
+					return sel, nil
+				}
+				continue
 			}
+			currentScore = ev.newScore
+			chosen, chosenEnc, chosenW = cst, ev.enc, ev.w
+			csp.SetStr("outcome", "selected")
+			csp.SetFloat("cmi", ev.newScore)
+			csp.End()
+			break
+		}
+		if chosen == nil {
+			isp.SetStr("outcome", "pool-exhausted")
+			isp.End()
+			return sel, nil
 		}
 
 		chosen.selected = true
@@ -587,7 +534,7 @@ func respIndependent(ctx context.Context, cand *Candidate, enc *bins.Encoded, w 
 	if cand.Permute == nil {
 		opts.Trace.Add(obs.CITests, 1)
 		testW := weightProduct(selW, weightsOf(enc, w))
-		return infotheory.CondIndependent(sctx.O, enc, given, testW, opts.RespThreshold), nil
+		return infotheory.CondIndependent(sctx.O, enc, given, testW, respThreshold), nil
 	}
 	dependent, err := permSignificant(ctx, opts.Trace, PermResp, sctx.T, sctx.O, cand, enc, given,
 		opts.Seed+uint64(iter), depth, permTests, permAllow, opts.Parallelism, scorer, sctx, idx)

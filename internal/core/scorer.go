@@ -26,8 +26,8 @@ import (
 // implementation that runs the same Go functions on the same inputs and
 // merges replies in argument order is therefore byte-identical to Local,
 // which stays in-tree as the oracle. Implementations must be safe for
-// concurrent use: the speculative MCIMR consider loop issues overlapping
-// PermBlock calls.
+// concurrent use: one Scorer in a session's options serves every
+// explanation and subgroup search that session runs at once.
 type Scorer interface {
 	// Relevance returns I(O;T|E_i) for each listed candidate, index-aligned
 	// with cands (indices into sc.Cands), using the candidate's IPW weights.

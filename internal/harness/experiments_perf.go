@@ -9,7 +9,6 @@ import (
 
 	"nexus/internal/core"
 	"nexus/internal/stats"
-	"nexus/internal/workload"
 )
 
 // PruneVariant names the Figure 4 runtime baselines.
@@ -92,7 +91,7 @@ func (s *Suite) Fig5(dataset string, rowCounts []int, base core.Options) ([]Perf
 	}
 	var out []PerfPoint
 	for _, rows := range rowCounts {
-		ds := s.regenerate(dataset, rows)
+		ds := s.generate(dataset, rows)
 		sess := s.SessionWith(dataset, nexusOptions(base))
 		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 		sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
@@ -145,7 +144,7 @@ func (s *Suite) Fig6(dataset string, ks []int, base core.Options) ([]PerfPoint, 
 // of the explain (paper: < 10 s at 5.8M rows), and the bytes the explain
 // allocated (the growth of runtime.MemStats.TotalAlloc across the call).
 func (s *Suite) Headline(rows int, base core.Options) (*core.Explanation, uint64, error) {
-	ds := workload.Flights(s.World, workload.Config{Rows: rows, Seed: s.Seed + 3})
+	ds := s.generate("Flights", rows)
 	sess := s.SessionWith("Flights", nexusOptions(base))
 	sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 	sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
@@ -165,26 +164,6 @@ func (s *Suite) Headline(rows int, base core.Options) (*core.Explanation, uint64
 		return nil, 0, err
 	}
 	return ex, after.TotalAlloc - before.TotalAlloc, nil
-}
-
-// regenerate rebuilds a dataset at a specific row count (same world/seed).
-func (s *Suite) regenerate(dataset string, rows int) *workload.Dataset {
-	cfg := workload.Config{Rows: rows, Seed: s.Seed + 1}
-	switch dataset {
-	case "SO":
-		return workload.StackOverflow(s.World, cfg)
-	case "Covid-19":
-		cfg.Seed = s.Seed + 2
-		return workload.Covid(s.World, cfg)
-	case "Flights":
-		cfg.Seed = s.Seed + 3
-		return workload.Flights(s.World, cfg)
-	case "Forbes":
-		cfg.Seed = s.Seed + 4
-		return workload.Forbes(s.World, cfg)
-	default:
-		panic(fmt.Sprintf("harness: unknown dataset %q", dataset))
-	}
 }
 
 // FormatPerf renders a runtime sweep.

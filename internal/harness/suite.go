@@ -53,11 +53,24 @@ func NewSuite(seed uint64, sc Scale) *Suite {
 		Datasets: map[string]*workload.Dataset{},
 		sessions: map[string]*nexus.Session{},
 	}
-	s.Datasets["SO"] = workload.StackOverflow(w, workload.Config{Rows: sc.SORows, Seed: seed + 1})
-	s.Datasets["Covid-19"] = workload.Covid(w, workload.Config{Rows: sc.CovidRows, Seed: seed + 2})
-	s.Datasets["Flights"] = workload.Flights(w, workload.Config{Rows: sc.FlightsRows, Seed: seed + 3})
-	s.Datasets["Forbes"] = workload.Forbes(w, workload.Config{Rows: sc.ForbesRows, Seed: seed + 4})
+	s.Datasets["SO"] = s.generate("SO", sc.SORows)
+	s.Datasets["Covid-19"] = s.generate("Covid-19", sc.CovidRows)
+	s.Datasets["Flights"] = s.generate("Flights", sc.FlightsRows)
+	s.Datasets["Forbes"] = s.generate("Forbes", sc.ForbesRows)
 	return s
+}
+
+// shortNames maps each dataset's table name to its workload.ByName name.
+var shortNames = map[string]string{"SO": "so", "Covid-19": "covid", "Flights": "flights", "Forbes": "forbes"}
+
+// generate builds a dataset at a row count (0 = its default) over the
+// suite's world and seed.
+func (s *Suite) generate(dataset string, rows int) *workload.Dataset {
+	ds, err := workload.ByName(s.World, shortNames[dataset], rows, s.Seed)
+	if err != nil {
+		panic(fmt.Sprintf("harness: unknown dataset %q", dataset))
+	}
+	return ds
 }
 
 // Session returns (building lazily) the session for a dataset, with its

@@ -124,11 +124,9 @@ const (
 	// variable (once per accepted MCIMR attribute, plus one per subgroup
 	// search with a multi-attribute explanation).
 	CompositeRebuilds = "composite_rebuilds"
-	// SpeculativeEvals / SpeculativeWins count candidates evaluated by the
-	// speculative consider-loop batches of MCIMR, and how many of those
-	// speculative (non-argmin) evaluations were actually consumed by the
-	// serial-order scan. Evals minus consumed results is wasted work traded
-	// for parallelism.
+	// SpeculativeEvals and SpeculativeWins are no longer written: MCIMR's
+	// consider loop tests one candidate at a time. The names stay until the
+	// benchmark module, which reads them, drops the metric.
 	SpeculativeEvals = "speculative_evals"
 	SpeculativeWins  = "speculative_wins"
 	// KGCacheHits / KGCacheMisses count lookups served from (or missing in)

@@ -123,8 +123,8 @@ type Options struct {
 	Counters *obs.Counters
 }
 
-// Stats reports search effort. Both fields are schedule-independent: they
-// follow from the serial traversal order alone, not from the speculative
+// Stats reports search effort. Every field is schedule-independent: it
+// follows from the serial traversal order alone, not from the speculative
 // scoring work (which the groups_scored counter tracks and which grows with
 // Parallelism).
 type Stats struct {
@@ -133,6 +133,11 @@ type Stats struct {
 	// expanded nodes that pass MinSize, refine their parent and were, when
 	// generated, still within reach of the MaxExplored budget.
 	Pushed int
+	// Exhausted reports that the heap emptied before MaxExplored was spent,
+	// so every refinement up to MaxDepth was consumed or lies under a
+	// returned group: search.expand leaves a child unpushed only when the
+	// budget would end the search before its turn.
+	Exhausted bool
 }
 
 // batchFactor sizes the frontier batch: up to Parallelism × batchFactor
@@ -311,6 +316,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			s.expand(g)
 		}
 	}
+	s.stats.Exhausted = s.heap.Len() == 0 && s.stats.Explored < opts.MaxExplored
 	opts.Counters.Add(obs.SubgroupNodesExplored, int64(s.stats.Explored))
 	opts.Counters.Add(obs.SubgroupNodesPushed, int64(s.stats.Pushed))
 	sp.SetInt("explored", int64(s.stats.Explored))

@@ -124,6 +124,31 @@ func TestTopUnexplainedRespectsTau(t *testing.T) {
 	}
 }
 
+func TestTopUnexplainedExhaustedOnlyWhenLatticeIs(t *testing.T) {
+	// With τ above every score nothing qualifies, so the search runs until
+	// the lattice or the budget ends it; only the former is exhaustion.
+	te, oe, ze, attrs := buildData(t, 12000, 4)
+	search := func(maxExplored int) Stats {
+		groups, st, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs,
+			Options{K: 5, Tau: 100, MaxExplored: maxExplored})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups) != 0 {
+			t.Fatalf("groups with impossible τ: %v", groups)
+		}
+		return st
+	}
+	full := search(1500)
+	if !full.Exhausted || full.Explored >= 1500 {
+		t.Fatalf("ample budget: stats %+v, want the lattice exhausted", full)
+	}
+	cut := search(full.Explored - 1)
+	if cut.Exhausted || cut.Explored != full.Explored-1 {
+		t.Fatalf("budget %d below the lattice's %d nodes: stats %+v, want not exhausted", full.Explored-1, full.Explored, cut)
+	}
+}
+
 func TestTopUnexplainedPerfectExplanation(t *testing.T) {
 	// When T and O are driven by Z everywhere, no subgroup should exceed a
 	// reasonable τ.

@@ -20,7 +20,6 @@
 package nexus
 
 import (
-	"nexus/internal/bins"
 	"nexus/internal/core"
 	"nexus/internal/kg"
 	"nexus/internal/ned"
@@ -32,17 +31,12 @@ import (
 // Options configures a Session. The zero value of every field selects the
 // paper's defaults.
 type Options struct {
-	// Bins controls discretization. A zero Bins.Bins selects an adaptive
-	// equal-frequency bin count from the analysis-view size (4 for tiny
-	// views, 6 medium, 8 large); set it explicitly to pin the granularity.
-	Bins bins.Options
-	// Core controls pruning and MCIMR (default core.DefaultOptions).
-	// Core.Trace is not read: the trace comes from the context of each call.
+	// Core controls pruning and MCIMR; its zero fields take the paper's
+	// defaults (core.DefaultOptions). Core.Trace is not read: the trace
+	// comes from the context of each call.
 	Core core.Options
 	// Hops is the KG extraction depth (default 1; §5.4 evaluates 2).
 	Hops int
-	// OneToMany aggregates multi-valued properties (default mean).
-	OneToMany table.AggFunc
 	// DisableIPW turns off selection-bias detection and weighting
 	// (complete-case analysis everywhere).
 	DisableIPW bool
@@ -62,20 +56,6 @@ type Options struct {
 }
 
 func (o *Options) applyDefaults() {
-	if o.Core.K == 0 {
-		// A zero K means the caller did not configure Core; swap in the
-		// paper defaults but keep the knobs that are meaningful on their
-		// own (the prune toggles, Parallelism and the scoring seam — a
-		// -parallelism CLI flag, or a Scorer a caller plugged in, must not
-		// be silently dropped just because K was left default).
-		k := o.Core
-		o.Core = core.DefaultOptions()
-		o.Core.DisableOfflinePrune = k.DisableOfflinePrune
-		o.Core.DisableOnlinePrune = k.DisableOnlinePrune
-		o.Core.Parallelism = k.Parallelism
-		o.Core.Scorer = k.Scorer
-		o.Core.ScoreTag = k.ScoreTag
-	}
 	if o.Hops == 0 {
 		o.Hops = 1
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"nexus/internal/core"
 	"nexus/internal/kg"
 	"nexus/internal/workload"
 )
@@ -286,6 +287,22 @@ func TestDisableIPW(t *testing.T) {
 	}
 	if rep.Analysis.NumBiased() != 0 {
 		t.Fatal("bias detection ran with IPW disabled")
+	}
+}
+
+func TestCoreWithDefaultKKeepsItsSettings(t *testing.T) {
+	// A Core left at K 0 takes the default K and keeps every other field:
+	// with the stopping tests off, MCIMR selects exactly that K.
+	w := sharedWorld()
+	ds := workload.StackOverflow(w, workload.Config{Rows: 3000, Seed: 1})
+	sess := NewSession(w.Graph, &Options{Core: core.Options{DisableStopping: true}})
+	sess.RegisterTable("SO", ds.Table, ds.LinkColumns...)
+	rep, err := sess.ExplainCtx(context.Background(), "SELECT Country, avg(Salary) FROM SO GROUP BY Country")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(rep.Explanation.Attrs), core.DefaultOptions().K; got != want {
+		t.Fatalf("selected %d attributes %v with stopping disabled, want K = %d", got, rep.Explanation.Names(), want)
 	}
 }
 
