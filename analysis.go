@@ -308,7 +308,7 @@ func (a *Analysis) ipwWeights(attr *extract.Attribute) []float64 {
 	if err != nil {
 		return nil
 	}
-	rep := missing.DetectBias(entEnc, map[string]*bins.Encoded{"O": so.meanOEnc}, missing.DefaultThreshold, a.metrics)
+	rep := missing.DetectBias(entEnc, map[string]*bins.Encoded{"O": so.meanOEnc}, a.metrics)
 	if !rep.Biased {
 		return nil
 	}

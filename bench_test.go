@@ -292,7 +292,7 @@ func BenchmarkHeadlineFlights(b *testing.B) {
 // benchReport prepares the Flights delay report once for the subgroup-search
 // benchmarks. Flights is the subgroup-heavy workload: its refinement lattice
 // (origin city × airline × extracted geography) is wide enough that the
-// search explores hundreds of nodes before the MaxExplored cap.
+// search explores hundreds of nodes before the maxExplored cap.
 var (
 	benchReportOnce sync.Once
 	benchReportVal  *nexus.Report

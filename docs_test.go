@@ -14,7 +14,7 @@ import (
 
 // docsWithSymbols are the documents whose backticked Go citations must
 // resolve (scripts/check_docs.sh, step 3).
-var docsWithSymbols = []string{"docs/ARCHITECTURE.md", "docs/API.md", "docs/OPERATIONS.md", "DESIGN.md", "README.md"}
+var docsWithSymbols = []string{"docs/ARCHITECTURE.md", "docs/API.md", "docs/OPERATIONS.md", "DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
 // citation matches a backticked `a.B`, `a.B.C` or `a.B()`.
 var citation = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*){1,2})(?:\\([^`]*\\))?`")

@@ -59,34 +59,27 @@ func MESAMinus(t, o *bins.Encoded, cands []*core.Candidate, opts core.Options) (
 	return &Result{Method: MethodMESAMinus, Attrs: ex.Names(), Score: ex.Score, Elapsed: ex.Elapsed, Failed: len(ex.Attrs) == 0}, nil
 }
 
-// BruteForceOptions bounds the exhaustive search.
-type BruteForceOptions struct {
-	// MaxSize bounds subset cardinality (paper's k, default 5).
-	MaxSize int
-	// MinSupport is the minimum average complete-case rows per occupied
-	// conditioning stratum for a subset to be considered estimable
-	// (default 4). Without it the Def. 2.3 objective degenerates: joint
-	// conditioning on enough attributes shatters every stratum to a single
-	// row and the plug-in CMI reads an artificial 0. Support shrinks
-	// monotonically as sets grow, so infeasible branches are pruned.
-	MinSupport float64
-}
-
 // bruteForceMaxCandidates is how many of the most relevant candidates are kept
 // before enumerating subsets. Without a cap the search is 2^|A| (the reason
 // the paper could not run Brute-Force on SO or Flights).
 const bruteForceMaxCandidates = 18
 
+// bruteForceMinSupport is the minimum average complete-case rows per
+// occupied conditioning stratum for a subset to be considered estimable.
+// Without it the Def. 2.3 objective degenerates: joint conditioning on
+// enough attributes shatters every stratum to a single row and the plug-in
+// CMI reads an artificial 0. Support shrinks monotonically as sets grow, so
+// infeasible branches are pruned.
+const bruteForceMinSupport = 4
+
 // BruteForce computes the Def. 2.3 optimum argmin I(O;T|E)·|E| by exhaustive
 // enumeration of attribute subsets (after relevance capping). Ties prefer
-// smaller then lexicographically-earlier sets.
-func BruteForce(t, o *bins.Encoded, cands []*core.Candidate, opts BruteForceOptions) (*Result, error) {
+// smaller then lexicographically-earlier sets. maxSize bounds subset
+// cardinality (the paper's k; ≤ 0 means 5).
+func BruteForce(t, o *bins.Encoded, cands []*core.Candidate, maxSize int) (*Result, error) {
 	start := time.Now()
-	if opts.MaxSize <= 0 {
-		opts.MaxSize = 5
-	}
-	if opts.MinSupport <= 0 {
-		opts.MinSupport = 4
+	if maxSize <= 0 {
+		maxSize = 5
 	}
 	ranked, err := rankByRelevance(t, o, cands)
 	if err != nil {
@@ -122,7 +115,7 @@ func BruteForce(t, o *bins.Encoded, cands []*core.Candidate, opts BruteForceOpti
 			// Feasibility: enough complete cases per occupied stratum.
 			// Support only shrinks as the set grows, so an infeasible set
 			// prunes its whole branch.
-			if !supported(sel, opts.MinSupport) {
+			if !supported(sel, bruteForceMinSupport) {
 				return
 			}
 			score := infotheory.CondMutualInfo(o, t, sel, infotheory.Weights{W: productWeights(wsel, t.Len())})
@@ -133,7 +126,7 @@ func BruteForce(t, o *bins.Encoded, cands []*core.Candidate, opts BruteForceOpti
 				bestSet = append(bestSet[:0], cur...)
 			}
 		}
-		if len(cur) == opts.MaxSize {
+		if len(cur) == maxSize {
 			return
 		}
 		for i := next; i < n; i++ {
@@ -252,29 +245,21 @@ type NamedSeries struct {
 	Values []float64 // NaN = missing
 }
 
-// LROptions tunes the Linear Regression baseline.
-type LROptions struct {
-	K      int     // explanation size (default 5)
-	PValue float64 // significance cutoff (paper: 0.05)
-}
-
 const (
-	lrMaxPredictors = 40  // cap on jointly-fitted predictors
-	lrMaxMissing    = 0.5 // series with a larger missing fraction are dropped
+	lrMaxPredictors = 40   // cap on jointly-fitted predictors
+	lrMaxMissing    = 0.5  // series with a larger missing fraction are dropped
+	lrPValue        = 0.05 // significance cutoff (paper: 0.05)
 )
 
 // LinearRegression implements the paper's LR baseline: fit OLS of the
 // outcome on (standardized) candidate attributes and return the top-k
-// attributes by absolute coefficient among those with p < PValue. It can
-// fail (Failed=true) when no coefficient is significant — the behaviour the
-// paper reports for several queries.
-func LinearRegression(outcome []float64, series []NamedSeries, t, o *bins.Encoded, encOf func(name string) *bins.Encoded, opts LROptions) *Result {
+// attributes (k; ≤ 0 means 5) by absolute coefficient among those with
+// p < lrPValue. It can fail (Failed=true) when no coefficient is
+// significant — the behaviour the paper reports for several queries.
+func LinearRegression(outcome []float64, series []NamedSeries, t, o *bins.Encoded, encOf func(name string) *bins.Encoded, k int) *Result {
 	start := time.Now()
-	if opts.K <= 0 {
-		opts.K = 5
-	}
-	if opts.PValue <= 0 {
-		opts.PValue = 0.05
+	if k <= 0 {
+		k = 5
 	}
 	res := &Result{Method: MethodLR, Failed: true, Score: math.NaN()}
 
@@ -338,13 +323,13 @@ func LinearRegression(outcome []float64, series []NamedSeries, t, o *bins.Encode
 	}
 	var sig []scored
 	for i, p := range preps {
-		if fit.PValue[i+1] < opts.PValue {
+		if fit.PValue[i+1] < lrPValue {
 			sig = append(sig, scored{p.name, math.Abs(fit.Coef[i+1])})
 		}
 	}
 	sort.SliceStable(sig, func(a, b int) bool { return sig[a].coef > sig[b].coef })
-	if len(sig) > opts.K {
-		sig = sig[:opts.K]
+	if len(sig) > k {
+		sig = sig[:k]
 	}
 	if len(sig) == 0 {
 		res.Elapsed = time.Since(start)

@@ -91,7 +91,7 @@ func setOf(attrs []string) map[string]bool {
 
 func TestBruteForceFindsOptimalPair(t *testing.T) {
 	f := buildFixture(t, 6000, 1)
-	res, err := BruteForce(f.t, f.o, f.cands, BruteForceOptions{MaxSize: 3})
+	res, err := BruteForce(f.t, f.o, f.cands, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestBruteForceFindsOptimalPair(t *testing.T) {
 
 func TestBruteForceIsLowerBoundForMESA(t *testing.T) {
 	f := buildFixture(t, 6000, 2)
-	bf, err := BruteForce(f.t, f.o, f.cands, BruteForceOptions{MaxSize: 5})
+	bf, err := BruteForce(f.t, f.o, f.cands, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestLinearRegressionFindsLinearConfounders(t *testing.T) {
 	for name, vals := range f.rawVals {
 		series = append(series, NamedSeries{Name: name, Values: vals})
 	}
-	res := LinearRegression(f.outFlt, series, f.t, f.o, f.encOf, LROptions{K: 3})
+	res := LinearRegression(f.outFlt, series, f.t, f.o, f.encOf, 3)
 	if res.Failed {
 		t.Fatal("LR failed on strongly linear data")
 	}
@@ -206,7 +206,7 @@ func TestLinearRegressionFailsOnPureNoise(t *testing.T) {
 		noise[i] = rng.Norm()
 	}
 	o, _ := bins.Encode(table.NewFloatColumn("O", out), bins.DefaultOptions())
-	res := LinearRegression(out, []NamedSeries{{Name: "X", Values: noise}}, o, o, nil, LROptions{})
+	res := LinearRegression(out, []NamedSeries{{Name: "X", Values: noise}}, o, o, nil, 0)
 	if !res.Failed {
 		t.Fatalf("LR should fail with no significant predictors, got %v", res.Attrs)
 	}
@@ -222,7 +222,7 @@ func TestLinearRegressionDropsSparseSeries(t *testing.T) {
 		sparse[i] = math.NaN()
 	}
 	o, _ := bins.Encode(table.NewFloatColumn("O", out), bins.DefaultOptions())
-	res := LinearRegression(out, []NamedSeries{{Name: "S", Values: sparse}}, o, o, nil, LROptions{})
+	res := LinearRegression(out, []NamedSeries{{Name: "S", Values: sparse}}, o, o, nil, 0)
 	if !res.Failed {
 		t.Fatal("all-missing series should be unusable")
 	}
@@ -230,7 +230,7 @@ func TestLinearRegressionDropsSparseSeries(t *testing.T) {
 
 func TestHypDBFindsConfounders(t *testing.T) {
 	f := buildFixture(t, 6000, 9)
-	res, err := HypDB(f.t, f.o, f.cands, HypDBOptions{K: 3})
+	res, err := HypDB(f.t, f.o, f.cands, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestHypDBCapsCandidates(t *testing.T) {
 		e, _ := bins.Encode(table.NewFloatColumn(fmt.Sprintf("junk%02d", j), vals), bins.DefaultOptions())
 		cands = append(cands, core.FromEncoded(e, core.OriginKG))
 	}
-	res, err := HypDB(f.t, f.o, cands, HypDBOptions{K: 3, MaxAttrs: 20, Seed: 1})
+	res, err := HypDB(f.t, f.o, cands, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestHypDBRejectsNonCovariates(t *testing.T) {
 	res, err := HypDB(te, oe, []*core.Candidate{
 		core.FromEncoded(c1, core.OriginKG),
 		core.FromEncoded(c2, core.OriginKG),
-	}, HypDBOptions{K: 2})
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestMethodOrderingOnFixture(t *testing.T) {
 	// The §5.1 headline shape: BF ≤ MESA ≈ MESA- ≪ Top-K on explainability
 	// distance from brute force.
 	f := buildFixture(t, 8000, 13)
-	bf, _ := BruteForce(f.t, f.o, f.cands, BruteForceOptions{MaxSize: 3})
+	bf, _ := BruteForce(f.t, f.o, f.cands, 3)
 	mesa, _ := MESA(f.t, f.o, f.cands, core.DefaultOptions())
 	if mesa.Score < bf.Score-0.05 {
 		t.Fatalf("MESA score %.4f beat brute force %.4f by more than tolerance", mesa.Score, bf.Score)
@@ -348,7 +348,7 @@ func TestBruteForceMinSupportLimitsSize(t *testing.T) {
 	// Tiny data: only small subsets are estimable; the guard must keep the
 	// chosen set small rather than returning a shattered 5-attribute "0".
 	f := buildFixture(t, 60, 21)
-	res, err := BruteForce(f.t, f.o, f.cands, BruteForceOptions{MaxSize: 5, MinSupport: 6})
+	res, err := BruteForce(f.t, f.o, f.cands, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,18 +10,12 @@ import (
 	"nexus/internal/stats"
 )
 
-// HypDBOptions tunes the HypDB-style baseline.
-type HypDBOptions struct {
-	// K is the explanation size (top-k covariates by responsibility).
-	K int
-	// MaxAttrs caps the candidate set by uniform random sampling, exactly
-	// as the paper had to do (|A| ≤ 50) to make HypDB terminate. 0 = 50.
-	MaxAttrs int
-	// Seed drives the random candidate capping.
-	Seed uint64
-}
-
 const (
+	// hypDBMaxAttrs caps the candidate set by uniform random sampling,
+	// exactly as the paper had to do (|A| ≤ 50) to make HypDB terminate.
+	hypDBMaxAttrs = 50
+	// hypDBSeed drives the random candidate capping.
+	hypDBSeed = 7
 	// hypDBMaxParentSet bounds the exponential covariate-set search: its cost
 	// is Σ C(n, i) for i ≤ hypDBMaxParentSet — the blow-up that makes HypDB
 	// unable to scale (§5.1).
@@ -36,22 +30,20 @@ const (
 // attribute is a potential confounder when it is dependent on both T and O), search covariate subsets exhaustively for the set that most
 // reduces I(O;T|·), and rank the attributes of the best set (plus remaining
 // covariates) by individual responsibility. Its cost is exponential in the
-// number of covariates, which is why the candidate set must be capped.
-func HypDB(t, o *bins.Encoded, cands []*core.Candidate, opts HypDBOptions) (*Result, error) {
+// number of covariates, which is why the candidate set must be capped. k is
+// the explanation size (top-k covariates by responsibility; ≤ 0 means 5).
+func HypDB(t, o *bins.Encoded, cands []*core.Candidate, k int) (*Result, error) {
 	start := time.Now()
-	if opts.K <= 0 {
-		opts.K = 5
-	}
-	if opts.MaxAttrs <= 0 {
-		opts.MaxAttrs = 50
+	if k <= 0 {
+		k = 5
 	}
 
 	// Cap candidates uniformly at random (paper §5.1).
 	working := cands
-	if len(working) > opts.MaxAttrs {
-		rng := stats.NewRNG(opts.Seed)
+	if len(working) > hypDBMaxAttrs {
+		rng := stats.NewRNG(hypDBSeed)
 		perm := rng.Perm(len(working))
-		capped := make([]*core.Candidate, opts.MaxAttrs)
+		capped := make([]*core.Candidate, hypDBMaxAttrs)
 		for i := range capped {
 			capped[i] = working[perm[i]]
 		}
@@ -126,7 +118,7 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, opts HypDBOptions) (*Res
 	}
 	// Fill to K with the highest-responsibility remaining covariates.
 	for _, cv := range covs {
-		if len(res.Attrs) >= opts.K {
+		if len(res.Attrs) >= k {
 			break
 		}
 		if !seen[cv.cand.Name] && cv.drop > 0 {
@@ -134,8 +126,8 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, opts HypDBOptions) (*Res
 			seen[cv.cand.Name] = true
 		}
 	}
-	if len(res.Attrs) > opts.K {
-		res.Attrs = res.Attrs[:opts.K]
+	if len(res.Attrs) > k {
+		res.Attrs = res.Attrs[:k]
 	}
 	res.Failed = len(res.Attrs) == 0
 	if res.Failed {

@@ -508,11 +508,12 @@ func TestExplainEncodesOncePerCandidate(t *testing.T) {
 }
 
 func TestMCIMRParallelismInvariant(t *testing.T) {
-	// The speculative consider loop must select the same attributes in the
-	// same order, with the same relevances, at any Parallelism setting. The
-	// pool mixes analytic-test candidates with entity-level (Permute-
-	// carrying) junk so both the permutation tests and the skip bookkeeping
-	// run inside speculative batches.
+	// MCIMR must select the same attributes in the same order, with the
+	// same relevances, at any Parallelism setting. Parallelism spreads the
+	// relevance and redundancy passes and every permutation test over
+	// workers; the consider loop tests one candidate at a time. The pool
+	// mixes analytic-test candidates with entity-level (Permute-carrying)
+	// junk so both the permutation tests and the skip bookkeeping run.
 	s := buildScenario(t, 8000, 13)
 	cands := append([]*Candidate{}, s.all...)
 	rng := stats.NewRNG(99)

@@ -29,16 +29,10 @@ import (
 type Options struct {
 	// Hops is the property-path depth (paper default 1; §5.4 evaluates 2).
 	Hops int
-	// OneToMany aggregates multi-valued numeric sub-properties
-	// ("Avg Population size of Ethnic Group"). Default table.AggMean.
-	OneToMany table.AggFunc
 	// Trace, when non-nil, receives per-link-column NED and graph-walk
 	// spans plus entity-linking and per-hop attribute counters.
 	Trace *obs.Trace
 }
-
-// DefaultOptions matches the paper's default configuration.
-func DefaultOptions() Options { return Options{Hops: 1, OneToMany: table.AggMean} }
 
 // Attribute is one extracted candidate attribute. Values live at entity
 // level (one row per slot of the link column); row-level views are produced
@@ -325,7 +319,7 @@ func extractColumn(ctx context.Context, base *table.Table, col *table.Column, sr
 		if ent < 0 {
 			continue
 		}
-		walkEntity(gv, ent, "", 1, opts, b, s)
+		walkEntity(gv, ent, "", 1, opts.Hops, b, s)
 	}
 	attrs := b.build(col.Name, rowSlot)
 	wsp.SetInt("hops", int64(opts.Hops))
@@ -440,8 +434,8 @@ func prefetchView(ctx context.Context, src kg.Source, roots []kg.EntityID, hops 
 }
 
 // walkEntity flattens the properties of one entity into the builder set,
-// recursing through entity-valued properties up to opts.Hops.
-func walkEntity(g graphView, ent kg.EntityID, prefix string, depth int, opts Options, b *builderSet, slot int) {
+// recursing through entity-valued properties up to hops.
+func walkEntity(g graphView, ent kg.EntityID, prefix string, depth, hops int, b *builderSet, slot int) {
 	for _, prop := range g.Properties(ent) {
 		vals := g.Values(ent, prop)
 		if len(vals) == 0 {
@@ -458,8 +452,8 @@ func walkEntity(g graphView, ent kg.EntityID, prefix string, depth int, opts Opt
 			// The reference itself becomes a categorical attribute
 			// (e.g. Currency = "Euro").
 			b.setStr(name, depth, slot, g.Entity(target).Name)
-			if depth < opts.Hops {
-				walkEntity(g, target, name+" ", depth+1, opts, b, slot)
+			if depth < hops {
+				walkEntity(g, target, name+" ", depth+1, hops, b, slot)
 			}
 		default:
 			// Multi-valued property.
@@ -470,22 +464,23 @@ func walkEntity(g graphView, ent kg.EntityID, prefix string, depth int, opts Opt
 						nums = append(nums, v.Num)
 					}
 				}
-				b.setNum(fmt.Sprintf("%s %s", aggLabel(opts.OneToMany), name), depth, slot, opts.OneToMany.Apply(nums))
+				b.setNum("Avg "+name, depth, slot, table.AggMean.Apply(nums))
 				continue
 			}
 			// Multi-valued entity references: count at this hop, aggregate
 			// numeric sub-properties one hop deeper.
 			b.setNum("Num "+name, depth, slot, float64(len(vals)))
-			if depth < opts.Hops {
-				aggEntityTargets(g, vals, name, depth, opts, b, slot)
+			if depth < hops {
+				aggEntityTargets(g, vals, name, depth, b, slot)
 			}
 		}
 	}
 }
 
-// aggEntityTargets aggregates the numeric sub-properties of a multi-valued
-// entity property ("Avg Population size of Ethnic Group").
-func aggEntityTargets(g graphView, vals []kg.Value, name string, depth int, opts Options, b *builderSet, slot int) {
+// aggEntityTargets averages the numeric sub-properties of a multi-valued
+// entity property ("Avg Population size of Ethnic Group"), the one-to-many
+// aggregate of §3.1.
+func aggEntityTargets(g graphView, vals []kg.Value, name string, depth int, b *builderSet, slot int) {
 	subVals := make(map[string][]float64)
 	for _, v := range vals {
 		if v.Kind != kg.EntValue {
@@ -503,27 +498,7 @@ func aggEntityTargets(g graphView, vals []kg.Value, name string, depth int, opts
 	}
 	sort.Strings(subs)
 	for _, sub := range subs {
-		attr := fmt.Sprintf("%s %s of %s", aggLabel(opts.OneToMany), sub, name)
-		b.setNum(attr, depth+1, slot, opts.OneToMany.Apply(subVals[sub]))
-	}
-}
-
-func aggLabel(fn table.AggFunc) string {
-	switch fn {
-	case table.AggMean:
-		return "Avg"
-	case table.AggSum:
-		return "Sum"
-	case table.AggMax:
-		return "Max"
-	case table.AggMin:
-		return "Min"
-	case table.AggFirst:
-		return "First"
-	case table.AggCount:
-		return "Count"
-	default:
-		return fn.String()
+		b.setNum("Avg "+sub+" of "+name, depth+1, slot, table.AggMean.Apply(subVals[sub]))
 	}
 }
 

@@ -54,7 +54,7 @@ func baseTable() *table.Table {
 
 func TestExtractOneHop(t *testing.T) {
 	g := smallGraph()
-	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,7 @@ func TestExtractOneHop(t *testing.T) {
 
 func TestExtractTwoHop(t *testing.T) {
 	g := smallGraph()
-	opts := DefaultOptions()
-	opts.Hops = 2
+	opts := Options{Hops: 2}
 	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +121,7 @@ func TestExtractTwoHop(t *testing.T) {
 
 func TestExtractMultiValuedNumeric(t *testing.T) {
 	g := smallGraph()
-	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestExtractMultiValuedNumeric(t *testing.T) {
 
 func TestExtractOneToManyCount(t *testing.T) {
 	g := smallGraph()
-	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,25 +149,9 @@ func TestExtractOneToManyCount(t *testing.T) {
 	}
 }
 
-func TestExtractSumAggregation(t *testing.T) {
-	g := smallGraph()
-	opts := Options{Hops: 2, OneToMany: table.AggSum}
-	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := ex.Attr("Sum Population size of Ethnic Group")
-	if s == nil {
-		t.Fatalf("no sum attribute; have %v", ex.Names())
-	}
-	if v := s.Materialize().Float(0); v != 400 {
-		t.Fatalf("sum = %v, want 400", v)
-	}
-}
-
 func TestExtractLinkStats(t *testing.T) {
 	g := smallGraph()
-	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +164,7 @@ func TestExtractLinkStats(t *testing.T) {
 
 func TestExtractEncode(t *testing.T) {
 	g := smallGraph()
-	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +188,11 @@ func TestExtractEncode(t *testing.T) {
 
 func TestExtractErrors(t *testing.T) {
 	g := smallGraph()
-	if _, err := ExtractCtx(context.Background(), baseTable(), []string{"nope"}, g, ned.NewLinker(g), DefaultOptions()); err == nil {
+	if _, err := ExtractCtx(context.Background(), baseTable(), []string{"nope"}, g, ned.NewLinker(g), Options{Hops: 1}); err == nil {
 		t.Fatal("expected error for unknown link column")
 	}
 	tbl := table.MustFromColumns(table.NewFloatColumn("num", []float64{1}))
-	if _, err := ExtractCtx(context.Background(), tbl, []string{"num"}, g, ned.NewLinker(g), DefaultOptions()); err == nil {
+	if _, err := ExtractCtx(context.Background(), tbl, []string{"num"}, g, ned.NewLinker(g), Options{Hops: 1}); err == nil {
 		t.Fatal("expected error for non-string link column")
 	}
 }
@@ -224,7 +207,7 @@ func TestExtractNameCollisionAcrossLinkColumns(t *testing.T) {
 		table.NewStringColumn("c1", []string{"A"}),
 		table.NewStringColumn("c2", []string{"B"}),
 	)
-	ex, err := ExtractCtx(context.Background(), tbl, []string{"c1", "c2"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), tbl, []string{"c1", "c2"}, g, ned.NewLinker(g), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +218,7 @@ func TestExtractNameCollisionAcrossLinkColumns(t *testing.T) {
 
 func TestExtractTableMaterialization(t *testing.T) {
 	g := smallGraph()
-	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +264,7 @@ func TestExtractSnapshotParity(t *testing.T) {
 	}
 	tbl := table.MustFromColumns(table.NewStringColumn("Country", names))
 	for _, hops := range []int{1, 2} {
-		opts := Options{Hops: hops, OneToMany: table.AggMean}
+		opts := Options{Hops: hops}
 		direct, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -345,7 +328,7 @@ func TestExtractFromWorld(t *testing.T) {
 		names = append(names, w.Countries[i%len(w.Countries)].Name)
 	}
 	tbl := table.MustFromColumns(table.NewStringColumn("Country", names))
-	ex, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,11 +352,11 @@ func TestExtractWorldTwoHopGrowsCandidates(t *testing.T) {
 		names[i] = w.Countries[i].Name
 	}
 	tbl := table.MustFromColumns(table.NewStringColumn("Country", names))
-	ex1, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), Options{Hops: 1, OneToMany: table.AggMean})
+	ex1, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex2, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), Options{Hops: 2, OneToMany: table.AggMean})
+	ex2, err := ExtractCtx(context.Background(), tbl, []string{"Country"}, w.Graph, ned.NewLinker(w.Graph), Options{Hops: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +370,7 @@ func TestExtractWorldTwoHopGrowsCandidates(t *testing.T) {
 
 func TestWithColumn(t *testing.T) {
 	g := smallGraph()
-	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +396,7 @@ func TestWithColumn(t *testing.T) {
 
 func TestWithColumnLengthMismatchPanics(t *testing.T) {
 	g := smallGraph()
-	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), DefaultOptions())
+	ex, err := ExtractCtx(context.Background(), baseTable(), []string{"country"}, g, ned.NewLinker(g), Options{Hops: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

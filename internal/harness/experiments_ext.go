@@ -20,7 +20,11 @@ type Table4Result struct {
 	Tau         float64
 	Groups      []subgroups.Group
 	Stats       subgroups.Stats
-	Elapsed     time.Duration
+	// FirstTau and FirstStats describe the search at the first τ when it
+	// found no group and Tau is the fallback; FirstTau is 0 otherwise.
+	FirstTau   float64
+	FirstStats subgroups.Stats
+	Elapsed    time.Duration
 }
 
 // Table4 reproduces the top-5 unexplained data groups for SO Q1 (τ = 0.2).
@@ -36,9 +40,9 @@ func (s *Suite) Table4(coreOpts core.Options) (*Table4Result, error) {
 	}
 	// τ is set from the initial explanation score (§4.3): groups must score
 	// well above the global explanation score to count as unexplained. If
-	// the explanation holds everywhere at that level (a possible — and
-	// desirable — outcome on this substrate), fall back to ranking the
-	// groups least well explained.
+	// no group qualifies — the lattice ran out, or the node budget ended the
+	// search first — search again at τ = the explanation score, which ranks
+	// the groups least well explained, and keep the first search's stats.
 	tau := 1.5 * rep.Explanation.Score
 	if tau < 0.2 {
 		tau = 0.2
@@ -48,21 +52,25 @@ func (s *Suite) Table4(coreOpts core.Options) (*Table4Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res := &Table4Result{Query: spec.Key(), Explanation: rep.Explanation.Names()}
 	if len(groups) == 0 {
+		res.FirstTau, res.FirstStats = tau, stats
 		tau = rep.Explanation.Score
 		groups, stats, err = rep.SubgroupsCtx(context.Background(), 5, tau)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return &Table4Result{
-		Query:       spec.Key(),
-		Explanation: rep.Explanation.Names(),
-		Tau:         tau,
-		Groups:      groups,
-		Stats:       stats,
-		Elapsed:     time.Since(start),
-	}, nil
+	res.Tau, res.Groups, res.Stats, res.Elapsed = tau, groups, stats, time.Since(start)
+	return res, nil
+}
+
+// stopReason says why a lattice search ended.
+func stopReason(st subgroups.Stats) string {
+	if st.Exhausted {
+		return "lattice exhausted"
+	}
+	return "search budget reached"
 }
 
 // FormatTable4 renders the subgroup table.
@@ -74,7 +82,11 @@ func FormatTable4(r *Table4Result) string {
 	for i, g := range r.Groups {
 		fmt.Fprintf(&b, "%-4d %8d %8.3f  %s\n", i+1, g.Size, g.Score, g.String())
 	}
-	fmt.Fprintf(&b, "(explored %d nodes, pushed %d, %v)\n", r.Stats.Explored, r.Stats.Pushed, r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(&b, "(explored %d nodes, pushed %d, %s", r.Stats.Explored, r.Stats.Pushed, stopReason(r.Stats))
+	if r.FirstTau > 0 {
+		fmt.Fprintf(&b, "; τ=%.2f found no group, %s after %d nodes", r.FirstTau, stopReason(r.FirstStats), r.FirstStats.Explored)
+	}
+	fmt.Fprintf(&b, "; %v)\n", r.Elapsed.Round(time.Millisecond))
 	return b.String()
 }
 

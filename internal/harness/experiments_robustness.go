@@ -298,7 +298,7 @@ func (s *Suite) MissingStats() ([]MissingStatsRow, error) {
 			row.AvgMissing += rowEnc.MissingFraction()
 			row.NumExtracted++
 			if enc.MissingFraction() > 0 && enc.MissingFraction() < 1 {
-				rep := missing.DetectBias(enc, observedVarsFor(a, attr), 0, nil)
+				rep := missing.DetectBias(enc, observedVarsFor(a, attr), nil)
 				if rep.Biased {
 					biased++
 				}

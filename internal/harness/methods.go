@@ -56,7 +56,7 @@ func RunAll(a *nexus.Analysis, spec QuerySpec, coreOpts core.Options) (map[strin
 	}
 
 	if spec.BruteForce {
-		bf, err := baselines.BruteForce(a.T, a.O, pruned, baselines.BruteForceOptions{MaxSize: coreOpts.K})
+		bf, err := baselines.BruteForce(a.T, a.O, pruned, coreOpts.K)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +86,7 @@ func RunAll(a *nexus.Analysis, spec QuerySpec, coreOpts core.Options) (map[strin
 	lr := runLR(a, coreOpts.K, prunedNames)
 	out[baselines.MethodLR] = MethodRun{Result: lr}
 
-	hyp, err := baselines.HypDB(a.T, a.O, pruned, baselines.HypDBOptions{K: coreOpts.K, Seed: 7})
+	hyp, err := baselines.HypDB(a.T, a.O, pruned, coreOpts.K)
 	if err != nil {
 		return nil, err
 	}
@@ -163,5 +163,5 @@ func runLR(a *nexus.Analysis, k int, allowed map[string]bool) *baselines.Result 
 		}
 		return e
 	}
-	return baselines.LinearRegression(outcome, series, a.T, a.O, encOf, baselines.LROptions{K: k})
+	return baselines.LinearRegression(outcome, series, a.T, a.O, encOf, k)
 }

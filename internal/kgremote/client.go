@@ -4,7 +4,7 @@
 //
 // The client is built for the batched per-hop access pattern of
 // internal/extract: requests arrive as large id batches, which the client
-// splits into chunks of BatchSize and issues with at most MaxInflight
+// splits into chunks of batchSize and issues with at most maxInflight
 // in-flight HTTP requests. Per-item LRU caches (entities, property maps,
 // resolved surface forms) absorb repeat lookups across hops and
 // across extractions; hits and misses are recorded on the obs counters
@@ -17,7 +17,6 @@ package kgremote
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strings"
 	"time"
 
@@ -27,17 +26,20 @@ import (
 	"nexus/internal/rpc"
 )
 
+// The chunking and caching of every Client.
+const (
+	// batchSize caps the number of items per HTTP request; larger input
+	// batches are split into concurrent chunk requests.
+	batchSize = 2048
+	// maxInflight bounds the number of concurrent chunk requests.
+	maxInflight = 4
+	// cacheSize is the capacity of each LRU cache (entities, property maps,
+	// resolutions).
+	cacheSize = 65536
+)
+
 // Options configures a Client. The zero value selects sane defaults.
 type Options struct {
-	// BatchSize caps the number of items per HTTP request; larger input
-	// batches are split into concurrent chunk requests. Default 2048.
-	BatchSize int
-	// MaxInflight bounds the number of concurrent chunk requests.
-	// Default 4.
-	MaxInflight int
-	// CacheSize is the capacity of each LRU cache (entities, property
-	// maps, resolutions). Negative disables caching. Default 65536.
-	CacheSize int
 	// MaxRetries is the number of re-attempts after a retryable failure
 	// (so MaxRetries+1 attempts total). Default 3.
 	MaxRetries int
@@ -46,13 +48,6 @@ type Options struct {
 	// [backoff/2, backoff]. Defaults 50ms / 2s.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// Timeout bounds each individual HTTP attempt. Default 10s.
-	Timeout time.Duration
-	// Seed seeds the jitter RNG, making retry schedules reproducible.
-	// Default 1.
-	Seed uint64
-	// HTTPClient overrides the transport (tests). Default http.DefaultClient.
-	HTTPClient *http.Client
 	// Counters receives kg_cache_hits/kg_cache_misses/kg_http_requests/
 	// kg_http_retries. Nil disables recording (obs no-op convention).
 	Counters *obs.Counters
@@ -62,24 +57,6 @@ type Options struct {
 	// a distribution, not just a rate). Nil disables both (obs no-op
 	// convention).
 	Registry *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 2048
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 4
-	}
-	if o.CacheSize == 0 {
-		o.CacheSize = 65536 // negative stays: a non-positive rpc.LRU caches nothing
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	} else if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	return o
 }
 
 // Client is an HTTP kg.Source. Safe for concurrent use.
@@ -99,7 +76,11 @@ var _ kg.Source = (*Client)(nil)
 // New returns a client for the kgd server at baseURL (e.g.
 // "http://localhost:7070").
 func New(baseURL string, opts Options) *Client {
-	opts = opts.withDefaults()
+	if opts.MaxRetries < 0 {
+		opts.MaxRetries = 0
+	} else if opts.MaxRetries == 0 {
+		opts.MaxRetries = 3
+	}
 	return &Client{
 		base: strings.TrimRight(baseURL, "/"),
 		opts: opts,
@@ -107,18 +88,15 @@ func New(baseURL string, opts Options) *Client {
 			Attempts:       opts.MaxRetries + 1,
 			RetryBase:      opts.RetryBase,
 			RetryMax:       opts.RetryMax,
-			Timeout:        opts.Timeout,
-			Seed:           opts.Seed,
-			HTTPClient:     opts.HTTPClient,
 			Counters:       opts.Counters,
 			Requests:       obs.KGHTTPRequests,
 			Retries:        obs.KGHTTPRetries,
 			AttemptSeconds: opts.Registry.Histogram("kg_http_attempt_seconds", obs.UnitSeconds),
 			RetriesPerCall: opts.Registry.Histogram("kg_http_request_retries", obs.UnitNone),
 		}),
-		ents:    rpc.NewLRU[kg.EntityID, kg.Entity](opts.CacheSize),
-		props:   rpc.NewLRU[kg.EntityID, kg.Props](opts.CacheSize),
-		resolve: rpc.NewLRU[string, kg.Link](opts.CacheSize),
+		ents:    rpc.NewLRU[kg.EntityID, kg.Entity](cacheSize),
+		props:   rpc.NewLRU[kg.EntityID, kg.Props](cacheSize),
+		resolve: rpc.NewLRU[string, kg.Link](cacheSize),
 	}
 }
 
@@ -132,35 +110,45 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	return nil
 }
 
-// Resolve implements kg.Source, serving repeat surface forms from the LRU.
-func (c *Client) Resolve(ctx context.Context, values []string) ([]kg.Link, error) {
-	out := make([]kg.Link, len(values))
+// fetch is the cached, batched lookup behind every kg.Source method. Keys
+// found in cache are served from it. The misses are posted to path in
+// chunks of batchSize, at most maxInflight at a time: request builds a
+// chunk's request, the reply R must hold one wire item per key (items reads
+// them out, in order), and conv turns each into the value that is returned
+// and cached.
+func fetch[K comparable, V, W, R any](ctx context.Context, c *Client, cache *rpc.LRU[K, V], path string, keys []K,
+	request func(chunk []K) any, items func(*R) []W, conv func(W) (V, error)) ([]V, error) {
+	out := make([]V, len(keys))
 	var missIdx []int
-	for i, v := range values {
-		if l, ok := c.resolve.Get(v); ok {
-			out[i] = l
+	for i, k := range keys {
+		if v, ok := cache.Get(k); ok {
+			out[i] = v
 			continue
 		}
 		missIdx = append(missIdx, i)
 	}
-	c.opts.Counters.Add(obs.KGCacheHits, int64(len(values)-len(missIdx)))
+	c.opts.Counters.Add(obs.KGCacheHits, int64(len(keys)-len(missIdx)))
 	c.opts.Counters.Add(obs.KGCacheMisses, int64(len(missIdx)))
-	err := rpc.ForEachChunk(ctx, len(missIdx), c.opts.BatchSize, c.opts.MaxInflight, func(ctx context.Context, lo, hi, _ int) error {
-		req := kgwire.ResolveRequest{Values: make([]string, hi-lo)}
+	err := rpc.ForEachChunk(ctx, len(missIdx), batchSize, maxInflight, func(ctx context.Context, lo, hi, _ int) error {
+		chunk := make([]K, hi-lo)
 		for j, i := range missIdx[lo:hi] {
-			req.Values[j] = values[i]
+			chunk[j] = keys[i]
 		}
-		var resp kgwire.ResolveResponse
-		if err := c.post(ctx, kgwire.PathResolve, req, &resp); err != nil {
+		var resp R
+		if err := c.post(ctx, path, request(chunk), &resp); err != nil {
 			return err
 		}
-		if len(resp.Links) != hi-lo {
-			return fmt.Errorf("kgremote: resolve returned %d links, want %d", len(resp.Links), hi-lo)
+		got := items(&resp)
+		if len(got) != len(chunk) {
+			return fmt.Errorf("kgremote: %s returned %d items, want %d", path, len(got), len(chunk))
 		}
 		for j, i := range missIdx[lo:hi] {
-			l := resp.Links[j].ToLink()
-			out[i] = l
-			c.resolve.Put(values[i], l)
+			v, err := conv(got[j])
+			if err != nil {
+				return err
+			}
+			out[i] = v
+			cache.Put(keys[i], v)
 		}
 		return nil
 	})
@@ -168,85 +156,39 @@ func (c *Client) Resolve(ctx context.Context, values []string) ([]kg.Link, error
 		return nil, err
 	}
 	return out, nil
+}
+
+// wireIDs converts entity ids to their wire form.
+func wireIDs(ids []kg.EntityID) []int32 {
+	out := make([]int32, len(ids))
+	for i, id := range ids {
+		out[i] = int32(id)
+	}
+	return out
+}
+
+// Resolve implements kg.Source, serving repeat surface forms from the LRU.
+func (c *Client) Resolve(ctx context.Context, values []string) ([]kg.Link, error) {
+	return fetch(ctx, c, c.resolve, kgwire.PathResolve, values,
+		func(chunk []string) any { return kgwire.ResolveRequest{Values: chunk} },
+		func(r *kgwire.ResolveResponse) []kgwire.Link { return r.Links },
+		func(l kgwire.Link) (kg.Link, error) { return l.ToLink(), nil })
 }
 
 // Entities implements kg.Source, serving repeat ids from the LRU.
 func (c *Client) Entities(ctx context.Context, ids []kg.EntityID) ([]kg.Entity, error) {
-	out := make([]kg.Entity, len(ids))
-	var missIdx []int
-	for i, id := range ids {
-		if e, ok := c.ents.Get(id); ok {
-			out[i] = e
-			continue
-		}
-		missIdx = append(missIdx, i)
-	}
-	c.opts.Counters.Add(obs.KGCacheHits, int64(len(ids)-len(missIdx)))
-	c.opts.Counters.Add(obs.KGCacheMisses, int64(len(missIdx)))
-	err := rpc.ForEachChunk(ctx, len(missIdx), c.opts.BatchSize, c.opts.MaxInflight, func(ctx context.Context, lo, hi, _ int) error {
-		req := kgwire.EntitiesRequest{IDs: make([]int32, hi-lo)}
-		for j, i := range missIdx[lo:hi] {
-			req.IDs[j] = int32(ids[i])
-		}
-		var resp kgwire.EntitiesResponse
-		if err := c.post(ctx, kgwire.PathEntities, req, &resp); err != nil {
-			return err
-		}
-		if len(resp.Entities) != hi-lo {
-			return fmt.Errorf("kgremote: entities returned %d records, want %d", len(resp.Entities), hi-lo)
-		}
-		for j, i := range missIdx[lo:hi] {
-			e := resp.Entities[j].ToEntity()
-			out[i] = e
-			c.ents.Put(ids[i], e)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return fetch(ctx, c, c.ents, kgwire.PathEntities, ids,
+		func(chunk []kg.EntityID) any { return kgwire.EntitiesRequest{IDs: wireIDs(chunk)} },
+		func(r *kgwire.EntitiesResponse) []kgwire.Entity { return r.Entities },
+		func(e kgwire.Entity) (kg.Entity, error) { return e.ToEntity(), nil })
 }
 
 // GetProperties implements kg.Source, serving repeat ids from the LRU.
 func (c *Client) GetProperties(ctx context.Context, ids []kg.EntityID) ([]kg.Props, error) {
-	out := make([]kg.Props, len(ids))
-	var missIdx []int
-	for i, id := range ids {
-		if p, ok := c.props.Get(id); ok {
-			out[i] = p
-			continue
-		}
-		missIdx = append(missIdx, i)
-	}
-	c.opts.Counters.Add(obs.KGCacheHits, int64(len(ids)-len(missIdx)))
-	c.opts.Counters.Add(obs.KGCacheMisses, int64(len(missIdx)))
-	err := rpc.ForEachChunk(ctx, len(missIdx), c.opts.BatchSize, c.opts.MaxInflight, func(ctx context.Context, lo, hi, _ int) error {
-		req := kgwire.PropertiesRequest{IDs: make([]int32, hi-lo)}
-		for j, i := range missIdx[lo:hi] {
-			req.IDs[j] = int32(ids[i])
-		}
-		var resp kgwire.PropertiesResponse
-		if err := c.post(ctx, kgwire.PathProperties, req, &resp); err != nil {
-			return err
-		}
-		if len(resp.Props) != hi-lo {
-			return fmt.Errorf("kgremote: properties returned %d maps, want %d", len(resp.Props), hi-lo)
-		}
-		for j, i := range missIdx[lo:hi] {
-			p, err := resp.Props[j].ToProps()
-			if err != nil {
-				return err
-			}
-			out[i] = p
-			c.props.Put(ids[i], p)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return fetch(ctx, c, c.props, kgwire.PathProperties, ids,
+		func(chunk []kg.EntityID) any { return kgwire.PropertiesRequest{IDs: wireIDs(chunk)} },
+		func(r *kgwire.PropertiesResponse) []kgwire.Props { return r.Props },
+		kgwire.Props.ToProps)
 }
 
 // Version implements kg.Versioned for the remote backend. The client

@@ -2,6 +2,7 @@ package kgremote
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -36,7 +37,6 @@ func serve(t *testing.T, g *kg.Graph, scfg kgserve.Config, copts Options) (*Clie
 	srv := kgserve.New(scfg)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	copts.HTTPClient = hs.Client()
 	return New(hs.URL, copts), srv
 }
 
@@ -104,16 +104,16 @@ func TestCacheServesRepeats(t *testing.T) {
 	}
 }
 
-// TestChunkedBatches asserts oversized batches split into ceil(n/BatchSize)
-// requests, all of which succeed and reassemble in order.
+// TestChunkedBatches asserts oversized batches split into
+// ceil(n/batchSize) requests, all of which succeed and reassemble in order.
 func TestChunkedBatches(t *testing.T) {
 	ctx := context.Background()
 	g := kg.NewGraph()
 	var ids []kg.EntityID
-	for i := 0; i < 10; i++ {
-		ids = append(ids, g.AddEntity(string(rune('a'+i)), "X"))
+	for i := 0; i < 2*batchSize+1; i++ {
+		ids = append(ids, g.AddEntity(fmt.Sprintf("e%d", i), "X"))
 	}
-	c, srv := serve(t, g, kgserve.Config{}, Options{BatchSize: 3, MaxInflight: 2})
+	c, srv := serve(t, g, kgserve.Config{}, Options{})
 	ents, err := c.Entities(ctx, ids)
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +123,8 @@ func TestChunkedBatches(t *testing.T) {
 			t.Fatalf("ents[%d] = %+v", i, e)
 		}
 	}
-	if got := srv.Requests(kgwire.PathEntities); got != 4 {
-		t.Fatalf("issued %d requests for 10 ids at batch size 3, want 4", got)
+	if got := srv.Requests(kgwire.PathEntities); got != 3 {
+		t.Fatalf("issued %d requests for %d ids at batch size %d, want 3", got, len(ids), batchSize)
 	}
 }
 

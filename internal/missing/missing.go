@@ -19,10 +19,10 @@ import (
 	"nexus/internal/table"
 )
 
-// DefaultThreshold is the normalized-CMI threshold of the R_E dependence
+// biasThreshold is the normalized-CMI threshold of the R_E dependence
 // tests. Plug-in CMI estimates are biased upward on finite samples, so the
 // threshold is not zero.
-const DefaultThreshold = 0.02
+const biasThreshold = 0.02
 
 // maxWeightRatio caps individual IPW weights at this multiple of the mean
 // response rate, the standard guard against exploding weights.
@@ -56,10 +56,7 @@ func Indicator(attr *bins.Encoded) *bins.Encoded {
 // exposure, and other fully-observed input attributes) to their encodings.
 // Dependence of R_E on any of them flags selection bias. Each test actually
 // run adds one CITests to m (package obs; nil = no-op).
-func DetectBias(attr *bins.Encoded, observed map[string]*bins.Encoded, threshold float64, m *obs.Counters) Report {
-	if threshold <= 0 {
-		threshold = DefaultThreshold
-	}
+func DetectBias(attr *bins.Encoded, observed map[string]*bins.Encoded, m *obs.Counters) Report {
 	r := Indicator(attr)
 	rep := Report{
 		Attr:         attr.Name,
@@ -71,7 +68,7 @@ func DetectBias(attr *bins.Encoded, observed map[string]*bins.Encoded, threshold
 	}
 	for name, v := range observed {
 		m.Add(obs.CITests, 1)
-		if !infotheory.CondIndependent(r, v, nil, infotheory.Weights{}, threshold) {
+		if !infotheory.CondIndependent(r, v, nil, infotheory.Weights{}, biasThreshold) {
 			rep.Biased = true
 			rep.DependsOn = append(rep.DependsOn, name)
 		}

@@ -67,7 +67,7 @@ func buildBiasData(t *testing.T, biased bool) (attr *bins.Encoded, outcome *bins
 
 func TestDetectBiasFlagsBiasedAttribute(t *testing.T) {
 	attr, outcome, _ := buildBiasData(t, true)
-	rep := DetectBias(attr, map[string]*bins.Encoded{"O": outcome}, 0, nil)
+	rep := DetectBias(attr, map[string]*bins.Encoded{"O": outcome}, nil)
 	if !rep.Biased {
 		t.Fatal("selection bias not detected on value-dependent missingness")
 	}
@@ -78,7 +78,7 @@ func TestDetectBiasFlagsBiasedAttribute(t *testing.T) {
 
 func TestDetectBiasPassesMCAR(t *testing.T) {
 	attr, outcome, _ := buildBiasData(t, false)
-	rep := DetectBias(attr, map[string]*bins.Encoded{"O": outcome}, 0, nil)
+	rep := DetectBias(attr, map[string]*bins.Encoded{"O": outcome}, nil)
 	if rep.Biased {
 		t.Fatalf("MCAR attribute flagged as biased (DependsOn=%v)", rep.DependsOn)
 	}
@@ -89,7 +89,7 @@ func TestDetectBiasPassesMCAR(t *testing.T) {
 
 func TestDetectBiasFullyObserved(t *testing.T) {
 	attr := encFloat(t, "x", []float64{1, 2, 3, 4})
-	rep := DetectBias(attr, map[string]*bins.Encoded{"O": attr}, 0, nil)
+	rep := DetectBias(attr, map[string]*bins.Encoded{"O": attr}, nil)
 	if rep.Biased || rep.MissingFrac != 0 {
 		t.Fatalf("fully observed attribute misreported: %+v", rep)
 	}

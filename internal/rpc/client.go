@@ -32,8 +32,8 @@ import (
 )
 
 // ClientConfig configures a Client. Zero durations, Seed and HTTPClient
-// select the defaults both protocol clients document (50ms / 2s backoff,
-// 10s per attempt, seed 1, http.DefaultClient).
+// select the defaults (50ms / 2s backoff, 10s per attempt, seed 1,
+// http.DefaultClient); kgremote always uses the last three.
 type ClientConfig struct {
 	// Attempts is the total number of tries Retry spends on one call.
 	Attempts int

@@ -60,9 +60,14 @@ type ExplainResponse struct {
 	// those that reached a weighted test were tested; Analysis.NumBiased).
 	Candidates       int `json:"candidates"`
 	BiasedCandidates int `json:"biased_candidates"`
-	// Subgroups is present when the request asked for them.
+	// Subgroups, SubgroupNodesExplored and SubgroupsExhausted are present
+	// when the request asked for subgroups. SubgroupsExhausted is
+	// subgroups.Stats.Exhausted, why the search stopped: true when the
+	// lattice ran out of refinements, false when k groups or the node budget
+	// ended it first.
 	Subgroups             []SubgroupResult `json:"subgroups,omitempty"`
 	SubgroupNodesExplored int              `json:"subgroup_nodes_explored,omitempty"`
+	SubgroupsExhausted    *bool            `json:"subgroups_exhausted,omitempty"`
 	ElapsedMS             float64          `json:"elapsed_ms"`
 }
 
@@ -99,6 +104,7 @@ func buildResponse(rep *nexus.Report, groups []subgroups.Group, groupStats subgr
 			})
 		}
 		resp.SubgroupNodesExplored = groupStats.Explored
+		resp.SubgroupsExhausted = &groupStats.Exhausted
 	}
 	return resp
 }

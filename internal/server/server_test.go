@@ -407,6 +407,46 @@ func TestBiasedCandidatesPerRequest(t *testing.T) {
 	}
 }
 
+// TestSubgroupsExhaustedMatchesSearch pins subgroups_exhausted to the
+// subgroups.Stats.Exhausted of the same report's search run in process, and
+// checks that the field is absent when no subgroups were asked for. At the
+// default τ the search stops on k groups (false); at τ = 100 no group
+// qualifies and the lattice runs out (true).
+func TestSubgroupsExhaustedMatchesSearch(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	rep, err := srv.cfg.Session.ExplainCtx(context.Background(), testSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tau := range []float64{0, 100} {
+		_, want, err := rep.SubgroupsCtx(context.Background(), 3, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := postExplain(t, ts.URL, ExplainRequest{SQL: testSQL, Subgroups: 3, Tau: tau})
+		if code != http.StatusOK {
+			t.Fatalf("τ=%v: status %d (%s)", tau, code, body)
+		}
+		var er ExplainResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("τ=%v: %v (%s)", tau, err, body)
+		}
+		if er.SubgroupsExhausted == nil || *er.SubgroupsExhausted != want.Exhausted || er.SubgroupNodesExplored != want.Explored {
+			t.Fatalf("τ=%v: served %s, in-process stats %+v", tau, body, want)
+		}
+	}
+	code, body := postExplain(t, ts.URL, ExplainRequest{SQL: testSQL})
+	if code != http.StatusOK {
+		t.Fatalf("status %d (%s)", code, body)
+	}
+	if bytes.Contains(body, []byte("subgroups_exhausted")) {
+		t.Fatalf("subgroups_exhausted without subgroups: %s", body)
+	}
+}
+
 // TestDrainTimeoutCancelsRunningRequest: -drain-timeout bounds shutdown even
 // when a running request's own deadline is far later. The request parks in a
 // KG lookup that returns only when its context ends; past the drain bound

@@ -87,26 +87,11 @@ type Options struct {
 	// Tau is the explanation-score threshold; groups scoring above it are
 	// unexplained.
 	Tau float64
-	// MaxDepth bounds refinement depth (default 3).
-	MaxDepth int
-	// MinSize skips groups smaller than this (default 1% of rows, min 10) —
-	// tiny groups have meaningless CMI estimates.
-	MinSize int
-	// MaxExplored caps the number of lattice nodes the traversal consumes
-	// (default 1500). When the explanation holds everywhere, the exhaustive
-	// traversal is polynomial but large; the cap keeps the search interactive
-	// — in practice unexplained groups surface within a handful of nodes
-	// (§5.4). It is also what bounds the frontier: a child that the remaining
-	// budget cannot reach is never pushed (see search.expand).
-	MaxExplored int
 	// Parallelism bounds the scoring workers (default GOMAXPROCS). It also
 	// sets the frontier batch size (Parallelism × 4 heap nodes are scored
 	// per batch); 1 scores each node inline on pop, with no goroutines.
 	// Results and Stats are identical at any setting.
 	Parallelism int
-	// Weights are optional IPW weights over the analysis view. When set,
-	// the slice must cover every view row.
-	Weights []float64
 	// Scorer, when non-nil, routes frontier-batch scoring through the
 	// core.Scorer seam — e.g. a distremote.Scorer fanning the batch out to
 	// a worker fleet. Workers re-derive each group's row list by an ascending
@@ -130,15 +115,32 @@ type Options struct {
 type Stats struct {
 	Explored int // nodes whose score was consumed by the traversal
 	// Pushed counts the nodes pushed onto the heap: the refinements of
-	// expanded nodes that pass MinSize, refine their parent and were, when
-	// generated, still within reach of the MaxExplored budget.
+	// expanded nodes that pass the minimum size, refine their parent and were,
+	// when generated, still within reach of the maxExplored budget.
 	Pushed int
-	// Exhausted reports that the heap emptied before MaxExplored was spent,
-	// so every refinement up to MaxDepth was consumed or lies under a
+	// Exhausted reports that the heap emptied before maxExplored was spent,
+	// so every refinement up to maxDepth was consumed or lies under a
 	// returned group: search.expand leaves a child unpushed only when the
 	// budget would end the search before its turn.
 	Exhausted bool
 }
+
+// The lattice bounds of Algorithm 2.
+const (
+	// maxDepth bounds refinement depth.
+	maxDepth = 3
+	// minSizeFloor is the least a group's minimum size can be: groups
+	// smaller than 1% of the rows, or than minSizeFloor, are skipped — tiny
+	// groups have meaningless CMI estimates.
+	minSizeFloor = 10
+	// maxExplored caps the number of lattice nodes the traversal consumes.
+	// When the explanation holds everywhere, the exhaustive traversal is
+	// polynomial but large; the cap keeps the search interactive — in
+	// practice unexplained groups surface within a handful of nodes (§5.4).
+	// It is also what bounds the frontier: a child that the remaining budget
+	// cannot reach is never pushed (see search.expand).
+	maxExplored = 1500
+)
 
 // batchFactor sizes the frontier batch: up to Parallelism × batchFactor
 // heap nodes are scored per round. A factor > 1 amortizes the pool
@@ -169,34 +171,23 @@ const batchFactor = 4
 //     stored scores are bit-identical to serially computed ones.
 //   - All state transitions — Explored counting, τ comparison, ancestor
 //     suppression, child expansion and the reachability cut, the K and
-//     MaxExplored stop conditions — happen on one goroutine, consuming
+//     maxExplored stop conditions — happen on one goroutine, consuming
 //     stored scores in pop order.
 //
 // Only scheduling-effort counters (subgroup_batches, groups_scored,
 // subgroup_rows_visited) vary with Parallelism; results and Stats do not.
 func TopUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options) ([]Group, Stats, error) {
-	return topUnexplained(ctx, t, o, explanation, attrs, opts, nil)
+	return topUnexplained(ctx, t, o, explanation, attrs, opts, max(t.Len()/100, minSizeFloor), maxExplored, nil)
 }
 
-// topUnexplained is TopUnexplained; consumed, when non-nil, observes every
+// topUnexplained is TopUnexplained with the minimum group size and the node
+// budget as parameters, for tests; consumed, when non-nil, observes every
 // node the traversal consumes, in order (the cut-exactness test's probe).
-func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options, consumed func(Group)) ([]Group, Stats, error) {
+func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options, minSize, explored int, consumed func(Group)) ([]Group, Stats, error) {
 	if opts.K <= 0 {
 		opts.K = 5
 	}
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 3
-	}
 	n := t.Len()
-	if opts.MinSize <= 0 {
-		opts.MinSize = n / 100
-		if opts.MinSize < 10 {
-			opts.MinSize = 10
-		}
-	}
-	if opts.MaxExplored <= 0 {
-		opts.MaxExplored = 1500
-	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -206,11 +197,6 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			return nil, Stats{}, fmt.Errorf("subgroups: attribute %q has %d rows, view has %d", a.Name, a.Enc.Len(), n)
 		}
 		dims[i] = counting.Dim{Codes: a.Enc.Codes, Card: a.Enc.Card}
-	}
-	// A short weight vector would panic inside a scoring worker (weights are
-	// indexed by view row); reject it up front instead.
-	if opts.Weights != nil && len(opts.Weights) != n {
-		return nil, Stats{}, fmt.Errorf("subgroups: weights cover %d rows, view has %d", len(opts.Weights), n)
 	}
 
 	tr := obs.TraceFrom(ctx)
@@ -250,6 +236,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 		return nil, Stats{}, fmt.Errorf("subgroups: %w", err)
 	}
 	s := &search{t: t, o: o, explanation: explanation, attrs: attrs, opts: &opts,
+		minSize: minSize, explored: explored,
 		codes: codes, hist: make([]int32, codes.Bins()), sizes: make(sizeIndex, n+2)}
 	if opts.Scorer != nil {
 		attrEncs := make([]*bins.Encoded, len(attrs))
@@ -257,7 +244,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			attrEncs[i] = a.Enc
 		}
 		s.gc = &core.GroupContext{T: t, O: o, Explanation: explanation,
-			Attrs: attrEncs, Base: opts.Weights, Tag: opts.ScoreTag}
+			Attrs: attrEncs, Tag: opts.ScoreTag}
 	}
 	defer func() { opts.Counters.Add(obs.SubgroupRowsVisited, s.visited.Load()) }()
 
@@ -268,7 +255,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 	s.expand(root)
 
 	var results []Group
-	for s.heap.Len() > 0 && len(results) < opts.K && s.stats.Explored < opts.MaxExplored {
+	for s.heap.Len() > 0 && len(results) < opts.K && s.stats.Explored < explored {
 		if err := ctx.Err(); err != nil {
 			return nil, s.stats, fmt.Errorf("subgroups: lattice search: %w", err)
 		}
@@ -312,11 +299,11 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			}
 			continue
 		}
-		if len(g.Conds) < opts.MaxDepth {
+		if len(g.Conds) < maxDepth {
 			s.expand(g)
 		}
 	}
-	s.stats.Exhausted = s.heap.Len() == 0 && s.stats.Explored < opts.MaxExplored
+	s.stats.Exhausted = s.heap.Len() == 0 && s.stats.Explored < explored
 	opts.Counters.Add(obs.SubgroupNodesExplored, int64(s.stats.Explored))
 	opts.Counters.Add(obs.SubgroupNodesPushed, int64(s.stats.Pushed))
 	sp.SetInt("explored", int64(s.stats.Explored))
@@ -346,6 +333,8 @@ type search struct {
 	explanation []*bins.Encoded
 	attrs       []RefinementAttr
 	opts        *Options
+	minSize     int                // groups smaller than this are skipped
+	explored    int                // the node budget
 	gc          *core.GroupContext // set when opts.Scorer is
 
 	codes *counting.Packed // attrs' codes, row-major
@@ -412,7 +401,7 @@ func (s *search) scoreBatch(ctx context.Context, batch []*node) error {
 			g := todo[i]
 			s.carve(g)
 			s.visited.Add(int64(len(g.rows)))
-			g.Score = core.ScoreGroupRows(s.t, s.o, s.explanation, g.rows, s.opts.Weights)
+			g.Score = core.ScoreGroupRows(s.t, s.o, s.explanation, g.rows, nil)
 			g.scored = true
 		}
 	}
@@ -441,8 +430,8 @@ func (s *search) scoreBatch(ctx context.Context, batch []*node) error {
 //
 // A child is not pushed when the budget cannot reach it. The heap pops by
 // size, so a child is consumed only after every node strictly larger than it
-// has been, and every pop spends one unit of MaxExplored: with at least
-// MaxExplored − Explored strictly larger nodes already on the heap, the
+// has been, and every pop spends one unit of the budget: with at least
+// s.explored − Explored strictly larger nodes already on the heap, the
 // search stops before the child's turn whatever is pushed later. Such a
 // child is never popped, scored into a result or expanded, so leaving it out
 // changes no pop, score, result or Explored — only Stats.Pushed and the
@@ -463,12 +452,12 @@ func (s *search) expand(g *node) {
 		enc := s.attrs[ai].Enc
 		for code, count := range s.codes.Column(s.hist, ai) {
 			size := int(count)
-			if size < s.opts.MinSize || size == g.Size {
+			if size < s.minSize || size == g.Size {
 				// Too small, or the assignment does not refine (constant
 				// within the group).
 				continue
 			}
-			if s.heap.Len()-s.sizes.upTo(size) >= s.opts.MaxExplored-s.stats.Explored {
+			if s.heap.Len()-s.sizes.upTo(size) >= s.explored-s.stats.Explored {
 				continue
 			}
 			label := strconv.Itoa(code)

@@ -129,8 +129,8 @@ func TestTopUnexplainedExhaustedOnlyWhenLatticeIs(t *testing.T) {
 	// the lattice or the budget ends it; only the former is exhaustion.
 	te, oe, ze, attrs := buildData(t, 12000, 4)
 	search := func(maxExplored int) Stats {
-		groups, st, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs,
-			Options{K: 5, Tau: 100, MaxExplored: maxExplored})
+		groups, st, err := topUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs,
+			Options{K: 5, Tau: 100}, max(te.Len()/100, minSizeFloor), maxExplored, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,16 +181,16 @@ func TestTopUnexplainedPerfectExplanation(t *testing.T) {
 
 func TestTopUnexplainedMinSize(t *testing.T) {
 	te, oe, ze, attrs := buildData(t, 12000, 6)
-	_, stats1, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs, Options{K: 3, Tau: 0.2, MinSize: 4000})
+	_, stats1, err := topUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs, Options{K: 3, Tau: 0.2}, 4000, maxExplored, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats2, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs, Options{K: 3, Tau: 0.2, MinSize: 10})
+	_, stats2, err := topUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs, Options{K: 3, Tau: 0.2}, 10, maxExplored, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats1.Pushed >= stats2.Pushed {
-		t.Fatalf("larger MinSize should push fewer nodes: %d vs %d", stats1.Pushed, stats2.Pushed)
+		t.Fatalf("larger minimum size should push fewer nodes: %d vs %d", stats1.Pushed, stats2.Pushed)
 	}
 }
 
@@ -396,7 +396,7 @@ func TestTopUnexplainedWideRefinementAttr(t *testing.T) {
 	wide := make([]int32, n)
 	huge := make([]int32, n)
 	for i := 0; i < n; i++ {
-		huge[i] = int32(i % 300) // even rows: 10 per even bin, below MinSize …
+		huge[i] = int32(i % 300) // even rows: 10 per even bin, below the minimum size …
 		if i%2 == 1 {
 			huge[i] = 296 + int32(i/2%4) // … odd rows: 375 on each of the last four
 		}
@@ -422,8 +422,8 @@ func TestTopUnexplainedWideRefinementAttr(t *testing.T) {
 
 	var want string
 	for _, p := range []int{1, 4} {
-		groups, st, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs,
-			Options{K: 4, Tau: 0.01, MinSize: 50, Parallelism: p})
+		groups, st, err := topUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs,
+			Options{K: 4, Tau: 0.01, Parallelism: p}, 50, maxExplored, nil)
 		if err != nil {
 			t.Fatalf("Parallelism=%d: %v", p, err)
 		}
@@ -441,18 +441,6 @@ func TestTopUnexplainedWideRefinementAttr(t *testing.T) {
 		if got != want {
 			t.Fatalf("Parallelism=%d output differs:\n%s\n--- vs serial ---\n%s", p, got, want)
 		}
-	}
-}
-
-// TestTopUnexplainedShortWeights pins the up-front validation that replaced
-// a silent out-of-range panic inside a scoring worker: a weight vector not
-// covering every view row is an error, not a crash.
-func TestTopUnexplainedShortWeights(t *testing.T) {
-	te, oe, ze, attrs := buildData(t, 1000, 8)
-	_, _, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ze}, attrs,
-		Options{K: 3, Tau: 0.2, Weights: make([]float64, 10)})
-	if err == nil || !strings.Contains(err.Error(), "weights") {
-		t.Fatalf("err = %v, want weights-length error", err)
 	}
 }
 

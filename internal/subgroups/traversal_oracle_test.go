@@ -23,7 +23,7 @@ import (
 	"nexus/internal/obs"
 )
 
-func oracleTopUnexplained(t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options) (results, consumed []Group, stats Stats) {
+func oracleTopUnexplained(t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options, minSize, explored int) (results, consumed []Group, stats Stats) {
 	n := t.Len()
 	if len(explanation) > 1 {
 		vars := make([]infotheory.Var, len(explanation))
@@ -56,7 +56,7 @@ func oracleTopUnexplained(t, o *bins.Encoded, explanation []*bins.Encoded, attrs
 			sort.Slice(codes, func(a, b int) bool { return codes[a] < codes[b] })
 			for _, code := range codes {
 				rows := parts[code]
-				if len(rows) < opts.MinSize || len(rows) == g.Size {
+				if len(rows) < minSize || len(rows) == g.Size {
 					continue
 				}
 				label := fmt.Sprintf("%d", code)
@@ -81,18 +81,14 @@ func oracleTopUnexplained(t, o *bins.Encoded, explanation []*bins.Encoded, attrs
 	}
 	pushChildren(Group{Size: n}, allRows)
 	scratch := make([]float64, n)
-	for h.Len() > 0 && len(results) < opts.K && stats.Explored < opts.MaxExplored {
+	for h.Len() > 0 && len(results) < opts.K && stats.Explored < explored {
 		g := heap.Pop(h).(*node)
 		stats.Explored++
 		for i := range scratch {
 			scratch[i] = 0
 		}
 		for _, r := range rowsOf[g] {
-			if opts.Weights != nil {
-				scratch[r] = opts.Weights[r]
-			} else {
-				scratch[r] = 1
-			}
+			scratch[r] = 1
 		}
 		g.Score = infotheory.CondMutualInfoDebiased(o, t, explanation, scratch)
 		consumed = append(consumed, g.Group)
@@ -109,7 +105,7 @@ func oracleTopUnexplained(t, o *bins.Encoded, explanation []*bins.Encoded, attrs
 			}
 			continue
 		}
-		if len(g.Conds) < opts.MaxDepth {
+		if len(g.Conds) < maxDepth {
 			pushChildren(g.Group, rowsOf[g])
 		}
 		delete(rowsOf, g)
@@ -129,8 +125,8 @@ func renderGroups(groups []Group) string {
 // i-periodic with a random sprinkle, some with missing codes). T and O both
 // follow the explanation with noise plus a weak direct link, so most scores
 // are small but positive, and inside a0 == 0 O copies T, so some groups
-// qualify at a moderate τ. Every other seed adds non-dyadic row weights.
-func tieHeavyRandom(seed int64) (te, oe *bins.Encoded, expl []*bins.Encoded, attrs []RefinementAttr, w []float64) {
+// qualify at a moderate τ.
+func tieHeavyRandom(seed int64) (te, oe *bins.Encoded, expl []*bins.Encoded, attrs []RefinementAttr) {
 	r := rand.New(rand.NewSource(seed))
 	n := 900 + 300*r.Intn(4)
 	enc := func(name string, card int, code func(i int) int) *bins.Encoded {
@@ -175,32 +171,26 @@ func tieHeavyRandom(seed int64) (te, oe *bins.Encoded, expl []*bins.Encoded, att
 		}
 		return noisy(i)
 	})
-	if seed%2 == 0 {
-		w = make([]float64, n)
-		for i := range w {
-			w[i] = 0.5 + r.Float64()
-		}
-	}
 	return
 }
 
 func TestTopUnexplainedMatchesUncutOracle(t *testing.T) {
 	cut := 0
 	for seed := int64(1); seed <= 6; seed++ {
-		te, oe, expl, attrs, w := tieHeavyRandom(seed)
+		te, oe, expl, attrs := tieHeavyRandom(seed)
 		for _, tau := range []float64{0.1, 0.35, 100} {
 			for _, maxExplored := range []int{1, 7, 50, 1500} {
-				opts := Options{K: 4, Tau: tau, MaxDepth: 3, MinSize: 5, MaxExplored: maxExplored, Weights: w}
-				wantRes, wantSeq, wantStats := oracleTopUnexplained(te, oe, expl, attrs, opts)
+				opts := Options{K: 4, Tau: tau}
+				wantRes, wantSeq, wantStats := oracleTopUnexplained(te, oe, expl, attrs, opts, 5, maxExplored)
 				for _, p := range []int{1, 2, 4, 8} {
 					opts.Parallelism = p
 					var seq []Group
-					res, st, err := topUnexplained(context.Background(), te, oe, expl, attrs, opts,
+					res, st, err := topUnexplained(context.Background(), te, oe, expl, attrs, opts, 5, maxExplored,
 						func(g Group) { seq = append(seq, g) })
 					if err != nil {
 						t.Fatal(err)
 					}
-					name := fmt.Sprintf("seed=%d τ=%v MaxExplored=%d P=%d", seed, tau, maxExplored, p)
+					name := fmt.Sprintf("seed=%d τ=%v maxExplored=%d P=%d", seed, tau, maxExplored, p)
 					if got, want := renderGroups(res), renderGroups(wantRes); got != want {
 						t.Fatalf("%s: results differ:\n%s--- oracle ---\n%s", name, got, want)
 					}

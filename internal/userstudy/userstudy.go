@@ -94,15 +94,17 @@ func (g GroundTruth) Quality(attrs []string) float64 {
 	return q
 }
 
+// panelRaters is the number of simulated raters (paper: 150); panelNoise is
+// the standard deviation of each rater's individual noise.
+const panelRaters, panelNoise = 150, 0.7
+
 // Panel is a deterministic pool of simulated raters.
 type Panel struct {
-	N     int // number of raters (paper: 150)
-	Noise float64
-	Seed  uint64
+	Seed uint64
 }
 
 // NewPanel returns the paper-sized panel.
-func NewPanel(seed uint64) *Panel { return &Panel{N: 150, Noise: 0.7, Seed: seed} }
+func NewPanel(seed uint64) *Panel { return &Panel{Seed: seed} }
 
 // Judgement holds a panel's aggregated rating of one explanation.
 type Judgement struct {
@@ -116,10 +118,10 @@ type Judgement struct {
 // A failed (empty) explanation scores 1 from every rater.
 func (p *Panel) Rate(attrs []string, gt GroundTruth) Judgement {
 	rng := stats.NewRNG(p.Seed)
-	j := Judgement{Scores: make([]float64, p.N)}
+	j := Judgement{Scores: make([]float64, panelRaters)}
 	base := 1 + 4*gt.Quality(attrs)
-	for i := 0; i < p.N; i++ {
-		s := base + p.Noise*rng.Norm()
+	for i := 0; i < panelRaters; i++ {
+		s := base + panelNoise*rng.Norm()
 		if s < 1 {
 			s = 1
 		}
@@ -129,11 +131,11 @@ func (p *Panel) Rate(attrs []string, gt GroundTruth) Judgement {
 		j.Scores[i] = s
 		j.Mean += s
 	}
-	j.Mean /= float64(p.N)
+	j.Mean /= panelRaters
 	for _, s := range j.Scores {
 		d := s - j.Mean
 		j.Variance += d * d
 	}
-	j.Variance /= float64(p.N)
+	j.Variance /= panelRaters
 	return j
 }

@@ -67,7 +67,6 @@ func TestRemoteKGFlightsIdentical(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	client := kgremote.New(hs.URL, kgremote.Options{
-		HTTPClient: hs.Client(),
 		MaxRetries: 50,
 		RetryBase:  time.Millisecond,
 		RetryMax:   10 * time.Millisecond,
@@ -102,34 +101,31 @@ func TestRemoteKGFlightsIdentical(t *testing.T) {
 
 // TestRemoteKGRequestBudget pins the batching contract: a remote flights
 // extraction issues at most hops × linkColumns × 4 HTTP requests — per-hop
-// batches, never per-entity pointer chasing. The naive case (one item per
+// batches, never per-entity pointer chasing. The naive client (one item per
 // request, no cache) is that pointer-chasing shape, kept as the yardstick:
-// it must cost at least 10× the batched client's requests.
+// it would issue one request per item looked up, kg_cache_hits +
+// kg_cache_misses of the batched run, and that must be at least 10× the
+// batched client's requests.
 func TestRemoteKGRequestBudget(t *testing.T) {
 	w := integrationWorld()
 	linkCols := len(workload.Flights(w, workload.Config{Rows: 16, Seed: 12}).LinkColumns)
-	requests := func(hops int, copts kgremote.Options) int64 {
+	for _, hops := range []int{1, 2} {
 		srv := kgserve.New(kgserve.Config{Source: w.Graph})
 		hs := httptest.NewServer(srv.Handler())
-		defer hs.Close()
 		counters := obs.NewCounters()
-		copts.HTTPClient = hs.Client()
-		copts.Counters = counters
-		sess := flightsSession(w, kgremote.New(hs.URL, copts), &nexus.Options{Hops: hops})
-		if _, err := sess.PrepareCtx(context.Background(), flightsQuery); err != nil {
+		sess := flightsSession(w, kgremote.New(hs.URL, kgremote.Options{Counters: counters}), &nexus.Options{Hops: hops})
+		_, err := sess.PrepareCtx(context.Background(), flightsQuery)
+		hs.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return counters.Get(obs.KGHTTPRequests)
-	}
-	batched := map[int]int64{}
-	for _, hops := range []int{1, 2} {
-		batched[hops] = requests(hops, kgremote.Options{})
+		batched := counters.Get(obs.KGHTTPRequests)
 		budget := int64(hops * linkCols * 4)
-		if got := batched[hops]; got == 0 || got > budget {
-			t.Errorf("hops=%d: %d HTTP requests, budget %d (link columns: %d)", hops, got, budget, linkCols)
+		if batched == 0 || batched > budget {
+			t.Errorf("hops=%d: %d HTTP requests, budget %d (link columns: %d)", hops, batched, budget, linkCols)
 		}
-	}
-	if naive := requests(1, kgremote.Options{BatchSize: 1, MaxInflight: 8, CacheSize: -1}); naive < 10*batched[1] {
-		t.Errorf("naive backend used %d requests vs %d batched — batching regressed", naive, batched[1])
+		if naive := counters.Get(obs.KGCacheHits) + counters.Get(obs.KGCacheMisses); naive < 10*batched {
+			t.Errorf("hops=%d: naive backend would use %d requests vs %d batched — batching regressed", hops, naive, batched)
+		}
 	}
 }

@@ -5,8 +5,8 @@
 #   2. links: every relative markdown link in README.md and docs/*.md
 #      must point at a file that exists.
 #   3. symbols: every backticked `pkg.Name` or `Type.Member` cited in
-#      docs/ARCHITECTURE.md, docs/API.md, docs/OPERATIONS.md, DESIGN.md and
-#      README.md must resolve to a declaration in the non-test Go sources
+#      docs/ARCHITECTURE.md, docs/API.md, docs/OPERATIONS.md, DESIGN.md,
+#      README.md and EXPERIMENTS.md must resolve to a declaration in the non-test Go sources
 #      (TestDocSymbols, docs_test.go), so the docs cannot silently rot after
 #      a rename or deletion.
 #   4. sections: load-bearing doc sections (referenced from code comments
