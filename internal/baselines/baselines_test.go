@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"nexus/internal/bins"
@@ -253,6 +254,29 @@ func TestHypDBCapsCandidates(t *testing.T) {
 		}
 		e, _ := bins.Encode(table.NewFloatColumn(fmt.Sprintf("junk%02d", j), vals), bins.DefaultOptions())
 		cands = append(cands, core.FromEncoded(e, core.OriginKG))
+	}
+	// The cap keeps exactly hypDBMaxAttrs distinct inputs, and the same ones
+	// on every call (its seed is fixed).
+	if len(cands) <= hypDBMaxAttrs {
+		t.Fatalf("%d candidates do not exceed the cap of %d", len(cands), hypDBMaxAttrs)
+	}
+	capped := capCandidates(cands)
+	if len(capped) != hypDBMaxAttrs {
+		t.Fatalf("the cap kept %d of %d candidates, want %d", len(capped), len(cands), hypDBMaxAttrs)
+	}
+	inputs := map[*core.Candidate]bool{}
+	for _, c := range cands {
+		inputs[c] = true
+	}
+	kept := map[*core.Candidate]bool{}
+	for _, c := range capped {
+		if !inputs[c] || kept[c] {
+			t.Fatalf("the cap kept %q, which is not an input or is kept twice", c.Name)
+		}
+		kept[c] = true
+	}
+	if again := capCandidates(cands); !reflect.DeepEqual(again, capped) {
+		t.Fatal("the cap kept other candidates on a second call")
 	}
 	res, err := HypDB(f.t, f.o, cands, 3)
 	if err != nil {

@@ -25,6 +25,20 @@ const (
 	hypDBCIThreshold = 0.02
 )
 
+// capCandidates caps the candidates uniformly at random (paper §5.1): at most
+// hypDBMaxAttrs of them, the same ones on every call.
+func capCandidates(cands []*core.Candidate) []*core.Candidate {
+	if len(cands) <= hypDBMaxAttrs {
+		return cands
+	}
+	perm := stats.NewRNG(hypDBSeed).Perm(len(cands))
+	capped := make([]*core.Candidate, hypDBMaxAttrs)
+	for i := range capped {
+		capped[i] = cands[perm[i]]
+	}
+	return capped
+}
+
 // HypDB implements the relevant behaviour of the HypDB comparator (Salimi et
 // al. 2018): detect covariates by conditional-independence tests (an
 // attribute is a potential confounder when it is dependent on both T and O), search covariate subsets exhaustively for the set that most
@@ -38,17 +52,7 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, k int) (*Result, error) 
 		k = 5
 	}
 
-	// Cap candidates uniformly at random (paper §5.1).
-	working := cands
-	if len(working) > hypDBMaxAttrs {
-		rng := stats.NewRNG(hypDBSeed)
-		perm := rng.Perm(len(working))
-		capped := make([]*core.Candidate, hypDBMaxAttrs)
-		for i := range capped {
-			capped[i] = working[perm[i]]
-		}
-		working = capped
-	}
+	working := capCandidates(cands)
 
 	// Covariate detection: dependent on T, and on O given T.
 	type covariate struct {

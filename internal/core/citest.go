@@ -177,16 +177,7 @@ func entityPermDependent(tr *obs.Trace, cube *counting.SlotCube, name string, en
 func slotMI(cube *counting.SlotCube, slotCodes []int32, card int) float64 {
 	p := cube.PairO(slotCodes, card)
 	defer p.Release()
-	var few [16]float64 // no allocation per draw for the usual handful of outcome bins
-	oMargin := few[:0]
-	for oc := 0; oc < p.Cx; oc++ {
-		rows := 0.0
-		for _, n := range p.Joint[oc*card : (oc+1)*card] {
-			rows += n
-		}
-		oMargin = append(oMargin, rows)
-	}
-	return infotheory.TallyMutualInfo(p.Joint, oMargin, p.EMargin, p.Total)
+	return infotheory.TallyMutualInfo(&p)
 }
 
 // givenVar unwraps the ≤1-element pre-joined conditioning set into the

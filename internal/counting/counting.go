@@ -17,8 +17,14 @@
 //     the estimator it feeds about which representation is in play;
 //   - one pooled scratch (Release() recycling) so the hot paths — the online
 //     prune runs a pass per surviving candidate, MCIMR a pass per considered
-//     candidate per iteration — stop paying a GC churn of one
-//     cardinality-product allocation per statistic;
+//     candidate per iteration — stop paying a GC churn of one allocation per
+//     statistic. A pooled buffer is all zero whenever it is in the pool:
+//     Release zeroes what the pass wrote, so grab hands it out as it is. A
+//     three-way tally's finalize and Release cost the cells its rows filled,
+//     not its domain: after the rows it lists its occupied strata and (z, y)
+//     pairs (Occupancy), the finalize walks only those, and Release zeroes
+//     only them (TestReleasedBuffersAreZero, infotheory's
+//     TestTouchedFinalizeMatchesFullWalk);
 //   - one missing-row convention (code < 0 is skipped; a row is counted by a
 //     pass only when every axis of that pass is present) and one weight
 //     convention (nil = uniform 1.0);
@@ -45,6 +51,7 @@ package counting
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -328,28 +335,39 @@ func (c Counters) Each(f func(name string, v int64)) {
 
 // ---------------------------------------------------------------------------
 // Pooled scratch. One backing array per pass, carved into the pass's tally
-// buffers; Release returns it for reuse. The dominant tally (a three-way
-// joint) is cardinality-product sized — without reuse the online prune's
-// allocation churn is GBs per query and the GC becomes a top profile entry.
+// buffers; Release returns it for reuse. Invariant: a buffer in the pool is
+// zero over its whole capacity. A new one is; Release zeroes what its pass
+// wrote before it puts the buffer back — every cell, or for a three-way tally
+// only its occupied cells (XYZ.Release) — so grab clears nothing. Without
+// reuse the online prune's allocation churn is GBs per query and the GC
+// becomes a top profile entry; without the invariant a wide conditioning set
+// would pay a clear of its whole domain on every pass.
 
-type scratch struct{ buf []float64 }
+type scratch struct {
+	buf []float64
+	// occ holds the occupancy lists of the tallies carved from buf: one for a
+	// three-way tally or a pair, two for a screen's two tests.
+	occ [2]Occupancy
+}
 
 var pool = sync.Pool{New: func() any { return new(scratch) }}
 
-// grab returns a zeroed float64 buffer of length need backed by the pool.
+// grab returns a float64 buffer of length need backed by the pool, zero by
+// the pool's invariant: it clears nothing.
 func grab(need int) *scratch {
 	sc := pool.Get().(*scratch)
 	if cap(sc.buf) < need {
 		sc.buf = make([]float64, need)
 	} else {
 		sc.buf = sc.buf[:need]
-		clear(sc.buf)
 	}
 	return sc
 }
 
+// release zeroes the whole buffer and returns it to the pool.
 func (sc *scratch) release() {
 	if sc != nil {
+		clear(sc.buf)
 		pool.Put(sc)
 	}
 }
@@ -501,22 +519,34 @@ func (v *Vec) Release() {
 }
 
 // ---------------------------------------------------------------------------
-// Two-axis pass with one margin.
+// Two-axis pass with both margins.
 
-// Pair is a weighted (x, e) tally with the e margin: Joint[x*Ce+e], EMargin[e]
-// and the complete-case weight Total, all over rows where both axes are
-// present. Backed by pooled storage — call Release when done.
+// Pair is a weighted (x, e) tally with both margins: Joint[x*Ce+e],
+// XMargin[x], EMargin[e] and the complete-case weight Total, all over rows
+// where both axes are present. Backed by pooled storage — call Release when
+// done.
 type Pair struct {
 	Cx, Ce  int
 	Joint   []float64
+	XMargin []float64
 	EMargin []float64
 	Total   float64
 	sc      *scratch
 }
 
 func newPair(cx, ce int) Pair {
-	sc := grab(cx*ce + ce)
-	return Pair{Cx: cx, Ce: ce, Joint: sc.buf[: cx*ce : cx*ce], EMargin: sc.buf[cx*ce:], sc: sc}
+	sc := grab(cx*ce + cx + ce)
+	buf := sc.buf
+	cut := func(n int) []float64 { part := buf[:n:n]; buf = buf[n:]; return part }
+	return Pair{Cx: cx, Ce: ce, Joint: cut(cx * ce), XMargin: cut(cx), EMargin: cut(ce), sc: sc}
+}
+
+// Occupancy returns the tally's occupancy as a one-stratum three-way tally
+// (z = {Total}, y = e), in storage the Pair owns until Release.
+func (p *Pair) Occupancy() *Occupancy {
+	o := &p.sc.occ[0]
+	o.fill([]float64{p.Total}, p.EMargin, p.Ce)
+	return o
 }
 
 // Release returns the tally storage to the pool.
@@ -532,11 +562,61 @@ func (p *Pair) Release() {
 // Cell is one (z, x, y) coordinate of a sparse three-axis tally.
 type Cell struct{ Z, X, Y int32 }
 
+// Occupancy lists the cells of a dense (z, x, y) tally that hold weight:
+// Strata are the z with Z[z] ≠ 0, ascending, and Ys(i) are the y with
+// ZY[z·Cy+y] ≠ 0 in stratum Strata[i], ascending. Every other cell is +0,
+// because weights are never negative: a row of weight 0 adds +0 and leaves
+// its margins at 0, and a NaN weight makes them NaN, which is ≠ 0. The lists
+// are read off the margins once the rows are in — |Z| reads plus one ZY row
+// per occupied stratum, nothing per row — and live in the pooled scratch, so
+// filling them allocates only while a buffer's lists grow.
+type Occupancy struct {
+	Strata []int32
+	ys     []int32 // the occupied y codes, stratum by stratum
+	ends   []int32 // those of Strata[i] end at ys[ends[i]]
+}
+
+// Ys returns the occupied y codes of the stratum Strata[i], ascending.
+func (o *Occupancy) Ys(i int) []int32 {
+	lo := int32(0)
+	if i > 0 {
+		lo = o.ends[i-1]
+	}
+	return o.ys[lo:o.ends[i]]
+}
+
+// pairs returns the number of occupied (z, y) pairs.
+func (o *Occupancy) pairs() int { return len(o.ys) }
+
+// fill lists the occupancy of a tally with z margin z and (z, y) margin
+// zy[z·cy+y], reusing o's storage; each list grows at most once, to its
+// bound.
+func (o *Occupancy) fill(z, zy []float64, cy int) {
+	o.Strata = slices.Grow(o.Strata[:0], len(z))
+	for zi, pz := range z {
+		if pz != 0 {
+			o.Strata = append(o.Strata, int32(zi))
+		}
+	}
+	o.ends = slices.Grow(o.ends[:0], len(o.Strata))
+	o.ys = slices.Grow(o.ys[:0], len(o.Strata)*cy)
+	for _, zi := range o.Strata {
+		for y, pzy := range zy[int(zi)*cy : (int(zi)+1)*cy] {
+			if pzy != 0 {
+				o.ys = append(o.ys, int32(y))
+			}
+		}
+		o.ends = append(o.ends, int32(len(o.ys)))
+	}
+}
+
 // XYZ is a weighted three-axis contingency tally with the zx, zy and z
 // margins and the weight sums the debiased estimators need. Dense selects
 // the representation: the array fields when true, the map fields when the
 // joint domain exceeded MaxDense. Backed by pooled storage on the dense
-// path — call Release when done (a no-op for the sparse representation).
+// path — call Release when done (a no-op for the sparse representation). A
+// dense tally lists the cells its rows filled (Occupancy): a finalize that
+// walks only those, and Release, cost the cells filled, not |Z|·|X|·|Y|.
 type XYZ struct {
 	Dense         bool
 	Cx, Cy, Zcard int
@@ -560,8 +640,20 @@ type XYZ struct {
 func CountXYZOf(x, y, z Dim, w Weights) XYZ {
 	t := newXYZ(x.Card, y.Card, z.Card)
 	forRuns(nil, []Dim{x, y, z}, w, t.tally)
+	t.occupy()
 	return t
 }
+
+// occupy lists a dense tally's occupied cells once its rows are in.
+func (t *XYZ) occupy() {
+	if t.Dense {
+		t.sc.occ[0].fill(t.Z, t.ZY, t.Cy)
+	}
+}
+
+// Occupancy returns the occupied cells of a dense tally, in storage the XYZ
+// owns until Release.
+func (t *XYZ) Occupancy() *Occupancy { return &t.sc.occ[0] }
 
 func newXYZ(cx, cy, zcard int) XYZ {
 	if size := zcard * cx * cy; size > 0 && size <= MaxDense {
@@ -654,46 +746,84 @@ func (t *XYZ) addSparse(zi, xc, yc int32, wt float64) {
 // the pass gather every input's listed rows a run at a time.
 func CountXYZRowsOf(x, y, z Dim, w Weights, rows []int32) XYZ {
 	t := newXYZ(x.Card, y.Card, z.Card)
+	t.tallyRows(x, y, z, w, rows)
+	t.occupy()
+	return t
+}
+
+func (t *XYZ) tallyRows(x, y, z Dim, w Weights, rows []int32) {
 	if len(rows) == 0 {
-		return t // and not forRuns' every row
+		return // and not forRuns' every row
 	}
 	if !x.direct() || !y.direct() || !z.direct() || w.Slots != nil {
 		forRuns(rows, []Dim{x, y, z}, w, t.tally)
-		return t
+		return
 	}
 	xs, ys, zids, cx, cy := x.Codes, y.Codes, z.Codes, x.Card, y.Card
 	if !t.Dense {
 		for _, r := range rows {
 			t.addSparse(zids[r], xs[r], ys[r], weightAt(w.W, int(r)))
 		}
-		return t
+		return
 	}
+	// Locals, as in tally.
+	joint, zx, zy, zm := t.Joint, t.ZX, t.ZY, t.Z
+	ws, wsq := t.WeightSum, t.WeightSqSum
 	for _, r := range rows {
 		zi, xc, yc := zids[r], xs[r], ys[r]
 		if zi < 0 || xc < 0 || yc < 0 {
 			continue
 		}
 		wt := weightAt(w.W, int(r))
-		t.Joint[(int(zi)*cx+int(xc))*cy+int(yc)] += wt
-		t.ZX[int(zi)*cx+int(xc)] += wt
-		t.ZY[int(zi)*cy+int(yc)] += wt
-		t.Z[zi] += wt
-		t.WeightSum += wt
-		t.WeightSqSum += wt * wt
+		joint[(int(zi)*cx+int(xc))*cy+int(yc)] += wt
+		zx[int(zi)*cx+int(xc)] += wt
+		zy[int(zi)*cy+int(yc)] += wt
+		zm[zi] += wt
+		ws += wt
+		wsq += wt * wt
 	}
-	return t
+	t.WeightSum, t.WeightSqSum = ws, wsq
 }
 
-// Release returns the dense tally storage to the pool; the XYZ must not be
-// read afterwards. A no-op for the sparse representation (maps are simply
-// garbage-collected).
+// Release returns the dense tally storage to the pool, zeroed; the XYZ must
+// not be read afterwards. A no-op for the sparse representation (maps are
+// simply garbage-collected).
 func (t *XYZ) Release() {
 	if t.sc == nil {
 		return
 	}
+	t.zero()
 	t.Joint, t.ZX, t.ZY, t.Z = nil, nil, nil, nil
-	t.sc.release()
+	pool.Put(t.sc)
 	t.sc = nil
+}
+
+// zero restores the pool's invariant: it zeroes the occupied strata's Z cell
+// and ZX row, and the occupied pairs' ZY cell and Joint cells — the only
+// cells the rows can have written — or clears the whole buffer when those
+// are at least a quarter of it and a clear is the cheaper store.
+func (t *XYZ) zero() {
+	o := t.Occupancy()
+	cx, cy := t.Cx, t.Cy
+	if 4*(len(o.Strata)+o.pairs())*(1+cx) >= len(t.sc.buf) {
+		clear(t.sc.buf)
+		return
+	}
+	for i, z := range o.Strata {
+		zi := int(z)
+		t.Z[zi] = 0
+		clear(t.ZX[zi*cx : (zi+1)*cx])
+		ys := o.Ys(i)
+		for _, y := range ys {
+			t.ZY[zi*cy+int(y)] = 0
+		}
+		for x := range cx {
+			row := t.Joint[(zi*cx+x)*cy : (zi*cx+x+1)*cy]
+			for _, y := range ys {
+				row[y] = 0
+			}
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -803,6 +933,21 @@ func (s *Screen) tally(cols [3][]int32, w []float64) {
 		wsq3 += wt * wt
 	}
 	s.WS2, s.WSQ2, s.WS3, s.WSQ3 = ws2, wsq2, ws3, wsq3
+}
+
+// CondOccupancy returns the occupancy of the conditional test's tally
+// (z = t: TM, TE) and MarginalOccupancy that of the one-stratum (O, E) tally
+// (z = {WS2}: EM), each in storage the Screen owns until Release.
+func (s *Screen) CondOccupancy() *Occupancy {
+	o := &s.sc.occ[0]
+	o.fill(s.TM, s.TE, s.Ce)
+	return o
+}
+
+func (s *Screen) MarginalOccupancy() *Occupancy {
+	o := &s.sc.occ[1]
+	o.fill([]float64{s.WS2}, s.EM, s.Ce)
+	return o
 }
 
 // Release returns the tally storage to the pool; the Screen must not be read

@@ -11,11 +11,15 @@ package counting
 // subset the fuzz bytes pick, a slot-cube mode holds the entity-level fold
 // (SlotCube.Screen) to the unweighted row pass over the broadcast codes, and
 // an indirect-form mode holds every pass over slot codes and slot weights
-// read through row→slot maps to the same pass over their broadcasts. The
-// seed corpus is checked in under testdata/fuzz; CI runs the target as a
-// bounded smoke iteration.
+// read through row→slot maps to the same pass over their broadcasts. Every
+// dense three-way tally, one with a NaN weight among its rows included, lists
+// exactly the strata and (z, y) pairs that hold weight and no cell outside
+// them is nonzero (checkOccupancy), and once every tally is released the
+// pool holds only zero buffers (checkPoolZero). The seed corpus is checked in
+// under testdata/fuzz; CI runs the target as a bounded smoke iteration.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -68,6 +72,7 @@ func FuzzCountParity(f *testing.F) {
 			t.Skip()
 		}
 		n := len(x)
+		defer checkPoolZero(t, "the fuzz passes") // deferred first: runs once every tally is released
 
 		// Naive oracle: one pass, plain maps, no shared code with the kernel.
 		type cell struct{ z, x, y int32 }
@@ -92,6 +97,17 @@ func FuzzCountParity(f *testing.F) {
 		defer d.Release()
 		if !d.Dense {
 			t.Fatalf("expected dense path for domain %d", zc*cx*cy)
+		}
+		checkOccupancy(t, "CountXYZ", d)
+		if n > 0 {
+			nan := make([]float64, n)
+			for i := range nan {
+				nan[i] = weightAt(w, i)
+			}
+			nan[int(data[3])%n] = math.NaN()
+			dn := CountXYZ(x, y, cx, cy, z, zc, nan)
+			checkOccupancy(t, "CountXYZ with a NaN weight", dn)
+			dn.Release()
 		}
 		// Map path, forced on identical data.
 		s := countXYZSparse(x, y, cx, cy, z, zc, w)
@@ -150,6 +166,7 @@ func FuzzCountParity(f *testing.F) {
 		if !rd.Dense || rs.Dense {
 			t.Fatalf("row-list representations: dense %v, forced-sparse dense %v", rd.Dense, rs.Dense)
 		}
+		checkOccupancy(t, "CountXYZRows", rd)
 		if rd.WeightSum != subTotal || rs.WeightSum != subTotal {
 			t.Fatalf("subset weight sums: dense %v map %v naive %v", rd.WeightSum, rs.WeightSum, subTotal)
 		}

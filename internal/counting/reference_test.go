@@ -36,6 +36,7 @@ func CountPair(x, e []int32, cx, ce int, w []float64) Pair {
 		}
 		wt := weightAt(w, i)
 		p.Joint[int(xc)*ce+int(yc)] += wt
+		p.XMargin[xc] += wt
 		p.EMargin[yc] += wt
 		p.Total += wt
 	}

@@ -155,10 +155,9 @@ func (c *SlotCube) Screen(e []int32, ce int) *Screen {
 		s.TM[tc] += rows
 		s.WS3 += rows
 	}
-	s.WS2 = c.foldPair(e, ce, s.OE, s.EM)
+	s.WS2 = c.foldPair(e, ce, s.OE, s.OM, s.EM)
 	for oc := 0; oc < co; oc++ {
 		for ec := 0; ec < ce; ec++ {
-			s.OM[oc] += s.OE[oc*ce+ec]
 			s.ZE[ec] += s.EO[ec*co+oc]
 		}
 	}
@@ -171,14 +170,15 @@ func (c *SlotCube) Screen(e []int32, ce int) *Screen {
 // Not counted as a pass. Backed by pooled storage — call Release when done.
 func (c *SlotCube) PairO(e []int32, ce int) Pair {
 	p := newPair(c.co, ce)
-	p.Total = c.foldPair(e, ce, p.Joint, p.EMargin)
+	p.Total = c.foldPair(e, ce, p.Joint, p.XMargin, p.EMargin)
 	return p
 }
 
-func (c *SlotCube) foldPair(e []int32, ce int, joint, eMargin []float64) (total float64) {
+func (c *SlotCube) foldPair(e []int32, ce int, joint, oMargin, eMargin []float64) (total float64) {
 	c.pair.fold(e, ce, joint)
 	for oc := 0; oc < c.co; oc++ {
 		for ec, n := range joint[oc*ce : (oc+1)*ce] {
+			oMargin[oc] += n
 			eMargin[ec] += n
 			total += n
 		}

@@ -62,15 +62,15 @@ func MutualInfo(x, y Var, w []float64) float64 {
 	return CondMutualInfo(x, y, nil, Weights{W: w})
 }
 
-// TallyMutualInfo returns I(X; Y) in bits from a dense tally the caller
-// holds — joint[x·len(yMargin)+y], its two margins and their total: MutualInfo's
-// finalize (denseMI with one stratum) for a tally that was folded rather than
-// counted over rows, as the entity-level permutation null of core does.
-func TallyMutualInfo(joint, xMargin, yMargin []float64, total float64) float64 {
-	if total <= 0 {
+// TallyMutualInfo returns I(X; Y) in bits from a dense pair tally the caller
+// holds: MutualInfo's finalize (denseMI with one stratum) for a tally that was
+// folded rather than counted over rows, as the entity-level permutation null
+// of core does.
+func TallyMutualInfo(p *counting.Pair) float64 {
+	if p.Total <= 0 {
 		return 0
 	}
-	return denseMI(joint, xMargin, yMargin, []float64{total}, len(xMargin), len(yMargin), total)
+	return denseMI(p.Joint, p.XMargin, p.EMargin, []float64{p.Total}, p.Cx, p.Ce, p.Occupancy(), p.Total)
 }
 
 // CondMutualInfo returns I(X; Y | G1, ..., Gk) in bits over rows where x, y
@@ -93,12 +93,13 @@ func CondMutualInfoDebiased(x, y Var, given []Var, w []float64) float64 {
 }
 
 // CondMutualInfoDebiasedRows is CondMutualInfoDebiased restricted to the
-// listed rows (ascending), at the cost of the list rather than the table: it
-// tallies through counting.CountXYZRowsOf and finalizes like the full pass
-// under a weight vector that is w on the list and 0 off it. On the dense path
-// the result is math.Float64bits-equal to that masked pass. N_eff is always
-// the Kish form, as it is under a mask: with unit weights Σw²=Σw=k and k·k/k
-// is exactly k.
+// listed rows (ascending), at the cost of the list and the cells it fills
+// rather than the table and the domain: it tallies through
+// counting.CountXYZRowsOf and finalizes like the full pass under a weight
+// vector that is w on the list and 0 off it, walking only the occupied
+// strata and (z, y) pairs. On the dense path the result is
+// math.Float64bits-equal to that masked pass. N_eff is always the Kish form,
+// as it is under a mask: with unit weights Σw²=Σw=k and k·k/k is exactly k.
 func CondMutualInfoDebiasedRows(x, y Var, given []Var, w []float64, rows []int32) float64 {
 	cx, cy := x.Card, y.Card
 	if cx == 0 || cy == 0 {
@@ -166,7 +167,7 @@ func xyzStats(t *counting.XYZ) cmiStats {
 		return cmiSparseStats(t)
 	}
 	defer t.Release()
-	return cmiDenseStats(t.Joint, t.ZX, t.ZY, t.Z, t.Cx, t.Cy, t.WeightSum, t.WeightSqSum)
+	return cmiDenseStats(t.Joint, t.ZX, t.ZY, t.Z, t.Cx, t.Cy, t.Occupancy(), t.WeightSum, t.WeightSqSum)
 }
 
 // cmiDenseStats is the one dense finalize: every plug-in statistic read off a
@@ -174,42 +175,50 @@ func xyzStats(t *counting.XYZ) cmiStats {
 // joint[(z·cx+x)·cy+y] with margins zx[z·cx+x], zy[z·cy+y] and z[z] (one
 // stratum for a marginal test) — counting.XYZ's buffers, and equally the
 // (JointT, TO, TE, TM) and (OE, OM, EM, {WS2}) tallies of counting.Screen.
-// The support sizes are read off the margins: weights are never negative, so
-// a code has a positive margin cell exactly where denseMI's walk meets it.
-func cmiDenseStats(joint, zx, zy, z []float64, cx, cy int, weightSum, weightSqSum float64) cmiStats {
+// It visits only the occupied strata and (z, y) pairs that occ lists, in
+// ascending (z, x, y) order: a cell outside them is +0, which the walk over
+// the whole domain would skip, so every term is added in that walk's order
+// and mi, hx, hy and the support sizes are math.Float64bits-equal to it
+// (TestTouchedFinalizeMatchesFullWalk holds them to the full walk, kept as
+// the oracle in a test file). The support sizes are read off the margins:
+// weights are never negative, so a code has a positive margin cell exactly
+// where denseMI's walk meets it.
+func cmiDenseStats(joint, zx, zy, z []float64, cx, cy int, occ *counting.Occupancy, weightSum, weightSqSum float64) cmiStats {
 	if weightSum <= 0 {
 		return cmiStats{}
 	}
-	return cmiStats{
-		mi:        denseMI(joint, zx, zy, z, cx, cy, weightSum),
-		hx:        denseCondEntropy(zx, z, cx, weightSum),
-		hy:        denseCondEntropy(zy, z, cy, weightSum),
+	s := cmiStats{
+		mi:        denseMI(joint, zx, zy, z, cx, cy, occ, weightSum),
 		weightSum: weightSum, weightSqSum: weightSqSum,
-		nx: supportSize(zx, cx), ny: supportSize(zy, cy), nz: positives(z),
 	}
+	s.hx, s.hy = denseCondEntropies(zx, zy, z, cx, cy, occ, weightSum)
+	s.nx, s.ny, s.nz = denseSupport(zx, zy, z, cx, cy, occ)
+	return s
 }
 
-// denseMI is the (z, x, y) walk: I(X;Y|Z) in bits, clamped at 0. Loop order
-// (z outer, then x, then y) is the float-add sequence every bit-identity pin
-// in this package rests on.
-func denseMI(joint, zx, zy, z []float64, cx, cy int, total float64) float64 {
+// denseMI is the (z, x, y) walk over the occupied cells: I(X;Y|Z) in bits,
+// clamped at 0. Loop order (z outer, then x, then y) is the float-add
+// sequence every bit-identity pin in this package rests on.
+func denseMI(joint, zx, zy, z []float64, cx, cy int, occ *counting.Occupancy, total float64) float64 {
 	mi := 0.0
-	for zi, pz := range z {
+	for i, zc := range occ.Strata {
+		zi := int(zc)
+		pz := z[zi]
 		if pz <= 0 {
 			continue
 		}
-		for xc := 0; xc < cx; xc++ {
-			pzx := zx[zi*cx+xc]
+		ys, zyRow := occ.Ys(i), zy[zi*cy:(zi+1)*cy]
+		for xc, pzx := range zx[zi*cx : (zi+1)*cx] {
 			if pzx <= 0 {
 				continue
 			}
-			for yc := 0; yc < cy; yc++ {
-				pj := joint[(zi*cx+xc)*cy+yc]
+			row := joint[(zi*cx+xc)*cy : (zi*cx+xc+1)*cy]
+			for _, yc := range ys {
+				pj := row[yc]
 				if pj <= 0 {
 					continue
 				}
-				pzy := zy[zi*cy+yc]
-				mi += pj / total * math.Log2(pz*pj/(pzx*pzy))
+				mi += pj / total * math.Log2(pz*pj/(pzx*zyRow[yc]))
 			}
 		}
 	}
@@ -219,20 +228,54 @@ func denseMI(joint, zx, zy, z []float64, cx, cy int, total float64) float64 {
 	return mi
 }
 
-// denseCondEntropy computes H(V|Z) = -Σ p(z,v) log2 p(v|z) from the margin
-// zv[z·card+v], z outer.
-func denseCondEntropy(zv, z []float64, card int, total float64) (h float64) {
-	for zi, pz := range z {
+// denseCondEntropies computes H(X|Z) and H(Y|Z), each −Σ p(z,v) log2 p(v|z)
+// from its margin zv[z·card+v], z outer, over the occupied strata.
+func denseCondEntropies(zx, zy, z []float64, cx, cy int, occ *counting.Occupancy, total float64) (hx, hy float64) {
+	for i, zc := range occ.Strata {
+		zi := int(zc)
+		pz := z[zi]
 		if pz <= 0 {
 			continue
 		}
-		for _, pzv := range zv[zi*card : (zi+1)*card] {
-			if pzv > 0 {
-				h -= pzv / total * math.Log2(pzv/pz)
+		for _, pzx := range zx[zi*cx : (zi+1)*cx] {
+			if pzx > 0 {
+				hx -= pzx / total * math.Log2(pzx/pz)
+			}
+		}
+		for _, yc := range occ.Ys(i) {
+			if pzy := zy[zi*cy+int(yc)]; pzy > 0 {
+				hy -= pzy / total * math.Log2(pzy/pz)
 			}
 		}
 	}
-	return h
+	return hx, hy
+}
+
+// denseSupport counts the x codes and the y codes with a positive margin cell
+// in some occupied stratum, and the strata of positive weight.
+func denseSupport(zx, zy, z []float64, cx, cy int, occ *counting.Occupancy) (nx, ny, nz int) {
+	for xc := 0; xc < cx; xc++ {
+		for _, zi := range occ.Strata {
+			if zx[int(zi)*cx+xc] > 0 {
+				nx++
+				break
+			}
+		}
+	}
+	for yc := 0; yc < cy; yc++ {
+		for _, zi := range occ.Strata {
+			if zy[int(zi)*cy+yc] > 0 {
+				ny++
+				break
+			}
+		}
+	}
+	for _, zi := range occ.Strata {
+		if z[zi] > 0 {
+			nz++
+		}
+	}
+	return nx, ny, nz
 }
 
 // supportSize counts the codes v with a positive cell zv[z·card+v] in some

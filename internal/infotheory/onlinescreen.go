@@ -129,7 +129,7 @@ func (s *OnlineScreen) MarginalIndependent(threshold float64) bool {
 	if f == nil {
 		return CondIndependent(s.o, s.e, nil, s.w, threshold)
 	}
-	st := cmiDenseStats(f.OE, f.OM, f.EM, []float64{f.WS2}, f.Co, f.Ce, f.WS2, f.WSQ2)
+	st := cmiDenseStats(f.OE, f.OM, f.EM, []float64{f.WS2}, f.Co, f.Ce, f.MarginalOccupancy(), f.WS2, f.WSQ2)
 	return condIndependentStats(st, s.weighted, threshold)
 }
 
@@ -156,7 +156,7 @@ func (s *OnlineScreen) CondIndependentGivenT(threshold float64) bool {
 		}
 	}
 	s.condWalked = true
-	st := cmiDenseStats(f.JointT, f.TO, f.TE, f.TM, f.Co, f.Ce, f.WS3, f.WSQ3)
+	st := cmiDenseStats(f.JointT, f.TO, f.TE, f.TM, f.Co, f.Ce, f.CondOccupancy(), f.WS3, f.WSQ3)
 	return condIndependentStats(st, s.weighted, threshold)
 }
 
