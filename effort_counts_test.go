@@ -30,8 +30,8 @@ var effortCounts = map[string][]effortCount{
 		{"ci_tests", 526},
 		{"composite_rebuilds", 3},
 		{"counting_dense_passes", 1913},
-		{"counting_id_joins", 24},
-		{"counting_partitions", 871},
+		{"counting_id_joins", 4},
+		{"counting_partitions", 877},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 189},
 		{"entities_unresolved", 5},
@@ -59,7 +59,7 @@ var effortCounts = map[string][]effortCount{
 		{"cond_walks", 6},
 		{"counting_dense_passes", 2020},
 		{"counting_id_joins", 2},
-		{"counting_partitions", 851},
+		{"counting_partitions", 861},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 654},
 		{"entities_unresolved", 100},

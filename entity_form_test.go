@@ -208,7 +208,7 @@ func TestCondVerdictsMatchUnfusedOnDatasets(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cubes := map[*int32]*counting.SlotCube{}
+					cubes := map[*int32]*counting.ScreenCube{}
 					folded, byEntropyForm, verdicts := 0, 0, 0
 					for _, c := range a.Candidates {
 						enc, err := c.Enc()
@@ -227,7 +227,7 @@ func TestCondVerdictsMatchUnfusedOnDatasets(t *testing.T) {
 							}
 							key := &c.Entity.Slots[0]
 							if cubes[key] == nil {
-								cubes[key] = counting.NewSlotCube(c.Entity.Slots, a.O.Codes, a.T.Codes, a.O.Card, a.T.Card)
+								cubes[key] = counting.NewScreenCube(c.Entity.Slots, counting.Dim{Codes: a.O.Codes, Card: a.O.Card}, counting.Dim{Codes: a.T.Codes, Card: a.T.Card})
 							}
 							if sc = infotheory.ScreenSlots(cubes[key], ent); sc != nil {
 								folded++

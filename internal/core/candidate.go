@@ -79,10 +79,13 @@ type Candidate struct {
 	// a function of a linked entity, so one code per entity slot plus the
 	// row→slot map say everything Enc's n-long vector does. The scoring core
 	// works from it alone: the offline prune from slot codes × rows per
-	// slot, the online prune by folding the run's (slot, T, O) cube — or,
-	// for IPW-weighted candidates and past counting.MaxDense, by a row pass
-	// that reads the slot codes and slot weights through the map — and
-	// MCIMR and the final score through the same map (vectors). Stripping
+	// slot; the online prune and MCIMR by folding the link column's slot
+	// cubes (counting.SlotCube) — the screen, and MCIMR's relevance,
+	// responsibility and gain statistics of the candidate and of its
+	// permuted draws, its gain guard and its redundancy pass — wherever the
+	// statistic is unweighted and its row pass dense; otherwise, and for the
+	// final score, by a row pass that reads the slot codes and slot weights
+	// through the map (vectors). Either way the bits are the same. Stripping
 	// the field selects the row path, which gives the same verdicts.
 	Entity *Entity
 

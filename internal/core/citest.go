@@ -87,16 +87,34 @@ func (op PermOp) exceeds(perm, observed float64) bool {
 // candidate never costs a network round trip.
 //
 // A WirePerm candidate's block goes through scorer.PermBlock when a scorer is
-// given (sctx.Cands[idx] being enc); every other block runs cand.Permute under
-// permTest. Local.PermBlock is permTest over ShuffleObserved and the same
-// stat/exceeds, so for a FromColumn candidate the two arms are bit-identical
-// (TestPermArmsAgree). A block cut short by ctx yields no verdict: the error
-// wraps ctx.Err(), as does any Permute or scorer failure.
+// given (sctx.Cands[idx] being enc). A WirePerm or entity-form candidate's
+// block otherwise draws ShuffleObserved — the draw of its Candidate.Permute —
+// into vectors lent to permTest's workers (drawVectors), and any other runs
+// cand.Permute. Local.PermBlock is permTest over the same draws and the same
+// stat/exceeds, so for a FromColumn candidate the arms are bit-identical
+// (TestPermArmsAgree). An entity form's statistics, observed and permuted,
+// are folded from its link column's slot cube when sctx has folds and the
+// row pass would be dense — the same bits as over the rows
+// (TestMCIMRFoldMatchesRowPass). A block cut short by ctx yields no verdict:
+// the error wraps ctx.Err(), as does any Permute or scorer failure.
 func permSignificant(ctx context.Context, tr *obs.Trace, op PermOp, t, o *bins.Encoded, cand *Candidate, enc *bins.Encoded, given []infotheory.Var,
 	seed uint64, step, b, allow, parallelism int, scorer Scorer, sctx *ScoreContext, idx int) (bool, error) {
 
 	tr.Add(obs.CITests, 1)
-	observed := op.stat(t, o, enc, given)
+	stat := func(e *bins.Encoded) float64 { return op.stat(t, o, e, given) }
+	var folds *slotFolds
+	if sctx != nil {
+		folds = sctx.folds
+	}
+	observed, folded := folds.perm(op, enc, given)
+	if folded {
+		stat = func(e *bins.Encoded) float64 {
+			v, _ := folds.perm(op, e, given)
+			return v
+		}
+	} else {
+		observed = stat(enc)
+	}
 	if op != PermGain && observed <= 0 {
 		return false, nil
 	}
@@ -108,7 +126,8 @@ func permSignificant(ctx context.Context, tr *obs.Trace, op PermOp, t, o *bins.E
 
 	var count, ran int
 	var err error
-	if cand.WirePerm && scorer != nil {
+	switch {
+	case cand.WirePerm && scorer != nil:
 		seeds := make([]uint64, b)
 		for i := range seeds {
 			seeds[i] = base + uint64(i)*stride
@@ -122,13 +141,18 @@ func permSignificant(ctx context.Context, tr *obs.Trace, op PermOp, t, o *bins.E
 				count++
 			}
 		}
-	} else {
+	case cand.WirePerm || cand.Entity != nil:
+		var draws drawVectors
+		count, ran, err = permTest(ctx, b, allow, parallelism, func(i int) (bool, error) {
+			return op.exceeds(draws.stat(enc, base+uint64(i)*stride, stat), observed), nil
+		})
+	default:
 		count, ran, err = permTest(ctx, b, allow, parallelism, func(i int) (bool, error) {
 			pe, err := cand.Permute(stats.NewRNG(base + uint64(i)*stride))
 			if err != nil {
 				return false, err
 			}
-			return op.exceeds(op.stat(t, o, pe, given), observed), nil
+			return op.exceeds(stat(pe), observed), nil
 		})
 	}
 	tr.Add(obs.PermutationsRun, int64(ran))
@@ -147,21 +171,19 @@ func permSignificant(ctx context.Context, tr *obs.Trace, op PermOp, t, o *bins.E
 // broadcasts). Permuting at entity granularity only regroups slots, so each
 // statistic costs O(#slots · |O|) from the cube's (o, slot) cells instead of
 // O(#rows) — the cube of this run's outcome. Serial; exits early like permTest.
-func entityPermDependent(tr *obs.Trace, cube *counting.SlotCube, name string, ent *bins.Encoded, b, allow int, seed uint64) bool {
+func entityPermDependent(tr *obs.Trace, cube *counting.ScreenCube, name string, ent *bins.Encoded, b, allow int, seed uint64) bool {
 	tr.Add(obs.CITests, 1)
 	observed := slotMI(cube, ent.Codes, ent.Card)
 	if observed <= 0 {
 		return false
 	}
-	// ShuffleObserved's draws, into one scratch vector: the observed slots
-	// are indexed once per test, not once per draw.
+	// ShuffleObserved's draws, into one scratch vector.
 	rng := stats.NewRNG(seed*0x9e3779b9 + HashName(name))
-	draw := observedShuffle(ent.Codes)
 	codes := make([]int32, len(ent.Codes))
 	exceed, ran := 0, 0
 	for ran < b && exceed <= allow {
 		ran++
-		draw(codes, rng)
+		shuffleObservedInto(codes, ent.Codes, rng)
 		if slotMI(cube, codes, ent.Card) >= observed {
 			exceed++
 		}
@@ -174,7 +196,7 @@ func entityPermDependent(tr *obs.Trace, cube *counting.SlotCube, name string, en
 // over the rows that have a slot, an outcome and a present code: the marginal
 // finalize of infotheory over the cube's (O, E) fold, equal bit for bit to
 // infotheory.MutualInfo on the broadcast encoding.
-func slotMI(cube *counting.SlotCube, slotCodes []int32, card int) float64 {
+func slotMI(cube *counting.ScreenCube, slotCodes []int32, card int) float64 {
 	p := cube.PairO(slotCodes, card)
 	defer p.Release()
 	return infotheory.TallyMutualInfo(&p)

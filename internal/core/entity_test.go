@@ -59,7 +59,7 @@ func TestSlotMIMatchesRowLevel(t *testing.T) {
 		}
 
 		// Contingency (o code × slot): the cube's own, under a constant exposure.
-		cube := counting.NewSlotCube(rowSlot, o.Codes, make([]int32, n), o.Card, 1)
+		cube := counting.NewScreenCube(rowSlot, counting.Dim{Codes: o.Codes, Card: o.Card}, counting.Dim{Codes: make([]int32, n), Card: 1})
 		fast := slotMI(cube, slotCodes, 4)
 
 		// Row-level reference.

@@ -301,7 +301,8 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 	// to the Scorer seam. Local evaluates the same per-candidate CMI the
 	// inline loop used to.
 	rsp := tr.Start("relevance-pass")
-	sctx := &ScoreContext{T: t, O: o, Tag: opts.ScoreTag,
+	folds := newSlotFolds(t, o)
+	sctx := &ScoreContext{T: t, O: o, Tag: opts.ScoreTag, folds: folds,
 		Cands: make([]*bins.Encoded, len(cands)), Weights: make([][]float64, len(cands))}
 	parallelFor(ctx, len(cands), opts.Parallelism, func(i int) {
 		st := &state{cand: cands[i]}
@@ -367,7 +368,13 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 		// gain is calibrated against permuted copies of the candidate,
 		// which shatter identically. The calibration only runs when the
 		// minGain threshold passed (currentScore is frozen per iteration).
-		ev.newScore = infotheory.CondMutualInfo(o, t, append(given(), ev.enc), weightProduct(selW, weightsOf(ev.enc, ev.w)))
+		folded := false
+		if selW.W == nil && ev.w == nil {
+			ev.newScore, folded = folds.perm(PermGain, ev.enc, given())
+		}
+		if !folded {
+			ev.newScore = infotheory.CondMutualInfo(o, t, append(given(), ev.enc), weightProduct(selW, weightsOf(ev.enc, ev.w)))
+		}
 		if !opts.DisableStopping && ev.newScore < currentScore-minGain*baseScore {
 			ev.gainOK, ev.err = gainSignificant(ctx, cst.cand, ev.enc, given(), opts, iter, scorer, sctx, idx)
 		}
@@ -488,8 +495,10 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 		} else {
 			selJoin = infotheory.JoinVars("selected", selJoin, chosenRows)
 		}
+		folds.reset() // every later test conditions on the new prefix
 		// Accumulate redundancy with the newly selected attribute
-		// (parallel over remaining candidates).
+		// (parallel over remaining candidates); an unweighted entity form's
+		// is folded from its link column's (slot, chosen) cube.
 		red := tr.Start("redundancy-pass")
 		parallelFor(ctx, len(states), opts.Parallelism, func(i int) {
 			si := states[i]
@@ -500,6 +509,12 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 			if err != nil {
 				si.err = err
 				return
+			}
+			if wI == nil && chosenW == nil {
+				if v, ok := folds.cmi(encI, nil, nil, chosenRows, counting.AxisX); ok {
+					si.redSum += v
+					return
+				}
 			}
 			wi := weightProduct(weightsOf(encI, wI), weightsOf(chosenEnc, chosenW))
 			si.redSum += infotheory.CondMutualInfo(encI, chosenRows, nil, wi)

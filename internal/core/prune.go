@@ -192,8 +192,8 @@ func slotMapKey(slots []int32) *int32 {
 func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
 	ht := infotheory.Entropy(t, nil)
 	ho := infotheory.Entropy(o, nil)
-	cubes := perSlotMap(cands, func(slots []int32) *counting.SlotCube {
-		return counting.NewSlotCube(slots, o.Codes, t.Codes, o.Card, t.Card)
+	cubes := perSlotMap(cands, func(slots []int32) *counting.ScreenCube {
+		return counting.NewScreenCube(slots, counting.Dim{Codes: o.Codes, Card: o.Card}, counting.Dim{Codes: t.Codes, Card: t.Card})
 	})
 	b := opts.PermRelevanceTests
 	if b <= 0 {
@@ -206,7 +206,7 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 		// goes first: it reads only the slot codes and the cube's (o, slot)
 		// cells, and the candidates it rejects (most extracted attributes)
 		// then pay for no IPW fit, screen or finalize.
-		var cube *counting.SlotCube
+		var cube *counting.ScreenCube
 		if c.Entity != nil {
 			cube = cubes[slotMapKey(c.Entity.Slots)]
 			if !opts.DisablePermRelevance {

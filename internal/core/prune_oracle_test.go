@@ -25,8 +25,8 @@ import (
 func onlinePruneOracle(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
 	ht := infotheory.Entropy(t, nil)
 	ho := infotheory.Entropy(o, nil)
-	cubes := perSlotMap(cands, func(slots []int32) *counting.SlotCube {
-		return counting.NewSlotCube(slots, o.Codes, t.Codes, o.Card, t.Card)
+	cubes := perSlotMap(cands, func(slots []int32) *counting.ScreenCube {
+		return counting.NewScreenCube(slots, counting.Dim{Codes: o.Codes, Card: o.Card}, counting.Dim{Codes: t.Codes, Card: t.Card})
 	})
 	return prunePass(ctx, "online", cands, func(i int, c *Candidate) (PruneReason, error) {
 		enc, w, err := c.vectors()
@@ -34,7 +34,7 @@ func onlinePruneOracle(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, c
 			return "", err
 		}
 		var sc *infotheory.OnlineScreen
-		var cube *counting.SlotCube
+		var cube *counting.ScreenCube
 		if c.Entity != nil {
 			cube = cubes[slotMapKey(c.Entity.Slots)]
 			if w == nil {
@@ -204,8 +204,8 @@ func TestOnlinePruneNullFirstMatchesOracle(t *testing.T) {
 				for _, c := range got {
 					kept[c.Name] = true
 				}
-				cubes := perSlotMap(cands, func(slots []int32) *counting.SlotCube {
-					return counting.NewSlotCube(slots, oEnc.Codes, tEnc.Codes, oEnc.Card, tEnc.Card)
+				cubes := perSlotMap(cands, func(slots []int32) *counting.ScreenCube {
+					return counting.NewScreenCube(slots, counting.Dim{Codes: oEnc.Codes, Card: oEnc.Card}, counting.Dim{Codes: tEnc.Codes, Card: tEnc.Card})
 				})
 				for i, c := range cands {
 					if c.Entity == nil || c.Entity.Weights == nil {

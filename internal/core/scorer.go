@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"nexus/internal/bins"
+	"nexus/internal/counting"
 	"nexus/internal/infotheory"
 	"nexus/internal/stats"
 )
@@ -66,8 +67,26 @@ type ScoreContext struct {
 	// columns happen to collide.
 	Tag string
 
+	// folds serves the unweighted statistics of entity-form candidates from
+	// slot cubes in the process that made the context (MCIMRCtx); nil — a
+	// context a worker registered — computes every statistic over the rows.
+	folds *slotFolds
+
 	fpOnce sync.Once
 	fp     string
+}
+
+// relevance returns I(O;T|E) for candidate i under its IPW weights, folded
+// from its link column's (slot, O, T) cube when it is an unweighted entity
+// form and the context has folds: the same bits either way.
+func (sc *ScoreContext) relevance(i int) float64 {
+	e, w := sc.Cands[i], sc.Weights[i]
+	if w == nil {
+		if v, ok := sc.folds.cmi(e, nil, sc.O, sc.T, counting.AxisZ); ok {
+			return v
+		}
+	}
+	return infotheory.CondMutualInfo(sc.O, sc.T, []infotheory.Var{e}, weightsOf(e, w))
 }
 
 // Fingerprint returns a content hash of the full context (tag, shape, codes,
@@ -240,45 +259,70 @@ func hashWeights(h io.Writer, w []float64) {
 // among the observed positions, preserving the missingness pattern (the
 // valid null under biased missingness). It is the canonical row-level
 // permutation: Candidate.Permute of input columns, the Local scorer and the
-// distributed workers all draw it (the scorer through observedShuffler, once
-// per block), so their permuted statistics are bit-identical for the same
-// seed. For an indirect enc the
-// positions are the entity slots and the copy keeps enc's row→slot map: the
-// entity-level null of a KG attribute, at the cost of its slots.
+// distributed workers all draw it (permSignificant and the scorer into lent
+// vectors, drawVectors), so their permuted statistics are bit-identical for
+// the same seed. For an indirect enc the positions are the entity slots and
+// the copy keeps enc's row→slot map: the entity-level null of a KG attribute,
+// at the cost of its slots.
 func ShuffleObserved(enc *bins.Encoded, rng *stats.RNG) *bins.Encoded {
-	return observedShuffler(enc)(rng)
+	out := *enc
+	out.Codes = make([]int32, len(enc.Codes))
+	shuffleObservedInto(out.Codes, enc.Codes, rng)
+	return &out
 }
 
-// observedShuffler indexes the observed positions of enc once and returns
-// ShuffleObserved's draw, for a test that draws many permutations of one
-// column.
-func observedShuffler(enc *bins.Encoded) func(rng *stats.RNG) *bins.Encoded {
-	draw := observedShuffle(enc.Codes)
-	return func(rng *stats.RNG) *bins.Encoded {
-		out := *enc
-		out.Codes = make([]int32, len(enc.Codes))
-		draw(out.Codes, rng)
-		return &out
+// shuffleObservedInto writes ShuffleObserved's codes into dst (len(codes)):
+// it gathers the observed codes at the front of dst, shuffles them there with
+// the swaps the shuffle of the observed positions makes, and spreads them back
+// to those positions from the last one down — the m-th observed code moves to
+// a position ≥ m, so no code is overwritten before it is read.
+func shuffleObservedInto(dst, codes []int32, rng *stats.RNG) {
+	// Without a branch on the code: a code is observed when it is not negative
+	// (bins.Missing), that is when its complement is.
+	dst = dst[:len(codes)]
+	k := 0
+	for _, cd := range codes {
+		dst[k] = cd
+		k += int(uint32(^cd) >> 31)
+	}
+	observed := dst[:k]
+	rng.Shuffle(k, func(a, b int) { observed[a], observed[b] = observed[b], observed[a] })
+	for i := len(codes) - 1; i >= 0; i-- {
+		seen := int(uint32(^codes[i]) >> 31)
+		k -= seen
+		dst[i] = dst[k] | int32(seen-1) // Missing where unobserved
 	}
 }
 
-// observedShuffle indexes the observed positions of codes once and returns
-// the draw: dst becomes a copy of codes with the observed codes shuffled among
-// those positions. A test that draws many permutations of one vector keeps
-// the draw and one dst.
-func observedShuffle(codes []int32) func(dst []int32, rng *stats.RNG) {
-	idx := make([]int32, 0, len(codes))
-	for i, cd := range codes {
-		if cd != bins.Missing {
-			idx = append(idx, int32(i))
-		}
+// drawVectors lends the workers of one permutation test the code vectors
+// their draws are written into: a vector goes back on the list after each
+// draw, so a test of an n-long column holds at most one per worker.
+type drawVectors struct {
+	mu   sync.Mutex
+	free [][]int32
+}
+
+// stat returns stat of ShuffleObserved(enc, stats.NewRNG(seed)), the copy
+// drawn into a lent vector that stat must not keep.
+func (d *drawVectors) stat(enc *bins.Encoded, seed uint64, stat func(*bins.Encoded) float64) float64 {
+	d.mu.Lock()
+	var buf []int32
+	if k := len(d.free); k > 0 {
+		buf, d.free = d.free[k-1], d.free[:k-1]
 	}
-	return func(dst []int32, rng *stats.RNG) {
-		copy(dst, codes)
-		rng.Shuffle(len(idx), func(a, b int) {
-			dst[idx[a]], dst[idx[b]] = dst[idx[b]], dst[idx[a]]
-		})
+	d.mu.Unlock()
+	if buf == nil {
+		buf = make([]int32, len(enc.Codes))
 	}
+	defer func() {
+		d.mu.Lock()
+		d.free = append(d.free, buf)
+		d.mu.Unlock()
+	}()
+	pe := *enc
+	pe.Codes = buf
+	shuffleObservedInto(buf, enc.Codes, stats.NewRNG(seed))
+	return stat(&pe)
 }
 
 // Local is the in-process Scorer: today's code path, and the oracle every
@@ -299,13 +343,12 @@ func (l Local) par() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Relevance implements Scorer with one debiased-CMI evaluation per listed
-// candidate, in parallel.
+// Relevance implements Scorer with one CMI evaluation per listed candidate
+// (ScoreContext.relevance), in parallel.
 func (l Local) Relevance(ctx context.Context, sc *ScoreContext, cands []int) ([]float64, error) {
 	out := make([]float64, len(cands))
 	parallelFor(ctx, len(cands), l.par(), func(i int) {
-		e := sc.Cands[cands[i]]
-		out[i] = infotheory.CondMutualInfo(sc.O, sc.T, []infotheory.Var{e}, weightsOf(e, sc.Weights[cands[i]]))
+		out[i] = sc.relevance(cands[i])
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -322,10 +365,10 @@ func (l Local) PermBlock(ctx context.Context, sc *ScoreContext, spec PermSpec) (
 		given = []infotheory.Var{spec.Given}
 	}
 	exceed := make([]bool, len(spec.Seeds))
-	shuffle := observedShuffler(enc)
+	stat := func(pe *bins.Encoded) float64 { return spec.Op.stat(sc.T, sc.O, pe, given) }
+	var draws drawVectors
 	_, ran, err := permTest(ctx, len(spec.Seeds), spec.Allow, l.par(), func(i int) (bool, error) {
-		pe := shuffle(stats.NewRNG(spec.Seeds[i]))
-		exceed[i] = spec.Op.exceeds(spec.Op.stat(sc.T, sc.O, pe, given), spec.Observed)
+		exceed[i] = spec.Op.exceeds(draws.stat(enc, spec.Seeds[i], stat), spec.Observed)
 		return exceed[i], nil
 	})
 	if err != nil {

@@ -11,7 +11,9 @@
 //
 //   - one composite dense-ID coding (IDs), the product indexing shared with
 //     bins.Encoded codes and JoinVars, with a first-seen dense fallback when
-//     the cardinality product leaves the dense bound;
+//     the cardinality product leaves the dense bound; under the bound a
+//     tally can take the composite as a column (Product) whose ids it
+//     computes a run of rows at a time, never building the id vector;
 //   - one dense-array fast path under MaxDense with a hash-map fallback,
 //     gated identically everywhere so a call site can never disagree with
 //     the estimator it feeds about which representation is in play;
@@ -82,10 +84,34 @@ const MaxDense = 1 << 22
 // n-long vector. It visits the same rows in the same order and adds the same
 // weights as over the broadcast column, so every tally is bit-identical to
 // the direct form's.
+//
+// A Dim with Parts is a composite column: row r's code is the product id of
+// the parts' codes (IDs' product coding), computed a run of rows at a time
+// inside the pass, so the n-long id vector is never built (see Product).
 type Dim struct {
 	Codes []int32
 	Card  int
 	Slots []int32
+	Parts []Dim
+}
+
+// Product returns the composite of dims (two or more, each direct or
+// indirect) as a Dim whose codes a pass computes run by run: the ids IDs
+// would return, without the vector. It reports false where IDs would not use
+// product ids — a zero card, or a product past MaxDense — and the caller
+// then builds the ids. Like IDs it counts an id join.
+func Product(dims []Dim) (Dim, bool) {
+	product := 1
+	for _, g := range dims {
+		if g.Card == 0 {
+			return Dim{}, false
+		}
+		if product *= g.Card; product > MaxDense {
+			return Dim{}, false
+		}
+	}
+	idJoins.Add(1)
+	return Dim{Card: product, Parts: dims}, true
 }
 
 // Weights is a per-row weight vector in the same two forms: row r weighs
@@ -116,7 +142,14 @@ func (w Weights) Rows() []float64 {
 
 // rows returns how many rows d spans.
 func (d Dim) rows() int {
-	if d.Slots != nil {
+	switch {
+	case d.Parts != nil:
+		n := 0
+		for _, p := range d.Parts {
+			n = max(n, p.rows())
+		}
+		return n
+	case d.Slots != nil:
 		return len(d.Slots)
 	}
 	return len(d.Codes)
@@ -189,6 +222,8 @@ func gatherRuns(n int, list []int32, dims []Dim, w Weights, f func(cols [3][]int
 // hi−lo cells of buf filled.
 func (d Dim) gather(lo, hi int, rows, buf []int32) []int32 {
 	switch {
+	case d.Parts != nil:
+		return d.gatherProduct(lo, hi, rows, buf)
 	case d.Codes == nil && d.Slots == nil:
 		return zeros[:hi-lo]
 	case d.Slots == nil && rows == nil:
@@ -222,6 +257,27 @@ func (d Dim) gather(lo, hi int, rows, buf []int32) []int32 {
 		buf[i] = codes[s&^neg] | neg
 	}
 	return buf
+}
+
+// gatherProduct is gather for a composite column: productIDs' fold over the
+// parts' codes of the run.
+func (d Dim) gatherProduct(lo, hi int, rows, buf []int32) []int32 {
+	out := buf[:hi-lo]
+	clear(out)
+	var part [runRows]int32
+	for _, g := range d.Parts {
+		card := int32(g.Card)
+		for i, c := range g.gather(lo, hi, rows, part[:]) {
+			switch {
+			case out[i] < 0:
+			case c < 0:
+				out[i] = -1
+			default:
+				out[i] = out[i]*card + c
+			}
+		}
+	}
+	return out
 }
 
 // gather is Dim.gather for weights; nil for uniform weights.

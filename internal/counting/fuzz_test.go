@@ -8,8 +8,10 @@ package counting
 // equality, not epsilon — any disagreement is a real counting bug, never
 // float noise. A rows-subset mode does the same for the row-list entry point
 // (CountXYZRows, dense and map form) against the naive tally of an ascending
-// subset the fuzz bytes pick, a slot-cube mode holds the entity-level fold
-// (SlotCube.Screen) to the unweighted row pass over the broadcast codes, and
+// subset the fuzz bytes pick, a slot-cube mode holds the entity-level folds
+// (ScreenCube.Screen, and SlotCube.Fold with the slot codes joined onto each
+// axis of a keyed cube) to the unweighted row pass over the broadcast codes,
+// and
 // an indirect-form mode holds every pass over slot codes and slot weights
 // read through row→slot maps to the same pass over their broadcasts. Every
 // dense three-way tally, one with a NaN weight among its rows included, lists
@@ -218,6 +220,24 @@ func FuzzCountParity(f *testing.F) {
 			}
 		}
 		checkFoldIsRowPass(t, z, x, y, codes, cx, cy, ce)
+
+		// Keyed-cube mode: the same slot map keyed by x, y and the weight byte's
+		// low bits as a third part (one part absent, as the fuzz bytes say),
+		// the slot codes joined onto each axis in turn; every fold must be the
+		// unweighted row pass over the broadcast codes, with the joined axis
+		// read as product ids.
+		third := make([]int32, n)
+		for i := range third {
+			third[i] = Missing
+			if b := data[4+4*i+3]; b%5 != 4 {
+				third[i] = int32(b % 3)
+			}
+		}
+		parts := [3]Dim{{Codes: third, Card: 3}, {Codes: x, Card: cx}, {Codes: y, Card: cy}}
+		if drop := int(data[0]>>3) % 4; drop < 3 {
+			parts[drop] = Dim{}
+		}
+		checkKeyedFold(t, z, parts, codes, ce)
 
 		checkIndirectIsBroadcast(t, data[4:], x, y, z, cx, cy, zc, w)
 	})

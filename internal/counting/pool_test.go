@@ -152,7 +152,7 @@ func TestReleasedBuffersAreZero(t *testing.T) {
 			checkPoolZero(t, c.name+" screen")
 
 			slots := z.Codes
-			cube := NewSlotCube(slots, x.Codes, y.Codes, x.Card, y.Card)
+			cube := NewScreenCube(slots, x, y)
 			codes := make([]int32, c.zc)
 			for i := range codes {
 				codes[i] = int32(r.Intn(7))

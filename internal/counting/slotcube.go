@@ -1,38 +1,56 @@
 package counting
 
-// SlotCube is the fused screen pass in aggregate form. A knowledge-graph
-// attribute is a function of the linked entity: all attributes extracted
-// through one link column have one code per entity slot and share the
-// column's row→slot map. The cube holds how many rows each slot has under
-// each o, and under each (t, o), so one pass per link column plus, per
+import (
+	"slices"
+	"sync"
+)
+
+// SlotCube is a counting pass in aggregate form. A knowledge-graph attribute
+// is a function of the linked entity: all attributes extracted through one
+// link column have one code per entity slot and share the column's row→slot
+// map. The cube holds how many rows each slot has under each composite key
+// (z, x, y) of up to three row columns, so one pass per link column plus, per
 // attribute, a fold over the non-empty cells (never more than the map has
 // linked rows) replaces one row pass per attribute.
 //
-// Equality contract: the fold produces unweighted tallies — sums of integer
+// A fold joins the attribute's slot code onto one axis of a three-way tally
+// (Fold): that axis's code becomes part·|E| + e, the product id IDs gives the
+// pair (part, E), and an absent part makes it e alone. One cube thus serves
+// I(O;T|E) (parts (·, O, T), E on z), I(O;E|C) (parts (C, O, ·), E on y),
+// I(O;T|C,E) (parts (C, O, T), E on z) and I(E;C) (parts (·, ·, C), E on x),
+// where C is any row column.
+//
+// Equality contract: a fold produces an unweighted tally — sums of integer
 // row counts, exact in float64 in any order — so every buffer and weight sum
-// of Screen is == to CountScreen over the codes broadcast to rows with nil
-// weights (FuzzCountParity, TestSlotCubeScreenMatchesRowPass). IPW-weighted
-// tallies depend on the order in which different slots' weights interleave
-// and cannot be folded bit for bit; they keep the row pass.
+// is == to the row pass over the codes broadcast to rows with nil weights
+// (FuzzCountParity, TestSlotCubeFoldMatchesRowPass). IPW-weighted tallies
+// depend on the order in which different slots' weights interleave and cannot
+// be folded bit for bit; they keep the row pass.
 type SlotCube struct {
-	co, ct int
-	// pair is keyed by (slot, o), over the rows with a slot and an outcome:
-	// the (O, E) tallies, which count a row whatever its T.
-	pair slotCells
-	// cube is keyed by (slot, t·co+o), over those of them that have a T: the
-	// (O, T, E) joint. It is empty when |T|·|O| leaves MaxDense: no screen
-	// over them is dense then.
-	cube slotCells
+	card  [3]int // of the z, x and y parts; 1 for an absent one
+	slots []int32
+	parts [3][]int32 // nil for an absent part
+
+	once  sync.Once
+	start []int32 // the cells of slot s are [start[s], start[s+1])
+	// Each cell's key (z·card₁ + x)·card₂ + y, its z, x and y part and its
+	// rows, the cells of a slot sorted by key. A candidate has one code per
+	// slot, so a fold reads it once per slot and its inner loop has no branch
+	// on it.
+	key  []int32
+	part [3][]int32
+	rows []float64
 }
 
-// slotCells lists the rows per (slot, key), sorted by both: the cells of slot
-// s are [start[s], start[s+1]). A candidate has one code per slot, so a fold
-// reads it once per slot and its inner loop has no branch on it.
-type slotCells struct {
-	start []int32
-	key   []int32
-	rows  []float64
-}
+// Axis names an axis of a three-way tally (XYZ): the strata z, or x or y.
+type Axis int
+
+// The axes a fold can join a slot code onto.
+const (
+	AxisZ Axis = iota
+	AxisX
+	AxisY
+)
 
 // RowsPerSlot counts the rows of each slot of a row→slot map, up to the last
 // slot that has any (a negative slot is an unresolved row, counted nowhere).
@@ -50,74 +68,188 @@ func RowsPerSlot(slots []int32) []int32 {
 	return rows
 }
 
-// NewSlotCube tallies the rows of a row→slot map against the outcome o and
-// exposure t: stable counting sorts (o, [t,] slot) and a merge of equal
-// neighbours, O(rows + slots + |T|).
-func NewSlotCube(slots, o, t []int32, co, ct int) *SlotCube {
+// NewSlotCube keys the rows of a row→slot map by their codes in z, x and y,
+// each a direct code column as long as the map or the constant column (no
+// Codes: an absent part, of card 1). A row is in the cube when it has a slot
+// and every present part has a code. The cells are counted on the first
+// fold (build) and shared by every later one, so concurrent folds are safe.
+// It returns nil when the parts' cards alone leave MaxDense: no fold of such
+// a cube is dense.
+func NewSlotCube(slots []int32, z, x, y Dim) *SlotCube {
+	c := &SlotCube{slots: slots}
+	size := 1
+	for j, d := range [3]Dim{z, x, y} {
+		c.card[j], c.parts[j] = 1, d.Codes
+		if d.Codes != nil {
+			c.card[j] = d.Card
+		}
+		if size *= c.card[j]; size > MaxDense {
+			return nil
+		}
+	}
+	return c
+}
+
+// build counts the cells: each row's composite key, the keys bucketed by
+// slot, then each slot's keys counted — into a dense count per key while
+// the keys are few next to the rows, else by sorting the slot's keys — and
+// listed in ascending order. O(rows + slots + keys), and every pass over the
+// rows reads them in order.
+func (c *SlotCube) build() {
 	partitions.Add(1)
-	c := &SlotCube{co: co, ct: ct}
-	rows := make([]int32, len(slots))
 	nSlots := 0
-	for i, s := range slots {
-		rows[i] = int32(i)
+	for _, s := range c.slots {
 		nSlots = max(nSlots, int(s)+1)
 	}
-	rows = sortRows(rows, o, co)
-	c.pair = mergeCells(sortRows(rows, slots, nSlots), slots, nSlots, func(r int32) int32 { return o[r] })
-	if co > 0 && ct > 0 && co*ct <= MaxDense {
-		rows = sortRows(sortRows(rows, t, ct), slots, nSlots)
-		c.cube = mergeCells(rows, slots, nSlots, func(r int32) int32 { return t[r]*int32(co) + o[r] })
+	// key[r] = (z·card₁ + x)·card₂ + y, or -1 for a row the cube leaves out.
+	key := make([]int32, len(c.slots))
+	for r, s := range c.slots {
+		key[r] = s >> 31 // 0, or -1 for an unresolved row
 	}
-	return c
-}
-
-// sortRows stably sorts rows by keys[row] ∈ [0, card), dropping the rows
-// whose key is missing.
-func sortRows(rows, keys []int32, card int) []int32 {
-	next := make([]int32, card+1) // next[k]: where the next row of key k goes
-	for _, r := range rows {
-		if k := keys[r]; k >= 0 {
-			next[k+1]++
+	for j, p := range c.parts {
+		if p == nil {
+			continue
+		}
+		card := int32(c.card[j])
+		for r, v := range p[:len(key)] {
+			switch k := key[r]; {
+			case k < 0:
+			case v < 0:
+				key[r] = -1
+			default:
+				key[r] = k*card + v
+			}
 		}
 	}
-	for k := 1; k <= card; k++ {
-		next[k] += next[k-1]
-	}
-	out := make([]int32, next[card])
-	for _, r := range rows {
-		if k := keys[r]; k >= 0 {
-			out[next[k]] = r
-			next[k]++
+	first := make([]int32, nSlots+1) // the keys of slot s are bySlot[first[s]:first[s+1]]
+	for r, s := range c.slots {
+		if key[r] >= 0 {
+			first[s+1]++
 		}
 	}
-	return out
-}
-
-// mergeCells collapses rows sorted by (slot, key(row)) into one cell per
-// distinct pair.
-func mergeCells(rows, slots []int32, nSlots int, key func(r int32) int32) slotCells {
-	c := slotCells{start: make([]int32, nSlots+1)}
-	lastSlot, lastKey := int32(-1), int32(-1)
-	for _, r := range rows {
-		s, k := slots[r], key(r)
-		if s != lastSlot || k != lastKey {
-			c.key = append(c.key, k)
-			c.rows = append(c.rows, 0)
-			c.start[s+1]++ // cells of slot s, summed into offsets below
-			lastSlot, lastKey = s, k
+	for s := range nSlots {
+		first[s+1] += first[s]
+	}
+	next := slices.Clone(first[:nSlots])
+	bySlot := make([]int32, first[nSlots])
+	for r, s := range c.slots {
+		if k := key[r]; k >= 0 {
+			bySlot[next[s]] = k
+			next[s]++
 		}
-		c.rows[len(c.rows)-1]++
 	}
-	for s := 0; s < nSlots; s++ {
-		c.start[s+1] += c.start[s]
+
+	c.start = make([]int32, nSlots+1)
+	c1, c2 := int32(c.card[1]), int32(c.card[2])
+	add := func(k, rows int32) {
+		c.key = append(c.key, k)
+		c.part[0] = append(c.part[0], k/(c1*c2))
+		c.part[1] = append(c.part[1], k/c2%c1)
+		c.part[2] = append(c.part[2], k%c2)
+		c.rows = append(c.rows, float64(rows))
 	}
-	return c
+	keys := c.card[0] * c.card[1] * c.card[2]
+	var count, seen []int32
+	if keys <= 4*len(bySlot)+1024 {
+		count = make([]int32, keys)
+	}
+	for s := range nSlots {
+		seg := bySlot[first[s]:first[s+1]]
+		if count != nil {
+			seen = seen[:0]
+			for _, k := range seg {
+				if count[k] == 0 {
+					seen = append(seen, k)
+				}
+				count[k]++
+			}
+			slices.Sort(seen)
+			for _, k := range seen {
+				add(k, count[k])
+				count[k] = 0
+			}
+		} else {
+			slices.Sort(seg)
+			for i := 0; i < len(seg); {
+				j := i + 1
+				for j < len(seg) && seg[j] == seg[i] {
+					j++
+				}
+				add(seg[i], int32(j-i))
+				i = j
+			}
+		}
+		c.start[s+1] = int32(len(c.key))
+	}
 }
 
-// fold adds every cell's rows to out[key·ce+code], code being e's for the
-// cell's slot; a slot whose code is missing is skipped whole.
-func (c *slotCells) fold(e []int32, ce int, out []float64) {
-	for s := 0; s+1 < len(c.start); s++ {
+// Fold tallies the cube through e, one code per slot with cardinality ce,
+// joined onto axis on: what CountXYZOf returns over the parts and e broadcast
+// to rows with nil weights — the axis on read as the product ids of (its
+// part, e), or e alone when the part is absent — buffer for buffer, with its
+// occupancy listed. It reports false, and tallies nothing, where that row
+// pass would not be dense, and where a part of card 0 leaves the joined axis
+// without product ids; the caller then runs the row pass.
+// Counted as a dense pass like the row pass it stands for. Backed by pooled
+// storage — call Release when done.
+func (c *SlotCube) Fold(e []int32, ce int, on Axis) (XYZ, bool) {
+	if c == nil || ce <= 0 {
+		return XYZ{}, false
+	}
+	// The tally's cards: each part's, times ce on the joined axis.
+	d := c.card
+	d[on] *= ce
+	zc, cx, cy := d[0], d[1], d[2]
+	if size := zc * cx * cy; size <= 0 || size > MaxDense {
+		return XYZ{}, false
+	}
+	t := newDenseXYZ(cx, cy, zc)
+	t.WeightSum = c.foldInto(e, ce, on, cx, cy, t.Joint, t.ZX, t.ZY, t.Z)
+	t.WeightSqSum = t.WeightSum // every weight is 1
+	t.occupy()
+	return t, true
+}
+
+// foldInto adds every cell's rows to the three-way layout
+// joint[(z·cx+x)·cy+y] and its margins zx[z·cx+x], zy[z·cy+y], z[z], e's code
+// for the cell's slot joined onto axis on; a slot whose code is missing is
+// skipped whole. It returns the rows added.
+func (c *SlotCube) foldInto(e []int32, ce int, on Axis, cx, cy int, joint, zx, zy, z []float64) (total float64) {
+	c.once.Do(c.build)
+	mul := [3]int{1, 1, 1}
+	mul[on] = ce
+	mz, mx, my := mul[0], mul[1], mul[2]
+	for s := 0; s+1 < len(c.start) && s < len(e); s++ {
+		ec := int(e[s])
+		if ec < 0 {
+			continue
+		}
+		var add [3]int
+		add[on] = ec
+		az, ax, ay := add[0], add[1], add[2]
+		lo, hi := c.start[s], c.start[s+1]
+		pz, px, py, rows := c.part[0][lo:hi], c.part[1][lo:hi], c.part[2][lo:hi], c.rows[lo:hi]
+		for k, n := range rows {
+			zi := int(pz[k])*mz + az
+			xz := zi*cx + int(px[k])*mx + ax
+			yi := int(py[k])*my + ay
+			joint[xz*cy+yi] += n
+			zx[xz] += n
+			zy[zi*cy+yi] += n
+			z[zi] += n
+			total += n
+		}
+	}
+	return total
+}
+
+// foldJoint adds every cell's rows to the joint alone, e's code joined onto y,
+// for a cube without a y part: the index is key·ce + e. Where the joint is
+// small next to the cells, its margins are cheaper summed from it densely
+// than added cell by cell.
+func (c *SlotCube) foldJoint(e []int32, ce int, joint []float64) {
+	c.once.Do(c.build)
+	for s := 0; s+1 < len(c.start) && s < len(e); s++ {
 		ec := int(e[s])
 		if ec < 0 {
 			continue
@@ -125,23 +257,42 @@ func (c *slotCells) fold(e []int32, ce int, out []float64) {
 		key := c.key[c.start[s]:c.start[s+1]]
 		rows := c.rows[c.start[s]:c.start[s+1]]
 		for k, run := range key {
-			out[int(run)*ce+ec] += rows[k]
+			joint[int(run)*ce+ec] += rows[k]
 		}
+	}
+}
+
+// ScreenCube is the online prune's fused screen in aggregate form: two cubes
+// of one row→slot map, its rows keyed by o (the (O, E) tallies, which count a
+// row whatever its T) and by (t, o) (the (O, T, E) joint).
+type ScreenCube struct {
+	co, ct     int
+	pair, cond *SlotCube
+}
+
+// NewScreenCube keys the rows of a row→slot map by the outcome o, and by the
+// exposure t and o. Its cells are counted on first use.
+func NewScreenCube(slots []int32, o, t Dim) *ScreenCube {
+	return &ScreenCube{
+		co: o.Card, ct: t.Card,
+		pair: NewSlotCube(slots, Dim{Card: 1}, o, Dim{Card: 1}),
+		cond: NewSlotCube(slots, t, o, Dim{Card: 1}),
 	}
 }
 
 // Screen folds the cube through e, one code per slot with cardinality ce:
 // what CountScreen(o, t, e broadcast to rows, co, ct, ce, nil) returns, nil
-// exactly when that is nil. Only the two joints are folded cell by cell; the
-// margins are dense sums of them — sums of integers, exact in any order.
+// exactly when that is nil. The two joints are the folds of the (t, o) cells
+// and of the o cells with e on y; the margins are dense sums of them — sums
+// of integers, exact in any order.
 // Counted as a dense pass like the row pass it stands for.
-func (c *SlotCube) Screen(e []int32, ce int) *Screen {
+func (c *ScreenCube) Screen(e []int32, ce int) *Screen {
 	s := newScreen(c.co, c.ct, ce)
 	if s == nil {
 		return nil
 	}
 	co := c.co
-	c.cube.fold(e, ce, s.JointT)
+	c.cond.foldJoint(e, ce, s.JointT)
 	for run := range s.TO {
 		tc, oc := run/co, run%co
 		te := s.TE[tc*ce : (tc+1)*ce]
@@ -165,17 +316,17 @@ func (c *SlotCube) Screen(e []int32, ce int) *Screen {
 	return s
 }
 
-// PairO folds the (slot, o) cells through e the same way: the (O, E) tally
-// over the rows with a slot, an outcome and a present code, whatever their T.
-// Not counted as a pass. Backed by pooled storage — call Release when done.
-func (c *SlotCube) PairO(e []int32, ce int) Pair {
+// PairO folds the o cells through e the same way: the (O, E) tally over the
+// rows with a slot, an outcome and a present code, whatever their T. Not
+// counted as a pass. Backed by pooled storage — call Release when done.
+func (c *ScreenCube) PairO(e []int32, ce int) Pair {
 	p := newPair(c.co, ce)
 	p.Total = c.foldPair(e, ce, p.Joint, p.XMargin, p.EMargin)
 	return p
 }
 
-func (c *SlotCube) foldPair(e []int32, ce int, joint, oMargin, eMargin []float64) (total float64) {
-	c.pair.fold(e, ce, joint)
+func (c *ScreenCube) foldPair(e []int32, ce int, joint, oMargin, eMargin []float64) (total float64) {
+	c.pair.foldJoint(e, ce, joint)
 	for oc := 0; oc < c.co; oc++ {
 		for ec, n := range joint[oc*ce : (oc+1)*ce] {
 			oMargin[oc] += n

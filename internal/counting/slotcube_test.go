@@ -20,12 +20,12 @@ func broadcast(codes, slots []int32) []int32 {
 	return out
 }
 
-// checkFoldIsRowPass holds SlotCube.Screen to its contract: every buffer and
+// checkFoldIsRowPass holds ScreenCube.Screen to its contract: every buffer and
 // weight sum == CountScreen over the broadcast codes with nil weights, and
 // nil exactly when that is nil. It returns whether the screen was dense.
 func checkFoldIsRowPass(t testing.TB, slots, o, tc, codes []int32, co, ct, ce int) bool {
 	t.Helper()
-	cube := NewSlotCube(slots, o, tc, co, ct)
+	cube := NewScreenCube(slots, Dim{Codes: o, Card: co}, Dim{Codes: tc, Card: ct})
 	got := cube.Screen(codes, ce)
 	want := CountScreen(o, tc, broadcast(codes, slots), co, ct, ce, nil)
 	defer got.Release()
@@ -118,6 +118,108 @@ func TestSlotCubeScreenDenseGate(t *testing.T) {
 	}
 }
 
+// checkKeyedFold holds SlotCube.Fold to its contract for each axis: the
+// folded tally equals, buffer for buffer and occupancy included, CountXYZOf
+// over the parts and the codes broadcast to rows with nil weights — the axis
+// the codes join read as IDs' product ids of (its part, the codes), or the
+// codes alone where the part is absent — and the fold reports false exactly
+// where that pass is not dense. parts[j] with nil Codes is absent.
+func checkKeyedFold(t testing.TB, slots []int32, parts [3]Dim, codes []int32, ce int) {
+	t.Helper()
+	cube := NewSlotCube(slots, parts[0], parts[1], parts[2])
+	eb := Dim{Codes: broadcast(codes, slots), Card: ce}
+	for on := AxisZ; on <= AxisY; on++ {
+		var dims [3]Dim
+		for j, p := range parts {
+			switch {
+			case Axis(j) != on && p.Codes == nil:
+				dims[j] = Dim{Card: 1}
+			case Axis(j) != on:
+				dims[j] = p
+			case p.Codes == nil:
+				dims[j] = eb
+			default:
+				ids, card := IDs([]Dim{p, eb}, len(slots))
+				dims[j] = Dim{Codes: ids, Card: card}
+			}
+		}
+		dense := ce > 0 && dims[0].Card*dims[1].Card*dims[2].Card <= MaxDense
+		for j, d := range dims {
+			dense = dense && d.Card > 0 && (parts[j].Codes == nil || parts[j].Card > 0)
+		}
+		got, ok := cube.Fold(codes, ce, on)
+		if ok != dense {
+			t.Fatalf("axis %d, cards %d·%d·%d: fold dense = %v, row pass dense = %v", on, dims[0].Card, dims[1].Card, dims[2].Card, ok, dense)
+		}
+		if !ok {
+			continue
+		}
+		want := CountXYZOf(dims[1], dims[2], dims[0], Weights{})
+		checkOccupancy(t, "the fold", got)
+		gotOcc, wantOcc := *got.Occupancy(), *want.Occupancy()
+		g, w := got, want
+		g.sc, w.sc = nil, nil
+		if !reflect.DeepEqual(g, w) || !reflect.DeepEqual(gotOcc.Strata, wantOcc.Strata) {
+			t.Fatalf("axis %d, %d rows, %d slots: fold differs from the row pass\nfold %+v\nrows %+v", on, len(slots), len(codes), g, w)
+		}
+		got.Release()
+		want.Release()
+	}
+}
+
+// TestSlotCubeFoldMatchesRowPass is the keyed fold's differential: random
+// slot maps with unresolved rows, per-slot codes with missing ones and codes
+// no row uses, parts with missing codes, absent parts, a part of card 0, more
+// keys than rows and a zero-row map, each code joined onto every axis.
+func TestSlotCubeFoldMatchesRowPass(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n, nSlots := r.Intn(400), 1+r.Intn(40)
+		if seed%11 == 0 {
+			n = 0
+		}
+		slots := randomCodes(r, n, nSlots, 1+r.Intn(6))
+		var parts [3]Dim
+		for j := range parts {
+			if r.Intn(3) > 0 {
+				card := r.Intn(9)
+				parts[j] = Dim{Codes: randomCodes(r, n, card, r.Intn(5)), Card: card}
+			}
+		}
+		ce := r.Intn(12)
+		if seed%4 == 0 { // more keys than rows: the cells are counted by sorting
+			parts[0] = Dim{Codes: randomCodes(r, n, 3000, r.Intn(5)), Card: 3000}
+			ce = r.Intn(3)
+		}
+		checkKeyedFold(t, slots, parts, randomCodes(r, nSlots+r.Intn(3), ce, r.Intn(4)), ce)
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 600}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSlotCubeFoldDenseGate walks the product of the cards up to and across
+// MaxDense on each axis: the fold is dense exactly where the row pass is,
+// and a cube whose parts alone leave MaxDense is nil and folds nothing.
+func TestSlotCubeFoldDenseGate(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	const n, nSlots = 2000, 50
+	slots := randomCodes(r, n, nSlots, 7)
+	part := func(card int) Dim { return Dim{Codes: randomCodes(r, n, card, 9), Card: card} }
+	for _, ce := range []int{1024, 1025} {
+		codes := randomCodes(r, nSlots, ce, 6)
+		checkKeyedFold(t, slots, [3]Dim{part(1024), part(2), part(2)}, codes, ce)
+		checkKeyedFold(t, slots, [3]Dim{{}, part(2), part(2048)}, codes, ce)
+	}
+	if c := NewSlotCube(slots, part(2048), part(2049), Dim{}); c != nil {
+		t.Fatal("a cube whose parts leave MaxDense is not nil")
+	}
+	if _, ok := (*SlotCube)(nil).Fold(make([]int32, nSlots), 2, AxisZ); ok {
+		t.Fatal("a nil cube folded")
+	}
+}
+
 func TestRowsPerSlot(t *testing.T) {
 	if got, want := RowsPerSlot([]int32{2, 0, -1, 2, 2}), []int32{1, 0, 3}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("RowsPerSlot = %v, want %v", got, want)
@@ -151,9 +253,9 @@ func TestSlotCubeSlotMajorCorners(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	wideSlots, wideO, wideT := randomCodes(r, 500, 40, 6), randomCodes(r, 500, co, 7), randomCodes(r, 500, ct, 7)
 	codes := randomCodes(r, 40, ce, 5)
-	cube := NewSlotCube(wideSlots, wideO, wideT, co, ct)
-	if len(cube.cube.key) != 0 || cube.Screen(codes, ce) != nil {
-		t.Fatalf("past MaxDense the cube holds %d cells and Screen != nil is %v", len(cube.cube.key), cube.Screen(codes, ce) != nil)
+	cube := NewScreenCube(wideSlots, Dim{Codes: wideO, Card: co}, Dim{Codes: wideT, Card: ct})
+	if cube.cond != nil || cube.Screen(codes, ce) != nil {
+		t.Fatalf("past MaxDense the (t, o) cube is %v and Screen != nil is %v", cube.cond, cube.Screen(codes, ce) != nil)
 	}
 	got, want := cube.PairO(codes, ce), CountPair(wideO, broadcast(codes, wideSlots), co, ce, nil)
 	defer got.Release()

@@ -73,6 +73,18 @@ func TallyMutualInfo(p *counting.Pair) float64 {
 	return denseMI(p.Joint, p.XMargin, p.EMargin, []float64{p.Total}, p.Cx, p.Ce, p.Occupancy(), p.Total)
 }
 
+// TallyCondMutualInfo returns I(X; Y | Z) in bits from a dense three-way
+// tally the caller holds, and releases it: CondMutualInfo's finalize (the
+// denseMI walk of cmiDenseStats over the tally's occupancy) for a tally that
+// was folded rather than counted over rows (counting.SlotCube.Fold).
+func TallyCondMutualInfo(t *counting.XYZ) float64 {
+	defer t.Release()
+	if t.WeightSum <= 0 {
+		return 0
+	}
+	return denseMI(t.Joint, t.ZX, t.ZY, t.Z, t.Cx, t.Cy, t.Occupancy(), t.WeightSum)
+}
+
 // CondMutualInfo returns I(X; Y | G1, ..., Gk) in bits over rows where x, y
 // and every conditioning variable are present. It returns 0 when no complete
 // cases exist. Negative values arising from floating-point error are clamped
@@ -148,7 +160,9 @@ func cmi(x, y Var, given []Var, w Weights) cmiStats {
 
 // strata is the conditioning set as one kernel column: the constant column
 // of the single stratum, the one variable in its own form, or the composite
-// ids of a larger set (DenseIDs, read through any row→slot maps).
+// ids of a larger set (DenseIDs, read through any row→slot maps) — under
+// MaxDense as a composite column whose product ids the tally computes a run
+// at a time (counting.Product), past it as the first-seen id vector.
 func strata(given []Var, n int) counting.Dim {
 	switch len(given) {
 	case 0:
@@ -158,7 +172,14 @@ func strata(given []Var, n int) counting.Dim {
 		z.Card = max(z.Card, 1)
 		return z
 	}
-	ids, card := DenseIDs(given, n)
+	dims := make([]counting.Dim, len(given))
+	for i, g := range given {
+		dims[i] = dim(g)
+	}
+	if z, ok := counting.Product(dims); ok {
+		return z
+	}
+	ids, card := counting.IDs(dims, n)
 	return counting.Dim{Codes: ids, Card: card}
 }
 
