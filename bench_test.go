@@ -353,7 +353,7 @@ func BenchmarkOnlinePruneFlights(b *testing.B) {
 	sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 	sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
 	ctx := context.Background()
-	opts := core.DefaultPruneOptions()
+	var opts core.PruneOptions
 	var rowCands float64
 	b.ReportAllocs()
 	b.ResetTimer()

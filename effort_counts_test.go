@@ -31,7 +31,7 @@ var effortCounts = map[string][]effortCount{
 		{"composite_rebuilds", 3},
 		{"counting_dense_passes", 1913},
 		{"counting_id_joins", 4},
-		{"counting_partitions", 877},
+		{"counting_partitions", 875},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 189},
 		{"entities_unresolved", 5},
@@ -59,7 +59,7 @@ var effortCounts = map[string][]effortCount{
 		{"cond_walks", 6},
 		{"counting_dense_passes", 2020},
 		{"counting_id_joins", 2},
-		{"counting_partitions", 861},
+		{"counting_partitions", 858},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 654},
 		{"entities_unresolved", 100},

@@ -37,9 +37,7 @@ func rowForm(cands []*core.Candidate) []*core.Candidate {
 }
 
 func noPermRelevance() core.PruneOptions {
-	opts := core.DefaultPruneOptions()
-	opts.DisablePermRelevance = true
-	return opts
+	return core.PruneOptions{DisablePermRelevance: true}
 }
 
 func candidateNames(cands []*core.Candidate) []string {
@@ -61,7 +59,7 @@ func TestOnlinePruneUsesTheRunsOutcome(t *testing.T) {
 	w := integrationWorld()
 	ds := workload.Covid(w, workload.Config{Seed: 2})
 	ctx := context.Background()
-	opts := core.DefaultPruneOptions()
+	var opts core.PruneOptions
 	prepare := func() *nexus.Analysis {
 		sess := nexus.NewSession(w.Graph, nil)
 		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
@@ -208,7 +206,8 @@ func TestCondVerdictsMatchUnfusedOnDatasets(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cubes := map[*int32]*counting.ScreenCube{}
+					type cubes struct{ cube, pair *counting.SlotCube }
+					byMap := map[*int32]cubes{}
 					folded, byEntropyForm, verdicts := 0, 0, 0
 					for _, c := range a.Candidates {
 						enc, err := c.Enc()
@@ -226,10 +225,14 @@ func TestCondVerdictsMatchUnfusedOnDatasets(t *testing.T) {
 								t.Fatal(err)
 							}
 							key := &c.Entity.Slots[0]
-							if cubes[key] == nil {
-								cubes[key] = counting.NewScreenCube(c.Entity.Slots, counting.Dim{Codes: a.O.Codes, Card: a.O.Card}, counting.Dim{Codes: a.T.Codes, Card: a.T.Card})
+							if _, ok := byMap[key]; !ok {
+								o, none := counting.Dim{Codes: a.O.Codes, Card: a.O.Card}, counting.Dim{Card: 1}
+								byMap[key] = cubes{
+									cube: counting.NewSlotCube(c.Entity.Slots, none, o, counting.Dim{Codes: a.T.Codes, Card: a.T.Card}),
+									pair: counting.NewSlotCube(c.Entity.Slots, none, o, none),
+								}
 							}
-							if sc = infotheory.ScreenSlots(cubes[key], ent); sc != nil {
+							if sc = infotheory.ScreenSlots(byMap[key].cube, byMap[key].pair, ent); sc != nil {
 								folded++
 							}
 						}

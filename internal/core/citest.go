@@ -169,11 +169,12 @@ func permSignificant(ctx context.Context, tr *obs.Trace, op PermOp, t, o *bins.E
 // entity-form candidate: its dependence on the outcome must beat a null that
 // shuffles the slot-level codes across slots (the null Candidate.Permute
 // broadcasts). Permuting at entity granularity only regroups slots, so each
-// statistic costs O(#slots · |O|) from the cube's (o, slot) cells instead of
-// O(#rows) — the cube of this run's outcome. Serial; exits early like permTest.
-func entityPermDependent(tr *obs.Trace, cube *counting.ScreenCube, name string, ent *bins.Encoded, b, allow int, seed uint64) bool {
+// statistic costs O(#slots · |O|) from the cells of pair, the (·, O, ·) cube
+// of the candidate's link column and this run's outcome, instead of O(#rows).
+// Serial; exits early like permTest.
+func entityPermDependent(tr *obs.Trace, pair *counting.SlotCube, name string, ent *bins.Encoded, b, allow int, seed uint64) bool {
 	tr.Add(obs.CITests, 1)
-	observed := slotMI(cube, ent.Codes, ent.Card)
+	observed := slotMI(pair, ent.Codes, ent.Card)
 	if observed <= 0 {
 		return false
 	}
@@ -184,7 +185,7 @@ func entityPermDependent(tr *obs.Trace, cube *counting.ScreenCube, name string, 
 	for ran < b && exceed <= allow {
 		ran++
 		shuffleObservedInto(codes, ent.Codes, rng)
-		if slotMI(cube, codes, ent.Card) >= observed {
+		if slotMI(pair, codes, ent.Card) >= observed {
 			exceed++
 		}
 	}
@@ -192,12 +193,12 @@ func entityPermDependent(tr *obs.Trace, cube *counting.ScreenCube, name string, 
 	return exceed <= allow
 }
 
-// slotMI computes I(O; E) where E assigns the cube's entity slots to codes,
-// over the rows that have a slot, an outcome and a present code: the marginal
-// finalize of infotheory over the cube's (O, E) fold, equal bit for bit to
-// infotheory.MutualInfo on the broadcast encoding.
-func slotMI(cube *counting.ScreenCube, slotCodes []int32, card int) float64 {
-	p := cube.PairO(slotCodes, card)
+// slotMI computes I(O; E) where E assigns the entity slots of pair, a
+// (·, O, ·) cube, to codes, over the rows that have a slot, an outcome and a
+// present code: the marginal finalize of infotheory over the cube's (O, E)
+// fold, equal bit for bit to infotheory.MutualInfo on the broadcast encoding.
+func slotMI(pair *counting.SlotCube, slotCodes []int32, card int) float64 {
+	p := pair.Pair(slotCodes, card)
 	defer p.Release()
 	return infotheory.TallyMutualInfo(&p)
 }

@@ -215,7 +215,7 @@ func TestOfflinePruneRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := []*Candidate{mk("const", constant), mk("wikiID", unique), mc, mk("good", ok)}
-	kept, stats, err := OfflinePruneCtx(context.Background(), nil, cands, DefaultPruneOptions())
+	kept, stats, err := OfflinePruneCtx(context.Background(), nil, cands, PruneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestOfflinePruneEntityLevelUnique(t *testing.T) {
 	}
 	c.EntityCard = 100
 	c.EntityComplete = 100
-	kept, st, err := OfflinePruneCtx(context.Background(), nil, []*Candidate{c}, DefaultPruneOptions())
+	kept, st, err := OfflinePruneCtx(context.Background(), nil, []*Candidate{c}, PruneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestOnlinePruneLogicalDependency(t *testing.T) {
 	codes := make([]int32, s.t.Len())
 	copy(codes, s.t.Codes)
 	fd := FromEncoded(&bins.Encoded{Name: "Tcode", Codes: codes, Card: s.t.Card}, OriginKG)
-	kept, st, err := OnlinePruneCtx(context.Background(), nil, s.t, s.o, []*Candidate{fd, s.z1}, DefaultPruneOptions())
+	kept, st, err := OnlinePruneCtx(context.Background(), nil, s.t, s.o, []*Candidate{fd, s.z1}, PruneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestOnlinePruneLogicalDependency(t *testing.T) {
 
 func TestOnlinePruneLowRelevance(t *testing.T) {
 	s := buildScenario(t, 8000, 9)
-	kept, st, err := OnlinePruneCtx(context.Background(), nil, s.t, s.o, []*Candidate{s.noise, s.z1}, DefaultPruneOptions())
+	kept, st, err := OnlinePruneCtx(context.Background(), nil, s.t, s.o, []*Candidate{s.noise, s.z1}, PruneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

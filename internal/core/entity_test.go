@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nexus/internal/bins"
-	"nexus/internal/counting"
 	"nexus/internal/infotheory"
 	"nexus/internal/stats"
 	"nexus/internal/table"
@@ -58,9 +57,8 @@ func TestSlotMIMatchesRowLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Contingency (o code × slot): the cube's own, under a constant exposure.
-		cube := counting.NewScreenCube(rowSlot, counting.Dim{Codes: o.Codes, Card: o.Card}, counting.Dim{Codes: make([]int32, n), Card: 1})
-		fast := slotMI(cube, slotCodes, 4)
+		// Contingency (o code × slot): the (·, O, ·) cube's own.
+		fast := slotMI(newSlotFolds(nil, o).cube(rowSlot, nil, o, nil), slotCodes, 4)
 
 		// Row-level reference.
 		e := (&bins.Encoded{Name: "E", Card: 4, Codes: slotCodes}).Broadcast(rowSlot)

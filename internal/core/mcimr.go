@@ -25,7 +25,8 @@ type Options struct {
 	// redundancy pass and every permutation test (default GOMAXPROCS).
 	// Selection is identical at any setting.
 	Parallelism int
-	// Prune tunes §4.2; zero value means DefaultPruneOptions.
+	// Prune switches off the permutation variant of §4.2's low-relevance
+	// test; the zero value runs it.
 	Prune PruneOptions
 	// DisableOfflinePrune / DisableOnlinePrune switch the optimizations off
 	// (the paper's MESA- and "No Pruning"/"Offline Pruning" baselines).
@@ -84,7 +85,7 @@ const (
 
 // DefaultOptions returns the paper's default configuration.
 func DefaultOptions() Options {
-	return Options{K: 5, Prune: DefaultPruneOptions()}
+	return Options{K: 5}
 }
 
 func (o *Options) applyDefaults() {
@@ -93,9 +94,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.Prune == (PruneOptions{}) {
-		o.Prune = DefaultPruneOptions()
 	}
 }
 
@@ -149,6 +147,8 @@ func (e *Explanation) Names() []string {
 // Every phase reads a candidate's encoding and IPW weights from the candidate
 // itself, which computes them once; a KG candidate's stay in entity form,
 // read through the row→slot map, so Explain builds no n-long vector for it.
+// The online prune and MCIMR fold such candidates from one store of slot
+// cubes (slotFolds), so a link column's cube that both read is built once.
 func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Explanation, error) {
 	opts.applyDefaults()
 	start := time.Now()
@@ -164,6 +164,7 @@ func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts O
 	defer func() { counting.Stats().Delta(countBase).Each(tr.Add) }()
 
 	res := &Explanation{BaseScore: infotheory.MutualInfo(o, t, nil)}
+	folds := newSlotFolds(t, o)
 	working := cands
 	if !opts.DisableOfflinePrune {
 		var err error
@@ -180,7 +181,7 @@ func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts O
 		var err error
 		var stats PruneStats
 		sp := tr.Start("online-prune")
-		working, stats, err = OnlinePruneCtx(ctx, tr, t, o, working, opts.Prune)
+		working, stats, err = onlinePrune(ctx, tr, folds, working, opts.Prune)
 		recordPruneSpan(tr, sp, "online", stats)
 		if err != nil {
 			return nil, err
@@ -188,7 +189,7 @@ func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts O
 		res.OnlineStats = stats
 	}
 
-	sel, err := MCIMRCtx(ctx, t, o, working, opts)
+	sel, err := mcimr(ctx, folds, working, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -271,6 +272,14 @@ type considerEval struct {
 //     is evaluated.
 func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts Options) (*Selection, error) {
 	opts.applyDefaults()
+	return mcimr(ctx, newSlotFolds(t, o), cands, opts)
+}
+
+// mcimr is MCIMRCtx folding from the cubes of folds, which may hold the
+// online prune's: the relevance pass and the first iteration's tests read
+// the (·, O, T) and (·, O, ·) cubes it built. opts has its defaults applied.
+func mcimr(ctx context.Context, folds *slotFolds, cands []*Candidate, opts Options) (*Selection, error) {
+	t, o := folds.t, folds.o
 	tr := opts.Trace
 	msp := tr.Start("mcimr")
 	defer msp.End()
@@ -301,7 +310,6 @@ func MCIMRCtx(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts 
 	// to the Scorer seam. Local evaluates the same per-candidate CMI the
 	// inline loop used to.
 	rsp := tr.Start("relevance-pass")
-	folds := newSlotFolds(t, o)
 	sctx := &ScoreContext{T: t, O: o, Tag: opts.ScoreTag, folds: folds,
 		Cands: make([]*bins.Encoded, len(cands)), Weights: make([][]float64, len(cands))}
 	parallelFor(ctx, len(cands), opts.Parallelism, func(i int) {

@@ -12,46 +12,42 @@ import (
 	"nexus/internal/obs"
 )
 
-// PruneOptions tunes the §4.2 pruning optimizations.
+// PruneOptions switches off the permutation variant of the low-relevance
+// test (see permRelevanceTests), which leaves the analytic tests alone to
+// judge relevance. Options.Prune carries it, and it is exported so that tests
+// outside this package can compare the entity and row forms of a candidate
+// without the two forms' nulls, which draw differently.
 type PruneOptions struct {
-	// MaxMissingFrac drops attributes with more missing values than this
-	// (paper: 90%).
-	MaxMissingFrac float64
-	// NearUniqueFrac and HighEntropyMin define the high-entropy filter: an
-	// attribute is dropped when its distinct count is ≥ NearUniqueFrac of
-	// its complete count and exceeds HighEntropyMin (identifiers like
-	// wikiID).
-	NearUniqueFrac float64
-	HighEntropyMin int
-	// FDThreshold is the normalized conditional-entropy threshold of the
-	// approximate-functional-dependency test (logical dependencies on T/O).
-	FDThreshold float64
-	// RelevanceThreshold is the normalized-CMI threshold of the
-	// low-relevance test ((O ⊥ E | C) and (O ⊥ E | C, T) ⇒ drop).
-	RelevanceThreshold float64
-	// PermRelevance enables the permutation variant of the low-relevance
-	// test for candidates that provide Permute: the attribute is kept only
-	// if its marginal dependence on O beats a source-granularity
-	// permutation null (B = PermRelevanceTests, default 19). This is what removes
-	// entity-level attributes whose correlation with the outcome is pure
-	// entity-sampling chance. Enabled by default below MaxPermRows rows.
 	DisablePermRelevance bool
-	PermRelevanceTests   int // default 19
-	MaxPermRows          int // default 1_000_000
 }
 
-// DefaultPruneOptions returns the thresholds used across the experiments.
-func DefaultPruneOptions() PruneOptions {
-	return PruneOptions{
-		MaxMissingFrac:     0.9,
-		NearUniqueFrac:     0.9,
-		HighEntropyMin:     20,
-		FDThreshold:        0.05,
-		RelevanceThreshold: 0.02,
-		PermRelevanceTests: 19,
-		MaxPermRows:        1_000_000,
-	}
-}
+// The §4.2 thresholds, used across the experiments.
+const (
+	// maxMissingFrac drops attributes with more missing values than this
+	// (paper: 90%).
+	maxMissingFrac = 0.9
+	// nearUniqueFrac and highEntropyMin define the high-entropy filter: an
+	// attribute is dropped when its distinct count is ≥ nearUniqueFrac of its
+	// complete count and exceeds highEntropyMin (identifiers like wikiID).
+	nearUniqueFrac = 0.9
+	highEntropyMin = 20
+	// fdThreshold is the normalized conditional-entropy threshold of the
+	// approximate-functional-dependency test (logical dependencies on T/O).
+	fdThreshold = 0.05
+	// relevanceThreshold is the normalized-CMI threshold of the low-relevance
+	// test ((O ⊥ E | C) and (O ⊥ E | C, T) ⇒ drop).
+	relevanceThreshold = 0.02
+	// permRelevanceTests is the number of draws of the permutation variant of
+	// the low-relevance test, run for candidates that provide Permute: the
+	// attribute is kept only if its marginal dependence on O beats a
+	// source-granularity permutation null. This is what removes entity-level
+	// attributes whose correlation with the outcome is pure entity-sampling
+	// chance.
+	permRelevanceTests = 19
+	// maxPermRows bounds the rows of an input column whose null shuffles rows;
+	// past it the null is skipped and the candidate kept.
+	maxPermRows = 1_000_000
+)
 
 // PruneReason classifies why an attribute was pruned.
 type PruneReason string
@@ -84,7 +80,16 @@ func newPruneStats(input int) PruneStats {
 // wrapping ctx.Err(). (Suffix and positional trace stay until a benchmark PR
 // can edit the call in bench/pipeline.go; there is no non-ctx form.)
 func OfflinePruneCtx(ctx context.Context, tr *obs.Trace, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
-	rowsPerSlot := perSlotMap(cands, counting.RowsPerSlot)
+	// The rows of each slot, counted once per link column's row→slot map.
+	rowsPerSlot := make(map[*int32][]int32)
+	for _, c := range cands {
+		if c.Entity == nil {
+			continue
+		}
+		if k := slotMapKey(c.Entity.Slots); rowsPerSlot[k] == nil {
+			rowsPerSlot[k] = counting.RowsPerSlot(c.Entity.Slots)
+		}
+	}
 	return prunePass(ctx, "offline", cands, func(_ int, c *Candidate) (PruneReason, error) {
 		// What the rules read off the encoding: length, missing count and
 		// cardinality. An entity form yields them as exact integers from slot
@@ -114,12 +119,12 @@ func OfflinePruneCtx(ctx context.Context, tr *obs.Trace, cands []*Candidate, opt
 			complete = c.EntityComplete
 		}
 		switch {
-		case n > 0 && float64(missing)/float64(n) > opts.MaxMissingFrac:
+		case n > 0 && float64(missing)/float64(n) > maxMissingFrac:
 			return PruneMissing, nil
 		case distinct <= 1:
 			return PruneConstant, nil
-		case distinct > opts.HighEntropyMin && complete > 0 &&
-			float64(distinct) >= opts.NearUniqueFrac*float64(complete):
+		case distinct > highEntropyMin && complete > 0 &&
+			float64(distinct) >= nearUniqueFrac*float64(complete):
 			return PruneUnique, nil
 		}
 		return "", nil
@@ -153,23 +158,6 @@ func prunePass(ctx context.Context, phase string, cands []*Candidate, judge func
 	return kept, stats, nil
 }
 
-// perSlotMap builds one aggregate per distinct row→slot map among the
-// candidates' entity forms (one per link column), which a prune run owns and
-// its workers share read-only.
-func perSlotMap[V any](cands []*Candidate, build func(slots []int32) V) map[*int32]V {
-	out := make(map[*int32]V)
-	for _, c := range cands {
-		if c.Entity == nil {
-			continue
-		}
-		k := slotMapKey(c.Entity.Slots)
-		if _, ok := out[k]; !ok {
-			out[k] = build(c.Entity.Slots)
-		}
-	}
-	return out
-}
-
 // slotMapKey identifies a row→slot map by its backing array, which is how
 // the candidates of one link column are recognised as sharing it; the maps
 // of a zero-row view are all the same empty one.
@@ -190,31 +178,33 @@ func slotMapKey(slots []int32) *int32 {
 // tests, relevance tests, row-level nulls, in that order) stops dispatching
 // work once ctx is done and the call returns an error wrapping ctx.Err(). (Same naming note as OfflinePruneCtx.)
 func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
+	return onlinePrune(ctx, tr, newSlotFolds(t, o), cands, opts)
+}
+
+// onlinePrune is OnlinePruneCtx folding its entity-form candidates from the
+// link columns' (·, O, ·) and (·, O, T) cubes of folds, which Explain then
+// hands on to MCIMR: its relevance pass and first iteration read the same
+// cubes.
+func onlinePrune(ctx context.Context, tr *obs.Trace, folds *slotFolds, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
+	t, o := folds.t, folds.o
 	ht := infotheory.Entropy(t, nil)
 	ho := infotheory.Entropy(o, nil)
-	cubes := perSlotMap(cands, func(slots []int32) *counting.ScreenCube {
-		return counting.NewScreenCube(slots, counting.Dim{Codes: o.Codes, Card: o.Card}, counting.Dim{Codes: t.Codes, Card: t.Card})
-	})
-	b := opts.PermRelevanceTests
-	if b <= 0 {
-		b = 19
-	}
 	return prunePass(ctx, "online", cands, func(i int, c *Candidate) (PruneReason, error) {
 		// A candidate is kept iff it passes the entity-level permutation null,
 		// the FD rule and the relevance tests, each a pure function of the
 		// candidate under its seed, so their order moves no verdict. The null
-		// goes first: it reads only the slot codes and the cube's (o, slot)
+		// goes first: it reads only the slot codes and the (·, O, ·) cube's
 		// cells, and the candidates it rejects (most extracted attributes)
 		// then pay for no IPW fit, screen or finalize.
-		var cube *counting.ScreenCube
+		var pair *counting.SlotCube
 		if c.Entity != nil {
-			cube = cubes[slotMapKey(c.Entity.Slots)]
+			pair = folds.cube(c.Entity.Slots, nil, o, nil)
 			if !opts.DisablePermRelevance {
 				ent, err := c.Entity.encoding(c.Name)
 				if err != nil {
 					return "", err
 				}
-				if !entityPermDependent(tr, cube, c.Name, ent, b, 0, 0x5eed+uint64(i)) {
+				if !entityPermDependent(tr, pair, c.Name, ent, permRelevanceTests, 0, 0x5eed+uint64(i)) {
 					return PruneIrrelevant, nil
 				}
 			}
@@ -222,31 +212,32 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 		// One fused tally yields both approximate-FD ratios (Lemma A.2:
 		// E ⇒ T or E ⇒ O fakes a perfect explanation) and the contingency
 		// tallies of both low-relevance tests. An unweighted entity-form
-		// candidate gets it by folding its link column's (slot, T, O) cube;
-		// every other candidate by a counting pass over the rows, which reads
-		// an entity form's slot codes and slot weights through its map.
+		// candidate gets it by folding its link column's (·, O, T) and
+		// (·, O, ·) cubes; every other candidate by a counting pass over the
+		// rows, which reads an entity form's slot codes and slot weights
+		// through its map.
 		enc, w, err := c.vectors()
 		if err != nil {
 			return "", err
 		}
 		var sc *infotheory.OnlineScreen
-		if cube != nil && w == nil {
-			sc = infotheory.ScreenSlots(cube, enc)
+		if c.Entity != nil && w == nil {
+			sc = infotheory.ScreenSlots(folds.cube(c.Entity.Slots, nil, o, t), pair, enc)
 		}
 		if sc == nil {
 			sc = infotheory.ScreenAll(o, t, enc, weightsOf(enc, w))
 		}
 		defer sc.Release()
 		hOgivenE, hTgivenE := sc.FDEntropies()
-		if (ht > 0 && hTgivenE/ht < opts.FDThreshold) || (ho > 0 && hOgivenE/ho < opts.FDThreshold) {
+		if (ht > 0 && hTgivenE/ht < fdThreshold) || (ho > 0 && hOgivenE/ho < fdThreshold) {
 			return PruneFD, nil
 		}
 		// Low relevance: (O ⊥ E | C) and (O ⊥ E | C, T). The conditional
 		// test is only needed when the (cheaper) marginal one fired.
 		tr.Add(obs.CITests, 1)
-		if sc.MarginalIndependent(opts.RelevanceThreshold) {
+		if sc.MarginalIndependent(relevanceThreshold) {
 			tr.Add(obs.CITests, 1)
-			independent := sc.CondIndependentGivenT(opts.RelevanceThreshold)
+			independent := sc.CondIndependentGivenT(relevanceThreshold)
 			if sc.CondWalked() {
 				tr.Add(obs.CondWalks, 1)
 			}
@@ -254,11 +245,11 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 				return PruneIrrelevant, nil
 			}
 		}
-		// An input column's null shuffles rows (b row passes), so it runs
-		// last, on the candidates nothing cheaper rejected; it is skipped
-		// (the candidate kept) past MaxPermRows.
-		if !opts.DisablePermRelevance && c.Entity == nil && c.Permute != nil && enc.Len() <= permBudget(opts) {
-			dependent, err := permSignificant(ctx, tr, PermResp, t, o, c, enc, nil, 0x5eed+uint64(i), 0, b, 0, 1, nil, nil, 0)
+		// An input column's null shuffles rows (one row pass per draw), so it
+		// runs last, on the candidates nothing cheaper rejected; it is skipped
+		// (the candidate kept) past maxPermRows.
+		if !opts.DisablePermRelevance && c.Entity == nil && c.Permute != nil && enc.Len() <= maxPermRows {
+			dependent, err := permSignificant(ctx, tr, PermResp, t, o, c, enc, nil, 0x5eed+uint64(i), 0, permRelevanceTests, 0, 1, nil, nil, 0)
 			if err != nil {
 				return "", err
 			}
@@ -268,13 +259,6 @@ func OnlinePruneCtx(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cand
 		}
 		return "", nil
 	})
-}
-
-func permBudget(opts PruneOptions) int {
-	if opts.MaxPermRows <= 0 {
-		return 1_000_000
-	}
-	return opts.MaxPermRows
 }
 
 // parallelFor runs fn(i) for i in [0, n) on up to workers goroutines

@@ -25,20 +25,18 @@ import (
 func onlinePruneOracle(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, cands []*Candidate, opts PruneOptions) ([]*Candidate, PruneStats, error) {
 	ht := infotheory.Entropy(t, nil)
 	ho := infotheory.Entropy(o, nil)
-	cubes := perSlotMap(cands, func(slots []int32) *counting.ScreenCube {
-		return counting.NewScreenCube(slots, counting.Dim{Codes: o.Codes, Card: o.Card}, counting.Dim{Codes: t.Codes, Card: t.Card})
-	})
+	folds := newSlotFolds(t, o)
 	return prunePass(ctx, "online", cands, func(i int, c *Candidate) (PruneReason, error) {
 		enc, w, err := c.vectors()
 		if err != nil {
 			return "", err
 		}
 		var sc *infotheory.OnlineScreen
-		var cube *counting.ScreenCube
+		var pair *counting.SlotCube
 		if c.Entity != nil {
-			cube = cubes[slotMapKey(c.Entity.Slots)]
+			pair = folds.cube(c.Entity.Slots, nil, o, nil)
 			if w == nil {
-				sc = infotheory.ScreenSlots(cube, enc)
+				sc = infotheory.ScreenSlots(folds.cube(c.Entity.Slots, nil, o, t), pair, enc)
 			}
 		}
 		if sc == nil {
@@ -46,13 +44,13 @@ func onlinePruneOracle(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, c
 		}
 		defer sc.Release()
 		hOgivenE, hTgivenE := sc.FDEntropies()
-		if (ht > 0 && hTgivenE/ht < opts.FDThreshold) || (ho > 0 && hOgivenE/ho < opts.FDThreshold) {
+		if (ht > 0 && hTgivenE/ht < fdThreshold) || (ho > 0 && hOgivenE/ho < fdThreshold) {
 			return PruneFD, nil
 		}
 		tr.Add(obs.CITests, 1)
-		if sc.MarginalIndependent(opts.RelevanceThreshold) {
+		if sc.MarginalIndependent(relevanceThreshold) {
 			tr.Add(obs.CITests, 1)
-			independent := sc.CondIndependentGivenT(opts.RelevanceThreshold)
+			independent := sc.CondIndependentGivenT(relevanceThreshold)
 			if sc.CondWalked() {
 				tr.Add(obs.CondWalks, 1)
 			}
@@ -61,16 +59,12 @@ func onlinePruneOracle(ctx context.Context, tr *obs.Trace, t, o *bins.Encoded, c
 			}
 		}
 		if !opts.DisablePermRelevance && (c.Permute != nil || c.Entity != nil) {
-			b := opts.PermRelevanceTests
-			if b <= 0 {
-				b = 19
-			}
 			dependent := true
 			switch {
 			case c.Entity != nil:
-				dependent = entityPermDependent(tr, cube, c.Name, enc, b, 0, 0x5eed+uint64(i))
-			case enc.Len() <= permBudget(opts):
-				if dependent, err = permSignificant(ctx, tr, PermResp, t, o, c, enc, nil, 0x5eed+uint64(i), 0, b, 0, 1, nil, nil, 0); err != nil {
+				dependent = entityPermDependent(tr, pair, c.Name, enc, permRelevanceTests, 0, 0x5eed+uint64(i))
+			case enc.Len() <= maxPermRows:
+				if dependent, err = permSignificant(ctx, tr, PermResp, t, o, c, enc, nil, 0x5eed+uint64(i), 0, permRelevanceTests, 0, 1, nil, nil, 0); err != nil {
 					return "", err
 				}
 			}
@@ -173,8 +167,7 @@ func TestOnlinePruneNullFirstMatchesOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			for _, null := range []bool{true, false} {
-				opts := DefaultPruneOptions()
-				opts.DisablePermRelevance = !null
+				opts := PruneOptions{DisablePermRelevance: !null}
 				tEnc, oEnc, cands, calls := reorderFixture(t, seed)
 				got, gotStats, err := OnlinePruneCtx(ctx, nil, tEnc, oEnc, cands, opts)
 				if err != nil {
@@ -204,9 +197,7 @@ func TestOnlinePruneNullFirstMatchesOracle(t *testing.T) {
 				for _, c := range got {
 					kept[c.Name] = true
 				}
-				cubes := perSlotMap(cands, func(slots []int32) *counting.ScreenCube {
-					return counting.NewScreenCube(slots, counting.Dim{Codes: oEnc.Codes, Card: oEnc.Card}, counting.Dim{Codes: tEnc.Codes, Card: tEnc.Card})
-				})
+				folds := newSlotFolds(tEnc, oEnc)
 				for i, c := range cands {
 					if c.Entity == nil || c.Entity.Weights == nil {
 						continue
@@ -217,7 +208,7 @@ func TestOnlinePruneNullFirstMatchesOracle(t *testing.T) {
 					}
 					n := calls[i].Load()
 					switch {
-					case !entityPermDependent(nil, cubes[slotMapKey(c.Entity.Slots)], c.Name, ent, opts.PermRelevanceTests, 0, 0x5eed+uint64(i)):
+					case !entityPermDependent(nil, folds.cube(c.Entity.Slots, nil, oEnc, nil), c.Name, ent, permRelevanceTests, 0, 0x5eed+uint64(i)):
 						if n != 0 {
 							t.Errorf("%s: the null rejects it, yet its weights were read %d times", c.Name, n)
 						}

@@ -8,16 +8,17 @@ import (
 	"nexus/internal/infotheory"
 )
 
-// slotFolds serves an MCIMR run's unweighted statistics of entity-form
-// candidates from slot cubes (counting.SlotCube): the relevance I(O;T|E), the
-// responsibility statistic I(O;E|prefix), the joint score I(O;T|prefix,E) —
-// of the candidate and of each of its permuted copies — and the redundancy
-// I(E;chosen). Each cube is keyed by a link column's row→slot map and the row
-// columns the statistic conditions on, and is shared by every candidate of
-// that link column: a statistic then costs the cube's cells, not the rows.
-// Cubes are made on first use and count their cells on their first fold, so
-// the relevance pass, the permutation workers and the redundancy pass share
-// them read-only. A nil *slotFolds folds nothing.
+// slotFolds serves an explain's unweighted statistics of entity-form
+// candidates from slot cubes (counting.SlotCube): the online prune's screen
+// and entity-level null, and MCIMR's relevance I(O;T|E), responsibility
+// statistic I(O;E|prefix), joint score I(O;T|prefix,E) — of the candidate and
+// of each of its permuted copies — and redundancy I(E;chosen). Each cube is
+// keyed by a link column's row→slot map and the row columns the statistic
+// conditions on, and is shared by every candidate of that link column: a
+// statistic then costs the cube's cells, not the rows. Cubes are made on
+// first use and count their cells on their first fold, so the prune's
+// workers, the relevance pass, the permutation workers and the redundancy
+// pass share them read-only. A nil *slotFolds folds nothing.
 type slotFolds struct {
 	t, o  *bins.Encoded
 	mu    sync.Mutex
@@ -39,8 +40,9 @@ func newSlotFolds(t, o *bins.Encoded) *slotFolds {
 	return &slotFolds{t: t, o: o, cubes: make(map[cubeKey]*counting.SlotCube)}
 }
 
-// reset drops the cubes: those of a prefix no later test conditions on. Not
-// safe to call while a fold runs.
+// reset drops the cubes, the online prune's among them: on an accept, every
+// later test conditions on the new prefix. Not safe to call while a fold
+// runs.
 func (f *slotFolds) reset() { clear(f.cubes) }
 
 // cmi returns I(X;Y|Z) of the unweighted three-way tally whose row parts are

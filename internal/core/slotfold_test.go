@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"nexus/internal/bins"
@@ -12,6 +13,7 @@ import (
 	"nexus/internal/infotheory"
 	"nexus/internal/obs"
 	"nexus/internal/stats"
+	"nexus/internal/table"
 )
 
 // randCodes draws n codes below card, about one in miss missing (miss ≤ 0:
@@ -205,4 +207,162 @@ func checkFoldedBlocks(t *testing.T, fx foldFixture) {
 		}
 	}
 
+}
+
+// sharedFoldsFixture builds entity-form candidates on two link columns, with
+// T and O driven by a latent value of each column's entities, IPW-weighted
+// candidates among them; an input column; and an unweighted and a weighted
+// candidate on a link column that resolves no row.
+func sharedFoldsFixture(tb testing.TB, seed uint64) (t, o *bins.Encoded, cands []*Candidate) {
+	tb.Helper()
+	rng := stats.NewRNG(seed)
+	const n, nA, nB = 3000, 80, 40
+	slotsA, slotsB, nowhere := make([]int32, n), make([]int32, n), make([]int32, n)
+	zA, zB := make([]float64, nA), make([]float64, nB)
+	for s := range zA {
+		zA[s] = rng.Norm()
+	}
+	for s := range zB {
+		zB[s] = rng.Norm()
+	}
+	tv, ov, junk := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range slotsA {
+		slotsA[i], slotsB[i], nowhere[i] = int32(rng.Intn(nA)), int32(rng.Intn(nB)), -1
+		if rng.Intn(10) == 0 {
+			slotsA[i] = -1
+		}
+		a, b := 0.0, zB[slotsB[i]]
+		if s := slotsA[i]; s >= 0 {
+			a = zA[s]
+		}
+		tv[i], ov[i], junk[i] = a+b+rng.Norm(), 2*a+2*b+0.5*rng.Norm(), rng.Norm()
+	}
+	encode := func(name string, vals []float64) *bins.Encoded {
+		e, err := bins.Encode(table.NewFloatColumn(name, vals), bins.DefaultOptions())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return e
+	}
+	t, o = encode("T", tv), encode("O", ov)
+	entity := func(name string, slots []int32, vals []float64, weighted bool) {
+		slotEnc := encode(name, vals)
+		ent := &Entity{Slots: slots, Enc: func() (*bins.Encoded, error) { return slotEnc, nil }}
+		if weighted {
+			w := make([]float64, len(vals))
+			for s := range w {
+				w[s] = 0.5 + rng.Float64()
+			}
+			ent.Weights = func() []float64 { return w }
+		}
+		cands = append(cands, FromEntity(name, 1, ent, nil))
+	}
+	noisy := func(z []float64, scale float64) []float64 {
+		out := make([]float64, len(z))
+		for s := range out {
+			out[s] = z[s]*scale + rng.Norm()
+		}
+		return out
+	}
+	entity("ZA", slotsA, zA, false)
+	entity("ZBw", slotsB, zB, true)
+	entity("ZAw", slotsA, noisy(zA, 2), true)
+	for k := range 4 {
+		entity(fmt.Sprintf("JunkA%d", k), slotsA, noisy(zA, 0), k%2 == 0)
+		entity(fmt.Sprintf("JunkB%d", k), slotsB, noisy(zB, 0), k%2 == 1)
+	}
+	entity("Nowhere", nowhere, noisy(zB, 0), false)
+	entity("NowhereW", nowhere, noisy(zB, 0), true)
+	c, err := FromColumn(table.NewFloatColumn("RowJunk", junk), bins.DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return t, o, append(cands, c)
+}
+
+// TestExplainSharesFoldsWithStagedBits: Explain hands one slot-cube store
+// from the online prune to MCIMR, and its answer is Float64bits-equal to the
+// staged OfflinePruneCtx → OnlinePruneCtx → MCIMRCtx → ScoreSet, each stage
+// with a store of its own — base score, score, every relevance and
+// responsibility and both prunes' stats — while it counts fewer partitions:
+// the (slot, O) and (slot, O, T) cubes the prune counted are not counted
+// again for MCIMR's relevance pass and first iteration. With the online prune
+// off there is nothing to share and the counts are equal.
+func TestExplainSharesFoldsWithStagedBits(t *testing.T) {
+	ctx := context.Background()
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, cfg := range []struct {
+			name string
+			opts Options
+		}{
+			{"defaults", Options{}},
+			{"null off", Options{Prune: PruneOptions{DisablePermRelevance: true}}},
+			{"no offline prune", Options{DisableOfflinePrune: true}},
+			{"no online prune", Options{DisableOnlinePrune: true}},
+		} {
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, cfg.name), func(t *testing.T) {
+				opts := cfg.opts
+				opts.K, opts.Seed = 3, seed
+
+				tEnc, oEnc, cands := sharedFoldsFixture(t, seed)
+				before := counting.Stats()
+				ex, err := Explain(ctx, tEnc, oEnc, cands, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shared := counting.Stats().Delta(before).Partitions
+
+				tEnc, oEnc, cands = sharedFoldsFixture(t, seed)
+				before = counting.Stats()
+				staged := &Explanation{BaseScore: infotheory.MutualInfo(oEnc, tEnc, nil)}
+				working := cands
+				if !opts.DisableOfflinePrune {
+					if working, staged.OfflineStats, err = OfflinePruneCtx(ctx, nil, working, opts.Prune); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !opts.DisableOnlinePrune {
+					if working, staged.OnlineStats, err = OnlinePruneCtx(ctx, nil, tEnc, oEnc, working, opts.Prune); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sel, err := MCIMRCtx(ctx, tEnc, oEnc, working, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chosen := make([]*Candidate, len(sel.Attrs))
+				for i, a := range sel.Attrs {
+					chosen[i] = working[slices.IndexFunc(working, func(c *Candidate) bool { return c.Name == a.Name })]
+				}
+				var shares []float64
+				if staged.Score, shares, err = ScoreSet(tEnc, oEnc, chosen); err != nil {
+					t.Fatal(err)
+				}
+				staged.Attrs = sel.Attrs
+				for i, share := range shares {
+					staged.Attrs[i].Responsibility = share
+				}
+				alone := counting.Stats().Delta(before).Partitions
+
+				bits := func(ex *Explanation) string {
+					return fmt.Sprintf("%x %x %+v %+v %v", math.Float64bits(ex.BaseScore), math.Float64bits(ex.Score), ex.OfflineStats, ex.OnlineStats, attrBits(ex))
+				}
+				if got, want := bits(ex), bits(staged); got != want {
+					t.Fatalf("Explain:\n%s\nstaged:\n%s", got, want)
+				}
+				if names := ex.Names(); len(names) != 2 || !slices.Contains(names, "ZA") || !slices.Contains(names, "ZBw") {
+					t.Fatalf("Explain selects %v, want the planted ZA and ZBw (%s)", names, bits(ex))
+				}
+				if opts.DisableOnlinePrune {
+					if shared != alone {
+						t.Fatalf("with nothing to share Explain counted %d partitions, the stages %d", shared, alone)
+					}
+					return
+				}
+				if shared >= alone {
+					t.Fatalf("Explain counted %d partitions, the stages %d: the prune's cubes were counted again", shared, alone)
+				}
+			})
+		}
+	}
 }

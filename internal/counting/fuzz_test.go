@@ -9,7 +9,7 @@ package counting
 // float noise. A rows-subset mode does the same for the row-list entry point
 // (CountXYZRows, dense and map form) against the naive tally of an ascending
 // subset the fuzz bytes pick, a slot-cube mode holds the entity-level folds
-// (ScreenCube.Screen, and SlotCube.Fold with the slot codes joined onto each
+// (SlotCube.Screen, and SlotCube.Fold with the slot codes joined onto each
 // axis of a keyed cube) to the unweighted row pass over the broadcast codes,
 // and
 // an indirect-form mode holds every pass over slot codes and slot weights

@@ -152,13 +152,13 @@ func TestReleasedBuffersAreZero(t *testing.T) {
 			checkPoolZero(t, c.name+" screen")
 
 			slots := z.Codes
-			cube := NewScreenCube(slots, x, y)
+			cube, pair := screenCubes(slots, x, y)
 			codes := make([]int32, c.zc)
 			for i := range codes {
 				codes[i] = int32(r.Intn(7))
 			}
-			cube.Screen(codes, 7).Release()
-			p := cube.PairO(codes, 7)
+			cube.Screen(pair, codes, 7).Release()
+			p := pair.Pair(codes, 7)
 			p.Occupancy()
 			p.Release()
 			checkPoolZero(t, c.name+" fold")

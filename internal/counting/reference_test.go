@@ -24,7 +24,7 @@ func countXYZSparse(x, y []int32, cx, cy int, zids []int32, zcard int, w []float
 }
 
 // CountPair tallies two direct code columns jointly: the row pass that
-// SlotCube.PairO folds from the cube, kept as its reference. The caller gates
+// SlotCube.Pair folds from a (·, O, ·) cube, kept as its reference. The caller gates
 // on cx·ce ≤ MaxDense.
 func CountPair(x, e []int32, cx, ce int, w []float64) Pair {
 	densePasses.Add(1)

@@ -18,7 +18,9 @@ import (
 // pair (part, E), and an absent part makes it e alone. One cube thus serves
 // I(O;T|E) (parts (·, O, T), E on z), I(O;E|C) (parts (C, O, ·), E on y),
 // I(O;T|C,E) (parts (C, O, T), E on z) and I(E;C) (parts (·, ·, C), E on x),
-// where C is any row column.
+// where C is any row column. The online prune's screen (Screen) and the
+// entity-level null's (O, E) tally (Pair) read the (·, O, T) and (·, O, ·)
+// cubes through their joint alone, indexed by the key.
 //
 // Equality contract: a fold produces an unweighted tally — sums of integer
 // row counts, exact in float64 in any order — so every buffer and weight sum
@@ -33,10 +35,11 @@ type SlotCube struct {
 
 	once  sync.Once
 	start []int32 // the cells of slot s are [start[s], start[s+1])
-	// Each cell's key (z·card₁ + x)·card₂ + y, its z, x and y part and its
-	// rows, the cells of a slot sorted by key. A candidate has one code per
-	// slot, so a fold reads it once per slot and its inner loop has no branch
-	// on it.
+	// Each cell's key (z·card₂ + y)·card₁ + x, its z, x and y part and its
+	// rows, the cells of a slot sorted by key. The key puts y before x so that
+	// a cube with parts (·, O, T) is keyed t·|O| + o, CountScreen's layout. A
+	// candidate has one code per slot, so a fold reads it once per slot and
+	// its inner loop has no branch on it.
 	key  []int32
 	part [3][]int32
 	rows []float64
@@ -101,12 +104,13 @@ func (c *SlotCube) build() {
 	for _, s := range c.slots {
 		nSlots = max(nSlots, int(s)+1)
 	}
-	// key[r] = (z·card₁ + x)·card₂ + y, or -1 for a row the cube leaves out.
+	// key[r] = (z·card₂ + y)·card₁ + x, or -1 for a row the cube leaves out.
 	key := make([]int32, len(c.slots))
 	for r, s := range c.slots {
 		key[r] = s >> 31 // 0, or -1 for an unresolved row
 	}
-	for j, p := range c.parts {
+	for _, j := range [3]Axis{AxisZ, AxisY, AxisX} {
+		p := c.parts[j]
 		if p == nil {
 			continue
 		}
@@ -144,8 +148,8 @@ func (c *SlotCube) build() {
 	add := func(k, rows int32) {
 		c.key = append(c.key, k)
 		c.part[0] = append(c.part[0], k/(c1*c2))
-		c.part[1] = append(c.part[1], k/c2%c1)
-		c.part[2] = append(c.part[2], k%c2)
+		c.part[1] = append(c.part[1], k%c1)
+		c.part[2] = append(c.part[2], k/c1%c2)
 		c.rows = append(c.rows, float64(rows))
 	}
 	keys := c.card[0] * c.card[1] * c.card[2]
@@ -243,9 +247,9 @@ func (c *SlotCube) foldInto(e []int32, ce int, on Axis, cx, cy int, joint, zx, z
 	return total
 }
 
-// foldJoint adds every cell's rows to the joint alone, e's code joined onto y,
-// for a cube without a y part: the index is key·ce + e. Where the joint is
-// small next to the cells, its margins are cheaper summed from it densely
+// foldJoint adds every cell's rows to the joint alone at key·ce + e, e's code
+// for the cell's slot: (y, x, e) for a cube without a z part. Where the joint
+// is small next to the cells, its margins are cheaper summed from it densely
 // than added cell by cell.
 func (c *SlotCube) foldJoint(e []int32, ce int, joint []float64) {
 	c.once.Do(c.build)
@@ -262,37 +266,36 @@ func (c *SlotCube) foldJoint(e []int32, ce int, joint []float64) {
 	}
 }
 
-// ScreenCube is the online prune's fused screen in aggregate form: two cubes
-// of one row→slot map, its rows keyed by o (the (O, E) tallies, which count a
-// row whatever its T) and by (t, o) (the (O, T, E) joint).
-type ScreenCube struct {
-	co, ct     int
-	pair, cond *SlotCube
+// Pair folds a cube whose one part is x, the outcome o, through e with e on
+// y: the (O, E) tally over the rows with a slot, an outcome and a present
+// code — what CountPair returns over o and e broadcast to rows with nil
+// weights. Not counted as a pass. Backed by pooled storage — call Release
+// when done.
+func (c *SlotCube) Pair(e []int32, ce int) Pair {
+	p := newPair(c.card[1], ce)
+	p.Total = c.foldPair(e, ce, p.Joint, p.XMargin, p.EMargin)
+	return p
 }
 
-// NewScreenCube keys the rows of a row→slot map by the outcome o, and by the
-// exposure t and o. Its cells are counted on first use.
-func NewScreenCube(slots []int32, o, t Dim) *ScreenCube {
-	return &ScreenCube{
-		co: o.Card, ct: t.Card,
-		pair: NewSlotCube(slots, Dim{Card: 1}, o, Dim{Card: 1}),
-		cond: NewSlotCube(slots, t, o, Dim{Card: 1}),
-	}
-}
-
-// Screen folds the cube through e, one code per slot with cardinality ce:
-// what CountScreen(o, t, e broadcast to rows, co, ct, ce, nil) returns, nil
-// exactly when that is nil. The two joints are the folds of the (t, o) cells
-// and of the o cells with e on y; the margins are dense sums of them — sums
-// of integers, exact in any order.
+// Screen folds through e, one code per slot with cardinality ce, the cube
+// with parts (·, O, T), whose key t·|O| + o is CountScreen's (t, o) index, and
+// pair, the (·, O, ·) cube of the same map (the (O, E) tallies, which count a
+// row whatever its T): what CountScreen(o, t, e broadcast to rows, co, ct, ce,
+// nil) returns, nil exactly when that is nil — a nil cube is one past
+// MaxDense, where that is nil too. The two joints are the folds of the cubes'
+// cells with e joined on; the margins are dense sums of them — sums of
+// integers, exact in any order.
 // Counted as a dense pass like the row pass it stands for.
-func (c *ScreenCube) Screen(e []int32, ce int) *Screen {
-	s := newScreen(c.co, c.ct, ce)
+func (c *SlotCube) Screen(pair *SlotCube, e []int32, ce int) *Screen {
+	if c == nil {
+		return nil
+	}
+	co := c.card[1]
+	s := newScreen(co, c.card[2], ce)
 	if s == nil {
 		return nil
 	}
-	co := c.co
-	c.cond.foldJoint(e, ce, s.JointT)
+	c.foldJoint(e, ce, s.JointT)
 	for run := range s.TO {
 		tc, oc := run/co, run%co
 		te := s.TE[tc*ce : (tc+1)*ce]
@@ -306,7 +309,7 @@ func (c *ScreenCube) Screen(e []int32, ce int) *Screen {
 		s.TM[tc] += rows
 		s.WS3 += rows
 	}
-	s.WS2 = c.foldPair(e, ce, s.OE, s.OM, s.EM)
+	s.WS2 = pair.foldPair(e, ce, s.OE, s.OM, s.EM)
 	for oc := 0; oc < co; oc++ {
 		for ec := 0; ec < ce; ec++ {
 			s.ZE[ec] += s.EO[ec*co+oc]
@@ -316,18 +319,9 @@ func (c *ScreenCube) Screen(e []int32, ce int) *Screen {
 	return s
 }
 
-// PairO folds the o cells through e the same way: the (O, E) tally over the
-// rows with a slot, an outcome and a present code, whatever their T. Not
-// counted as a pass. Backed by pooled storage — call Release when done.
-func (c *ScreenCube) PairO(e []int32, ce int) Pair {
-	p := newPair(c.co, ce)
-	p.Total = c.foldPair(e, ce, p.Joint, p.XMargin, p.EMargin)
-	return p
-}
-
-func (c *ScreenCube) foldPair(e []int32, ce int, joint, oMargin, eMargin []float64) (total float64) {
-	c.pair.foldJoint(e, ce, joint)
-	for oc := 0; oc < c.co; oc++ {
+func (c *SlotCube) foldPair(e []int32, ce int, joint, oMargin, eMargin []float64) (total float64) {
+	c.foldJoint(e, ce, joint)
+	for oc := 0; oc < c.card[1]; oc++ {
 		for ec, n := range joint[oc*ce : (oc+1)*ce] {
 			oMargin[oc] += n
 			eMargin[ec] += n

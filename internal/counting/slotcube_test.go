@@ -20,13 +20,13 @@ func broadcast(codes, slots []int32) []int32 {
 	return out
 }
 
-// checkFoldIsRowPass holds ScreenCube.Screen to its contract: every buffer and
+// checkFoldIsRowPass holds SlotCube.Screen to its contract: every buffer and
 // weight sum == CountScreen over the broadcast codes with nil weights, and
 // nil exactly when that is nil. It returns whether the screen was dense.
 func checkFoldIsRowPass(t testing.TB, slots, o, tc, codes []int32, co, ct, ce int) bool {
 	t.Helper()
-	cube := NewScreenCube(slots, Dim{Codes: o, Card: co}, Dim{Codes: tc, Card: ct})
-	got := cube.Screen(codes, ce)
+	cube, pair := screenCubes(slots, Dim{Codes: o, Card: co}, Dim{Codes: tc, Card: ct})
+	got := cube.Screen(pair, codes, ce)
 	want := CountScreen(o, tc, broadcast(codes, slots), co, ct, ce, nil)
 	defer got.Release()
 	defer want.Release()
@@ -42,12 +42,18 @@ func checkFoldIsRowPass(t testing.TB, slots, o, tc, codes []int32, co, ct, ce in
 		t.Fatalf("cards (%d,%d,%d), %d rows, %d slots: fold differs from the row pass\nfold %+v\nrows %+v", co, ct, ce, len(slots), len(codes), g, w)
 	}
 	// The (O, E) pair tally is the screen's, which also counts rows without T.
-	p := cube.PairO(codes, ce)
+	p := pair.Pair(codes, ce)
 	defer p.Release()
 	if p.Total != want.WS2 || !reflect.DeepEqual(p.Joint, want.OE) || !reflect.DeepEqual(p.EMargin, want.EM) {
-		t.Fatalf("cards (%d,%d,%d): PairO (%v %v %v) differs from the row pass (%v %v %v)", co, ct, ce, p.Total, p.Joint, p.EMargin, want.WS2, want.OE, want.EM)
+		t.Fatalf("cards (%d,%d,%d): Pair (%v %v %v) differs from the row pass (%v %v %v)", co, ct, ce, p.Total, p.Joint, p.EMargin, want.WS2, want.OE, want.EM)
 	}
 	return true
+}
+
+// screenCubes makes the two cubes of a row→slot map that the online prune's
+// screen folds: parts (·, O, T) and (·, O, ·).
+func screenCubes(slots []int32, o, t Dim) (cube, pair *SlotCube) {
+	return NewSlotCube(slots, Dim{Card: 1}, o, t), NewSlotCube(slots, Dim{Card: 1}, o, Dim{Card: 1})
 }
 
 // randomCodes draws n codes below card with about one in miss missing
@@ -230,7 +236,7 @@ func TestRowsPerSlot(t *testing.T) {
 // wrong: a slot with no rows between two that have some, trailing slots whose
 // rows lack an outcome or an exposure (no cells), a code vector longer than
 // the last slot any row names, every code missing, and |T|·|O| past MaxDense,
-// where the cube is empty but the (slot, o) cells still answer PairO.
+// where there is no (·, O, T) cube but the (·, O, ·) cube still answers Pair.
 func TestSlotCubeSlotMajorCorners(t *testing.T) {
 	const m = Missing
 	slots := []int32{0, 0, 2, 2, 2, m, 5, 5, 6, 7}
@@ -248,19 +254,19 @@ func TestSlotCubeSlotMajorCorners(t *testing.T) {
 		}
 	}
 
-	// co·ct > MaxDense: no screen is dense and the cube holds no cells.
+	// co·ct > MaxDense: no screen is dense and there is no (·, O, T) cube.
 	const co, ct, ce = 2049, 2048, 3
 	r := rand.New(rand.NewSource(8))
 	wideSlots, wideO, wideT := randomCodes(r, 500, 40, 6), randomCodes(r, 500, co, 7), randomCodes(r, 500, ct, 7)
 	codes := randomCodes(r, 40, ce, 5)
-	cube := NewScreenCube(wideSlots, Dim{Codes: wideO, Card: co}, Dim{Codes: wideT, Card: ct})
-	if cube.cond != nil || cube.Screen(codes, ce) != nil {
-		t.Fatalf("past MaxDense the (t, o) cube is %v and Screen != nil is %v", cube.cond, cube.Screen(codes, ce) != nil)
+	cube, pair := screenCubes(wideSlots, Dim{Codes: wideO, Card: co}, Dim{Codes: wideT, Card: ct})
+	if cube != nil || cube.Screen(pair, codes, ce) != nil {
+		t.Fatalf("past MaxDense the (·, O, T) cube is %v and Screen != nil is %v", cube, cube.Screen(pair, codes, ce) != nil)
 	}
-	got, want := cube.PairO(codes, ce), CountPair(wideO, broadcast(codes, wideSlots), co, ce, nil)
+	got, want := pair.Pair(codes, ce), CountPair(wideO, broadcast(codes, wideSlots), co, ce, nil)
 	defer got.Release()
 	defer want.Release()
 	if got.Total != want.Total || !reflect.DeepEqual(got.Joint, want.Joint) || !reflect.DeepEqual(got.EMargin, want.EMargin) {
-		t.Fatalf("PairO past MaxDense: total %v, e margin %v; the row pass has %v, %v", got.Total, got.EMargin, want.Total, want.EMargin)
+		t.Fatalf("Pair past MaxDense: total %v, e margin %v; the row pass has %v, %v", got.Total, got.EMargin, want.Total, want.EMargin)
 	}
 }

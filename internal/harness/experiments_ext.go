@@ -248,15 +248,11 @@ func (s *Suite) PruningImpact(coreOpts core.Options) ([]PruningRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		prune := coreOpts.Prune
-		if prune == (core.PruneOptions{}) {
-			prune = core.DefaultPruneOptions()
-		}
-		kept, offStats, err := core.OfflinePruneCtx(context.Background(), nil, a.Candidates, prune)
+		kept, offStats, err := core.OfflinePruneCtx(context.Background(), nil, a.Candidates, coreOpts.Prune)
 		if err != nil {
 			return nil, err
 		}
-		kept2, onStats, err := core.OnlinePruneCtx(context.Background(), nil, a.T, a.O, kept, prune)
+		kept2, onStats, err := core.OnlinePruneCtx(context.Background(), nil, a.T, a.O, kept, coreOpts.Prune)
 		if err != nil {
 			return nil, err
 		}

@@ -38,15 +38,11 @@ type MethodRun struct {
 func RunAll(a *nexus.Analysis, spec QuerySpec, coreOpts core.Options) (map[string]MethodRun, error) {
 	out := make(map[string]MethodRun, len(Methods))
 
-	prune := coreOpts.Prune
-	if prune == (core.PruneOptions{}) {
-		prune = core.DefaultPruneOptions()
-	}
-	offline, _, err := core.OfflinePruneCtx(context.Background(), nil, a.Candidates, prune)
+	offline, _, err := core.OfflinePruneCtx(context.Background(), nil, a.Candidates, coreOpts.Prune)
 	if err != nil {
 		return nil, err
 	}
-	pruned, _, err := core.OnlinePruneCtx(context.Background(), nil, a.T, a.O, offline, prune)
+	pruned, _, err := core.OnlinePruneCtx(context.Background(), nil, a.T, a.O, offline, coreOpts.Prune)
 	if err != nil {
 		return nil, err
 	}

@@ -60,12 +60,13 @@ func ScreenAll(o, t, e Var, w Weights) *OnlineScreen {
 
 // ScreenSlots is ScreenAll for an unweighted candidate that is a function of
 // an entity slot: e holds one code per slot, and the tallies are folded from
-// the slot map's cube instead of counted over rows — equal, cell for cell
-// (counting.ScreenCube). It returns nil past the dense bound, under exactly
-// ScreenAll's gate: the caller then screens the broadcast encoding. With no
-// row-level inputs to fall back to, it must not be used after Release.
-func ScreenSlots(cube *counting.ScreenCube, e Var) *OnlineScreen {
-	tally := cube.Screen(e.Codes, e.Card)
+// the slot map's (·, O, T) and (·, O, ·) cubes instead of counted over rows —
+// equal, cell for cell (counting.SlotCube.Screen). It returns nil past the
+// dense bound, under exactly ScreenAll's gate: the caller then screens the
+// broadcast encoding. With no row-level inputs to fall back to, it must not
+// be used after Release.
+func ScreenSlots(cube, pair *counting.SlotCube, e Var) *OnlineScreen {
+	tally := cube.Screen(pair, e.Codes, e.Card)
 	if tally == nil {
 		return nil
 	}

@@ -183,7 +183,7 @@ func TestTouchedFinalizeMatchesFullWalk(t *testing.T) {
 		for i := range codes {
 			codes[i] = int32(r.Intn(ce+1)) - 1
 		}
-		p := counting.NewScreenCube(slots, counting.Dim{Codes: o.Codes, Card: o.Card}, counting.Dim{Codes: tv.Codes, Card: tv.Card}).PairO(codes, ce)
+		p := counting.NewSlotCube(slots, counting.Dim{Card: 1}, counting.Dim{Codes: o.Codes, Card: o.Card}, counting.Dim{Card: 1}).Pair(codes, ce)
 		oMargin := make([]float64, p.Cx) // summed from the joint, row by row
 		for oc := range oMargin {
 			for _, k := range p.Joint[oc*ce : (oc+1)*ce] {
