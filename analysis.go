@@ -507,9 +507,11 @@ func (r *Report) explanationEncodings() ([]*bins.Encoded, error) {
 
 // refinementAttrs picks the categorical dimensions for subgroup discovery:
 // input columns first, then low-cardinality KG attributes, capped for
-// tractability. A KG attribute is judged at entity level (every rule is an
-// integer function of slot codes × rows per slot) and broadcast to rows,
-// through its candidate's memoised Enc, only when picked.
+// tractability. An input column reads its input candidate's encoding; only
+// a column without one (a WHERE attribute) is encoded here. A KG attribute
+// is judged at entity level (every rule is an integer function of slot
+// codes × rows per slot) and broadcast to rows, through its candidate's
+// memoised Enc, only when picked.
 func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 	const maxAttrs = 24
 	var out []subgroups.RefinementAttr
@@ -517,11 +519,22 @@ func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 	for _, g := range a.Result.Exposure {
 		exclude[g] = true
 	}
+	// Not a.byName: a KG attribute may share a view column's name.
+	inputs := map[string]*core.Candidate{}
+	for _, c := range a.Candidates {
+		if c.Origin == core.OriginInput {
+			inputs[c.Name] = c
+		}
+	}
 	for _, col := range a.View.Columns() {
 		if exclude[col.Name] || col.Typ != table.String {
 			continue
 		}
-		e, err := bins.Encode(col, a.binOpts)
+		encode := func() (*bins.Encoded, error) { return bins.Encode(col, a.binOpts) }
+		if c := inputs[col.Name]; c != nil {
+			encode = c.Enc
+		}
+		e, err := encode()
 		if err != nil {
 			return nil, err
 		}

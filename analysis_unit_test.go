@@ -1,12 +1,14 @@
 package nexus
 
 import (
+	"context"
 	"sort"
 	"testing"
 
 	"nexus/internal/bins"
 	"nexus/internal/core"
 	"nexus/internal/stats"
+	"nexus/internal/table"
 )
 
 // permuteObserved is the entity-level null model's shuffle as kgCandidate
@@ -109,5 +111,60 @@ func TestPermuteObservedPreservesPattern(t *testing.T) {
 	// Input untouched.
 	if codes[0] != 0 || codes[2] != 1 {
 		t.Fatal("permuteObserved mutated input")
+	}
+}
+
+// The subgroup search refines over an input column through its input
+// candidate's own encoding (the same pointer Enc returns), not a second
+// encoding of the column; a view column without a candidate (an excluded
+// one) is encoded on its own.
+func TestRefinementReusesInputCandidateEncodings(t *testing.T) {
+	const n = 200
+	var region, team, country []string
+	salary := make([]float64, n)
+	for i := range n {
+		region = append(region, []string{"north", "south", "east"}[i%3])
+		team = append(team, []string{"red", "blue"}[i%2])
+		country = append(country, []string{"A", "B", "C", "D"}[i%4])
+		salary[i] = float64(i % 7)
+	}
+	s := NewSession(nil, nil)
+	s.RegisterTable("T", table.MustFromColumns(
+		table.NewStringColumn("Country", country),
+		table.NewStringColumn("Region", region),
+		table.NewStringColumn("Team", team),
+		table.NewFloatColumn("Salary", salary),
+	))
+	s.ExcludeCandidates("T", "Team")
+	a, err := s.PrepareCtx(context.Background(), "SELECT Country, avg(Salary) FROM T GROUP BY Country")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs, err := a.refinementAttrs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]*bins.Encoded{}
+	for _, ra := range attrs {
+		got[ra.Name] = ra.Enc
+	}
+	if got["Region"] == nil || got["Team"] == nil {
+		t.Fatalf("refinement attributes %v, want Region and Team among them", attrs)
+	}
+	for name, e := range got {
+		c := a.Candidate(name)
+		if c == nil {
+			continue
+		}
+		own, err := c.Enc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e != own {
+			t.Errorf("%s: refinement encoding is not the input candidate's own", name)
+		}
+	}
+	if a.Candidate("Region") == nil || a.Candidate("Team") != nil {
+		t.Fatal("want an input candidate for Region and none for the excluded Team")
 	}
 }

@@ -103,8 +103,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if su.CSV != "" {
-		fmt.Fprintf(stdout, "loaded %s: %d rows × %d columns (%d chunks, %d dict entries)\n",
-			su.CSV, ds.Table.NumRows(), ds.Table.NumCols(), ds.Ingest.Chunks, ds.Ingest.DictEntries)
+		fmt.Fprintf(stdout, "loaded %s: %d rows × %d columns (%d dict entries)\n",
+			su.CSV, ds.Table.NumRows(), ds.Table.NumCols(), ds.Ingest.DictEntries)
 	} else {
 		fmt.Fprintf(stdout, "generated %s: %d rows, link columns %v\n", ds.Name, ds.Table.NumRows(), ds.LinkColumns)
 	}

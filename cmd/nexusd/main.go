@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"nexus"
-	"nexus/internal/colstore"
 	"nexus/internal/obs"
 	"nexus/internal/reportcache"
 	"nexus/internal/rpc"
@@ -81,9 +80,6 @@ func run(args []string) error {
 	// counter leaves the process by the one /metrics path.
 	registry := obs.NewRegistry(nil)
 	metrics := registry.Counters()
-	// Resident sealed-chunk bytes of the columnar ingest layer: the
-	// peak-memory proxy for CSV loading, read at exposition time.
-	registry.SetGaugeFunc(obs.ColstoreChunkBytes, colstore.ResidentBytes)
 	su := nexus.Setup{
 		Dataset: *dataset, Rows: *rows, CSV: *csvPath, Table: *tableName, Links: nexus.SplitList(*links),
 		Seed: *seed, KG: *kgURL,
@@ -116,8 +112,8 @@ func run(args []string) error {
 		return err
 	}
 	if su.CSV != "" {
-		log.Printf("serving %s as %q: %d rows × %d columns (%d chunks, %d dict entries)",
-			su.CSV, ds.Name, ds.Table.NumRows(), ds.Table.NumCols(), ds.Ingest.Chunks, ds.Ingest.DictEntries)
+		log.Printf("serving %s as %q: %d rows × %d columns (%d dict entries)",
+			su.CSV, ds.Name, ds.Table.NumRows(), ds.Table.NumCols(), ds.Ingest.DictEntries)
 	} else {
 		log.Printf("serving %s: %d rows, link columns %v", ds.Name, ds.Table.NumRows(), ds.LinkColumns)
 	}

@@ -15,11 +15,10 @@ import (
 	"nexus/internal/workload"
 )
 
-// The colstore path — streaming the Flights rows as CSV through the chunked
-// ingester and draining into a flat table — must be byte-identical to
-// registering the in-memory generated table directly: same report summary,
-// same unexplained subgroups. Small chunks force many chunk boundaries and
-// dictionary remaps.
+// The colstore path — streaming the Flights rows as CSV through the
+// ingester and draining the table — must be byte-identical to registering
+// the in-memory generated table directly: same report summary, same
+// unexplained subgroups. A small inference sample puts most rows past it.
 func TestColstoreExplainByteIdentical(t *testing.T) {
 	const (
 		rows  = 6000
@@ -38,10 +37,10 @@ func TestColstoreExplainByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Colstore: the same rows streamed as CSV through the chunked ingester.
+	// Colstore: the same rows streamed as CSV through the ingester.
 	pr, pw := io.Pipe()
 	go func() { pw.CloseWithError(workload.FlightsCSV(world, cfg, pw)) }()
-	st, err := colstore.FromCSV(pr, colstore.Options{ChunkRows: 512, SampleRows: 256})
+	st, err := colstore.FromCSV(pr, colstore.Options{SampleRows: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

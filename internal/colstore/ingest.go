@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"strconv"
 	"strings"
@@ -12,19 +13,21 @@ import (
 	"nexus/internal/table"
 )
 
+// defaultSampleRows bounds the type-inference sample when Options.SampleRows
+// is unset.
+const defaultSampleRows = 1 << 16
+
 // Options configures an ingest.
 type Options struct {
-	// ChunkRows is the rows-per-chunk (DefaultChunkRows when <= 0).
-	ChunkRows int
-	// SampleRows bounds the type-inference sample (ChunkRows when <= 0).
+	// SampleRows bounds the type-inference sample (1<<16 rows when <= 0).
 	SampleRows int
-	// Counters, when non-nil, receives the obs.IngestRows /
-	// obs.IngestChunks / obs.DictEntries totals at Finish.
+	// Counters, when non-nil, receives the obs.IngestRows and
+	// obs.DictEntries totals of the ingest.
 	Counters *obs.Counters
 }
 
-// FromCSV streams a CSV input (header row first) into a chunked table in a
-// single pass. It is the repository's one CSV ingester: every binary and the
+// FromCSV streams a CSV input (header row first) into a table in a single
+// pass. It is the repository's one CSV ingester: every binary and the
 // benchmark read tables through FromCSV(...).Drain(). Column types follow
 // table.InferCSVType over the inference sample; empty fields and non-finite
 // numerics are nulls; string dictionaries are in first-seen order.
@@ -38,42 +41,53 @@ func FromCSV(r io.Reader, opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := NewIngest(append([]string(nil), header...), opt)
+	in, err := newIngest(header, opt)
 	if err != nil {
 		return nil, err
 	}
+	in.size, in.offset = inputSize(r), cr.InputOffset
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			in.abort()
 			return nil, err
 		}
-		if err := in.Append(rec); err != nil {
-			in.abort()
-			return nil, err
-		}
+		in.append(rec)
 	}
-	return in.Finish()
+	return in.finish()
 }
 
-// Ingest builds a chunked table record by record. Use NewIngest, Append for
-// each record, then Finish.
-type Ingest struct {
+// inputSize is the byte length of an input that knows it (an in-memory
+// reader or a regular file), else 0.
+func inputSize(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Size() int64 }:
+		return r.Size()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size()
+		}
+	}
+	return 0
+}
+
+// ingest builds a table record by record: newIngest, append for each
+// record, then finish.
+type ingest struct {
 	opt      Options
 	names    []string
 	cols     []*colBuilder // nil until types are decided
-	sample   [][]string    // retained raw sample for inference and backfill
+	sample   [][]string    // retained raw sample for inference and demotion
 	rows     int
-	chunks   int64
+	room     int          // rows the columns are sized for
+	size     int64        // input bytes (0 when unknown)
+	offset   func() int64 // input bytes read so far
 	srcBytes int64
-	done     bool
 }
 
-// NewIngest starts an ingest for the given column names.
-func NewIngest(header []string, opt Options) (*Ingest, error) {
+func newIngest(header []string, opt Options) (*ingest, error) {
 	if len(header) == 0 {
 		return nil, fmt.Errorf("colstore: no columns")
 	}
@@ -84,34 +98,24 @@ func NewIngest(header []string, opt Options) (*Ingest, error) {
 		}
 		seen[name] = true
 	}
-	if opt.ChunkRows <= 0 {
-		opt.ChunkRows = DefaultChunkRows
-	}
 	if opt.SampleRows <= 0 {
-		opt.SampleRows = opt.ChunkRows
+		opt.SampleRows = defaultSampleRows
 	}
-	return &Ingest{opt: opt, names: append([]string(nil), header...)}, nil
+	return &ingest{opt: opt, names: append([]string(nil), header...)}, nil
 }
 
-// Append adds one record. Missing trailing fields read as empty (null);
-// the record slice may be reused by the caller after Append returns.
-func (in *Ingest) Append(rec []string) error {
-	if in.done {
-		return fmt.Errorf("colstore: append after Finish")
-	}
+// append adds one record. Missing trailing fields read as empty (null); the
+// record slice may be reused by the caller once append returns.
+func (in *ingest) append(rec []string) {
 	in.srcBytes += recordBytesEst(rec)
-	if in.cols == nil {
-		in.sample = append(in.sample, append([]string(nil), rec...))
-		if len(in.sample) >= in.opt.SampleRows {
-			in.decideTypes()
-			for _, r := range in.sample {
-				in.appendRecord(r)
-			}
-		}
-		return nil
+	if in.cols != nil {
+		in.appendRecord(rec)
+		return
 	}
-	in.appendRecord(rec)
-	return nil
+	in.sample = append(in.sample, append([]string(nil), rec...))
+	if len(in.sample) >= in.opt.SampleRows {
+		in.decideTypes()
+	}
 }
 
 // recordBytesEst estimates the resident cost of holding one raw CSV record
@@ -126,20 +130,28 @@ func recordBytesEst(rec []string) int64 {
 }
 
 // decideTypes infers every column's type over the buffered sample (the
-// oracle verdict on that prefix) and creates the builders. The raw sample
-// stays resident until Finish so demotions inside it backfill losslessly.
-func (in *Ingest) decideTypes() {
+// oracle verdict on that prefix), creates the builders and appends the
+// sample. The raw sample stays resident until finish so demotions inside it
+// replay losslessly.
+func (in *ingest) decideTypes() {
 	in.cols = make([]*colBuilder, len(in.names))
-	for j, name := range in.names {
-		b := &colBuilder{in: in, name: name, j: j}
+	in.room = len(in.sample)
+	for j := range in.names {
+		b := &colBuilder{in: in, j: j}
 		if typ, any := table.InferCSVType(in.sample, j); any {
 			b.decide(typ)
 		}
 		in.cols[j] = b
 	}
+	for _, rec := range in.sample {
+		in.appendRecord(rec)
+	}
 }
 
-func (in *Ingest) appendRecord(rec []string) {
+func (in *ingest) appendRecord(rec []string) {
+	if in.rows == in.room {
+		in.grow()
+	}
 	for _, b := range in.cols {
 		field := ""
 		if b.j < len(rec) {
@@ -148,312 +160,141 @@ func (in *Ingest) appendRecord(rec []string) {
 		b.append(field)
 	}
 	in.rows++
-	if in.rows%in.opt.ChunkRows == 0 {
-		in.sealAll()
-	}
 }
 
-func (in *Ingest) sealAll() {
+// grow sizes the columns for the rows still to come once the rows reach
+// what they were sized for (first the sample). An input of known size
+// expects its rows so far scaled by its bytes over the bytes read, 2 % over
+// so that somewhat longer rows later still fit; any other input doubles.
+// Growing by append's quarter steps instead allocates about five times the
+// final columns over a paper-size input.
+func (in *ingest) grow() {
+	want := 2 * in.rows
+	if in.size > 0 {
+		want = max(in.rows+1, int(1.02*float64(in.rows)*float64(in.size)/float64(in.offset())))
+	}
 	for _, b := range in.cols {
-		b.seal()
+		if b.col != nil {
+			b.col.Grow(want - in.rows)
+		}
 	}
-	in.chunks++
+	in.room = want
 }
 
-// Finish seals the trailing partial chunk and returns the table.
-func (in *Ingest) Finish() (*Table, error) {
-	if in.done {
-		return nil, fmt.Errorf("colstore: Finish called twice")
-	}
+// finish decides what is still undecided and returns the table.
+func (in *ingest) finish() (*Table, error) {
 	if in.cols == nil {
 		// Input fit entirely inside the inference sample.
 		in.decideTypes()
-		for _, r := range in.sample {
-			in.appendRecord(r)
-		}
 	}
+	t := &Table{tbl: table.New(), stats: Stats{Rows: int64(in.rows), SourceBytesEst: in.srcBytes}}
 	for _, b := range in.cols {
-		if !b.decided {
+		if b.col == nil {
 			// Every field was empty: an all-null String column.
 			b.decide(table.String)
 		}
+		if err := t.tbl.AddColumn(b.col); err != nil {
+			return nil, err
+		}
+		t.stats.DictEntries += int64(len(b.col.Dict))
+		t.stats.ChunkBytes += columnBytes(b.col)
 	}
-	if in.rows%in.opt.ChunkRows != 0 {
-		in.sealAll()
-	}
-	in.done = true
 	in.sample = nil
-
-	t := &Table{}
-	var dictEntries, chunkBytes int64
-	for _, b := range in.cols {
-		t.cols = append(t.cols, &column{
-			name:   b.name,
-			typ:    b.typ,
-			rows:   b.rows,
-			chunks: b.sealed,
-			dict:   b.dict,
-			bytes:  b.bytes,
-		})
-		dictEntries += int64(len(b.dict))
-		chunkBytes += b.bytes
-	}
-	t.stats = Stats{
-		Rows:           int64(in.rows),
-		Chunks:         in.chunks,
-		DictEntries:    dictEntries,
-		ChunkBytes:     chunkBytes,
-		SourceBytesEst: in.srcBytes,
-	}
 	in.opt.Counters.Add(obs.IngestRows, t.stats.Rows)
-	in.opt.Counters.Add(obs.IngestChunks, t.stats.Chunks)
 	in.opt.Counters.Add(obs.DictEntries, t.stats.DictEntries)
 	return t, nil
 }
 
-// abort releases the gauge contribution of an ingest that will not Finish.
-func (in *Ingest) abort() {
-	if in.done {
-		return
-	}
-	in.done = true
-	for _, b := range in.cols {
-		residentBytes.Add(-b.bytes)
-		b.bytes = 0
-	}
-}
-
-// colBuilder accumulates one column during ingest. Until the first
-// non-empty field arrives the column is undecided: rows are counted and
-// sealed chunk slots hold nil placeholders, materialized as all-null chunks
-// if and when a type is decided. A decided column that meets a
-// contradicting field demotes to String, rebuilding its storage.
+// colBuilder appends one column's fields into its table.Column. Until the
+// first non-empty field arrives the column is undecided: it only counts its
+// rows, which become nulls once a type is decided. A decided column that
+// meets a contradicting field demotes to String.
 type colBuilder struct {
-	in      *Ingest
-	name    string
-	j       int
-	decided bool
-	typ     table.Type
-	rows    int      // rows appended so far
-	sealed  []*chunk // nil entries: sealed while undecided
-	cur     *chunk   // open chunk (nil while undecided or freshly sealed)
-	bytes   int64    // accounted sealed-chunk + dictionary bytes
+	in    *ingest
+	j     int
+	col   *table.Column // nil while undecided
+	nulls int           // rows seen while undecided
 
-	// String-column dictionaries: chunk-local first, remapped into the
-	// table-global dict at seal so global order is overall first-seen order.
-	dict      []string
-	dictIdx   map[string]int32
-	localDict []string
-	localIdx  map[string]int32
-
-	// nonFinite remembers the original spelling of numeric fields stored as
-	// nulls (NaN/Inf) so a demotion to String can restore them.
+	// nonFinite remembers, by row, the original spelling of numeric fields
+	// stored as nulls (NaN/Inf) so a demotion to String can restore them.
 	nonFinite map[int]string
 }
 
+// decide creates the column, sized like the others (first to the sample),
+// and appends the rows seen while undecided as nulls.
 func (b *colBuilder) decide(typ table.Type) {
-	b.decided = true
-	b.typ = typ
-	if typ == table.String {
-		b.dictIdx = make(map[string]int32)
-		b.localIdx = make(map[string]int32)
+	b.col = table.NewColumn(b.in.names[b.j], typ)
+	b.col.Grow(max(b.nulls, b.in.room))
+	for range b.nulls {
+		b.col.AppendNull()
 	}
-	// Materialize the rows appended while undecided as all-null storage.
-	for k, ch := range b.sealed {
-		if ch == nil {
-			b.sealed[k] = b.nullChunk(b.in.opt.ChunkRows)
-			b.account(b.sealed[k].bytes())
-		}
-	}
-	if open := b.rows - len(b.sealed)*b.in.opt.ChunkRows; open > 0 {
-		b.cur = b.nullChunk(open)
-	}
-}
-
-// nullChunk builds an all-null chunk of n rows for the decided type.
-func (b *colBuilder) nullChunk(n int) *chunk {
-	ch := newChunk(b.typ, b.in.opt.ChunkRows)
-	for i := 0; i < n; i++ {
-		appendNullTo(ch, b.typ)
-	}
-	return ch
-}
-
-func appendNullTo(ch *chunk, typ table.Type) {
-	ch.valid.Append(false)
-	switch typ {
-	case table.Float:
-		ch.floats = append(ch.floats, math.NaN())
-	case table.String:
-		ch.codes = append(ch.codes, -1)
-	case table.Bool:
-		ch.bools = append(ch.bools, false)
-	}
-}
-
-func (b *colBuilder) ensureCur() *chunk {
-	if b.cur == nil {
-		b.cur = newChunk(b.typ, b.in.opt.ChunkRows)
-	}
-	return b.cur
-}
-
-func (b *colBuilder) account(delta int64) {
-	b.bytes += delta
-	residentBytes.Add(delta)
 }
 
 func (b *colBuilder) append(field string) {
 	if field == "" {
-		if b.decided {
-			appendNullTo(b.ensureCur(), b.typ)
+		if b.col == nil {
+			b.nulls++
+		} else {
+			b.col.AppendNull()
 		}
-		b.rows++
 		return
 	}
-	if !b.decided {
+	if b.col == nil {
 		b.decide(classifyField(field))
 	}
-	switch b.typ {
+	switch b.col.Typ {
 	case table.Float:
 		v, err := strconv.ParseFloat(field, 64)
-		switch {
-		case err != nil:
-			b.demote()
-			b.appendString(field)
-		case math.IsNaN(v) || math.IsInf(v, 0):
-			appendNullTo(b.ensureCur(), table.Float)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
 			if b.nonFinite == nil {
 				b.nonFinite = make(map[int]string)
 			}
-			b.nonFinite[b.rows] = strings.Clone(field)
-		default:
-			ch := b.ensureCur()
-			ch.valid.Append(true)
-			ch.floats = append(ch.floats, v)
+			b.nonFinite[b.col.Len()] = strings.Clone(field)
+			b.col.AppendNull()
+			return
+		}
+		if err == nil {
+			b.col.AppendFloat(v)
+			return
 		}
 	case table.Bool:
-		if field != "true" && field != "false" {
-			b.demote()
-			b.appendString(field)
-			break
+		if field == "true" || field == "false" {
+			b.col.AppendBool(field == "true")
+			return
 		}
-		ch := b.ensureCur()
-		ch.valid.Append(true)
-		ch.bools = append(ch.bools, field == "true")
-	default:
-		b.appendString(field)
 	}
-	b.rows++
+	if b.col.Typ != table.String {
+		b.demote()
+	}
+	b.col.AppendStringCopy(field)
 }
 
-// appendString appends one value with chunk-local dictionary coding. Local
-// entries may alias the transient csv record buffer; they are cloned when
-// promoted into the global dictionary at seal.
-func (b *colBuilder) appendString(v string) {
-	code, ok := b.localIdx[v]
-	if !ok {
-		code = int32(len(b.localDict))
-		b.localDict = append(b.localDict, v)
-		b.localIdx[v] = code
-	}
-	ch := b.ensureCur()
-	ch.valid.Append(true)
-	ch.codes = append(ch.codes, code)
-}
-
-// seal closes the open chunk: string chunks remap their local codes into
-// the table-global dictionary (first-seen order preserved), and the chunk's
-// resident bytes are accounted.
-func (b *colBuilder) seal() {
-	if !b.decided {
-		b.sealed = append(b.sealed, nil)
-		return
-	}
-	ch := b.ensureCur() // zero-row chunk if nothing appended since last seal
-	if b.typ == table.String {
-		remap := make([]int32, len(b.localDict))
-		for li, s := range b.localDict {
-			g, ok := b.dictIdx[s]
-			if !ok {
-				g = int32(len(b.dict))
-				s = strings.Clone(s)
-				b.dict = append(b.dict, s)
-				b.dictIdx[s] = g
-				b.account(int64(len(s)) + 16)
-			}
-			remap[li] = g
-		}
-		for i, c := range ch.codes {
-			if c >= 0 {
-				ch.codes[i] = remap[c]
-			}
-		}
-		b.localDict = b.localDict[:0]
-		clear(b.localIdx)
-	}
-	b.account(ch.bytes())
-	b.sealed = append(b.sealed, ch)
-	b.cur = nil
-}
-
-// demote rebuilds the column as String after a contradicting field: rows
-// inside the retained sample replay from their raw fields, later rows from
-// the typed storage (non-finite spellings restored from the sidecar).
+// demote rebuilds the column as String after a contradicting field,
+// replaying its rows by index: inside the retained sample from the raw
+// fields, past it from the non-finite sidecar or the typed column.
 func (b *colBuilder) demote() {
-	old := struct {
-		typ       table.Type
-		sealed    []*chunk
-		cur       *chunk
-		nonFinite map[int]string
-	}{b.typ, b.sealed, b.cur, b.nonFinite}
-	rows := b.rows
-
-	b.account(-b.bytes)
-	b.typ = table.String
-	b.dict, b.localDict = nil, nil
-	b.dictIdx = make(map[string]int32)
-	b.localIdx = make(map[string]int32)
-	b.sealed, b.cur = nil, nil
-	b.nonFinite = nil
-	b.rows = 0
-
-	chunkRows := b.in.opt.ChunkRows
-	oldAt := func(i int) (*chunk, int) {
-		if k := i / chunkRows; k < len(old.sealed) {
-			return old.sealed[k], i % chunkRows
-		}
-		return old.cur, i - len(old.sealed)*chunkRows
-	}
-	for i := 0; i < rows; i++ {
+	old, n := b.col, b.col.Len()
+	b.col = table.NewColumn(old.Name, table.String)
+	b.col.Grow(b.in.room)
+	for i := range n {
 		field := ""
 		switch {
 		case i < len(b.in.sample):
 			if rec := b.in.sample[i]; b.j < len(rec) {
 				field = rec[b.j]
 			}
-		case old.nonFinite[i] != "":
-			field = old.nonFinite[i]
+		case b.nonFinite[i] != "":
+			field = b.nonFinite[i]
 		default:
-			ch, off := oldAt(i)
-			if ch.valid.Get(off) {
-				if old.typ == table.Float {
-					field = strconv.FormatFloat(ch.floats[off], 'g', -1, 64)
-				} else {
-					field = strconv.FormatBool(ch.bools[off])
-				}
-			}
+			field = old.StringAt(i) // "" when null
 		}
 		if field == "" {
-			appendNullTo(b.ensureCur(), table.String)
+			b.col.AppendNull()
 		} else {
-			b.appendString(field)
-		}
-		b.rows++
-		if b.rows%chunkRows == 0 {
-			b.seal()
+			b.col.AppendStringCopy(field)
 		}
 	}
+	b.nonFinite = nil
 }
 
 // classifyField is the single-field type verdict for the first non-empty

@@ -160,17 +160,11 @@ const (
 	CountingSparsePasses = "counting_sparse_passes"
 	CountingIDJoins      = "counting_id_joins"
 	CountingPartitions   = "counting_partitions"
-	// IngestRows / IngestChunks / DictEntries count the streaming columnar
-	// ingest (internal/colstore): rows appended, row-chunks sealed, and
-	// table-global dictionary entries created across all string columns.
-	IngestRows   = "ingest_rows"
-	IngestChunks = "ingest_chunks"
-	DictEntries  = "dict_entries"
-	// ColstoreChunkBytes names the resident-chunk-bytes gauge: bytes of
-	// sealed columnar chunk storage (values, validity bitmaps, dictionaries)
-	// currently held by live colstore tables process-wide. It is the
-	// peak-RSS proxy of the scale bench.
-	ColstoreChunkBytes = "colstore_resident_chunk_bytes"
+	// IngestRows / DictEntries count the CSV ingest (internal/colstore):
+	// rows appended, and dictionary entries created across all string
+	// columns.
+	IngestRows  = "ingest_rows"
+	DictEntries = "dict_entries"
 )
 
 // PrunedCounter names the per-rule prune counter, e.g.

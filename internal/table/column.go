@@ -3,7 +3,9 @@ package table
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // Type identifies the storage type of a column.
@@ -84,65 +86,6 @@ func NewStringColumn(name string, vals []string) *Column {
 	return c
 }
 
-// NewFloatColumnWithValid adopts vals and valid as Float-column storage
-// without copying. Rows whose valid bit is clear are null; their value slots
-// are normalized to NaN so adopted columns are indistinguishable from
-// append-built ones. The caller must not retain vals or valid.
-func NewFloatColumnWithValid(name string, vals []float64, valid *Bitmap) (*Column, error) {
-	if valid == nil || valid.Len() != len(vals) {
-		return nil, fmt.Errorf("table: column %q: validity bitmap does not cover %d values", name, len(vals))
-	}
-	for i := range vals {
-		if !valid.Get(i) {
-			vals[i] = math.NaN()
-		}
-	}
-	return &Column{Name: name, Typ: Float, Valid: valid, floats: vals}, nil
-}
-
-// NewBoolColumnWithValid adopts vals and valid as Bool-column storage
-// without copying, normalizing null slots to false. The caller must not
-// retain vals or valid.
-func NewBoolColumnWithValid(name string, vals []bool, valid *Bitmap) (*Column, error) {
-	if valid == nil || valid.Len() != len(vals) {
-		return nil, fmt.Errorf("table: column %q: validity bitmap does not cover %d values", name, len(vals))
-	}
-	for i := range vals {
-		if !valid.Get(i) {
-			vals[i] = false
-		}
-	}
-	return &Column{Name: name, Typ: Bool, Valid: valid, bools: vals}, nil
-}
-
-// NewStringColumnFromCodes adopts pre-encoded dictionary storage as a String
-// column without re-hashing any value: codes index dict, null rows carry
-// code -1 (normalized from whatever the caller left there). The dictionary
-// must be duplicate-free and every valid row's code in range. The caller
-// must not retain codes, dict or valid.
-func NewStringColumnFromCodes(name string, codes []int32, dict []string, valid *Bitmap) (*Column, error) {
-	if valid == nil || valid.Len() != len(codes) {
-		return nil, fmt.Errorf("table: column %q: validity bitmap does not cover %d codes", name, len(codes))
-	}
-	idx := make(map[string]int32, len(dict))
-	for i, s := range dict {
-		if _, dup := idx[s]; dup {
-			return nil, fmt.Errorf("table: column %q: duplicate dictionary entry %q", name, s)
-		}
-		idx[s] = int32(i)
-	}
-	for i, code := range codes {
-		if !valid.Get(i) {
-			codes[i] = -1
-			continue
-		}
-		if code < 0 || int(code) >= len(dict) {
-			return nil, fmt.Errorf("table: column %q: row %d code %d outside dictionary of %d entries", name, i, code, len(dict))
-		}
-	}
-	return &Column{Name: name, Typ: String, Valid: valid, codes: codes, Dict: dict, dictIdx: idx}, nil
-}
-
 // Len returns the number of rows.
 func (c *Column) Len() int { return c.Valid.Len() }
 
@@ -182,11 +125,21 @@ func (c *Column) AppendInt(v int64) {
 }
 
 // AppendString appends a string value; panics if the column is not String.
-func (c *Column) AppendString(v string) {
+func (c *Column) AppendString(v string) { c.appendString(v, false) }
+
+// AppendStringCopy is AppendString for a v that is a window onto a larger
+// buffer, such as a field of a csv record: a value new to the dictionary is
+// copied before the column keeps it, so the column never pins the buffer.
+func (c *Column) AppendStringCopy(v string) { c.appendString(v, true) }
+
+func (c *Column) appendString(v string, copyNew bool) {
 	c.mustType(String)
 	c.Valid.Append(true)
 	code, ok := c.dictIdx[v]
 	if !ok {
+		if copyNew {
+			v = strings.Clone(v)
+		}
 		code = int32(len(c.Dict))
 		c.Dict = append(c.Dict, v)
 		c.dictIdx[v] = code
@@ -199,6 +152,22 @@ func (c *Column) AppendBool(v bool) {
 	c.mustType(Bool)
 	c.Valid.Append(true)
 	c.bools = append(c.bools, v)
+}
+
+// Grow makes room for n more rows, so a caller that knows how many rows
+// follow appends them without reallocating.
+func (c *Column) Grow(n int) {
+	c.Valid.bits = slices.Grow(c.Valid.bits, (c.Valid.n+n+63)/64-len(c.Valid.bits))
+	switch c.Typ {
+	case Float:
+		c.floats = slices.Grow(c.floats, n)
+	case Int:
+		c.ints = slices.Grow(c.ints, n)
+	case String:
+		c.codes = slices.Grow(c.codes, n)
+	case Bool:
+		c.bools = slices.Grow(c.bools, n)
+	}
 }
 
 func (c *Column) mustType(t Type) {

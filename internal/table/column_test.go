@@ -1,9 +1,9 @@
 package table
 
 import (
-	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func TestStringColumnDictionary(t *testing.T) {
@@ -128,59 +128,41 @@ func TestDistinctCountNumeric(t *testing.T) {
 	}
 }
 
-func TestAdoptingColumnConstructors(t *testing.T) {
-	valid := NewBitmap(0)
-	for _, v := range []bool{true, false, true} {
-		valid.Append(v)
-	}
-	fc, err := NewFloatColumnWithValid("f", []float64{1, 99, 3}, valid.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := NewFloatColumn("f", nil)
-	ref.AppendFloat(1)
-	ref.AppendNull()
-	ref.AppendFloat(3)
-	for i := 0; i < 3; i++ {
-		if fc.IsNull(i) != ref.IsNull(i) || fc.StringAt(i) != ref.StringAt(i) {
-			t.Fatalf("float row %d: (%v,%q) want (%v,%q)", i, fc.IsNull(i), fc.StringAt(i), ref.IsNull(i), ref.StringAt(i))
+// Grow(n) makes room for n more rows of every type: none of the appends
+// allocates.
+func TestGrowMakesRoomForAppends(t *testing.T) {
+	for _, typ := range []Type{Float, Int, String, Bool} {
+		c := NewColumn("c", typ)
+		c.AppendNull()
+		c.Grow(200) // AllocsPerRun runs the func twice: a warm-up, then the measured run
+		if allocs := testing.AllocsPerRun(1, func() {
+			for range 100 {
+				c.AppendNull()
+			}
+		}); allocs != 0 {
+			t.Errorf("%v: %v allocations appending into grown room", typ, allocs)
+		}
+		if c.Len() != 201 || c.NullCount() != 201 {
+			t.Errorf("%v: %d rows, %d null; want 201, 201", typ, c.Len(), c.NullCount())
 		}
 	}
+}
 
-	sc, err := NewStringColumnFromCodes("s", []int32{1, 7, 0}, []string{"a", "b"}, valid.Clone())
-	if err != nil {
-		t.Fatal(err)
+// AppendStringCopy codes values as AppendString does but keeps a copy of a
+// value new to the dictionary, never a window onto the caller's buffer.
+func TestAppendStringCopyOwnsNewEntries(t *testing.T) {
+	rec := string([]byte("ORD,SFO"))
+	base := uintptr(unsafe.Pointer(unsafe.StringData(rec)))
+	c := NewColumn("city", String)
+	c.AppendStringCopy(rec[:3])
+	c.AppendStringCopy(rec[4:])
+	c.AppendStringCopy(rec[:3])
+	if got := c.Strings(); len(got) != 3 || got[0] != "ORD" || got[1] != "SFO" || got[2] != "ORD" || c.Code(2) != 0 {
+		t.Fatalf("values %q, codes %d %d %d", got, c.Code(0), c.Code(1), c.Code(2))
 	}
-	if got := fmt.Sprint(sc.Strings()); got != fmt.Sprint([]string{"b", "", "a"}) {
-		t.Fatalf("string values = %s", got)
-	}
-	if sc.Code(1) != -1 {
-		t.Fatalf("null code = %d, want -1 (normalized)", sc.Code(1))
-	}
-	// Appending to an adopted column must keep interning against its dict.
-	sc.AppendString("b")
-	if sc.Code(3) != 1 {
-		t.Fatalf("appended code = %d, want 1", sc.Code(3))
-	}
-
-	if _, err := NewStringColumnFromCodes("s", []int32{2, 0, 0}, []string{"a", "b"}, valid.Clone()); err == nil {
-		t.Fatal("out-of-range code on a valid row must error")
-	}
-	if _, err := NewStringColumnFromCodes("s", []int32{0, 0, 0}, []string{"a", "a"}, valid.Clone()); err == nil {
-		t.Fatal("duplicate dictionary entries must error")
-	}
-	if _, err := NewFloatColumnWithValid("f", []float64{1}, valid.Clone()); err == nil {
-		t.Fatal("length mismatch must error")
-	}
-
-	bc, err := NewBoolColumnWithValid("b", []bool{true, true, false}, valid.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bc.IsNull(1) {
-		t.Fatal("row 1 should be null")
-	}
-	if v, ok := bc.BoolAt(0); !ok || !v {
-		t.Fatal("row 0 should be true")
+	for _, s := range c.Dict {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p >= base && p < base+uintptr(len(rec)) {
+			t.Fatalf("dictionary entry %q aliases the record", s)
+		}
 	}
 }

@@ -105,7 +105,7 @@ func TestReadCSVNonFiniteAsNull(t *testing.T) {
 		name string
 		read func() (*table.Table, error)
 	}{
-		{"streaming", func() (*table.Table, error) { return ingest(in, colstore.Options{ChunkRows: 2, SampleRows: 2}) }},
+		{"streaming", func() (*table.Table, error) { return ingest(in, colstore.Options{SampleRows: 2}) }},
 		{"oracle", func() (*table.Table, error) { return table.ReadCSVOracle(strings.NewReader(in)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,9 +134,9 @@ func TestReadCSVNonFiniteAsNull(t *testing.T) {
 // and keep the original spelling, not the canonicalized null.
 func TestReadCSVNonFiniteSpellingSurvivesDemotion(t *testing.T) {
 	// A sample of 2 sees only numerics (incl. NaN stored as null); the "abc"
-	// row arrives after the sample, in a later chunk, and forces demotion.
+	// row arrives after the sample and forces demotion.
 	in := "x\n1.50\nNaN\n2\nabc\n"
-	tbl, err := ingest(in, colstore.Options{ChunkRows: 3, SampleRows: 2})
+	tbl, err := ingest(in, colstore.Options{SampleRows: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,11 @@ func TestReadCSVNonFiniteSpellingSurvivesDemotion(t *testing.T) {
 
 // A column whose sampled prefix is all-empty stays undecided until the first
 // value arrives, so late numerics still yield a Float column (as the oracle
-// does with its full scan) — also when whole chunks sealed while undecided.
+// does with its full scan) — also when rows past the sample passed while
+// undecided.
 func TestReadCSVLateTypeDecision(t *testing.T) {
 	in := "x,y\n,\n,\n,\n3,x\n4,\n"
-	for _, opt := range []colstore.Options{{ChunkRows: 2, SampleRows: 2}, {ChunkRows: 1, SampleRows: 1}, {}} {
+	for _, opt := range []colstore.Options{{SampleRows: 2}, {SampleRows: 1}, {}} {
 		tbl, err := ingest(in, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -185,8 +186,7 @@ func TestReadCSVLateTypeDecision(t *testing.T) {
 // Differential property: on CSVs whose numeric spellings are canonical the
 // ingester matches the oracle cell for cell at every sample size — samples
 // smaller than the input included, so demotion past the sample is hit — and
-// every chunk size, row counts one short of, at and one past a chunk seam
-// included.
+// at row counts one short of, at and one past the end of the sample.
 func TestReadCSVStreamingMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 60; iter++ {
@@ -197,27 +197,25 @@ func TestReadCSVStreamingMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sample := range []int{1, 3, 7, nRows + 1} {
-			for _, chunk := range []int{2, 16} {
-				got, err := ingest(in, colstore.Options{ChunkRows: chunk, SampleRows: sample})
-				if err != nil {
-					t.Fatalf("iter %d sample %d chunk %d: %v", iter, sample, chunk, err)
-				}
-				if d := sameCells(got, oracle); d != "" {
-					t.Fatalf("iter %d sample %d chunk %d: %s", iter, sample, chunk, d)
-				}
+			got, err := ingest(in, colstore.Options{SampleRows: sample})
+			if err != nil {
+				t.Fatalf("iter %d sample %d: %v", iter, sample, err)
+			}
+			if d := sameCells(got, oracle); d != "" {
+				t.Fatalf("iter %d sample %d: %s", iter, sample, d)
 			}
 		}
 	}
-	const chunkRows = 16
+	const sampleRows = 16
 	for k := 1; k <= 4; k++ {
 		for delta := -1; delta <= 1; delta++ {
-			n := k*chunkRows + delta
+			n := k*sampleRows + delta
 			in := randomCSV(rng, 3, n)
 			oracle, err := table.ReadCSVOracle(strings.NewReader(in))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ingest(in, colstore.Options{ChunkRows: chunkRows, SampleRows: 8})
+			got, err := ingest(in, colstore.Options{SampleRows: sampleRows})
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
@@ -243,7 +241,7 @@ func TestReadCSVErrors(t *testing.T) {
 
 func TestReadCSVTypeInference(t *testing.T) {
 	in := "a,b,c,d\n1,x,true,\n2,y,false,\n,z,,\n"
-	for _, opt := range []colstore.Options{{}, {ChunkRows: 2, SampleRows: 1}} {
+	for _, opt := range []colstore.Options{{}, {SampleRows: 1}} {
 		tbl, err := ingest(in, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -265,11 +263,10 @@ func TestReadCSVTypeInference(t *testing.T) {
 // FuzzFromCSV is the hostile-CSV target: whatever the bytes — ragged or
 // quoted records, duplicate or empty column names, no rows, no header — the
 // ingester must return a table or an error, never panic or hang, and it must
-// accept exactly what the oracle accepts. With the default geometry the input
-// fits the inference sample, so an accepted table equals the oracle's cell
-// for cell; with a two-row sample and three-row chunks (demotion, late type
-// decisions and chunk seams on almost every input) it still has the oracle's
-// shape, types and nulls.
+// accept exactly what the oracle accepts. With the default sample the input
+// fits it, so an accepted table equals the oracle's cell for cell; with a
+// two-row sample (demotion and late type decisions on almost every input) it
+// still has the oracle's shape, types and nulls.
 func FuzzFromCSV(f *testing.F) {
 	f.Add([]byte("a,b,c\n1,x,true\n2,y,false\n,z,\n"))
 	f.Add([]byte("x\n1.50\nNaN\n2\nabc\n"))
@@ -283,7 +280,7 @@ func FuzzFromCSV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := string(data)
 		oracle, oerr := table.ReadCSVOracle(strings.NewReader(in))
-		for _, opt := range []colstore.Options{{}, {ChunkRows: 3, SampleRows: 2}} {
+		for _, opt := range []colstore.Options{{}, {SampleRows: 2}} {
 			got, err := ingest(in, opt)
 			if (err == nil) != (oerr == nil) {
 				t.Fatalf("%+v: ingest error %v, oracle error %v", opt, err, oerr)

@@ -13,7 +13,7 @@ import (
 // materializes — same RNG draw order, every float in a spelling that parses
 // back to the same value: reading the stream back through the CSV ingester
 // reproduces the generated table cell for cell (types, nulls, values,
-// dictionary order and codes), across chunk seams.
+// dictionary order and codes), past the inference sample too.
 func TestFlightsCSVMatchesTable(t *testing.T) {
 	w := sharedWorld()
 	cfg := Config{Rows: 1500, Seed: 12}
@@ -23,7 +23,7 @@ func TestFlightsCSVMatchesTable(t *testing.T) {
 	if err := FlightsCSV(w, cfg, &csv); err != nil {
 		t.Fatal(err)
 	}
-	st, err := colstore.FromCSV(&csv, colstore.Options{ChunkRows: 256})
+	st, err := colstore.FromCSV(&csv, colstore.Options{SampleRows: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,9 +99,8 @@ func Open(ctx context.Context, su Setup, opts Options) (*Session, *Loaded, error
 		if err != nil {
 			return nil, nil, err
 		}
-		// Stream through the chunked columnar ingester so arbitrarily large
-		// CSVs load with bounded resident memory, then drain into the flat
-		// table the pipeline consumes (dictionary codes carry over unchanged).
+		// Stream the records straight into the table's columns: past the
+		// inference sample no raw record is kept.
 		st, err := colstore.FromCSV(f, colstore.Options{Counters: counters})
 		f.Close()
 		if err != nil {
