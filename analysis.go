@@ -453,7 +453,7 @@ func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Option
 	if opts.Scorer != nil && opts.ScoreTag == "" {
 		opts.ScoreTag = sess.DatasetFingerprint() + "|" + sess.KGVersion()
 	}
-	encs, err := r.explanationEncodings()
+	encs, slots, err := r.explanationEncodings()
 	if err != nil {
 		return nil, subgroups.Stats{}, err
 	}
@@ -461,7 +461,7 @@ func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Option
 	if err != nil {
 		return nil, subgroups.Stats{}, err
 	}
-	return subgroups.TopUnexplained(ctx, r.Analysis.T, r.Analysis.O, encs, attrs, opts)
+	return subgroups.TopUnexplainedSlots(ctx, r.Analysis.T, r.Analysis.O, encs, slots, attrs, opts)
 }
 
 // ExplainSubgroupCtx re-explains the query inside one unexplained subgroup
@@ -488,21 +488,40 @@ func (r *Report) ExplainSubgroupCtx(ctx context.Context, g subgroups.Group) (*Re
 	return a.ExplainCtx(ctx)
 }
 
-// explanationEncodings re-derives the encodings of the selected attributes.
-func (r *Report) explanationEncodings() ([]*bins.Encoded, error) {
+// explanationEncodings re-derives the encodings of the selected attributes,
+// with the row→slot map of the link column every one of them is reached
+// through: nil when one is an input column or two columns are involved.
+func (r *Report) explanationEncodings() ([]*bins.Encoded, []int32, error) {
 	var out []*bins.Encoded
-	for _, attr := range r.Explanation.Attrs {
+	var slots []int32
+	for i, attr := range r.Explanation.Attrs {
 		c := r.Analysis.Candidate(attr.Name)
 		if c == nil {
-			return nil, fmt.Errorf("nexus: selected attribute %q not among candidates", attr.Name)
+			return nil, nil, fmt.Errorf("nexus: selected attribute %q not among candidates", attr.Name)
 		}
 		e, err := c.Enc()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out = append(out, e)
+		m := entitySlots(c)
+		if i == 0 {
+			slots = m
+		}
+		if len(m) == 0 || len(slots) == 0 || &m[0] != &slots[0] {
+			slots = nil
+		}
 	}
-	return out, nil
+	return out, slots, nil
+}
+
+// entitySlots is the row→slot map of a candidate in entity form, whose Enc is
+// then a function of the slot; nil for any other candidate.
+func entitySlots(c *core.Candidate) []int32 {
+	if c.Entity == nil {
+		return nil
+	}
+	return c.Entity.Slots
 }
 
 // refinementAttrs picks the categorical dimensions for subgroup discovery:
@@ -511,7 +530,8 @@ func (r *Report) explanationEncodings() ([]*bins.Encoded, error) {
 // a column without one (a WHERE attribute) is encoded here. A KG attribute
 // is judged at entity level (every rule is an integer function of slot
 // codes × rows per slot) and broadcast to rows, through its candidate's
-// memoised Enc, only when picked.
+// memoised Enc, only when picked; it carries its link column's row→slot map,
+// so the search can carry nodes on it as slots.
 func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 	const maxAttrs = 24
 	var out []subgroups.RefinementAttr
@@ -565,11 +585,12 @@ func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 			if !refinementEligible(rowsPerCode(ent, rows), len(attr.RowSlots()), 0.5) {
 				continue
 			}
-			e, err := a.byName[attr.Name].Enc()
+			c := a.byName[attr.Name]
+			e, err := c.Enc()
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, subgroups.RefinementAttr{Name: attr.Name, Enc: e})
+			out = append(out, subgroups.RefinementAttr{Name: attr.Name, Enc: e, Slots: entitySlots(c)})
 			if len(out) >= maxAttrs {
 				break
 			}

@@ -52,6 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		csvPath   = fs.String("csv", "", "load this CSV instead of a synthetic dataset")
 		tableName = fs.String("table", "data", "table name for -csv")
 		links     = fs.String("links", "", "comma-separated link columns for -csv")
+		exclude   = fs.String("exclude", "", "comma-separated columns of -csv ruled out as candidate confounders (e.g. a sibling measurement of the outcome)")
 		sql       = fs.String("sql", "", "aggregate query to explain (required)")
 		seed      = fs.Uint64("seed", 11, "world seed")
 		kgURL     = fs.String("kg", "", "remote knowledge-graph server URL (cmd/kgd), e.g. http://localhost:7070; default in-process graph")
@@ -86,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	su := nexus.Setup{
 		Dataset: *dataset, Rows: *rows, CSV: *csvPath, Table: *tableName, Links: nexus.SplitList(*links),
-		Seed: *seed, KG: *kgURL,
+		Exclude: nexus.SplitList(*exclude), Seed: *seed, KG: *kgURL,
 	}
 	fmt.Fprintln(stdout, "generating knowledge graph...")
 	if su.KG != "" {

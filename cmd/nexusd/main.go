@@ -54,6 +54,7 @@ func run(args []string) error {
 		csvPath      = fs.String("csv", "", "serve this CSV instead of a synthetic dataset")
 		tableName    = fs.String("table", "data", "table name for -csv")
 		links        = fs.String("links", "", "comma-separated link columns for -csv")
+		exclude      = fs.String("exclude", "", "comma-separated columns of -csv ruled out as candidate confounders (e.g. a sibling measurement of the outcome)")
 		seed         = fs.Uint64("seed", 11, "world seed")
 		kgURL        = fs.String("kg", "", "remote knowledge-graph server URL (cmd/kgd), e.g. http://localhost:7070; default in-process graph")
 		hops         = fs.Int("hops", 1, "KG extraction depth")
@@ -82,7 +83,7 @@ func run(args []string) error {
 	metrics := registry.Counters()
 	su := nexus.Setup{
 		Dataset: *dataset, Rows: *rows, CSV: *csvPath, Table: *tableName, Links: nexus.SplitList(*links),
-		Seed: *seed, KG: *kgURL,
+		Exclude: nexus.SplitList(*exclude), Seed: *seed, KG: *kgURL,
 		Registry: registry,
 	}
 	log.Printf("generating knowledge graph (seed %d)...", su.Seed)

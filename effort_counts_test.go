@@ -31,7 +31,7 @@ var effortCounts = map[string][]effortCount{
 		{"composite_rebuilds", 3},
 		{"counting_dense_passes", 1913},
 		{"counting_id_joins", 4},
-		{"counting_partitions", 875},
+		{"counting_partitions", 495},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 189},
 		{"entities_unresolved", 5},
@@ -49,7 +49,8 @@ var effortCounts = map[string][]effortCount{
 		{"subgroup_batches", 376},
 		{"subgroup_nodes_explored", 1500},
 		{"subgroup_nodes_pushed", 2784},
-		{"subgroup_rows_visited", 5925515},
+		{"subgroup_rows_visited", 4318510},
+		{"subgroup_slot_scored", 424},
 	},
 	"flights": {
 		{"biased_attrs", 17},
@@ -59,7 +60,7 @@ var effortCounts = map[string][]effortCount{
 		{"cond_walks", 6},
 		{"counting_dense_passes", 2020},
 		{"counting_id_joins", 2},
-		{"counting_partitions", 858},
+		{"counting_partitions", 859},
 		{"entities_ambiguous", 0},
 		{"entities_linked", 654},
 		{"entities_unresolved", 100},
@@ -77,7 +78,8 @@ var effortCounts = map[string][]effortCount{
 		{"subgroup_batches", 378},
 		{"subgroup_nodes_explored", 1500},
 		{"subgroup_nodes_pushed", 3216},
-		{"subgroup_rows_visited", 11018748},
+		{"subgroup_rows_visited", 10699151},
+		{"subgroup_slot_scored", 295},
 	},
 }
 

@@ -34,6 +34,7 @@ type SlotCube struct {
 	parts [3][]int32 // nil for an absent part
 
 	once  sync.Once
+	every []int32 // 0, 1, …: every slot, the list Fold walks
 	start []int32 // the cells of slot s are [start[s], start[s+1])
 	// Each cell's key (z·card₂ + y)·card₁ + x, its z, x and y part and its
 	// rows, the cells of a slot sorted by key. The key puts y before x so that
@@ -143,6 +144,10 @@ func (c *SlotCube) build() {
 		}
 	}
 
+	c.every = make([]int32, nSlots)
+	for s := range c.every {
+		c.every[s] = int32(s)
+	}
 	c.start = make([]int32, nSlots+1)
 	c1, c2 := int32(c.card[1]), int32(c.card[2])
 	add := func(k, rows int32) {
@@ -197,6 +202,15 @@ func (c *SlotCube) build() {
 // Counted as a dense pass like the row pass it stands for. Backed by pooled
 // storage — call Release when done.
 func (c *SlotCube) Fold(e []int32, ce int, on Axis) (XYZ, bool) {
+	return c.FoldSlots(e, ce, on, nil)
+}
+
+// FoldSlots is Fold over the listed slots alone (nil lists every slot): the
+// tally of the rows whose slot is listed — what CountXYZRowsOf returns over
+// those rows, ascending, with the parts and e broadcast to rows and nil
+// weights — walking the listed slots' cells, not every slot's. A slot appears
+// in the list at most once.
+func (c *SlotCube) FoldSlots(e []int32, ce int, on Axis, slots []int32) (XYZ, bool) {
 	if c == nil || ce <= 0 {
 		return XYZ{}, false
 	}
@@ -208,22 +222,28 @@ func (c *SlotCube) Fold(e []int32, ce int, on Axis) (XYZ, bool) {
 		return XYZ{}, false
 	}
 	t := newDenseXYZ(cx, cy, zc)
-	t.WeightSum = c.foldInto(e, ce, on, cx, cy, t.Joint, t.ZX, t.ZY, t.Z)
+	t.WeightSum = c.foldInto(e, ce, on, cx, cy, slots, t.Joint, t.ZX, t.ZY, t.Z)
 	t.WeightSqSum = t.WeightSum // every weight is 1
 	t.occupy()
 	return t, true
 }
 
-// foldInto adds every cell's rows to the three-way layout
+// foldInto adds the listed slots' cells' rows to the three-way layout
 // joint[(z·cx+x)·cy+y] and its margins zx[z·cx+x], zy[z·cy+y], z[z], e's code
 // for the cell's slot joined onto axis on; a slot whose code is missing is
 // skipped whole. It returns the rows added.
-func (c *SlotCube) foldInto(e []int32, ce int, on Axis, cx, cy int, joint, zx, zy, z []float64) (total float64) {
+func (c *SlotCube) foldInto(e []int32, ce int, on Axis, cx, cy int, slots []int32, joint, zx, zy, z []float64) (total float64) {
 	c.once.Do(c.build)
 	mul := [3]int{1, 1, 1}
 	mul[on] = ce
 	mz, mx, my := mul[0], mul[1], mul[2]
-	for s := 0; s+1 < len(c.start) && s < len(e); s++ {
+	if slots == nil {
+		slots = c.every
+	}
+	for _, s := range slots {
+		if int(s)+1 >= len(c.start) || int(s) >= len(e) {
+			continue
+		}
 		ec := int(e[s])
 		if ec < 0 {
 			continue

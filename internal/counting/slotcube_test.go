@@ -205,6 +205,60 @@ func TestSlotCubeFoldMatchesRowPass(t *testing.T) {
 	}
 }
 
+// TestSlotCubeFoldSlotsMatchesRowList is the slot-list fold's differential:
+// the (E, x, y) tally of a random ascending slot list, E on z, against the row
+// pass over the rows of those slots with E broadcast — unresolved rows, slots
+// with a missing E code or without rows, parts with missing codes, an empty
+// list and the nil list of every slot.
+func TestSlotCubeFoldSlotsMatchesRowList(t *testing.T) {
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n, nSlots := r.Intn(400), 1+r.Intn(40)
+		slots := randomCodes(r, n, nSlots, 1+r.Intn(6))
+		cx, cy, ce := 1+r.Intn(6), 1+r.Intn(20), 1+r.Intn(12)
+		x := Dim{Codes: randomCodes(r, n, cx, r.Intn(5)), Card: cx}
+		y := Dim{Codes: randomCodes(r, n, cy, r.Intn(5)), Card: cy}
+		codes := randomCodes(r, nSlots, ce, r.Intn(4))
+		var list []int32
+		if seed%7 != 0 {
+			list = []int32{}
+			for s := range nSlots {
+				if r.Intn(3) == 0 {
+					list = append(list, int32(s))
+				}
+			}
+		}
+		listed := make([]bool, nSlots)
+		for _, s := range list {
+			listed[s] = true
+		}
+		var rows []int32
+		for i, s := range slots {
+			if s >= 0 && (list == nil || listed[s]) {
+				rows = append(rows, int32(i))
+			}
+		}
+		got, ok := NewSlotCube(slots, Dim{}, x, y).FoldSlots(codes, ce, AxisZ, list)
+		if !ok {
+			t.Fatalf("seed %d: a dense fold reported false", seed)
+		}
+		want := CountXYZRowsOf(x, y, Dim{Codes: broadcast(codes, slots), Card: ce}, Weights{}, rows)
+		checkOccupancy(t, "the slot-list fold", got)
+		gotOcc, wantOcc := *got.Occupancy(), *want.Occupancy()
+		g, w := got, want
+		g.sc, w.sc = nil, nil
+		if !reflect.DeepEqual(g, w) || !reflect.DeepEqual(gotOcc.Strata, wantOcc.Strata) {
+			t.Fatalf("seed %d, %d rows, %d listed slots: fold differs from the row pass\nfold %+v\nrows %+v", seed, len(rows), len(list), g, w)
+		}
+		got.Release()
+		want.Release()
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSlotCubeFoldDenseGate walks the product of the cards up to and across
 // MaxDense on each axis: the fold is dense exactly where the row pass is,
 // and a cube whose parts alone leave MaxDense is nil and folds nothing.

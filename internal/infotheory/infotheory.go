@@ -75,8 +75,8 @@ func TallyMutualInfo(p *counting.Pair) float64 {
 
 // TallyCondMutualInfo returns I(X; Y | Z) in bits from a dense three-way
 // tally the caller holds, and releases it: CondMutualInfo's finalize (the
-// denseMI walk of cmiDenseStats over the tally's occupancy) for a tally that
-// was folded rather than counted over rows (counting.SlotCube.Fold).
+// denseMI walk over the tally's occupancy) for a tally that was folded rather
+// than counted over rows (counting.SlotCube.Fold).
 func TallyCondMutualInfo(t *counting.XYZ) float64 {
 	defer t.Release()
 	if t.WeightSum <= 0 {
@@ -85,12 +85,20 @@ func TallyCondMutualInfo(t *counting.XYZ) float64 {
 	return denseMI(t.Joint, t.ZX, t.ZY, t.Z, t.Cx, t.Cy, t.Occupancy(), t.WeightSum)
 }
 
+// TallyCondMutualInfoDebiased is CondMutualInfoDebiasedRows's finalize for an
+// unweighted three-way tally that was folded rather than counted over a row
+// list (counting.SlotCube.FoldSlots), and releases it: equal tallies give
+// math.Float64bits-equal results.
+func TallyCondMutualInfoDebiased(t *counting.XYZ) float64 {
+	return debiasedMI(xyzStats(t, false), true)
+}
+
 // CondMutualInfo returns I(X; Y | G1, ..., Gk) in bits over rows where x, y
 // and every conditioning variable are present. It returns 0 when no complete
 // cases exist. Negative values arising from floating-point error are clamped
 // to 0. The weights may be in either form.
 func CondMutualInfo(x, y Var, given []Var, w Weights) float64 {
-	return cmi(x, y, given, w).mi
+	return cmiOf(x, y, given, w, false).mi
 }
 
 // CondMutualInfoDebiased returns the plug-in CMI minus its expected value
@@ -101,7 +109,7 @@ func CondMutualInfo(x, y Var, given []Var, w Weights) float64 {
 // estimate has a positive bias that grows with the number of conditioning
 // strata and would otherwise drown small thresholds.
 func CondMutualInfoDebiased(x, y Var, given []Var, w []float64) float64 {
-	return debiasedMI(cmi(x, y, given, Weights{W: w}), w != nil)
+	return debiasedMI(cmiOf(x, y, given, Weights{W: w}, false), w != nil)
 }
 
 // CondMutualInfoDebiasedRows is CondMutualInfoDebiased restricted to the
@@ -119,7 +127,7 @@ func CondMutualInfoDebiasedRows(x, y Var, given []Var, w []float64, rows []int32
 	}
 	z := strata(given, x.Len())
 	t := counting.CountXYZRowsOf(dim(x), dim(y), z, Weights{W: w}, rows)
-	return debiasedMI(xyzStats(&t), true)
+	return debiasedMI(xyzStats(&t, false), true)
 }
 
 func debiasedMI(s cmiStats, weighted bool) float64 {
@@ -149,13 +157,22 @@ type cmiStats struct {
 	nx, ny, nz  int // observed distinct x codes, y codes, z strata
 }
 
+// cmi returns every statistic of I(X;Y|given), the conditional entropies the
+// normalized independence tests read included.
 func cmi(x, y Var, given []Var, w Weights) cmiStats {
+	return cmiOf(x, y, given, w, true)
+}
+
+// cmiOf is cmi; without entropies a dense tally's hx and hy are left 0, which
+// the estimators that read only mi, the weight sums and the supports never
+// look at.
+func cmiOf(x, y Var, given []Var, w Weights, entropies bool) cmiStats {
 	z := strata(given, x.Len())
 	if x.Card == 0 || y.Card == 0 {
 		return cmiStats{}
 	}
 	t := counting.CountXYZOf(dim(x), dim(y), z, w)
-	return xyzStats(&t)
+	return xyzStats(&t, entropies)
 }
 
 // strata is the conditioning set as one kernel column: the constant column
@@ -183,12 +200,17 @@ func strata(given []Var, n int) counting.Dim {
 	return counting.Dim{Codes: ids, Card: card}
 }
 
-func xyzStats(t *counting.XYZ) cmiStats {
+// xyzStats finalizes and releases a tally, a dense one's conditional
+// entropies only when entropies is set.
+func xyzStats(t *counting.XYZ, entropies bool) cmiStats {
 	if !t.Dense {
 		return cmiSparseStats(t)
 	}
 	defer t.Release()
-	return cmiDenseStats(t.Joint, t.ZX, t.ZY, t.Z, t.Cx, t.Cy, t.Occupancy(), t.WeightSum, t.WeightSqSum)
+	if entropies {
+		return cmiDenseStats(t.Joint, t.ZX, t.ZY, t.Z, t.Cx, t.Cy, t.Occupancy(), t.WeightSum, t.WeightSqSum)
+	}
+	return denseMIStats(t.Joint, t.ZX, t.ZY, t.Z, t.Cx, t.Cy, t.Occupancy(), t.WeightSum, t.WeightSqSum)
 }
 
 // cmiDenseStats is the one dense finalize: every plug-in statistic read off a
@@ -205,6 +227,17 @@ func xyzStats(t *counting.XYZ) cmiStats {
 // weights are never negative, so a code has a positive margin cell exactly
 // where denseMI's walk meets it.
 func cmiDenseStats(joint, zx, zy, z []float64, cx, cy int, occ *counting.Occupancy, weightSum, weightSqSum float64) cmiStats {
+	s := denseMIStats(joint, zx, zy, z, cx, cy, occ, weightSum, weightSqSum)
+	if weightSum > 0 {
+		s.hx, s.hy = denseCondEntropies(zx, zy, z, cx, cy, occ, weightSum)
+	}
+	return s
+}
+
+// denseMIStats is cmiDenseStats without the conditional entropies: mi, the
+// weight sums and the support sizes, all that CondMutualInfo and the debiased
+// estimators read.
+func denseMIStats(joint, zx, zy, z []float64, cx, cy int, occ *counting.Occupancy, weightSum, weightSqSum float64) cmiStats {
 	if weightSum <= 0 {
 		return cmiStats{}
 	}
@@ -212,7 +245,6 @@ func cmiDenseStats(joint, zx, zy, z []float64, cx, cy int, occ *counting.Occupan
 		mi:        denseMI(joint, zx, zy, z, cx, cy, occ, weightSum),
 		weightSum: weightSum, weightSqSum: weightSqSum,
 	}
-	s.hx, s.hy = denseCondEntropies(zx, zy, z, cx, cy, occ, weightSum)
 	s.nx, s.ny, s.nz = denseSupport(zx, zy, z, cx, cy, occ)
 	return s
 }
@@ -273,7 +305,13 @@ func denseCondEntropies(zx, zy, z []float64, cx, cy int, occ *counting.Occupancy
 }
 
 // denseSupport counts the x codes and the y codes with a positive margin cell
-// in some occupied stratum, and the strata of positive weight.
+// in some occupied stratum, and the strata of positive weight. An x code is
+// looked up stratum by stratum until one holds it — x is the outcome, a
+// handful of codes, each met in the first strata. The y codes are read off
+// the occupied (z, y) pairs, stratum by stratum, each marked once, until
+// every code is met: a tally whose strata hold few of the y codes (a lattice
+// node's) costs its pairs, not |Y|·|Z|, and one whose first strata hold
+// them all (a full table's) costs those strata.
 func denseSupport(zx, zy, z []float64, cx, cy int, occ *counting.Occupancy) (nx, ny, nz int) {
 	for xc := 0; xc < cx; xc++ {
 		for _, zi := range occ.Strata {
@@ -283,17 +321,26 @@ func denseSupport(zx, zy, z []float64, cx, cy int, occ *counting.Occupancy) (nx,
 			}
 		}
 	}
-	for yc := 0; yc < cy; yc++ {
-		for _, zi := range occ.Strata {
-			if zy[int(zi)*cy+yc] > 0 {
-				ny++
-				break
-			}
-		}
-	}
 	for _, zi := range occ.Strata {
 		if z[zi] > 0 {
 			nz++
+		}
+	}
+	var small [8]uint64 // a mark per y code, up to 512 codes without allocating
+	seen := small[:]
+	if words := (cy + 63) / 64; words > len(seen) {
+		seen = make([]uint64, words)
+	}
+	for i, zc := range occ.Strata {
+		if ny == cy {
+			break
+		}
+		row := zy[int(zc)*cy : (int(zc)+1)*cy]
+		for _, yc := range occ.Ys(i) {
+			if bit := uint64(1) << (yc & 63); row[yc] > 0 && seen[yc>>6]&bit == 0 {
+				seen[yc>>6] |= bit
+				ny++
+			}
 		}
 	}
 	return nx, ny, nz

@@ -95,6 +95,11 @@ const (
 	// mean group size, not the view's row count. With a remote Scorer the
 	// tally passes run on the workers and are not included.
 	SubgroupRowsVisited = "subgroup_rows_visited"
+	// SubgroupSlotScored counts the lattice nodes scored from entity slots:
+	// nodes whose conditions and explanation are all functions of one link
+	// column's slot, folded from that column's slot cube with no row pass.
+	// Included in GroupsScored.
+	SubgroupSlotScored = "subgroup_slot_scored"
 	// RowsetCacheHits is no longer written: the lattice search's row-set
 	// cache is gone (nodes carry their row lists). The name stays until the
 	// benchmark module, which reads it, drops the metric.

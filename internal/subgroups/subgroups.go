@@ -11,6 +11,11 @@
 // insertion, stop conditions) is replayed on a single goroutine in exactly
 // the serial order. Output is therefore byte-identical at any Parallelism;
 // see TopUnexplained.
+//
+// A node whose every condition, and the explanation, is a function of one
+// link column's entity slot (a slot node) is carried as its list of slots:
+// its size, its children's sizes and its score are read off the slots and
+// the column's (slot, O, T) cube, not off its rows (see TopUnexplainedSlots).
 package subgroups
 
 import (
@@ -22,6 +27,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"nexus/internal/bins"
 	"nexus/internal/core"
@@ -35,6 +41,11 @@ import (
 type RefinementAttr struct {
 	Name string
 	Enc  *bins.Encoded // row-level over the analysis view
+	// Slots is, for a knowledge-graph attribute, the row→slot map of the
+	// link column it is reached through: Enc is then a function of the slot
+	// (an unresolved row is Missing). Attributes of one column share one map,
+	// the same backing array. Nil for an input column.
+	Slots []int32
 }
 
 // Assignment is one attr = value condition of a refinement.
@@ -165,40 +176,54 @@ const batchFactor = 4
 //   - Scoring batches pop the top nodes, score the not-yet-scored ones
 //     concurrently (the score is stored on the node), and push every node
 //     back — the contents are unchanged, so the consume order is unchanged.
-//   - A node's score is a pure function of its row list, and the list is the
-//     same ascending one whichever worker carves it from the parent's: each
-//     evaluation runs the same float operations in the same order, so
-//     stored scores are bit-identical to serially computed ones.
+//   - A node's score is a pure function of its row list (of a slot node's
+//     slot list), and the list is the same ascending one whichever worker
+//     carves it from the parent's: each evaluation runs the same float
+//     operations in the same order, so stored scores are bit-identical to
+//     serially computed ones.
 //   - All state transitions — Explored counting, τ comparison, ancestor
 //     suppression, child expansion and the reachability cut, the K and
 //     maxExplored stop conditions — happen on one goroutine, consuming
 //     stored scores in pop order.
 //
 // Only scheduling-effort counters (subgroup_batches, groups_scored,
-// subgroup_rows_visited) vary with Parallelism; results and Stats do not.
+// subgroup_rows_visited, subgroup_slot_scored) vary with Parallelism;
+// results and Stats do not.
 func TopUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options) ([]Group, Stats, error) {
-	return topUnexplained(ctx, t, o, explanation, attrs, opts, max(t.Len()/100, minSizeFloor), maxExplored, nil)
+	return TopUnexplainedSlots(ctx, t, o, explanation, nil, attrs, opts)
+}
+
+// TopUnexplainedSlots is TopUnexplained told, by explSlots, the row→slot map
+// of the link column that every explanation attribute is reached through
+// (nil when there is none, or an attribute is an input column) and, by
+// RefinementAttr.Slots, each dimension's. A node whose conditions are all on
+// dimensions of one column, when the explanation is empty or on that column
+// too, is a slot node (see search.child): it is carried as the ascending list
+// of the slots that satisfy its conditions, sized by rows per slot and scored
+// by folding the column's (slot, O, T) cube (counting.SlotCube.FoldSlots)
+// through the explanation's stratum per slot. Unweighted counts are integers,
+// so the folded tally is the row tally cell for cell and the score is
+// math.Float64bits-equal; the groups and Stats are TopUnexplained's. With a
+// remote Scorer every node takes the row path.
+func TopUnexplainedSlots(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, explSlots []int32, attrs []RefinementAttr, opts Options) ([]Group, Stats, error) {
+	return run(ctx, t, o, explanation, explSlots, attrs, opts, max(t.Len()/100, minSizeFloor), maxExplored, nil)
 }
 
 // topUnexplained is TopUnexplained with the minimum group size and the node
 // budget as parameters, for tests; consumed, when non-nil, observes every
 // node the traversal consumes, in order (the cut-exactness test's probe).
 func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options, minSize, explored int, consumed func(Group)) ([]Group, Stats, error) {
+	return run(ctx, t, o, explanation, nil, attrs, opts, minSize, explored, consumed)
+}
+
+// run is the search; see TopUnexplainedSlots.
+func run(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, explSlots []int32, attrs []RefinementAttr, opts Options, minSize, explored int, consumed func(Group)) ([]Group, Stats, error) {
 	if opts.K <= 0 {
 		opts.K = 5
 	}
-	n := t.Len()
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	dims := make([]counting.Dim, len(attrs))
-	for i, a := range attrs {
-		if a.Enc.Len() != n {
-			return nil, Stats{}, fmt.Errorf("subgroups: attribute %q has %d rows, view has %d", a.Name, a.Enc.Len(), n)
-		}
-		dims[i] = counting.Dim{Codes: a.Enc.Codes, Card: a.Enc.Card}
-	}
-
 	tr := obs.TraceFrom(ctx)
 	if c := tr.Counters(); c != nil {
 		opts.Counters = c
@@ -213,46 +238,23 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 	countBase := counting.Stats()
 	defer func() { counting.Stats().Delta(countBase).Each(opts.Counters.Add) }()
 
-	// Every scored lattice node conditions on the same explanation, so hand
-	// the per-node estimator one column it can use as its stratum ids
-	// unchanged: a multi-attribute explanation pre-joined into its composite
-	// (infotheory.JoinVars), an empty one as the single all-rows stratum. The
-	// row partition — and hence every score — is identical.
-	switch len(explanation) {
-	case 0:
-		explanation = []*bins.Encoded{{Name: "explanation", Codes: make([]int32, n), Card: 1}}
-	case 1:
-	default:
-		vars := make([]infotheory.Var, len(explanation))
-		for i, e := range explanation {
-			vars[i] = e
-		}
-		explanation = []*bins.Encoded{infotheory.JoinVars("explanation", vars...)}
-		opts.Counters.Add(obs.CompositeRebuilds, 1)
-	}
-
-	codes, err := counting.Pack(dims, n)
+	s, err := newSearch(t, o, explanation, explSlots, attrs, &opts, minSize, explored)
 	if err != nil {
-		return nil, Stats{}, fmt.Errorf("subgroups: %w", err)
+		return nil, Stats{}, err
 	}
-	s := &search{t: t, o: o, explanation: explanation, attrs: attrs, opts: &opts,
-		minSize: minSize, explored: explored,
-		codes: codes, hist: make([]int32, codes.Bins()), sizes: make(sizeIndex, n+2)}
-	if opts.Scorer != nil {
-		attrEncs := make([]*bins.Encoded, len(attrs))
-		for i, a := range attrs {
-			attrEncs[i] = a.Enc
-		}
-		s.gc = &core.GroupContext{T: t, O: o, Explanation: explanation,
-			Attrs: attrEncs, Tag: opts.ScoreTag}
-	}
-	defer func() { opts.Counters.Add(obs.SubgroupRowsVisited, s.visited.Load()) }()
+	// Where the time goes, without a span per batch or expansion.
+	var scoreDur, expandDur time.Duration
+	defer func() {
+		opts.Counters.Add(obs.SubgroupRowsVisited, s.visited.Load())
+		opts.Counters.Add(obs.SubgroupSlotScored, s.slotScored.Load())
+		sp.SetFloat("score-ms", float64(scoreDur)/float64(time.Millisecond))
+		sp.SetFloat("expand-ms", float64(expandDur)/float64(time.Millisecond))
+		sp.SetInt("slot-nodes", s.slotScored.Load())
+	}()
 
-	root := &node{Group: Group{Size: n}, rows: make([]int32, n), carved: true}
-	for i := range root.rows {
-		root.rows[i] = int32(i)
-	}
-	s.expand(root)
+	start := time.Now()
+	s.expand(s.root())
+	expandDur += time.Since(start)
 
 	var results []Group
 	for s.heap.Len() > 0 && len(results) < opts.K && s.stats.Explored < explored {
@@ -269,7 +271,9 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			for len(batch) < limit && s.heap.Len() > 0 {
 				batch = append(batch, heap.Pop(&s.heap).(*node))
 			}
+			start := time.Now()
 			err := s.scoreBatch(ctx, batch)
+			scoreDur += time.Since(start)
 			for _, g := range batch {
 				heap.Push(&s.heap, g)
 			}
@@ -300,7 +304,9 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			continue
 		}
 		if len(g.Conds) < maxDepth {
+			start := time.Now()
 			s.expand(g)
+			expandDur += time.Since(start)
 		}
 	}
 	s.stats.Exhausted = s.heap.Len() == 0 && s.stats.Explored < explored
@@ -312,22 +318,107 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 	return results, s.stats, nil
 }
 
+// newSearch prepares a traversal: the explanation as one stratum column, the
+// dimensions' codes packed, and the slot views of the admitted link columns
+// (none with a remote Scorer).
+func newSearch(t, o *bins.Encoded, explanation []*bins.Encoded, explSlots []int32, attrs []RefinementAttr, opts *Options, minSize, explored int) (*search, error) {
+	n := t.Len()
+	dims := make([]counting.Dim, len(attrs))
+	for i, a := range attrs {
+		if a.Enc.Len() != n {
+			return nil, fmt.Errorf("subgroups: attribute %q has %d rows, view has %d", a.Name, a.Enc.Len(), n)
+		}
+		dims[i] = counting.Dim{Codes: a.Enc.Codes, Card: a.Enc.Card}
+	}
+	// Every scored lattice node conditions on the same explanation, so hand
+	// the per-node estimator one column it can use as its stratum ids
+	// unchanged: a multi-attribute explanation pre-joined into its composite
+	// (infotheory.JoinVars), an empty one as the single all-rows stratum. The
+	// row partition — and hence every score — is identical.
+	emptyE := len(explanation) == 0
+	switch len(explanation) {
+	case 0:
+		explanation = []*bins.Encoded{{Name: "explanation", Codes: make([]int32, n), Card: 1}}
+	case 1:
+	default:
+		vars := make([]infotheory.Var, len(explanation))
+		for i, e := range explanation {
+			vars[i] = e
+		}
+		explanation = []*bins.Encoded{infotheory.JoinVars("explanation", vars...)}
+		opts.Counters.Add(obs.CompositeRebuilds, 1)
+	}
+
+	codes, err := counting.Pack(dims, n)
+	if err != nil {
+		return nil, fmt.Errorf("subgroups: %w", err)
+	}
+	s := &search{t: t, o: o, explanation: explanation, attrs: attrs, opts: opts,
+		minSize: minSize, explored: explored,
+		codes: codes, hist: make([]int32, codes.Bins()), sizes: make(sizeIndex, n+2),
+		cols: make([][]int32, len(attrs)), linkOf: make([]*link, len(attrs)), slotCodes: make([][]int32, len(attrs))}
+	for i := range attrs {
+		s.cols[i] = codes.Column(s.hist, i)
+	}
+	if opts.Scorer != nil {
+		attrEncs := make([]*bins.Encoded, len(attrs))
+		for i, a := range attrs {
+			attrEncs[i] = a.Enc
+		}
+		s.gc = &core.GroupContext{T: t, O: o, Explanation: explanation,
+			Attrs: attrEncs, Tag: opts.ScoreTag}
+	} else {
+		s.admitLinks(explSlots, emptyE)
+	}
+	return s, nil
+}
+
+// root is the lattice's root: every row, carved.
+func (s *search) root() *node {
+	n := s.t.Len()
+	root := &node{Group: Group{Size: n}, rows: make([]int32, n), carved: true}
+	for i := range root.rows {
+		root.rows[i] = int32(i)
+	}
+	return root
+}
+
 // node is a lattice node on the frontier. Until the node is carved, rows is
 // its parent's row list, from which its last condition selects its own; a
 // node is carved when it is first scored in process, or when it is expanded
 // after a remote Scorer scored it — so a pushed node that is never reached
-// costs its conditions and nothing per row.
+// costs its conditions and nothing per row. A slot node (link set) carries
+// its slots the same way — its parent's until cut, on scoring — and is carved
+// only when it is expanded over rows; below a slot node whose expansion read
+// only slots, rows is nil: no descendant ever needs them.
 type node struct {
 	Group
 	rows   []int32 // ascending view rows
 	carved bool
+	link   *link   // the column every condition and E is a function of
+	slots  []int32 // ascending slots of link
+	cut    bool
 	scored bool
 }
 
-// search is the state of one lattice traversal. Everything but visited is
-// owned by the traversal goroutine; scoring workers touch only the nodes of
-// their batch, one worker per node, and are joined before the traversal
-// reads them.
+// link is one link column's slot view of the search, made for the columns
+// that carry dimensions when the explanation is empty or on that column too.
+type link struct {
+	rows  []int32 // rows per slot
+	first []int32 // each slot's first row, -1 for a slot without rows
+	e     []int32 // E's stratum per slot, Missing for a slot without rows
+	ce    int     // E's card
+	every []int32 // every slot: the slot list of the root
+	// tail is the least dimension index from which every dimension is on
+	// this column: a slot node refining from there needs no rows.
+	tail int
+	cube *counting.SlotCube // parts (·, O, T)
+}
+
+// search is the state of one lattice traversal. Everything but visited and
+// slotScored is owned by the traversal goroutine; scoring workers touch only
+// the nodes of their batch, one worker per node, and are joined before the
+// traversal reads them.
 type search struct {
 	t, o        *bins.Encoded
 	explanation []*bins.Encoded
@@ -337,13 +428,94 @@ type search struct {
 	explored    int                // the node budget
 	gc          *core.GroupContext // set when opts.Scorer is
 
-	codes *counting.Packed // attrs' codes, row-major
-	hist  []int32          // expand's scratch, codes.Bins() long
-	heap  nodeHeap
-	sizes sizeIndex // the heap's nodes by size
-	stats Stats
+	codes     *counting.Packed // attrs' codes, row-major
+	hist      []int32          // expand's scratch, codes.Bins() long
+	cols      [][]int32        // each dimension's part of hist, by code
+	linkOf    []*link          // per dimension: its column's, when admitted
+	slotCodes [][]int32        // per dimension of an admitted column: code per slot
+	heap      nodeHeap
+	sizes     sizeIndex // the heap's nodes by size
+	stats     Stats
 
-	visited atomic.Int64 // rows touched by histogram, carve and tally passes
+	visited    atomic.Int64 // rows touched by histogram, carve and tally passes
+	slotScored atomic.Int64 // nodes scored from slots
+}
+
+// admitLinks makes the slot view of every link column whose dimensions can
+// head slot nodes: any column when the explanation is empty, else the one of
+// explSlots. Nothing is admitted where the row tally would not be dense, the
+// fold's one gate.
+func (s *search) admitLinks(explSlots []int32, emptyE bool) {
+	e := s.explanation[0]
+	if s.t.Slots != nil || s.o.Slots != nil || e.Slots != nil || s.t.Len() == 0 {
+		return
+	}
+	size := 1
+	for _, card := range []int{s.o.Card, s.t.Card, e.Card} {
+		if card <= 0 {
+			return
+		}
+		if size *= card; size > counting.MaxDense {
+			return
+		}
+	}
+	byMap := map[*int32]*link{}
+	for i, a := range s.attrs {
+		if len(a.Slots) == 0 || !emptyE && (len(explSlots) == 0 || &explSlots[0] != &a.Slots[0]) {
+			continue
+		}
+		l := byMap[&a.Slots[0]]
+		if l == nil {
+			l = s.newLink(a.Slots)
+			byMap[&a.Slots[0]] = l
+		}
+		s.linkOf[i], s.slotCodes[i] = l, perSlot(a.Enc.Codes, l.first)
+	}
+	for _, l := range byMap {
+		for l.tail > 0 && s.linkOf[l.tail-1] == l {
+			l.tail--
+		}
+	}
+}
+
+// newLink makes the slot view of the row→slot map slots. The explanation's
+// stratum of a slot is read off its row-level column — the composite that
+// JoinVars numbered over rows — at the slot's first row, so the fold's strata
+// are the row tally's, in the same order.
+func (s *search) newLink(slots []int32) *link {
+	rows := counting.RowsPerSlot(slots)
+	first := make([]int32, len(rows))
+	for i := range first {
+		first[i] = -1
+	}
+	for r := len(slots) - 1; r >= 0; r-- {
+		if sl := slots[r]; sl >= 0 {
+			first[sl] = int32(r)
+		}
+	}
+	every := make([]int32, len(rows))
+	for i := range every {
+		every[i] = int32(i)
+	}
+	e := s.explanation[0]
+	return &link{
+		rows: rows, first: first, e: perSlot(e.Codes, first), ce: e.Card, every: every, tail: len(s.attrs),
+		cube: counting.NewSlotCube(slots, counting.Dim{},
+			counting.Dim{Codes: s.o.Codes, Card: s.o.Card}, counting.Dim{Codes: s.t.Codes, Card: s.t.Card}),
+	}
+}
+
+// perSlot reads a row column that is a function of the slot at each slot's
+// first row: its code per slot, Missing for a slot without rows.
+func perSlot(codes, first []int32) []int32 {
+	out := make([]int32, len(first))
+	for sl, r := range first {
+		out[sl] = counting.Missing
+		if r >= 0 {
+			out[sl] = codes[r]
+		}
+	}
+	return out
 }
 
 // carve replaces the parent's row list on n by n's own: one pass over the
@@ -356,6 +528,41 @@ func (s *search) carve(n *node) {
 	s.visited.Add(int64(len(n.rows)))
 	n.rows = s.codes.Select(n.rows, last.AttrIdx, last.Code, n.Size)
 	n.carved = true
+}
+
+// cut is carve for a slot node's slots: the parent's slots with the last
+// condition's code, in order.
+func (s *search) cut(n *node) {
+	if n.cut {
+		return
+	}
+	last := n.Conds[len(n.Conds)-1]
+	codes := s.slotCodes[last.AttrIdx]
+	var slots []int32
+	for _, sl := range n.slots {
+		if codes[sl] == last.Code {
+			slots = append(slots, sl)
+		}
+	}
+	n.slots, n.cut = slots, true
+}
+
+// score evaluates n in process: a slot node by folding its column's cube
+// over its slots, with E's stratum per slot, then finalizing the tally as
+// core.ScoreGroupRows finalizes the row tally; any other node from its rows.
+func (s *search) score(n *node) {
+	if l := n.link; l != nil {
+		s.cut(n)
+		// Dense: admitLinks checked the fold's gate.
+		t, _ := l.cube.FoldSlots(l.e, l.ce, counting.AxisZ, n.slots)
+		n.Score = infotheory.TallyCondMutualInfoDebiased(&t)
+		s.slotScored.Add(1)
+	} else {
+		s.carve(n)
+		s.visited.Add(int64(len(n.rows)))
+		n.Score = core.ScoreGroupRows(s.t, s.o, s.explanation, n.rows, nil)
+	}
+	n.scored = true
 }
 
 // scoreBatch evaluates every not-yet-scored node of the batch, fanning the
@@ -398,11 +605,7 @@ func (s *search) scoreBatch(ctx context.Context, batch []*node) error {
 			if i >= len(todo) || ctx.Err() != nil {
 				return
 			}
-			g := todo[i]
-			s.carve(g)
-			s.visited.Add(int64(len(g.rows)))
-			g.Score = core.ScoreGroupRows(s.t, s.o, s.explanation, g.rows, nil)
-			g.scored = true
+			s.score(todo[i])
 		}
 	}
 	workers := min(s.opts.Parallelism, len(todo))
@@ -425,8 +628,10 @@ func (s *search) scoreBatch(ctx context.Context, batch []*node) error {
 // expand pushes the children of g: refinements extending it with one
 // assignment of an attribute whose index exceeds the last used index (so
 // every lattice node is generated exactly once), in ascending attribute and
-// code order. One pass over g's rows counts the sizes of all of them; a
-// child is pushed with that size and g's row list, not its own.
+// code order. One pass over g's rows counts the sizes of all of them — or,
+// for a slot node whose every refinement is on its own column, one pass over
+// its slots, weighted by rows per slot; a child is pushed with that size and
+// g's row and slot lists, not its own.
 //
 // A child is not pushed when the budget cannot reach it. The heap pops by
 // size, so a child is consumed only after every node strictly larger than it
@@ -444,13 +649,29 @@ func (s *search) expand(g *node) {
 	if from >= len(s.attrs) {
 		return
 	}
-	s.carve(g)
 	clear(s.hist)
-	s.codes.Histogram(g.rows, from, s.hist)
-	s.visited.Add(int64(len(g.rows)))
+	var rows []int32 // the children's parent rows: none below a slot pass
+	if g.link != nil {
+		s.cut(g)
+	}
+	if l := g.link; l != nil && from >= l.tail {
+		for _, sl := range g.slots {
+			k := l.rows[sl]
+			for ai := from; ai < len(s.attrs); ai++ {
+				if c := s.slotCodes[ai][sl]; c >= 0 {
+					s.cols[ai][c] += k
+				}
+			}
+		}
+	} else {
+		s.carve(g)
+		rows = g.rows
+		s.codes.Histogram(rows, from, s.hist)
+		s.visited.Add(int64(len(rows)))
+	}
 	for ai := from; ai < len(s.attrs); ai++ {
 		enc := s.attrs[ai].Enc
-		for code, count := range s.codes.Column(s.hist, ai) {
+		for code, count := range s.cols[ai] {
 			size := int(count)
 			if size < s.minSize || size == g.Size {
 				// Too small, or the assignment does not refine (constant
@@ -464,16 +685,31 @@ func (s *search) expand(g *node) {
 			if code < len(enc.Labels) {
 				label = enc.Labels[code]
 			}
-			heap.Push(&s.heap, &node{rows: g.rows, Group: Group{
-				Conds: append(append([]Assignment(nil), g.Conds...), Assignment{
-					AttrIdx: ai, Attr: s.attrs[ai].Name, Code: int32(code), Value: label,
-				}),
-				Size: size,
-			}})
+			heap.Push(&s.heap, s.child(g, rows, Assignment{
+				AttrIdx: ai, Attr: s.attrs[ai].Name, Code: int32(code), Value: label,
+			}, size))
 			s.sizes.add(size, 1)
 			s.stats.Pushed++
 		}
 	}
+}
+
+// child is g refined by a, of the given size, carrying g's lists. It is a
+// slot node when a's column is admitted and g is the root or a slot node of
+// that column: then every condition, and the explanation, is a function of
+// the column's slot.
+func (s *search) child(g *node, rows []int32, a Assignment, size int) *node {
+	n := &node{rows: rows, Group: Group{
+		Conds: append(append([]Assignment(nil), g.Conds...), a),
+		Size:  size,
+	}}
+	if l := s.linkOf[a.AttrIdx]; l != nil && (len(g.Conds) == 0 || g.link == l) {
+		n.link, n.slots = l, g.slots
+		if g.link == nil {
+			n.slots = l.every
+		}
+	}
+	return n
 }
 
 // sizeIndex counts the heap's nodes by size: a Fenwick tree over [0, n].

@@ -24,7 +24,10 @@ type Setup struct {
 	CSV     string   // -csv: load this file instead of a synthetic dataset
 	Table   string   // -table: table name for CSV
 	Links   []string // -links: link columns of CSV (SplitList of the flag)
-	Seed    uint64   // -seed: world seed
+	// -exclude: columns of CSV ruled out as candidate confounders, such as a
+	// sibling measurement of the outcome (SplitList of the flag)
+	Exclude []string
+	Seed    uint64 // -seed: world seed
 
 	KG string // -kg: kgd URL ("" = the in-process graph)
 	// Registry, when non-nil, receives the remote-KG request histograms.
@@ -33,8 +36,9 @@ type Setup struct {
 
 // Loaded describes the dataset Open registered, for the caller's status line.
 type Loaded struct {
-	// Dataset is the registered table with its link columns. For a CSV its
-	// Name is Setup.Table and it has no candidate exclusions.
+	// Dataset is the registered table with its link columns and candidate
+	// exclusions. For a CSV its Name is Setup.Table and they are Setup.Links
+	// and Setup.Exclude.
 	*workload.Dataset
 	// Ingest is the columnar ingest summary of a CSV (zero otherwise).
 	Ingest colstore.Stats
@@ -45,8 +49,8 @@ type Loaded struct {
 var ErrNoDataset = errors.New("provide -dataset or -csv")
 
 // SplitList parses a comma-separated flag value: split on commas, trim
-// blanks, drop empty fields. The -links flag of both binaries goes through
-// it, so "Country," or "a, b" mean the same in each.
+// blanks, drop empty fields. The -links and -exclude flags of both binaries
+// go through it, so "Country," or "a, b" mean the same in each.
 func SplitList(s string) []string {
 	var out []string
 	for _, f := range strings.Split(s, ",") {
@@ -111,13 +115,18 @@ func Open(ctx context.Context, su Setup, opts Options) (*Session, *Loaded, error
 		if err != nil {
 			return nil, nil, fmt.Errorf("reading %s: %w", su.CSV, err)
 		}
-		for _, lc := range su.Links {
-			if !tbl.HasColumn(lc) {
-				return nil, nil, fmt.Errorf("link column %q not in %s (columns: %s)",
-					lc, su.CSV, strings.Join(tbl.ColumnNames(), ", "))
+		for _, named := range []struct {
+			what string
+			cols []string
+		}{{"link", su.Links}, {"excluded", su.Exclude}} {
+			for _, c := range named.cols {
+				if !tbl.HasColumn(c) {
+					return nil, nil, fmt.Errorf("%s column %q not in %s (columns: %s)",
+						named.what, c, su.CSV, strings.Join(tbl.ColumnNames(), ", "))
+				}
 			}
 		}
-		ld.Dataset = &workload.Dataset{Name: su.Table, Table: tbl, LinkColumns: su.Links}
+		ld.Dataset = &workload.Dataset{Name: su.Table, Table: tbl, LinkColumns: su.Links, ExcludeCandidates: su.Exclude}
 	}
 	sess.RegisterTable(ld.Name, ld.Table, ld.LinkColumns...)
 	sess.ExcludeCandidates(ld.Name, ld.ExcludeCandidates...)

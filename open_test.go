@@ -29,8 +29,8 @@ func TestSplitList(t *testing.T) {
 }
 
 // Open is the dataset bootstrap cmd/nexus and cmd/nexusd share: a CSV is
-// ingested, its link columns validated and the table registered under the
-// given name; a Setup naming no dataset is ErrNoDataset.
+// ingested, its link and excluded columns validated and the table registered
+// under the given name; a Setup naming no dataset is ErrNoDataset.
 func TestOpenCSV(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "d.csv")
 	if err := os.WriteFile(path, []byte("Country,V\nFrance,1\nGermany,2\nFrance,3\n"), 0o644); err != nil {
@@ -50,6 +50,17 @@ func TestOpenCSV(t *testing.T) {
 	_, _, err = Open(context.Background(), Setup{CSV: path, Table: "d", Links: []string{"Nope"}, Seed: 11}, Options{})
 	if err == nil || !strings.Contains(err.Error(), `link column "Nope" not in `+path+" (columns: Country, V)") {
 		t.Fatalf("unknown link column: %v", err)
+	}
+	_, _, err = Open(context.Background(), Setup{CSV: path, Table: "d", Links: []string{"Country"}, Exclude: SplitList("V, Nope"), Seed: 11}, Options{})
+	if err == nil || !strings.Contains(err.Error(), `excluded column "Nope" not in `+path+" (columns: Country, V)") {
+		t.Fatalf("unknown excluded column: %v", err)
+	}
+	_, ld, err = Open(context.Background(), Setup{CSV: path, Table: "d", Exclude: []string{"V"}, Seed: 11}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ld.ExcludeCandidates) != "[V]" {
+		t.Fatalf("-exclude V: exclusions %v", ld.ExcludeCandidates)
 	}
 	if _, _, err := Open(context.Background(), Setup{Seed: 11}, Options{}); !errors.Is(err, ErrNoDataset) {
 		t.Fatalf("empty setup: %v, want ErrNoDataset", err)
