@@ -334,7 +334,10 @@ func (a *Analysis) KGCandidate(attr *extract.Attribute) *core.Candidate {
 	return a.session.kgCandidate(a, attr, new(onceValue[[]float64]))
 }
 
-// Candidate returns the named candidate, or nil.
+// Candidate returns the named candidate, or nil. It looks up by name alone:
+// where a knowledge-graph attribute shares an input column's name, the
+// attribute is returned. (Report.SubgroupsCtx resolves the selected
+// attributes by name and origin.)
 func (a *Analysis) Candidate(name string) *core.Candidate { return a.byName[name] }
 
 // ExplainCtx runs the full MESA pipeline on the prepared analysis,
@@ -453,7 +456,7 @@ func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Option
 	if opts.Scorer != nil && opts.ScoreTag == "" {
 		opts.ScoreTag = sess.DatasetFingerprint() + "|" + sess.KGVersion()
 	}
-	encs, slots, err := r.explanationEncodings()
+	encs, err := r.explanationEncodings()
 	if err != nil {
 		return nil, subgroups.Stats{}, err
 	}
@@ -461,7 +464,7 @@ func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Option
 	if err != nil {
 		return nil, subgroups.Stats{}, err
 	}
-	return subgroups.TopUnexplainedSlots(ctx, r.Analysis.T, r.Analysis.O, encs, slots, attrs, opts)
+	return subgroups.TopUnexplained(ctx, r.Analysis.T, r.Analysis.O, encs, attrs, opts)
 }
 
 // ExplainSubgroupCtx re-explains the query inside one unexplained subgroup
@@ -488,40 +491,35 @@ func (r *Report) ExplainSubgroupCtx(ctx context.Context, g subgroups.Group) (*Re
 	return a.ExplainCtx(ctx)
 }
 
-// explanationEncodings re-derives the encodings of the selected attributes,
-// with the row→slot map of the link column every one of them is reached
-// through: nil when one is an input column or two columns are involved.
-func (r *Report) explanationEncodings() ([]*bins.Encoded, []int32, error) {
+// explanationEncodings returns the encodings of the selected attributes, each
+// resolved by name and origin (an input column and a knowledge-graph
+// attribute may share a name) and in its own form: a candidate in entity form
+// as its indirect column, any other as its row encoding.
+func (r *Report) explanationEncodings() ([]*bins.Encoded, error) {
 	var out []*bins.Encoded
-	var slots []int32
-	for i, attr := range r.Explanation.Attrs {
-		c := r.Analysis.Candidate(attr.Name)
-		if c == nil {
-			return nil, nil, fmt.Errorf("nexus: selected attribute %q not among candidates", attr.Name)
+	for _, attr := range r.Explanation.Attrs {
+		var c *core.Candidate
+		for _, cand := range r.Analysis.Candidates {
+			if cand.Name == attr.Name && cand.Origin == attr.Origin {
+				c = cand
+			}
 		}
-		e, err := c.Enc()
+		if c == nil {
+			return nil, fmt.Errorf("nexus: selected attribute %q not among candidates", attr.Name)
+		}
+		var e *bins.Encoded
+		var err error
+		if c.Entity != nil {
+			e, err = c.Entity.Encoding(c.Name)
+		} else {
+			e, err = c.Enc()
+		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out = append(out, e)
-		m := entitySlots(c)
-		if i == 0 {
-			slots = m
-		}
-		if len(m) == 0 || len(slots) == 0 || &m[0] != &slots[0] {
-			slots = nil
-		}
 	}
-	return out, slots, nil
-}
-
-// entitySlots is the row→slot map of a candidate in entity form, whose Enc is
-// then a function of the slot; nil for any other candidate.
-func entitySlots(c *core.Candidate) []int32 {
-	if c.Entity == nil {
-		return nil
-	}
-	return c.Entity.Slots
+	return out, nil
 }
 
 // refinementAttrs picks the categorical dimensions for subgroup discovery:
@@ -529,9 +527,8 @@ func entitySlots(c *core.Candidate) []int32 {
 // tractability. An input column reads its input candidate's encoding; only
 // a column without one (a WHERE attribute) is encoded here. A KG attribute
 // is judged at entity level (every rule is an integer function of slot
-// codes × rows per slot) and broadcast to rows, through its candidate's
-// memoised Enc, only when picked; it carries its link column's row→slot map,
-// so the search can carry nodes on it as slots.
+// codes × rows per slot) and handed over in that form, under its link
+// column's row→slot map, so the search can carry nodes on it as slots.
 func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 	const maxAttrs = 24
 	var out []subgroups.RefinementAttr
@@ -585,12 +582,9 @@ func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 			if !refinementEligible(rowsPerCode(ent, rows), len(attr.RowSlots()), 0.5) {
 				continue
 			}
-			c := a.byName[attr.Name]
-			e, err := c.Enc()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, subgroups.RefinementAttr{Name: attr.Name, Enc: e, Slots: entitySlots(c)})
+			out = append(out, subgroups.RefinementAttr{Name: attr.Name, Enc: &bins.Encoded{
+				Name: attr.Name, Codes: ent.Codes, Card: ent.Card, Labels: ent.Labels, Slots: attr.RowSlots(),
+			}})
 			if len(out) >= maxAttrs {
 				break
 			}
@@ -702,7 +696,8 @@ func (a *Analysis) rawSeries(name string) ([]float64, bool) {
 // Responsibility re-ranks an explicit attribute set by Def. 2.5 and returns
 // name → responsibility. It lets analysts probe sets beyond the one MCIMR
 // selected, scoring them as Explain scores its own (core.ScoreSet): under
-// the attributes' IPW weights.
+// the attributes' IPW weights. Each name is resolved as Candidate resolves
+// it, by name alone.
 func (a *Analysis) Responsibility(names []string) (map[string]float64, error) {
 	cands := make([]*core.Candidate, len(names))
 	for i, n := range names {

@@ -39,7 +39,6 @@ var effortCounts = map[string][]effortCount{
 		{"ipw_fits", 9},
 		{"kg_attrs", 393},
 		{"kg_attrs_hop1", 393},
-		{"kg_row_encodings", 20},
 		{"mcimr_iterations", 2},
 		{"mcimr_skips", 11},
 		{"permutations_run", 2056},
@@ -68,7 +67,6 @@ var effortCounts = map[string][]effortCount{
 		{"ipw_fits", 17},
 		{"kg_attrs", 934},
 		{"kg_attrs_hop1", 934},
-		{"kg_row_encodings", 23},
 		{"mcimr_iterations", 1},
 		{"mcimr_skips", 11},
 		{"permutations_run", 4700},
@@ -141,17 +139,10 @@ func TestEffortCountsExact(t *testing.T) {
 					t.Errorf("subgroup_rows_visited = %d, want < groups_scored × rows / 2 = %d", v, bound)
 				}
 			}
-			// Rows are built only for what the subgroup search requests: its
-			// refinement attributes and the explanation it conditions on
-			// (every extracted attribute was broadcast before the prunes
-			// worked from the entity form, and every survivor and weighted
-			// candidate before the scoring core read it through its map).
-			refine, err := nexus.RefinementAttrCount(rep.Analysis)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v, bound := counters[obs.KGRowEncodings], int64(refine+len(rep.Explanation.Attrs)); v > bound {
-				t.Errorf("kg_row_encodings = %d, want ≤ refinement attributes + |E| = %d", v, bound)
+			// The subgroup search broadcasts none either: it reads its
+			// knowledge-graph dimensions and the explanation in entity form.
+			if v := counters[obs.KGRowEncodings]; v != 0 {
+				t.Errorf("kg_row_encodings = %d after Explain and Subgroups, want 0", v)
 			}
 			var got []effortCount
 			for name, n := range counters {

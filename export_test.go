@@ -3,17 +3,15 @@ package nexus
 import (
 	"context"
 
+	"nexus/internal/bins"
 	"nexus/internal/extract"
 	"nexus/internal/sfcache"
 	"nexus/internal/sqlx"
 )
 
-// RefinementAttrCount is how many dimensions the subgroup search of a's
-// reports refines over, for the effort gate in the external tests.
-func RefinementAttrCount(a *Analysis) (int, error) {
-	attrs, err := a.refinementAttrs()
-	return len(attrs), err
-}
+// ExplanationEncodings is the explanation r's subgroup search conditions on,
+// one encoding per selected attribute, for the external tests.
+func ExplanationEncodings(r *Report) ([]*bins.Encoded, error) { return r.explanationEncodings() }
 
 // Catalog is s's table catalog, for the external tests that execute a query
 // without explaining it.

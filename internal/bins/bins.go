@@ -39,8 +39,8 @@ func (e *Encoded) Len() int {
 	return len(e.Codes)
 }
 
-// code returns row i's code.
-func (e *Encoded) code(i int) int32 {
+// Code returns row i's code, read through Slots for the indirect form.
+func (e *Encoded) Code(i int) int32 {
 	if e.Slots == nil {
 		return e.Codes[i]
 	}
@@ -54,7 +54,7 @@ func (e *Encoded) code(i int) int32 {
 func (e *Encoded) MissingCount() int {
 	n := 0
 	for i := range e.Len() {
-		if e.code(i) == Missing {
+		if e.Code(i) == Missing {
 			n++
 		}
 	}
@@ -74,7 +74,7 @@ func (e *Encoded) Gather(idx []int) *Encoded {
 	out := &Encoded{Name: e.Name, Card: e.Card, Labels: e.Labels}
 	out.Codes = make([]int32, len(idx))
 	for i, r := range idx {
-		out.Codes[i] = e.code(r)
+		out.Codes[i] = e.Code(r)
 	}
 	return out
 }

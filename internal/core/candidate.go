@@ -103,7 +103,7 @@ type Candidate struct {
 // every other candidate gives Enc and Weights.
 func (c *Candidate) vectors() (*bins.Encoded, []float64, error) {
 	if e := c.Entity; e != nil {
-		enc, err := e.encoding(c.Name)
+		enc, err := e.Encoding(c.Name)
 		if err != nil || e.Weights == nil {
 			return enc, nil, err
 		}
@@ -137,9 +137,9 @@ type Entity struct {
 	Weights func() []float64
 }
 
-// encoding is the entity form as one indirect column named name: the slot
+// Encoding is the entity form as one indirect column named name: the slot
 // codes read through Slots. It shares the slot encoding's codes.
-func (e *Entity) encoding(name string) (*bins.Encoded, error) {
+func (e *Entity) Encoding(name string) (*bins.Encoded, error) {
 	slotEnc, err := e.Enc()
 	if err != nil {
 		return nil, err
@@ -166,14 +166,14 @@ func FromEntity(name string, hops int, ent *Entity, counters *obs.Counters) *Can
 	c := &Candidate{Name: name, Origin: OriginKG, Hops: hops, Entity: form}
 	c.Enc = sync.OnceValues(func() (*bins.Encoded, error) {
 		counters.Add(obs.KGRowEncodings, 1)
-		enc, err := form.encoding(name)
+		enc, err := form.Encoding(name)
 		if err != nil {
 			return nil, err
 		}
 		return enc.Broadcast(slots), nil
 	})
 	c.Permute = func(rng *stats.RNG) (*bins.Encoded, error) {
-		enc, err := form.encoding(name)
+		enc, err := form.Encoding(name)
 		if err != nil {
 			return nil, err
 		}

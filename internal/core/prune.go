@@ -200,7 +200,7 @@ func onlinePrune(ctx context.Context, tr *obs.Trace, folds *slotFolds, cands []*
 		if c.Entity != nil {
 			pair = folds.cube(c.Entity.Slots, nil, o, nil)
 			if !opts.DisablePermRelevance {
-				ent, err := c.Entity.encoding(c.Name)
+				ent, err := c.Entity.Encoding(c.Name)
 				if err != nil {
 					return "", err
 				}

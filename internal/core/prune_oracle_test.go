@@ -202,7 +202,7 @@ func TestOnlinePruneNullFirstMatchesOracle(t *testing.T) {
 					if c.Entity == nil || c.Entity.Weights == nil {
 						continue
 					}
-					ent, err := c.Entity.encoding(c.Name)
+					ent, err := c.Entity.Encoding(c.Name)
 					if err != nil {
 						t.Fatal(err)
 					}

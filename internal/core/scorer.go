@@ -149,13 +149,12 @@ type PermSpec struct {
 }
 
 // GroupContext is the immutable dataset of one subgroup search: exposure,
-// outcome, the (already folded) explanation composite, the refinement
-// attribute encodings and the optional base IPW weights.
+// outcome, the (already folded) explanation composite and the refinement
+// attribute encodings, each in its own form (row-level, or indirect).
 type GroupContext struct {
 	T, O        *bins.Encoded
 	Explanation []*bins.Encoded
 	Attrs       []*bins.Encoded
-	Base        []float64
 	// Tag: see ScoreContext.Tag.
 	Tag string
 
@@ -182,7 +181,6 @@ func (gc *GroupContext) Fingerprint() string {
 		for _, a := range gc.Attrs {
 			hashEnc(h, a)
 		}
-		hashWeights(h, gc.Base)
 		gc.fp = fmt.Sprintf("subgroup:%016x", h.Sum64())
 	})
 	return gc.fp
@@ -204,14 +202,14 @@ type GroupSpec struct {
 }
 
 // Rows returns the ascending row indices of the view matching every
-// condition of spec.
+// condition of spec, an indirect attribute read through its map.
 func (gc *GroupContext) Rows(spec GroupSpec) []int32 {
 	n := gc.T.Len()
 	out := make([]int32, 0, n/4)
 scan:
 	for r := 0; r < n; r++ {
 		for _, c := range spec.Conds {
-			if gc.Attrs[c.Attr].Codes[r] != c.Code {
+			if gc.Attrs[c.Attr].Code(r) != c.Code {
 				continue scan
 			}
 		}
@@ -382,7 +380,7 @@ func (l Local) PermBlock(ctx context.Context, sc *ScoreContext, spec PermSpec) (
 func (l Local) SubgroupBatch(ctx context.Context, gc *GroupContext, groups []GroupSpec) ([]float64, error) {
 	out := make([]float64, len(groups))
 	parallelFor(ctx, len(groups), l.par(), func(i int) {
-		out[i] = ScoreGroupRows(gc.T, gc.O, gc.Explanation, gc.Rows(groups[i]), gc.Base)
+		out[i] = ScoreGroupRows(gc.T, gc.O, gc.Explanation, gc.Rows(groups[i]), nil)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err

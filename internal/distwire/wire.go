@@ -100,14 +100,12 @@ func (c Column) ToEncoded() *bins.Encoded {
 // Cols[1] the outcome O; the payload columns from ColPayload on are either
 // MCIMR candidates (NumExpl == 0) or, for subgroup datasets, NumExpl
 // explanation composites followed by the refinement attributes. Weights is
-// index-aligned with Cols (nil entries = unweighted); Base carries the
-// optional row-level IPW weights of a subgroup search.
+// index-aligned with Cols (nil entries = unweighted).
 type Dataset struct {
 	Fingerprint string      `json:"fingerprint"`
 	Cols        []Column    `json:"cols"`
 	Weights     [][]float64 `json:"weights,omitempty"`
 	NumExpl     int         `json:"num_expl,omitempty"`
-	Base        []float64   `json:"base,omitempty"`
 }
 
 // Validate checks structural invariants shared by client and server.
@@ -134,9 +132,6 @@ func (d *Dataset) Validate() error {
 	}
 	if d.NumExpl < 0 || ColPayload+d.NumExpl > len(d.Cols) {
 		return fmt.Errorf("distwire: dataset %s declares %d explanation columns but has %d payload columns", d.Fingerprint, d.NumExpl, len(d.Cols)-ColPayload)
-	}
-	if d.Base != nil && len(d.Base) != n {
-		return fmt.Errorf("distwire: dataset %s base weights cover %d rows, want %d", d.Fingerprint, len(d.Base), n)
 	}
 	return nil
 }
@@ -177,7 +172,6 @@ func FromGroupContext(gc *core.GroupContext) Dataset {
 		Fingerprint: gc.Fingerprint(),
 		Cols:        make([]Column, 0, ColPayload+len(gc.Explanation)+len(gc.Attrs)),
 		NumExpl:     len(gc.Explanation),
-		Base:        gc.Base,
 	}
 	d.Cols = append(d.Cols, FromEncoded(gc.T), FromEncoded(gc.O))
 	for _, e := range gc.Explanation {
@@ -204,7 +198,7 @@ func (d *Dataset) Contexts() (*core.ScoreContext, *core.GroupContext) {
 			sc.Weights[i-ColPayload] = d.Weights[i]
 		}
 	}
-	gc := &core.GroupContext{T: t, O: o, Base: d.Base,
+	gc := &core.GroupContext{T: t, O: o,
 		Explanation: sc.Cands[:d.NumExpl],
 		Attrs:       sc.Cands[d.NumExpl:]}
 	return sc, gc

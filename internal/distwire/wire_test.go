@@ -40,7 +40,6 @@ func TestDatasetRoundTrip(t *testing.T) {
 	// Adversarial floats: shortest-repr marshalling must reproduce these
 	// exactly, including a subnormal and a value with no short decimal.
 	d.Weights[3] = []float64{0.1 + 0.2, math.Nextafter(1, 2), 5e-324, 1e300}
-	d.Base = []float64{1, 0.30000000000000004, 2, 3}
 	blob, err := json.Marshal(&d)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +121,6 @@ func TestContextsRoundTrip(t *testing.T) {
 		T: sc.T, O: sc.O,
 		Explanation: []*bins.Encoded{mk("E", 0, 0, 1, 1)},
 		Attrs:       []*bins.Encoded{mk("A", 0, 1, 2, 0)},
-		Base:        []float64{1, 1, 0.5, 1},
 	}
 	gd := FromGroupContext(gc)
 	if err := gd.Validate(); err != nil {
@@ -133,8 +131,7 @@ func TestContextsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ggot := wired.Contexts()
-	if !reflect.DeepEqual(ggot.Explanation, gc.Explanation) || !reflect.DeepEqual(ggot.Attrs, gc.Attrs) ||
-		!reflect.DeepEqual(ggot.Base, gc.Base) {
+	if !reflect.DeepEqual(ggot.Explanation, gc.Explanation) || !reflect.DeepEqual(ggot.Attrs, gc.Attrs) {
 		t.Errorf("rebuilt group context differs from the original")
 	}
 }
@@ -152,7 +149,6 @@ func TestDatasetValidate(t *testing.T) {
 		{"weights misaligned", func(d *Dataset) { d.Weights = d.Weights[:2] }},
 		{"short weight vector", func(d *Dataset) { d.Weights[3] = []float64{1} }},
 		{"num_expl out of range", func(d *Dataset) { d.NumExpl = 3 }},
-		{"short base", func(d *Dataset) { d.Base = []float64{1, 2} }},
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("baseline dataset invalid: %v", err)

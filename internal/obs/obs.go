@@ -66,9 +66,9 @@ const (
 	// KGAttrs counts extracted candidate attributes.
 	KGAttrs = "kg_attrs"
 	// KGRowEncodings counts KG attributes broadcast from slot-level codes to
-	// an n-long row encoding (core.FromEntity's Enc). The prunes work at
-	// entity level, so it tracks survivors, IPW-weighted candidates and
-	// subgroup refinement attributes, not KGAttrs.
+	// an n-long row encoding (core.FromEntity's Enc). The pipeline (prunes,
+	// MCIMR, the subgroup search) reads the entity form and broadcasts none;
+	// only the baselines and the benchmark's staged screen pass do.
 	KGRowEncodings = "kg_row_encodings"
 	// BiasedAttrs counts, per analysis, the biased KG attributes whose IPW
 	// weights it read, fitted by it or by an earlier analysis of the same

@@ -3,10 +3,12 @@ package subgroups
 import (
 	"container/heap"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"nexus/internal/bins"
@@ -14,14 +16,16 @@ import (
 	"nexus/internal/extract"
 	"nexus/internal/kg"
 	"nexus/internal/ned"
+	"nexus/internal/obs"
 	"nexus/internal/table"
 	"nexus/internal/workload"
 )
 
 // slotFixture is a generated table with the knowledge-graph attributes
-// extracted through its link columns, in the form the search reads them: the
-// exposure and outcome, the string input columns, and every extracted
-// attribute broadcast to rows with its link column's row→slot map.
+// extracted through its link columns, in the form the pipeline hands them to
+// the search: the exposure and outcome, the string input columns, and every
+// extracted attribute in entity form, one code per slot under its link
+// column's row→slot map.
 type slotFixture struct {
 	name  string
 	t, o  *bins.Encoded
@@ -56,15 +60,25 @@ func newSlotFixture(tb testing.TB, make func(*kg.World, workload.Config) *worklo
 	attrs := append([]*extract.Attribute(nil), ex.Attrs...)
 	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Name < attrs[j].Name })
 	for _, a := range attrs {
-		e, err := a.Encode(opts)
+		e, err := a.EntityEncode(opts)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		if e.Card >= 2 && e.Card <= 60 {
-			fx.kg = append(fx.kg, RefinementAttr{Name: a.Name, Enc: e, Slots: a.RowSlots()})
+			fx.kg = append(fx.kg, RefinementAttr{Name: a.Name, Enc: &bins.Encoded{
+				Name: a.Name, Codes: e.Codes, Card: e.Card, Labels: e.Labels, Slots: a.RowSlots(),
+			}})
 		}
 	}
 	return fx
+}
+
+// rowForm is e with one code per row: e itself, or its entity form broadcast.
+func rowForm(e *bins.Encoded) *bins.Encoded {
+	if e.Slots == nil {
+		return e
+	}
+	return e.Broadcast(e.Slots)
 }
 
 // unlink gives about one row in forty of every link column a null link
@@ -73,35 +87,47 @@ func newSlotFixture(tb testing.TB, make func(*kg.World, workload.Config) *worklo
 func (fx *slotFixture) unlink(r *rand.Rand) {
 	maps := map[*int32][]int32{}
 	for i, a := range fx.kg {
-		m, ok := maps[&a.Slots[0]]
+		m, ok := maps[&a.Enc.Slots[0]]
 		if !ok {
-			m = slices.Clone(a.Slots)
+			m = slices.Clone(a.Enc.Slots)
 			for row := range m {
 				if r.Intn(40) == 0 {
 					m[row] = -1
 				}
 			}
-			maps[&a.Slots[0]] = m
+			maps[&a.Enc.Slots[0]] = m
 		}
 		enc := *a.Enc
-		enc.Codes = slices.Clone(a.Enc.Codes)
-		for row, sl := range m {
-			if sl < 0 {
-				enc.Codes[row] = bins.Missing
-			}
-		}
-		fx.kg[i] = RefinementAttr{Name: a.Name, Enc: &enc, Slots: m}
+		enc.Slots = m
+		fx.kg[i] = RefinementAttr{Name: a.Name, Enc: &enc}
 	}
+}
+
+// links groups the extracted attributes by link column, keeping the columns
+// with at least three of them, ordered by their first attribute's name.
+func (fx *slotFixture) links() [][]RefinementAttr {
+	byMap := map[*int32][]RefinementAttr{}
+	for _, a := range fx.kg {
+		byMap[&a.Enc.Slots[0]] = append(byMap[&a.Enc.Slots[0]], a)
+	}
+	var links [][]RefinementAttr
+	for _, as := range byMap {
+		if len(as) >= 3 {
+			links = append(links, as)
+		}
+	}
+	sort.Slice(links, func(i, j int) bool { return links[i][0].Name < links[j][0].Name })
+	return links
 }
 
 // rowsOf carves a group's rows the plain way: every row whose codes meet all
 // of its conditions, ascending.
 func rowsOf(attrs []RefinementAttr, conds []Assignment) []int32 {
 	var rows []int32
-	for r := range attrs[0].Enc.Codes {
+	for r := range attrs[0].Enc.Len() {
 		keep := true
 		for _, c := range conds {
-			keep = keep && attrs[c.AttrIdx].Enc.Codes[r] == c.Code
+			keep = keep && attrs[c.AttrIdx].Enc.Code(r) == c.Code
 		}
 		if keep {
 			rows = append(rows, int32(r))
@@ -132,22 +158,14 @@ func TestSlotScoredMatchesRowScored(t *testing.T) {
 	var slotNodes [4]int // by explanation kind
 	var missingE, unresolved int
 	for _, fx := range fixtures {
-		byMap := map[*int32][]RefinementAttr{}
-		for _, a := range fx.kg {
-			byMap[&a.Slots[0]] = append(byMap[&a.Slots[0]], a)
-		}
-		var links [][]RefinementAttr
-		for _, as := range byMap {
-			if len(as) >= 3 {
-				links = append(links, as)
-			}
-			for _, sl := range as[0].Slots {
+		links := fx.links()
+		for _, as := range links {
+			for _, sl := range as[0].Enc.Slots {
 				if sl < 0 {
 					unresolved++
 				}
 			}
 		}
-		sort.Slice(links, func(i, j int) bool { return links[i][0].Name < links[j][0].Name })
 		if len(links) == 0 {
 			t.Fatalf("%s: no link column with three dimensions", fx.name)
 		}
@@ -162,23 +180,26 @@ func TestSlotScoredMatchesRowScored(t *testing.T) {
 				}
 			}
 			for _, a := range fx.kg {
-				if &a.Slots[0] == &onL[0].Slots[0] && r.Intn(2) == 0 || r.Intn(8) == 0 {
+				if &a.Enc.Slots[0] == &onL[0].Enc.Slots[0] && r.Intn(2) == 0 || r.Intn(8) == 0 {
 					dims = append(dims, a)
 				}
 			}
 			var expl []*bins.Encoded
-			var explSlots []int32
 			pick := func() *bins.Encoded { return onL[r.Intn(len(onL))].Enc }
 			kind := trial % 4
 			switch kind {
 			case 1:
-				expl, explSlots = []*bins.Encoded{pick()}, onL[0].Slots
+				expl = []*bins.Encoded{pick()}
 			case 2:
-				expl, explSlots = []*bins.Encoded{pick(), pick()}, onL[0].Slots
+				expl = []*bins.Encoded{pick(), pick()}
 			case 3:
 				expl = []*bins.Encoded{fx.input[r.Intn(len(fx.input))].Enc, pick()}
 			}
-			s, err := newSearch(fx.t, fx.o, expl, explSlots, dims, &Options{Parallelism: 1}, 2, 1<<30)
+			rowExpl := make([]*bins.Encoded, len(expl))
+			for i, e := range expl {
+				rowExpl[i] = rowForm(e)
+			}
+			s, err := newSearch(fx.t, fx.o, expl, dims, &Options{Parallelism: 1}, 2, 1<<30)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +244,7 @@ func TestSlotScoredMatchesRowScored(t *testing.T) {
 				pool = pool[:len(pool)-1]
 				s.score(g)
 				rows := rowsOf(dims, g.Conds)
-				want := core.ScoreGroupRows(fx.t, fx.o, expl, rows, nil)
+				want := core.ScoreGroupRows(fx.t, fx.o, rowExpl, rows, nil)
 				if len(rows) != g.Size || math.Float64bits(g.Score) != math.Float64bits(want) {
 					t.Fatalf("%s, explanation kind %d, %v (slot node %v): size %d score %v, carved rows %d score %v",
 						fx.name, kind, g.Group, g.link != nil, g.Size, g.Score, len(rows), want)
@@ -248,4 +269,65 @@ func TestSlotScoredMatchesRowScored(t *testing.T) {
 			slotNodes, missingE, unresolved)
 	}
 	t.Logf("slot nodes drawn by explanation kind %v, %d of their slots lack the explanation's value, %d unresolved rows", slotNodes, missingE, unresolved)
+}
+
+// TestTopUnexplainedFormsAgree runs the whole search twice on the SO and
+// Flights fixtures, unresolved rows included: once with the knowledge-graph
+// dimensions and the explanation in entity form, as the pipeline hands them
+// over, and once with the same attributes broadcast to rows. The results, the
+// consumed sequence (score bits included) and Stats must be identical, under
+// an explanation that is empty or on one link column, in process and through
+// a Scorer; only the entity form scores slot nodes, and only in process.
+func TestTopUnexplainedFormsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("extracts two generated datasets")
+	}
+	r := rand.New(rand.NewSource(48))
+	fixtures := []slotFixture{
+		newSlotFixture(t, workload.StackOverflow, 3000, "Country", "Salary"),
+		newSlotFixture(t, workload.Flights, 4000, "Origin_city", "Departure_delay"),
+	}
+	type run struct {
+		res, seq string
+		stats    Stats
+		slots    int64
+	}
+	search := func(fx slotFixture, expl []*bins.Encoded, dims []RefinementAttr, scorer core.Scorer) run {
+		counters := obs.NewCounters()
+		var seq []Group
+		res, st, err := topUnexplained(context.Background(), fx.t, fx.o, expl, dims,
+			Options{K: 5, Tau: 0.02, Parallelism: 2, Scorer: scorer, Counters: counters}, 10, 400,
+			func(g Group) { seq = append(seq, g) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run{renderGroups(res), renderGroups(seq), st, counters.Get(obs.SubgroupSlotScored)}
+	}
+	for _, fx := range fixtures {
+		fx.unlink(r)
+		onL := fx.links()[0]
+		entDims := append(append([]RefinementAttr(nil), fx.input...), fx.kg...)
+		rowDims := make([]RefinementAttr, len(entDims))
+		for i, a := range entDims {
+			rowDims[i] = RefinementAttr{Name: a.Name, Enc: rowForm(a.Enc)}
+		}
+		for _, expl := range [][]*bins.Encoded{nil, {onL[0].Enc}, {onL[1].Enc, onL[2].Enc}} {
+			rowExpl := make([]*bins.Encoded, len(expl))
+			for i, e := range expl {
+				rowExpl[i] = rowForm(e)
+			}
+			for _, scorer := range []core.Scorer{nil, core.Local{Parallelism: 2}} {
+				name := fmt.Sprintf("%s, |E| = %d, scorer %v", fx.name, len(expl), scorer)
+				ent, row := search(fx, expl, entDims, scorer), search(fx, rowExpl, rowDims, scorer)
+				if ent.res != row.res || ent.seq != row.seq || ent.stats != row.stats {
+					t.Fatalf("%s: entity form %+v\n%s--- consumed ---\n%s\nbroadcast %+v\n%s--- consumed ---\n%s",
+						name, ent.stats, ent.res, ent.seq, row.stats, row.res, row.seq)
+				}
+				if wantSlots := scorer == nil; (ent.slots > 0) != wantSlots || row.slots != 0 {
+					t.Fatalf("%s: slot nodes scored %d in entity form, %d broadcast", name, ent.slots, row.slots)
+				}
+				t.Logf("%s: %d results, %+v, %d slot nodes", name, strings.Count(ent.res, "\n"), ent.stats, ent.slots)
+			}
+		}
+	}
 }

@@ -15,7 +15,7 @@
 // A node whose every condition, and the explanation, is a function of one
 // link column's entity slot (a slot node) is carried as its list of slots:
 // its size, its children's sizes and its score are read off the slots and
-// the column's (slot, O, T) cube, not off its rows (see TopUnexplainedSlots).
+// the column's (slot, O, T) cube, not off its rows (see TopUnexplained).
 package subgroups
 
 import (
@@ -40,12 +40,12 @@ import (
 // dimension (numeric attributes are assumed pre-binned, per §4.3).
 type RefinementAttr struct {
 	Name string
-	Enc  *bins.Encoded // row-level over the analysis view
-	// Slots is, for a knowledge-graph attribute, the row→slot map of the
-	// link column it is reached through: Enc is then a function of the slot
-	// (an unresolved row is Missing). Attributes of one column share one map,
-	// the same backing array. Nil for an input column.
-	Slots []int32
+	// Enc is the attribute over the analysis view in the form it is held: one
+	// code per row for an input column; for a knowledge-graph attribute its
+	// entity form, one code per slot of the link column it is reached through
+	// under that column's row→slot map (bins.Encoded.Slots, shared by every
+	// attribute of the column: the same backing array).
+	Enc *bins.Encoded
 }
 
 // Assignment is one attr = value condition of a refinement.
@@ -189,35 +189,27 @@ const batchFactor = 4
 // Only scheduling-effort counters (subgroup_batches, groups_scored,
 // subgroup_rows_visited, subgroup_slot_scored) vary with Parallelism;
 // results and Stats do not.
+//
+// Every dimension and explanation attribute is read in its own form: a
+// row-level column, or a knowledge-graph attribute's entity form
+// (bins.Encoded.Slots). A node whose conditions are all on dimensions of one
+// link column, when the explanation is empty or every explanation attribute
+// is on that column too, is a slot node (see search.child): it is carried as
+// the ascending list of the slots that satisfy its conditions, sized by rows
+// per slot and scored by folding the column's (slot, O, T) cube
+// (counting.SlotCube.FoldSlots) through the explanation's stratum per slot.
+// Unweighted counts are integers, so the folded tally is the row tally cell
+// for cell and the score is math.Float64bits-equal: the groups and Stats are
+// those of the same attributes broadcast to rows. With a remote Scorer every
+// node takes the row path.
 func TopUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options) ([]Group, Stats, error) {
-	return TopUnexplainedSlots(ctx, t, o, explanation, nil, attrs, opts)
-}
-
-// TopUnexplainedSlots is TopUnexplained told, by explSlots, the row→slot map
-// of the link column that every explanation attribute is reached through
-// (nil when there is none, or an attribute is an input column) and, by
-// RefinementAttr.Slots, each dimension's. A node whose conditions are all on
-// dimensions of one column, when the explanation is empty or on that column
-// too, is a slot node (see search.child): it is carried as the ascending list
-// of the slots that satisfy its conditions, sized by rows per slot and scored
-// by folding the column's (slot, O, T) cube (counting.SlotCube.FoldSlots)
-// through the explanation's stratum per slot. Unweighted counts are integers,
-// so the folded tally is the row tally cell for cell and the score is
-// math.Float64bits-equal; the groups and Stats are TopUnexplained's. With a
-// remote Scorer every node takes the row path.
-func TopUnexplainedSlots(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, explSlots []int32, attrs []RefinementAttr, opts Options) ([]Group, Stats, error) {
-	return run(ctx, t, o, explanation, explSlots, attrs, opts, max(t.Len()/100, minSizeFloor), maxExplored, nil)
+	return topUnexplained(ctx, t, o, explanation, attrs, opts, max(t.Len()/100, minSizeFloor), maxExplored, nil)
 }
 
 // topUnexplained is TopUnexplained with the minimum group size and the node
 // budget as parameters, for tests; consumed, when non-nil, observes every
 // node the traversal consumes, in order (the cut-exactness test's probe).
 func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options, minSize, explored int, consumed func(Group)) ([]Group, Stats, error) {
-	return run(ctx, t, o, explanation, nil, attrs, opts, minSize, explored, consumed)
-}
-
-// run is the search; see TopUnexplainedSlots.
-func run(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, explSlots []int32, attrs []RefinementAttr, opts Options, minSize, explored int, consumed func(Group)) ([]Group, Stats, error) {
 	if opts.K <= 0 {
 		opts.K = 5
 	}
@@ -238,7 +230,7 @@ func run(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, e
 	countBase := counting.Stats()
 	defer func() { counting.Stats().Delta(countBase).Each(opts.Counters.Add) }()
 
-	s, err := newSearch(t, o, explanation, explSlots, attrs, &opts, minSize, explored)
+	s, err := newSearch(t, o, explanation, attrs, &opts, minSize, explored)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -318,34 +310,29 @@ func run(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, e
 	return results, s.stats, nil
 }
 
-// newSearch prepares a traversal: the explanation as one stratum column, the
-// dimensions' codes packed, and the slot views of the admitted link columns
-// (none with a remote Scorer).
-func newSearch(t, o *bins.Encoded, explanation []*bins.Encoded, explSlots []int32, attrs []RefinementAttr, opts *Options, minSize, explored int) (*search, error) {
+// newSearch prepares a traversal: the explanation as one row-level stratum
+// column, the dimensions' codes packed, and the slot views of the admitted
+// link columns (none with a remote Scorer).
+func newSearch(t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts *Options, minSize, explored int) (*search, error) {
 	n := t.Len()
 	dims := make([]counting.Dim, len(attrs))
 	for i, a := range attrs {
 		if a.Enc.Len() != n {
 			return nil, fmt.Errorf("subgroups: attribute %q has %d rows, view has %d", a.Name, a.Enc.Len(), n)
 		}
-		dims[i] = counting.Dim{Codes: a.Enc.Codes, Card: a.Enc.Card}
+		dims[i] = counting.Dim{Codes: a.Enc.Codes, Card: a.Enc.Card, Slots: a.Enc.Slots}
 	}
 	// Every scored lattice node conditions on the same explanation, so hand
-	// the per-node estimator one column it can use as its stratum ids
-	// unchanged: a multi-attribute explanation pre-joined into its composite
-	// (infotheory.JoinVars), an empty one as the single all-rows stratum. The
-	// row partition — and hence every score — is identical.
-	emptyE := len(explanation) == 0
-	switch len(explanation) {
-	case 0:
-		explanation = []*bins.Encoded{{Name: "explanation", Codes: make([]int32, n), Card: 1}}
-	case 1:
-	default:
-		vars := make([]infotheory.Var, len(explanation))
-		for i, e := range explanation {
-			vars[i] = e
-		}
-		explanation = []*bins.Encoded{infotheory.JoinVars("explanation", vars...)}
+	// the per-node estimator one row-level column it can use as its stratum
+	// ids unchanged: the explanation joined into its composite
+	// (infotheory.JoinVars, which also reads a lone entity form into rows), an
+	// empty one as the single all-rows stratum. The row partition — and hence
+	// every score — is identical.
+	stratum := infotheory.JoinVars("explanation", explanation...)
+	if stratum == nil {
+		stratum = &bins.Encoded{Name: "explanation", Codes: make([]int32, n), Card: 1}
+	}
+	if len(explanation) > 1 {
 		opts.Counters.Add(obs.CompositeRebuilds, 1)
 	}
 
@@ -353,10 +340,10 @@ func newSearch(t, o *bins.Encoded, explanation []*bins.Encoded, explSlots []int3
 	if err != nil {
 		return nil, fmt.Errorf("subgroups: %w", err)
 	}
-	s := &search{t: t, o: o, explanation: explanation, attrs: attrs, opts: opts,
+	s := &search{t: t, o: o, explanation: []*bins.Encoded{stratum}, attrs: attrs, opts: opts,
 		minSize: minSize, explored: explored,
 		codes: codes, hist: make([]int32, codes.Bins()), sizes: make(sizeIndex, n+2),
-		cols: make([][]int32, len(attrs)), linkOf: make([]*link, len(attrs)), slotCodes: make([][]int32, len(attrs))}
+		cols: make([][]int32, len(attrs)), linkOf: make([]*link, len(attrs))}
 	for i := range attrs {
 		s.cols[i] = codes.Column(s.hist, i)
 	}
@@ -365,10 +352,10 @@ func newSearch(t, o *bins.Encoded, explanation []*bins.Encoded, explSlots []int3
 		for i, a := range attrs {
 			attrEncs[i] = a.Enc
 		}
-		s.gc = &core.GroupContext{T: t, O: o, Explanation: explanation,
+		s.gc = &core.GroupContext{T: t, O: o, Explanation: s.explanation,
 			Attrs: attrEncs, Tag: opts.ScoreTag}
 	} else {
-		s.admitLinks(explSlots, emptyE)
+		s.admitLinks(explanation)
 	}
 	return s, nil
 }
@@ -405,7 +392,6 @@ type node struct {
 // that carry dimensions when the explanation is empty or on that column too.
 type link struct {
 	rows  []int32 // rows per slot
-	first []int32 // each slot's first row, -1 for a slot without rows
 	e     []int32 // E's stratum per slot, Missing for a slot without rows
 	ce    int     // E's card
 	every []int32 // every slot: the slot list of the root
@@ -428,26 +414,35 @@ type search struct {
 	explored    int                // the node budget
 	gc          *core.GroupContext // set when opts.Scorer is
 
-	codes     *counting.Packed // attrs' codes, row-major
-	hist      []int32          // expand's scratch, codes.Bins() long
-	cols      [][]int32        // each dimension's part of hist, by code
-	linkOf    []*link          // per dimension: its column's, when admitted
-	slotCodes [][]int32        // per dimension of an admitted column: code per slot
-	heap      nodeHeap
-	sizes     sizeIndex // the heap's nodes by size
-	stats     Stats
+	codes  *counting.Packed // attrs' codes, row-major
+	hist   []int32          // expand's scratch, codes.Bins() long
+	cols   [][]int32        // each dimension's part of hist, by code
+	linkOf []*link          // per dimension: its column's, when admitted
+	heap   nodeHeap
+	sizes  sizeIndex // the heap's nodes by size
+	stats  Stats
 
 	visited    atomic.Int64 // rows touched by histogram, carve and tally passes
 	slotScored atomic.Int64 // nodes scored from slots
 }
 
 // admitLinks makes the slot view of every link column whose dimensions can
-// head slot nodes: any column when the explanation is empty, else the one of
-// explSlots. Nothing is admitted where the row tally would not be dense, the
+// head slot nodes: any column when the explanation is empty, else the one
+// every explanation attribute is reached through, the row→slot map they all
+// share. Nothing is admitted where the row tally would not be dense, the
 // fold's one gate.
-func (s *search) admitLinks(explSlots []int32, emptyE bool) {
+func (s *search) admitLinks(explanation []*bins.Encoded) {
+	var explSlots []int32
+	for i, e := range explanation {
+		if i == 0 {
+			explSlots = e.Slots
+		}
+		if len(e.Slots) == 0 || len(explSlots) == 0 || &e.Slots[0] != &explSlots[0] {
+			return
+		}
+	}
 	e := s.explanation[0]
-	if s.t.Slots != nil || s.o.Slots != nil || e.Slots != nil || s.t.Len() == 0 {
+	if s.t.Slots != nil || s.o.Slots != nil || s.t.Len() == 0 {
 		return
 	}
 	size := 1
@@ -461,15 +456,16 @@ func (s *search) admitLinks(explSlots []int32, emptyE bool) {
 	}
 	byMap := map[*int32]*link{}
 	for i, a := range s.attrs {
-		if len(a.Slots) == 0 || !emptyE && (len(explSlots) == 0 || &explSlots[0] != &a.Slots[0]) {
+		slots := a.Enc.Slots
+		if len(slots) == 0 || explSlots != nil && &explSlots[0] != &slots[0] {
 			continue
 		}
-		l := byMap[&a.Slots[0]]
+		l := byMap[&slots[0]]
 		if l == nil {
-			l = s.newLink(a.Slots)
-			byMap[&a.Slots[0]] = l
+			l = s.newLink(slots)
+			byMap[&slots[0]] = l
 		}
-		s.linkOf[i], s.slotCodes[i] = l, perSlot(a.Enc.Codes, l.first)
+		s.linkOf[i] = l
 	}
 	for _, l := range byMap {
 		for l.tail > 0 && s.linkOf[l.tail-1] == l {
@@ -478,44 +474,29 @@ func (s *search) admitLinks(explSlots []int32, emptyE bool) {
 	}
 }
 
-// newLink makes the slot view of the row→slot map slots. The explanation's
-// stratum of a slot is read off its row-level column — the composite that
-// JoinVars numbered over rows — at the slot's first row, so the fold's strata
-// are the row tally's, in the same order.
+// newLink makes the slot view of the row→slot map slots. The explanation is
+// empty or on this column, so its stratum is a function of the slot: it is
+// read off the row-level column — the composite that JoinVars numbered over
+// rows — at any of the slot's rows, so the fold's strata are the row tally's,
+// in the same order.
 func (s *search) newLink(slots []int32) *link {
 	rows := counting.RowsPerSlot(slots)
-	first := make([]int32, len(rows))
-	for i := range first {
-		first[i] = -1
-	}
-	for r := len(slots) - 1; r >= 0; r-- {
-		if sl := slots[r]; sl >= 0 {
-			first[sl] = int32(r)
-		}
-	}
+	e := s.explanation[0]
+	strata := make([]int32, len(rows))
 	every := make([]int32, len(rows))
 	for i := range every {
-		every[i] = int32(i)
+		strata[i], every[i] = counting.Missing, int32(i)
 	}
-	e := s.explanation[0]
+	for r, sl := range slots {
+		if sl >= 0 {
+			strata[sl] = e.Codes[r]
+		}
+	}
 	return &link{
-		rows: rows, first: first, e: perSlot(e.Codes, first), ce: e.Card, every: every, tail: len(s.attrs),
+		rows: rows, e: strata, ce: e.Card, every: every, tail: len(s.attrs),
 		cube: counting.NewSlotCube(slots, counting.Dim{},
 			counting.Dim{Codes: s.o.Codes, Card: s.o.Card}, counting.Dim{Codes: s.t.Codes, Card: s.t.Card}),
 	}
-}
-
-// perSlot reads a row column that is a function of the slot at each slot's
-// first row: its code per slot, Missing for a slot without rows.
-func perSlot(codes, first []int32) []int32 {
-	out := make([]int32, len(first))
-	for sl, r := range first {
-		out[sl] = counting.Missing
-		if r >= 0 {
-			out[sl] = codes[r]
-		}
-	}
-	return out
 }
 
 // carve replaces the parent's row list on n by n's own: one pass over the
@@ -537,7 +518,7 @@ func (s *search) cut(n *node) {
 		return
 	}
 	last := n.Conds[len(n.Conds)-1]
-	codes := s.slotCodes[last.AttrIdx]
+	codes := s.attrs[last.AttrIdx].Enc.Codes // one per slot: an admitted dimension
 	var slots []int32
 	for _, sl := range n.slots {
 		if codes[sl] == last.Code {
@@ -658,7 +639,7 @@ func (s *search) expand(g *node) {
 		for _, sl := range g.slots {
 			k := l.rows[sl]
 			for ai := from; ai < len(s.attrs); ai++ {
-				if c := s.slotCodes[ai][sl]; c >= 0 {
+				if c := s.attrs[ai].Enc.Codes[sl]; c >= 0 {
 					s.cols[ai][c] += k
 				}
 			}
