@@ -450,12 +450,6 @@ func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Option
 	if opts.Counters == nil {
 		opts.Counters = sess.opts.Metrics
 	}
-	if opts.Scorer == nil {
-		opts.Scorer = sess.opts.Core.Scorer
-	}
-	if opts.Scorer != nil && opts.ScoreTag == "" {
-		opts.ScoreTag = sess.DatasetFingerprint() + "|" + sess.KGVersion()
-	}
 	encs, err := r.explanationEncodings()
 	if err != nil {
 		return nil, subgroups.Stats{}, err
@@ -696,13 +690,25 @@ func (a *Analysis) rawSeries(name string) ([]float64, bool) {
 // Responsibility re-ranks an explicit attribute set by Def. 2.5 and returns
 // name → responsibility. It lets analysts probe sets beyond the one MCIMR
 // selected, scoring them as Explain scores its own (core.ScoreSet): under
-// the attributes' IPW weights. Each name is resolved as Candidate resolves
-// it, by name alone.
+// the attributes' IPW weights. Each name must be carried by exactly one
+// candidate: a name an input column and a knowledge-graph attribute share is
+// an error that names their origins, not a silent pick of one of them.
 func (a *Analysis) Responsibility(names []string) (map[string]float64, error) {
 	cands := make([]*core.Candidate, len(names))
 	for i, n := range names {
-		if cands[i] = a.Candidate(n); cands[i] == nil {
+		var origins []string
+		for _, c := range a.Candidates {
+			if c.Name == n {
+				cands[i] = c
+				origins = append(origins, string(c.Origin))
+			}
+		}
+		if len(origins) == 0 {
 			return nil, fmt.Errorf("nexus: unknown attribute %q", n)
+		}
+		if len(origins) > 1 {
+			return nil, fmt.Errorf("nexus: attribute %q is ambiguous: %d candidates carry it (origins %s)",
+				n, len(origins), strings.Join(origins, ", "))
 		}
 	}
 	_, shares, err := core.ScoreSet(a.T, a.O, cands)

@@ -2,6 +2,7 @@ package nexus_test
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"nexus/internal/distworker"
 	"nexus/internal/obs"
 	"nexus/internal/rpc"
+	"nexus/internal/subgroups"
 )
 
 // startWorkerFleet spins up n in-process scoring workers and returns their
@@ -167,5 +169,56 @@ func TestDistributedFlightsIdenticalUnderFaults(t *testing.T) {
 	}
 	if ctr.Get(obs.DistRetries) == 0 {
 		t.Errorf("faults injected (%d) but dist_retries = 0", injected)
+	}
+}
+
+// TestDistributedSubgroupsStayInProcess pins that a configured fleet serves
+// the explanation only: Alg. 2 scores in process, so the subgroups of a
+// fleet-explained report are the in-process ones, score bits included, no
+// unit reaches the fleet during the search, and the search scores as many
+// slot nodes as the in-process run does.
+func TestDistributedSubgroupsStayInProcess(t *testing.T) {
+	w := integrationWorld()
+	search := func(opts *nexus.Options) ([]subgroups.Group, int64, int64) {
+		t.Helper()
+		rep, err := flightsSession(w, w.Graph, opts).ExplainCtx(context.Background(), flightsQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units, slots := opts.Metrics.Get(obs.DistUnits), opts.Metrics.Get(obs.SubgroupSlotScored)
+		groups, _, err := rep.SubgroupsCtx(context.Background(), 3, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return groups, opts.Metrics.Get(obs.DistUnits) - units, opts.Metrics.Get(obs.SubgroupSlotScored) - slots
+	}
+	wantGroups, _, wantSlots := search(&nexus.Options{Metrics: obs.NewCounters()})
+	if wantSlots == 0 {
+		t.Fatal("the in-process search scored no slot node; the test cannot tell the paths apart")
+	}
+
+	urls, _ := startWorkerFleet(t, 2, distworker.Config{})
+	ctr := obs.NewCounters()
+	opts := &nexus.Options{Metrics: ctr}
+	opts.Core.Scorer = distremote.New(urls, distremote.Options{Counters: ctr})
+	gotGroups, units, slots := search(opts)
+	if ctr.Get(obs.DistUnits) == 0 {
+		t.Fatal("dist_units = 0; the explanation never reached the fleet")
+	}
+	if units != 0 {
+		t.Errorf("the subgroup search sent %d units to the fleet", units)
+	}
+	if slots != wantSlots {
+		t.Errorf("subgroup_slot_scored = %d with a fleet, %d in process", slots, wantSlots)
+	}
+	if len(gotGroups) != len(wantGroups) {
+		t.Fatalf("%d subgroups with a fleet vs %d in process", len(gotGroups), len(wantGroups))
+	}
+	for i, g := range gotGroups {
+		want := wantGroups[i]
+		if g.String() != want.String() || g.Size != want.Size || math.Float64bits(g.Score) != math.Float64bits(want.Score) {
+			t.Errorf("subgroup %d: %s (size %d, score %v) with a fleet vs %s (size %d, score %v) in process",
+				i, g, g.Size, g.Score, want, want.Size, want.Score)
+		}
 	}
 }

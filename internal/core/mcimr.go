@@ -45,8 +45,9 @@ type Options struct {
 	// Scorer routes the expensive inner loops — the relevance pass and the
 	// permutation-test blocks of wire-permutable candidates — through the
 	// distributed-scoring seam. Nil uses Local (the in-process oracle);
-	// results are byte-identical either way. Pruning and candidates with a
-	// custom source-granularity Permute always score in-process.
+	// results are byte-identical either way. Pruning, candidates with a
+	// custom source-granularity Permute and the subgroup search (Alg. 2)
+	// always score in process.
 	Scorer Scorer
 	// ScoreTag folds the session's dataset/KG identity into the
 	// ScoreContext fingerprint shipped to workers (see ScoreContext.Tag).

@@ -16,19 +16,19 @@ import (
 	"nexus/internal/stats"
 )
 
-// Scorer abstracts the three expensive inner loops of an explanation — the
-// MCIMR relevance pass, the permutation significance tests, and the subgroup
-// frontier batches — behind one seam, so they can run in-process (Local) or
-// be sharded across worker processes (internal/distremote).
+// Scorer abstracts MCIMR's two expensive inner loops — the relevance pass and
+// the permutation significance tests — behind one seam, so they can run
+// in-process (Local) or be sharded across worker processes
+// (internal/distremote). The subgroup search (Alg. 2) always scores in
+// process.
 //
 // Every method is a pure function of its inputs: results depend only on the
-// context's encoded columns, the explicit candidate indices / seeds / group
-// conditions, never on evaluation order or placement. A remote
-// implementation that runs the same Go functions on the same inputs and
-// merges replies in argument order is therefore byte-identical to Local,
-// which stays in-tree as the oracle. Implementations must be safe for
-// concurrent use: one Scorer in a session's options serves every
-// explanation and subgroup search that session runs at once.
+// context's encoded columns and the explicit candidate indices / seeds,
+// never on evaluation order or placement. A remote implementation that runs
+// the same Go functions on the same inputs and merges replies in argument
+// order is therefore byte-identical to Local, which stays in-tree as the
+// oracle. Implementations must be safe for concurrent use: one Scorer in a
+// session's options serves every explanation that session runs at once.
 type Scorer interface {
 	// Relevance returns I(O;T|E_i) for each listed candidate, index-aligned
 	// with cands (indices into sc.Cands), using the candidate's IPW weights.
@@ -42,12 +42,6 @@ type Scorer interface {
 	// unevaluated entries stay false, exactly like the in-process early
 	// exit; the verdict derived from the counts is deterministic regardless.
 	PermBlock(ctx context.Context, sc *ScoreContext, spec PermSpec) (exceed []bool, ran int, err error)
-
-	// SubgroupBatch scores a batch of subgroup lattice nodes: for each
-	// group, the debiased I(O;T|E) restricted to the rows matching the
-	// group's conditions (ScoreGroupRows). Results are index-aligned with
-	// groups.
-	SubgroupBatch(ctx context.Context, gc *GroupContext, groups []GroupSpec) ([]float64, error)
 }
 
 // ScoreContext is the immutable dataset of one MCIMR run: the exposure T,
@@ -146,76 +140,6 @@ type PermSpec struct {
 	// Allow is the early-exit bound: once more than Allow permutations
 	// exceed, the remaining ones are skippable.
 	Allow int
-}
-
-// GroupContext is the immutable dataset of one subgroup search: exposure,
-// outcome, the (already folded) explanation composite and the refinement
-// attribute encodings, each in its own form (row-level, or indirect).
-type GroupContext struct {
-	T, O        *bins.Encoded
-	Explanation []*bins.Encoded
-	Attrs       []*bins.Encoded
-	// Tag: see ScoreContext.Tag.
-	Tag string
-
-	fpOnce sync.Once
-	fp     string
-}
-
-// Fingerprint returns the content hash of the group context (see
-// ScoreContext.Fingerprint).
-func (gc *GroupContext) Fingerprint() string {
-	gc.fpOnce.Do(func() {
-		h := fnv.New64a()
-		io.WriteString(h, gc.Tag)
-		hashEnc(h, gc.T)
-		hashEnc(h, gc.O)
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(len(gc.Explanation)))
-		h.Write(b[:])
-		for _, e := range gc.Explanation {
-			hashEnc(h, e)
-		}
-		binary.LittleEndian.PutUint64(b[:], uint64(len(gc.Attrs)))
-		h.Write(b[:])
-		for _, a := range gc.Attrs {
-			hashEnc(h, a)
-		}
-		gc.fp = fmt.Sprintf("subgroup:%016x", h.Sum64())
-	})
-	return gc.fp
-}
-
-// GroupCond is one attr = code condition of a subgroup work unit. Attr
-// indexes GroupContext.Attrs.
-type GroupCond struct {
-	Attr int
-	Code int32
-}
-
-// GroupSpec identifies one subgroup by its conditions. The row list is
-// re-derived by scanning the view (Rows), which yields the identical
-// ascending list the coordinator carves from the parent's — that
-// equivalence is what makes remote subgroup scores byte-identical.
-type GroupSpec struct {
-	Conds []GroupCond
-}
-
-// Rows returns the ascending row indices of the view matching every
-// condition of spec, an indirect attribute read through its map.
-func (gc *GroupContext) Rows(spec GroupSpec) []int32 {
-	n := gc.T.Len()
-	out := make([]int32, 0, n/4)
-scan:
-	for r := 0; r < n; r++ {
-		for _, c := range spec.Conds {
-			if gc.Attrs[c.Attr].Code(r) != c.Code {
-				continue scan
-			}
-		}
-		out = append(out, int32(r))
-	}
-	return out
 }
 
 func hashEnc(h io.Writer, e *bins.Encoded) {
@@ -375,26 +299,12 @@ func (l Local) PermBlock(ctx context.Context, sc *ScoreContext, spec PermSpec) (
 	return exceed, ran, nil
 }
 
-// SubgroupBatch implements Scorer: each group's rows are re-derived from its
-// conditions and scored with ScoreGroupRows, in parallel.
-func (l Local) SubgroupBatch(ctx context.Context, gc *GroupContext, groups []GroupSpec) ([]float64, error) {
-	out := make([]float64, len(groups))
-	parallelFor(ctx, len(groups), l.par(), func(i int) {
-		out[i] = ScoreGroupRows(gc.T, gc.O, gc.Explanation, gc.Rows(groups[i]), nil)
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ScoreGroupRows computes I(O;T|E) over a subgroup's rows (ascending view
 // row indices; base, when non-nil, holds per-view-row weights) with the
 // bias-corrected estimator — the plug-in CMI inflates as groups shrink, which
 // would make every small group look unexplained. It tallies from the row
-// list, so it costs the group, not the view. It is the single scoring
-// function behind the subgroup lattice search, the Local scorer and the
-// distributed workers, so all three produce bit-identical scores.
+// list, so it costs the group, not the view. The subgroup lattice search is
+// its one production caller, for every node it does not score from slots.
 func ScoreGroupRows(t, o *bins.Encoded, explanation []*bins.Encoded, rows []int32, base []float64) float64 {
 	return infotheory.CondMutualInfoDebiasedRows(o, t, explanation, base, rows)
 }

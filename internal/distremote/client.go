@@ -1,7 +1,7 @@
 // Package distremote implements core.Scorer over the distwire HTTP
 // protocol: the coordinator half of the distributed scoring fleet. It
 // partitions each scoring call into deterministic work units (candidate
-// chunks, permutation-seed blocks, subgroup chunks), dispatches them to the
+// chunks, permutation-seed blocks), dispatches them to the
 // worker fleet with bounded concurrency, and merges the replies in serial
 // argument order — so the assembled result is byte-identical to the
 // in-process core.Local oracle.
@@ -40,7 +40,7 @@ import (
 // Options configures a Scorer. The zero value selects sane defaults.
 type Options struct {
 	// ChunkSize caps the items per work unit: candidates per relevance
-	// unit, seeds per permutation block, groups per subgroup unit.
+	// unit, seeds per permutation block.
 	// Default 8 — MCIMR batches are small and latency-bound, so small
 	// units spread across the fleet beat large units on one worker.
 	ChunkSize int
@@ -236,43 +236,6 @@ func (s *Scorer) PermBlock(ctx context.Context, sc *core.ScoreContext, spec core
 		return nil, 0, err
 	}
 	return exceed, int(ran), nil
-}
-
-// SubgroupBatch implements core.Scorer: group chunks fan out; replies merge
-// by index.
-func (s *Scorer) SubgroupBatch(ctx context.Context, gc *core.GroupContext, groups []core.GroupSpec) ([]float64, error) {
-	if len(groups) == 0 {
-		return []float64{}, nil
-	}
-	st := s.state(gc.Fingerprint(), func() distwire.Dataset { return distwire.FromGroupContext(gc) })
-	out := make([]float64, len(groups))
-	err := rpc.ForEachChunk(ctx, len(groups), s.opts.ChunkSize, s.opts.MaxInflight, func(ctx context.Context, lo, hi, seq int) error {
-		specs := make([]distwire.GroupSpec, hi-lo)
-		for i, g := range groups[lo:hi] {
-			conds := make([]distwire.Cond, len(g.Conds))
-			for j, c := range g.Conds {
-				conds[j] = distwire.Cond{Attr: c.Attr, Code: c.Code}
-			}
-			specs[i] = distwire.GroupSpec{Conds: conds}
-		}
-		unit := distwire.Unit{Kind: distwire.KindSubgroup, Groups: specs}
-		res, err := s.execUnit(ctx, st, unit, seq, hi-lo, false)
-		if err != nil {
-			res, err = s.fallback(ctx, err, func(fctx context.Context) (distwire.UnitResult, error) {
-				v, e := s.local.SubgroupBatch(fctx, gc, groups[lo:hi])
-				return distwire.UnitResult{Values: v}, e
-			})
-			if err != nil {
-				return err
-			}
-		}
-		copy(out[lo:hi], res.Values)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // fallback computes a failed unit locally (rung 2 of the ladder), unless

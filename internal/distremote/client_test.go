@@ -113,28 +113,6 @@ func checkDifferential(t *testing.T, sc *core.ScoreContext, s *Scorer) {
 			t.Errorf("perm exceed %d: remote %v != local %v", i, gotEx[i], wantEx[i])
 		}
 	}
-
-	gc := &core.GroupContext{T: sc.T, O: sc.O,
-		Explanation: sc.Cands[:1], Attrs: sc.Cands[1:]}
-	var groups []core.GroupSpec
-	for code := int32(0); code < 4; code++ {
-		groups = append(groups,
-			core.GroupSpec{Conds: []core.GroupCond{{Attr: 0, Code: code}}},
-			core.GroupSpec{Conds: []core.GroupCond{{Attr: 1, Code: code}, {Attr: 2, Code: (code + 1) % 4}}})
-	}
-	wantG, err := local.SubgroupBatch(ctx, gc, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotG, err := s.SubgroupBatch(ctx, gc, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantG {
-		if math.Float64bits(gotG[i]) != math.Float64bits(wantG[i]) {
-			t.Errorf("subgroup %d: remote %v != local %v", i, gotG[i], wantG[i])
-		}
-	}
 }
 
 // TestScorerDifferential checks bit-identity against the in-process oracle

@@ -15,15 +15,15 @@
 // from its LRU) answers 404 "unknown dataset", and the coordinator simply
 // re-registers and retries — no session state, no affinity.
 //
-// Work units come in three kinds, mirroring the core.Scorer seam:
+// Work units come in two kinds, mirroring the core.Scorer seam:
 //
 //   - "relevance": score I(O;T|E_i) for a batch of candidate columns.
 //   - "perm": evaluate a permutation-test block with explicit seeds. The
 //     permuted copies are core.ShuffleObserved of the candidate column, so
 //     permutation i depends only on Seeds[i] — any worker reproduces it.
-//   - "subgroup": score subgroup lattice nodes given their (attr, code)
-//     conditions; the worker re-derives each row set by an ascending scan,
-//     which matches the coordinator's partition-carving order exactly.
+//
+// Any other kind, such as the "subgroup" units of older coordinators, is
+// rejected with 400.
 //
 // Replies are index-aligned with their requests. The coordinator merges
 // them in serial argument order, so the assembled result is byte-identical
@@ -57,7 +57,6 @@ const (
 const (
 	KindRelevance = "relevance"
 	KindPerm      = "perm"
-	KindSubgroup  = "subgroup"
 )
 
 // Permutation-test operations (string forms of core.PermResp / core.PermGain).
@@ -97,15 +96,13 @@ func (c Column) ToEncoded() *bins.Encoded {
 }
 
 // Dataset is one registered scoring context. Cols[0] is the exposure T,
-// Cols[1] the outcome O; the payload columns from ColPayload on are either
-// MCIMR candidates (NumExpl == 0) or, for subgroup datasets, NumExpl
-// explanation composites followed by the refinement attributes. Weights is
-// index-aligned with Cols (nil entries = unweighted).
+// Cols[1] the outcome O; the payload columns from ColPayload on are the
+// MCIMR candidates. Weights is index-aligned with Cols (nil entries =
+// unweighted).
 type Dataset struct {
 	Fingerprint string      `json:"fingerprint"`
 	Cols        []Column    `json:"cols"`
 	Weights     [][]float64 `json:"weights,omitempty"`
-	NumExpl     int         `json:"num_expl,omitempty"`
 }
 
 // Validate checks structural invariants shared by client and server.
@@ -129,9 +126,6 @@ func (d *Dataset) Validate() error {
 		if w != nil && len(w) != n {
 			return fmt.Errorf("distwire: dataset %s weight vector %d covers %d rows, want %d", d.Fingerprint, i, len(w), n)
 		}
-	}
-	if d.NumExpl < 0 || ColPayload+d.NumExpl > len(d.Cols) {
-		return fmt.Errorf("distwire: dataset %s declares %d explanation columns but has %d payload columns", d.Fingerprint, d.NumExpl, len(d.Cols)-ColPayload)
 	}
 	return nil
 }
@@ -165,31 +159,10 @@ func FromScoreContext(sc *core.ScoreContext) Dataset {
 	return d
 }
 
-// FromGroupContext builds the wire dataset of a subgroup scoring context.
-// Slices are aliased, not copied.
-func FromGroupContext(gc *core.GroupContext) Dataset {
-	d := Dataset{
-		Fingerprint: gc.Fingerprint(),
-		Cols:        make([]Column, 0, ColPayload+len(gc.Explanation)+len(gc.Attrs)),
-		NumExpl:     len(gc.Explanation),
-	}
-	d.Cols = append(d.Cols, FromEncoded(gc.T), FromEncoded(gc.O))
-	for _, e := range gc.Explanation {
-		d.Cols = append(d.Cols, FromEncoded(e))
-	}
-	for _, a := range gc.Attrs {
-		d.Cols = append(d.Cols, FromEncoded(a))
-	}
-	return d
-}
-
-// Contexts rebuilds the core scoring contexts from a registered dataset.
-// Both views are always built: an MCIMR dataset yields a GroupContext with
-// no attributes (unused), and vice versa — the unit kinds select the right
-// one. The returned contexts alias the dataset's slices.
-func (d *Dataset) Contexts() (*core.ScoreContext, *core.GroupContext) {
-	t, o := d.Cols[0].ToEncoded(), d.Cols[1].ToEncoded()
-	sc := &core.ScoreContext{T: t, O: o,
+// Context rebuilds the core scoring context from a registered dataset. The
+// returned context aliases the dataset's slices.
+func (d *Dataset) Context() *core.ScoreContext {
+	sc := &core.ScoreContext{T: d.Cols[0].ToEncoded(), O: d.Cols[1].ToEncoded(),
 		Cands:   make([]*bins.Encoded, len(d.Cols)-ColPayload),
 		Weights: make([][]float64, len(d.Cols)-ColPayload)}
 	for i := ColPayload; i < len(d.Cols); i++ {
@@ -198,22 +171,7 @@ func (d *Dataset) Contexts() (*core.ScoreContext, *core.GroupContext) {
 			sc.Weights[i-ColPayload] = d.Weights[i]
 		}
 	}
-	gc := &core.GroupContext{T: t, O: o,
-		Explanation: sc.Cands[:d.NumExpl],
-		Attrs:       sc.Cands[d.NumExpl:]}
-	return sc, gc
-}
-
-// Cond is one attr = code condition of a subgroup work unit. Attr indexes
-// the refinement attributes (payload columns after the explanation block).
-type Cond struct {
-	Attr int   `json:"attr"`
-	Code int32 `json:"code"`
-}
-
-// GroupSpec identifies one subgroup lattice node by its conditions.
-type GroupSpec struct {
-	Conds []Cond `json:"conds"`
+	return sc
 }
 
 // Unit is one self-contained work unit. Kind selects which fields apply:
@@ -222,7 +180,6 @@ type GroupSpec struct {
 //     columns) → UnitResult.Values.
 //   - KindPerm: Cand, Op, Observed, Seeds, Allow and the optional inline
 //     Given composite → UnitResult.Exceed + Ran.
-//   - KindSubgroup: Groups → UnitResult.Values.
 type Unit struct {
 	Kind string `json:"kind"`
 
@@ -234,8 +191,6 @@ type Unit struct {
 	Seeds    []uint64 `json:"seeds,omitempty"`
 	Allow    int      `json:"allow,omitempty"`
 	Given    *Column  `json:"given,omitempty"`
-
-	Groups []GroupSpec `json:"groups,omitempty"`
 }
 
 // Validate checks the unit against its dataset's bounds.
@@ -258,15 +213,6 @@ func (u *Unit) Validate(d *Dataset) error {
 		if u.Given != nil && len(u.Given.Codes) != d.Rows() {
 			return fmt.Errorf("distwire: perm unit composite covers %d rows, want %d", len(u.Given.Codes), d.Rows())
 		}
-	case KindSubgroup:
-		attrs := payload - d.NumExpl
-		for _, g := range u.Groups {
-			for _, c := range g.Conds {
-				if c.Attr < 0 || c.Attr >= attrs {
-					return fmt.Errorf("distwire: subgroup unit names attribute %d of %d", c.Attr, attrs)
-				}
-			}
-		}
 	default:
 		return fmt.Errorf("distwire: unknown unit kind %q", u.Kind)
 	}
@@ -274,7 +220,7 @@ func (u *Unit) Validate(d *Dataset) error {
 }
 
 // UnitResult is the index-aligned reply to one Unit: Values for relevance
-// and subgroup units, Exceed + Ran for perm units.
+// units, Exceed + Ran for perm units.
 type UnitResult struct {
 	Values []float64 `json:"values,omitempty"`
 	Exceed []bool    `json:"exceed,omitempty"`

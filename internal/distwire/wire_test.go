@@ -66,7 +66,6 @@ func TestUnitRoundTrip(t *testing.T) {
 		{Kind: KindRelevance, Cands: []int{0, 1}},
 		{Kind: KindPerm, Cand: 1, Op: OpResp, Observed: 0.030000000000000002,
 			Seeds: []uint64{math.MaxUint64, math.MaxUint64 - 1, 0x9e3779b97f4a7c15}, Allow: 1, Given: &g},
-		{Kind: KindSubgroup, Groups: []GroupSpec{{Conds: []Cond{{Attr: 0, Code: 3}}}, {}}},
 	}
 	blob, err := json.Marshal(units)
 	if err != nil {
@@ -111,28 +110,10 @@ func TestContextsRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &wired); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := wired.Contexts()
+	got := wired.Context()
 	if !reflect.DeepEqual(got.T, sc.T) || !reflect.DeepEqual(got.O, sc.O) ||
 		!reflect.DeepEqual(got.Cands, sc.Cands) || !reflect.DeepEqual(got.Weights, sc.Weights) {
 		t.Errorf("rebuilt score context differs from the original")
-	}
-
-	gc := &core.GroupContext{
-		T: sc.T, O: sc.O,
-		Explanation: []*bins.Encoded{mk("E", 0, 0, 1, 1)},
-		Attrs:       []*bins.Encoded{mk("A", 0, 1, 2, 0)},
-	}
-	gd := FromGroupContext(gc)
-	if err := gd.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	blob, _ = json.Marshal(&gd)
-	if err := json.Unmarshal(blob, &wired); err != nil {
-		t.Fatal(err)
-	}
-	_, ggot := wired.Contexts()
-	if !reflect.DeepEqual(ggot.Explanation, gc.Explanation) || !reflect.DeepEqual(ggot.Attrs, gc.Attrs) {
-		t.Errorf("rebuilt group context differs from the original")
 	}
 }
 
@@ -148,7 +129,6 @@ func TestDatasetValidate(t *testing.T) {
 		{"ragged rows", func(d *Dataset) { d.Cols[2].Codes = d.Cols[2].Codes[:2] }},
 		{"weights misaligned", func(d *Dataset) { d.Weights = d.Weights[:2] }},
 		{"short weight vector", func(d *Dataset) { d.Weights[3] = []float64{1} }},
-		{"num_expl out of range", func(d *Dataset) { d.NumExpl = 3 }},
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("baseline dataset invalid: %v", err)
@@ -167,12 +147,10 @@ func TestDatasetValidate(t *testing.T) {
 // TestUnitValidate covers per-kind bounds checks.
 func TestUnitValidate(t *testing.T) {
 	d := testDataset()
-	d.NumExpl = 1 // payload: 1 explanation composite + 1 refinement attribute
 	ok := []Unit{
 		{Kind: KindRelevance, Cands: []int{0, 1}},
 		{Kind: KindPerm, Cand: 0, Op: OpResp},
 		{Kind: KindPerm, Cand: 1, Op: OpGain},
-		{Kind: KindSubgroup, Groups: []GroupSpec{{Conds: []Cond{{Attr: 0, Code: 1}}}}},
 	}
 	for i, u := range ok {
 		if err := u.Validate(&d); err != nil {
@@ -186,7 +164,8 @@ func TestUnitValidate(t *testing.T) {
 		{Kind: KindPerm, Cand: 5, Op: OpResp},
 		{Kind: KindPerm, Cand: 0, Op: "sideways"},
 		{Kind: KindPerm, Cand: 0, Op: OpResp, Given: &Column{Codes: []int32{1}}},
-		{Kind: KindSubgroup, Groups: []GroupSpec{{Conds: []Cond{{Attr: 1, Code: 0}}}}},
+		// A subgroup unit from an older coordinator: Alg. 2 scores in process.
+		{Kind: "subgroup", Cands: []int{0}},
 	}
 	for i, u := range bad {
 		if err := u.Validate(&d); err == nil {
@@ -198,14 +177,15 @@ func TestUnitValidate(t *testing.T) {
 // FuzzDistUnit fuzzes the work-unit decode → validate → re-encode path: any
 // bytes may arrive at a worker, and whatever decodes and validates must
 // re-encode to a semantically identical unit (no field silently dropped or
-// coerced). The checked-in corpus seeds one unit of each kind.
+// coerced). The seeds are one unit of each kind and a subgroup unit as older
+// coordinators sent it, whose kind Validate rejects as unknown; the
+// checked-in corpus holds another (seed-subgroup).
 func FuzzDistUnit(f *testing.F) {
 	for _, u := range []Unit{
 		{Kind: KindRelevance, Cands: []int{0, 1}},
 		{Kind: KindPerm, Cand: 1, Op: OpResp, Observed: 0.25,
 			Seeds: []uint64{1, math.MaxUint64}, Allow: 1,
 			Given: &Column{Name: "g", Card: 2, Codes: []int32{0, 1, 1, 0}}},
-		{Kind: KindSubgroup, Groups: []GroupSpec{{Conds: []Cond{{Attr: 0, Code: 3}}}}},
 	} {
 		blob, err := json.Marshal(u)
 		if err != nil {
@@ -213,6 +193,7 @@ func FuzzDistUnit(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	f.Add([]byte(`{"kind":"subgroup","groups":[{"conds":[{"attr":0,"code":3}]}]}`))
 	d := testDataset()
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		var u Unit
@@ -242,14 +223,6 @@ func normalize(u Unit) Unit {
 	}
 	if len(u.Seeds) == 0 {
 		u.Seeds = nil
-	}
-	if len(u.Groups) == 0 {
-		u.Groups = nil
-	}
-	for i := range u.Groups {
-		if len(u.Groups[i].Conds) == 0 {
-			u.Groups[i].Conds = nil
-		}
 	}
 	if u.Given != nil && len(u.Given.Codes) == 0 {
 		u.Given.Codes = nil

@@ -77,11 +77,10 @@ func (s *Server) Stats() distwire.StatsResponse {
 	}
 }
 
-// dataset is a registered dataset with its decoded scoring contexts.
+// dataset is a registered dataset with its decoded scoring context.
 type dataset struct {
 	wire *distwire.Dataset
 	sctx *core.ScoreContext
-	gc   *core.GroupContext
 }
 
 func (s *Server) register(_ context.Context, req *distwire.RegisterRequest) (distwire.RegisterResponse, error) {
@@ -89,8 +88,7 @@ func (s *Server) register(_ context.Context, req *distwire.RegisterRequest) (dis
 	if err := d.Validate(); err != nil {
 		return distwire.RegisterResponse{}, err
 	}
-	sctx, gc := d.Contexts()
-	s.store.Put(d.Fingerprint, &dataset{wire: d, sctx: sctx, gc: gc})
+	s.store.Put(d.Fingerprint, &dataset{wire: d, sctx: d.Context()})
 	return distwire.RegisterResponse{Rows: d.Rows(), Cols: len(d.Cols)}, nil
 }
 
@@ -119,39 +117,24 @@ func (s *Server) exec(ctx context.Context, d *dataset, u *distwire.Unit) (distwi
 	if err := u.Validate(d.wire); err != nil {
 		return distwire.UnitResult{}, err
 	}
-	switch u.Kind {
-	case distwire.KindRelevance:
+	if u.Kind == distwire.KindRelevance {
 		vals, err := s.local.Relevance(ctx, d.sctx, u.Cands)
 		if err != nil {
 			return distwire.UnitResult{}, err
 		}
 		return distwire.UnitResult{Values: vals}, nil
-	case distwire.KindPerm:
-		spec := core.PermSpec{
-			Cand: u.Cand, Op: core.PermOp(u.Op), Observed: u.Observed,
-			Seeds: u.Seeds, Allow: u.Allow,
-		}
-		if u.Given != nil {
-			spec.Given = u.Given.ToEncoded()
-		}
-		exceed, ran, err := s.local.PermBlock(ctx, d.sctx, spec)
-		if err != nil {
-			return distwire.UnitResult{}, err
-		}
-		return distwire.UnitResult{Exceed: exceed, Ran: ran}, nil
-	default: // KindSubgroup; Validate rejected everything else
-		specs := make([]core.GroupSpec, len(u.Groups))
-		for i, g := range u.Groups {
-			conds := make([]core.GroupCond, len(g.Conds))
-			for j, c := range g.Conds {
-				conds[j] = core.GroupCond{Attr: c.Attr, Code: c.Code}
-			}
-			specs[i] = core.GroupSpec{Conds: conds}
-		}
-		vals, err := s.local.SubgroupBatch(ctx, d.gc, specs)
-		if err != nil {
-			return distwire.UnitResult{}, err
-		}
-		return distwire.UnitResult{Values: vals}, nil
 	}
+	// KindPerm: Validate rejected every other kind.
+	spec := core.PermSpec{
+		Cand: u.Cand, Op: core.PermOp(u.Op), Observed: u.Observed,
+		Seeds: u.Seeds, Allow: u.Allow,
+	}
+	if u.Given != nil {
+		spec.Given = u.Given.ToEncoded()
+	}
+	exceed, ran, err := s.local.PermBlock(ctx, d.sctx, spec)
+	if err != nil {
+		return distwire.UnitResult{}, err
+	}
+	return distwire.UnitResult{Exceed: exceed, Ran: ran}, nil
 }

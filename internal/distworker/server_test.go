@@ -150,39 +150,6 @@ func TestWorkerDifferential(t *testing.T) {
 			}
 		}
 	})
-
-	t.Run("subgroup", func(t *testing.T) {
-		gc := &core.GroupContext{
-			T: sc.T, O: sc.O,
-			Explanation: []*bins.Encoded{sc.Cands[0]},
-			Attrs:       []*bins.Encoded{sc.Cands[1], sc.Cands[2]},
-		}
-		hs2 := httptest.NewServer(New(Config{}).Handler())
-		defer hs2.Close()
-		register(t, hs2.Client(), hs2.URL, distwire.FromGroupContext(gc))
-		groups := []core.GroupSpec{
-			{Conds: []core.GroupCond{{Attr: 0, Code: 1}}},
-			{Conds: []core.GroupCond{{Attr: 0, Code: 2}, {Attr: 1, Code: 0}}},
-			{}, // root: every row
-		}
-		want, err := local.SubgroupBatch(context.Background(), gc, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire := make([]distwire.GroupSpec, len(groups))
-		for i, g := range groups {
-			for _, c := range g.Conds {
-				wire[i].Conds = append(wire[i].Conds, distwire.Cond{Attr: c.Attr, Code: c.Code})
-			}
-		}
-		got := score(t, hs2.Client(), hs2.URL, gc.Fingerprint(),
-			distwire.Unit{Kind: distwire.KindSubgroup, Groups: wire})[0]
-		for i := range want {
-			if math.Float64bits(got.Values[i]) != math.Float64bits(want[i]) {
-				t.Errorf("group %d: remote %v != local %v", i, got.Values[i], want[i])
-			}
-		}
-	})
 }
 
 // TestWorkerUnknownDataset pins the statelessness contract: scoring against

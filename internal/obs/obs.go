@@ -82,18 +82,18 @@ const (
 	// SubgroupNodesExplored / SubgroupNodesPushed mirror subgroups.Stats.
 	SubgroupNodesExplored = "subgroup_nodes_explored"
 	SubgroupNodesPushed   = "subgroup_nodes_pushed"
-	// SubgroupBatches counts frontier batches scored by the parallel lattice
-	// search (one worker-pool round each); GroupsScored counts the lattice
-	// nodes actually evaluated, including speculative evaluations the
+	// SubgroupFrontierBatches counts frontier batches scored by the parallel
+	// lattice search (one worker-pool round each); GroupsScored counts the
+	// lattice nodes actually evaluated, including speculative evaluations the
 	// traversal never consumes (GroupsScored − SubgroupNodesExplored is the
 	// wasted speculation traded for parallelism). Both grow with
 	// subgroups.Options.Parallelism; results never change with it.
-	SubgroupBatches = "subgroup_batches"
-	GroupsScored    = "groups_scored"
+	SubgroupFrontierBatches = "subgroup_batches"
+	GroupsScored            = "groups_scored"
 	// SubgroupRowsVisited counts the rows the lattice search's histogram,
 	// carve and tally passes touch. Divided by GroupsScored it tracks the
-	// mean group size, not the view's row count. With a remote Scorer the
-	// tally passes run on the workers and are not included.
+	// mean group size, not the view's row count. The search always runs in
+	// process, so every pass is counted.
 	SubgroupRowsVisited = "subgroup_rows_visited"
 	// SubgroupSlotScored counts the lattice nodes scored from entity slots:
 	// nodes whose conditions and explanation are all functions of one link

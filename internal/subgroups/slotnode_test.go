@@ -276,8 +276,8 @@ func TestSlotScoredMatchesRowScored(t *testing.T) {
 // dimensions and the explanation in entity form, as the pipeline hands them
 // over, and once with the same attributes broadcast to rows. The results, the
 // consumed sequence (score bits included) and Stats must be identical, under
-// an explanation that is empty or on one link column, in process and through
-// a Scorer; only the entity form scores slot nodes, and only in process.
+// an explanation that is empty or on one link column; only the entity form
+// scores slot nodes.
 func TestTopUnexplainedFormsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extracts two generated datasets")
@@ -292,11 +292,11 @@ func TestTopUnexplainedFormsAgree(t *testing.T) {
 		stats    Stats
 		slots    int64
 	}
-	search := func(fx slotFixture, expl []*bins.Encoded, dims []RefinementAttr, scorer core.Scorer) run {
+	search := func(fx slotFixture, expl []*bins.Encoded, dims []RefinementAttr) run {
 		counters := obs.NewCounters()
 		var seq []Group
 		res, st, err := topUnexplained(context.Background(), fx.t, fx.o, expl, dims,
-			Options{K: 5, Tau: 0.02, Parallelism: 2, Scorer: scorer, Counters: counters}, 10, 400,
+			Options{K: 5, Tau: 0.02, Parallelism: 2, Counters: counters}, 10, 400,
 			func(g Group) { seq = append(seq, g) })
 		if err != nil {
 			t.Fatal(err)
@@ -316,18 +316,16 @@ func TestTopUnexplainedFormsAgree(t *testing.T) {
 			for i, e := range expl {
 				rowExpl[i] = rowForm(e)
 			}
-			for _, scorer := range []core.Scorer{nil, core.Local{Parallelism: 2}} {
-				name := fmt.Sprintf("%s, |E| = %d, scorer %v", fx.name, len(expl), scorer)
-				ent, row := search(fx, expl, entDims, scorer), search(fx, rowExpl, rowDims, scorer)
-				if ent.res != row.res || ent.seq != row.seq || ent.stats != row.stats {
-					t.Fatalf("%s: entity form %+v\n%s--- consumed ---\n%s\nbroadcast %+v\n%s--- consumed ---\n%s",
-						name, ent.stats, ent.res, ent.seq, row.stats, row.res, row.seq)
-				}
-				if wantSlots := scorer == nil; (ent.slots > 0) != wantSlots || row.slots != 0 {
-					t.Fatalf("%s: slot nodes scored %d in entity form, %d broadcast", name, ent.slots, row.slots)
-				}
-				t.Logf("%s: %d results, %+v, %d slot nodes", name, strings.Count(ent.res, "\n"), ent.stats, ent.slots)
+			name := fmt.Sprintf("%s, |E| = %d", fx.name, len(expl))
+			ent, row := search(fx, expl, entDims), search(fx, rowExpl, rowDims)
+			if ent.res != row.res || ent.seq != row.seq || ent.stats != row.stats {
+				t.Fatalf("%s: entity form %+v\n%s--- consumed ---\n%s\nbroadcast %+v\n%s--- consumed ---\n%s",
+					name, ent.stats, ent.res, ent.seq, row.stats, row.res, row.seq)
 			}
+			if ent.slots == 0 || row.slots != 0 {
+				t.Fatalf("%s: slot nodes scored %d in entity form, %d broadcast", name, ent.slots, row.slots)
+			}
+			t.Logf("%s: %d results, %+v, %d slot nodes", name, strings.Count(ent.res, "\n"), ent.stats, ent.slots)
 		}
 	}
 }

@@ -103,16 +103,6 @@ type Options struct {
 	// per batch); 1 scores each node inline on pop, with no goroutines.
 	// Results and Stats are identical at any setting.
 	Parallelism int
-	// Scorer, when non-nil, routes frontier-batch scoring through the
-	// core.Scorer seam — e.g. a distremote.Scorer fanning the batch out to
-	// a worker fleet. Workers re-derive each group's row list by an ascending
-	// view scan, the order the coordinator's carving keeps, and score it with
-	// the same core.ScoreGroupRows, so results stay byte-identical to
-	// in-process scoring at any fleet size. Nil scores in process.
-	Scorer core.Scorer
-	// ScoreTag qualifies the dataset fingerprint shipped to remote scoring
-	// workers (see core.ScoreContext.Tag). Ignored when Scorer is nil.
-	ScoreTag string
 	// Counters, when non-nil, receives the node counters of a search whose
 	// context carries no trace; a trace on the context (obs.WithTrace)
 	// receives the lattice-search span, and its counter set replaces this.
@@ -200,8 +190,7 @@ const batchFactor = 4
 // (counting.SlotCube.FoldSlots) through the explanation's stratum per slot.
 // Unweighted counts are integers, so the folded tally is the row tally cell
 // for cell and the score is math.Float64bits-equal: the groups and Stats are
-// those of the same attributes broadcast to rows. With a remote Scorer every
-// node takes the row path.
+// those of the same attributes broadcast to rows.
 func TopUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts Options) ([]Group, Stats, error) {
 	return topUnexplained(ctx, t, o, explanation, attrs, opts, max(t.Len()/100, minSizeFloor), maxExplored, nil)
 }
@@ -269,7 +258,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			for _, g := range batch {
 				heap.Push(&s.heap, g)
 			}
-			opts.Counters.Add(obs.SubgroupBatches, 1)
+			opts.Counters.Add(obs.SubgroupFrontierBatches, 1)
 			if err != nil {
 				return nil, s.stats, fmt.Errorf("subgroups: lattice search: %w", err)
 			}
@@ -312,7 +301,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 
 // newSearch prepares a traversal: the explanation as one row-level stratum
 // column, the dimensions' codes packed, and the slot views of the admitted
-// link columns (none with a remote Scorer).
+// link columns.
 func newSearch(t, o *bins.Encoded, explanation []*bins.Encoded, attrs []RefinementAttr, opts *Options, minSize, explored int) (*search, error) {
 	n := t.Len()
 	dims := make([]counting.Dim, len(attrs))
@@ -347,16 +336,7 @@ func newSearch(t, o *bins.Encoded, explanation []*bins.Encoded, attrs []Refineme
 	for i := range attrs {
 		s.cols[i] = codes.Column(s.hist, i)
 	}
-	if opts.Scorer != nil {
-		attrEncs := make([]*bins.Encoded, len(attrs))
-		for i, a := range attrs {
-			attrEncs[i] = a.Enc
-		}
-		s.gc = &core.GroupContext{T: t, O: o, Explanation: s.explanation,
-			Attrs: attrEncs, Tag: opts.ScoreTag}
-	} else {
-		s.admitLinks(explanation)
-	}
+	s.admitLinks(explanation)
 	return s, nil
 }
 
@@ -372,12 +352,12 @@ func (s *search) root() *node {
 
 // node is a lattice node on the frontier. Until the node is carved, rows is
 // its parent's row list, from which its last condition selects its own; a
-// node is carved when it is first scored in process, or when it is expanded
-// after a remote Scorer scored it — so a pushed node that is never reached
-// costs its conditions and nothing per row. A slot node (link set) carries
-// its slots the same way — its parent's until cut, on scoring — and is carved
-// only when it is expanded over rows; below a slot node whose expansion read
-// only slots, rows is nil: no descendant ever needs them.
+// node is carved when it is first scored or expanded — so a pushed node that
+// is never reached costs its conditions and nothing per row. A slot node
+// (link set) carries its slots the same way — its parent's until cut, on
+// scoring — and is carved only when it is expanded over rows; below a slot
+// node whose expansion read only slots, rows is nil: no descendant ever needs
+// them.
 type node struct {
 	Group
 	rows   []int32 // ascending view rows
@@ -410,9 +390,8 @@ type search struct {
 	explanation []*bins.Encoded
 	attrs       []RefinementAttr
 	opts        *Options
-	minSize     int                // groups smaller than this are skipped
-	explored    int                // the node budget
-	gc          *core.GroupContext // set when opts.Scorer is
+	minSize     int // groups smaller than this are skipped
+	explored    int // the node budget
 
 	codes  *counting.Packed // attrs' codes, row-major
 	hist   []int32          // expand's scratch, codes.Bins() long
@@ -559,26 +538,6 @@ func (s *search) scoreBatch(ctx context.Context, batch []*node) error {
 		}
 	}
 	s.opts.Counters.Add(obs.GroupsScored, int64(len(todo)))
-	if s.gc != nil {
-		// Remote scoring: ship the batch as (attr, code) condition specs;
-		// nothing is carved here.
-		specs := make([]core.GroupSpec, len(todo))
-		for i, g := range todo {
-			conds := make([]core.GroupCond, len(g.Conds))
-			for j, c := range g.Conds {
-				conds[j] = core.GroupCond{Attr: c.AttrIdx, Code: c.Code}
-			}
-			specs[i] = core.GroupSpec{Conds: conds}
-		}
-		vals, err := s.opts.Scorer.SubgroupBatch(ctx, s.gc, specs)
-		if err != nil {
-			return err
-		}
-		for i, g := range todo {
-			g.Score, g.scored = vals[i], true
-		}
-		return ctx.Err()
-	}
 	var next atomic.Int64
 	work := func() {
 		for {

@@ -3,10 +3,12 @@ package nexus_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"nexus"
 	"nexus/internal/core"
+	"nexus/internal/harness"
 	"nexus/internal/infotheory"
 	"nexus/internal/workload"
 )
@@ -85,5 +87,48 @@ func TestResponsibilityAppliesIPWWeights(t *testing.T) {
 		if g == math.Float64bits(unweighted[i]) {
 			t.Errorf("%s: the weighted share %v equals the unweighted one; the fixture does not tell them apart", n, got[n])
 		}
+	}
+}
+
+// TestResponsibilityRejectsSharedName pins that Responsibility never picks
+// one of two candidates that share a name. On Covid-19 Q3 the input column
+// Continent and a knowledge-graph attribute Continent are both candidates:
+// asking for "Continent" is an error that names both origins, while a name
+// only one candidate carries still scores.
+func TestResponsibilityRejectsSharedName(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the harness's four datasets")
+	}
+	s := harness.NewSuite(11, harness.TestScale())
+	var spec harness.QuerySpec
+	for _, q := range harness.Queries() {
+		if q.Key() == "Covid-19 Q3" {
+			spec = q
+		}
+	}
+	a, err := s.Session(spec.Dataset).PrepareCtx(context.Background(), spec.SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origins := map[core.Origin]bool{}
+	for _, c := range a.Candidates {
+		if c.Name == "Continent" {
+			origins[c.Origin] = true
+		}
+	}
+	if !origins[core.OriginInput] || !origins[core.OriginKG] {
+		t.Fatalf("fixture: Continent origins %v, want an input column and a KG attribute", origins)
+	}
+	_, err = a.Responsibility([]string{"Continent"})
+	if err == nil {
+		t.Fatal("Responsibility resolved the shared name Continent to one candidate")
+	}
+	for o := range origins {
+		if !strings.Contains(err.Error(), string(o)) {
+			t.Errorf("error %q does not name origin %s", err, o)
+		}
+	}
+	if _, err := a.Responsibility([]string{"Confirmed_cases"}); err != nil {
+		t.Errorf("a name one candidate carries: %v", err)
 	}
 }
