@@ -2,10 +2,10 @@
 // protocol, so nexus and nexusd can extract against a remote graph
 // (-kg http://host:port) instead of an in-process one.
 //
-//	POST /kg/v1/resolve      batch entity resolution
-//	POST /kg/v1/entities     batch entity records
-//	POST /kg/v1/properties   batch property maps
-//	GET  /kg/v1/stats        per-endpoint request counters
+//	POST /kg/v2/resolve      batch entity resolution
+//	POST /kg/v2/entities     batch entity records
+//	POST /kg/v2/properties   batch property maps, as one columnar table
+//	GET  /kg/v2/stats        per-endpoint request counters
 //	GET  /metrics            Prometheus text exposition (prefix kgd_)
 //	GET  /debug/slow         slowest captured requests (with -slow-threshold)
 //	GET  /healthz            liveness (never fault-injected)

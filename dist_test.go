@@ -33,8 +33,10 @@ func startWorkerFleet(tb testing.TB, n int, cfg distworker.Config) ([]string, []
 }
 
 // TestDistributedFlightsIdentical is the acceptance test for the scoring
-// fleet: the flights explanation and its subgroups must be byte-identical
-// whether scored in-process, on one worker, or sharded across four.
+// fleet: the flights explanation must be byte-identical whether MCIMR is
+// scored in process, on one worker, or sharded across four. The subgroups
+// are compared too, but both sides run the same in-process search, which
+// TestDistributedSubgroupsStayInProcess pins.
 func TestDistributedFlightsIdentical(t *testing.T) {
 	w := integrationWorld()
 
@@ -115,7 +117,9 @@ func TestDistributedFlightsIdentical(t *testing.T) {
 // TestDistributedFlightsIdenticalUnderFaults repeats the acceptance test
 // against a 2-worker fleet injecting 20% HTTP 500s and 5ms latency per
 // request: faults cost retries — visible on the counters — but never change
-// a byte of the report.
+// a byte of the report. Its subgroups, like the fault-free test's, come
+// from the in-process search on both sides
+// (TestDistributedSubgroupsStayInProcess).
 func TestDistributedFlightsIdenticalUnderFaults(t *testing.T) {
 	w := integrationWorld()
 

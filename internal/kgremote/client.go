@@ -113,11 +113,11 @@ func (c *Client) post(ctx context.Context, path string, in, out any) error {
 // fetch is the cached, batched lookup behind every kg.Source method. Keys
 // found in cache are served from it. The misses are posted to path in
 // chunks of batchSize, at most maxInflight at a time: request builds a
-// chunk's request, the reply R must hold one wire item per key (items reads
-// them out, in order), and conv turns each into the value that is returned
-// and cached.
-func fetch[K comparable, V, W, R any](ctx context.Context, c *Client, cache *rpc.LRU[K, V], path string, keys []K,
-	request func(chunk []K) any, items func(*R) []W, conv func(W) (V, error)) ([]V, error) {
+// chunk's request, and decode reads the reply R back into one value per
+// key, in order, which is returned and cached. A reply that decode rejects
+// fails the call without a retry: the server would send the same again.
+func fetch[K comparable, V, R any](ctx context.Context, c *Client, cache *rpc.LRU[K, V], path string, keys []K,
+	request func(chunk []K) any, decode func(*R) ([]V, error)) ([]V, error) {
 	out := make([]V, len(keys))
 	var missIdx []int
 	for i, k := range keys {
@@ -138,17 +138,16 @@ func fetch[K comparable, V, W, R any](ctx context.Context, c *Client, cache *rpc
 		if err := c.post(ctx, path, request(chunk), &resp); err != nil {
 			return err
 		}
-		got := items(&resp)
+		got, err := decode(&resp)
+		if err != nil {
+			return fmt.Errorf("kgremote: %s: %w", path, err)
+		}
 		if len(got) != len(chunk) {
 			return fmt.Errorf("kgremote: %s returned %d items, want %d", path, len(got), len(chunk))
 		}
 		for j, i := range missIdx[lo:hi] {
-			v, err := conv(got[j])
-			if err != nil {
-				return err
-			}
-			out[i] = v
-			cache.Put(keys[i], v)
+			out[i] = got[j]
+			cache.Put(keys[i], got[j])
 		}
 		return nil
 	})
@@ -156,6 +155,15 @@ func fetch[K comparable, V, W, R any](ctx context.Context, c *Client, cache *rpc
 		return nil, err
 	}
 	return out, nil
+}
+
+// convert maps each wire item to its kg form.
+func convert[W, V any](ws []W, f func(W) V) []V {
+	out := make([]V, len(ws))
+	for i, w := range ws {
+		out[i] = f(w)
+	}
+	return out
 }
 
 // wireIDs converts entity ids to their wire form.
@@ -171,24 +179,24 @@ func wireIDs(ids []kg.EntityID) []int32 {
 func (c *Client) Resolve(ctx context.Context, values []string) ([]kg.Link, error) {
 	return fetch(ctx, c, c.resolve, kgwire.PathResolve, values,
 		func(chunk []string) any { return kgwire.ResolveRequest{Values: chunk} },
-		func(r *kgwire.ResolveResponse) []kgwire.Link { return r.Links },
-		func(l kgwire.Link) (kg.Link, error) { return l.ToLink(), nil })
+		func(r *kgwire.ResolveResponse) ([]kg.Link, error) { return convert(r.Links, kgwire.Link.ToLink), nil })
 }
 
 // Entities implements kg.Source, serving repeat ids from the LRU.
 func (c *Client) Entities(ctx context.Context, ids []kg.EntityID) ([]kg.Entity, error) {
 	return fetch(ctx, c, c.ents, kgwire.PathEntities, ids,
 		func(chunk []kg.EntityID) any { return kgwire.EntitiesRequest{IDs: wireIDs(chunk)} },
-		func(r *kgwire.EntitiesResponse) []kgwire.Entity { return r.Entities },
-		func(e kgwire.Entity) (kg.Entity, error) { return e.ToEntity(), nil })
+		func(r *kgwire.EntitiesResponse) ([]kg.Entity, error) {
+			return convert(r.Entities, kgwire.Entity.ToEntity), nil
+		})
 }
 
-// GetProperties implements kg.Source, serving repeat ids from the LRU.
+// GetProperties implements kg.Source, serving repeat ids from the LRU. Each
+// reply is one properties table, rebuilt into the chunk's maps.
 func (c *Client) GetProperties(ctx context.Context, ids []kg.EntityID) ([]kg.Props, error) {
 	return fetch(ctx, c, c.props, kgwire.PathProperties, ids,
 		func(chunk []kg.EntityID) any { return kgwire.PropertiesRequest{IDs: wireIDs(chunk)} },
-		func(r *kgwire.PropertiesResponse) []kgwire.Props { return r.Props },
-		kgwire.Props.ToProps)
+		(*kgwire.PropertiesResponse).Rebuild)
 }
 
 // Version implements kg.Versioned for the remote backend. The client

@@ -3,9 +3,13 @@ package kgremote
 import (
 	"context"
 	"fmt"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,6 +78,60 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotP, wantP) {
 		t.Fatalf("GetProperties = %+v, want %+v", gotP, wantP)
+	}
+}
+
+// TestNonFiniteNumbersCrossTheWire compares remote and in-memory
+// GetProperties on a graph holding the floats JSON numbers cannot carry:
+// every value arrives bit for bit, in order.
+func TestNonFiniteNumbersCrossTheWire(t *testing.T) {
+	ctx := context.Background()
+	g := testGraph()
+	de, _ := g.Lookup("Germany")
+	g.Set(de, "Odd", kg.Num(math.NaN()), kg.Num(math.Inf(1)), kg.Num(math.Inf(-1)),
+		kg.Num(math.Copysign(0, -1)), kg.Str("a"))
+	c, _ := serve(t, g, kgserve.Config{}, Options{})
+	ids := []kg.EntityID{de, 1, 2}
+	want, _ := g.GetProperties(ctx, ids)
+	got, err := c.GetProperties(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("entity %d: %d properties, want %d", ids[i], len(got[i]), len(want[i]))
+		}
+		for name, wv := range want[i] {
+			gv := got[i][name]
+			if len(gv) != len(wv) {
+				t.Fatalf("entity %d, %q: %v, want %v", ids[i], name, gv, wv)
+			}
+			for k, w := range wv {
+				if g := gv[k]; g.Kind != w.Kind || g.Str != w.Str || g.Ent != w.Ent || math.Float64bits(g.Num) != math.Float64bits(w.Num) {
+					t.Errorf("entity %d, %q, value %d: %#v, want %#v", ids[i], name, k, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestMalformedTableIsPermanent asserts a properties reply that decodes but
+// breaks its table's shape fails the call at once, naming the break,
+// without a retry.
+func TestMalformedTableIsPermanent(t *testing.T) {
+	var requests atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		io.WriteString(w, `{"names":["p"],"runs":[1],"props":[3],"kinds":"n","nums":"AAAAAAAA8D8="}`)
+	}))
+	defer hs.Close()
+	c := New(hs.URL, Options{MaxRetries: 5, RetryBase: time.Millisecond})
+	_, err := c.GetProperties(context.Background(), []kg.EntityID{0})
+	if err == nil || !strings.Contains(err.Error(), "property index 3 out of range") {
+		t.Fatalf("error = %v, want the out-of-range property index", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("malformed table retried: %d requests", n)
 	}
 }
 

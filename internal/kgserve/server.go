@@ -5,7 +5,7 @@
 //
 // Seeded fault injection for resilience testing, serving metrics and
 // graceful drain come from package rpc (rpc.ServerConfig); faults hit the
-// /kg/v1/ batch endpoints only — stats and /healthz are always honest.
+// /kg/v2/ batch endpoints only — stats and /healthz are always honest.
 package kgserve
 
 import (
@@ -24,7 +24,7 @@ type Config struct {
 	// MaxBatch rejects oversized batch requests with 400 (default 65536).
 	MaxBatch int
 	// ServerConfig holds the fault-injection and observability settings;
-	// FailRate and Latency apply to the /kg/v1/ batch endpoints.
+	// FailRate and Latency apply to the /kg/v2/ batch endpoints.
 	rpc.ServerConfig
 }
 
@@ -112,9 +112,5 @@ func (s *Server) properties(ctx context.Context, req *kgwire.PropertiesRequest) 
 	if err != nil {
 		return kgwire.PropertiesResponse{}, err
 	}
-	resp := kgwire.PropertiesResponse{Props: make([]kgwire.Props, len(props))}
-	for i, p := range props {
-		resp.Props[i] = kgwire.FromProps(p)
-	}
-	return resp, nil
+	return kgwire.BuildProperties(props), nil
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -348,6 +349,31 @@ func TestHandleReplies(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// TestUnencodableReplyNamesTheError pins that a reply JSON cannot carry —
+// a NaN or ±Inf float — is answered with an error status whose body names
+// the encoding error, on both route kinds, and that the client reports
+// that cause rather than an empty 200 body it cannot decode.
+func TestUnencodableReplyNamesTheError(t *testing.T) {
+	type reply struct {
+		X float64 `json:"x"`
+	}
+	s := NewServer("test", ServerConfig{})
+	Handle(s, "/nan", "nan", func(context.Context, *echo) (reply, error) { return reply{X: math.NaN()}, nil })
+	HandleGet(s, "/inf", "inf", func() reply { return reply{X: math.Inf(-1)} })
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	for _, tc := range []struct{ method, path, value string }{{"POST", "/nan", "NaN"}, {"GET", "/inf", "-Inf"}} {
+		code, body := do(t, hs, tc.method, tc.path, `{}`)
+		if code != http.StatusInternalServerError || !strings.Contains(body, "unsupported value: "+tc.value) {
+			t.Errorf("%s %s: %d %q, want 500 naming the unsupported value %s", tc.method, tc.path, code, body, tc.value)
+		}
+	}
+	err := NewClient(ClientConfig{}).Post(context.Background(), hs.URL+"/nan", echo{}, new(reply))
+	if StatusCode(err) != http.StatusInternalServerError || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Errorf("Post = %v, want a 500 naming the unsupported value", err)
 	}
 }
 

@@ -220,9 +220,17 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, req any) bool {
 	return false
 }
 
+// writeJSON replies 200 with v as JSON. v is encoded before the status is
+// written, so a value JSON cannot carry (a NaN or ±Inf float) is answered
+// 500 with a body naming the encoding error, not 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		http.Error(w, "encode response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v) // a failed write means the client is gone
+	w.Write(body) // a failed write means the client is gone
 }
 
 // Serve runs the server on ln until ctx is cancelled, then drains; see the
