@@ -259,8 +259,8 @@ func (s *Session) linkColumnsIn(tableName string, view *table.Table) []string {
 // shared row→slot map, per-slot IPW weights (selection-bias detection +
 // logistic propensity fit at entity level, memoised in weights) and the
 // entity-level uniqueness statistics; core.FromEntity derives the row vectors
-// and the permutation null from them, lazily and once, and the prunes work
-// from the entity form, so most candidates never reach rows.
+// and the permutation null from them, lazily and once, and every scorer reads
+// the entity form (core.Candidate.Vectors), so no candidate reaches rows.
 func (s *Session) kgCandidate(a *Analysis, attr *extract.Attribute, weights *onceValue[[]float64]) *core.Candidate {
 	ent := &core.Entity{
 		Slots: attr.RowSlots(),
@@ -487,8 +487,9 @@ func (r *Report) ExplainSubgroupCtx(ctx context.Context, g subgroups.Group) (*Re
 
 // explanationEncodings returns the encodings of the selected attributes, each
 // resolved by name and origin (an input column and a knowledge-graph
-// attribute may share a name) and in its own form: a candidate in entity form
-// as its indirect column, any other as its row encoding.
+// attribute may share a name) and read as the scoring core reads it
+// (core.Candidate.Vectors): a candidate in entity form as its indirect
+// column, any other as its row encoding.
 func (r *Report) explanationEncodings() ([]*bins.Encoded, error) {
 	var out []*bins.Encoded
 	for _, attr := range r.Explanation.Attrs {
@@ -501,13 +502,7 @@ func (r *Report) explanationEncodings() ([]*bins.Encoded, error) {
 		if c == nil {
 			return nil, fmt.Errorf("nexus: selected attribute %q not among candidates", attr.Name)
 		}
-		var e *bins.Encoded
-		var err error
-		if c.Entity != nil {
-			e, err = c.Entity.Encoding(c.Name)
-		} else {
-			e, err = c.Enc()
-		}
+		e, _, err := c.Vectors()
 		if err != nil {
 			return nil, err
 		}
@@ -564,21 +559,19 @@ func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 			if attr.Col.Typ != table.String {
 				continue
 			}
-			ent, err := attr.EntityEncode(a.binOpts)
+			e, err := attr.Encode(a.binOpts)
 			if err != nil {
 				return nil, err
 			}
 			rows, ok := rowsPerSlot[attr.LinkColumn]
 			if !ok {
-				rows = counting.RowsPerSlot(attr.RowSlots())
+				rows = counting.RowsPerSlot(e.Slots)
 				rowsPerSlot[attr.LinkColumn] = rows
 			}
-			if !refinementEligible(rowsPerCode(ent, rows), len(attr.RowSlots()), 0.5) {
+			if !refinementEligible(rowsPerCode(e, rows), e.Len(), 0.5) {
 				continue
 			}
-			out = append(out, subgroups.RefinementAttr{Name: attr.Name, Enc: &bins.Encoded{
-				Name: attr.Name, Codes: ent.Codes, Card: ent.Card, Labels: ent.Labels, Slots: attr.RowSlots(),
-			}})
+			out = append(out, subgroups.RefinementAttr{Name: attr.Name, Enc: e})
 			if len(out) >= maxAttrs {
 				break
 			}
@@ -587,9 +580,10 @@ func (a *Analysis) refinementAttrs() ([]subgroups.RefinementAttr, error) {
 	return out, nil
 }
 
-// rowsPerCode counts the rows under each code of e. Position i of e stands
-// for rows[i] rows — e is slot-level and rows the link column's rows per
-// slot — or, when rows is nil, for one row.
+// rowsPerCode counts the rows under each code of e. Position i of e.Codes
+// stands for rows[i] rows — e is an indirect column, its codes one per slot,
+// and rows the link column's rows per slot — or, when rows is nil, for one
+// row.
 func rowsPerCode(e *bins.Encoded, rows []int32) []int {
 	counts := make([]int, e.Card)
 	if rows == nil {

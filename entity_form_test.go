@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"nexus"
+	"nexus/internal/baselines"
+	"nexus/internal/bins"
 	"nexus/internal/core"
 	"nexus/internal/counting"
 	"nexus/internal/infotheory"
@@ -389,5 +391,102 @@ func TestEntityFormDegenerateInputs(t *testing.T) {
 				t.Fatalf("with the session defaults: %v, want %v", err, wantErr)
 			}
 		})
+	}
+}
+
+// TestBaselinesScoreEntityFormsAsBroadcasts pins that the baselines read a
+// candidate as the pipeline does without changing an answer: Brute-Force,
+// Top-K, HypDB and LR over the entity forms (slot codes and slot weights
+// read through the row→slot map) give the attributes and the Float64bits of
+// the score they give over broadcast copies of the same candidates (rowForm,
+// whose Enc and Weights are n-long). The candidates are the pruned set the
+// comparison harness hands them, IPW-weighted ones among them.
+func TestBaselinesScoreEntityFormsAsBroadcasts(t *testing.T) {
+	world := kg.NewWorld(kg.WorldConfig{Seed: 11})
+	ctx := context.Background()
+	weightedScored := false
+	for _, d := range []struct {
+		name string
+		make func(*kg.World, workload.Config) *workload.Dataset
+		sql  string
+	}{
+		{"covid", workload.Covid, "SELECT Country, avg(Deaths_per_100_cases) FROM `Covid-19` GROUP BY Country"},
+		{"forbes", workload.Forbes, "SELECT Name, avg(Pay) FROM Forbes WHERE Category = 'Athletes' GROUP BY Name"},
+	} {
+		ds := d.make(world, workload.Config{Seed: 12})
+		sess := nexus.NewSession(world.Graph, nil)
+		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
+		sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
+		a, err := sess.PrepareCtx(ctx, d.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offline, _, err := core.OfflinePruneCtx(ctx, nil, a.Candidates, core.PruneOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent, _, err := core.OnlinePruneCtx(ctx, nil, a.T, a.O, offline, core.PruneOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := rowForm(ent)
+		weighted := map[string]bool{}
+		for _, c := range ent {
+			if c.Entity != nil && c.Entity.Weights() != nil {
+				weighted[c.Name] = true
+			}
+		}
+		if len(weighted) == 0 {
+			t.Fatalf("%s: fixture too weak: no IPW-weighted candidate among %d", d.name, len(ent))
+		}
+
+		outcome := a.View.MustColumn(a.Result.Outcome).Floats()
+		var series []baselines.NamedSeries
+		for _, c := range ent {
+			if attr := a.Extraction.Attr(c.Name); attr != nil && attr.Col.Typ == table.Float {
+				series = append(series, baselines.NamedSeries{Name: c.Name, Values: attr.Materialize().Floats()})
+			}
+		}
+		run := func(cands []*core.Candidate) []*baselines.Result {
+			bf, err := baselines.BruteForce(a.T, a.O, cands, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			topk, err := baselines.TopK(a.T, a.O, cands, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hyp, err := baselines.HypDB(a.T, a.O, cands, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			encOf := func(name string) *bins.Encoded {
+				for _, c := range cands {
+					if c.Name == name {
+						e, _, err := c.Vectors()
+						if err != nil {
+							t.Fatal(err)
+						}
+						return e
+					}
+				}
+				return nil
+			}
+			lr := baselines.LinearRegression(outcome, series, a.T, a.O, encOf, 5)
+			return []*baselines.Result{bf, topk, hyp, lr}
+		}
+		got, want := run(ent), run(row)
+		for i := range got {
+			g, w := got[i], want[i]
+			if !reflect.DeepEqual(g.Attrs, w.Attrs) || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+				t.Errorf("%s %s: entity forms give %v %v, broadcasts %v %v", d.name, g.Method, g.Attrs, g.Score, w.Attrs, w.Score)
+			}
+			for _, name := range g.Attrs {
+				weightedScored = weightedScored || weighted[name] && g.Method != baselines.MethodHypDB && g.Method != baselines.MethodLR
+			}
+		}
+	}
+	if !weightedScored {
+		t.Fatal("fixture too weak: no weighted method scored an IPW-weighted candidate")
 	}
 }

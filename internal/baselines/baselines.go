@@ -93,24 +93,14 @@ func BruteForce(t, o *bins.Encoded, cands []*core.Candidate, maxSize int) (*Resu
 	var bestSet []int
 	var bestScore float64
 
-	encs := make([]*bins.Encoded, n)
-	ws := make([][]float64, n)
-	for i, r := range ranked {
-		encs[i] = r.enc
-		ws[i] = r.weights
-	}
-
 	var cur []int
 	var recur func(next int)
 	recur = func(next int) {
 		if len(cur) > 0 {
 			sel := make([]*bins.Encoded, len(cur))
-			var wsel [][]float64
+			ws := make([][]float64, len(cur))
 			for i, idx := range cur {
-				sel[i] = encs[idx]
-				if ws[idx] != nil {
-					wsel = append(wsel, ws[idx])
-				}
+				sel[i], ws[i] = ranked[idx].enc, ranked[idx].weights
 			}
 			// Feasibility: enough complete cases per occupied stratum.
 			// Support only shrinks as the set grows, so an infeasible set
@@ -118,7 +108,7 @@ func BruteForce(t, o *bins.Encoded, cands []*core.Candidate, maxSize int) (*Resu
 			if !supported(sel, bruteForceMinSupport) {
 				return
 			}
-			score := infotheory.CondMutualInfo(o, t, sel, infotheory.Weights{W: productWeights(wsel, t.Len())})
+			score := core.SetScore(t, o, sel, ws)
 			obj := score * float64(len(cur))
 			if obj < bestObj-1e-12 {
 				bestObj = obj
@@ -161,16 +151,13 @@ func TopK(t, o *bins.Encoded, cands []*core.Candidate, k int) (*Result, error) {
 		ranked = ranked[:k]
 	}
 	res := &Result{Method: MethodTopK, Elapsed: time.Since(start)}
-	sel := make([]*bins.Encoded, 0, len(ranked))
-	var wsel [][]float64
-	for _, r := range ranked {
+	sel := make([]*bins.Encoded, len(ranked))
+	ws := make([][]float64, len(ranked))
+	for i, r := range ranked {
 		res.Attrs = append(res.Attrs, r.cand.Name)
-		sel = append(sel, r.enc)
-		if r.weights != nil {
-			wsel = append(wsel, r.weights)
-		}
+		sel[i], ws[i] = r.enc, r.weights
 	}
-	res.Score = infotheory.CondMutualInfo(o, t, sel, infotheory.Weights{W: productWeights(wsel, t.Len())})
+	res.Score = core.SetScore(t, o, sel, ws)
 	res.Failed = len(res.Attrs) == 0
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -183,20 +170,17 @@ type rankedCand struct {
 	relevance float64
 }
 
-// rankByRelevance computes the individual relevance of every candidate and
-// sorts ascending (lower CMI explains more).
+// rankByRelevance computes the individual relevance of every candidate, read
+// and scored as the pipeline reads and scores it (core.Candidate.Vectors,
+// core.SetScore), and sorts ascending (lower CMI explains more).
 func rankByRelevance(t, o *bins.Encoded, cands []*core.Candidate) ([]rankedCand, error) {
 	out := make([]rankedCand, 0, len(cands))
 	for _, c := range cands {
-		enc, err := c.Enc()
+		enc, w, err := c.Vectors()
 		if err != nil {
 			return nil, err
 		}
-		var w []float64
-		if c.Weights != nil {
-			w = c.Weights(enc)
-		}
-		rel := infotheory.CondMutualInfo(o, t, []infotheory.Var{enc}, infotheory.Weights{W: w})
+		rel := core.SetScore(t, o, []*bins.Encoded{enc}, [][]float64{w})
 		out = append(out, rankedCand{cand: c, enc: enc, weights: w, relevance: rel})
 	}
 	sort.SliceStable(out, func(a, b int) bool { return out[a].relevance < out[b].relevance })
@@ -223,20 +207,6 @@ func supported(sel []*bins.Encoded, minSupport float64) bool {
 		return false
 	}
 	return float64(complete)/float64(len(seen)) >= minSupport
-}
-
-func productWeights(ws [][]float64, n int) []float64 {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	copy(out, ws[0])
-	for _, w := range ws[1:] {
-		for i := range out {
-			out[i] *= w[i]
-		}
-	}
-	return out
 }
 
 // NamedSeries is a raw numeric candidate column for the LR baseline.
@@ -346,7 +316,7 @@ func LinearRegression(outcome []float64, series []NamedSeries, t, o *bins.Encode
 		}
 	}
 	if len(sel) > 0 {
-		res.Score = infotheory.CondMutualInfo(o, t, sel, infotheory.Weights{})
+		res.Score = core.SetScore(t, o, sel, nil)
 	}
 	res.Elapsed = time.Since(start)
 	return res

@@ -358,13 +358,48 @@ func TestSupportedGuard(t *testing.T) {
 	}
 }
 
+// TestProductWeights pins the weights a baseline scores a set under: the
+// elementwise product of its candidates' IPW weights, an unweighted candidate
+// counting as all ones, and no weights at all when none is weighted. TopK
+// scores the k attributes it keeps as one set.
 func TestProductWeights(t *testing.T) {
-	if productWeights(nil, 3) != nil {
-		t.Fatal("no weights should be nil")
+	f := buildFixture(t, 2000, 5)
+	n := f.t.Len()
+	w1, w2, prod := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range prod {
+		w1[i] = 1 + float64(i%3)
+		w2[i] = float64((i + 1) % 4) // 0 on every fourth row
+		prod[i] = w1[i] * w2[i]
 	}
-	w := productWeights([][]float64{{1, 2, 3}, {2, 2, 0}}, 3)
-	if w[0] != 2 || w[1] != 4 || w[2] != 0 {
-		t.Fatalf("product = %v", w)
+	weighted := func(name string, w []float64) *core.Candidate {
+		c := core.FromEncoded(f.encOf(name), core.OriginKG)
+		c.Weights = func(*bins.Encoded) []float64 { return w }
+		return c
+	}
+	scoredAs := func(res *Result, w []float64) float64 {
+		sel := make([]*bins.Encoded, len(res.Attrs))
+		for i, name := range res.Attrs {
+			sel[i] = f.encOf(name)
+		}
+		return infotheory.CondMutualInfo(f.o, f.t, sel, infotheory.Weights{W: w})
+	}
+	plain, err := TopK(f.t, f.o, f.cands, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := scoredAs(plain, nil); math.Float64bits(plain.Score) != math.Float64bits(want) {
+		t.Fatalf("unweighted score = %v, want %v", plain.Score, want)
+	}
+	res, err := TopK(f.t, f.o, []*core.Candidate{weighted("Z1", w1), weighted("Z2", w2), f.cands[0]}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scoredAs(res, prod)
+	if len(res.Attrs) != 3 || math.Float64bits(res.Score) != math.Float64bits(want) {
+		t.Fatalf("weighted score of %v = %v, want %v (the product of the weights)", res.Attrs, res.Score, want)
+	}
+	if want == scoredAs(res, nil) {
+		t.Fatal("fixture too weak: the weights do not move the score")
 	}
 }
 

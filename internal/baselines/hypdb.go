@@ -63,7 +63,7 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, k int) (*Result, error) 
 	base := infotheory.MutualInfo(o, t, nil)
 	var covs []covariate
 	for _, c := range working {
-		enc, err := c.Enc()
+		enc, _, err := c.Vectors()
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +76,7 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, k int) (*Result, error) 
 		if infotheory.CondIndependent(enc, o, nil, infotheory.Weights{}, hypDBCIThreshold) {
 			continue
 		}
-		drop := base - infotheory.CondMutualInfo(o, t, []infotheory.Var{enc}, infotheory.Weights{})
+		drop := base - core.SetScore(t, o, []*bins.Encoded{enc}, nil)
 		covs = append(covs, covariate{cand: c, enc: enc, drop: drop})
 	}
 	sort.SliceStable(covs, func(a, b int) bool { return covs[a].drop > covs[b].drop })
@@ -97,7 +97,7 @@ func HypDB(t, o *bins.Encoded, cands []*core.Candidate, k int) (*Result, error) 
 			for i, idx := range cur {
 				sel[i] = searchPool[idx].enc
 			}
-			if s := infotheory.CondMutualInfo(o, t, sel, infotheory.Weights{}); s < bestScore {
+			if s := core.SetScore(t, o, sel, nil); s < bestScore {
 				bestScore = s
 				bestSet = append(bestSet[:0], cur...)
 			}

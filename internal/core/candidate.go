@@ -34,7 +34,8 @@ const (
 // derived from it: the three constructors below (FromEncoded, FromColumn,
 // FromEntity) build candidates whose vectors compute once and are shared by
 // every phase and every run that touches the candidate, so the pipeline
-// calls them freely and keeps no memo of its own.
+// calls them freely and keeps no memo of its own. Whoever scores a candidate
+// — the pipeline, the baselines, the experiments — reads it through Vectors.
 type Candidate struct {
 	// Name identifies the attribute in explanations.
 	Name string
@@ -43,18 +44,18 @@ type Candidate struct {
 	// Hops is the extraction depth for KG attributes (0 for input columns).
 	Hops int
 
-	// Enc produces the row-level encoding aligned with the analysis view. It
-	// must be safe for concurrent use. For a candidate with an entity form
-	// it is the slot-level encoding broadcast to rows — n codes built for
-	// callers outside the scoring core (the subgroup search, the baselines);
-	// the core itself reads the entity form.
+	// Enc produces the encoding aligned with the analysis view. It must be
+	// safe for concurrent use. For a candidate with an entity form it is the
+	// slot-level encoding broadcast to rows — n codes that no scorer reads
+	// (Vectors reads the entity form); only the benchmark's staged screen
+	// pass and the tests' broadcast oracles ask for them.
 	Enc func() (*bins.Encoded, error)
 
 	// Weights optionally produces IPW weights (package missing) for the
 	// candidate's complete cases when selection bias was detected, one per
 	// row of enc; nil disables weighting for this candidate. Must be safe
-	// for concurrent use. Like Enc, an entity form's row weights exist for
-	// callers outside the scoring core.
+	// for concurrent use. Like Enc, an entity form's row weights are read
+	// only by the benchmark and the tests' oracles.
 	Weights func(enc *bins.Encoded) []float64
 
 	// Permute returns an encoding whose values are randomly permuted at the
@@ -85,7 +86,7 @@ type Candidate struct {
 	// permuted draws, its gain guard and its redundancy pass — wherever the
 	// statistic is unweighted and its row pass dense; otherwise, and for the
 	// final score, by a row pass that reads the slot codes and slot weights
-	// through the map (vectors). Either way the bits are the same. Stripping
+	// through the map (Vectors). Either way the bits are the same. Stripping
 	// the field selects the row path, which gives the same verdicts.
 	Entity *Entity
 
@@ -96,12 +97,14 @@ type Candidate struct {
 	EntityComplete int
 }
 
-// vectors returns what the scoring core reads of the candidate: its encoding
-// and its IPW weights (nil when it has none), the weights in the encoding's
-// form. An entity form gives its slot encoding read through the row→slot map
+// Vectors returns what a scorer reads of the candidate: its encoding and its
+// IPW weights (nil when it has none), the weights in the encoding's form. An
+// entity form gives its slot encoding read through the row→slot map
 // (bins.Encoded.Slots) and its slot weights, so nothing n-long is built;
-// every other candidate gives Enc and Weights.
-func (c *Candidate) vectors() (*bins.Encoded, []float64, error) {
+// every other candidate gives Enc and Weights. It is the one reading of a
+// candidate: the scoring core, the baselines and the experiments all score
+// what it returns (see SetScore).
+func (c *Candidate) Vectors() (*bins.Encoded, []float64, error) {
 	if e := c.Entity; e != nil {
 		enc, err := e.Encoding(c.Name)
 		if err != nil || e.Weights == nil {
@@ -147,16 +150,17 @@ func (e *Entity) Encoding(name string) (*bins.Encoded, error) {
 	return &bins.Encoded{Name: name, Codes: slotEnc.Codes, Card: slotEnc.Card, Labels: slotEnc.Labels, Slots: e.Slots}, nil
 }
 
-// FromEntity builds a KG-origin candidate from its entity form. The scoring
-// core reads the form itself (vectors); Permute is the null model of an
-// extracted attribute — the slot codes shuffled among the observed slots
+// FromEntity builds a KG-origin candidate from its entity form. Every scorer
+// reads the form itself (Vectors); Permute is the null model of an extracted
+// attribute — the slot codes shuffled among the observed slots
 // (ShuffleObserved), under the same map, so a draw costs the slots, not the
 // rows. Enc and Weights broadcast the slot encoding and slot weights through
-// ent.Slots (0 for an unresolved row's weight) for callers outside the core,
-// each computed on first use and kept for the life of the candidate; every
-// broadcast encoding is counted as obs.KGRowEncodings in counters (nil =
-// uncounted). The suppliers ent.Enc and ent.Weights are called at most once
-// and need not memoise or be safe for concurrent use.
+// ent.Slots (0 for an unresolved row's weight), each computed on first use
+// and kept for the life of the candidate, for the benchmark's staged screen
+// pass and the tests' broadcast oracles; every broadcast encoding is counted
+// as obs.KGRowEncodings in counters (nil = uncounted). The suppliers ent.Enc
+// and ent.Weights are called at most once and need not memoise or be safe
+// for concurrent use.
 func FromEntity(name string, hops int, ent *Entity, counters *obs.Counters) *Candidate {
 	slots := ent.Slots
 	if slots == nil {
@@ -200,7 +204,10 @@ func FromEncoded(enc *bins.Encoded, origin Origin) *Candidate {
 }
 
 // FromColumn encodes a table column eagerly and wraps it as an input-origin
-// candidate with a row-level permutation for the responsibility test.
+// candidate with a row-level permutation for the responsibility test. Its
+// row statistics are its source statistics, so it sets no EntityCard: a
+// string column's Card is its count of distinct values, and its Missing codes
+// are its nulls.
 func FromColumn(col *table.Column, opts bins.Options) (*Candidate, error) {
 	enc, err := bins.Encode(col, opts)
 	if err != nil {
@@ -215,12 +222,6 @@ func FromColumn(col *table.Column, opts bins.Options) (*Candidate, error) {
 		return ShuffleObserved(enc, rng), nil
 	}
 	c.WirePerm = true
-	// Raw-value uniqueness only matters for categorical columns (see the
-	// high-entropy prune); numeric columns are binned.
-	if col.Typ == table.String {
-		c.EntityCard = col.DistinctCount()
-		c.EntityComplete = col.Len() - col.NullCount()
-	}
 	return c, nil
 }
 

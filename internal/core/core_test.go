@@ -389,8 +389,9 @@ func TestExplainEncodesOncePerCandidate(t *testing.T) {
 	// online prune, MCIMR's relevance pass, consider loop and redundancy
 	// passes (run on 4 workers) and the final score, weighted candidates
 	// included, no candidate's Enc is asked for rows, and the suppliers
-	// behind FromEntity are called exactly once each. The rows a subgroup
-	// search requests afterwards are built once per candidate.
+	// behind FromEntity are called exactly once each. A caller that still
+	// asks for rows afterwards (the benchmark's staged screen pass, a test's
+	// broadcast oracle) gets them built once per candidate.
 	const nEnt, rowsPer = 120, 40
 	n := nEnt * rowsPer
 	rng := stats.NewRNG(12)
@@ -484,8 +485,7 @@ func TestExplainEncodesOncePerCandidate(t *testing.T) {
 			t.Fatalf("%s: vectors = %d rows over %d codes, %d weights, %v", c.Name, e.Len(), len(e.Codes), len(w), err)
 		}
 	}
-	// What Report.SubgroupsCtx does next: the explanation's encodings and the
-	// refinement attributes are requested as rows, here for every candidate.
+	// Rows requested after Explain, here for every candidate, twice.
 	for _, c := range cands {
 		for rep := 0; rep < 2; rep++ {
 			e, err := c.Enc()

@@ -316,7 +316,7 @@ func mcimr(ctx context.Context, folds *slotFolds, cands []*Candidate, opts Optio
 	parallelFor(ctx, len(cands), opts.Parallelism, func(i int) {
 		st := &state{cand: cands[i]}
 		states[i] = st
-		sctx.Cands[i], sctx.Weights[i], st.err = cands[i].vectors()
+		sctx.Cands[i], sctx.Weights[i], st.err = cands[i].Vectors()
 	})
 	if err := ctx.Err(); err != nil {
 		rsp.End()
@@ -355,7 +355,7 @@ func mcimr(ctx context.Context, folds *slotFolds, cands []*Candidate, opts Optio
 
 	evalOne := func(cst *state, idx, iter int) *considerEval {
 		ev := &considerEval{}
-		if ev.enc, ev.w, ev.err = cst.cand.vectors(); ev.err != nil {
+		if ev.enc, ev.w, ev.err = cst.cand.Vectors(); ev.err != nil {
 			return ev
 		}
 		// Responsibility test (Lemma 4.2): O ⊥ E | selected means the
@@ -514,7 +514,7 @@ func mcimr(ctx context.Context, folds *slotFolds, cands []*Candidate, opts Optio
 			if si.selected || si.skipped || si.err != nil {
 				return
 			}
-			encI, wI, err := si.cand.vectors()
+			encI, wI, err := si.cand.Vectors()
 			if err != nil {
 				si.err = err
 				return
@@ -582,14 +582,14 @@ func gainSignificant(ctx context.Context, cand *Candidate, enc *bins.Encoded, gi
 
 // ScoreSet is the final score of an attribute set and its Def. 2.5
 // responsibilities, computed from the candidates exactly as Explain computes
-// them for the set MCIMR selects: I(O;T|C,E) under the product of the
-// candidates' IPW weights, and each candidate's share of the leave-one-out
-// increase of that score, in the order given.
+// them for the set MCIMR selects: SetScore over the candidates' Vectors, and
+// each candidate's share of the leave-one-out increase of that score under
+// the same weights, in the order given.
 func ScoreSet(t, o *bins.Encoded, cands []*Candidate) (score float64, shares []float64, err error) {
 	encs := make([]*bins.Encoded, len(cands))
 	ws := make([][]float64, len(cands))
 	for i, c := range cands {
-		if encs[i], ws[i], err = c.vectors(); err != nil {
+		if encs[i], ws[i], err = c.Vectors(); err != nil {
 			return 0, nil, err
 		}
 	}
@@ -597,16 +597,32 @@ func ScoreSet(t, o *bins.Encoded, cands []*Candidate) (score float64, shares []f
 	return score, shares, nil
 }
 
+// SetScore is the final score of an attribute set without its
+// responsibilities: I(O;T|C,E) with encs[i] and ws[i] the encoding and
+// weights Vectors reads of attribute i, under the product of the weights
+// (weightProduct). A ws shorter than encs leaves the attributes past its end
+// unweighted; nil scores the set unweighted. Explain, ScoreSet and the
+// baselines all score a set through it.
+func SetScore(t, o *bins.Encoded, encs []*bins.Encoded, ws [][]float64) float64 {
+	score, _ := setScore(t, o, encs, ws)
+	return score
+}
+
+// setScore is SetScore, also returning the weights it scored under.
+func setScore(t, o *bins.Encoded, encs []*bins.Encoded, ws [][]float64) (float64, infotheory.Weights) {
+	forms := make([]infotheory.Weights, len(ws))
+	for i, w := range ws {
+		forms[i] = weightsOf(encs[i], w)
+	}
+	w := weightProduct(forms...)
+	return infotheory.CondMutualInfo(o, t, encs, w), w
+}
+
 // scoreSet is ScoreSet over the candidates' vectors (ws[i] in encs[i]'s
 // form), reporting its two phases into tr.
 func scoreSet(tr *obs.Trace, t, o *bins.Encoded, encs []*bins.Encoded, ws [][]float64) (float64, []float64) {
-	forms := make([]infotheory.Weights, len(encs))
-	for i, e := range encs {
-		forms[i] = weightsOf(e, ws[i])
-	}
-	w := weightProduct(forms...)
 	ssp := tr.Start("final-score")
-	score := infotheory.CondMutualInfo(o, t, encs, w)
+	score, w := setScore(t, o, encs, ws)
 	ssp.End()
 	rsp := tr.Start("responsibility")
 	shares := responsibilities(t, o, encs, w, score)

@@ -216,7 +216,7 @@ func onlinePrune(ctx context.Context, tr *obs.Trace, folds *slotFolds, cands []*
 		// (·, O, ·) cubes; every other candidate by a counting pass over the
 		// rows, which reads an entity form's slot codes and slot weights
 		// through its map.
-		enc, w, err := c.vectors()
+		enc, w, err := c.Vectors()
 		if err != nil {
 			return "", err
 		}

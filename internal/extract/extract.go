@@ -85,21 +85,18 @@ func (a *Attribute) Materialize() *table.Column {
 	return out
 }
 
-// Encode discretizes the attribute at entity level and broadcasts the codes
-// to row level: a fresh n-long vector per call. Binning thresholds therefore
-// reflect the entity-value distribution (documented deviation: pyitlib binned
-// row-level, which differs only when group sizes are very uneven). The
-// pipeline does not call it: the scoring core reads a candidate's entity form
-// through the row→slot map, and a candidate broadcasts it (core.FromEntity),
-// once, only for callers outside the core.
+// Encode discretizes the attribute at entity level and returns it as one
+// indirect column: the entity-level codes (EntityEncode's, shared) read
+// through the row→slot map (bins.Encoded.Slots), so no n-long vector is
+// built. Binning thresholds therefore reflect the entity-value distribution
+// (documented deviation: pyitlib binned row-level, which differs only when
+// group sizes are very uneven).
 func (a *Attribute) Encode(opts bins.Options) (*bins.Encoded, error) {
 	ent, err := a.EntityEncode(opts)
 	if err != nil {
 		return nil, err
 	}
-	out := ent.Broadcast(a.rowSlot)
-	out.Name = a.Name
-	return out, nil
+	return &bins.Encoded{Name: a.Name, Codes: ent.Codes, Card: ent.Card, Labels: ent.Labels, Slots: a.rowSlot}, nil
 }
 
 // EntityEncode discretizes at entity level only (one code per slot). The

@@ -175,13 +175,16 @@ func TestExtractEncode(t *testing.T) {
 	if enc.Len() != 5 {
 		t.Fatalf("encoded length = %d", enc.Len())
 	}
-	if enc.Codes[0] != enc.Codes[2] {
+	if enc.Slots == nil {
+		t.Fatal("Encode built a row vector, want the indirect form")
+	}
+	if enc.Code(0) != enc.Code(2) {
 		t.Fatal("same entity should share code")
 	}
-	if enc.Codes[0] == enc.Codes[1] {
+	if enc.Code(0) == enc.Code(1) {
 		t.Fatal("different HDI values share code")
 	}
-	if enc.Codes[3] != bins.Missing || enc.Codes[4] != bins.Missing {
+	if enc.Code(3) != bins.Missing || enc.Code(4) != bins.Missing {
 		t.Fatal("unlinked rows should encode Missing")
 	}
 }

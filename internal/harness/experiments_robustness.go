@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -269,7 +268,9 @@ type MissingStatsRow struct {
 }
 
 // MissingStats measures the prevalence of missing values and selection bias
-// in extracted attributes (§5.2).
+// in extracted attributes (§5.2): each KG candidate as the pipeline encodes
+// it, and biased when the pipeline detects selection bias in it (the
+// candidate carries IPW weights).
 func (s *Suite) MissingStats() ([]MissingStatsRow, error) {
 	var out []MissingStatsRow
 	for _, name := range []string{"SO", "Covid-19", "Flights", "Forbes"} {
@@ -285,62 +286,26 @@ func (s *Suite) MissingStats() ([]MissingStatsRow, error) {
 			continue
 		}
 		row := MissingStatsRow{Dataset: name}
-		biased := 0
-		for _, attr := range a.Extraction.Attrs {
-			enc, err := attr.EntityEncode(bins.DefaultOptions())
+		for _, c := range a.Candidates {
+			if c.Origin != core.OriginKG {
+				continue
+			}
+			// Reading the candidate's vectors reads its weights: the
+			// pipeline's own selection-bias verdict, counted by NumBiased.
+			enc, _, err := c.Vectors()
 			if err != nil {
 				continue
 			}
-			rowEnc, err := attr.Encode(bins.DefaultOptions())
-			if err != nil {
-				continue
-			}
-			row.AvgMissing += rowEnc.MissingFraction()
+			row.AvgMissing += enc.MissingFraction()
 			row.NumExtracted++
-			if enc.MissingFraction() > 0 && enc.MissingFraction() < 1 {
-				rep := missing.DetectBias(enc, observedVarsFor(a, attr), nil)
-				if rep.Biased {
-					biased++
-				}
-			}
 		}
 		if row.NumExtracted > 0 {
 			row.AvgMissing /= float64(row.NumExtracted)
-			row.BiasedFrac = float64(biased) / float64(row.NumExtracted)
+			row.BiasedFrac = float64(a.NumBiased()) / float64(row.NumExtracted)
 		}
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-// observedVarsFor builds the observed-variable map used by bias detection
-// for one attribute: the entity-level mean outcome.
-func observedVarsFor(a *nexus.Analysis, attr *extract.Attribute) map[string]*bins.Encoded {
-	slots := attr.RowSlots()
-	nSlots := attr.Col.Len()
-	out := a.View.MustColumn(a.Result.Outcome)
-	sum := make([]float64, nSlots)
-	cnt := make([]float64, nSlots)
-	for i, sl := range slots {
-		if sl < 0 || out.IsNull(i) {
-			continue
-		}
-		sum[sl] += out.Float(i)
-		cnt[sl]++
-	}
-	mean := make([]float64, nSlots)
-	for i := range mean {
-		if cnt[i] > 0 {
-			mean[i] = sum[i] / cnt[i]
-		} else {
-			mean[i] = math.NaN()
-		}
-	}
-	enc, err := bins.Encode(table.NewFloatColumn("meanO", mean), bins.DefaultOptions())
-	if err != nil {
-		return nil
-	}
-	return map[string]*bins.Encoded{"O": enc}
 }
 
 // FormatMissingStats renders §5.2.

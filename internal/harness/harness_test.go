@@ -2,10 +2,12 @@ package harness
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"nexus"
 	"nexus/internal/baselines"
 	"nexus/internal/core"
 	"nexus/internal/obs"
@@ -359,5 +361,77 @@ func TestFormatPerfAndOptsFor(t *testing.T) {
 	out := FormatPerf("title", "x", []PerfPoint{{Dataset: "SO", Variant: VariantMCIMR, X: 7}})
 	if !strings.Contains(out, "title") || !strings.Contains(out, "MCIMR") {
 		t.Fatalf("FormatPerf output %q", out)
+	}
+}
+
+// TestRunAllBroadcastsNoKGCandidate pins that the comparison reads every
+// candidate as the pipeline does: all six methods, Brute-Force included, run
+// on SO Q1 and Covid-19 Q1 without broadcasting a KG candidate to rows
+// (kg_row_encodings stays 0), each scoring the entity form through the row→slot
+// map instead.
+func TestRunAllBroadcastsNoKGCandidate(t *testing.T) {
+	s := testSuite()
+	for _, key := range []string{"SO Q1", "Covid-19 Q1"} {
+		spec := specByKey(t, key)
+		spec.BruteForce = true
+		counters := obs.NewCounters()
+		a, err := s.SessionWith(spec.Dataset, nexus.Options{Metrics: counters}).PrepareCtx(context.Background(), spec.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, err := RunAll(a, spec, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range Methods {
+			if r := runs[m]; r.Skipped || r.Result == nil {
+				t.Fatalf("%s: %s did not run", key, m)
+			}
+		}
+		if got := counters.Get(obs.KGRowEncodings); got != 0 {
+			t.Errorf("%s: kg_row_encodings = %d through RunAll, want 0", key, got)
+		}
+	}
+}
+
+// TestMissingStatsCountsThePipelinesVerdicts pins §5.2's biased count to the
+// pipeline's: the KG candidates that carry IPW weights as the scoring core
+// reads them (core.Candidate.Vectors), which is also the biased_attrs counter
+// a traced run reports. It used to rerun the detector on its own 8-bin copy of
+// the slot-level outcome, where the pipeline bins Covid-19 and Forbes coarser.
+func TestMissingStatsCountsThePipelinesVerdicts(t *testing.T) {
+	s := testSuite()
+	rows, err := s.MissingStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(rows))
+	}
+	for _, r := range rows {
+		spec, err := firstQuery(r.Dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters := obs.NewCounters()
+		a, err := s.SessionWith(r.Dataset, nexus.Options{Metrics: counters}).PrepareCtx(context.Background(), spec.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		biased := 0
+		for _, c := range a.Candidates {
+			if c.Origin != core.OriginKG {
+				continue
+			}
+			if _, w, err := c.Vectors(); err != nil {
+				t.Fatal(err)
+			} else if w != nil {
+				biased++
+			}
+		}
+		if got := int(math.Round(r.BiasedFrac * float64(r.NumExtracted))); got != biased || int64(biased) != counters.Get(obs.BiasedAttrs) {
+			t.Errorf("%s: §5.2 counts %d biased of %d, the pipeline %d (biased_attrs %d)",
+				r.Dataset, got, r.NumExtracted, biased, counters.Get(obs.BiasedAttrs))
+		}
 	}
 }

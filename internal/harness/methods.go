@@ -153,7 +153,7 @@ func runLR(a *nexus.Analysis, k int, allowed map[string]bool) *baselines.Result 
 		if c == nil {
 			return nil
 		}
-		e, err := c.Enc()
+		e, _, err := c.Vectors()
 		if err != nil {
 			return nil
 		}

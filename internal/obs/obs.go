@@ -67,8 +67,9 @@ const (
 	KGAttrs = "kg_attrs"
 	// KGRowEncodings counts KG attributes broadcast from slot-level codes to
 	// an n-long row encoding (core.FromEntity's Enc). The pipeline (prunes,
-	// MCIMR, the subgroup search) reads the entity form and broadcasts none;
-	// only the baselines and the benchmark's staged screen pass do.
+	// MCIMR, the subgroup search) and the experiments' baselines read the
+	// entity form and broadcast none; only the benchmark's staged screen pass
+	// and the tests' broadcast oracles do.
 	KGRowEncodings = "kg_row_encodings"
 	// BiasedAttrs counts, per analysis, the biased KG attributes whose IPW
 	// weights it read, fitted by it or by an earlier analysis of the same
