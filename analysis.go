@@ -44,10 +44,8 @@ type Analysis struct {
 	session *Session
 	binOpts bins.Options
 	byName  map[string]*core.Candidate
-	// metrics is the counter set every lazy pipeline stage (IPW detection,
-	// row broadcasts of KG candidates) reports into: the counter set of the
-	// prepare context's trace, else Options.Metrics, else a private set. A
-	// server shares one set across all its requests.
+	// metrics is the prepare call's counter set, which every lazy stage (IPW
+	// detection, row broadcasts of KG candidates) counts into.
 	metrics *obs.Counters
 	// biased counts this analysis's own obs.BiasedAttrs additions, the
 	// count NumBiased reports.
@@ -88,6 +86,15 @@ func (a *Analysis) slotOutcomeOf(slots []int32, nSlots int) slotOutcome {
 	return slotOutcome{meanO: meanO, meanOEnc: enc}
 }
 
+// traced is ctx with a trace named name over Metrics when ctx carries none:
+// every entry point's first step, so counters reach Metrics as a trace's.
+func (o *Options) traced(ctx context.Context, name string) context.Context {
+	if o.Metrics == nil || obs.TraceFrom(ctx) != nil {
+		return ctx
+	}
+	return obs.WithTrace(ctx, obs.NewWithCounters(name, o.Metrics))
+}
+
 // adaptiveBins picks the discretization granularity from the view size:
 // coarse bins keep the plug-in estimators and the permutation tests
 // informative on small relations (Covid-19 has one row per country), while
@@ -107,6 +114,7 @@ func adaptiveBins(rows int) int {
 // problem, honouring ctx through every phase (query execution, encoding,
 // KG extraction). On cancellation the returned error wraps ctx.Err().
 func (s *Session) PrepareCtx(ctx context.Context, sql string) (*Analysis, error) {
+	ctx = s.opts.traced(ctx, "prepare")
 	psp := obs.TraceFrom(ctx).Start("parse")
 	q, err := sqlx.Parse(sql)
 	psp.End()
@@ -118,6 +126,7 @@ func (s *Session) PrepareCtx(ctx context.Context, sql string) (*Analysis, error)
 
 // PrepareQueryCtx is PrepareCtx for a pre-parsed query.
 func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis, error) {
+	ctx = s.opts.traced(ctx, "prepare")
 	tr := obs.TraceFrom(ctx)
 	psp := tr.Start("prepare")
 	defer psp.End()
@@ -146,12 +155,6 @@ func (s *Session) PrepareQueryCtx(ctx context.Context, q *sqlx.Query) (*Analysis
 		binOpts:   bins.Options{Bins: adaptiveBins(res.View.NumRows())},
 		byName:    map[string]*core.Candidate{},
 		metrics:   tr.Counters(),
-	}
-	if a.metrics == nil {
-		a.metrics = s.opts.Metrics
-	}
-	if a.metrics == nil {
-		a.metrics = obs.NewCounters()
 	}
 
 	// Encode exposure (possibly multiple grouping attributes) and outcome.
@@ -344,6 +347,7 @@ func (a *Analysis) Candidate(name string) *core.Candidate { return a.byName[name
 // honouring ctx through pruning, MCIMR and the permutation tests. On
 // cancellation the returned error wraps ctx.Err().
 func (a *Analysis) ExplainCtx(ctx context.Context) (*Report, error) {
+	ctx = a.session.opts.traced(ctx, "explain")
 	opts := a.session.opts.Core
 	opts.Trace = obs.TraceFrom(ctx)
 	if opts.Scorer != nil && opts.ScoreTag == "" {
@@ -372,6 +376,7 @@ type Report struct {
 // disconnects and graceful shutdown actually stop work; on cancellation the
 // returned error wraps ctx.Err().
 func (s *Session) ExplainCtx(ctx context.Context, sql string) (*Report, error) {
+	ctx = s.opts.traced(ctx, "explain")
 	a, err := s.PrepareCtx(ctx, sql)
 	if err != nil {
 		return nil, err
@@ -433,11 +438,11 @@ func (r *Report) SubgroupsCtx(ctx context.Context, k int, tau float64) ([]subgro
 // serial and batched lattice traversals on identical inputs (results are
 // byte-identical at any setting; only wall clock and effort counters move).
 // Zero fields select the session-level defaults SubgroupsCtx uses: the
-// paper-style τ of max(0.2, 2× the explanation score), the session's
-// Core.Parallelism, and the session's Metrics as the counter sink of a
-// search whose context carries no trace.
+// paper-style τ of max(0.2, 2× the explanation score) and the session's
+// Core.Parallelism.
 func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Options) ([]subgroups.Group, subgroups.Stats, error) {
 	sess := r.Analysis.session
+	ctx = sess.opts.traced(ctx, "subgroups")
 	if opts.Tau <= 0 {
 		opts.Tau = 2 * r.Explanation.Score
 		if opts.Tau < 0.2 {
@@ -446,9 +451,6 @@ func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Option
 	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = sess.opts.Core.Parallelism
-	}
-	if opts.Counters == nil {
-		opts.Counters = sess.opts.Metrics
 	}
 	encs, err := r.explanationEncodings()
 	if err != nil {
@@ -470,6 +472,7 @@ func (r *Report) SubgroupsWithOptions(ctx context.Context, opts subgroups.Option
 // error. ctx is honoured through the refined query's prepare and explain
 // phases.
 func (r *Report) ExplainSubgroupCtx(ctx context.Context, g subgroups.Group) (*Report, error) {
+	ctx = r.Analysis.session.opts.traced(ctx, "explain")
 	q := *r.Analysis.Query
 	q.Where = append([]sqlx.Condition(nil), q.Where...)
 	for _, cond := range g.Conds {

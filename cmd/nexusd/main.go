@@ -94,11 +94,9 @@ func run(args []string) error {
 		Hops:       *hops,
 		DisableIPW: *noIPW,
 		// One cache per daemon: concurrent requests over the same dataset
-		// context share a single KG extraction. The server attaches a
-		// per-request trace to each request's context (feeding the
-		// per-stage histograms and slow capture), while Metrics routes
-		// every pipeline counter (bias detections, cache hits,
-		// subgroup-search effort) to /metrics.
+		// context share a single KG extraction. Each request's trace counts
+		// into metrics, and Metrics gives Open's ingest and remote-KG
+		// counters (and any call without a trace) the same set.
 		Metrics:      metrics,
 		ExtractCache: nexus.NewExtractionCache(metrics),
 	}

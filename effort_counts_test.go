@@ -163,3 +163,57 @@ func TestEffortCountsExact(t *testing.T) {
 		})
 	}
 }
+
+// TestMetricsWithoutTraceGetsEveryCounter pins the one route by which a
+// pipeline counter reaches a counter set: a session's Options.Metrics, on
+// calls whose context carries no trace, ends with the counter table the same
+// calls leave in a trace over a fresh set — the counting kernel's, the
+// extraction's and the core's as well as the lazy stages' and the subgroup
+// search's. Covid-19 Q1 (world seed 11, rows seed 13) plus SubgroupsCtx(3),
+// at Core.Parallelism 1 so that both runs do the same work.
+//
+// Not t.Parallel(), for the reason TestEffortCountsExact gives.
+func TestMetricsWithoutTraceGetsEveryCounter(t *testing.T) {
+	world := kg.NewWorld(kg.WorldConfig{Seed: 11})
+	ds := workload.Covid(world, workload.Config{Seed: 13})
+	run := func(ctx context.Context, metrics *obs.Counters) {
+		t.Helper()
+		opts := &nexus.Options{Metrics: metrics}
+		opts.Core.Parallelism = 1
+		sess := nexus.NewSession(world.Graph, opts)
+		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
+		sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
+		rep, err := sess.ExplainCtx(ctx, "SELECT Country, avg(Deaths_per_100_cases) FROM `Covid-19` GROUP BY Country")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := rep.SubgroupsCtx(ctx, 3, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metrics := obs.NewCounters()
+	run(context.Background(), metrics)
+	tr := obs.New("traced")
+	run(obs.WithTrace(context.Background(), tr), nil)
+	want, got := tr.Close().Counters, metrics.Snapshot()
+
+	var diffs []string
+	for name := range want {
+		if got[name] != want[name] {
+			diffs = append(diffs, fmt.Sprintf("%s: %d of %d", name, got[name], want[name]))
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			diffs = append(diffs, fmt.Sprintf("%s: %d, absent under a trace", name, got[name]))
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the traced run left no counter")
+	}
+	if len(diffs) > 0 {
+		slices.Sort(diffs)
+		t.Errorf("Options.Metrics without a trace differs from a trace's set on %d of %d counters:\n\t%s",
+			len(diffs), len(want), strings.Join(diffs, "\n\t"))
+	}
+}

@@ -94,19 +94,23 @@ func BruteForce(t, o *bins.Encoded, cands []*core.Candidate, maxSize int) (*Resu
 	var bestScore float64
 
 	var cur []int
+	// joint[d] is the first d attributes of cur as one column, its parent's
+	// joined with one attribute (a two-column pass); joint[0] is all rows.
+	joint := []*bins.Encoded{{Name: "subset", Codes: make([]int32, t.Len()), Card: 1}}
 	var recur func(next int)
 	recur = func(next int) {
-		if len(cur) > 0 {
-			sel := make([]*bins.Encoded, len(cur))
-			ws := make([][]float64, len(cur))
-			for i, idx := range cur {
-				sel[i], ws[i] = ranked[idx].enc, ranked[idx].weights
-			}
+		if d := len(cur); d > 0 {
+			joint = append(joint[:d], infotheory.JoinVars("subset", joint[d-1], ranked[cur[d-1]].enc))
 			// Feasibility: enough complete cases per occupied stratum.
 			// Support only shrinks as the set grows, so an infeasible set
 			// prunes its whole branch.
-			if !supported(sel, bruteForceMinSupport) {
+			if !supported(joint[d:], bruteForceMinSupport) {
 				return
+			}
+			sel := make([]*bins.Encoded, d)
+			ws := make([][]float64, d)
+			for i, idx := range cur {
+				sel[i], ws[i] = ranked[idx].enc, ranked[idx].weights
 			}
 			score := core.SetScore(t, o, sel, ws)
 			obj := score * float64(len(cur))

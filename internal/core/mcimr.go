@@ -160,7 +160,7 @@ func Explain(ctx context.Context, t, o *bins.Encoded, cands []*Candidate, opts O
 	// joins, partitions) as the delta of the kernel's process-wide counters
 	// over this call. The prune and MCIMR phases below all tally through the
 	// kernel; the only other capture window (the subgroup search) is a
-	// sibling phase, so no pass is counted twice.
+	// sibling phase, so a call counts no pass twice.
 	countBase := counting.Stats()
 	defer func() { counting.Stats().Delta(countBase).Each(tr.Add) }()
 

@@ -324,9 +324,9 @@ func (w Weights) gather(lo, hi int, rows []int32, buf []float64) []float64 {
 // Effort counters. Process-wide atomics: the kernel is called from parallel
 // workers that cannot carry a per-run sink, so callers (core.Explain, the
 // subgroup search) snapshot before/after and publish the delta into their
-// trace or counter set. Concurrent runs therefore attribute each other's
-// passes to whichever capture window is open — totals are always conserved,
-// and in the servers all windows feed one shared counter set anyway.
+// trace. A window publishes every pass the process made over its span, so a
+// pass made while two runs' windows are open is counted by both: a set fed
+// by overlapping runs (a server's) over-counts, runs in sequence do not.
 
 var (
 	densePasses  atomic.Int64

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"nexus"
-	"nexus/internal/bins"
 	"nexus/internal/core"
 	"nexus/internal/extract"
 	"nexus/internal/infotheory"
@@ -83,18 +82,16 @@ func (s *Suite) Fig3(dataset string, fractions []float64, coreOpts core.Options)
 		return nil, fmt.Errorf("harness: dataset %s has no extraction", dataset)
 	}
 
-	// Rank extracted attributes by relevance to the outcome and take 10.
+	// Rank extracted attributes by relevance to the outcome, each read as
+	// the pipeline reads it (at the analysis's bins), and take 10.
 	type ranked struct {
 		attr *extract.Attribute
 		rel  float64
 	}
 	var rk []ranked
 	for _, attr := range a.Extraction.Attrs {
-		enc, err := attr.Encode(bins.DefaultOptions())
-		if err != nil {
-			continue
-		}
-		if enc.Card < 2 || enc.MissingFraction() > 0.6 {
+		enc, err := a.KGCandidate(attr).Entity.Encoding(attr.Name)
+		if err != nil || enc.Card < 2 || enc.MissingFraction() > 0.6 {
 			continue
 		}
 		rel := infotheory.MutualInfo(a.O, enc, nil)
@@ -227,7 +224,8 @@ func corruptAttribute(attr *extract.Attribute, frac float64, mode RemovalMode, r
 	return attr.WithColumn(nc)
 }
 
-// corruptedCandidate wraps a corrupted attribute per the handling strategy.
+// corruptedCandidate wraps a corrupted attribute per the handling strategy,
+// every arm encoded by the pipeline's candidate, at the analysis's bins.
 func corruptedCandidate(a *nexus.Analysis, attr *extract.Attribute, handling Handling, rng *stats.RNG) (*core.Candidate, error) {
 	var imputed *table.Column
 	switch handling {
@@ -238,7 +236,7 @@ func corruptedCandidate(a *nexus.Analysis, attr *extract.Attribute, handling Han
 	default:
 		return a.KGCandidate(attr), nil
 	}
-	enc, err := attr.WithColumn(imputed).Encode(bins.DefaultOptions())
+	enc, err := a.KGCandidate(attr.WithColumn(imputed)).Entity.Encoding(attr.Name)
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,11 @@ import (
 
 	"nexus"
 	"nexus/internal/baselines"
+	"nexus/internal/bins"
 	"nexus/internal/core"
+	"nexus/internal/missing"
 	"nexus/internal/obs"
+	"nexus/internal/table"
 )
 
 var (
@@ -168,6 +171,56 @@ func TestFig3IPWBeatsImputationUnderBias(t *testing.T) {
 		t.Errorf("IPW degraded by %.3f under 50%% random removal", d)
 	}
 	_ = FormatFig3(points)
+}
+
+// TestFig3ArmsBinAlike pins that Fig. 3's arms read an attribute at the same
+// bins: the imputation arm encodes its imputed column as the pipeline
+// encodes that column (the IPW arm's candidate over it), at the analysis's
+// bins. On Covid-19 (188 rows, 4 bins) an arm binned at bins.DefaultOptions'
+// 8 would explain with finer strata than the arm it is compared with.
+func TestFig3ArmsBinAlike(t *testing.T) {
+	s := testSuite()
+	spec, err := firstQuery("Covid-19")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Session(spec.Dataset).PrepareCtx(context.Background(), spec.SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binned := 0
+	for _, attr := range a.Extraction.Attrs {
+		if attr.Col.Typ != table.Float && attr.Col.Typ != table.Int {
+			continue
+		}
+		imputed, err := corruptedCandidate(a, attr, HandleImpute, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := imputed.Enc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := a.KGCandidate(attr.WithColumn(missing.ImputeMean(attr.Col))).Vectors()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Card != want.Card || got.Len() != want.Len() {
+			t.Fatalf("%s: imputation arm has %d codes over %d rows, the pipeline's reading %d over %d",
+				attr.Name, got.Card, got.Len(), want.Card, want.Len())
+		}
+		for i := range got.Len() {
+			if got.Code(i) != want.Code(i) {
+				t.Fatalf("%s: row %d coded %d by the imputation arm, %d by the pipeline", attr.Name, i, got.Code(i), want.Code(i))
+			}
+		}
+		if attr.Col.DistinctCount() > bins.DefaultOptions().Bins {
+			binned++
+		}
+	}
+	if binned == 0 {
+		t.Fatal("no numeric attribute with more distinct values than bins.DefaultOptions' bins: the fixture pins nothing")
+	}
 }
 
 func TestFig4PruningHelps(t *testing.T) {

@@ -74,6 +74,9 @@ const (
 // the full cost of the lattice search.
 const maxSubgroups = 20
 
+// maxBody bounds a request body; a larger one is answered 413, not cut off.
+const maxBody = 1 << 20
+
 // StatusClientClosedRequest is the non-standard (nginx-convention) status
 // recorded when the client went away before the explanation finished.
 const StatusClientClosedRequest = 499
@@ -358,7 +361,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "draining", "server is shutting down")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		s.writeError(w, http.StatusRequestEntityTooLarge, "too_large", "request body exceeds the "+strconv.FormatInt(tooBig.Limit, 10)+"-byte limit")
+		return
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
 		return

@@ -533,6 +533,30 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyAnswered413 pins that a body over the limit is refused
+// whole, 413 naming the limit, and not cut off at it and parsed as
+// truncated JSON.
+func TestOversizedBodyAnswered413(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	body := `{"sql": "` + testSQL + `", "pad": "` + strings.Repeat("x", maxBody) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/explain", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("error body not JSON: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Kind != "too_large" ||
+		!strings.Contains(eb.Error, strconv.Itoa(maxBody)) {
+		t.Fatalf("status %d, envelope %+v; want 413, too_large, naming the %d-byte limit", resp.StatusCode, eb, maxBody)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())

@@ -293,15 +293,15 @@ func TestTopUnexplainedFormsAgree(t *testing.T) {
 		slots    int64
 	}
 	search := func(fx slotFixture, expl []*bins.Encoded, dims []RefinementAttr) run {
-		counters := obs.NewCounters()
+		tr := obs.New("search")
 		var seq []Group
-		res, st, err := topUnexplained(context.Background(), fx.t, fx.o, expl, dims,
-			Options{K: 5, Tau: 0.02, Parallelism: 2, Counters: counters}, 10, 400,
+		res, st, err := topUnexplained(obs.WithTrace(context.Background(), tr), fx.t, fx.o, expl, dims,
+			Options{K: 5, Tau: 0.02, Parallelism: 2}, 10, 400,
 			func(g Group) { seq = append(seq, g) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		return run{renderGroups(res), renderGroups(seq), st, counters.Get(obs.SubgroupSlotScored)}
+		return run{renderGroups(res), renderGroups(seq), st, tr.Counters().Get(obs.SubgroupSlotScored)}
 	}
 	for _, fx := range fixtures {
 		fx.unlink(r)

@@ -16,6 +16,8 @@
 // link column's entity slot (a slot node) is carried as its list of slots:
 // its size, its children's sizes and its score are read off the slots and
 // the column's (slot, O, T) cube, not off its rows (see TopUnexplained).
+//
+// The search reports its span and counters to the trace on ctx alone.
 package subgroups
 
 import (
@@ -103,10 +105,6 @@ type Options struct {
 	// per batch); 1 scores each node inline on pop, with no goroutines.
 	// Results and Stats are identical at any setting.
 	Parallelism int
-	// Counters, when non-nil, receives the node counters of a search whose
-	// context carries no trace; a trace on the context (obs.WithTrace)
-	// receives the lattice-search span, and its counter set replaces this.
-	Counters *obs.Counters
 }
 
 // Stats reports search effort. Every field is schedule-independent: it
@@ -206,28 +204,28 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	tr := obs.TraceFrom(ctx)
-	if c := tr.Counters(); c != nil {
-		opts.Counters = c
-	}
 	sp := tr.Start("subgroup-search")
 	defer sp.End()
 	// Publish the search's counting-kernel effort (dense/sparse passes, ID
 	// joins, partitions) as the delta of the kernel's process-wide counters
 	// over this call. The capture windows never nest: core.Explain (the
 	// only other capture site) and the subgroup search are sibling phases,
-	// so no pass is counted twice.
+	// so a call counts no pass twice.
 	countBase := counting.Stats()
-	defer func() { counting.Stats().Delta(countBase).Each(opts.Counters.Add) }()
+	defer func() { counting.Stats().Delta(countBase).Each(tr.Add) }()
 
 	s, err := newSearch(t, o, explanation, attrs, &opts, minSize, explored)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	if len(explanation) > 1 {
+		tr.Add(obs.CompositeRebuilds, 1)
+	}
 	// Where the time goes, without a span per batch or expansion.
 	var scoreDur, expandDur time.Duration
 	defer func() {
-		opts.Counters.Add(obs.SubgroupRowsVisited, s.visited.Load())
-		opts.Counters.Add(obs.SubgroupSlotScored, s.slotScored.Load())
+		tr.Add(obs.SubgroupRowsVisited, s.visited.Load())
+		tr.Add(obs.SubgroupSlotScored, s.slotScored.Load())
 		sp.SetFloat("score-ms", float64(scoreDur)/float64(time.Millisecond))
 		sp.SetFloat("expand-ms", float64(expandDur)/float64(time.Millisecond))
 		sp.SetInt("slot-nodes", s.slotScored.Load())
@@ -258,7 +256,7 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 			for _, g := range batch {
 				heap.Push(&s.heap, g)
 			}
-			opts.Counters.Add(obs.SubgroupFrontierBatches, 1)
+			tr.Add(obs.SubgroupFrontierBatches, 1)
 			if err != nil {
 				return nil, s.stats, fmt.Errorf("subgroups: lattice search: %w", err)
 			}
@@ -291,8 +289,8 @@ func topUnexplained(ctx context.Context, t, o *bins.Encoded, explanation []*bins
 		}
 	}
 	s.stats.Exhausted = s.heap.Len() == 0 && s.stats.Explored < explored
-	opts.Counters.Add(obs.SubgroupNodesExplored, int64(s.stats.Explored))
-	opts.Counters.Add(obs.SubgroupNodesPushed, int64(s.stats.Pushed))
+	tr.Add(obs.SubgroupNodesExplored, int64(s.stats.Explored))
+	tr.Add(obs.SubgroupNodesPushed, int64(s.stats.Pushed))
 	sp.SetInt("explored", int64(s.stats.Explored))
 	sp.SetInt("pushed", int64(s.stats.Pushed))
 	sp.SetInt("groups-found", int64(len(results)))
@@ -321,10 +319,6 @@ func newSearch(t, o *bins.Encoded, explanation []*bins.Encoded, attrs []Refineme
 	if stratum == nil {
 		stratum = &bins.Encoded{Name: "explanation", Codes: make([]int32, n), Card: 1}
 	}
-	if len(explanation) > 1 {
-		opts.Counters.Add(obs.CompositeRebuilds, 1)
-	}
-
 	codes, err := counting.Pack(dims, n)
 	if err != nil {
 		return nil, fmt.Errorf("subgroups: %w", err)
@@ -537,7 +531,7 @@ func (s *search) scoreBatch(ctx context.Context, batch []*node) error {
 			todo = append(todo, g)
 		}
 	}
-	s.opts.Counters.Add(obs.GroupsScored, int64(len(todo)))
+	obs.TraceFrom(ctx).Add(obs.GroupsScored, int64(len(todo)))
 	var next atomic.Int64
 	work := func() {
 		for {

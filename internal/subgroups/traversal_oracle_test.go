@@ -234,13 +234,13 @@ func TestTopUnexplainedSparseDomain(t *testing.T) {
 			ee.Codes[i] = int32(r.Intn(20))
 		}
 	}
-	counters := obs.NewCounters()
-	groups, _, err := TopUnexplained(context.Background(), te, oe, []*bins.Encoded{ee}, []RefinementAttr{{Name: "region", Enc: region}},
-		Options{K: 1, Tau: 0.2, Counters: counters})
+	tr := obs.New("search")
+	groups, _, err := TopUnexplained(obs.WithTrace(context.Background(), tr), te, oe, []*bins.Encoded{ee}, []RefinementAttr{{Name: "region", Enc: region}},
+		Options{K: 1, Tau: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counters.Get(obs.CountingSparsePasses) == 0 {
+	if tr.Counters().Get(obs.CountingSparsePasses) == 0 {
 		t.Fatal("fixture stayed on the dense path")
 	}
 	if len(groups) != 1 || groups[0].String() != "region == EU" {

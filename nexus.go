@@ -40,12 +40,10 @@ type Options struct {
 	// DisableIPW turns off selection-bias detection and weighting
 	// (complete-case analysis everywhere).
 	DisableIPW bool
-	// Metrics, when non-nil, receives the pipeline's counters (selection-bias
-	// detections, cache hits, subgroup search effort, ...) of every call
-	// whose context carries no trace. It is safe to share across concurrent
-	// calls — this is how nexusd surfaces per-phase counters on /metrics. A
-	// call whose context carries a trace counts into the trace's counter set
-	// instead (obs.NewWithCounters lets many request traces share one).
+	// Metrics, when non-nil, receives every pipeline counter of each call
+	// whose context carries no trace, by running it under a trace over
+	// Metrics. A traced call counts into its trace's set (nexusd shares one
+	// across its request traces). It is safe for concurrent calls.
 	Metrics *obs.Counters
 	// ExtractCache, when non-nil, memoizes KG extractions across Explain
 	// calls keyed by (table, WHERE clause, link columns, hops), with

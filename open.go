@@ -63,9 +63,9 @@ func SplitList(s string) []string {
 
 // Open builds the session a Setup describes — world generation, the KG
 // backend, the dataset registered with its link columns — on top of the
-// caller's own opts (caches, depth, scorer). Its spans go to ctx's trace, and
-// backend and ingest counters where the pipeline's do: the trace's counter
-// set, else opts.Metrics.
+// caller's own opts (caches, depth, scorer). Its spans and its backend and
+// ingest counters go where the pipeline's do: to ctx's trace, else to
+// opts.Metrics.
 //
 // The local world is always generated, because the synthetic datasets sample
 // its entities; with Setup.KG the extraction backend is the remote server
@@ -74,18 +74,14 @@ func Open(ctx context.Context, su Setup, opts Options) (*Session, *Loaded, error
 	if su.CSV == "" && su.Dataset == "" {
 		return nil, nil, ErrNoDataset
 	}
-	tr := obs.TraceFrom(ctx)
-	counters := tr.Counters()
-	if counters == nil {
-		counters = opts.Metrics
-	}
+	tr := obs.TraceFrom(opts.traced(ctx, "open"))
 
 	wsp := tr.Start("world-gen")
 	world := kg.NewWorld(kg.WorldConfig{Seed: su.Seed})
 	wsp.End()
 	var src kg.Source = world.Graph
 	if su.KG != "" {
-		src = kgremote.New(su.KG, kgremote.Options{Counters: counters, Registry: su.Registry})
+		src = kgremote.New(su.KG, kgremote.Options{Counters: tr.Counters(), Registry: su.Registry})
 	}
 	sess := NewSessionFromSource(src, &opts)
 
@@ -105,7 +101,7 @@ func Open(ctx context.Context, su Setup, opts Options) (*Session, *Loaded, error
 		}
 		// Stream the records straight into the table's columns: past the
 		// inference sample no raw record is kept.
-		st, err := colstore.FromCSV(f, colstore.Options{Counters: counters})
+		st, err := colstore.FromCSV(f, colstore.Options{Counters: tr.Counters()})
 		f.Close()
 		if err != nil {
 			return nil, nil, fmt.Errorf("reading %s: %w", su.CSV, err)
