@@ -438,10 +438,10 @@ func BenchmarkExplainTraced(b *testing.B) {
 }
 
 // BenchmarkExplainMetrics is BenchmarkExplain with the full serving-grade
-// metrics pipeline attached — a per-request trace whose spans feed a
-// StageSink (per-stage latency histograms in a Registry) and whose counters
-// land in the registry's shared set, exactly what internal/server wires up
-// for every job. The bar: within 5% of BenchmarkExplain.
+// metrics pipeline attached — a per-request trace whose closed snapshot
+// feeds a StageSink (per-stage latency histograms in a Registry) and whose
+// counters land in the registry's shared set, exactly what internal/server
+// does for every job. The bar: within 5% of BenchmarkExplain.
 func BenchmarkExplainMetrics(b *testing.B) {
 	a, err := benchAnalysis()
 	if err != nil {
@@ -453,12 +453,11 @@ func BenchmarkExplainMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts()
 		tr := obs.NewWithCounters("bench", registry.Counters())
-		tr.AddSink(stages)
 		opts.Trace = tr
 		if _, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, opts); err != nil {
 			b.Fatal(err)
 		}
-		tr.Close()
+		stages.Observe(tr.Close())
 	}
 }
 

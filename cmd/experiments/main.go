@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,23 +33,37 @@ func main() {
 		dataset   = flag.String("dataset", "", "restrict runtime sweeps to one dataset (default: the paper's set)")
 		rows      = flag.Int("rows", 0, "row count for -exp headline (default 1000000; paper 5819079)")
 		trace     = flag.Bool("trace", false, "print the phase trace tree (spans + counters) to stderr")
-		traceJSON = flag.String("trace-json", "", "stream trace events as JSON lines to this file")
+		traceJSON = flag.String("trace-json", "", "write the trace's events as JSON lines to this file, when the run ends")
 	)
 	flag.Parse()
 
-	// Every phase — suite build and each experiment — runs under one trace,
-	// so the reported totals are span durations, not ad-hoc stopwatches.
-	tr := obs.New("experiments")
-	var jsonSink *obs.JSONLSink
+	var jsonOut *os.File
 	if *traceJSON != "" {
 		f, err := os.Create(*traceJSON)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			fail(err)
 		}
-		defer f.Close()
-		jsonSink = obs.NewJSONLSink(f)
-		tr.AddSink(jsonSink)
+		jsonOut = f
+	}
+	// Every phase — suite build and each experiment — runs under one trace,
+	// so the reported totals are span durations, not ad-hoc stopwatches.
+	// closeTrace writes it however the run ends, a failed experiment's
+	// included.
+	tr := obs.New("experiments")
+	closeTrace := func() obs.Snapshot {
+		snap := tr.Close()
+		if *trace {
+			fmt.Fprintln(os.Stderr)
+			if err := snap.WriteTree(os.Stderr); err != nil {
+				fail(err)
+			}
+		}
+		if jsonOut != nil {
+			if err := errors.Join(tr.WriteJSONL(jsonOut), jsonOut.Close()); err != nil {
+				fail(err)
+			}
+		}
+		return snap
 	}
 
 	sc := harness.DefaultScale()
@@ -77,6 +92,7 @@ func main() {
 		sp := tr.Start("exp " + name)
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			closeTrace()
 			os.Exit(1)
 		}
 		sp.End()
@@ -268,21 +284,12 @@ func main() {
 		return nil
 	})
 
-	snap := tr.Close()
-	if *trace {
-		fmt.Fprintln(os.Stderr)
-		if err := snap.WriteTree(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
-	if jsonSink != nil {
-		if err := jsonSink.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Printf("total %v\n", time.Duration(snap.TotalNS).Round(time.Millisecond))
+	fmt.Printf("total %v\n", time.Duration(closeTrace().TotalNS).Round(time.Millisecond))
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "experiments:", err)
+	os.Exit(1)
 }
 
 func datasetsOr(override string, defaults ...string) []string {

@@ -41,7 +41,7 @@ func main() {
 }
 
 // run is the whole program behind an error return, so every failure path —
-// flag misuse, unreadable CSV, unknown dataset, bad query, trace-sink I/O —
+// flag misuse, unreadable CSV, unknown dataset, bad query, trace file I/O —
 // reaches main and exits non-zero. Tests drive it directly.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("nexus", flag.ContinueOnError)
@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		par       = fs.Int("parallelism", 0, "worker goroutines for MCIMR and the subgroup lattice search (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 		noIPW     = fs.Bool("no-ipw", false, "disable selection-bias detection and IPW")
 		trace     = fs.Bool("trace", false, "print the phase trace tree (spans + counters) to stderr")
-		traceJSON = fs.String("trace-json", "", "stream trace events as JSON lines to this file")
+		traceJSON = fs.String("trace-json", "", "write the trace's events as JSON lines to this file, when the run ends")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,31 +71,50 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-sql is required")
 	}
 
-	// Every phase below runs inside the trace, so the reported total is the
-	// root span — the printed tree sums to it by construction.
-	tr := obs.New("nexus")
-	var jsonSink *obs.JSONLSink
+	var jsonOut *os.File
 	if *traceJSON != "" {
 		f, err := os.Create(*traceJSON)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		jsonSink = obs.NewJSONLSink(f)
-		tr.AddSink(jsonSink)
+		jsonOut = f
 	}
 
 	su := nexus.Setup{
 		Dataset: *dataset, Rows: *rows, CSV: *csvPath, Table: *tableName, Links: nexus.SplitList(*links),
 		Exclude: nexus.SplitList(*exclude), Seed: *seed, KG: *kgURL,
 	}
+	opts := nexus.Options{Hops: *hops, DisableIPW: *noIPW}
+	opts.Core.Parallelism = *par
+	// Every phase runs inside the trace, so the reported total is the root
+	// span — the printed tree sums to it by construction. The trace is
+	// written however the run ends, a failed one included.
+	tr := obs.New("nexus")
+	err := explain(obs.WithTrace(context.Background(), tr), fs, stdout, su, opts, *sql, *subgroups)
+	snap := tr.Close()
+	if *trace {
+		fmt.Fprintln(stderr)
+		err = errors.Join(err, snap.WriteTree(stderr))
+	}
+	if jsonOut != nil {
+		if werr := errors.Join(tr.WriteJSONL(jsonOut), jsonOut.Close()); werr != nil {
+			err = errors.Join(err, fmt.Errorf("writing %s: %w", *traceJSON, werr))
+		}
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\ntotal %v\n", time.Duration(snap.TotalNS).Round(time.Millisecond))
+	return nil
+}
+
+// explain opens the dataset, explains the query and, with subgroups > 0,
+// searches for the unexplained subgroups, all under the trace on ctx.
+func explain(ctx context.Context, fs *flag.FlagSet, stdout io.Writer, su nexus.Setup, opts nexus.Options, sql string, subgroups int) error {
 	fmt.Fprintln(stdout, "generating knowledge graph...")
 	if su.KG != "" {
 		fmt.Fprintf(stdout, "using remote knowledge graph at %s\n", su.KG)
 	}
-	ctx := obs.WithTrace(context.Background(), tr)
-	opts := nexus.Options{Hops: *hops, DisableIPW: *noIPW}
-	opts.Core.Parallelism = *par
 	sess, ds, err := nexus.Open(ctx, su, opts)
 	if errors.Is(err, nexus.ErrNoDataset) {
 		fs.Usage()
@@ -110,19 +129,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "generated %s: %d rows, link columns %v\n", ds.Name, ds.Table.NumRows(), ds.LinkColumns)
 	}
 
-	rep, err := sess.ExplainCtx(ctx, *sql)
+	rep, err := sess.ExplainCtx(ctx, sql)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, rep.Summary())
 
-	if *subgroups > 0 {
-		groups, stats, err := rep.SubgroupsCtx(ctx, *subgroups, 0)
+	if subgroups > 0 {
+		groups, stats, err := rep.SubgroupsCtx(ctx, subgroups, 0)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "\ntop-%d unexplained subgroups (explored %d nodes):\n", *subgroups, stats.Explored)
+		fmt.Fprintf(stdout, "\ntop-%d unexplained subgroups (explored %d nodes):\n", subgroups, stats.Explored)
 		if len(groups) == 0 {
 			if stats.Exhausted {
 				fmt.Fprintln(stdout, "  none — the explanation holds everywhere at the chosen threshold")
@@ -134,19 +153,5 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "  %d. size=%-8d score=%.3f  %s\n", i+1, g.Size, g.Score, g.String())
 		}
 	}
-
-	snap := tr.Close()
-	if *trace {
-		fmt.Fprintln(stderr)
-		if err := snap.WriteTree(stderr); err != nil {
-			return err
-		}
-	}
-	if jsonSink != nil {
-		if err := jsonSink.Err(); err != nil {
-			return fmt.Errorf("writing %s: %w", *traceJSON, err)
-		}
-	}
-	fmt.Fprintf(stdout, "\ntotal %v\n", time.Duration(snap.TotalNS).Round(time.Millisecond))
 	return nil
 }

@@ -105,3 +105,40 @@ func TestRunSuccessTinyDataset(t *testing.T) {
 		}
 	}
 }
+
+// A failing run still writes its trace: the spans up to the failure, the
+// root span and the final counters line in the JSONL file, and the tree on
+// stderr with -trace.
+func TestFailedRunWritesTrace(t *testing.T) {
+	traceJSON := filepath.Join(t.TempDir(), "trace.jsonl")
+	var out, errw strings.Builder
+	err := run([]string{
+		"-dataset", "covid", "-sql", "SELECT Country, avg(Nope) FROM `Covid-19` GROUP BY Country",
+		"-trace", "-trace-json", traceJSON,
+	}, &out, &errw)
+	if err == nil {
+		t.Fatalf("run with an unknown outcome column succeeded; stdout:\n%s", out.String())
+	}
+	raw, rerr := os.ReadFile(traceJSON)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	paths := map[string]bool{}
+	var last obs.Event
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		last = obs.Event{}
+		if err := json.Unmarshal([]byte(line), &last); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		paths[last.Path] = true
+	}
+	if !paths["nexus/parse"] || !paths["nexus"] {
+		t.Fatalf("trace of the failed run lacks the parse or the root span: %v", paths)
+	}
+	if last.Type != "counters" {
+		t.Fatalf("last trace line = %+v, want the counters event", last)
+	}
+	if !strings.Contains(errw.String(), "└─ prepare") {
+		t.Fatalf("-trace printed no tree for the failed run; stderr:\n%s", errw.String())
+	}
+}

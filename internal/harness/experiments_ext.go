@@ -29,12 +29,13 @@ type Table4Result struct {
 
 // Table4 reproduces the top-5 unexplained data groups for SO Q1 (τ = 0.2).
 func (s *Suite) Table4(coreOpts core.Options) (*Table4Result, error) {
+	ctx := obs.WithTrace(context.Background(), coreOpts.Trace)
 	spec, err := firstQuery("SO")
 	if err != nil {
 		return nil, err
 	}
 	sess := s.Session("SO")
-	rep, err := sess.ExplainCtx(context.Background(), spec.SQL)
+	rep, err := sess.ExplainCtx(ctx, spec.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +49,7 @@ func (s *Suite) Table4(coreOpts core.Options) (*Table4Result, error) {
 		tau = 0.2
 	}
 	start := time.Now()
-	groups, stats, err := rep.SubgroupsCtx(context.Background(), 5, tau)
+	groups, stats, err := rep.SubgroupsCtx(ctx, 5, tau)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +57,7 @@ func (s *Suite) Table4(coreOpts core.Options) (*Table4Result, error) {
 	if len(groups) == 0 {
 		res.FirstTau, res.FirstStats = tau, stats
 		tau = rep.Explanation.Score
-		groups, stats, err = rep.SubgroupsCtx(context.Background(), 5, tau)
+		groups, stats, err = rep.SubgroupsCtx(ctx, 5, tau)
 		if err != nil {
 			return nil, err
 		}
@@ -109,6 +110,7 @@ type RandomQueryReport struct {
 // approach is "useful" for a query when the explanation lowers the partial
 // correlation and contains at least one extracted attribute. Paper: 72.5%.
 func (s *Suite) RandomQueries(perDataset int, coreOpts core.Options) (*RandomQueryReport, error) {
+	ctx := obs.WithTrace(context.Background(), coreOpts.Trace)
 	rep := &RandomQueryReport{}
 	useful := 0
 	for _, name := range []string{"SO", "Covid-19", "Flights", "Forbes"} {
@@ -116,11 +118,11 @@ func (s *Suite) RandomQueries(perDataset int, coreOpts core.Options) (*RandomQue
 		sess := s.Session(name)
 		for _, rq := range workload.RandomQueries(ds, perDataset, s.Seed+77) {
 			sql := strings.Replace(rq.SQL, "FROM "+name, "FROM `"+name+"`", 1)
-			a, err := sess.PrepareCtx(context.Background(), sql)
+			a, err := sess.PrepareCtx(ctx, sql)
 			if err != nil {
 				return nil, fmt.Errorf("harness: random query %q: %w", sql, err)
 			}
-			ex, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, coreOpts)
+			ex, err := core.Explain(ctx, a.T, a.O, a.Candidates, coreOpts)
 			if err != nil {
 				return nil, err
 			}
@@ -238,21 +240,22 @@ type PruningRow struct {
 
 // PruningImpact measures how much each pruning phase removes per dataset.
 func (s *Suite) PruningImpact(coreOpts core.Options) ([]PruningRow, error) {
+	ctx := obs.WithTrace(context.Background(), coreOpts.Trace)
 	var out []PruningRow
 	for _, name := range []string{"SO", "Covid-19", "Flights", "Forbes"} {
 		spec, err := firstQuery(name)
 		if err != nil {
 			return nil, err
 		}
-		a, err := s.Session(name).PrepareCtx(context.Background(), spec.SQL)
+		a, err := s.Session(name).PrepareCtx(ctx, spec.SQL)
 		if err != nil {
 			return nil, err
 		}
-		kept, offStats, err := core.OfflinePruneCtx(context.Background(), nil, a.Candidates, coreOpts.Prune)
+		kept, offStats, err := core.OfflinePruneCtx(ctx, nil, a.Candidates, coreOpts.Prune)
 		if err != nil {
 			return nil, err
 		}
-		kept2, onStats, err := core.OnlinePruneCtx(context.Background(), nil, a.T, a.O, kept, coreOpts.Prune)
+		kept2, onStats, err := core.OnlinePruneCtx(ctx, nil, a.T, a.O, kept, coreOpts.Prune)
 		if err != nil {
 			return nil, err
 		}

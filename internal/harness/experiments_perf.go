@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nexus/internal/core"
+	"nexus/internal/obs"
 	"nexus/internal/stats"
 )
 
@@ -46,11 +47,12 @@ type PerfPoint struct {
 // attributes, for the three pruning variants, on one dataset's Q1 query.
 // Candidates are dropped uniformly at random to hit each target size.
 func (s *Suite) Fig4(dataset string, sizes []int, base core.Options) ([]PerfPoint, error) {
+	ctx := obs.WithTrace(context.Background(), base.Trace)
 	spec, err := firstQuery(dataset)
 	if err != nil {
 		return nil, err
 	}
-	a, err := s.Session(dataset).PrepareCtx(context.Background(), spec.SQL)
+	a, err := s.Session(dataset).PrepareCtx(ctx, spec.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +70,7 @@ func (s *Suite) Fig4(dataset string, sizes []int, base core.Options) ([]PerfPoin
 		}
 		for _, v := range []PruneVariant{VariantNoPruning, VariantOffline, VariantMCIMR} {
 			start := time.Now()
-			ex, err := core.Explain(context.Background(), a.T, a.O, cands, optsFor(v, base))
+			ex, err := core.Explain(ctx, a.T, a.O, cands, optsFor(v, base))
 			if err != nil {
 				return nil, err
 			}
@@ -85,6 +87,7 @@ func (s *Suite) Fig4(dataset string, sizes []int, base core.Options) ([]PerfPoin
 // regenerating the dataset at each size and running the full pipeline's
 // explanation phase.
 func (s *Suite) Fig5(dataset string, rowCounts []int, base core.Options) ([]PerfPoint, error) {
+	ctx := obs.WithTrace(context.Background(), base.Trace)
 	spec, err := firstQuery(dataset)
 	if err != nil {
 		return nil, err
@@ -95,12 +98,12 @@ func (s *Suite) Fig5(dataset string, rowCounts []int, base core.Options) ([]Perf
 		sess := s.SessionWith(dataset, nexusOptions(base))
 		sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
 		sess.ExcludeCandidates(ds.Name, ds.ExcludeCandidates...)
-		a, err := sess.PrepareCtx(context.Background(), spec.SQL)
+		a, err := sess.PrepareCtx(ctx, spec.SQL)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		ex, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, base)
+		ex, err := core.Explain(ctx, a.T, a.O, a.Candidates, base)
 		if err != nil {
 			return nil, err
 		}
@@ -114,11 +117,12 @@ func (s *Suite) Fig5(dataset string, rowCounts []int, base core.Options) ([]Perf
 
 // Fig6 measures running time as a function of the explanation-size bound k.
 func (s *Suite) Fig6(dataset string, ks []int, base core.Options) ([]PerfPoint, error) {
+	ctx := obs.WithTrace(context.Background(), base.Trace)
 	spec, err := firstQuery(dataset)
 	if err != nil {
 		return nil, err
 	}
-	a, err := s.Session(dataset).PrepareCtx(context.Background(), spec.SQL)
+	a, err := s.Session(dataset).PrepareCtx(ctx, spec.SQL)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +131,7 @@ func (s *Suite) Fig6(dataset string, ks []int, base core.Options) ([]PerfPoint, 
 		opts := base
 		opts.K = k
 		start := time.Now()
-		ex, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, opts)
+		ex, err := core.Explain(ctx, a.T, a.O, a.Candidates, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -144,6 +148,7 @@ func (s *Suite) Fig6(dataset string, ks []int, base core.Options) ([]PerfPoint, 
 // of the explain (paper: < 10 s at 5.8M rows), and the bytes the explain
 // allocated (the growth of runtime.MemStats.TotalAlloc across the call).
 func (s *Suite) Headline(rows int, base core.Options) (*core.Explanation, uint64, error) {
+	ctx := obs.WithTrace(context.Background(), base.Trace)
 	ds := s.generate("Flights", rows)
 	sess := s.SessionWith("Flights", nexusOptions(base))
 	sess.RegisterTable(ds.Name, ds.Table, ds.LinkColumns...)
@@ -152,13 +157,13 @@ func (s *Suite) Headline(rows int, base core.Options) (*core.Explanation, uint64
 	if err != nil {
 		return nil, 0, err
 	}
-	a, err := sess.PrepareCtx(context.Background(), spec.SQL)
+	a, err := sess.PrepareCtx(ctx, spec.SQL)
 	if err != nil {
 		return nil, 0, err
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ex, err := core.Explain(context.Background(), a.T, a.O, a.Candidates, base)
+	ex, err := core.Explain(ctx, a.T, a.O, a.Candidates, base)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return nil, 0, err

@@ -9,6 +9,7 @@ import (
 	"nexus/internal/baselines"
 	"nexus/internal/core"
 	"nexus/internal/infotheory"
+	"nexus/internal/obs"
 	"nexus/internal/userstudy"
 )
 
@@ -67,8 +68,9 @@ type QueryResult struct {
 
 // RunQuery prepares and runs all methods on one query spec.
 func (s *Suite) RunQuery(spec QuerySpec, coreOpts core.Options) (*QueryResult, error) {
+	ctx := obs.WithTrace(context.Background(), coreOpts.Trace)
 	sess := s.Session(spec.Dataset)
-	a, err := sess.PrepareCtx(context.Background(), spec.SQL)
+	a, err := sess.PrepareCtx(ctx, spec.SQL)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", spec.Key(), err)
 	}

@@ -11,6 +11,7 @@ import (
 	"nexus/internal/extract"
 	"nexus/internal/infotheory"
 	"nexus/internal/missing"
+	"nexus/internal/obs"
 	"nexus/internal/stats"
 	"nexus/internal/table"
 )
@@ -69,12 +70,13 @@ type Fig3Point struct {
 // biased), explain with either IPW or mean imputation, and measure the
 // explanation's true explainability.
 func (s *Suite) Fig3(dataset string, fractions []float64, coreOpts core.Options) ([]Fig3Point, error) {
+	ctx := obs.WithTrace(context.Background(), coreOpts.Trace)
 	spec, err := firstQuery(dataset)
 	if err != nil {
 		return nil, err
 	}
 	sess := s.Session(dataset)
-	a, err := sess.PrepareCtx(context.Background(), spec.SQL)
+	a, err := sess.PrepareCtx(ctx, spec.SQL)
 	if err != nil {
 		return nil, err
 	}

@@ -283,6 +283,30 @@ func TestTable4Subgroups(t *testing.T) {
 	}
 }
 
+// Table4's session calls run under the trace of its core options, like its
+// core calls: the pipeline's spans and counters reach the experiment's
+// trace. A fresh suite, so the extraction is not already cached.
+func TestTable4Traced(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Trace = obs.New("table4")
+	if _, err := NewSuite(11, TestScale()).Table4(opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Trace.Close()
+	names := map[string]bool{}
+	for _, e := range opts.Trace.Events() {
+		names[e.Name] = true
+	}
+	for _, want := range []string{"prepare", "kg-extract", "core-explain", "subgroup-search"} {
+		if !names[want] {
+			t.Errorf("no %q span under Table4's trace; spans: %v", want, names)
+		}
+	}
+	if got := opts.Trace.Counters().Get(obs.KGAttrs); got == 0 {
+		t.Errorf("%s = 0 under Table4's trace", obs.KGAttrs)
+	}
+}
+
 func TestRandomQueriesUsefulness(t *testing.T) {
 	s := testSuite()
 	rep, err := s.RandomQueries(3, core.DefaultOptions())

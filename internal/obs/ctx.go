@@ -6,8 +6,8 @@ import "context"
 // reaches the nexus pipeline: a caller attaches it with WithTrace and every
 // stage reads it back with TraceFrom, so concurrent requests each carry their
 // own — a server typically builds one short-lived Trace per request with
-// NewWithCounters over its shared counter set plus a StageSink. A context
-// without a trace keeps the nil no-op path.
+// NewWithCounters over its shared counter set and reads it once it is closed.
+// A context without a trace keeps the nil no-op path.
 
 type traceCtxKey struct{}
 

@@ -164,16 +164,16 @@ func TestSlowLogRetention(t *testing.T) {
 		t.Fatal("threshold<=0 must disable the slow log")
 	}
 	var nilLog *SlowLog
-	if nilLog.Record(SlowEntry{DurNS: 1e12}) || nilLog.Seen() != 0 || nilLog.Snapshot() != nil || nilLog.Threshold() != 0 {
+	if nilLog.Record(SlowEntry{DurNS: 1e12}, nil) || nilLog.Seen() != 0 || nilLog.Snapshot() != nil || nilLog.Threshold() != 0 {
 		t.Fatal("nil SlowLog must no-op")
 	}
 
 	l := NewSlowLog(10*time.Millisecond, 3)
-	if l.Record(SlowEntry{ID: "fast", DurNS: int64(5 * time.Millisecond)}) {
+	if l.Record(SlowEntry{ID: "fast", DurNS: int64(5 * time.Millisecond)}, nil) {
 		t.Fatal("under-threshold entry retained")
 	}
 	for _, d := range []int64{20, 40, 30, 15, 50} { // ms
-		l.Record(SlowEntry{ID: "job", DurNS: d * 1e6})
+		l.Record(SlowEntry{ID: "job", DurNS: d * 1e6}, nil)
 	}
 	if l.Seen() != 5 {
 		t.Fatalf("seen = %d, want 5", l.Seen())
@@ -200,17 +200,34 @@ func TestSlowLogRetention(t *testing.T) {
 	}
 }
 
-func TestCaptureSinkKeepsSpansOnly(t *testing.T) {
-	var s CaptureSink
-	s.Emit(Event{Type: "span", Name: "prepare", DurNS: 1})
-	s.Emit(Event{Type: "counters", Counters: map[string]int64{"x": 1}})
-	s.Emit(Event{Type: "span", Name: "mcimr", DurNS: 2})
-	ev := s.Events()
-	if len(ev) != 2 || ev[0].Name != "prepare" || ev[1].Name != "mcimr" {
+// A retained slow entry carries its closed trace's span events in end order
+// and no counters event: a server's counter set is cumulative across
+// requests and would mislead inside one request's capture.
+func TestSlowLogKeepsSpanEventsOnly(t *testing.T) {
+	tr := NewWithCounters("explain j1", NewCounters())
+	tr.Start("prepare").End()
+	tr.Add(CITests, 5)
+	tr.Start("mcimr").End()
+	tr.Close()
+	l := NewSlowLog(time.Nanosecond, 1)
+	if !l.Record(SlowEntry{ID: "j1", DurNS: 2}, tr) {
+		t.Fatal("over-threshold entry not retained")
+	}
+	if l.Record(SlowEntry{ID: "j2", DurNS: 1}, tr) {
+		t.Fatal("entry faster than the retained one kept past the bound")
+	}
+	ev := l.Snapshot()[0].Events
+	if len(ev) != 3 || ev[0].Name != "prepare" || ev[1].Name != "mcimr" || ev[2].Path != "explain j1" {
 		t.Fatalf("captured events = %+v", ev)
 	}
-	ev[0].Name = "mutated"
-	if s.Events()[0].Name != "prepare" {
+	for _, e := range ev {
+		if e.Type != "span" {
+			t.Fatalf("captured non-span event %+v", e)
+		}
+	}
+	first := tr.Events()
+	first[0].Name = "mutated"
+	if tr.Events()[0].Name != "prepare" {
 		t.Fatal("Events must return a copy")
 	}
 }

@@ -10,9 +10,10 @@
 //     durations, heap-allocation deltas and typed attributes;
 //   - named counters (Trace.Add / Counters) such as CITests or
 //     PermutationsRun, aggregated into a Snapshot;
-//   - pluggable sinks: a human-readable tree printer
-//     (Snapshot.WriteTree), a JSONL event sink (JSONLSink), and a JSON
-//     snapshot export (Snapshot).
+//   - exports of the closed trace: a human-readable tree printer
+//     (Snapshot.WriteTree), span events in the order the spans ended
+//     (Trace.Events, written as JSON Lines by Trace.WriteJSONL), and a JSON
+//     snapshot (Snapshot).
 //
 // The nil invariant: every method on a nil *Trace, nil *Span and nil
 // *Counters is a no-op that performs no allocation, so instrumented code
@@ -242,15 +243,15 @@ func (c *Counters) Snapshot() map[string]int64 {
 	return out
 }
 
-// Trace collects one run's hierarchical spans and counters and forwards
-// span-end events to its sinks. Construct with New; a nil *Trace disables
-// all instrumentation.
+// Trace collects one run's hierarchical spans and counters; it is read once
+// it is closed. Construct with New; a nil *Trace disables all
+// instrumentation.
 type Trace struct {
 	mu       sync.Mutex
 	root     *Span
 	current  *Span
+	ended    []*Span // in the order the spans ended
 	counters *Counters
-	sinks    []Sink
 	start    time.Time
 	closed   bool
 }
@@ -291,17 +292,6 @@ func (t *Trace) Add(name string, delta int64) {
 	t.counters.Add(name, delta)
 }
 
-// AddSink registers a sink that receives an event whenever a span ends and
-// a final counters event when the trace is closed.
-func (t *Trace) AddSink(s Sink) {
-	if t == nil || s == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sinks = append(t.sinks, s)
-	t.mu.Unlock()
-}
-
 // Start opens a new span as a child of the currently open span. The caller
 // must End it; nesting follows call order.
 func (t *Trace) Start(name string) *Span {
@@ -320,8 +310,8 @@ func (t *Trace) Start(name string) *Span {
 	return sp
 }
 
-// Close ends the root span (and implicitly any still-open descendants),
-// emits a final counters event to the sinks, and returns the snapshot.
+// Close ends the root span (and implicitly any still-open descendants) and
+// returns the snapshot; Events and WriteJSONL read the closed trace too.
 // Further spans must not be started after Close.
 func (t *Trace) Close() Snapshot {
 	if t == nil {
@@ -333,17 +323,24 @@ func (t *Trace) Close() Snapshot {
 	t.mu.Unlock()
 	if !alreadyClosed {
 		t.endOpenSpans(t.root)
-		t.mu.Lock()
-		sinks := append([]Sink(nil), t.sinks...)
-		t.mu.Unlock()
-		if len(sinks) > 0 {
-			ev := Event{Type: "counters", Counters: t.counters.Snapshot()}
-			for _, s := range sinks {
-				s.Emit(ev)
-			}
-		}
 	}
 	return t.snapshot()
+}
+
+// Events returns one span event per ended span, in the order the spans
+// ended, so the root comes last once the trace is closed. It carries no
+// counters event: WriteJSONL appends that.
+func (t *Trace) Events() []Event {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]Event, len(t.ended))
+	for i, s := range t.ended {
+		out[i] = s.eventLocked()
+	}
+	return out
 }
 
 // endOpenSpans ends s and any still-open descendants, deepest first, so
@@ -406,7 +403,8 @@ func (s *Span) SetFloat(key string, value float64) {
 }
 
 // End closes the span, restores its parent as the trace's current span and
-// emits a span event to the sinks. Ending an already-ended span is a no-op.
+// records the span's place in the trace's end order. Ending an already-ended
+// span is a no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -429,15 +427,8 @@ func (s *Span) End() {
 			break
 		}
 	}
-	sinks := append([]Sink(nil), s.tr.sinks...)
-	ev := Event{}
-	if len(sinks) > 0 {
-		ev = s.eventLocked()
-	}
+	s.tr.ended = append(s.tr.ended, s)
 	s.tr.mu.Unlock()
-	for _, sk := range sinks {
-		sk.Emit(ev)
-	}
 }
 
 // Duration returns the span's wall-clock duration (elapsed-so-far if the
@@ -458,8 +449,8 @@ func (s *Span) durationLocked() time.Duration {
 	return time.Since(s.start)
 }
 
-// path returns the slash-joined ancestry (excluding the root's name is not
-// excluded: the root is included so paths are unambiguous).
+// pathLocked returns the slash-joined ancestry, the root's name included so
+// paths are unambiguous.
 func (s *Span) pathLocked() string {
 	if s.parent == nil {
 		return s.Name

@@ -20,7 +20,9 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	sp.SetFloat("f", 1.5)
 	sp.End()
 	tr.Add(CITests, 1)
-	tr.AddSink(NewJSONLSink(&bytes.Buffer{}))
+	if ev := tr.Events(); ev != nil {
+		t.Fatalf("Events on nil trace = %v, want nil", ev)
+	}
 	if c := tr.Counters(); c != nil {
 		t.Fatalf("Counters on nil trace = %v, want nil", c)
 	}
@@ -134,15 +136,17 @@ func TestSpanAttrsAndDuration(t *testing.T) {
 	}
 }
 
-func TestJSONLSinkEmitsSpanAndCounterEvents(t *testing.T) {
-	var buf bytes.Buffer
+func TestWriteJSONLEmitsSpanAndCounterEvents(t *testing.T) {
 	tr := New("root")
-	tr.AddSink(NewJSONLSink(&buf))
 	sp := tr.Start("prepare")
 	sp.SetInt("rows", 42)
 	sp.End()
 	tr.Add(CITests, 3)
 	tr.Close()
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
 
 	var events []Event
 	sc := bufio.NewScanner(&buf)
@@ -163,9 +167,36 @@ func TestJSONLSinkEmitsSpanAndCounterEvents(t *testing.T) {
 	if events[0].DurNS <= 0 {
 		t.Fatalf("span event has DurNS %d, want > 0", events[0].DurNS)
 	}
+	if len(events[0].Attrs) != 1 || events[0].Attrs[0] != (Attr{"rows", "42"}) {
+		t.Fatalf("span event attrs = %+v, want rows=42", events[0].Attrs)
+	}
+	if events[1].Type != "span" || events[1].Path != "root" {
+		t.Fatalf("second event = %+v, want the root span", events[1])
+	}
 	last := events[len(events)-1]
 	if last.Type != "counters" || last.Counters[CITests] != 3 {
 		t.Fatalf("last event = %+v, want counters with ci_tests=3", last)
+	}
+}
+
+// Events lists spans in the order they ended, not the order they started:
+// a child ends before its parent, and spans Close ends come deepest first.
+func TestEventsFollowEndOrder(t *testing.T) {
+	tr := New("root")
+	a := tr.Start("a")
+	tr.Start("a1").End()
+	b := tr.Start("b") // child of a, left open
+	a.End()            // out of order: a ends before b
+	b.End()
+	tr.Start("c") // left open: Close ends it, then root
+	tr.Close()
+	var got []string
+	for _, e := range tr.Events() {
+		got = append(got, e.Path)
+	}
+	want := []string{"root/a/a1", "root/a", "root/a/b", "root/c", "root"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("event paths = %v, want %v", got, want)
 	}
 }
 

@@ -215,8 +215,8 @@ func (r *Registry) gaugeValues() []gaugeValue {
 	return out
 }
 
-// StageSink adapts the span stream of a per-request Trace into the
-// registry's per-stage latency histograms: every ended span whose base
+// StageSink projects the spans of a per-request Trace, once it is closed,
+// into the registry's per-stage latency histograms: every span whose base
 // name (the part before the first space — "ned Country" → "ned",
 // "iteration 3" → "iteration") is a known pipeline stage records its
 // duration into pipeline_stage_seconds{stage="..."}. This is how the
@@ -240,7 +240,7 @@ var PipelineStages = []string{
 }
 
 // NewStageSink builds the sink with one histogram per known stage,
-// pre-created so Emit never allocates a lookup key.
+// pre-created so recording never allocates a lookup key.
 func NewStageSink(r *Registry) *StageSink {
 	s := &StageSink{stages: make(map[string]*Histogram, len(PipelineStages))}
 	for _, st := range PipelineStages {
@@ -250,9 +250,22 @@ func NewStageSink(r *Registry) *StageSink {
 	return s
 }
 
-// Emit implements Sink: span events for known stages record their
-// duration; everything else (unknown spans, the final counters event) is
-// dropped.
+// Observe records the spans of a closed trace's snapshot (Trace.Close's
+// return), each through Emit.
+func (s *StageSink) Observe(snap Snapshot) { s.observe(snap.Root) }
+
+func (s *StageSink) observe(d *SpanData) {
+	if d == nil {
+		return
+	}
+	s.Emit(Event{Type: "span", Name: d.Name, DurNS: d.DurNS})
+	for _, c := range d.Children {
+		s.observe(c)
+	}
+}
+
+// Emit records one span event's duration when its span is a known stage;
+// everything else (unknown spans, a counters event) is dropped.
 func (s *StageSink) Emit(e Event) {
 	if e.Type != "span" {
 		return

@@ -9,8 +9,8 @@ import (
 )
 
 // SlowEntry is one captured slow request: identity, wall-clock cost, and
-// (when the request ran under a traced pipeline) the full span event
-// stream, i.e. exactly what a JSONL trace sink would have written.
+// (when the request ran under a traced pipeline) its trace's span events,
+// i.e. the span lines of Trace.WriteJSONL.
 type SlowEntry struct {
 	// ID names the request (job id for nexusd, method+path for kgd).
 	ID string `json:"id"`
@@ -20,8 +20,8 @@ type SlowEntry struct {
 	Start time.Time `json:"start"`
 	// DurNS is the end-to-end wall clock in nanoseconds.
 	DurNS int64 `json:"dur_ns"`
-	// Events is the request's span stream (empty when the request had no
-	// trace attached).
+	// Events is the request's span events in end order (empty when the
+	// request had no trace attached).
 	Events []Event `json:"events,omitempty"`
 }
 
@@ -61,21 +61,25 @@ func (l *SlowLog) Threshold() time.Duration {
 
 // Record offers an entry and reports whether it was retained: entries
 // under the threshold never are; past the retention bound the entry must
-// be slower than the fastest retained one, which it then evicts.
-func (l *SlowLog) Record(e SlowEntry) bool {
+// be slower than the fastest retained one, which it then evicts. A
+// retained entry gets the span events of the request's closed trace tr
+// (none for a nil tr), so only a kept request pays for building them.
+func (l *SlowLog) Record(e SlowEntry, tr *Trace) bool {
 	if l == nil || time.Duration(e.DurNS) < l.threshold {
 		return false
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seen++
-	if len(l.heap) < l.keep {
+	full := len(l.heap) == l.keep
+	if full && e.DurNS <= l.heap[0].DurNS {
+		return false
+	}
+	e.Events = tr.Events()
+	if !full {
 		l.heap = append(l.heap, e)
 		l.siftUp(len(l.heap) - 1)
 		return true
-	}
-	if e.DurNS <= l.heap[0].DurNS {
-		return false
 	}
 	l.heap[0] = e
 	l.siftDown(0)
@@ -143,31 +147,4 @@ func (l *SlowLog) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// CaptureSink buffers a trace's span events in memory so a finished
-// request's trace can be attached to a SlowEntry after the fact. The
-// final counters event is skipped — a server's counter set is cumulative
-// across requests and would only mislead inside a single request's
-// capture. Safe for concurrent use.
-type CaptureSink struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Emit implements Sink.
-func (s *CaptureSink) Emit(e Event) {
-	if e.Type != "span" {
-		return
-	}
-	s.mu.Lock()
-	s.events = append(s.events, e)
-	s.mu.Unlock()
-}
-
-// Events returns the captured span events in emission order.
-func (s *CaptureSink) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
 }

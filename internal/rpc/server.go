@@ -137,7 +137,7 @@ func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 		defer s.inFlight.Dec()
 		start := time.Now()
 		h(w, r)
-		s.slow.Record(obs.SlowEntry{ID: r.Method + " " + r.URL.Path, Start: start, DurNS: int64(time.Since(start))})
+		s.slow.Record(obs.SlowEntry{ID: r.Method + " " + r.URL.Path, Start: start, DurNS: int64(time.Since(start))}, nil)
 	})))
 }
 

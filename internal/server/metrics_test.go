@@ -8,7 +8,9 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -143,5 +145,75 @@ func TestSlowCapture(t *testing.T) {
 	}
 	if !names["prepare"] {
 		t.Fatalf("capture missing pipeline spans; got %v", names)
+	}
+}
+
+// TestSlowCaptureConcurrentRequests: two explanations running at once each
+// close their own trace. Each slow entry holds only its own request's span
+// events, every path under its own root, and each request records its
+// stages once.
+func TestSlowCaptureConcurrentRequests(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 2, SlowThreshold: time.Nanosecond, SlowKeep: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	const series = `nexusd_pipeline_stage_seconds_count{stage="core_explain"} `
+	stageCount := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		for _, line := range strings.Split(string(raw), "\n") {
+			if n, ok := strings.CutPrefix(line, series); ok {
+				v, err := strconv.Atoi(n)
+				if err != nil {
+					t.Fatalf("%s%q: %v", series, n, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("/metrics has no %s", series)
+		return 0
+	}
+	before := stageCount()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code, body := postExplain(t, ts.URL, ExplainRequest{SQL: testSQL}); code != http.StatusOK {
+				t.Errorf("explain: status %d: %s", code, body)
+			}
+		}()
+	}
+	wg.Wait()
+
+	if got := stageCount() - before; got != 2 {
+		t.Fatalf("core_explain stage count rose by %d, want 2", got)
+	}
+	entries := srv.SlowLog().Snapshot()
+	if len(entries) != 2 || entries[0].ID == entries[1].ID {
+		t.Fatalf("slow entries = %+v, want two requests", entries)
+	}
+	for _, e := range entries {
+		root := "explain " + e.ID
+		var roots, explains int
+		for _, ev := range e.Events {
+			if ev.Type != "span" || (ev.Path != root && !strings.HasPrefix(ev.Path, root+"/")) {
+				t.Fatalf("entry %s holds event %+v", e.ID, ev)
+			}
+			if ev.Path == root {
+				roots++
+			}
+			if ev.Name == "core-explain" {
+				explains++
+			}
+		}
+		if roots != 1 || explains != 1 {
+			t.Fatalf("entry %s: %d root and %d core-explain spans, want 1 each", e.ID, roots, explains)
+		}
 	}
 }

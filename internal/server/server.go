@@ -173,7 +173,7 @@ type Server struct {
 
 	// Serving-metric instruments, resolved once at construction so the
 	// per-request path never touches the registry's lock.
-	stages    *obs.StageSink // per-stage pipeline_stage_seconds
+	stages    *obs.StageSink // per-stage pipeline_stage_seconds, from each closed trace
 	queueWait *obs.Histogram // job_queue_wait_seconds (admitted → running)
 	runTime   *obs.Histogram // job_run_seconds (running → finished)
 	slow      *obs.SlowLog   // nil unless Config.SlowThreshold > 0
@@ -251,10 +251,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener, drainTimeout time.D
 // explain answers one request under ctx. It is refused with 429 when no
 // admitted slot is free, then waits for a running slot — giving up with
 // 408/499 when ctx ends first. Each run gets its own short-lived trace
-// (obs.WithTrace) whose counters are the server's shared set: span durations
-// feed the per-stage pipeline histograms through the StageSink, and — when
-// slow capture is on — the full span stream is buffered so an over-threshold
-// run lands in the slow log with its trace attached.
+// (obs.WithTrace) whose counters are the server's shared set. Once the run
+// ends the closed trace is read: its span durations feed the per-stage
+// pipeline histograms, and — when slow capture is on — an over-threshold
+// run lands in the slow log with its span events attached.
 func (s *Server) explain(ctx context.Context, req ExplainRequest) (*ExplainResponse, *httpError) {
 	select {
 	case s.admitted <- struct{}{}:
@@ -276,12 +276,6 @@ func (s *Server) explain(ctx context.Context, req ExplainRequest) (*ExplainRespo
 
 	id := "j" + strconv.FormatUint(s.seq.Add(1), 10)
 	tr := obs.NewWithCounters("explain "+id, s.metrics)
-	tr.AddSink(s.stages)
-	var capture *obs.CaptureSink
-	if s.slow != nil {
-		capture = &obs.CaptureSink{}
-		tr.AddSink(capture)
-	}
 	ctx = obs.WithTrace(ctx, tr)
 
 	rep, err := s.cfg.Session.ExplainCtx(ctx, req.SQL)
@@ -292,19 +286,13 @@ func (s *Server) explain(ctx context.Context, req ExplainRequest) (*ExplainRespo
 	}
 	elapsed := time.Since(start)
 	s.runTime.RecordDuration(elapsed)
-	tr.Close() // ends the root span, flushing it to the capture sink
-	if capture != nil {
+	s.stages.Observe(tr.Close())
+	if s.slow != nil {
 		detail := req.SQL
 		if err != nil {
 			detail += " — error: " + err.Error()
 		}
-		s.slow.Record(obs.SlowEntry{
-			ID:     id,
-			Detail: detail,
-			Start:  start,
-			DurNS:  int64(elapsed),
-			Events: capture.Events(),
-		})
+		s.slow.Record(obs.SlowEntry{ID: id, Detail: detail, Start: start, DurNS: int64(elapsed)}, tr)
 	}
 	if err != nil {
 		return nil, s.failed(err)
